@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check vet build test race lint lint-debt debt-gate cover fuzz-smoke bench bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check vet build test race lint lint-debt debt-gate cover fuzz-smoke bench bench-smoke bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
 
 check: vet build test race lint debt-gate
 
@@ -66,6 +66,13 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
+
+# bench/ is a nested module (its own go.mod, `replace geostat => ../`), so
+# `go test ./...` never enters it: vet and test it here, so a facade change
+# that breaks the benchmark's build fails CI instead of the perf pipeline.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Machine-readable benchmark snapshot: every geobench experiment's wall
 # clock as JSON. BENCH_baseline.json is the committed reference point;

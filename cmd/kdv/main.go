@@ -57,7 +57,7 @@ func run(in, out, kernelArg, methodArg string, bandwidth, epsilon float64, width
 	if bandwidth == 0 {
 		// Silverman's normal-reference rule; fall back to 5% of the longer
 		// side for degenerate data.
-		if b, serr := geostat.SilvermanBandwidth(d.Points()); serr == nil {
+		if b, serr := geostat.SilvermanBandwidthDataset(d); serr == nil {
 			bandwidth = b
 		} else {
 			side := box.Width()
@@ -90,7 +90,7 @@ func run(in, out, kernelArg, methodArg string, bandwidth, epsilon float64, width
 		Seed:    1,
 	}
 	start := time.Now()
-	hm, err := geostat.KDV(d.Points(), opt)
+	hm, err := geostat.KDVDataset(d, opt)
 	if err != nil {
 		return err
 	}
@@ -111,7 +111,7 @@ func run(in, out, kernelArg, methodArg string, bandwidth, epsilon float64, width
 		small := geostat.NewPixelGrid(box, 72, 28)
 		sOpt := opt
 		sOpt.Grid = small
-		sm, err := geostat.KDV(d.Points(), sOpt)
+		sm, err := geostat.KDVDataset(d, sOpt)
 		if err != nil {
 			return err
 		}

@@ -76,7 +76,7 @@ func TestShardedKDVDeterminismMatrix(t *testing.T) {
 		Kernel: kernel.MustNew(kernel.Quartic, 10),
 		Grid:   geom.NewPixelGrid(shardBox, 18, 15),
 	}
-	ref, err := kde.NaiveCols(d.Columns(), kde.Options{Kernel: req.Kernel, Grid: req.Grid})
+	ref, err := kde.Evaluate(d.Columns(), kde.Naive, kde.Options{Kernel: req.Kernel, Grid: req.Grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestShardedKDVCompletionOrderInvariance(t *testing.T) {
 		Grid:   geom.NewPixelGrid(shardBox, 18, 15),
 		TilesX: 3, TilesY: 3,
 	}
-	ref, err := kde.NaiveCols(d.Columns(), kde.Options{Kernel: req.Kernel, Grid: req.Grid})
+	ref, err := kde.Evaluate(d.Columns(), kde.Naive, kde.Options{Kernel: req.Kernel, Grid: req.Grid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+
 	"geostat/internal/geom"
 )
 
@@ -83,6 +85,28 @@ func MakeColumns(pts []geom.Point, w []float64) Columns {
 		x[i] = p.X
 		y[i] = p.Y
 	}
+	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+}
+
+// WithWeights returns the view with w as its weight column (nil removes
+// it) and the chunk aggregates recomputed for it. The coordinate columns
+// are shared; w is aliased, not copied.
+func (c Columns) WithWeights(w []float64) (Columns, error) {
+	if w != nil && len(w) != c.N() {
+		return Columns{}, fmt.Errorf("dataset: %d points but %d weights", c.N(), len(w))
+	}
+	return Columns{X: c.X, Y: c.Y, W: w, Chunks: buildChunks(c.X, c.Y, w)}, nil
+}
+
+// Gather returns fresh columns holding the points at idx, in idx order
+// (indices may repeat), carrying the weight column along when present.
+func (c Columns) Gather(idx []int) Columns {
+	x := make([]float64, len(idx))
+	y := make([]float64, len(idx))
+	for j, i := range idx {
+		x[j], y[j] = c.X[i], c.Y[i]
+	}
+	w := subsetColumn(c.W, idx)
 	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
 }
 

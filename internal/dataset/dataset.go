@@ -68,11 +68,6 @@ func FromPoints(pts []geom.Point) *Dataset {
 	return &Dataset{x: c.X, y: c.Y, chunks: c.Chunks}
 }
 
-// fromColumns wraps already-built coordinate columns, taking ownership.
-func fromColumns(x, y []float64) *Dataset {
-	return &Dataset{x: x, y: y, chunks: buildChunks(x, y, nil)}
-}
-
 // N returns the number of points.
 func (d *Dataset) N() int { return len(d.x) }
 
@@ -246,19 +241,12 @@ func (d *Dataset) Clone() *Dataset {
 // Subset returns a new dataset holding the points at the given indices,
 // carrying times/values/weights along when present.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	x := make([]float64, len(idx))
-	y := make([]float64, len(idx))
-	for j, i := range idx {
-		x[j], y[j] = d.x[i], d.y[i]
+	c := d.Columns().Gather(idx)
+	return &Dataset{
+		x: c.X, y: c.Y, weights: c.W, chunks: c.Chunks,
+		times:  subsetColumn(d.times, idx),
+		values: subsetColumn(d.values, idx),
 	}
-	s := fromColumns(x, y)
-	s.times = subsetColumn(d.times, idx)
-	s.values = subsetColumn(d.values, idx)
-	if d.weights != nil {
-		s.weights = subsetColumn(d.weights, idx)
-		s.chunks = buildChunks(s.x, s.y, s.weights)
-	}
-	return s
 }
 
 func subsetColumn(col []float64, idx []int) []float64 {

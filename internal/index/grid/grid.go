@@ -12,9 +12,8 @@ import (
 	"geostat/internal/geom"
 )
 
-// Index is a uniform grid over a point set. Build with New.
+// Index is a uniform grid over a point set. Build with New or NewColumns.
 type Index struct {
-	pts     []geom.Point
 	box     geom.BBox
 	nx, ny  int
 	cellW   float64
@@ -22,8 +21,8 @@ type Index struct {
 	cellPts []int32 // point indices grouped by cell (counting-sort layout)
 	cellOff []int32 // cellOff[c]..cellOff[c+1] bounds cell c's slice of cellPts
 	// sortedX/sortedY are the point coordinates in cellPts order — cell-local
-	// SoA columns so range scans stream contiguous memory instead of chasing
-	// cellPts indirections into the AoS point slice.
+	// SoA columns so range scans stream contiguous memory. They are the
+	// index's only copy of the coordinates; the input is not retained.
 	sortedX []float64
 	sortedY []float64
 }
@@ -33,12 +32,28 @@ type Index struct {
 // cellSize should match the dominant query radius; r == cellSize means a
 // disc query touches at most 9 cells of candidates.
 func New(pts []geom.Point, cellSize float64) *Index {
-	g := &Index{pts: pts, box: geom.NewBBox(pts)}
-	if len(pts) == 0 {
+	return build(len(pts), func(i int) (x, y float64) { return pts[i].X, pts[i].Y }, cellSize)
+}
+
+// NewColumns is New over coordinate columns: point i is (xs[i], ys[i]) and
+// len(xs) must equal len(ys). It builds the same index New builds over the
+// equivalent point slice.
+func NewColumns(xs, ys []float64, cellSize float64) *Index {
+	return build(len(xs), func(i int) (x, y float64) { return xs[i], ys[i] }, cellSize)
+}
+
+// build is the one index constructor; at(i) returns point i's coordinates.
+func build(n int, at func(i int) (x, y float64), cellSize float64) *Index {
+	g := &Index{box: geom.EmptyBBox()}
+	if n == 0 {
 		g.nx, g.ny = 1, 1
 		g.cellW, g.cellH = 1, 1
 		g.cellOff = make([]int32, 2)
 		return g
+	}
+	for i := 0; i < n; i++ {
+		x, y := at(i)
+		g.box = g.box.ExtendPoint(geom.Point{X: x, Y: y})
 	}
 	w := math.Max(g.box.Width(), 1e-12)
 	h := math.Max(g.box.Height(), 1e-12)
@@ -61,9 +76,9 @@ func New(pts []geom.Point, cellSize float64) *Index {
 	// Counting sort points into cells.
 	ncells := g.nx * g.ny
 	counts := make([]int32, ncells+1)
-	cellOf := make([]int32, len(pts))
-	for i, p := range pts {
-		c := int32(g.cellIndex(p))
+	cellOf := make([]int32, n)
+	for i := range cellOf {
+		c := int32(g.cellIndex(at(i)))
 		cellOf[i] = c
 		counts[c+1]++
 	}
@@ -71,24 +86,22 @@ func New(pts []geom.Point, cellSize float64) *Index {
 		counts[c+1] += counts[c]
 	}
 	g.cellOff = counts
-	g.cellPts = make([]int32, len(pts))
+	g.cellPts = make([]int32, n)
 	cursor := make([]int32, ncells)
-	for i := range pts {
-		c := cellOf[i]
+	for i, c := range cellOf {
 		g.cellPts[g.cellOff[c]+cursor[c]] = int32(i)
 		cursor[c]++
 	}
-	g.sortedX = make([]float64, len(pts))
-	g.sortedY = make([]float64, len(pts))
+	g.sortedX = make([]float64, n)
+	g.sortedY = make([]float64, n)
 	for j, pi := range g.cellPts {
-		g.sortedX[j] = pts[pi].X
-		g.sortedY[j] = pts[pi].Y
+		g.sortedX[j], g.sortedY[j] = at(int(pi))
 	}
 	return g
 }
 
 // Len returns the number of indexed points.
-func (g *Index) Len() int { return len(g.pts) }
+func (g *Index) Len() int { return len(g.sortedX) }
 
 // Bounds returns the bounding box of the indexed points.
 func (g *Index) Bounds() geom.BBox { return g.box }
@@ -96,9 +109,9 @@ func (g *Index) Bounds() geom.BBox { return g.box }
 // CellSize returns the grid's cell dimensions.
 func (g *Index) CellSize() (w, h float64) { return g.cellW, g.cellH }
 
-func (g *Index) cellIndex(p geom.Point) int {
-	cx := clampInt(int((p.X-g.box.MinX)/g.cellW), 0, g.nx-1)
-	cy := clampInt(int((p.Y-g.box.MinY)/g.cellH), 0, g.ny-1)
+func (g *Index) cellIndex(x, y float64) int {
+	cx := clampInt(int((x-g.box.MinX)/g.cellW), 0, g.nx-1)
+	cy := clampInt(int((y-g.box.MinY)/g.cellH), 0, g.ny-1)
 	return cy*g.nx + cx
 }
 
@@ -116,7 +129,7 @@ func (g *Index) cellRange(q geom.Point, r float64) (cx0, cx1, cy0, cy1 int) {
 // (boundary inclusive). Cells entirely inside the disc are counted without
 // touching their points; boundary cells are scanned.
 func (g *Index) RangeCount(q geom.Point, r float64) int {
-	if len(g.pts) == 0 || r < 0 {
+	if g.Len() == 0 || r < 0 {
 		return 0
 	}
 	r2 := r * r
@@ -126,16 +139,16 @@ func (g *Index) RangeCount(q geom.Point, r float64) int {
 		rowBase := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
 			c := rowBase + cx
-			lo, hi := g.cellOff[c], g.cellOff[c+1]
+			lo, hi := int(g.cellOff[c]), int(g.cellOff[c+1])
 			if lo == hi {
 				continue
 			}
 			if g.cellInside(cx, cy, q, r2) {
-				count += int(hi - lo)
+				count += hi - lo
 				continue
 			}
-			for _, pi := range g.cellPts[lo:hi] {
-				if g.pts[pi].Dist2(q) <= r2 {
+			for j := lo; j < hi; j++ {
+				if g.dist2(j, q) <= r2 {
 					count++
 				}
 			}
@@ -147,7 +160,7 @@ func (g *Index) RangeCount(q geom.Point, r float64) int {
 // RangeQuery appends the indices of all points within distance r of q to
 // dst and returns the extended slice.
 func (g *Index) RangeQuery(q geom.Point, r float64, dst []int) []int {
-	if len(g.pts) == 0 || r < 0 {
+	if g.Len() == 0 || r < 0 {
 		return dst
 	}
 	r2 := r * r
@@ -156,9 +169,9 @@ func (g *Index) RangeQuery(q geom.Point, r float64, dst []int) []int {
 		rowBase := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
 			c := rowBase + cx
-			for _, pi := range g.cellPts[g.cellOff[c]:g.cellOff[c+1]] {
-				if g.pts[pi].Dist2(q) <= r2 {
-					dst = append(dst, int(pi))
+			for j := int(g.cellOff[c]); j < int(g.cellOff[c+1]); j++ {
+				if g.dist2(j, q) <= r2 {
+					dst = append(dst, int(g.cellPts[j]))
 				}
 			}
 		}
@@ -170,7 +183,7 @@ func (g *Index) RangeQuery(q geom.Point, r float64, dst []int) []int {
 // point within distance r of q. It is the allocation-free core used by the
 // KDV cutoff algorithm (fn accumulates kernel values directly).
 func (g *Index) ForEachInRange(q geom.Point, r float64, fn func(i int, d2 float64)) {
-	if len(g.pts) == 0 || r < 0 {
+	if g.Len() == 0 || r < 0 {
 		return
 	}
 	r2 := r * r
@@ -179,13 +192,21 @@ func (g *Index) ForEachInRange(q geom.Point, r float64, fn func(i int, d2 float6
 		rowBase := cy * g.nx
 		for cx := cx0; cx <= cx1; cx++ {
 			c := rowBase + cx
-			for _, pi := range g.cellPts[g.cellOff[c]:g.cellOff[c+1]] {
-				if d2 := g.pts[pi].Dist2(q); d2 <= r2 {
-					fn(int(pi), d2)
+			for j := int(g.cellOff[c]); j < int(g.cellOff[c+1]); j++ {
+				if d2 := g.dist2(j, q); d2 <= r2 {
+					fn(int(g.cellPts[j]), d2)
 				}
 			}
 		}
 	}
+}
+
+// dist2 returns the squared distance from slot j's point to q — the same
+// expression as geom.Point.Dist2, so results match the AoS form bit for bit.
+func (g *Index) dist2(j int, q geom.Point) float64 {
+	dx := g.sortedX[j] - q.X
+	dy := g.sortedY[j] - q.Y
+	return dx*dx + dy*dy
 }
 
 // Columns returns the index's cell-ordered coordinate columns and the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/kernel"
@@ -20,22 +21,23 @@ import (
 //
 // (Silverman's normal-reference rule with d=2). It is a pilot value:
 // optimal under Gaussian data, a sane starting point elsewhere.
-func SilvermanBandwidth(pts []geom.Point) (float64, error) {
-	n := len(pts)
+func SilvermanBandwidth(cols dataset.Columns) (float64, error) {
+	n := cols.N()
 	if n < 2 {
 		return 0, fmt.Errorf("kde: Silverman rule needs at least 2 points, got %d", n)
 	}
 	var mx, my float64
-	for _, p := range pts {
-		mx += p.X
-		my += p.Y
+	for i, x := range cols.X {
+		mx += x
+		my += cols.Y[i]
 	}
 	mx /= float64(n)
 	my /= float64(n)
 	var vx, vy float64
-	for _, p := range pts {
-		vx += (p.X - mx) * (p.X - mx)
-		vy += (p.Y - my) * (p.Y - my)
+	for i, x := range cols.X {
+		y := cols.Y[i]
+		vx += (x - mx) * (x - mx)
+		vy += (y - my) * (y - my)
 	}
 	vx /= float64(n - 1)
 	vy /= float64(n - 1)

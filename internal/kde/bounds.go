@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"sync"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/index/balltree"
-	"geostat/internal/obs"
-	"geostat/internal/raster"
 )
 
-// BoundApprox computes an ε-approximate KDV using the function-
+// buildBound constructs the ε-approximate evaluator of the function-
 // approximation family of §2.2 (QUAD [25], KARL [34], Gray & Moore [51]):
 // for each pixel a best-first traversal of a ball-tree maintains
 //
@@ -18,42 +17,28 @@ import (
 //
 // (kernels are non-increasing in distance, so a node's distance bracket
 // [dMin, dMax] brackets every contained point's kernel value) and keeps
-// splitting the node with the largest bracket gap until UB ≤ (1+ε)·LB.
-// Returning R = (LB+UB)/2 then satisfies Equation 6's guarantee:
-// (1−ε)·F(q) ≤ R(q) ≤ (1+ε)·F(q).
+// splitting the node with the largest bracket gap until UB ≤ (1+ε)·LB,
+// ε = Options.Epsilon. Returning R = (LB+UB)/2 then satisfies Equation 6's
+// guarantee: (1−ε)·F(q) ≤ R(q) ≤ (1+ε)·F(q).
 //
 // Unlike the exact accelerators this works for every kernel, including the
-// infinite-support Gaussian and exponential kernels.
-func BoundApprox(pts []geom.Point, opt Options, eps float64) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
+// infinite-support Gaussian and exponential kernels. The guarantee is
+// stated for unweighted sums, so the row declares no weights capability.
+func buildBound(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
+	if !(opt.Epsilon > 0) {
+		return nil, 0, fmt.Errorf("kde: BoundApprox needs eps > 0, got %g", opt.Epsilon)
 	}
-	if !(eps > 0) {
-		return nil, fmt.Errorf("kde: BoundApprox needs eps > 0, got %g", eps)
+	// The ball-tree API is point-shaped; this is the package's one private
+	// array-of-structs hand-off.
+	pts := make([]geom.Point, cols.N())
+	for i := range pts {
+		pts[i] = geom.Point{X: cols.X[i], Y: cols.Y[i]}
 	}
-	if opt.Weights != nil {
-		return nil, fmt.Errorf("kde: BoundApprox does not support event weights; use an exact method")
-	}
-	if opt.Float32 {
-		return nil, fmt.Errorf("kde: BoundApprox does not support the float32 path; use Naive or GridCutoff")
-	}
-	if err := opt.rejectWindow("BoundApprox"); err != nil {
-		return nil, err
-	}
-	_, span := obs.Trace(opt.context(), "kde.index_build")
-	tree := balltree.New(pts)
-	span.End()
-	bc := &boundComputer{
-		opt:  &opt,
-		eps:  eps,
-		tree: tree,
-	}
-	return run(bc, &opt, len(pts))
+	return &boundComputer{opt: opt, tree: balltree.New(pts)}, 1, nil
 }
 
 type boundComputer struct {
 	opt  *Options
-	eps  float64
 	tree *balltree.Tree
 
 	scratch sync.Pool // *gapHeap
@@ -126,14 +111,14 @@ func (c *boundComputer) estimate(q geom.Point, hp *gapHeap) float64 {
 	if !ok {
 		return 0
 	}
-	k := c.opt.Kernel
+	k, eps := c.opt.Kernel, c.opt.Epsilon
 	*hp = (*hp)[:0]
 	entry := c.score(root, q)
 	lb, ub := entry.lb, entry.ub
 	if entry.gap > 0 {
 		hp.push(entry)
 	}
-	for len(*hp) > 0 && ub > (1+c.eps)*lb {
+	for len(*hp) > 0 && ub > (1+eps)*lb {
 		e := hp.pop()
 		lb -= e.lb
 		ub -= e.ub

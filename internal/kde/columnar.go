@@ -1,13 +1,11 @@
 package kde
 
 import (
-	"fmt"
 	"math"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
-	"geostat/internal/raster"
 )
 
 // This file holds the columnar exact evaluation core. The inner loops
@@ -227,57 +225,22 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 	return eval(sum, qx, qy, xs[lo:hi], ys[lo:hi], nil)
 }
 
-// Naive computes the exact KDV by evaluating every (pixel, point) pair —
-// the O(XYn) baseline of §1 — over the chunked columnar layout: the inner
-// loop streams coordinate columns chunk-by-chunk with the kernel
-// specialised per type, and for finite-support kernels whole chunks whose
-// bounding box lies outside the kernel support are rejected without
-// touching points. Both changes are bit-exact: pruned chunks contribute
-// only terms the kernel maps to exactly 0.
-func Naive(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
-	return naiveCols(dataset.MakeColumns(pts, opt.Weights), opt)
-}
-
-// NaiveCols is Naive over an already-built columnar view (e.g. a stored
-// Dataset), avoiding the array-of-structs materialisation. The weight
-// column is cols.W; opt.Weights must be nil.
-func NaiveCols(cols dataset.Columns, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Weights != nil {
-		return nil, fmt.Errorf("kde: NaiveCols takes weights from cols.W; Options.Weights must be nil")
-	}
-	return naiveCols(cols, opt)
-}
-
-// naiveCols dispatches the validated columnar naive evaluation. The weight
-// column is installed as opt.Weights so normalisation mass and weight
-// validation see it.
-func naiveCols(cols dataset.Columns, opt Options) (*raster.Grid, error) {
-	opt.Weights = cols.W
-	if err := opt.validateWeights(cols.N()); err != nil {
-		return nil, err
-	}
-	if opt.Float32 {
-		if err := opt.rejectWindow("Float32"); err != nil {
-			return nil, err
-		}
-		return run(newFast32Computer(cols, &opt), &opt, cols.N())
-	}
-	c := &columnarComputer{cols: cols, opt: &opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0}
+// buildNaive constructs the exact O(XYn) baseline of §1: every (pixel,
+// point) pair is evaluated over the chunked columnar layout. The inner loop
+// streams coordinate columns chunk-by-chunk with the kernel specialised per
+// type, and for finite-support kernels whole chunks whose bounding box lies
+// outside the kernel support are rejected without touching points. Both
+// are bit-exact: pruned chunks contribute only terms the kernel maps to
+// exactly 0. It is the one evaluator that applies Options.Window's x
+// offset.
+func buildNaive(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
+	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0}
 	if opt.Kernel.FiniteSupport() {
 		c.prune = true
 		c.b = opt.Kernel.Bandwidth()
 		c.b2 = c.b * c.b
 	}
-	return run(c, &opt, cols.N())
+	return c, 1, nil
 }
 
 // columnarComputer is the exact chunk-blocked naive evaluator.

@@ -1,17 +1,14 @@
 package kde
 
 import (
-	"fmt"
-
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
-	"geostat/internal/obs"
-	"geostat/internal/raster"
 )
 
-// GridCutoff computes an exact KDV for finite-support kernels by bucketing
-// the points into a uniform grid with cell size equal to the bandwidth and
-// scanning, for each pixel, only the buckets intersecting the kernel
+// buildCutoff constructs the exact evaluator for finite-support kernels:
+// the points are bucketed into a uniform grid with cell size equal to the
+// bandwidth and each pixel scans only the buckets intersecting the kernel
 // support. On data without extreme skew this is O(XY·(1+k)) where k is the
 // mean point count inside a support disc — the standard practical exact
 // accelerator. The scan iterates the index's cell-ordered coordinate
@@ -19,49 +16,23 @@ import (
 // callback), visiting candidates in the same order the index's
 // ForEachInRange would, so results are bit-identical to the callback form.
 //
-// Infinite-support kernels (Gaussian, exponential) are rejected: truncating
-// them silently would violate exactness. Use BoundApprox for those (the gap
-// §2.4 of the paper highlights).
-func GridCutoff(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if !opt.Kernel.FiniteSupport() {
-		return nil, fmt.Errorf("kde: GridCutoff requires a finite-support kernel, got %v", opt.Kernel.Type())
-	}
-	if err := opt.rejectWindow("GridCutoff"); err != nil {
-		return nil, err
-	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
-	_, span := obs.Trace(opt.context(), "kde.index_build")
-	idx := gridindex.New(pts, opt.Kernel.Bandwidth())
-	span.End()
+// Infinite-support kernels (Gaussian, exponential) are outside the row's
+// kernel class: truncating them silently would violate exactness. Use
+// BoundApprox for those (the gap §2.4 of the paper highlights).
+func buildCutoff(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
+	b := opt.Kernel.Bandwidth()
+	idx := gridindex.NewColumns(cols.X, cols.Y, b)
+	xs, ys, ids := idx.Columns()
 	// Re-order the weight column to the index's cell-sorted slot order so
 	// the scan reads weights contiguously alongside the coordinates.
 	var ws []float64
-	if opt.Weights != nil {
-		_, _, ids := idx.Columns()
+	if cols.W != nil {
 		ws = make([]float64, len(ids))
 		for j, pi := range ids {
-			ws[j] = opt.Weights[pi]
+			ws[j] = cols.W[pi]
 		}
 	}
-	if opt.Float32 {
-		return run(newCutoffFast32Computer(idx, &opt, ws), &opt, len(pts))
-	}
-	xs, ys, _ := idx.Columns()
-	c := &cutoffComputer{
-		idx:  idx,
-		opt:  &opt,
-		xs:   xs,
-		ys:   ys,
-		ws:   ws,
-		eval: chunkEvalFor(opt.Kernel),
-		b:    opt.Kernel.Bandwidth(),
-	}
-	return run(c, &opt, len(pts))
+	return &cutoffComputer{idx: idx, opt: opt, xs: xs, ys: ys, ws: ws, eval: chunkEvalFor(opt.Kernel), b: b}, 1, nil
 }
 
 type cutoffComputer struct {

@@ -25,7 +25,7 @@ func TestMultiBandwidthMatchesPerBandwidthExact(t *testing.T) {
 			t.Fatalf("%v: %d surfaces", kt, len(surfaces))
 		}
 		for bi, b := range bandwidths {
-			want, err := Exact(pts, Options{Kernel: kernel.MustNew(kt, b), Grid: grid})
+			want, err := Evaluate(cols(pts), Auto, Options{Kernel: kernel.MustNew(kt, b), Grid: grid})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestAdaptiveUniformBandwidthMatchesFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Exact(pts, Options{Kernel: kernel.MustNew(kernel.Quartic, b), Grid: grid})
+	fixed, err := Evaluate(cols(pts), Auto, Options{Kernel: kernel.MustNew(kernel.Quartic, b), Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSilvermanBandwidth(t *testing.T) {
 		theta := 2 * math.Pi * float64(i) / n
 		pts = append(pts, geom.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)})
 	}
-	b, err := SilvermanBandwidth(pts)
+	b, err := SilvermanBandwidth(cols(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestSilvermanBandwidth(t *testing.T) {
 	if math.Abs(b-want)/want > 0.01 {
 		t.Errorf("Silverman = %v, want %v", b, want)
 	}
-	if _, err := SilvermanBandwidth(pts[:1]); err == nil {
+	if _, err := SilvermanBandwidth(cols(pts[:1])); err == nil {
 		t.Error("single point accepted")
 	}
 	same := []geom.Point{{X: 1, Y: 1}, {X: 1, Y: 1}}
-	if _, err := SilvermanBandwidth(same); err == nil {
+	if _, err := SilvermanBandwidth(cols(same)); err == nil {
 		t.Error("zero variance accepted")
 	}
 }
@@ -260,19 +260,19 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 		weights[i] = 0.5 + r.Float64()*3
 	}
 	opt := Options{
-		Kernel:  kernel.MustNew(kernel.Quartic, 9),
-		Grid:    geom.NewPixelGrid(box, 22, 18),
-		Weights: weights,
+		Kernel: kernel.MustNew(kernel.Quartic, 9),
+		Grid:   geom.NewPixelGrid(box, 22, 18),
 	}
-	naive, err := Naive(pts, opt)
+	wcols := dataset.MakeColumns(pts, weights)
+	naive, err := Evaluate(wcols, Naive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := GridCutoff(pts, opt)
+	cut, err := Evaluate(wcols, GridCutoff, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := SweepLine(pts, opt)
+	sweep, err := Evaluate(wcols, SweepLine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,12 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 	// Integer-weight equivalence: weight 3 == the point appearing 3 times.
 	p3 := []geom.Point{{X: 40, Y: 40}, {X: 60, Y: 55}}
 	w3 := []float64{3, 1}
-	opt3 := opt
-	opt3.Weights = w3
-	weighted, err := SweepLine(p3, opt3)
+	weighted, err := Evaluate(dataset.MakeColumns(p3, w3), SweepLine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expanded := []geom.Point{p3[0], p3[0], p3[0], p3[1]}
-	opt3.Weights = nil
-	dup, err := SweepLine(expanded, opt3)
+	dup, err := Evaluate(cols(expanded), SweepLine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,29 +303,19 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 func TestWeightedKDVValidation(t *testing.T) {
 	pts := clusteredPoints(71, 20)
 	opt := Options{
-		Kernel:  kernel.MustNew(kernel.Quartic, 9),
-		Grid:    geom.NewPixelGrid(box, 8, 8),
-		Weights: []float64{1, 2}, // wrong length
+		Kernel: kernel.MustNew(kernel.Quartic, 9),
+		Grid:   geom.NewPixelGrid(box, 8, 8),
 	}
-	if _, err := Naive(pts, opt); err == nil {
-		t.Error("wrong-length weights accepted by Naive")
+	// Wrong-length weights never reach a method: the columns refuse them,
+	// and the driver re-checks the invariant for hand-built columns.
+	if _, err := cols(pts).WithWeights([]float64{1, 2}); err == nil {
+		t.Error("wrong-length weights accepted by WithWeights")
 	}
-	if _, err := GridCutoff(pts, opt); err == nil {
-		t.Error("wrong-length weights accepted by GridCutoff")
-	}
-	if _, err := SweepLine(pts, opt); err == nil {
-		t.Error("wrong-length weights accepted by SweepLine")
-	}
-	ok := make([]float64, len(pts))
-	for i := range ok {
-		ok[i] = 1
-	}
-	opt.Weights = ok
-	if _, err := BoundApprox(pts, opt, 0.1); err == nil {
-		t.Error("weights accepted by BoundApprox")
-	}
-	if _, err := Sampled(pts, opt, 1, 0.1, 0.1); err == nil {
-		t.Error("weights accepted by Sampled")
+	long := dataset.MakeColumns(pts, make([]float64, len(pts)+1))
+	for _, row := range methods {
+		if _, err := Evaluate(long, row.id, opt); err == nil {
+			t.Errorf("wrong-length weights accepted by %v", row.id)
+		}
 	}
 }
 
@@ -338,9 +325,8 @@ func TestWeightedNormalizeIntegratesToOne(t *testing.T) {
 		Kernel:    kernel.MustNew(kernel.Quartic, 10),
 		Grid:      geom.NewPixelGrid(box, 200, 160),
 		Normalize: true,
-		Weights:   []float64{3, 1},
 	}
-	out, err := GridCutoff(pts, opt)
+	out, err := Evaluate(dataset.MakeColumns(pts, []float64{3, 1}), GridCutoff, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,10 @@
 // the paper): colouring each pixel q of an X×Y raster with the kernel
 // density value F_P(q) = Σ_p w·K(q, p).
 //
-// Every acceleration family the paper's §2.2 reviews is implemented:
+// Evaluate is the single full-raster entry point. The paper's §2.2
+// acceleration families are interchangeable ways to fill the same raster,
+// and the package treats them that way: each is one row of the method table
+// (a constructor plus its capabilities as data) behind one driver.
 //
 //   - Naive: the O(XYn) baseline every off-the-shelf GIS package uses.
 //   - GridCutoff: exact for finite-support kernels; a bucket index limits
@@ -18,15 +21,16 @@
 //     random subset sized by a Hoeffding bound gives an additive error
 //     guarantee with probability 1−δ.
 //
-// All entry points share Options and return a raster.Grid; Workers > 1
-// parallelises over raster rows (the paper's parallel/hardware family,
-// realised as goroutine sharding).
+// Every method reads the columnar dataset.Columns layout and returns a
+// raster.Grid; Workers > 1 parallelises over raster rows (the paper's
+// parallel/hardware family, realised as goroutine sharding).
 package kde
 
 import (
 	"context"
 	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
 	"geostat/internal/obs"
@@ -34,42 +38,74 @@ import (
 	"geostat/internal/raster"
 )
 
+// Method selects the KDV algorithm (§2.2's acceleration families).
+type Method int
+
+const (
+	// Auto picks the fastest exact method whose kernel requirement holds:
+	// sweep line for polynomial kernels, grid cutoff for other
+	// finite-support kernels, naive otherwise.
+	Auto Method = iota
+	// Naive is the exact O(XYn) baseline.
+	Naive
+	// GridCutoff is exact for finite-support kernels via a bucket index.
+	GridCutoff
+	// SweepLine is the exact O(Y(X+n)) computational-sharing algorithm
+	// (SLAM family) for kernels polynomial in squared distance.
+	SweepLine
+	// BoundApprox is the (1±ε) function-approximation algorithm (QUAD/KARL
+	// family); works for every kernel, including Gaussian.
+	BoundApprox
+	// Sampled is the Hoeffding-sampling approximation.
+	Sampled
+)
+
+// String returns the method name.
+func (m Method) String() string {
+	if m == Auto {
+		return "auto"
+	}
+	for i := range methods {
+		if methods[i].id == m {
+			return methods[i].name
+		}
+	}
+	return fmt.Sprintf("Method(%d)", int(m))
+}
+
 // Options configures a KDV computation.
 type Options struct {
 	// Kernel is the kernel function K and bandwidth b.
 	Kernel kernel.Kernel
 	// Grid is the raster over which F is evaluated.
 	Grid geom.PixelGrid
-	// Normalize scales the surface by NormConst/n so it integrates to ~1
-	// (a probability density). False matches the paper's raw Σ K convention.
+	// Normalize scales the surface by NormConst/n (NormConst/Σw for
+	// weighted columns) so it integrates to ~1 (a probability density).
+	// False matches the paper's raw Σ K convention.
 	Normalize bool
 	// Workers is the parallelism degree; 0 or 1 is serial, negative means
 	// GOMAXPROCS.
 	Workers int
-	// Weights optionally weights each event (severity, case counts):
-	// F(q) = Σ_i Weights[i]·K(q, p_i). Supported by the exact methods
-	// (Naive, GridCutoff, SweepLine); the approximate methods reject it
-	// (their guarantees are stated for unweighted sums). Nil means all 1.
-	Weights []float64
-	// Float32 opts into the approximate fast path: float32 coordinate
-	// columns, a precomputed kernel lookup table, and truncation of
-	// infinite-support kernels at Kernel.SupportRadius. Results differ from
-	// the exact float64 path by float32 rounding noise (see the error-bound
-	// tests). Supported by Naive, GridCutoff and Exact; SweepLine,
-	// BoundApprox and Sampled reject it. Never selected implicitly.
-	Float32 bool
 	// Ctx optionally bounds the computation: workers check it between row
-	// chunks and the entry point returns ctx.Err() (with a nil grid) when
-	// it fires. Nil means no cancellation (context.Background()).
+	// chunks and Evaluate returns ctx.Err() (with a nil grid) when it
+	// fires. Nil means no cancellation (context.Background()).
 	Ctx context.Context
 	// Window optionally restricts evaluation to a pixel sub-rectangle of
 	// Grid (the shard coordinator's tile unit). Pixel centers still come
 	// from the full Grid — Center(Window.X0+ix, Window.Y0+iy) — so a
 	// windowed raster is bit-identical to the corresponding window of the
-	// full-extent result. The zero value means the whole grid. Supported
-	// by Naive/NaiveCols only (the float64 columnar path); every other
-	// method rejects it rather than silently evaluating the full grid.
+	// full-extent result. The zero value means the whole grid. Methods
+	// without the window capability reject it rather than silently
+	// evaluating the full grid.
 	Window geom.GridWindow
+	// Epsilon is BoundApprox's relative error guarantee (Equation 6) and
+	// Sampled's additive error as a fraction of Kmax.
+	Epsilon float64
+	// Delta is Sampled's failure probability.
+	Delta float64
+	// Seed drives Sampled's subset draw: the same (columns, options) always
+	// yield the same surface.
+	Seed int64
 }
 
 // context returns the effective context of the computation.
@@ -80,17 +116,18 @@ func (o *Options) context() context.Context {
 	return context.Background()
 }
 
-// scale returns the multiplier applied to raw kernel sums. With weights,
-// the normalising mass is the total weight rather than the point count, so
-// the surface still integrates to ~1.
-func (o *Options) scale(n int) float64 {
+// scale returns the multiplier normalisation applies to raw kernel sums
+// over cols. With weights, the normalising mass is the total weight rather
+// than the point count, so the surface still integrates to ~1.
+func (o *Options) scale(cols dataset.Columns) float64 {
+	n := cols.N()
 	if !o.Normalize || n == 0 {
 		return 1
 	}
 	mass := float64(n)
-	if o.Weights != nil {
+	if cols.W != nil {
 		mass = 0
-		for _, w := range o.Weights {
+		for _, w := range cols.W {
 			mass += w
 		}
 		if mass == 0 {
@@ -100,43 +137,72 @@ func (o *Options) scale(n int) float64 {
 	return o.Kernel.NormConst() / mass
 }
 
-// validate rejects option combinations that would otherwise fail deep in a
-// worker goroutine.
-func (o *Options) validate() error {
+// validate rejects inputs that would otherwise fail deep in a worker
+// goroutine.
+func (o *Options) validate(cols dataset.Columns) error {
 	if o.Kernel.Bandwidth() <= 0 {
 		return fmt.Errorf("kde: kernel not initialised (zero bandwidth); use kernel.New")
 	}
 	if o.Grid.NX <= 0 || o.Grid.NY <= 0 {
 		return fmt.Errorf("kde: grid not initialised (%dx%d)", o.Grid.NX, o.Grid.NY)
 	}
-	return nil
-}
-
-// rejectWindow fails when a Window is set on a method that cannot evaluate
-// one. Only the naive columnar path computes windows; the other methods
-// must refuse rather than return a full grid the caller would misplace.
-func (o *Options) rejectWindow(method string) error {
+	if cols.W != nil && len(cols.W) != cols.N() {
+		return fmt.Errorf("kde: %d points but %d weights", cols.N(), len(cols.W))
+	}
 	if !o.Window.IsZero() {
-		return fmt.Errorf("kde: %s does not support windowed evaluation (Options.Window); use Naive", method)
+		return o.Grid.CheckWindow(o.Window)
 	}
 	return nil
 }
 
-// validateWeights checks Weights against the point count (n known only at
-// the call site).
-func (o *Options) validateWeights(n int) error {
-	if o.Weights != nil && len(o.Weights) != n {
-		return fmt.Errorf("kde: %d points but %d weights", n, len(o.Weights))
-	}
-	return nil
+// Capability names something a request can need that a method may lack.
+type Capability string
+
+const (
+	// CapWeights is a weight column (cols.W != nil).
+	CapWeights Capability = "event weights"
+	// CapWindow is a non-zero Options.Window.
+	CapWindow Capability = "windowed evaluation (Options.Window)"
+	// CapInfiniteKernel is a kernel without finite support (Gaussian,
+	// exponential).
+	CapInfiniteKernel Capability = "infinite-support kernels"
+	// CapNonPolynomialKernel is a kernel that is not a polynomial in
+	// squared distance (anything but uniform, Epanechnikov, quartic,
+	// triweight).
+	CapNonPolynomialKernel Capability = "kernels not polynomial in squared distance"
+)
+
+// UnsupportedError reports a (method, request) combination outside the
+// method table's declared capabilities. For Auto, Method is the method the
+// kernel resolved to.
+type UnsupportedError struct {
+	Method     Method
+	Capability Capability
 }
 
-// weightAt returns the weight of point i (1 when unweighted).
-func (o *Options) weightAt(i int) float64 {
-	if o.Weights == nil {
-		return 1
+func (e *UnsupportedError) Error() string {
+	return fmt.Sprintf("kde: %v does not support %s", e.Method, e.Capability)
+}
+
+// kernelClass is a method's kernel requirement, as data.
+type kernelClass int
+
+const (
+	anyKernel     kernelClass = iota
+	finiteSupport             // K(d) = 0 beyond the bandwidth
+	polynomialD2              // K is a polynomial in d²/b² inside the support
+)
+
+// missing returns the capability a method of class c lacks for kernel k,
+// or "" when k satisfies the requirement.
+func (c kernelClass) missing(k kernel.Kernel) Capability {
+	switch {
+	case c == finiteSupport && !k.FiniteSupport():
+		return CapInfiniteKernel
+	case c == polynomialD2 && !SweepSupported(k.Type()):
+		return CapNonPolynomialKernel
 	}
-	return o.Weights[i]
+	return ""
 }
 
 // rowComputer computes one raster row of kernel sums (unscaled). Row
@@ -146,28 +212,110 @@ type rowComputer interface {
 	computeRow(iy int, row []float64)
 }
 
-// run evaluates every row of opt.Grid through rc, applying the
-// normalisation scale, serially or with opt.Workers goroutines
-// (dynamically scheduled through internal/parallel). When opt.Ctx fires
-// mid-run the partial grid is discarded and ctx.Err() returned.
-//
-// With a non-zero opt.Window only the window's rows are evaluated and the
-// output grid is window-sized (Spec = SubGrid of the window): computeRow
-// receives the PARENT row index, so centers match the full-extent raster
-// bit-for-bit. Entry points whose computers ignore the window offset must
-// reject windows via rejectWindow before reaching here.
-func run(rc rowComputer, opt *Options, n int) (*raster.Grid, error) {
-	win := opt.Window
-	spec := opt.Grid
-	if win.IsZero() {
-		win = opt.Grid.FullWindow()
-	} else if err := opt.Grid.CheckWindow(win); err != nil {
+// methodRow is one line of the method table: everything the driver needs
+// to know about an algorithm.
+type methodRow struct {
+	id   Method
+	name string
+	// exact marks the methods Auto may resolve to.
+	exact bool
+	// weights and window say whether the evaluator honours cols.W and a
+	// windowed row loop (parent-grid pixel indices with an x offset).
+	weights, window bool
+	// kernels is the kernel requirement.
+	kernels kernelClass
+	// build constructs the evaluator. gain is the factor that turns its raw
+	// row sums into Σ w·K over cols: 1 for every method that reads all of
+	// cols, n/m for a subset estimator.
+	build func(cols dataset.Columns, opt *Options) (rc rowComputer, gain float64, err error)
+}
+
+// methods is the method table, exact rows first in Auto's preference order
+// (fastest applicable first). Adding a method is adding a row; the
+// capability-matrix test walks this table, so a new row cannot go untested.
+var methods []methodRow
+
+func init() {
+	// Assigned in init because buildSampled resolves its inner exact
+	// method through the table.
+	methods = []methodRow{
+		{id: SweepLine, name: "sweep-line", exact: true, weights: true, kernels: polynomialD2, build: buildSweep},
+		{id: GridCutoff, name: "grid-cutoff", exact: true, weights: true, kernels: finiteSupport, build: buildCutoff},
+		{id: Naive, name: "naive", exact: true, weights: true, window: true, kernels: anyKernel, build: buildNaive},
+		{id: BoundApprox, name: "bound-approx", kernels: anyKernel, build: buildBound},
+		{id: Sampled, name: "sampled", kernels: anyKernel, build: buildSampled},
+	}
+}
+
+// lookup returns m's table row, resolving Auto to the first exact row
+// whose kernel requirement k satisfies (Naive accepts every kernel, so
+// there always is one). It returns nil for an unknown method.
+func lookup(m Method, k kernel.Kernel) *methodRow {
+	for i := range methods {
+		r := &methods[i]
+		if r.id == m || m == Auto && r.exact && r.kernels.missing(k) == "" {
+			return r
+		}
+	}
+	return nil
+}
+
+// check compares the request against the row's declared capabilities.
+func (r *methodRow) check(cols dataset.Columns, opt *Options) error {
+	lacks := r.kernels.missing(opt.Kernel)
+	if lacks == "" && cols.W != nil && !r.weights {
+		lacks = CapWeights
+	}
+	if lacks == "" && !opt.Window.IsZero() && !r.window {
+		lacks = CapWindow
+	}
+	if lacks == "" {
+		return nil
+	}
+	return &UnsupportedError{Method: r.id, Capability: lacks}
+}
+
+// Evaluate computes the KDV raster of cols over opt.Grid with method m.
+// The weight column is cols.W (nil means all 1). It is the one place that
+// validates options, checks the method's capabilities, traces, windows,
+// cancels and normalises; a combination the method table does not declare
+// returns a *UnsupportedError.
+func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
-	} else {
-		spec = opt.Grid.SubGrid(win)
+	}
+	row := lookup(m, opt.Kernel)
+	if row == nil {
+		return nil, fmt.Errorf("kde: unknown method %d", int(m))
+	}
+	if err := row.check(cols, &opt); err != nil {
+		return nil, err
+	}
+	_, span := obs.Trace(opt.context(), "kde.index_build")
+	rc, gain, err := row.build(cols, &opt)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	return run(rc, &opt, cols.N(), gain*opt.scale(cols))
+}
+
+// run evaluates every row of opt.Grid through rc and multiplies the result
+// by scale, serially or with opt.Workers goroutines (dynamically scheduled
+// through internal/parallel). When opt.Ctx fires mid-run the partial grid
+// is discarded and ctx.Err() returned.
+//
+// With a non-zero opt.Window (validated by the caller) only the window's
+// rows are evaluated and the output grid is window-sized (Spec = SubGrid of the window): computeRow
+// receives the PARENT row index and a window-wide row, so centers match the
+// full-extent raster bit-for-bit. Only computers that apply the window's x
+// offset may be run windowed — the method table's window bit.
+func run(rc rowComputer, opt *Options, n int, scale float64) (*raster.Grid, error) {
+	win, spec := opt.Grid.FullWindow(), opt.Grid
+	if !opt.Window.IsZero() {
+		win, spec = opt.Window, opt.Grid.SubGrid(opt.Window)
 	}
 	out := raster.NewGrid(spec)
-	scale := opt.scale(n)
 	nx := win.NX
 	ctx, span := obs.Trace(opt.context(), "kde.evaluate")
 	defer span.End()
@@ -177,7 +325,7 @@ func run(rc rowComputer, opt *Options, n int) (*raster.Grid, error) {
 	}); err != nil {
 		return nil, err
 	}
-	//lint:allow floateq scale()==1 is an exact sentinel for "no normalisation"
+	//lint:allow floateq scale==1 is an exact sentinel for "no normalisation"
 	if scale != 1 {
 		for i := range out.Values {
 			out.Values[i] *= scale

@@ -20,6 +20,15 @@ func testOpts(t kernel.Type, b float64) Options {
 	}
 }
 
+// cols adapts the tests' []geom.Point fixtures to the columnar entry point.
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+
+// withApprox returns opt with the approximate methods' parameters set.
+func withApprox(opt Options, seed int64, eps, delta float64) Options {
+	opt.Seed, opt.Epsilon, opt.Delta = seed, eps, delta
+	return opt
+}
+
 func clusteredPoints(seed int64, n int) []geom.Point {
 	r := rand.New(rand.NewSource(seed))
 	d := dataset.GaussianClusters(r, n, box, []dataset.Cluster{
@@ -31,12 +40,12 @@ func clusteredPoints(seed int64, n int) []geom.Point {
 
 func TestOptionsValidation(t *testing.T) {
 	pts := clusteredPoints(1, 10)
-	if _, err := Naive(pts, Options{}); err == nil {
+	if _, err := Evaluate(cols(pts), Naive, Options{}); err == nil {
 		t.Error("zero options accepted")
 	}
 	opt := testOpts(kernel.Quartic, 10)
 	opt.Grid = geom.PixelGrid{}
-	if _, err := Naive(pts, opt); err == nil {
+	if _, err := Evaluate(cols(pts), Naive, opt); err == nil {
 		t.Error("zero grid accepted")
 	}
 }
@@ -48,7 +57,7 @@ func TestNaiveAgainstDirectFormula(t *testing.T) {
 		Kernel: kernel.MustNew(kernel.Gaussian, 20),
 		Grid:   geom.NewPixelGrid(box, 10, 8),
 	}
-	out, err := Naive(pts, opt)
+	out, err := Evaluate(cols(pts), Naive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestNaiveAgainstDirectFormula(t *testing.T) {
 
 func TestNaiveEmptyDataset(t *testing.T) {
 	opt := testOpts(kernel.Quartic, 10)
-	out, err := Naive(nil, opt)
+	out, err := Evaluate(cols(nil), Naive, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +84,11 @@ func TestGridCutoffMatchesNaive(t *testing.T) {
 	for _, kt := range []kernel.Type{kernel.Uniform, kernel.Triangular, kernel.Epanechnikov, kernel.Quartic, kernel.Triweight, kernel.Cosine} {
 		for _, b := range []float64{3, 12, 60, 300} {
 			opt := testOpts(kt, b)
-			naive, err := Naive(pts, opt)
+			naive, err := Evaluate(cols(pts), Naive, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := GridCutoff(pts, opt)
+			fast, err := Evaluate(cols(pts), GridCutoff, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +106,7 @@ func TestGridCutoffMatchesNaive(t *testing.T) {
 func TestGridCutoffRejectsInfiniteSupport(t *testing.T) {
 	pts := clusteredPoints(3, 10)
 	for _, kt := range []kernel.Type{kernel.Gaussian, kernel.Exponential} {
-		if _, err := GridCutoff(pts, testOpts(kt, 10)); err == nil {
+		if _, err := Evaluate(cols(pts), GridCutoff, testOpts(kt, 10)); err == nil {
 			t.Errorf("%v accepted by GridCutoff", kt)
 		}
 	}
@@ -108,11 +117,11 @@ func TestSweepLineMatchesNaive(t *testing.T) {
 	for _, kt := range []kernel.Type{kernel.Uniform, kernel.Epanechnikov, kernel.Quartic, kernel.Triweight} {
 		for _, b := range []float64{2.5, 11, 47} {
 			opt := testOpts(kt, b)
-			naive, err := Naive(pts, opt)
+			naive, err := Evaluate(cols(pts), Naive, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep, err := SweepLine(pts, opt)
+			sweep, err := Evaluate(cols(pts), SweepLine, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +143,7 @@ func TestSweepLineMatchesNaive(t *testing.T) {
 func TestSweepLineRejectsNonPolynomialKernels(t *testing.T) {
 	pts := clusteredPoints(5, 10)
 	for _, kt := range []kernel.Type{kernel.Triangular, kernel.Cosine, kernel.Gaussian, kernel.Exponential} {
-		if _, err := SweepLine(pts, testOpts(kt, 10)); err == nil {
+		if _, err := Evaluate(cols(pts), SweepLine, testOpts(kt, 10)); err == nil {
 			t.Errorf("%v accepted by SweepLine", kt)
 		}
 		if SweepSupported(kt) {
@@ -151,7 +160,7 @@ func TestSweepLineRejectsNonPolynomialKernels(t *testing.T) {
 func TestSweepLineEdgeCases(t *testing.T) {
 	opt := testOpts(kernel.Quartic, 10)
 	// Empty dataset.
-	out, err := SweepLine(nil, opt)
+	out, err := Evaluate(cols(nil), SweepLine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +168,18 @@ func TestSweepLineEdgeCases(t *testing.T) {
 		t.Errorf("empty sweep sum = %v", out.Sum())
 	}
 	// Single point off-grid (support partially outside the raster).
-	out, err = SweepLine([]geom.Point{{X: -5, Y: 40}}, opt)
+	out, err = Evaluate(cols([]geom.Point{{X: -5, Y: 40}}), SweepLine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, _ := Naive([]geom.Point{{X: -5, Y: 40}}, opt)
+	naive, _ := Evaluate(cols([]geom.Point{{X: -5, Y: 40}}), Naive, opt)
 	if d, _ := out.MaxAbsDiff(naive); d > 1e-9 {
 		t.Errorf("off-grid point diff %v", d)
 	}
 	// Duplicate points.
 	dup := []geom.Point{{X: 50, Y: 40}, {X: 50, Y: 40}, {X: 50, Y: 40}}
-	out, _ = SweepLine(dup, opt)
-	naive, _ = Naive(dup, opt)
+	out, _ = Evaluate(cols(dup), SweepLine, opt)
+	naive, _ = Evaluate(cols(dup), Naive, opt)
 	if d, _ := out.MaxAbsDiff(naive); d > 1e-9 {
 		t.Errorf("duplicate points diff %v", d)
 	}
@@ -180,12 +189,12 @@ func TestSweepLineEdgeCases(t *testing.T) {
 func TestBoundApproxGuarantee(t *testing.T) {
 	pts := clusteredPoints(6, 500)
 	for _, kt := range []kernel.Type{kernel.Gaussian, kernel.Exponential, kernel.Quartic, kernel.Triangular} {
-		naive, err := Naive(pts, testOpts(kt, 15))
+		naive, err := Evaluate(cols(pts), Naive, testOpts(kt, 15))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0.5, 0.1, 0.01} {
-			approx, err := BoundApprox(pts, testOpts(kt, 15), eps)
+			approx, err := Evaluate(cols(pts), BoundApprox, withApprox(testOpts(kt, 15), 0, eps, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,13 +210,13 @@ func TestBoundApproxGuarantee(t *testing.T) {
 
 func TestBoundApproxValidation(t *testing.T) {
 	pts := clusteredPoints(7, 10)
-	if _, err := BoundApprox(pts, testOpts(kernel.Gaussian, 10), 0); err == nil {
+	if _, err := Evaluate(cols(pts), BoundApprox, withApprox(testOpts(kernel.Gaussian, 10), 0, 0, 0)); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := BoundApprox(pts, testOpts(kernel.Gaussian, 10), -1); err == nil {
+	if _, err := Evaluate(cols(pts), BoundApprox, withApprox(testOpts(kernel.Gaussian, 10), 0, -1, 0)); err == nil {
 		t.Error("negative eps accepted")
 	}
-	out, err := BoundApprox(nil, testOpts(kernel.Gaussian, 10), 0.1)
+	out, err := Evaluate(cols(nil), BoundApprox, withApprox(testOpts(kernel.Gaussian, 10), 0, 0.1, 0))
 	if err != nil || out.Sum() != 0 {
 		t.Errorf("empty dataset: %v, sum %v", err, out.Sum())
 	}
@@ -244,11 +253,11 @@ func TestSampledWithinBound(t *testing.T) {
 	pts := clusteredPoints(8, 20000)
 	opt := testOpts(kernel.Quartic, 20)
 	const eps, delta = 0.05, 0.01
-	exact, err := Exact(pts, opt)
+	exact, err := Evaluate(cols(pts), Auto, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := Sampled(pts, opt, 9, eps, delta)
+	approx, err := Evaluate(cols(pts), Sampled, withApprox(opt, 9, eps, delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +277,8 @@ func TestSampledWithinBound(t *testing.T) {
 func TestSampledSmallDatasetIsExact(t *testing.T) {
 	pts := clusteredPoints(10, 50) // far below the sample bound
 	opt := testOpts(kernel.Quartic, 15)
-	exact, _ := Exact(pts, opt)
-	approx, err := Sampled(pts, opt, 1, 0.1, 0.1)
+	exact, _ := Evaluate(cols(pts), Auto, opt)
+	approx, err := Evaluate(cols(pts), Sampled, withApprox(opt, 1, 0.1, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +293,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		name string
 		f    func(o Options) (*raster.Grid, error)
 	}{
-		{"naive", func(o Options) (*raster.Grid, error) { return Naive(pts, o) }},
-		{"cutoff", func(o Options) (*raster.Grid, error) { return GridCutoff(pts, o) }},
-		{"sweep", func(o Options) (*raster.Grid, error) { return SweepLine(pts, o) }},
-		{"bounds", func(o Options) (*raster.Grid, error) { return BoundApprox(pts, o, 0.01) }},
+		{"naive", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), Naive, o) }},
+		{"cutoff", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), GridCutoff, o) }},
+		{"sweep", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), SweepLine, o) }},
+		{"bounds", func(o Options) (*raster.Grid, error) {
+			return Evaluate(cols(pts), BoundApprox, withApprox(o, 0, 0.01, 0))
+		}},
 	} {
 		serial := testOpts(kernel.Quartic, 12)
 		parallel := serial
@@ -307,7 +318,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// Workers < 0 = GOMAXPROCS.
 	opt := testOpts(kernel.Quartic, 12)
 	opt.Workers = -1
-	if _, err := Naive(pts, opt); err != nil {
+	if _, err := Evaluate(cols(pts), Naive, opt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -321,7 +332,7 @@ func TestNormalizeIntegratesToOne(t *testing.T) {
 		Grid:      geom.NewPixelGrid(box, 200, 160),
 		Normalize: true,
 	}
-	out, err := Exact(pts, opt)
+	out, err := Evaluate(cols(pts), Auto, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +348,11 @@ func TestExactAutoDispatch(t *testing.T) {
 	// Exact must agree with Naive for every kernel type.
 	for _, kt := range kernel.All() {
 		opt := testOpts(kt, 14)
-		naive, err := Naive(pts, opt)
+		naive, err := Evaluate(cols(pts), Naive, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Exact(pts, opt)
+		ex, err := Evaluate(cols(pts), Auto, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +369,7 @@ func TestExactAutoDispatch(t *testing.T) {
 func TestHotspotRecovery(t *testing.T) {
 	pts := clusteredPoints(13, 2000)
 	opt := testOpts(kernel.Quartic, 8)
-	out, err := Exact(pts, opt)
+	out, err := Evaluate(cols(pts), Auto, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func MultiBandwidth(pts []geom.Point, grid geom.PixelGrid, typ kernel.Type, band
 	opt := Options{Kernel: kernel.MustNew(typ, bMax), Grid: grid, Workers: workers}
 	// Reuse the row driver; it writes into a throwaway grid while the
 	// computer writes all nb real outputs itself.
-	if _, err := run(mc, &opt, len(pts)); err != nil {
+	if _, err := run(mc, &opt, len(pts), 1); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -21,11 +21,11 @@ func TestQuickSweepMatchesNaive(t *testing.T) {
 			Kernel: kernel.MustNew(kt, 0.5+b*30),
 			Grid:   geom.NewPixelGrid(geom.BBox{MinX: 0, MinY: 0, MaxX: 60, MaxY: 40}, int(nx)%30+2, int(ny)%30+2),
 		}
-		naive, err := Naive(pts, opt)
+		naive, err := Evaluate(cols(pts), Naive, opt)
 		if err != nil {
 			return false
 		}
-		sweep, err := SweepLine(pts, opt)
+		sweep, err := Evaluate(cols(pts), SweepLine, opt)
 		if err != nil {
 			return false
 		}
@@ -67,7 +67,7 @@ func TestQuickCutoffMatchesNaive(t *testing.T) {
 			Kernel: kernel.MustNew(kt, 0.5+b*25),
 			Grid:   geom.NewPixelGrid(geom.BBox{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, 17, 13),
 		}
-		naive, err := Naive(pts, opt)
+		naive, err := Evaluate(cols(pts), Naive, opt)
 		if err != nil {
 			return false
 		}
@@ -76,7 +76,7 @@ func TestQuickCutoffMatchesNaive(t *testing.T) {
 				return false
 			}
 		}
-		cut, err := GridCutoff(pts, opt)
+		cut, err := Evaluate(cols(pts), GridCutoff, opt)
 		if err != nil {
 			return false
 		}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"geostat/internal/geom"
+	"geostat/internal/dataset"
 	"geostat/internal/parallel"
-	"geostat/internal/raster"
 )
 
 // SampleBound returns the subset size m such that estimating the mean
@@ -35,88 +34,34 @@ func SampleBound(numPixels int, eps, delta float64) (int, error) {
 	return int(math.Ceil(m)), nil
 }
 
-// Sampled computes an approximate KDV from a uniform random subset sized by
-// SampleBound, evaluated exactly (GridCutoff when the kernel allows,
-// otherwise Naive) and rescaled by n/m. The result F̂ satisfies, with
+// buildSampled constructs the data-sampling estimator: a uniform random
+// subset sized by SampleBound(pixels, Options.Epsilon, Options.Delta),
+// evaluated by the exact method Auto resolves to for the kernel, with gain
+// n/m restoring the full-data magnitude. The result F̂ satisfies, with
 // probability ≥ 1−δ, |F̂(q) − F(q)| ≤ ε·Kmax·n simultaneously for every
 // pixel q (equivalently: the per-point mean is within ε·Kmax).
 //
 // If the bound size reaches n the full dataset is used and the result is
 // exact.
 //
-// The subset is drawn from a generator seeded with seed, so a given
-// (points, options, seed) triple always yields the same surface.
-func Sampled(pts []geom.Point, opt Options, seed int64, eps, delta float64) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Weights != nil {
-		return nil, fmt.Errorf("kde: Sampled does not support event weights; use an exact method")
-	}
-	if opt.Float32 {
-		return nil, fmt.Errorf("kde: Sampled does not support the float32 path; use Naive or GridCutoff")
-	}
-	if err := opt.rejectWindow("Sampled"); err != nil {
-		return nil, err
-	}
-	m, err := SampleBound(opt.Grid.NumPixels(), eps, delta)
+// The subset is drawn from a generator seeded with Options.Seed, so given
+// (columns, options) always yield the same surface.
+func buildSampled(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
+	m, err := SampleBound(opt.Grid.NumPixels(), opt.Epsilon, opt.Delta)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	n := len(pts)
+	exact := lookup(Auto, opt.Kernel)
+	n := cols.N()
 	if m >= n {
-		return exactAuto(pts, opt)
+		return exact.build(cols, opt)
 	}
 	// Sample with replacement (matches the Hoeffding analysis directly).
-	rng := parallel.NewRand(seed)
-	sample := make([]geom.Point, m)
-	for i := range sample {
-		sample[i] = pts[rng.Intn(n)]
+	rng := parallel.NewRand(opt.Seed)
+	idx := make([]int, m)
+	for i := range idx {
+		idx[i] = rng.Intn(n)
 	}
-	// Compute on the subset with normalisation disabled, then rescale by
-	// n/m (and the caller's normalisation constant if requested).
-	subOpt := opt
-	subOpt.Normalize = false
-	out, err := exactAuto(sample, subOpt)
-	if err != nil {
-		return nil, err
-	}
-	scale := float64(n) / float64(m) * opt.scale(n)
-	for i := range out.Values {
-		out.Values[i] *= scale
-	}
-	return out, nil
-}
-
-// exactAuto picks the fastest exact method available for the kernel. With
-// Options.Float32 set (an explicit opt-out of exactness) it routes to the
-// float32-capable methods instead.
-func exactAuto(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if opt.Float32 {
-		if opt.Kernel.FiniteSupport() {
-			return GridCutoff(pts, opt)
-		}
-		return Naive(pts, opt)
-	}
-	if SweepSupported(opt.Kernel.Type()) {
-		return SweepLine(pts, opt)
-	}
-	if opt.Kernel.FiniteSupport() {
-		return GridCutoff(pts, opt)
-	}
-	return Naive(pts, opt)
-}
-
-// Exact computes the exact KDV with the best available exact algorithm for
-// the kernel: SweepLine for polynomial kernels, GridCutoff for other
-// finite-support kernels, Naive otherwise. This is the method the public
-// facade exposes as the default.
-func Exact(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.rejectWindow("Exact"); err != nil {
-		return nil, err
-	}
-	return exactAuto(pts, opt)
+	rc, _, err := exact.build(cols.Gather(idx), opt)
+	return rc, float64(n) / float64(m), err
 }

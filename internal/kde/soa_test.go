@@ -16,16 +16,13 @@ import (
 //   - the columnar inner loops are bit-identical to the straightforward
 //     array-of-structs reference loop they replaced, serial and parallel;
 //   - chunk-bbox pruning never changes a single bit (it only skips terms
-//     the kernel maps to exactly 0);
-//   - the opt-in float32 path stays within its documented error bound and
-//     is rejected by the methods whose guarantees it would break;
-//   - nothing selects the float32 path implicitly.
+//     the kernel maps to exactly 0).
 
 // aosReference computes the KDV the pre-columnar way: one
 // array-of-structs pass over the points per pixel, accumulating
-// w_i * K.Eval2(d²) in point order. This is the bit-level ground truth the
-// columnar loops must reproduce.
-func aosReference(pts []geom.Point, opt Options) *raster.Grid {
+// w_i * K.Eval2(d²) in point order (ws nil means unweighted). This is the
+// bit-level ground truth the columnar loops must reproduce.
+func aosReference(pts []geom.Point, ws []float64, opt Options) *raster.Grid {
 	g := raster.NewGrid(opt.Grid)
 	for iy := 0; iy < opt.Grid.NY; iy++ {
 		for ix := 0; ix < opt.Grid.NX; ix++ {
@@ -33,8 +30,8 @@ func aosReference(pts []geom.Point, opt Options) *raster.Grid {
 			sum := 0.0
 			for i, p := range pts {
 				v := opt.Kernel.Eval2(p.Dist2(q))
-				if opt.Weights != nil {
-					v = opt.Weights[i] * v
+				if ws != nil {
+					v = ws[i] * v
 				}
 				sum += v
 			}
@@ -77,11 +74,10 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 		opt := testOpts(kt, 9)
 		opt.Grid = geom.NewPixelGrid(box, 24, 20)
 		for _, ws := range [][]float64{nil, weights} {
-			opt.Weights = ws
-			want := aosReference(pts, opt)
+			want := aosReference(pts, ws, opt)
 			for _, workers := range []int{1, 4} {
 				opt.Workers = workers
-				got, err := Naive(pts, opt)
+				got, err := Evaluate(dataset.MakeColumns(pts, ws), Naive, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,96 +95,20 @@ func TestChunkPruningBitIdentical(t *testing.T) {
 	// The pruned evaluator (Naive's default for finite-support kernels)
 	// must match an unpruned columnarComputer bit for bit at every
 	// bandwidth: pruning may only skip terms that are exactly 0.
-	pts := multiChunkPoints(12, 9000)
-	cols := dataset.MakeColumns(pts, nil)
+	c := cols(multiChunkPoints(12, 9000))
 	for _, b := range []float64{2, 6, 25} {
 		opt := testOpts(kernel.Quartic, b)
 		opt.Grid = geom.NewPixelGrid(box, 24, 20)
-		pruned, err := Naive(pts, opt)
+		pruned, err := Evaluate(c, Naive, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		unpruned, err := run(
-			&columnarComputer{cols: cols, opt: &opt, eval: chunkEvalFor(opt.Kernel)},
-			&opt, cols.N())
+			&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel)},
+			&opt, c.N(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, pruned, unpruned, "pruned vs unpruned")
-	}
-}
-
-func TestFloat32WithinErrorBound(t *testing.T) {
-	pts := multiChunkPoints(13, 6000)
-	for _, kt := range []kernel.Type{kernel.Quartic, kernel.Gaussian} {
-		opt := testOpts(kt, 12)
-		exact, err := Naive(pts, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Float32 = true
-		fast, err := Naive(pts, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peak := 0.0
-		for iy := 0; iy < opt.Grid.NY; iy++ {
-			for ix := 0; ix < opt.Grid.NX; ix++ {
-				if v := exact.At(ix, iy); v > peak {
-					peak = v
-				}
-			}
-		}
-		if peak == 0 {
-			t.Fatal("degenerate surface")
-		}
-		for iy := 0; iy < opt.Grid.NY; iy++ {
-			for ix := 0; ix < opt.Grid.NX; ix++ {
-				diff := math.Abs(fast.At(ix, iy) - exact.At(ix, iy))
-				if diff/peak > 1e-3 {
-					t.Fatalf("%v: pixel (%d,%d) float32 error %v of peak %v exceeds 1e-3",
-						kt, ix, iy, diff, peak)
-				}
-			}
-		}
-	}
-}
-
-func TestFloat32RejectedByExactOnlyMethods(t *testing.T) {
-	pts := clusteredPoints(14, 200)
-	opt := testOpts(kernel.Quartic, 10)
-	opt.Float32 = true
-	if _, err := SweepLine(pts, opt); err == nil {
-		t.Error("SweepLine accepted Float32")
-	}
-	if _, err := BoundApprox(pts, opt, 0.05); err == nil {
-		t.Error("BoundApprox accepted Float32")
-	}
-	if _, err := Sampled(pts, opt, 1, 0.1, 0.01); err == nil {
-		t.Error("Sampled accepted Float32")
-	}
-}
-
-func TestFloat32NeverImplicit(t *testing.T) {
-	// Exact's auto dispatch with Float32 unset must land on an exact
-	// float64 evaluator — the fast path can only be reached by setting the
-	// flag. The dispatched method (SweepLine here) may reorder the
-	// summation, so the check is the float64 rounding envelope (~1e-9 of
-	// the peak); the float32 path errs around 1e-6 of the peak and would
-	// trip it by three orders of magnitude.
-	pts := multiChunkPoints(15, 5000)
-	opt := testOpts(kernel.Quartic, 8)
-	want := aosReference(pts, opt)
-	got, err := Exact(pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := got.MaxAbsDiff(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, peak := want.MinMax()
-	if d > 1e-9*(1+peak) {
-		t.Errorf("Exact default path abs diff %v (peak %v): not an exact float64 evaluator", d, peak)
 	}
 }

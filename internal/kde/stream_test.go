@@ -35,7 +35,7 @@ func TestStreamAddAllMatchesBatch(t *testing.T) {
 	if s.Count() != len(pts) {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	batch, err := Exact(pts, Options{Kernel: k, Grid: grid})
+	batch, err := Evaluate(cols(pts), Auto, Options{Kernel: k, Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStreamAddRemoveMatchesRemaining(t *testing.T) {
 	if s.Count() != 150 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	batch, err := Exact(pts[150:], Options{Kernel: k, Grid: grid})
+	batch, err := Evaluate(cols(pts[150:]), Auto, Options{Kernel: k, Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWindowStreamMatchesDirect(t *testing.T) {
 		if w.Live() != len(inWin) {
 			t.Fatalf("now=%v: Live=%d, want %d", now, w.Live(), len(inWin))
 		}
-		direct, err := Exact(inWin, Options{Kernel: k, Grid: grid})
+		direct, err := Evaluate(cols(inWin), Auto, Options{Kernel: k, Grid: grid})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,15 +6,14 @@ import (
 	"sort"
 	"sync"
 
-	"geostat/internal/geom"
+	"geostat/internal/dataset"
 	"geostat/internal/kernel"
-	"geostat/internal/raster"
 )
 
-// SweepLine computes an exact KDV for kernels polynomial in squared
-// distance — uniform, Epanechnikov, quartic, triweight — in O(Y·(X+n_b))
-// time, where n_b is the number of points within bandwidth of a row. This
-// is the computational-sharing family of §2.2 (SLAM [32]): instead of
+// buildSweep constructs the exact evaluator for kernels polynomial in
+// squared distance — uniform, Epanechnikov, quartic, triweight — running in
+// O(Y·(X+n_b)) time, where n_b is the number of points within bandwidth of
+// a row. This is the computational-sharing family of §2.2 (SLAM [32]): instead of
 // evaluating K per (pixel, point) pair, each row maintains running
 // polynomial-coefficient aggregates over the active point set, updated by
 // O(1)-amortised enter/exit events per point, so every pixel in the row is
@@ -37,30 +36,18 @@ import (
 // operation amortised over ≥ b/cellW pixels).
 //
 // Triangular, cosine, Gaussian and exponential kernels are not polynomial
-// in dx² and are rejected — exactly the limitation §2.4 of the paper names
-// as an open problem for the sharing family.
-func SweepLine(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
+// in dx² and fall outside the row's kernel class — exactly the limitation
+// §2.4 of the paper names as an open problem for the sharing family.
+func buildSweep(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
 	deg, err := sweepDegree(opt.Kernel.Type())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if opt.Float32 {
-		return nil, fmt.Errorf("kde: SweepLine does not support the float32 path; use Naive or GridCutoff")
-	}
-	if err := opt.rejectWindow("SweepLine"); err != nil {
-		return nil, err
-	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
-	sc := newSweepComputer(pts, &opt, deg)
-	return run(sc, &opt, len(pts))
+	return newSweepComputer(cols, opt, deg), 1, nil
 }
 
-// SweepSupported reports whether SweepLine supports the kernel type.
+// SweepSupported reports whether the sweep-line method supports the kernel
+// type (the table's polynomialD2 kernel class).
 func SweepSupported(t kernel.Type) bool {
 	_, err := sweepDegree(t)
 	return err == nil
@@ -114,27 +101,28 @@ type sweepBuf struct {
 	pow []float64 // qx' powers 0..2·deg
 }
 
-func newSweepComputer(pts []geom.Point, opt *Options, deg int) *sweepComputer {
+func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepComputer {
 	c := &sweepComputer{
 		opt:    opt,
 		deg:    deg,
 		stride: (deg + 1) * (deg + 1),
 	}
-	order := make([]int, len(pts))
+	n := cols.N()
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return pts[order[a]].Y < pts[order[b]].Y })
-	c.xs = make([]float64, len(pts))
-	c.ys = make([]float64, len(pts))
-	if opt.Weights != nil {
-		c.ws = make([]float64, len(pts))
+	sort.Slice(order, func(a, b int) bool { return cols.Y[order[a]] < cols.Y[order[b]] })
+	c.xs = make([]float64, n)
+	c.ys = make([]float64, n)
+	if cols.W != nil {
+		c.ws = make([]float64, n)
 	}
 	for i, oi := range order {
-		c.xs[i] = pts[oi].X
-		c.ys[i] = pts[oi].Y
+		c.xs[i] = cols.X[oi]
+		c.ys[i] = cols.Y[oi]
 		if c.ws != nil {
-			c.ws[i] = opt.Weights[oi]
+			c.ws[i] = cols.W[oi]
 		}
 	}
 	c.binomCoef = make([][]float64, deg+1)

@@ -16,7 +16,7 @@ func TestWindowedMatchesFullGridExactly(t *testing.T) {
 	pts := clusteredPoints(7, 400)
 	for _, typ := range []kernel.Type{kernel.Uniform, kernel.Epanechnikov, kernel.Quartic, kernel.Gaussian} {
 		opt := testOpts(typ, 12)
-		full, err := Naive(pts, opt)
+		full, err := Evaluate(cols(pts), Naive, opt)
 		if err != nil {
 			t.Fatalf("%v full: %v", typ, err)
 		}
@@ -30,7 +30,7 @@ func TestWindowedMatchesFullGridExactly(t *testing.T) {
 		for _, w := range windows {
 			wopt := opt
 			wopt.Window = w
-			got, err := Naive(pts, wopt)
+			got, err := Evaluate(cols(pts), Naive, wopt)
 			if err != nil {
 				t.Fatalf("%v window %+v: %v", typ, w, err)
 			}
@@ -66,7 +66,7 @@ func TestWindowedHaloSubsetExact(t *testing.T) {
 	wopt := opt
 	wopt.Window = w
 
-	full, err := NaiveCols(d.Columns(), wopt)
+	full, err := Evaluate(d.Columns(), Naive, wopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWindowedHaloSubsetExact(t *testing.T) {
 	if sub.N() == d.N() || sub.N() == 0 {
 		t.Fatalf("halo filter not selective: %d of %d points", sub.N(), d.N())
 	}
-	got, err := NaiveCols(sub.Columns(), wopt)
+	got, err := Evaluate(sub.Columns(), Naive, wopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestWindowedHaloSubsetExact(t *testing.T) {
 	}
 }
 
-// TestWindowValidation covers bad windows and the methods that must refuse
-// windowed evaluation instead of silently returning a misplaced raster.
+// TestWindowValidation covers malformed and out-of-grid windows. (Which
+// methods accept a well-formed window is the capability matrix's job.)
 func TestWindowValidation(t *testing.T) {
 	pts := clusteredPoints(3, 50)
 	opt := testOpts(kernel.Quartic, 10)
@@ -102,32 +102,8 @@ func TestWindowValidation(t *testing.T) {
 	for _, w := range bad {
 		wopt := opt
 		wopt.Window = w
-		if _, err := Naive(pts, wopt); err == nil {
+		if _, err := Evaluate(cols(pts), Naive, wopt); err == nil {
 			t.Errorf("window %+v accepted", w)
 		}
-	}
-
-	wopt := opt
-	wopt.Window = geom.GridWindow{X0: 1, Y0: 1, NX: 4, NY: 4}
-	type method struct {
-		name string
-		call func(Options) error
-	}
-	methods := []method{
-		{"GridCutoff", func(o Options) error { _, err := GridCutoff(pts, o); return err }},
-		{"SweepLine", func(o Options) error { _, err := SweepLine(pts, o); return err }},
-		{"BoundApprox", func(o Options) error { _, err := BoundApprox(pts, o, 0.1); return err }},
-		{"Sampled", func(o Options) error { _, err := Sampled(pts, o, 1, 0.1, 0.1); return err }},
-		{"Exact", func(o Options) error { _, err := Exact(pts, o); return err }},
-	}
-	for _, m := range methods {
-		if err := m.call(wopt); err == nil {
-			t.Errorf("%s accepted a window", m.name)
-		}
-	}
-	f32 := wopt
-	f32.Float32 = true
-	if _, err := Naive(pts, f32); err == nil {
-		t.Error("float32 naive accepted a window")
 	}
 }

@@ -287,7 +287,7 @@ func (s *Server) computeKDV(ctx context.Context, d *geostat.Dataset, p *params) 
 	}
 	bandwidth := p.floatv("bandwidth", 0)
 	if bandwidth == 0 {
-		if bandwidth, err = geostat.SilvermanBandwidth(d.Points()); err != nil {
+		if bandwidth, err = geostat.SilvermanBandwidthDataset(d); err != nil {
 			return Value{}, err
 		}
 	}
@@ -308,21 +308,18 @@ func (s *Server) computeKDV(ctx context.Context, d *geostat.Dataset, p *params) 
 	// tile=x0,y0,w,h evaluates only that pixel window of the full grid —
 	// the shard coordinator's per-worker request unit. Centers still come
 	// from the full grid, so assembling tiles reproduces the single-node
-	// raster bit-for-bit. Only the exact naive method supports windows.
+	// raster bit-for-bit. Which methods can evaluate a window is the
+	// evaluator pipeline's call (kde's capability table); its typed refusal
+	// becomes the 400 body.
 	if raw := p.str("tile", ""); raw != "" {
 		var win geostat.GridWindow
 		if _, serr := fmt.Sscanf(raw, "%d,%d,%d,%d", &win.X0, &win.Y0, &win.NX, &win.NY); serr != nil {
 			return Value{}, fmt.Errorf("tile: want x0,y0,w,h (%q)", raw)
 		}
-		if method != geostat.KDVNaive {
-			return Value{}, fmt.Errorf("tile evaluation requires method=naive (got %q)", method)
-		}
 		if werr := opt.Grid.CheckWindow(win); werr != nil {
 			return Value{}, werr
 		}
 		opt.Window = win
-		s.metrics.Counter("shard_tiles_total",
-			"windowed (tile=) KDV computations served to a shard coordinator").Inc()
 	}
 	if perr := p.err(); perr != nil {
 		return Value{}, perr
@@ -335,6 +332,10 @@ func (s *Server) computeKDV(ctx context.Context, d *geostat.Dataset, p *params) 
 	compute.End()
 	if err != nil {
 		return Value{}, err
+	}
+	if !opt.Window.IsZero() {
+		s.metrics.Counter("shard_tiles_total",
+			"windowed (tile=) KDV computations served to a shard coordinator").Inc()
 	}
 
 	_, encode := obs.Trace(ctx, "kdv.encode")

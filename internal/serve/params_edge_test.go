@@ -49,6 +49,16 @@ func TestToolParamEdgeCases(t *testing.T) {
 			want:   `unknown method "warp"`,
 		},
 		{
+			name:   "tile on a method without the window capability",
+			target: "/v1/kdv?dataset=d&method=grid-cutoff&bandwidth=5&width=16&height=16&tile=0,0,4,4",
+			want:   `kde: grid-cutoff does not support windowed evaluation (Options.Window)`,
+		},
+		{
+			name:   "tile on auto names the method the kernel resolved to",
+			target: "/v1/kdv?dataset=d&bandwidth=5&width=16&height=16&tile=0,0,4,4",
+			want:   `kde: sweep-line does not support windowed evaluation (Options.Window)`,
+		},
+		{
 			name:   "zero grid width",
 			target: "/v1/kdv?dataset=d&bandwidth=5&width=0",
 			want:   `invalid parameters: width/height: must be in [1, 4096]`,

@@ -52,8 +52,12 @@ type Tile struct {
 	// radius of any tile pixel center lies inside the box.
 	HaloBox geom.BBox
 	// Dataset is the worker-side dataset name for the tile's point
-	// subset: "<name>.<digest12>.t<id>". Digest-derived names mean a
-	// re-run over the same data reuses datasets already on the workers.
+	// subset: "<name>.<digest12>.t<id>", digest12 being the first 12 hex
+	// digits of Digest (empty for an empty tile, which is never uploaded).
+	// Naming by the SUBSET's content means a re-run over the same data
+	// reuses datasets already on the workers, while a different bandwidth,
+	// halo or tiling under the same logical name — a different subset —
+	// can never be mistaken for one already placed.
 	Dataset string
 	// Digest is the expected content digest of the tile subset, checked
 	// against the worker before compute.
@@ -119,7 +123,6 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 			halo, req.Kernel.SupportRadius())
 	}
 
-	digest := d.Digest()
 	plan := &KDVPlan{Req: req, Halo: halo, N: d.N(), Tiles: make([]Tile, 0, tx*ty)}
 	for iy := 0; iy < ty; iy++ {
 		for ix := 0; ix < tx; ix++ {
@@ -134,7 +137,6 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 				ID:      id,
 				Window:  win,
 				HaloBox: req.Grid.WindowBox(win).Pad(halo),
-				Dataset: fmt.Sprintf("%s.%s.t%d", name, digest[:12], id),
 			}
 			sub := d.FilterBox(t.HaloBox)
 			if sub.N() > 0 {
@@ -145,6 +147,7 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 				t.csv = buf.Bytes()
 				t.n = sub.N()
 				t.Digest = sub.Digest()
+				t.Dataset = fmt.Sprintf("%s.%s.t%d", name, t.Digest[:12], id)
 			}
 			plan.Tiles = append(plan.Tiles, t)
 		}

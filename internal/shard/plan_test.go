@@ -91,7 +91,7 @@ func TestHaloSubsetProperty(t *testing.T) {
 		for _, tile := range plan.Tiles {
 			wopt := opt
 			wopt.Window = tile.Window
-			full, err := kde.NaiveCols(d.Columns(), wopt)
+			full, err := kde.Evaluate(d.Columns(), kde.Naive, wopt)
 			if err != nil {
 				t.Fatalf("trial %d tile %d full: %v", trial, tile.ID, err)
 			}
@@ -105,7 +105,7 @@ func TestHaloSubsetProperty(t *testing.T) {
 				continue
 			}
 			sub := d.FilterBox(tile.HaloBox)
-			got, err := kde.NaiveCols(sub.Columns(), wopt)
+			got, err := kde.Evaluate(sub.Columns(), kde.Naive, wopt)
 			if err != nil {
 				t.Fatalf("trial %d tile %d subset: %v", trial, tile.ID, err)
 			}
@@ -142,11 +142,11 @@ func TestHaloOversizedStillExact(t *testing.T) {
 		}
 		wopt := opt
 		wopt.Window = tile.Window
-		full, err := kde.NaiveCols(d.Columns(), wopt)
+		full, err := kde.Evaluate(d.Columns(), kde.Naive, wopt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := kde.NaiveCols(d.FilterBox(tile.HaloBox).Columns(), wopt)
+		got, err := kde.Evaluate(d.FilterBox(tile.HaloBox).Columns(), kde.Naive, wopt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func kdvReq(k kernel.Kernel, tx, ty int) shard.KDVRequest {
 // singleNode computes the reference raster the sharded run must reproduce.
 func singleNode(t *testing.T, d *dataset.Dataset, req shard.KDVRequest) []float64 {
 	t.Helper()
-	g, err := kde.NaiveCols(d.Columns(), kde.Options{
+	g, err := kde.Evaluate(d.Columns(), kde.Naive, kde.Options{
 		Kernel: req.Kernel, Grid: req.Grid, Normalize: req.Normalize,
 	})
 	if err != nil {
@@ -263,6 +263,44 @@ func TestPlacementCacheSkipsReupload(t *testing.T) {
 	if again := counterValue(t, c, "shard_uploads_total"); again != uploads {
 		t.Fatalf("second run re-uploaded: %d -> %d", uploads, again)
 	}
+}
+
+// TestSameNameNewSubsetsNeverReuseStaleTiles is the regression test for
+// tile datasets named after the WHOLE dataset's digest: a second request
+// under the same logical name with another bandwidth (halo) or tiling then
+// hit the coordinator's worker|name placement cache and silently evaluated
+// against the first request's halo subsets. Names now derive from each
+// tile subset's own digest, so every merged raster is bit-identical to
+// single-node naive and uploads grow exactly when subset content differs.
+func TestSameNameNewSubsetsNeverReuseStaleTiles(t *testing.T) {
+	d := testData(5, 300)
+	c, _, _ := cluster(t, 2, shard.Config{Replication: 1})
+	uploads := int64(0)
+	run := func(label string, bandwidth float64, tx, ty int, wantNewUploads bool) {
+		t.Helper()
+		req := kdvReq(kernel.MustNew(kernel.Quartic, bandwidth), tx, ty)
+		got, err := c.KDV(context.Background(), d, "ev", req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertBitIdentical(t, singleNode(t, d, req), got.Values, label)
+		now := counterValue(t, c, "shard_uploads_total")
+		if grew := now > uploads; grew != wantNewUploads {
+			t.Fatalf("%s: uploads %d -> %d, want growth = %v", label, uploads, now, wantNewUploads)
+		}
+		uploads = now
+	}
+	// Two bandwidths: the wider halo selects different tile subsets.
+	run("b=5 2x2", 5, 2, 2, true)
+	run("b=14 2x2", 14, 2, 2, true)
+	run("b=14 2x2 again", 14, 2, 2, false)
+	// Two tilings at one bandwidth.
+	run("b=14 3x2", 14, 3, 2, true)
+	run("b=14 2x2 after 3x2", 14, 2, 2, false)
+	// A halo covering every point: the single tile's subset IS the dataset
+	// for both bandwidths, so the second one re-uses the placed content.
+	run("b=200 1x1", 200, 1, 1, true)
+	run("b=300 1x1", 300, 1, 1, false)
 }
 
 // counterValue reads one counter out of the coordinator's /metrics text.

@@ -2,51 +2,33 @@ package geostat
 
 import (
 	"context"
-	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/kde"
 )
 
-// KDVMethod selects the KDV algorithm (§2.2's acceleration families).
-type KDVMethod int
+// KDVMethod selects the KDV algorithm (§2.2's acceleration families). It is
+// the method enum of the one evaluator pipeline, kde.Evaluate.
+type KDVMethod = kde.Method
 
 const (
 	// KDVAuto picks the fastest exact method for the kernel: sweep line for
 	// polynomial kernels, grid cutoff for other finite-support kernels,
 	// naive otherwise.
-	KDVAuto KDVMethod = iota
+	KDVAuto = kde.Auto
 	// KDVNaive is the exact O(XYn) baseline.
-	KDVNaive
+	KDVNaive = kde.Naive
 	// KDVGridCutoff is exact for finite-support kernels via a bucket index.
-	KDVGridCutoff
+	KDVGridCutoff = kde.GridCutoff
 	// KDVSweepLine is the exact O(Y(X+n)) computational-sharing algorithm
 	// (SLAM family) for kernels polynomial in squared distance.
-	KDVSweepLine
+	KDVSweepLine = kde.SweepLine
 	// KDVBoundApprox is the (1±ε) function-approximation algorithm
 	// (QUAD/KARL family); works for every kernel, including Gaussian.
-	KDVBoundApprox
+	KDVBoundApprox = kde.BoundApprox
 	// KDVSampled is the Hoeffding-sampling approximation.
-	KDVSampled
+	KDVSampled = kde.Sampled
 )
-
-// String returns the method name.
-func (m KDVMethod) String() string {
-	switch m {
-	case KDVAuto:
-		return "auto"
-	case KDVNaive:
-		return "naive"
-	case KDVGridCutoff:
-		return "grid-cutoff"
-	case KDVSweepLine:
-		return "sweep-line"
-	case KDVBoundApprox:
-		return "bound-approx"
-	case KDVSampled:
-		return "sampled"
-	}
-	return fmt.Sprintf("KDVMethod(%d)", int(m))
-}
 
 // KDVOptions configures KDV (Definition 1 of the paper).
 type KDVOptions struct {
@@ -72,13 +54,6 @@ type KDVOptions struct {
 	// Weights optionally weights each event (severity, case counts).
 	// Supported by the exact methods; the approximate methods reject it.
 	Weights []float64
-	// Float32 opts into the single-precision fast path: kernel values come
-	// from a precomputed lookup table over float32 columns, accumulated in
-	// float64. Typical relative error is below 1e-3; the default float64
-	// path stays bit-exact and is never affected. Supported by KDVNaive,
-	// KDVGridCutoff and KDVAuto; the other methods reject it. Never
-	// selected implicitly.
-	Float32 bool
 	// Ctx optionally bounds the computation (per-request timeouts, client
 	// disconnects): raster workers check it between row chunks and KDV
 	// returns ctx.Err() with a nil surface when it fires. Nil means no
@@ -87,8 +62,8 @@ type KDVOptions struct {
 	// Window optionally restricts evaluation to a pixel sub-rectangle of
 	// Grid (the shard coordinator's tile unit). Pixel centers come from the
 	// full Grid, so the windowed raster is bit-identical to the matching
-	// window of the full-extent result. Supported by KDVNaive (float64
-	// path) only; other methods reject it. Zero value = whole grid.
+	// window of the full-extent result. Supported by KDVNaive only; other
+	// methods reject it. Zero value = whole grid.
 	Window GridWindow
 }
 
@@ -100,59 +75,42 @@ func KDVCtx(ctx context.Context, pts []Point, opt KDVOptions) (*Heatmap, error) 
 	return KDV(pts, opt)
 }
 
-// KDV computes a kernel density surface over opt.Grid.
+// KDV computes a kernel density surface over opt.Grid. It is a thin
+// adapter: the points are copied into columns and handed to the one
+// evaluator pipeline (kde.Evaluate); a method/option combination outside
+// the method's declared capabilities returns a *kde.UnsupportedError.
 func KDV(pts []Point, opt KDVOptions) (*Heatmap, error) {
-	kopt := kde.Options{
+	return kdvColumns(dataset.MakeColumns(pts, nil), opt)
+}
+
+// KDVDataset computes a kernel density surface directly from a Dataset.
+// Every method reads the dataset's columnar storage in place — no []Point
+// materialisation. Results are bit-identical to KDV(d.Points(), opt). When
+// opt.Weights is nil the dataset's own weights column (if any) applies.
+func KDVDataset(d *Dataset, opt KDVOptions) (*Heatmap, error) {
+	return kdvColumns(d.Columns(), opt)
+}
+
+// kdvColumns runs the evaluator pipeline over cols, with opt.Weights (when
+// set) replacing the weight column.
+func kdvColumns(cols dataset.Columns, opt KDVOptions) (*Heatmap, error) {
+	if opt.Weights != nil {
+		var err error
+		if cols, err = cols.WithWeights(opt.Weights); err != nil {
+			return nil, err
+		}
+	}
+	return kde.Evaluate(cols, opt.Method, kde.Options{
 		Kernel:    opt.Kernel,
 		Grid:      opt.Grid,
 		Normalize: opt.Normalize,
 		Workers:   opt.Workers,
-		Weights:   opt.Weights,
-		Float32:   opt.Float32,
 		Ctx:       opt.Ctx,
 		Window:    opt.Window,
-	}
-	switch opt.Method {
-	case KDVAuto:
-		return kde.Exact(pts, kopt)
-	case KDVNaive:
-		return kde.Naive(pts, kopt)
-	case KDVGridCutoff:
-		return kde.GridCutoff(pts, kopt)
-	case KDVSweepLine:
-		return kde.SweepLine(pts, kopt)
-	case KDVBoundApprox:
-		return kde.BoundApprox(pts, kopt, opt.Epsilon)
-	case KDVSampled:
-		return kde.Sampled(pts, kopt, opt.Seed, opt.Epsilon, opt.Delta)
-	}
-	return nil, fmt.Errorf("geostat: unknown KDV method %d", int(opt.Method))
-}
-
-// KDVDataset computes a kernel density surface directly from a Dataset.
-// The naive method (and KDVAuto's naive fallback) reads the dataset's
-// columnar storage in place — no []Point materialisation — and uses the
-// per-chunk bounding boxes to skip whole chunks outside the kernel
-// support. Results are bit-identical to KDV(d.Points(), opt). When
-// opt.Weights is nil the dataset's own weights column (if any) applies.
-func KDVDataset(d *Dataset, opt KDVOptions) (*Heatmap, error) {
-	if opt.Method == KDVNaive && opt.Weights == nil {
-		// The columnar path takes the weight column from the dataset itself.
-		kopt := kde.Options{
-			Kernel:    opt.Kernel,
-			Grid:      opt.Grid,
-			Normalize: opt.Normalize,
-			Workers:   opt.Workers,
-			Float32:   opt.Float32,
-			Ctx:       opt.Ctx,
-			Window:    opt.Window,
-		}
-		return kde.NaiveCols(d.Columns(), kopt)
-	}
-	if opt.Weights == nil {
-		opt.Weights = d.Weights()
-	}
-	return KDV(d.Points(), opt)
+		Epsilon:   opt.Epsilon,
+		Delta:     opt.Delta,
+		Seed:      opt.Seed,
+	})
 }
 
 // KDVDatasetCtx is KDVDataset with an explicit context (see KDVCtx).
@@ -194,7 +152,15 @@ func AdaptiveBandwidths(pts []Point, k int, scale, minBandwidth float64) ([]floa
 
 // SilvermanBandwidth returns the 2-D normal-reference pilot bandwidth
 // σ̂·n^{−1/6}.
-func SilvermanBandwidth(pts []Point) (float64, error) { return kde.SilvermanBandwidth(pts) }
+func SilvermanBandwidth(pts []Point) (float64, error) {
+	return kde.SilvermanBandwidth(dataset.MakeColumns(pts, nil))
+}
+
+// SilvermanBandwidthDataset is SilvermanBandwidth over a Dataset's columns
+// (no []Point materialisation).
+func SilvermanBandwidthDataset(d *Dataset) (float64, error) {
+	return kde.SilvermanBandwidth(d.Columns())
+}
 
 // SelectBandwidthCV picks the candidate bandwidth with the best held-out
 // log-likelihood over random folds (finite-support kernels). The fold
