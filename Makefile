@@ -76,15 +76,18 @@ bench-smoke:
 
 # Machine-readable benchmark snapshot: every geobench experiment's wall
 # clock as JSON. BENCH_baseline.json is the committed reference point;
-# regenerate it (on quiet hardware) when the perf profile changes.
+# regenerate it (on quiet hardware) when the perf profile changes. Both
+# sides of the gate are pinned to GOMAXPROCS=1: the parallel experiments
+# do more work with more procs, so snapshots taken at different values do
+# not compare (geobench -compare refuses them with exit 2).
 bench-json:
-	$(GO) run ./cmd/geobench -quick -json BENCH_baseline.json
+	GOMAXPROCS=1 $(GO) run ./cmd/geobench -quick -json BENCH_baseline.json
 
 # Regression gate: run a fresh quick snapshot and diff it against the
 # committed baseline. Fails when any experiment slowed down >15%
 # (experiments under the 25ms noise floor are exempt).
 bench-diff:
-	$(GO) run ./cmd/geobench -quick -json BENCH_new.json
+	GOMAXPROCS=1 $(GO) run ./cmd/geobench -quick -json BENCH_new.json
 	$(GO) run ./cmd/geobench -compare BENCH_baseline.json BENCH_new.json
 
 # End-to-end smoke: boot geostatd, drive one KDV request, and assert the
@@ -123,7 +126,7 @@ load-smoke:
 	  curl -fs http://127.0.0.1:18092/healthz >/dev/null 2>&1 && { ok=1; break; }; sleep 0.1; \
 	done; \
 	[ $$ok = 1 ] || { echo "geostatd did not come up"; exit 1; }; \
-	/tmp/geoload -scenario scenarios/smoke.yaml -base http://127.0.0.1:18092 -out LOAD_smoke.json && \
+	/tmp/geoload -scenario scenarios/smoke.json -base http://127.0.0.1:18092 -out LOAD_smoke.json && \
 	/tmp/geogate -artifact LOAD_smoke.json -slo scenarios/smoke_slo.json \
 	  -baseline LOAD_baseline.json -threshold 2.0 -min-ms 200 && \
 	echo "load-smoke OK"
@@ -191,5 +194,5 @@ load-baseline:
 	  curl -fs http://127.0.0.1:18093/healthz >/dev/null 2>&1 && { ok=1; break; }; sleep 0.1; \
 	done; \
 	[ $$ok = 1 ] || { echo "geostatd did not come up"; exit 1; }; \
-	/tmp/geoload -scenario scenarios/smoke.yaml -base http://127.0.0.1:18093 -out LOAD_baseline.json && \
+	/tmp/geoload -scenario scenarios/smoke.json -base http://127.0.0.1:18093 -out LOAD_baseline.json && \
 	echo "wrote LOAD_baseline.json"

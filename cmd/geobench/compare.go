@@ -3,86 +3,34 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
+
+	"geostat/internal/load/gate"
 )
 
-// compareRow is one benchmark's entry in the -compare delta table.
-type compareRow struct {
-	ID     string
-	OldMS  float64
-	NewMS  float64
-	Delta  float64 // (new-old)/old; NaN-free because rows need both sides
-	Status string  // "ok", "faster", "REGRESSED", "BROKE", "fixed"
-}
-
-// compareSummaries diffs two -json run summaries by experiment id and
-// returns the delta table plus the number of regressions. A run is
-// regressed when it slowed down by more than threshold (fractional, e.g.
-// 0.15) or stopped passing. Experiments where both sides ran faster than
-// minMS are never regressions: at that scale wall clock is scheduler
-// noise, not signal. Experiments present on only one side are listed
-// ("new"/"removed") but never fail the comparison.
-func compareSummaries(oldS, newS benchSummary, threshold, minMS float64) ([]compareRow, int) {
+// compareRows joins two -json run summaries by experiment id for
+// gate.Classify: the new run's experiments in run order, then those only
+// the old run had.
+func compareRows(oldS, newS benchSummary) []gate.CompareRow {
 	oldByID := make(map[string]benchResult, len(oldS.Results))
 	for _, r := range oldS.Results {
 		oldByID[r.ID] = r
 	}
 	seen := make(map[string]bool, len(newS.Results))
-	rows := make([]compareRow, 0, len(newS.Results))
-	regressions := 0
+	rows := make([]gate.CompareRow, 0, len(newS.Results))
 	for _, nr := range newS.Results {
 		seen[nr.ID] = true
 		or, ok := oldByID[nr.ID]
-		if !ok {
-			rows = append(rows, compareRow{ID: nr.ID, NewMS: nr.ElapsedMS, Status: "new"})
-			continue
-		}
-		row := compareRow{ID: nr.ID, OldMS: or.ElapsedMS, NewMS: nr.ElapsedMS}
-		if or.ElapsedMS > 0 {
-			row.Delta = (nr.ElapsedMS - or.ElapsedMS) / or.ElapsedMS
-		}
-		switch {
-		case or.OK && !nr.OK:
-			row.Status = "BROKE"
-			regressions++
-		case !or.OK && nr.OK:
-			row.Status = "fixed"
-		case row.Delta > threshold && (or.ElapsedMS >= minMS || nr.ElapsedMS >= minMS):
-			row.Status = "REGRESSED"
-			regressions++
-		case row.Delta < -threshold:
-			row.Status = "faster"
-		default:
-			row.Status = "ok"
-		}
-		rows = append(rows, row)
+		rows = append(rows, gate.CompareRow{ID: nr.ID,
+			OldMS: or.ElapsedMS, InOld: ok, OKOld: or.OK,
+			NewMS: nr.ElapsedMS, InNew: true, OKNew: nr.OK})
 	}
 	for _, or := range oldS.Results {
 		if !seen[or.ID] {
-			rows = append(rows, compareRow{ID: or.ID, OldMS: or.ElapsedMS, Status: "removed"})
+			rows = append(rows, gate.CompareRow{ID: or.ID, OldMS: or.ElapsedMS, InOld: true, OKOld: or.OK})
 		}
 	}
-	return rows, regressions
-}
-
-// writeCompareTable renders the delta table.
-func writeCompareTable(w io.Writer, rows []compareRow) {
-	fmt.Fprintf(w, "%-4s %12s %12s %8s  %s\n", "id", "old ms", "new ms", "delta", "status")
-	for _, r := range rows {
-		old, new_ := "-", "-"
-		if r.Status != "new" {
-			old = fmt.Sprintf("%.1f", r.OldMS)
-		}
-		if r.Status != "removed" {
-			new_ = fmt.Sprintf("%.1f", r.NewMS)
-		}
-		delta := "-"
-		if r.Status != "new" && r.Status != "removed" && r.OldMS > 0 {
-			delta = fmt.Sprintf("%+.1f%%", r.Delta*100)
-		}
-		fmt.Fprintf(w, "%-4s %12s %12s %8s  %s\n", r.ID, old, new_, delta, r.Status)
-	}
+	return rows
 }
 
 // readSummary loads a -json run summary from disk.
@@ -99,7 +47,10 @@ func readSummary(path string) (benchSummary, error) {
 }
 
 // runCompare implements `geobench -compare old.json new.json`: print the
-// per-benchmark delta table and exit non-zero when anything regressed.
+// per-benchmark delta table and exit non-zero when anything regressed
+// (see gate.Classify for the rule). Summaries recorded at different
+// GOMAXPROCS are unusable input: the parallel experiments do more work
+// with more procs, so their wall clocks do not compare.
 func runCompare(oldPath, newPath string, threshold, minMS float64) int {
 	oldS, err := readSummary(oldPath)
 	if err != nil {
@@ -111,8 +62,14 @@ func runCompare(oldPath, newPath string, threshold, minMS float64) int {
 		fmt.Fprintf(os.Stderr, "geobench: %v\n", err)
 		return 2
 	}
-	rows, regressions := compareSummaries(oldS, newS, threshold, minMS)
-	writeCompareTable(os.Stdout, rows)
+	if oldS.GOMAXPROCS != newS.GOMAXPROCS {
+		fmt.Fprintf(os.Stderr, "geobench: %s was recorded at GOMAXPROCS=%d, %s at GOMAXPROCS=%d: not comparable\n",
+			oldPath, oldS.GOMAXPROCS, newPath, newS.GOMAXPROCS)
+		return 2
+	}
+	rows := compareRows(oldS, newS)
+	regressions := gate.Classify(rows, threshold, minMS)
+	gate.WriteCompareTable(os.Stdout, "id", 4, rows)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "geobench: %d benchmark(s) regressed more than %.0f%%\n", regressions, threshold*100)
 		return 1

@@ -73,7 +73,7 @@ func run(artifactPath, sloPath, baselinePath string, threshold, minMS float64) i
 		rows, regressed := gate.Compare(base, art, threshold, minMS)
 		fmt.Printf("baseline comparison (%s, threshold %.0f%%, floor %.0fms):\n",
 			baselinePath, threshold*100, minMS)
-		gate.WriteCompareTable(os.Stdout, rows)
+		gate.WriteCompareTable(os.Stdout, "metric", 32, rows)
 		failures += regressed
 	}
 

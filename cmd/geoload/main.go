@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	geoload -scenario scenarios/smoke.yaml -base http://127.0.0.1:8080 \
+//	geoload -scenario scenarios/smoke.json -base http://127.0.0.1:8080 \
 //	        [-out LOAD_smoke.json] [-timeout 5m] [-plan]
 //
-// The scenario file (YAML subset or JSON, see internal/load) declares
+// The scenario file (JSON, see internal/load) declares
 // client profiles — map-zoom sessions with zipf hot-key skew, cold
 // dataset uploads, mixed-tool steady state, cancellation storms,
 // lockstep hammers — and a seed. The request mix is a pure function of
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		scenarioPath = flag.String("scenario", "", "scenario file (YAML subset or JSON; required)")
+		scenarioPath = flag.String("scenario", "", "scenario file (JSON; required)")
 		base         = flag.String("base", "http://127.0.0.1:8080", "base URL of the geostatd under test")
 		out          = flag.String("out", "", "artifact path (default LOAD_<scenario-name>.json)")
 		timeout      = flag.Duration("timeout", 5*time.Minute, "overall run deadline (0 disables)")

@@ -42,33 +42,57 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	}
 	out := raster.NewGrid(grid)
 	if parallel.Workers(workers) <= 1 {
-		for i := range pts {
-			scatterOne(pts, kernels, grid, out.Values, i)
+		for i, p := range pts {
+			rowLo, rowHi := grid.RowRange(p.Y, bandwidths[i])
+			scatterOne(p, kernels[i], grid, out.Values, rowLo, rowHi)
 		}
 		return out, nil
 	}
-	// Each worker scatters into a private grid (footprints overlap, so
-	// direct writes would race); partials are merged after. Dynamic
-	// chunking rebalances the skew between wide sparse-region kernels and
-	// narrow hotspot ones.
-	partials := parallel.ForScratch(len(pts), workers,
-		func() []float64 { return make([]float64, len(out.Values)) },
-		func(buf []float64, i int) { scatterOne(pts, kernels, grid, buf, i) })
-	for _, p := range partials {
-		for i, v := range p {
-			out.Values[i] += v
+	// Footprints overlap, so workers cannot scatter points concurrently;
+	// and summing per-worker rasters would make each pixel's float addition
+	// order depend on which worker claimed which points. So the parallel
+	// path splits the raster, not the points: it is cut into bands of h
+	// rows, byBand lists for every band, in point order, the points whose
+	// footprint reaches it (counting sort), and a worker scatters one band
+	// at a time, clamped to the band's rows. Every pixel adds its points in
+	// index order — the serial loop's sequence — so the raster is
+	// bit-identical for every worker count. ~8 bands per worker let dynamic
+	// claiming rebalance hotspot bands against empty ones.
+	h := max(1, grid.NY/(parallel.Workers(workers)*8))
+	bands := (grid.NY + h - 1) / h
+	rows := make([][2]int, len(pts)) // each point's footprint rows [lo, hi)
+	start := make([]int, bands+1)
+	for i, p := range pts {
+		lo, hi := grid.RowRange(p.Y, bandwidths[i])
+		rows[i] = [2]int{lo, hi}
+		for band := lo / h; band*h < hi; band++ {
+			start[band+1]++
 		}
 	}
+	for band := 0; band < bands; band++ {
+		start[band+1] += start[band]
+	}
+	byBand := make([]int32, start[bands])
+	next := append([]int(nil), start[:bands]...)
+	for i, r := range rows {
+		for band := r[0] / h; band*h < r[1]; band++ {
+			byBand[next[band]] = int32(i)
+			next[band]++
+		}
+	}
+	parallel.For(bands, workers, func(band int) {
+		for _, i := range byBand[start[band]:start[band+1]] {
+			scatterOne(pts[i], kernels[i], grid, out.Values,
+				max(rows[i][0], band*h), min(rows[i][1], (band+1)*h))
+		}
+	})
 	return out, nil
 }
 
-// scatterOne adds point i's kernel footprint onto a value grid.
-func scatterOne(pts []geom.Point, kernels []kernel.Kernel, grid geom.PixelGrid, values []float64, i int) {
-	p := pts[i]
-	k := kernels[i]
-	b := k.Bandwidth()
-	colLo, colHi := grid.ColRange(p.X, b)
-	rowLo, rowHi := grid.RowRange(p.Y, b)
+// scatterOne adds rows [rowLo, rowHi) of a point's kernel footprint onto a
+// value grid.
+func scatterOne(p geom.Point, k kernel.Kernel, grid geom.PixelGrid, values []float64, rowLo, rowHi int) {
+	colLo, colHi := grid.ColRange(p.X, k.Bandwidth())
 	for iy := rowLo; iy < rowHi; iy++ {
 		dy := grid.CenterY(iy) - p.Y
 		dy2 := dy * dy

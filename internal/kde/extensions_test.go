@@ -125,23 +125,48 @@ func TestAdaptiveValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveParallelMatchesSerial(t *testing.T) {
-	pts := clusteredPoints(25, 500)
-	grid := geom.NewPixelGrid(box, 30, 24)
-	bw, err := AdaptiveBandwidths(pts, 8, 1.0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Adaptive(pts, bw, kernel.Quartic, grid, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Adaptive(pts, bw, kernel.Quartic, grid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := serial.MaxAbsDiff(par); d > 1e-9 {
-		t.Errorf("parallel adaptive differs by %v", d)
+// TestAdaptiveWorkerCountBitIdentity pins bit-identity across worker
+// counts on the one KDV variant that scatters instead of gathering: every
+// pixel is Float64bits-equal to the workers = 1 raster, on every
+// repetition. That holds only while each pixel adds its points in index
+// order; summing per-worker partial rasters — whose contents depend on
+// which worker claimed which chunk of points — fails it within a few
+// repetitions.
+func TestAdaptiveWorkerCountBitIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		nx, ny int
+	}{
+		{"more points than rows", 3000, 30, 24},
+		{"more rows than points", 40, 16, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := clusteredPoints(25, tc.n)
+			grid := geom.NewPixelGrid(box, tc.nx, tc.ny)
+			bw, err := AdaptiveBandwidths(pts, 8, 1.0, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Adaptive(pts, bw, kernel.Quartic, grid, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				for rep := 0; rep < 20; rep++ {
+					got, err := Adaptive(pts, bw, kernel.Quartic, grid, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range got.Values {
+						if math.Float64bits(v) != math.Float64bits(want.Values[i]) {
+							t.Fatalf("workers=%d rep %d: pixel %d = %x, want %x (workers=1)",
+								workers, rep, i, math.Float64bits(v), math.Float64bits(want.Values[i]))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 
 	"geostat/internal/lint/analysis"
 )
@@ -15,10 +16,10 @@ import (
 //
 //  1. context.Background() / context.TODO() may appear only in main
 //     packages (program roots own the root context), in the parallel
-//     engine (whose legacy non-ctx wrappers are the sanctioned
-//     compatibility layer), or inside functions that themselves return a
-//     context.Context (normalizers like Options.context() that
-//     substitute a default for nil).
+//     engine's sugar.go (the context-free forms of its loops, for
+//     callers that hold no context), or inside functions that
+//     themselves return a context.Context (normalizers like
+//     Options.context() that substitute a default for nil).
 //
 //  2. A function that receives a context.Context must not drop it: a
 //     call to F when the callee's package also provides FCtx (same name
@@ -29,14 +30,13 @@ import (
 //     exempt — the context travels inside the options value.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "context.Background/TODO confined to main, the parallel engine, and " +
+	Doc: "context.Background/TODO confined to main, the parallel engine's sugar.go, and " +
 		"context normalizers; functions holding a ctx must call FCtx variants, not F",
 	Run: runCtxFlow,
 }
 
 func runCtxFlow(pass *analysis.Pass) error {
 	isMain := pass.Pkg != nil && pass.Pkg.Name() == "main"
-	isEngine := pass.PkgPath == enginePath
 	storesCache := make(map[ast.Node]bool)
 	for _, f := range pass.Files {
 		enclosingFuncs(f, func(n ast.Node, encl ast.Node) {
@@ -50,10 +50,10 @@ func runCtxFlow(pass *analysis.Pass) error {
 			}
 			key := funcKey(fn)
 			if key == "context.Background" || key == "context.TODO" {
-				if isMain || isEngine || returnsContext(pass, encl) {
+				if isMain || isEngineSugar(pass, call) || returnsContext(pass, encl) {
 					return
 				}
-				pass.Reportf(call.Pos(), "%s() outside a main package or the parallel engine: accept a context.Context and thread it through", key)
+				pass.Reportf(call.Pos(), "%s() outside a main package or the parallel engine's sugar.go: accept a context.Context and thread it through", key)
 				return
 			}
 			if encl == nil || !hasContextParam(pass, encl) {
@@ -71,6 +71,13 @@ func runCtxFlow(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// isEngineSugar reports whether call sits in the one engine file allowed
+// to mint a context: the context-free loop forms in sugar.go.
+func isEngineSugar(pass *analysis.Pass, call *ast.CallExpr) bool {
+	return pass.PkgPath == enginePath &&
+		filepath.Base(pass.Fset.Position(call.Pos()).Filename) == "sugar.go"
 }
 
 // storesCtxInField reports whether the enclosing function assigns a

@@ -6,11 +6,9 @@
 //   - Evaluate: absolute SLO checks (min/max bounds on artifact
 //     metrics) from a committed SLO file, for invariants like "p95
 //     under a second", "no 5xx", "coalescing actually happened";
-//   - Compare: relative drift against a committed baseline artifact,
-//     with the same threshold + noise-floor semantics as
-//     `geobench -compare` — a latency quantile regressed when it grew
-//     by more than the fractional threshold AND at least one side is
-//     above the minMS floor (below it, wall clock is scheduler noise).
+//   - Compare: relative drift of the per-tool latency quantiles against
+//     a committed baseline artifact, judged by Classify — the threshold
+//     and noise-floor rule that `geobench -compare` also calls.
 //
 // Exit-code contract (pinned by tests, same as geobench):
 // 0 = all checks pass, 1 = at least one failure, 2 = unusable input.
@@ -126,13 +124,53 @@ func boundsString(c Check) string {
 	}
 }
 
-// CompareRow is one latency metric's entry in the baseline delta table.
+// CompareRow is one measurement on both sides of a baseline comparison.
+// The caller fills the identity, the two values and the four flags;
+// Classify fills Delta and Status.
 type CompareRow struct {
-	Metric string
-	OldMS  float64
-	NewMS  float64
-	Delta  float64 // (new-old)/old when old > 0
-	Status string  // "ok", "faster", "REGRESSED", "new", "removed"
+	ID           string
+	OldMS, NewMS float64
+	InOld, InNew bool    // the side has this measurement at all
+	OKOld, OKNew bool    // the side's run succeeded
+	Delta        float64 // (new-old)/old when both sides exist and old > 0
+	Status       string  // "ok", "faster", "REGRESSED", "BROKE", "fixed", "new", "removed"
+}
+
+// Classify is the repository's one drift rule, shared by `geogate
+// -baseline` and `geobench -compare`. A row REGRESSED when it grew by
+// more than threshold (fractional, strictly) and either side is at or
+// above the minMS noise floor — below it wall clock is scheduler noise,
+// not signal — and BROKE when it stopped succeeding; both count as
+// regressions. Rows present on one side only are labelled "new" /
+// "removed" and never fail. It sets Delta and Status in place and
+// returns the regression count.
+func Classify(rows []CompareRow, threshold, minMS float64) int {
+	regressions := 0
+	for i := range rows {
+		r := &rows[i]
+		if r.InOld && r.InNew && r.OldMS > 0 {
+			r.Delta = (r.NewMS - r.OldMS) / r.OldMS
+		}
+		switch {
+		case !r.InOld:
+			r.Status = "new"
+		case !r.InNew:
+			r.Status = "removed"
+		case r.OKOld && !r.OKNew:
+			r.Status = "BROKE"
+			regressions++
+		case !r.OKOld && r.OKNew:
+			r.Status = "fixed"
+		case r.Delta > threshold && (r.OldMS >= minMS || r.NewMS >= minMS):
+			r.Status = "REGRESSED"
+			regressions++
+		case r.Delta < -threshold:
+			r.Status = "faster"
+		default:
+			r.Status = "ok"
+		}
+	}
+	return regressions
 }
 
 // latencyFields are the per-tool quantiles a baseline comparison
@@ -142,11 +180,8 @@ type CompareRow struct {
 var latencyFields = []string{"p50_ms", "p95_ms", "p99_ms"}
 
 // Compare diffs the new artifact's per-tool latency quantiles against
-// the baseline's, mirroring geobench -compare: a metric REGRESSED when
-// it grew by more than threshold (fractional) and either side is at or
-// above the minMS noise floor; metrics present on only one side are
-// listed ("new"/"removed") but never fail. Returns rows sorted by
-// metric name plus the regression count.
+// the baseline's under Classify. Returns rows sorted by metric name plus
+// the regression count.
 func Compare(baseline, current *load.Artifact, threshold, minMS float64) ([]CompareRow, int) {
 	tools := make(map[string]bool)
 	for t := range baseline.Tools {
@@ -162,40 +197,17 @@ func Compare(baseline, current *load.Artifact, threshold, minMS float64) ([]Comp
 	sort.Strings(names)
 
 	var rows []CompareRow
-	regressions := 0
 	for _, tool := range names {
 		_, inOld := baseline.Tools[tool]
 		_, inNew := current.Tools[tool]
 		for _, field := range latencyFields {
-			metric := tool + "." + field
-			switch {
-			case !inOld:
-				v, _ := current.Metric(metric)
-				rows = append(rows, CompareRow{Metric: metric, NewMS: v, Status: "new"})
-			case !inNew:
-				v, _ := baseline.Metric(metric)
-				rows = append(rows, CompareRow{Metric: metric, OldMS: v, Status: "removed"})
-			default:
-				ov, _ := baseline.Metric(metric)
-				nv, _ := current.Metric(metric)
-				row := CompareRow{Metric: metric, OldMS: ov, NewMS: nv}
-				if ov > 0 {
-					row.Delta = (nv - ov) / ov
-				}
-				switch {
-				case row.Delta > threshold && (ov >= minMS || nv >= minMS):
-					row.Status = "REGRESSED"
-					regressions++
-				case row.Delta < -threshold:
-					row.Status = "faster"
-				default:
-					row.Status = "ok"
-				}
-				rows = append(rows, row)
-			}
+			row := CompareRow{ID: tool + "." + field, InOld: inOld, InNew: inNew, OKOld: true, OKNew: true}
+			row.OldMS, _ = baseline.Metric(row.ID)
+			row.NewMS, _ = current.Metric(row.ID)
+			rows = append(rows, row)
 		}
 	}
-	return rows, regressions
+	return rows, Classify(rows, threshold, minMS)
 }
 
 // WriteResults renders the SLO verdict table.
@@ -210,21 +222,22 @@ func WriteResults(w io.Writer, results []Result) {
 	}
 }
 
-// WriteCompareTable renders the baseline delta table.
-func WriteCompareTable(w io.Writer, rows []CompareRow) {
-	fmt.Fprintf(w, "%-32s %12s %12s %8s  %s\n", "metric", "old ms", "new ms", "delta", "status")
+// WriteCompareTable renders classified rows as the delta table, under an
+// id column with the given heading and width.
+func WriteCompareTable(w io.Writer, idHeading string, idWidth int, rows []CompareRow) {
+	fmt.Fprintf(w, "%-*s %12s %12s %8s  %s\n", idWidth, idHeading, "old ms", "new ms", "delta", "status")
 	for _, r := range rows {
 		old, cur, delta := "-", "-", "-"
-		if r.Status != "new" {
+		if r.InOld {
 			old = fmt.Sprintf("%.1f", r.OldMS)
 		}
-		if r.Status != "removed" {
+		if r.InNew {
 			cur = fmt.Sprintf("%.1f", r.NewMS)
 		}
-		if r.Status != "new" && r.Status != "removed" && r.OldMS > 0 {
+		if r.InOld && r.InNew && r.OldMS > 0 {
 			delta = fmt.Sprintf("%+.1f%%", r.Delta*100)
 		}
-		fmt.Fprintf(w, "%-32s %12s %12s %8s  %s\n", r.Metric, old, cur, delta, r.Status)
+		fmt.Fprintf(w, "%-*s %12s %12s %8s  %s\n", idWidth, r.ID, old, cur, delta, r.Status)
 	}
 }
 

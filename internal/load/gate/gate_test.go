@@ -106,6 +106,77 @@ func TestParseSLORejectsDegenerateFiles(t *testing.T) {
 	}
 }
 
+// TestClassify is the drift rule's one table: every status, both CLIs'
+// cases (geobench's BROKE / fixed / floor / boundary rows moved here with
+// the comparator), one row each.
+func TestClassify(t *testing.T) {
+	both := CompareRow{InOld: true, InNew: true, OKOld: true, OKNew: true}
+	row := func(old, cur float64, edit func(*CompareRow)) CompareRow {
+		r := both
+		r.OldMS, r.NewMS = old, cur
+		if edit != nil {
+			edit(&r)
+		}
+		return r
+	}
+	cases := []struct {
+		name       string
+		row        CompareRow
+		want       string
+		regression bool
+	}{
+		{"identical", row(100, 100, nil), "ok", false},
+		{"+30% above the floor", row(100, 130, nil), "REGRESSED", true},
+		{"-25%", row(200, 150, nil), "faster", false},
+		{"+80% with both sides under the floor", row(5, 9, nil), "ok", false},
+		{"old under the floor, new crossed it", row(10, 40, nil), "REGRESSED", true},
+		{"new under the floor, old above it", row(30, 10, nil), "faster", false},
+		{"delta exactly at the threshold", row(100, 115, nil), "ok", false},
+		{"delta just above the threshold", row(100, 115.2, nil), "REGRESSED", true},
+		{"old is zero: no delta to judge", row(0, 500, nil), "ok", false},
+		{"stopped passing", row(50, 48, func(r *CompareRow) { r.OKNew = false }), "BROKE", true},
+		{"started passing", row(10, 12, func(r *CompareRow) { r.OKOld = false }), "fixed", false},
+		{"failing on both sides is judged on time", row(100, 130, func(r *CompareRow) { r.OKOld, r.OKNew = false, false }), "REGRESSED", true},
+		{"no baseline", row(0, 9999, func(r *CompareRow) { r.InOld = false }), "new", false},
+		{"gone from the new run", row(9999, 0, func(r *CompareRow) { r.InNew = false }), "removed", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := []CompareRow{tc.row}
+			n := Classify(rows, 0.15, 25)
+			if rows[0].Status != tc.want || (n == 1) != tc.regression {
+				t.Fatalf("status %q, %d regression(s); want %q, regression=%v", rows[0].Status, n, tc.want, tc.regression)
+			}
+		})
+	}
+}
+
+// TestWriteCompareTable pins the one delta-table renderer at both CLIs'
+// column layouts: a side that is absent prints "-", and so does the delta
+// of a row that has no baseline to divide by.
+func TestWriteCompareTable(t *testing.T) {
+	rows := []CompareRow{
+		{ID: "A", OldMS: 100, NewMS: 130, InOld: true, InNew: true, OKOld: true, OKNew: true},
+		{ID: "NEW", NewMS: 10, InNew: true, OKNew: true},
+		{ID: "GONE", OldMS: 5, InOld: true, OKOld: true},
+	}
+	Classify(rows, 0.15, 25)
+	var sb strings.Builder
+	WriteCompareTable(&sb, "id", 4, rows)
+	want := "id         old ms       new ms    delta  status\n" +
+		"A           100.0        130.0   +30.0%  REGRESSED\n" +
+		"NEW             -         10.0        -  new\n" +
+		"GONE          5.0            -        -  removed\n"
+	if sb.String() != want {
+		t.Errorf("table:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	sb.Reset()
+	WriteCompareTable(&sb, "metric", 32, rows[:1])
+	if !strings.HasPrefix(sb.String(), "metric"+strings.Repeat(" ", 26)+" ") {
+		t.Errorf("32-wide id column not honoured:\n%s", sb.String())
+	}
+}
+
 func TestCompareThresholdAndNoiseFloor(t *testing.T) {
 	base := artifactFixture()
 	cases := []struct {
@@ -177,7 +248,7 @@ func TestCompareThresholdAndNoiseFloor(t *testing.T) {
 			}
 			byMetric := make(map[string]string)
 			for _, r := range rows {
-				byMetric[r.Metric] = r.Status
+				byMetric[r.ID] = r.Status
 			}
 			for metric, want := range tc.wantStatus {
 				if byMetric[metric] != want {

@@ -48,7 +48,7 @@ func compareGolden(t *testing.T, path, got string) {
 // This is the determinism contract — the plan is a pure function of the
 // scenario, so the golden never flakes.
 func TestGoldenSmokePlan(t *testing.T) {
-	sc, err := parseScenarioFile(t, "../../scenarios/smoke.yaml")
+	sc, err := parseScenarioFile(t, "../../scenarios/smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestGoldenSmokePlan(t *testing.T) {
 // TestPlanIsDeterministic expands the same scenario twice and requires
 // byte-identical plans, including upload bodies.
 func TestPlanIsDeterministic(t *testing.T) {
-	sc, err := parseScenarioFile(t, "../../scenarios/smoke.yaml")
+	sc, err := parseScenarioFile(t, "../../scenarios/smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +90,8 @@ func TestPlanIsDeterministic(t *testing.T) {
 // client must issue the IDENTICAL path at the same sequence number, and
 // consecutive sequence numbers must differ (fresh cache key per round).
 func TestPlanHammerLockstep(t *testing.T) {
-	sc, err := ParseScenario([]byte(`
-name: h
-seed: 9
-clients: 4
-requests: 3
-profiles:
-  - kind: hammer
-    dataset: d
-`))
+	sc, err := ParseScenario([]byte(`{"name": "h", "seed": 9, "clients": 4, "requests": 3,
+		"profiles": [{"kind": "hammer", "dataset": "d"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +115,9 @@ profiles:
 // TestPlanProfileAssignment checks the weight-proportional slicing:
 // with weights 3:1 over 8 clients, 6 run the first profile.
 func TestPlanProfileAssignment(t *testing.T) {
-	sc, err := ParseScenario([]byte(`
-name: w
-seed: 5
-clients: 8
-requests: 1
-profiles:
-  - kind: zoom
-    weight: 3
-    dataset: d
-  - kind: upload
-    weight: 1
-`))
+	sc, err := ParseScenario([]byte(`{"name": "w", "seed": 5, "clients": 8, "requests": 1, "profiles": [
+		{"kind": "zoom", "weight": 3, "dataset": "d"},
+		{"kind": "upload", "weight": 1}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +140,8 @@ profiles:
 // upload in a plan must target a distinct dataset name, or "cold"
 // uploads would silently become re-uploads.
 func TestPlanUploadNamesAreUnique(t *testing.T) {
-	sc, err := ParseScenario([]byte(`
-name: u
-seed: 11
-clients: 3
-requests: 4
-profiles:
-  - kind: upload
-    points: 10
-`))
+	sc, err := ParseScenario([]byte(`{"name": "u", "seed": 11, "clients": 3, "requests": 4,
+		"profiles": [{"kind": "upload", "points": 10}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

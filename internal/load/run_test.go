@@ -58,19 +58,9 @@ func runScenario(t *testing.T, src string, path string, cfg serve.Config) *load.
 // artifact — the single-flight layer, observed end to end through a
 // real listener, a real client pool, and the /metrics delta.
 func TestRunHammerScenarioCoalescesLive(t *testing.T) {
-	art := runScenario(t, `
-name: hammer-live
-seed: 99
-clients: 6
-requests: 2
-setup:
-  - generate: "name=hot&kind=clusters&n=8000&seed=7"
-profiles:
-  - kind: hammer
-    dataset: hot
-    width: 64
-    height: 64
-`, "", serve.Config{CacheBytes: 64 << 20, MaxInFlight: 4})
+	art := runScenario(t, `{"name": "hammer-live", "seed": 99, "clients": 6, "requests": 2,
+		"setup": [{"generate": "name=hot&kind=clusters&n=8000&seed=7"}],
+		"profiles": [{"kind": "hammer", "dataset": "hot", "width": 64, "height": 64}]}`, "", serve.Config{CacheBytes: 64 << 20, MaxInFlight: 4})
 
 	kdv := art.Tools["kdv"]
 	if kdv == nil {
@@ -107,7 +97,7 @@ profiles:
 // both, and the cancellation-storm clients actually recorded aborted
 // requests.
 func TestRunSmokeScenarioEndToEnd(t *testing.T) {
-	art := runScenario(t, "", filepath.Join("..", "..", "scenarios", "smoke.yaml"),
+	art := runScenario(t, "", filepath.Join("..", "..", "scenarios", "smoke.json"),
 		serve.Config{CacheBytes: 64 << 20, MaxInFlight: 8})
 
 	// Every profile kind shows up in the artifact.

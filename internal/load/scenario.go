@@ -17,8 +17,8 @@ import (
 	"strings"
 )
 
-// Scenario is the declarative description of one load run. Files may be
-// JSON (first non-space byte '{') or the YAML subset in yamlish.go.
+// Scenario is the declarative description of one load run: a JSON file
+// (scenarios/*.json).
 type Scenario struct {
 	// Name labels the artifact; defaults to "unnamed".
 	Name string `json:"name"`
@@ -84,24 +84,10 @@ var profileKinds = map[string]bool{
 	"hammer": true,
 }
 
-// ParseScenario decodes a scenario file (JSON or the YAML subset),
-// applies defaults, and validates it.
+// ParseScenario decodes a scenario file strictly (a misspelt field is an
+// error, not a silently ignored knob), applies defaults, and validates it.
 func ParseScenario(src []byte) (*Scenario, error) {
-	trimmed := bytes.TrimLeft(src, " \t\r\n")
-	var jsonSrc []byte
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		jsonSrc = trimmed
-	} else {
-		doc, err := yamlishParse(src)
-		if err != nil {
-			return nil, fmt.Errorf("parse scenario: %w", err)
-		}
-		jsonSrc, err = json.Marshal(doc)
-		if err != nil {
-			return nil, fmt.Errorf("parse scenario: %w", err)
-		}
-	}
-	dec := json.NewDecoder(bytes.NewReader(jsonSrc))
+	dec := json.NewDecoder(bytes.NewReader(src))
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {

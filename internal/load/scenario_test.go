@@ -1,84 +1,12 @@
 package load
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestYamlishParsesScalarsMapsAndSequences(t *testing.T) {
-	src := []byte(`
-# a full-line comment
-name: demo
-seed: 42
-ratio: 1.5          # trailing comment
-quoted: "a: b # c"
-flag: true
-setup:
-  - generate: "name=hot&n=100"
-profiles:
-  - kind: zoom
-    weight: 2
-    dataset: hot
-  - kind: upload
-`)
-	got, err := yamlishParse(src)
-	if err != nil {
-		t.Fatalf("yamlishParse: %v", err)
-	}
-	want := map[string]any{
-		"name":   "demo",
-		"seed":   int64(42),
-		"ratio":  1.5,
-		"quoted": "a: b # c",
-		"flag":   true,
-		"setup": []any{
-			map[string]any{"generate": "name=hot&n=100"},
-		},
-		"profiles": []any{
-			map[string]any{"kind": "zoom", "weight": int64(2), "dataset": "hot"},
-			map[string]any{"kind": "upload"},
-		},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parsed document mismatch:\n got %#v\nwant %#v", got, want)
-	}
-}
-
-func TestYamlishRejectsOutOfSubsetInput(t *testing.T) {
-	cases := []struct {
-		name, src, wantErr string
-	}{
-		{"tab", "a:\tb", "tabs are not allowed"},
-		{"flow map", "a: {b: 1}", "flow collections"},
-		{"duplicate key", "a: 1\na: 2", "duplicate key"},
-		{"dangling key", "a:", "has no value"},
-		{"bad indent", "a: 1\n   b: 2", "unexpected indentation"},
-		{"unterminated string", `a: "oops`, "unterminated string"},
-		{"empty", "\n# just a comment\n", "empty document"},
-		{"seq in map", "a: 1\n- b", "sequence item inside mapping"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := yamlishParse([]byte(tc.src))
-			if err == nil {
-				t.Fatalf("yamlishParse(%q) succeeded, want error containing %q", tc.src, tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestParseScenarioAppliesDefaultsAndValidates(t *testing.T) {
-	sc, err := ParseScenario([]byte(`
-name: mini
-seed: 7
-profiles:
-  - kind: zoom
-    dataset: hot
-`))
+	sc, err := ParseScenario([]byte(`{"name": "mini", "seed": 7, "profiles": [{"kind": "zoom", "dataset": "hot"}]}`))
 	if err != nil {
 		t.Fatalf("ParseScenario: %v", err)
 	}
@@ -91,33 +19,18 @@ profiles:
 	}
 }
 
-func TestParseScenarioAcceptsJSONPassthrough(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{
-  "name": "js",
-  "seed": 3,
-  "clients": 2,
-  "requests": 1,
-  "profiles": [{"kind": "upload"}]
-}`))
-	if err != nil {
-		t.Fatalf("ParseScenario(json): %v", err)
-	}
-	if sc.Name != "js" || sc.Profiles[0].Kind != "upload" {
-		t.Fatalf("unexpected scenario: %+v", sc)
-	}
-}
-
 func TestParseScenarioRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
 	}{
-		{"unknown field", "seed: 1\nbogus: 2\nprofiles:\n  - kind: upload", "bogus"},
-		{"missing seed", "name: x\nprofiles:\n  - kind: upload", "seed must be set"},
-		{"no profiles", "seed: 1\nclients: 2", "at least one profile"},
-		{"unknown kind", "seed: 1\nprofiles:\n  - kind: ddos", "unknown kind"},
-		{"missing dataset", "seed: 1\nprofiles:\n  - kind: zoom", "dataset is required"},
-		{"flat zipf", "seed: 1\nprofiles:\n  - kind: zoom\n    dataset: d\n    zipf_s: 0.5", "zipf_s must be > 1"},
-		{"empty setup", "seed: 1\nsetup:\n  - generate: \"\"\nprofiles:\n  - kind: upload", "generate query string is empty"},
+		{"unknown field", `{"seed": 1, "bogus": 2, "profiles": [{"kind": "upload"}]}`, "bogus"},
+		{"not json", "name: x\nseed: 1\nprofiles:\n  - kind: upload", "parse scenario"},
+		{"missing seed", `{"name": "x", "profiles": [{"kind": "upload"}]}`, "seed must be set"},
+		{"no profiles", `{"seed": 1, "clients": 2}`, "at least one profile"},
+		{"unknown kind", `{"seed": 1, "profiles": [{"kind": "ddos"}]}`, "unknown kind"},
+		{"missing dataset", `{"seed": 1, "profiles": [{"kind": "zoom"}]}`, "dataset is required"},
+		{"flat zipf", `{"seed": 1, "profiles": [{"kind": "zoom", "dataset": "d", "zipf_s": 0.5}]}`, "zipf_s must be > 1"},
+		{"empty setup", `{"seed": 1, "setup": [{"generate": ""}], "profiles": [{"kind": "upload"}]}`, "generate query string is empty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,7 +48,7 @@ func TestParseScenarioRejectsBadInput(t *testing.T) {
 // TestCommittedScenariosParse keeps the checked-in scenario files valid:
 // a scenario that stops parsing should fail here, not in CI's load job.
 func TestCommittedScenariosParse(t *testing.T) {
-	for _, path := range []string{"../../scenarios/smoke.yaml", "../../scenarios/hammer.yaml"} {
+	for _, path := range []string{"../../scenarios/smoke.json", "../../scenarios/hammer.json"} {
 		sc, err := parseScenarioFile(t, path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

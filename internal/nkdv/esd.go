@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"geostat/internal/network"
-	"geostat/internal/parallel"
 )
 
 // ForwardESD computes NKDV with Okabe's equal-split discontinuous kernel
@@ -37,18 +36,15 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 	}
 
 	type esdScratch struct {
-		*fwdScratch
+		dij    *network.Dijkstra
 		factor []float64
 	}
-	partials := parallel.ForScratch(len(events), opt.Workers,
+	err := scatterOrdered(opt.context(), len(events), opt.Workers, s.Values,
 		func() *esdScratch {
-			return &esdScratch{
-				fwdScratch: newFwdScratch(g, len(lixels)),
-				factor:     make([]float64, g.NumNodes()),
-			}
+			return &esdScratch{dij: network.NewDijkstra(g), factor: make([]float64, g.NumNodes())}
 		},
-		func(sc *esdScratch, i int) {
-			dij, local, factor := sc.dij, sc.values, sc.factor
+		func(sc *esdScratch, i int, out *sink) {
+			dij, factor := sc.dij, sc.factor
 			ev := events[i]
 			dij.FromPosition(ev, b)
 			reached := dij.Reached()
@@ -73,10 +69,11 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 				factor[u] = factor[p] / split
 			}
 			// Direct same-edge contribution.
-			for li := edgeOff[ev.Edge]; li < edgeOff[ev.Edge+1]; li++ {
-				d := math.Abs(lixels[li].Center() - ev.Offset)
+			first := edgeOff[ev.Edge]
+			for k, dst := 0, out.run(first, edgeOff[ev.Edge+1]-first); k < len(dst); k++ {
+				d := math.Abs(lixels[int(first)+k].Center() - ev.Offset)
 				if d <= b {
-					local[li] += opt.Kernel.Eval(d)
+					dst[k] += opt.Kernel.Eval(d)
 				}
 			}
 			// Entries into every edge incident to a reached node.
@@ -96,23 +93,22 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 						return // backtracking along the arrival edge
 					}
 					eu := g.Edge(ei)
-					for li := edgeOff[ei]; li < edgeOff[ei+1]; li++ {
-						off := lixels[li].Center()
+					first := edgeOff[ei]
+					for k, dst := 0, out.run(first, edgeOff[ei+1]-first); k < len(dst); k++ {
+						off := lixels[int(first)+k].Center()
 						if eu.B == u {
 							off = eu.Length - off
 						}
 						d := du + off
 						if d <= b {
-							local[li] += enter * opt.Kernel.Eval(d)
+							dst[k] += enter * opt.Kernel.Eval(d)
 						}
 					}
 				})
 			}
 		})
-	for _, sc := range partials {
-		for i, v := range sc.values {
-			s.Values[i] += v
-		}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

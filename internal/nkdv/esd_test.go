@@ -203,22 +203,3 @@ func TestESDValidation(t *testing.T) {
 		t.Error("infinite-support kernel accepted")
 	}
 }
-
-func TestESDParallelMatchesSerial(t *testing.T) {
-	g := network.GridNetwork(5, 5, 10, geom.Point{})
-	rng := rand.New(rand.NewSource(3))
-	events := network.RandomPositionsRand(rng, g, 60)
-	o := Options{Kernel: kernel.MustNew(kernel.Quartic, 12), LixelLength: 2}
-	serial, err := ForwardESD(g, events, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Workers = 4
-	par, err := ForwardESD(g, events, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := serial.MaxAbsDiff(par); d > 1e-9 {
-		t.Errorf("parallel ESD differs by %v", d)
-	}
-}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"geostat/internal/kernel"
 	"geostat/internal/network"
@@ -152,22 +153,183 @@ func Naive(g *network.Graph, events []network.Position, opt Options) (*Surface, 
 	return s, nil
 }
 
-// fwdScratch is the per-worker state of the event-expansion algorithms:
-// one Dijkstra engine, a private copy of the lixel values (footprints
-// overlap, so direct writes would race), and the dedup set of spread
-// edges.
-type fwdScratch struct {
-	dij    *network.Dijkstra
-	values []float64
-	seen   map[int32]bool
+// contribs is kernel mass waiting to be added to the surface: runs of
+// consecutive lixels (an event reaches the surface an edge at a time) with
+// one value per lixel, in the order the runs were emitted.
+type contribs struct {
+	runs []lixelRun
+	vals []float64 // the runs' values, concatenated
 }
 
-func newFwdScratch(g *network.Graph, nLixels int) *fwdScratch {
-	return &fwdScratch{
-		dij:    network.NewDijkstra(g),
-		values: make([]float64, nLixels),
-		seen:   make(map[int32]bool),
+type lixelRun struct{ first, n int32 }
+
+// sink is where emitted contributions go: straight into the surface while
+// the worker owns it, else onto a list that is applied later.
+type sink struct {
+	values []float64 // nil in list mode
+	contribs
+}
+
+// run returns the cells to add the mass for lixels [first, first+n) into,
+// each at most once. In list mode a lixel that gets none costs a +0 added
+// to the surface later, which changes no bit: x + 0 is x for every x but
+// −0, and the surface starts at +0 and only ever has masses added to it.
+func (s *sink) run(first, n int32) []float64 {
+	if s.values != nil {
+		return s.values[first : first+n]
 	}
+	s.runs = append(s.runs, lixelRun{first, n})
+	k := len(s.vals)
+	s.vals = append(s.vals, make([]float64, n)...)
+	return s.vals[k:]
+}
+
+// applyTo adds the runs into values in emission order.
+func (c *contribs) applyTo(values []float64) {
+	vals := c.vals
+	for _, r := range c.runs {
+		dst := values[r.first : r.first+r.n]
+		for j := range dst {
+			dst[j] += vals[j]
+		}
+		vals = vals[r.n:]
+	}
+}
+
+// scatterBlock is how many consecutive events a worker expands between two
+// looks at the shared state; lists are queued and recycled in this unit.
+const scatterBlock = 32
+
+// scatterOrdered is the reduction of the event-expansion algorithms:
+// emit(sc, i, out) adds event i's contributions to out, and every one ends
+// up in values. Footprints overlap, so workers cannot all write values;
+// and float addition does not commute bit-for-bit, so they cannot sum
+// private copies either — which events a copy saw depends on the schedule.
+// Instead values has one owner at a time, and it only ever advances
+// through the events in order:
+//
+//   - a worker whose next block starts at `next`, the first event not yet
+//     in values, takes the surface and emits straight into it;
+//   - any other worker emits its block onto a list and queues it;
+//   - whoever moves `next` forward then applies the queued blocks that
+//     follow on, until one is missing.
+//
+// Every lixel therefore receives exactly the addition sequence of the
+// serial loop, and the surface is bit-identical for every worker count;
+// one worker is that loop (it always owns the surface and never builds a
+// list). Nothing waits on a barrier: the engine hands chunks out in
+// increasing order, so the block at `next` is always being expanded by
+// some worker, and the queue normally holds no more than the other
+// workers' current chunks. Should that worker stall, the rest would queue
+// lists without limit, so none of them returns for another chunk while
+// more than a chunk per worker is queued. Lists and scratches are
+// recycled, which keeps memory at a few chunks of lists per worker.
+func scatterOrdered[S any](ctx context.Context, n, workers int, values []float64,
+	newScratch func() S, emit func(sc S, i int, out *sink)) error {
+	type block struct {
+		contribs
+		hi int
+	}
+	var (
+		mu       sync.Mutex
+		lists    []contribs            // idle
+		queued   = make(map[int]block) // expanded blocks by first event
+		next     int                   // first event not yet in values
+		owned    bool                  // a worker is writing values
+		released chan struct{}         // non-nil while a worker waits for owned to drop
+	)
+	// begin opens a worker's block at event lo: on the surface if it can
+	// have it, else on a recycled list.
+	begin := func(lo int) (out sink) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !owned && next == lo {
+			owned, out.values = true, values
+		} else if k := len(lists) - 1; k >= 0 {
+			out.contribs, lists = lists[k], lists[:k]
+		}
+		return out
+	}
+	// follow returns the queued block the surface is waiting for; without
+	// one the caller stops owning the surface.
+	follow := func() (block, bool) {
+		b, ok := queued[next]
+		if ok {
+			delete(queued, next)
+		} else {
+			owned = false
+			if released != nil {
+				close(released)
+				released = nil
+			}
+		}
+		return b, ok
+	}
+	// end closes the block [lo, hi) that out was opened for. It returns a
+	// block for the caller to apply if that made the caller the owner (or
+	// left it the owner) and one follows on.
+	end := func(lo, hi int, out sink) (block, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if out.values != nil {
+			next = hi
+		} else {
+			queued[lo] = block{out.contribs, hi}
+			if owned {
+				return block{}, false
+			}
+			owned = true
+		}
+		return follow()
+	}
+	// applied records that the owner has added b to values.
+	applied := func(b block) (block, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		next = b.hi
+		lists = append(lists, contribs{b.runs[:0], b.vals[:0]})
+		return follow()
+	}
+	// deep reports whether more than limit blocks are queued, and if so
+	// the channel to wait on before asking again.
+	deep := func(limit int) (bool, <-chan struct{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(queued) <= limit {
+			return false, nil
+		}
+		if released == nil {
+			released = make(chan struct{})
+		}
+		return true, released
+	}
+	scratches := sync.Pool{New: func() any { return newScratch() }}
+	nw := parallel.Workers(workers)
+	return parallel.ForRangeCtx(ctx, n, workers, func(lo, hi int) {
+		sc := scratches.Get().(S)
+		defer scratches.Put(sc)
+		for blo := lo; blo < hi; blo += scatterBlock {
+			bhi := min(blo+scatterBlock, hi)
+			out := begin(blo)
+			for i := blo; i < bhi; i++ {
+				emit(sc, i, &out)
+			}
+			for b, ok := end(blo, bhi, out); ok; b, ok = applied(b) {
+				b.applyTo(values)
+			}
+		}
+		limit := nw * ((hi - lo + scatterBlock - 1) / scatterBlock)
+		for full, wait := deep(limit); full; full, wait = deep(limit) {
+			<-wait
+		}
+	})
+}
+
+// fwdScratch is Forward's per-worker state: one Dijkstra engine and the
+// dedup set of spread edges.
+type fwdScratch struct {
+	dij  *network.Dijkstra
+	seen map[int32]bool
 }
 
 // Forward computes NKDV with one bounded Dijkstra per event, adding the
@@ -185,9 +347,11 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 
 	ectx, espan := obs.Trace(ctx, "nkdv.evaluate")
 	defer espan.End()
-	partials, err := parallel.ForScratchCtx(ectx, len(events), opt.Workers,
-		func() *fwdScratch { return newFwdScratch(g, len(lixels)) },
-		func(sc *fwdScratch, i int) {
+	err := scatterOrdered(ectx, len(events), opt.Workers, s.Values,
+		func() *fwdScratch {
+			return &fwdScratch{dij: network.NewDijkstra(g), seen: make(map[int32]bool)}
+		},
+		func(sc *fwdScratch, i int, out *sink) {
 			ev := events[i]
 			sc.dij.FromPosition(ev, b)
 			clear(sc.seen)
@@ -196,10 +360,11 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 					return
 				}
 				sc.seen[ei] = true
-				for li := edgeOff[ei]; li < edgeOff[ei+1]; li++ {
-					d := sc.dij.PositionDist(lixels[li].Position(), ev, true)
+				first := edgeOff[ei]
+				for k, dst := 0, out.run(first, edgeOff[ei+1]-first); k < len(dst); k++ {
+					d := sc.dij.PositionDist(lixels[int(first)+k].Position(), ev, true)
 					if d <= b {
-						sc.values[li] += opt.Kernel.Eval(d)
+						dst[k] += opt.Kernel.Eval(d)
 					}
 				}
 			}
@@ -210,11 +375,6 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 		})
 	if err != nil {
 		return nil, err
-	}
-	for _, sc := range partials {
-		for i, v := range sc.values {
-			s.Values[i] += v
-		}
 	}
 	return s, nil
 }

@@ -1,9 +1,12 @@
 package nkdv
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
@@ -97,26 +100,74 @@ func TestForwardMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	g := network.GridNetwork(5, 5, 8, geom.Point{})
-	rng := rand.New(rand.NewSource(2))
-	events := network.RandomPositionsRand(rng, g, 80)
-	o := opts(10, 2)
-	serial, err := Forward(g, events, o)
-	if err != nil {
-		t.Fatal(err)
+// TestWorkerCountBitIdentity pins the repo's flagship invariant on the
+// three network-KDV algorithms: the surface is Float64bits-equal to the
+// Workers = 1 run for every worker count, on every repetition. The
+// event-expansion algorithms reduce float contributions, so this holds
+// only while each lixel receives its additions in event order (see
+// scatterOrdered); summing per-worker partial surfaces — whose contents
+// depend on which worker claimed which chunk — fails it within a few
+// repetitions. 5000 events give the two-worker run chunks of several
+// scatter blocks, 1300 (Naive is far slower per event) chunks of less than
+// one; Workers = -1 is the GOMAXPROCS path.
+func TestWorkerCountBitIdentity(t *testing.T) {
+	g := network.GridNetwork(8, 8, 10, geom.Point{})
+	events := network.RandomPositionsRand(rand.New(rand.NewSource(2)), g, 5000)
+	for _, tc := range []struct {
+		name string
+		run  func(*network.Graph, []network.Position, Options) (*Surface, error)
+		n    int
+		opt  Options
+	}{
+		{"Forward", Forward, 5000, opts(12, 2)},
+		{"ForwardESD", ForwardESD, 5000, Options{Kernel: kernel.MustNew(kernel.Quartic, 12), LixelLength: 2}},
+		{"Naive", Naive, 1300, opts(12, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := events[:tc.n]
+			tc.opt.Workers = 1
+			want, err := tc.run(g, events, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4, 8, -1} {
+				tc.opt.Workers = workers
+				for rep := 0; rep < 20; rep++ {
+					got, err := tc.run(g, events, tc.opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for li, v := range got.Values {
+						if math.Float64bits(v) != math.Float64bits(want.Values[li]) {
+							t.Fatalf("workers=%d rep %d: lixel %d = %x, want %x (workers=1)",
+								workers, rep, li, math.Float64bits(v), math.Float64bits(want.Values[li]))
+						}
+					}
+				}
+			}
+		})
 	}
-	o.Workers = 4
-	par, err := Forward(g, events, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := serial.MaxAbsDiff(par); d > 1e-9 {
-		t.Errorf("parallel Forward differs by %v", d)
-	}
-	o.Workers = -1
-	if _, err := Naive(g, events, o); err != nil {
-		t.Fatal(err)
+}
+
+// TestEventExpansionCancels: a context that fires mid-run ends Forward and
+// ForwardESD with its error and no surface, with workers parked on the
+// ordered reduction's queue released.
+func TestEventExpansionCancels(t *testing.T) {
+	g := network.GridNetwork(8, 8, 10, geom.Point{})
+	events := network.RandomPositions(g, 200000, 3)
+	for name, run := range map[string]func(*network.Graph, []network.Position, Options) (*Surface, error){
+		"Forward": Forward, "ForwardESD": ForwardESD,
+	} {
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			opt := opts(12, 2)
+			opt.Workers, opt.Ctx = workers, ctx
+			s, err := run(g, events, opt)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) || s != nil {
+				t.Errorf("%s workers=%d: got (%v, %v), want (nil, deadline exceeded)", name, workers, s, err)
+			}
+		}
 	}
 }
 

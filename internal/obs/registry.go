@@ -22,8 +22,8 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // text exposition format. Metric lookups are get-or-create: asking twice
 // for the same (name, labels) returns the same metric, so handlers can
 // resolve metrics per request without double registration. A Registry is
-// typically per-server (tests spin up many servers; process-wide state
-// would collide), unlike the process-wide expvar metrics it complements.
+// typically per-server: tests spin up many servers, and process-wide state
+// would collide.
 //
 // Registration panics on a name that violates the naming convention or on
 // a kind/help/buckets mismatch with an existing family: both are

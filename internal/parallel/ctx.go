@@ -9,9 +9,10 @@ import (
 	"geostat/internal/obs"
 )
 
-// This file holds the context-aware core of the engine. Every legacy entry
-// point (For, ForRange, ForScratch, MonteCarlo, MonteCarloScratch) is a
-// thin wrapper over its *Ctx counterpart with context.Background().
+// This file is the engine: one chunk loop (loop) and the context-aware
+// entry points, which are adapters that tell it what a worker does with a
+// claimed chunk. The context-free forms in sugar.go call these with
+// context.Background().
 //
 // Cancellation contract:
 //
@@ -37,210 +38,124 @@ func bg(ctx context.Context) context.Context {
 	return ctx
 }
 
-// trace opens one obs span per engine invocation (never per chunk — the
-// cancellation checks stay allocation-free) annotated with the loop shape.
-// When no trace is active in ctx this is a single context-value lookup and
-// the returned span is a nil no-op, keeping the uninstrumented hot path
-// within noise of the pre-obs engine.
-func trace(ctx context.Context, name string, n, workers, chunk int) (context.Context, *obs.Span) {
-	ctx, span := obs.Trace(ctx, name)
+// loop runs [0, n) in chunks of chunkSize across at most `workers`
+// goroutines (see Workers) under one obs span called name. begin is called
+// once by each worker that claims a chunk, on that worker, before its first
+// chunk — this is where per-worker scratch is built lazily — and returns
+// what the worker does with every chunk [lo, hi) it claims. One worker (or
+// n ≤ 1) runs on the calling goroutine; more pull chunks from an atomic
+// counter, so skewed iteration costs rebalance.
+//
+// The span is per invocation, never per chunk: when no trace is active in
+// ctx it costs a single context-value lookup and a nil no-op span, and the
+// chunk loops allocate nothing.
+func loop(ctx context.Context, name string, n, workers int, begin func() func(lo, hi int)) error {
+	nw := min(Workers(workers), n)
+	if nw < 1 {
+		nw = 1
+	}
+	chunk := chunkSize(n, nw)
+	ctx, span := obs.Trace(bg(ctx), name)
 	if span != nil {
 		span.SetAttrInt("n", int64(n))
-		span.SetAttrInt("workers", int64(workers))
+		span.SetAttrInt("workers", int64(nw))
 		span.SetAttrInt("chunk", int64(chunk))
 	}
-	return ctx, span
+	defer span.End()
+	if nw == 1 {
+		var body func(lo, hi int)
+		for lo := 0; lo < n; lo += chunk {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if body == nil {
+				body = begin()
+			}
+			body(lo, min(lo+chunk, n))
+		}
+		return nil
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var body func(lo, hi int)
+			for ctx.Err() == nil {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				if body == nil {
+					body = begin()
+				}
+				body(lo, min(lo+chunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
-// ForCtx is For with cooperative cancellation: fn(i) runs for every i in
-// [0, n) unless ctx is cancelled first, in which case remaining chunks are
-// abandoned and ctx.Err() is returned. See the file-level contract.
+// ForCtx runs fn(i) for every i in [0, n) unless ctx is cancelled first, in
+// which case remaining chunks are abandoned and ctx.Err() is returned (see
+// the file-level contract). Iterations must be independent; fn is called
+// concurrently from multiple goroutines.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	ctx = bg(ctx)
-	nw := Workers(workers)
-	if nw > n {
-		nw = n
-	}
-	var span *obs.Span
-	if nw <= 1 {
-		chunk := chunkSize(n, 1)
-		ctx, span = trace(ctx, "parallel.for", n, 1, chunk)
-		defer span.End()
-		for lo := 0; lo < n; lo += chunk {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
 		}
-		return nil
 	}
-	chunk := chunkSize(n, nw)
-	ctx, span = trace(ctx, "parallel.for", n, nw, chunk)
-	defer span.End()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return loop(ctx, "parallel.for", n, workers, func() func(lo, hi int) { return body })
 }
 
-// ForRangeCtx is ForRange with cooperative cancellation (see ForCtx).
+// ForRangeCtx is ForCtx with the chunk boundaries exposed: fn(lo, hi)
+// processes the half-open range [lo, hi). Use it for tight per-element
+// loops (pixel fills, histogram scans) where a closure call per element
+// would dominate.
 func ForRangeCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
-	ctx = bg(ctx)
-	nw := Workers(workers)
-	if nw > n {
-		nw = n
-	}
-	var span *obs.Span
-	if nw <= 1 {
-		chunk := chunkSize(n, 1)
-		ctx, span = trace(ctx, "parallel.for_range", n, 1, chunk)
-		defer span.End()
-		for lo := 0; lo < n; lo += chunk {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return nil
-	}
-	chunk := chunkSize(n, nw)
-	ctx, span = trace(ctx, "parallel.for_range", n, nw, chunk)
-	defer span.End()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return loop(ctx, "parallel.for_range", n, workers, func() func(lo, hi int) { return fn })
 }
 
-// ForScratchCtx is ForScratch with cooperative cancellation. On a non-nil
-// error the returned scratches hold partial state and must be discarded.
+// ForScratchCtx is ForCtx handing each worker a scratch value S built by
+// newScratch when the worker claims its first chunk. It returns the
+// scratches that were created (at most min(workers, n), fewer if some
+// workers never won a chunk) so callers can merge per-worker partial
+// results; on a non-nil error they hold partial state and must be
+// discarded.
+//
+// The order of the returned scratches, and which iterations each one saw,
+// depend on the schedule. A merge is therefore worker-count-invariant only
+// if it is order-insensitive: integer sums, min/max, set union. Float
+// partial sums are NOT — a reduction whose result must be bit-identical
+// for every worker count has to add each output cell's contributions in
+// iteration order (see DESIGN.md, "ordered reduction").
 func ForScratchCtx[S any](ctx context.Context, n, workers int, newScratch func() S, fn func(s S, i int)) ([]S, error) {
-	ctx = bg(ctx)
-	nw := Workers(workers)
-	if nw > n {
-		nw = n
-	}
-	var span *obs.Span
-	if nw <= 1 {
-		if n == 0 {
-			return nil, ctx.Err()
-		}
-		var s S
-		created := false
-		chunk := chunkSize(n, 1)
-		ctx, span = trace(ctx, "parallel.for_scratch", n, 1, chunk)
-		defer span.End()
-		for lo := 0; lo < n; lo += chunk {
-			if err := ctx.Err(); err != nil {
-				if !created {
-					return nil, err
-				}
-				return []S{s}, err
-			}
-			if !created {
-				s = newScratch()
-				created = true
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
+	var mu sync.Mutex
+	var scratches []S
+	err := loop(ctx, "parallel.for_scratch", n, workers, func() func(lo, hi int) {
+		s := newScratch()
+		mu.Lock()
+		scratches = append(scratches, s)
+		mu.Unlock()
+		return func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				fn(s, i)
 			}
 		}
-		return []S{s}, nil
-	}
-	chunk := chunkSize(n, nw)
-	ctx, span = trace(ctx, "parallel.for_scratch", n, nw, chunk)
-	defer span.End()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	scratches := make([]S, 0, nw)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s S
-			created := false
-			for ctx.Err() == nil {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					break
-				}
-				if !created {
-					s = newScratch()
-					created = true
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(s, i)
-				}
-			}
-			if created {
-				mu.Lock()
-				scratches = append(scratches, s)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return scratches, ctx.Err()
+	})
+	return scratches, err
 }
 
-// MonteCarloCtx is MonteCarlo with cooperative cancellation: tasks that ran
-// are bit-identical to an uncancelled run, but on a non-nil error an
-// unspecified subset of tasks never ran, so per-task outputs must be
+// MonteCarloCtx runs fn(rng, i) for every task i in [0, n), where rng is
+// deterministically seeded from (seed, i), so results indexed by i (sample
+// slots, envelope min/max merges, integer histograms) are bit-identical
+// for every worker count. Each worker reuses a single generator, re-seeded
+// per task, so the fan-out does not allocate per iteration. Under
+// cancellation the tasks that ran are bit-identical to an uncancelled run,
+// but an unspecified subset never ran, so per-task outputs must be
 // discarded.
 func MonteCarloCtx(ctx context.Context, n, workers int, seed int64, fn func(rng *rand.Rand, i int)) error {
 	ctx, span := obs.Trace(bg(ctx), "parallel.monte_carlo")
@@ -254,8 +169,16 @@ func MonteCarloCtx(ctx context.Context, n, workers int, seed int64, fn func(rng 
 	return err
 }
 
-// MonteCarloScratchCtx is MonteCarloScratch with cooperative cancellation
-// (see MonteCarloCtx for the partial-result contract).
+// mcScratch pairs the per-worker generator with a caller scratch value.
+type mcScratch[S any] struct {
+	rng *rand.Rand
+	s   S
+}
+
+// MonteCarloScratchCtx is MonteCarloCtx with an additional per-worker
+// scratch value (permutation buffers, Dijkstra engines, local histograms)
+// built lazily by newScratch. The scratches created are returned for
+// merging.
 func MonteCarloScratchCtx[S any](ctx context.Context, n, workers int, seed int64, newScratch func() S, fn func(rng *rand.Rand, s S, i int)) ([]S, error) {
 	ctx, span := obs.Trace(bg(ctx), "parallel.monte_carlo")
 	defer span.End()

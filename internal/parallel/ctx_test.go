@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,5 +200,65 @@ func TestMonteCarloCtxPrefixMatchesUncancelled(t *testing.T) {
 		if ran[i].Load() && got[i] != full[i] {
 			t.Fatalf("task %d drew %d under cancellation, %d in full run", i, got[i], full[i])
 		}
+	}
+}
+
+// TestEntryPointsShareTheLoopContract runs the cases only some entry
+// points had (n = 0, workers > n, pre-cancelled serial start, lazy scratch,
+// no goroutine left behind) against all three adapters of the one chunk
+// loop, through a common shape: run the loop, count iterations and
+// scratches built.
+func TestEntryPointsShareTheLoopContract(t *testing.T) {
+	type result struct {
+		iters, scratches int64
+		err              error
+	}
+	entries := map[string]func(ctx context.Context, n, workers int) result{
+		"ForCtx": func(ctx context.Context, n, workers int) result {
+			var iters atomic.Int64
+			err := ForCtx(ctx, n, workers, func(int) { iters.Add(1) })
+			return result{iters: iters.Load(), err: err}
+		},
+		"ForRangeCtx": func(ctx context.Context, n, workers int) result {
+			var iters atomic.Int64
+			err := ForRangeCtx(ctx, n, workers, func(lo, hi int) { iters.Add(int64(hi - lo)) })
+			return result{iters: iters.Load(), err: err}
+		},
+		"ForScratchCtx": func(ctx context.Context, n, workers int) result {
+			var iters, built atomic.Int64
+			scratches, err := ForScratchCtx(ctx, n, workers,
+				func() int { built.Add(1); return 0 },
+				func(int, int) { iters.Add(1) })
+			if int64(len(scratches)) != built.Load() {
+				t.Errorf("ForScratchCtx returned %d scratches but built %d", len(scratches), built.Load())
+			}
+			return result{iters: iters.Load(), scratches: built.Load(), err: err}
+		},
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range entries {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if r := run(context.Background(), 0, 4); r.iters != 0 || r.scratches != 0 || r.err != nil {
+				t.Errorf("n=0: %+v, want nothing run, nothing built, nil error", r)
+			}
+			if r := run(context.Background(), 3, 64); r.iters != 3 || r.scratches > 3 || r.err != nil {
+				t.Errorf("workers > n: %+v, want 3 iterations on at most 3 workers", r)
+			}
+			if r := run(dead, 1000, 1); r.iters != 0 || r.scratches != 0 || !errors.Is(r.err, context.Canceled) {
+				t.Errorf("pre-cancelled serial: %+v, want nothing run, nothing built, context.Canceled", r)
+			}
+			if r := run(dead, 1000, 4); !errors.Is(r.err, context.Canceled) {
+				t.Errorf("pre-cancelled pool: err = %v, want context.Canceled", r.err)
+			}
+			// Every call above has returned, so every worker must be gone.
+			for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before, %d after: workers leaked", before, after)
+			}
+		})
 	}
 }

@@ -3,33 +3,28 @@
 // multicore CPUs).
 //
 // Every analytics package schedules its data-parallel loops through this
-// package instead of hand-rolling WaitGroup shims. The engine provides:
+// package instead of hand-rolling WaitGroup shims. There is one chunk loop
+// (ctx.go): workers pull the next chunk from an atomic counter, so skewed
+// iteration costs (e.g. bounded Dijkstras with wildly different ball sizes
+// in NKDV) rebalance instead of leaving statically-sharded workers idle,
+// and they check the context between chunks, which is what lets a serving
+// layer abandon a heavy raster when the client hangs up. Over it:
 //
-//   - For / ForRange: chunked DYNAMIC scheduling. Workers pull the next
-//     chunk from an atomic counter, so skewed iteration costs (e.g. bounded
-//     Dijkstras with wildly different ball sizes in NKDV) rebalance instead
-//     of leaving statically-sharded workers idle.
-//   - ForScratch: a generic variant that hands each worker a lazily-built
-//     reusable scratch value (Dijkstra engines, permutation buffers, local
-//     histograms), killing per-iteration allocation. The created scratches
-//     are returned so callers can merge partial results.
-//   - TaskSeed / MonteCarlo / MonteCarloScratch: deterministic Monte-Carlo
-//     fan-out. Task i draws from a rand.Rand seeded by a splitmix64 mix of
-//     (seed, i), so permutation tests and envelope simulations are
-//     bit-identical for EVERY worker count — parallelism never changes a
-//     p-value.
-//   - ForCtx / ForRangeCtx / ForScratchCtx / MonteCarloCtx /
-//     MonteCarloScratchCtx: the same loops with cooperative cancellation.
-//     Workers check the context between chunks and the call returns
-//     ctx.Err() as soon as every in-flight chunk finishes, which is what
-//     lets a serving layer abandon a heavy raster when the client hangs
-//     up (see ctx.go for the exact contract).
+//   - ForCtx / ForRangeCtx: fn per index, or per chunk [lo, hi).
+//   - ForScratchCtx: hands each worker a lazily-built reusable scratch
+//     value (Dijkstra engines, permutation buffers, local histograms),
+//     killing per-iteration allocation, and returns the scratches so
+//     callers can merge partial results.
+//   - TaskSeed / MonteCarloCtx / MonteCarloScratchCtx: deterministic
+//     Monte-Carlo fan-out. Task i draws from a rand.Rand seeded by a
+//     splitmix64 mix of (seed, i), so permutation tests and envelope
+//     simulations are bit-identical for EVERY worker count — parallelism
+//     never changes a p-value.
+//   - For / ForRange / ForScratch / MonteCarlo / MonteCarloScratch
+//     (sugar.go): the same five for callers that hold no context.
 package parallel
 
-import (
-	"context"
-	"runtime"
-)
+import "runtime"
 
 // Workers normalises a worker-count option: w < 0 means GOMAXPROCS, 0 means
 // serial (1), any other value is used as-is.
@@ -56,33 +51,4 @@ func chunkSize(n, workers int) int {
 		return 256
 	}
 	return c
-}
-
-// For runs fn(i) for every i in [0, n) across the given number of workers
-// (see Workers for the convention) with chunked dynamic scheduling. It
-// returns once every iteration has completed. Iterations must be
-// independent; fn is called concurrently from multiple goroutines.
-func For(n, workers int, fn func(i int)) {
-	// Background is never cancelled, so the error is structurally nil.
-	_ = ForCtx(context.Background(), n, workers, fn)
-}
-
-// ForRange is For with the chunk boundaries exposed: fn(lo, hi) processes
-// the half-open range [lo, hi). Use it for tight per-element loops (pixel
-// fills, histogram scans) where a closure call per element would dominate.
-func ForRange(n, workers int, fn func(lo, hi int)) {
-	_ = ForRangeCtx(context.Background(), n, workers, fn)
-}
-
-// ForScratch runs fn(scratch, i) for every i in [0, n) with dynamic
-// scheduling, handing each worker a lazily-built scratch value S created by
-// newScratch on the worker's first iteration. It returns the scratches that
-// were actually created (at most min(workers, n), fewer if some workers
-// never won a chunk) so callers can merge per-worker partial results. The
-// order of the returned scratches is unspecified — merges must be
-// order-insensitive (integer sums, min/max) when bit-reproducibility across
-// worker counts is required.
-func ForScratch[S any](n, workers int, newScratch func() S, fn func(s S, i int)) []S {
-	scratches, _ := ForScratchCtx(context.Background(), n, workers, newScratch, fn)
-	return scratches
 }

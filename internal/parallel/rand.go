@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"context"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRand returns a rand.Rand over a source seeded with seed. This is the
 // repository's single RNG constructor: every generator in production code
@@ -35,27 +32,4 @@ func TaskSeed(seed int64, i int) int64 {
 // generator per worker instead of allocating one per task.
 func TaskRand(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(TaskSeed(seed, i)))
-}
-
-// MonteCarlo runs fn(rng, i) for every task i in [0, n), where rng is
-// deterministically seeded from (seed, i). Results indexed by i (sample
-// slots, envelope min/max merges, integer histograms) are bit-identical
-// for every worker count. Each worker reuses a single generator, re-seeded
-// per task, so the fan-out does not allocate per iteration.
-func MonteCarlo(n, workers int, seed int64, fn func(rng *rand.Rand, i int)) {
-	_ = MonteCarloCtx(context.Background(), n, workers, seed, fn)
-}
-
-// mcScratch pairs the per-worker generator with a caller scratch value.
-type mcScratch[S any] struct {
-	rng *rand.Rand
-	s   S
-}
-
-// MonteCarloScratch is MonteCarlo with an additional per-worker scratch
-// value (permutation buffers, Dijkstra engines, local histograms) built
-// lazily by newScratch. The scratches created are returned for merging.
-func MonteCarloScratch[S any](n, workers int, seed int64, newScratch func() S, fn func(rng *rand.Rand, s S, i int)) []S {
-	out, _ := MonteCarloScratchCtx(context.Background(), n, workers, seed, newScratch, fn)
-	return out
 }

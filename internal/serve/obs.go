@@ -10,8 +10,8 @@ import (
 
 // This file wires the internal/obs observability layer into the serving
 // harness: a per-Server metric registry exported at GET /metrics in
-// Prometheus text format (complementing the process-wide expvar counters
-// at /debug/vars), plus the span-tree surface at GET /debug/trace/last.
+// Prometheus text format — the server's one metrics surface — plus the
+// span-tree surface at GET /debug/trace/last.
 //
 // The registry is per-Server rather than process-wide so test suites can
 // spin up many httptest servers without metric collisions, and so a

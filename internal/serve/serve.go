@@ -25,7 +25,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -128,7 +127,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/trace/last", s.handleTraceLast)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
@@ -153,9 +151,6 @@ type computeFunc func(ctx context.Context, d *geostat.Dataset, p *params) (Value
 // derived from the tool, the dataset@version, and the full sorted query.
 func (s *Server) toolHandler(tool string, compute computeFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(tool, 1)
-		mInFlight.Add(1)
-		defer mInFlight.Add(-1)
 		s.metrics.Counter("geostatd_requests_total",
 			"tool requests served", obs.L("tool", tool)).Inc()
 		inflight := s.metrics.Gauge("geostatd_requests_inflight",
@@ -185,12 +180,10 @@ func (s *Server) toolHandler(tool string, compute computeFunc) http.HandlerFunc 
 		v, hit := s.cache.Get(key)
 		probe.End()
 		if hit {
-			mCacheHits.Add(1)
 			root.SetAttr("cache", "hit")
 			writeValue(w, v, "hit")
 			return
 		}
-		mCacheMisses.Add(1)
 
 		// Identical concurrent misses coalesce into one computation (see
 		// singleflight.go). The flight body — admission, timeout budget,
@@ -256,18 +249,14 @@ var errBudgetExceeded = errors.New("computation exceeded its timeout budget")
 func (s *Server) writeToolError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errOverloaded):
-		mRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, errBudgetExceeded):
-		mTimeouts.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, context.Canceled):
-		mCanceled.Add(1)
 		s.writeError(w, StatusClientClosedRequest, "client closed request")
 	case errors.Is(err, context.DeadlineExceeded):
-		mTimeouts.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusGatewayTimeout, "computation exceeded the per-request timeout")
 	default:
@@ -276,10 +265,6 @@ func (s *Server) writeToolError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	if status >= http.StatusBadRequest && status != StatusClientClosedRequest &&
-		status != http.StatusServiceUnavailable && status != http.StatusGatewayTimeout {
-		mErrors.Add(1)
-	}
 	if status >= http.StatusBadRequest {
 		s.metrics.Counter("geostatd_errors_total",
 			"error responses by kind", obs.L("kind", errorKind(status))).Inc()

@@ -307,49 +307,31 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 	}
 }
 
-func TestDebugVarsExposesMetrics(t *testing.T) {
+// TestMetricsIsTheOneCounterSurface pins the per-server registry at
+// /metrics as the only place request counters live: a fresh server's
+// series start at zero, so the values are absolute, and the process-wide
+// /debug/vars page that used to double-book them is gone.
+func TestMetricsIsTheOneCounterSurface(t *testing.T) {
 	srv := newServer(t, serve.Config{CacheBytes: 64 << 20})
 	generate(t, srv, "name=d&kind=csr&n=200&seed=1")
 	const q = "/v1/kdv?dataset=d&bandwidth=10&width=16&height=16&seed=42"
-
-	hitsBefore, _ := debugVar(t, srv, "geostatd.cache_hits")
 	do(t, srv, http.MethodGet, q, nil)
 	do(t, srv, http.MethodGet, q, nil)
-	hitsAfter, reqs := debugVar(t, srv, "geostatd.cache_hits")
 
-	// Metrics are process-wide (expvar), so assert on deltas.
-	if hitsAfter-hitsBefore != 1 {
-		t.Fatalf("cache_hits delta = %d, want 1", hitsAfter-hitsBefore)
-	}
-	if reqs == 0 {
-		t.Fatal("geostatd.requests has no kdv count")
-	}
-}
-
-// debugVar reads one counter and the kdv request count from /debug/vars.
-func debugVar(t *testing.T, srv *serve.Server, name string) (int64, int64) {
-	t.Helper()
-	rr := do(t, srv, http.MethodGet, "/debug/vars", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/debug/vars: status %d", rr.Code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
-		t.Fatal(err)
-	}
-	var v int64
-	if raw, ok := vars[name]; ok {
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("parse %s: %v", name, err)
+	samples := scrape(t, srv)
+	for series, want := range map[string]string{
+		`geostatd_requests_total{tool="kdv"}`: "2",
+		`geostatd_cache_hits_total`:           "1",
+		`geostatd_cache_misses_total`:         "1",
+		`geostatd_requests_inflight`:          "0",
+	} {
+		if got := samples[series]; got != want {
+			t.Errorf("%s = %q, want %s", series, got, want)
 		}
 	}
-	var reqs struct {
-		KDV int64 `json:"kdv"`
+	if rr := do(t, srv, http.MethodGet, "/debug/vars", nil); rr.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", rr.Code)
 	}
-	if raw, ok := vars["geostatd.requests"]; ok {
-		_ = json.Unmarshal(raw, &reqs)
-	}
-	return v, reqs.KDV
 }
 
 func TestRealHTTPServerRoundTrip(t *testing.T) {
