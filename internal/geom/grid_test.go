@@ -120,3 +120,25 @@ func abs(v float64) float64 {
 	}
 	return v
 }
+
+func TestSupportBox(t *testing.T) {
+	g := NewPixelGrid(BBox{MinX: -50, MinY: 10, MaxX: 150, MaxY: 170}, 37, 29)
+	w := GridWindow{X0: 9, Y0: 7, NX: 10, NY: 8}
+	if got, want := g.SupportBox(w, 12.5), g.WindowBox(w).Pad(12.5); got != want {
+		t.Errorf("SupportBox(window) = %+v, want the window's pixel box padded: %+v", got, want)
+	}
+	if got, want := g.SupportBox(GridWindow{}, 3), g.SupportBox(g.FullWindow(), 3); got != want {
+		t.Errorf("zero window = %+v, want the whole grid's %+v", got, want)
+	}
+	// Every pixel center's r-disc lies inside the box, with half a cell to
+	// spare on each side.
+	r := 3.0
+	sb := g.SupportBox(w, r)
+	for _, c := range []Point{g.Center(w.X0, w.Y0), g.Center(w.X0+w.NX-1, w.Y0+w.NY-1)} {
+		for _, p := range []Point{{c.X - r, c.Y}, {c.X + r, c.Y}, {c.X, c.Y - r}, {c.X, c.Y + r}} {
+			if !sb.Contains(p) {
+				t.Errorf("point %+v at distance r of center %+v outside %+v", p, c, sb)
+			}
+		}
+	}
+}

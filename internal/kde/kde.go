@@ -277,9 +277,9 @@ func (r *methodRow) check(cols dataset.Columns, opt *Options) error {
 
 // Evaluate computes the KDV raster of cols over opt.Grid with method m.
 // The weight column is cols.W (nil means all 1). It is the one place that
-// validates options, checks the method's capabilities, traces, windows,
-// cancels and normalises; a combination the method table does not declare
-// returns a *UnsupportedError.
+// validates options, checks the method's capabilities, clips the points to
+// the view, traces, windows, cancels and normalises; a combination the
+// method table does not declare returns a *UnsupportedError.
 func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error) {
 	if err := opt.validate(cols); err != nil {
 		return nil, err
@@ -292,12 +292,31 @@ func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error)
 		return nil, err
 	}
 	_, span := obs.Trace(opt.context(), "kde.index_build")
-	rc, gain, err := row.build(cols, &opt)
+	view := inView(cols, &opt)
+	span.SetAttrInt("points_in_view", int64(view.N()))
+	rc, gain, err := row.build(view, &opt)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
 	return run(rc, &opt, cols.N(), gain*opt.scale(cols))
+}
+
+// inView returns the points that can reach the raster: for a finite-support
+// kernel, those inside the evaluated pixel box padded by the support radius
+// (geom.PixelGrid.SupportBox, the shard planner's halo rule), in their
+// original order. A point outside that box is farther than the support
+// radius from every pixel center, so its kernel value is exactly 0 at each;
+// the evaluators skip zero terms rather than add them, so dropping it leaves
+// every sum — and for Naive every bit — as it was. What the clip must not
+// change is the normalising mass, which Evaluate keeps taking from the
+// unclipped columns. Infinite-support kernels reach everywhere and are
+// returned as is.
+func inView(cols dataset.Columns, opt *Options) dataset.Columns {
+	if !opt.Kernel.FiniteSupport() {
+		return cols
+	}
+	return cols.FilterBox(opt.Grid.SupportBox(opt.Window, opt.Kernel.SupportRadius()))
 }
 
 // run evaluates every row of opt.Grid through rc and multiplies the result

@@ -49,11 +49,14 @@ var matrixCells = []matrixCell{
 
 const matrixEps, matrixDelta = 0.2, 0.1
 
-// assertMatches checks got against the naive float64 reference with the
-// tolerance the row's contract states: Float64bits for the naive row (the
-// cells soa_test.go and window_test.go pin), 1e-9 of the peak for the other
-// exact rows, and the stated ε for the approximate ones.
-func assertMatches(t *testing.T, r *methodRow, got, want *raster.Grid, k kernel.Kernel, n int) {
+// assertMatches checks got against the direct-sum float64 reference with
+// the tolerance the row's contract states: Float64bits for the naive row
+// (the cells soa_test.go and window_test.go pin), 1e-9 of the peak for the
+// other exact rows (sweepTol for the sweep line), and the stated ε for the
+// approximate ones. scale is the normalising factor both rasters carry (1
+// for raw sums): the contracts are stated on raw sums, so a normalised
+// raster is held to the contract times that factor.
+func assertMatches(t *testing.T, r *methodRow, got, want *raster.Grid, k kernel.Kernel, n int, scale float64) {
 	t.Helper()
 	if got.Spec.NX != want.Spec.NX || got.Spec.NY != want.Spec.NY {
 		t.Fatalf("raster is %dx%d, want %dx%d", got.Spec.NX, got.Spec.NY, want.Spec.NX, want.Spec.NY)
@@ -65,12 +68,14 @@ func assertMatches(t *testing.T, r *methodRow, got, want *raster.Grid, k kernel.
 		switch {
 		case r.id == Naive:
 			ok = math.Float64bits(g) == math.Float64bits(w)
+		case r.id == SweepLine:
+			ok = math.Abs(g-w) <= sweepTol(k)*(scale+peak)
 		case r.exact:
-			ok = math.Abs(g-w) <= 1e-9*(1+peak)
+			ok = math.Abs(g-w) <= 1e-9*(scale+peak)
 		case r.id == BoundApprox: // Equation 6: (1−ε)F ≤ R ≤ (1+ε)F
-			ok = g >= (1-matrixEps)*w-1e-9 && g <= (1+matrixEps)*w+1e-9
+			ok = g >= (1-matrixEps)*w-1e-9*scale && g <= (1+matrixEps)*w+1e-9*scale
 		case r.id == Sampled: // additive ε·Kmax·n
-			ok = math.Abs(g-w) <= matrixEps*k.Eval2(0)*float64(n)
+			ok = math.Abs(g-w) <= matrixEps*k.Eval2(0)*float64(n)*scale
 		default:
 			t.Fatalf("method table row %v has no stated tolerance in this test", r.id)
 		}
@@ -100,13 +105,7 @@ func TestCapabilityMatrix(t *testing.T) {
 				ref := aosReference(pts, ws, opt)
 				if cell.windowed {
 					opt.Window = win
-					sub := raster.NewGrid(opt.Grid.SubGrid(win))
-					for iy := 0; iy < win.NY; iy++ {
-						for ix := 0; ix < win.NX; ix++ {
-							sub.Set(ix, iy, ref.At(win.X0+ix, win.Y0+iy))
-						}
-					}
-					ref = sub
+					ref = window(ref, win)
 				}
 				got, err := Evaluate(dataset.MakeColumns(pts, ws), r.id, opt)
 				ok, lacks := cell.want(r)
@@ -123,7 +122,7 @@ func TestCapabilityMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMatches(t, r, got, ref, opt.Kernel, len(pts))
+				assertMatches(t, r, got, ref, opt.Kernel, len(pts), 1)
 			})
 		}
 	}
@@ -166,11 +165,16 @@ func gridDigest(g *raster.Grid) string {
 }
 
 // TestSampledSeedDigestPinned pins Sampled's output bits for a fixed seed:
-// the digests were recorded from the pre-pipeline Sampled(pts, opt, 9,
-// 0.05, 0.01), so the columnar gather draws the same subset in the same
-// order and rescales with the same single multiply. (Kernels without
-// transcendentals only, so the digests do not depend on the platform's
-// exp implementation.)
+// the triangular digests were recorded from the pre-pipeline Sampled(pts,
+// opt, 9, 0.05, 0.01), so the columnar gather draws the same subset in the
+// same order and rescales with the same single multiply. The quartic ones
+// were re-recorded when the sweep line began bucketing points by raster row
+// instead of sorting them by y, and taking exits before an origin shift
+// (ISSUE 15): a row now meets its band, and sums it, in another order, which
+// moves the low bits of its power sums and nothing else — the triangular
+// digests, the same draw through grid-cutoff, did not move. (Kernels
+// without transcendentals only, so the digests do not depend on the
+// platform's exp implementation.)
 func TestSampledSeedDigestPinned(t *testing.T) {
 	pts := clusteredPoints(8, 20000)
 	for _, tc := range []struct {
@@ -178,8 +182,8 @@ func TestSampledSeedDigestPinned(t *testing.T) {
 		normalize bool
 		want      string
 	}{
-		{kernel.Quartic, false, "178a9a81182ee2b0"},    // sweep-line on the subset
-		{kernel.Quartic, true, "342f2f021a776f1a"},     // n/m folded into the normalisation multiply
+		{kernel.Quartic, false, "7ea0703130b4c9b3"},    // sweep-line on the subset
+		{kernel.Quartic, true, "713434bd583a18dc"},     // n/m folded into the normalisation multiply
 		{kernel.Triangular, false, "5fa1d15e09197695"}, // grid-cutoff on the subset
 		{kernel.Triangular, true, "73fc77db884e083d"},
 	} {

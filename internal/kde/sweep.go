@@ -3,7 +3,6 @@ package kde
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"geostat/internal/dataset"
@@ -12,12 +11,12 @@ import (
 
 // buildSweep constructs the exact evaluator for kernels polynomial in
 // squared distance — uniform, Epanechnikov, quartic, triweight — running in
-// O(Y·(X+n_b)) time, where n_b is the number of points within bandwidth of
-// a row. This is the computational-sharing family of §2.2 (SLAM [32]): instead of
-// evaluating K per (pixel, point) pair, each row maintains running
-// polynomial-coefficient aggregates over the active point set, updated by
-// O(1)-amortised enter/exit events per point, so every pixel in the row is
-// evaluated in O(1) from the aggregates.
+// O(n + Y·(X+n_b)) time, where n_b is the number of points within bandwidth
+// of a row — the paper's O(Y(X+n)) bound. This is the computational-sharing
+// family of §2.2 (SLAM [32]): instead of evaluating K per (pixel, point)
+// pair, each row maintains running polynomial-coefficient aggregates over
+// the active point set, updated by O(1)-amortised enter/exit events per
+// point, so every pixel in the row is evaluated in O(1) from the aggregates.
 //
 // How it works. Fix a row with pixel ordinate qy. A point p contributes
 // K = Σ_m c_m(A_p)·(dx²/b²)^m with A_p = 1 − dy²/b², dy = p.y − qy, for
@@ -71,8 +70,16 @@ type sweepComputer struct {
 	opt *Options
 	deg int // polynomial degree in dx²/b²
 
-	// Points sorted by y for per-row band extraction; ws nil if unweighted.
+	// Points counting-sorted into raster-row buckets (input order kept
+	// within a bucket); ws nil if unweighted. Bucket j — the points whose y
+	// falls in row j's cell, the outermost buckets also taking everything
+	// beyond the grid — is [rowOff[j], rowOff[j+1]).
 	xs, ys, ws []float64
+	rowOff     []int32
+	// reach is how many buckets either side of a row can hold a point within
+	// one bandwidth of its center line: ⌈b/cellH⌉, plus one for the half cell
+	// between a bucket's edge and its center and for rounding.
+	reach int
 
 	// binomCoef[m][k] = C(2m, k)·(−1)^k, the expansion of (qx − px)^{2m}.
 	binomCoef [][]float64
@@ -107,24 +114,7 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 		deg:    deg,
 		stride: (deg + 1) * (deg + 1),
 	}
-	n := cols.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return cols.Y[order[a]] < cols.Y[order[b]] })
-	c.xs = make([]float64, n)
-	c.ys = make([]float64, n)
-	if cols.W != nil {
-		c.ws = make([]float64, n)
-	}
-	for i, oi := range order {
-		c.xs[i] = cols.X[oi]
-		c.ys[i] = cols.Y[oi]
-		if c.ws != nil {
-			c.ws[i] = cols.W[oi]
-		}
-	}
+	c.bucketRows(cols)
 	c.binomCoef = make([][]float64, deg+1)
 	for m := 0; m <= deg; m++ {
 		c.binomCoef[m] = make([]float64, 2*m+1)
@@ -154,6 +144,52 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 		}
 	}
 	return c
+}
+
+// bucketRows fills xs/ys/ws/rowOff with a stable counting sort of cols by
+// raster row: O(n + Y), against the O(n log n) of ordering by y, and rows
+// need nothing finer — each takes its band from the buckets within reach
+// and tests the candidates exactly.
+func (c *sweepComputer) bucketRows(cols dataset.Columns) {
+	g := c.opt.Grid
+	minY, cellH, last := g.Box.MinY, g.CellH(), g.NY-1
+	bucket := func(y float64) int {
+		f := (y - minY) / cellH
+		switch {
+		case !(f >= 0): // below the grid
+			return 0
+		case f >= float64(last): // compared as floats: a far-off y must not overflow the conversion
+			return last
+		}
+		return int(f)
+	}
+	c.reach = last
+	if r := math.Ceil(c.opt.Kernel.Bandwidth()/cellH) + 1; r < float64(last) {
+		c.reach = int(r)
+	}
+	n := cols.N()
+	c.rowOff = make([]int32, g.NY+1)
+	for _, y := range cols.Y {
+		c.rowOff[bucket(y)+1]++
+	}
+	for j := 0; j < g.NY; j++ {
+		c.rowOff[j+1] += c.rowOff[j]
+	}
+	c.xs = make([]float64, n)
+	c.ys = make([]float64, n)
+	if cols.W != nil {
+		c.ws = make([]float64, n)
+	}
+	next := append([]int32(nil), c.rowOff[:g.NY]...)
+	for i, y := range cols.Y {
+		j := bucket(y)
+		k := next[j]
+		next[j]++
+		c.xs[k], c.ys[k] = cols.X[i], y
+		if c.ws != nil {
+			c.ws[k] = cols.W[i]
+		}
+	}
 }
 
 func binom(n, k int) float64 {
@@ -238,15 +274,11 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	defer c.bufs.Put(buf)
 	clear(buf.enterHead)
 	clear(buf.exitHead)
-	clear(buf.agg)
 
-	// Points within vertical reach of this row (ys is sorted); support is
-	// inclusive at |dy| = b.
-	lo := sort.SearchFloat64s(c.ys, qy-b)
-	hi := sort.SearchFloat64s(c.ys, qy+b)
-	for hi < len(c.ys) && c.ys[hi] <= qy+b {
-		hi++
-	}
+	// Candidates: the buckets within reach of this row. The a < 0 test
+	// below is the exact band membership (support inclusive at |dy| = b).
+	lo := c.rowOff[max(iy-c.reach, 0)]
+	hi := c.rowOff[min(iy+c.reach, g.NY-1)+1]
 
 	// Build per-column enter/exit event chains for the band.
 	buf.bandA = buf.bandA[:0]
@@ -290,25 +322,30 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	active := 0
 	for ix := 0; ix < nx; ix++ {
 		qx := g.CenterX(ix)
-		switch {
-		case active == 0:
-			origin = qx // free re-anchor: no aggregates to move
-		case math.Abs(qx-origin) > b:
-			c.shiftOrigin(buf, qx-origin)
-			origin = qx
-		}
+		// Exits first, against the origin the points were last summed at:
+		// an origin shift re-expands the sums with powers of the shift, so
+		// what can leave should leave before one — on a raster coarser than
+		// the bandwidth that is every point, and no shift is needed at all.
 		for e := buf.exitHead[ix]; e != 0; e = buf.nextExit[e-1] {
 			c.applyPoint(buf, e-1, origin, -1)
 			active--
+		}
+		switch {
+		case active == 0:
+			// Free re-anchor: nothing to move, and clearing drops whatever
+			// residue the departed points' cancellation left.
+			clear(buf.agg)
+			origin = qx
+		case math.Abs(qx-origin) > b:
+			c.shiftOrigin(buf, qx-origin)
+			origin = qx
 		}
 		for e := buf.enterHead[ix]; e != 0; e = buf.nextEnter[e-1] {
 			c.applyPoint(buf, e-1, origin, +1)
 			active++
 		}
 		if active == 0 {
-			// Exact zero outside every support; also kills any residue.
-			clear(buf.agg)
-			row[ix] = 0
+			row[ix] = 0 // exact zero outside every support
 			continue
 		}
 		qxl := qx - origin

@@ -104,8 +104,12 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value. Safe on nil, and
+// then free: the untraced path formats nothing.
 func (s *Span) SetAttrInt(key string, v int64) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 

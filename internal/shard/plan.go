@@ -46,10 +46,10 @@ type KDVRequest struct {
 type Tile struct {
 	ID     int
 	Window geom.GridWindow
-	// HaloBox is the tile's pixel box padded by the halo margin. The
-	// axis-aligned pad covers the Euclidean neighbourhood: axis distance
-	// never exceeds Euclidean distance, so every point within the support
-	// radius of any tile pixel center lies inside the box.
+	// HaloBox is the tile's pixel box padded by the halo margin,
+	// Grid.SupportBox(Window, halo). At the default halo — the support
+	// radius — it is the box the worker's kde.Evaluate clips to, so the
+	// tile subset passes through that clip untouched.
 	HaloBox geom.BBox
 	// Dataset is the worker-side dataset name for the tile's point
 	// subset: "<name>.<digest12>.t<id>", digest12 being the first 12 hex
@@ -136,7 +136,7 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 			t := Tile{
 				ID:      id,
 				Window:  win,
-				HaloBox: req.Grid.WindowBox(win).Pad(halo),
+				HaloBox: req.Grid.SupportBox(win, halo),
 			}
 			sub := d.FilterBox(t.HaloBox)
 			if sub.N() > 0 {

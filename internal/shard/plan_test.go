@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,6 +116,47 @@ func TestHaloSubsetProperty(t *testing.T) {
 						trial, typ, bw, tile.ID, i,
 						math.Float64bits(got.Values[i]), math.Float64bits(full.Values[i]))
 				}
+			}
+		}
+	}
+}
+
+// TestTileSubsetPassesWorkerClipAliased: planner and worker spell the halo
+// rule through one helper, geom.PixelGrid.SupportBox, so the dataset a
+// worker parses from a tile's CSV lies wholly inside the box its
+// kde.Evaluate clips to — the clip hands the same columns back, copying and
+// allocating nothing per tile request.
+func TestTileSubsetPassesWorkerClipAliased(t *testing.T) {
+	d := planData(t, 13, 3*dataset.ChunkSize)
+	for _, typ := range finiteKernels {
+		req := KDVRequest{
+			Kernel: kernel.MustNew(typ, 11),
+			Grid:   geom.NewPixelGrid(planBox, 37, 29),
+			TilesX: 4, TilesY: 3,
+		}
+		plan, err := PlanKDV(d, "p", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tile := range plan.Tiles {
+			if tile.Empty() {
+				continue
+			}
+			onWorker, err := dataset.ReadCSV(bytes.NewReader(tile.csv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := onWorker.Columns()
+			if cols.N() == d.N() {
+				t.Fatalf("%v tile %d: halo subset is the whole dataset, nothing to tell apart", typ, tile.ID)
+			}
+			clip := req.Grid.SupportBox(tile.Window, req.Kernel.SupportRadius())
+			got := cols.FilterBox(clip)
+			if got.N() != cols.N() || &got.X[0] != &cols.X[0] || &got.Y[0] != &cols.Y[0] {
+				t.Fatalf("%v tile %d: worker-side clip copied the subset (%d of %d points kept)", typ, tile.ID, got.N(), cols.N())
+			}
+			if allocs := testing.AllocsPerRun(10, func() { cols.FilterBox(clip) }); allocs != 0 {
+				t.Fatalf("%v tile %d: worker-side clip allocates %v times", typ, tile.ID, allocs)
 			}
 		}
 	}
