@@ -75,15 +75,16 @@ func run(in, csvOut string, sMax, tMax float64, steps, tSteps, sims, workers int
 	}
 
 	// Closed-form CSR screens before the Monte-Carlo plot.
-	if q, qerr := geostat.QuadratTest(d.Points(), box, 5, 5); qerr == nil {
+	pts := d.Points()
+	if q, qerr := geostat.QuadratTest(pts, box, 5, 5); qerr == nil {
 		fmt.Printf("quadrat test (5x5): chi2=%.1f df=%d p=%.4f VMR=%.2f -> %s\n",
 			q.ChiSquare, q.DF, q.P, q.VMR, q.Regime(0.05))
 	}
-	if ce, ceerr := geostat.ClarkEvans(d.Points(), box); ceerr == nil {
+	if ce, ceerr := geostat.ClarkEvans(pts, box); ceerr == nil {
 		fmt.Printf("Clark-Evans: R=%.3f z=%.1f p=%.4f -> %s\n", ce.R, ce.Z, ce.P, ce.Regime(0.05))
 	}
 
-	plot, err := geostat.KFunctionPlot(d.Points(), geostat.KPlotOptions{
+	plot, err := geostat.KFunctionPlotDataset(d, geostat.KPlotOptions{
 		Thresholds:  thresholds,
 		Simulations: sims,
 		Window:      box,

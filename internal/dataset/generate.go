@@ -34,6 +34,17 @@ func UniformCSR(r *rand.Rand, n int, box geom.BBox) *Dataset {
 	return FromPoints(pts)
 }
 
+// FillUniformCSR overwrites the equal-length columns xs, ys with points
+// uniform over box, drawing from r exactly as UniformCSR does (x then y,
+// point by point): for the same generator state the two produce the same
+// pattern. It lets Monte-Carlo loops simulate into reused columns.
+func FillUniformCSR(r *rand.Rand, box geom.BBox, xs, ys []float64) {
+	for i := range xs {
+		p := uniformPoint(r, box)
+		xs[i], ys[i] = p.X, p.Y
+	}
+}
+
 // Cluster describes one Gaussian hotspot for GaussianClusters.
 type Cluster struct {
 	Center geom.Point

@@ -10,11 +10,15 @@ import (
 
 // RunC1 verifies the paper's headline K-function complexity claim: the
 // naive method is O(n²) per threshold while the range-query and one-pass
-// histogram methods scale near-linearly at fixed density.
+// histogram methods scale near-linearly at fixed density — and §2.4's
+// sharing claim as a shape: the one-pass curve at all four thresholds
+// costs at most twice one grid range count at s_max on the same points
+// (both find every pair within s_max; the curve finds each once).
 func RunC1(cfg *Config) error {
 	rng := cfg.rng()
 	thresholds := []float64{1, 2, 4, 8}
-	tb := newTable("n", "naive (1 thr)", "grid (1 thr)", "kd-tree (1 thr)", "curve (4 thr)", "naive/grid")
+	sMax := thresholds[len(thresholds)-1]
+	tb := newTable("n", "naive (1 thr)", "grid (1 thr)", "kd-tree (1 thr)", "curve (4 thr)", "naive/grid", "curve/grid@s_max")
 	sizes := []int{2000, 4000, 8000, 16000}
 	if cfg.Quick {
 		sizes = []int{500, 1000, 2000}
@@ -22,20 +26,24 @@ func RunC1(cfg *Config) error {
 	for _, n := range sizes {
 		pts := geostat.UniformCSR(rng, n, studyBox).Points()
 		const s = 4.0
-		var naive, grid, kdt, curve int
+		var naive, grid, kdt, gridMax int
 		tNaive := medianOf3(func() { naive = geostat.KFunctionNaive(pts, s) })
 		tGrid := medianOf3(func() { grid = geostat.KFunction(pts, s) })
 		tKD := medianOf3(func() { kdt = geostat.KFunctionKDTree(pts, s) })
+		tGridMax := medianOf3(func() { gridMax = geostat.KFunction(pts, sMax) })
 		var cv []int
 		tCurve := medianOf3(func() { cv, _ = geostat.KFunctionCurve(pts, thresholds, 0) })
-		curve = cv[len(cv)-1]
 		if naive != grid || grid != kdt {
 			return fmt.Errorf("C1: methods disagree: %d %d %d", naive, grid, kdt)
 		}
-		if curve != geostat.KFunction(pts, thresholds[len(thresholds)-1]) {
+		if cv[len(cv)-1] != gridMax {
 			return fmt.Errorf("C1: curve disagrees at s_max")
 		}
-		tb.add(n, tNaive, tGrid, tKD, tCurve, speedup(tNaive, tGrid))
+		if tCurve > 2*tGridMax {
+			return fmt.Errorf("C1: the 4-threshold curve costs %v at n=%d, over twice the %v of one grid count at s_max: the pass is not shared",
+				tCurve, n, tGridMax)
+		}
+		tb.add(n, tNaive, tGrid, tKD, tCurve, speedup(tNaive, tGrid), fmt.Sprintf("%.2f", tCurve.Seconds()/tGridMax.Seconds()))
 	}
 	tb.write(cfg.Out)
 	fmt.Fprintln(cfg.Out, "naive time ~4x per n doubling (O(n²)); indexed methods ~2x (near-linear at fixed density).")

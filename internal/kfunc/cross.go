@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"geostat/internal/geom"
@@ -44,14 +43,11 @@ func CrossCurve(a, b []geom.Point, thresholds []float64) ([]int, error) {
 	}
 	sMax := thresholds[len(thresholds)-1]
 	idx := gridindex.New(b, sMax)
+	bins := squaredBinner(thresholds)
 	hist := make([]int64, len(thresholds))
 	for _, p := range a {
-		idx.ForEachInRange(p, sMax, func(_ int, d2 float64) {
-			bin := sort.SearchFloat64s(thresholds, math.Sqrt(d2))
-			if bin < len(hist) {
-				hist[bin]++
-			}
-		})
+		// ForEachInRange reports d2 <= sMax·sMax — bins' own upper edge.
+		idx.ForEachInRange(p, sMax, func(_ int, d2 float64) { hist[bins.bin(d2)]++ })
 	}
 	running := int64(0)
 	for i := range hist {

@@ -14,18 +14,24 @@
 //   - Naive: the O(n²) double loop per threshold.
 //   - Indexed: Σ_i RangeCount(p_i, s) over a grid or kd-tree index — the
 //     range-query-based family.
-//   - Curve: all D thresholds in ONE pass — every pair within s_max is
-//     found once via a grid index, histogrammed by distance, and the
-//     cumulative histogram yields every K(s_d) simultaneously. This is the
-//     sharing observation of §2.4 applied to K-functions.
-//   - Workers > 1 parallelises the per-point loop (the parallel family).
+//   - Curve: all D thresholds in ONE pass — every unordered pair within
+//     s_max is visited once, histogrammed by squared distance, and the
+//     cumulative histogram (doubled) yields every K(s_d) simultaneously.
+//     This is the sharing observation of §2.4 applied to K-functions, and
+//     the one columnar pipeline (pipeline.go) behind Curve, the plots'
+//     observed curves and every envelope simulation.
+//   - Workers > 1 parallelises the sweep (the parallel family).
+//
+// One predicate. A pair at squared distance d² is within s iff d² <= s·s,
+// in every method of the package: Naive, the index range counts and the
+// curves (squaredBinner) agree pair for pair, also on rounded coordinates
+// where sqrt(d²) <= s would not.
 package kfunc
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
@@ -33,7 +39,6 @@ import (
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/index/kdtree"
 	"geostat/internal/index/rtree"
-	"geostat/internal/parallel"
 )
 
 // Naive computes K_P(s) (ordered pairs, i≠j) by the O(n²) double loop —
@@ -94,92 +99,37 @@ func RTreeIndexed(pts []geom.Point, s float64) int {
 }
 
 // Curve computes the K-function at every threshold in thresholds
-// (ascending) in a single pass: pairs within the largest threshold are
-// enumerated once through a grid index and histogrammed by distance.
-// Workers parallelises the per-point enumeration (0/1 serial, <0 =
-// GOMAXPROCS).
+// (ascending) in a single pass: every unordered pair within the largest
+// threshold is visited once by a half-pair sweep over a cell-ordered copy
+// of the points and histogrammed by squared distance (see pipeline.go).
+// Workers parallelises the sweep (0/1 serial, <0 = GOMAXPROCS).
 func Curve(pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
 	//lint:allow ctxflow Curve is the sanctioned non-ctx compatibility wrapper (same contract as parallel.For); callers that have a context use CurveCtx
 	return CurveCtx(context.Background(), pts, thresholds, workers)
 }
 
 // CurveCtx is Curve with cooperative cancellation: workers check ctx
-// between chunks of the pair enumeration and the call returns ctx.Err()
-// (with a nil slice) when it fires.
+// between blocks of the sweep and the call returns ctx.Err() (with a nil
+// slice) when it fires.
 func CurveCtx(ctx context.Context, pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}
-	d := len(thresholds)
-	counts := make([]int, d)
-	if len(pts) < 2 {
-		return counts, nil
-	}
-	sMax := thresholds[d-1]
-	idx := gridindex.New(pts, sMax)
-
-	// Per-worker histogram scratch, merged after (integer sums, so the
-	// merge order cannot change the result).
-	hist := make([]int64, d)
-	partials, err := parallel.ForScratchCtx(ctx, len(pts), workers,
-		func() []int64 { return make([]int64, d) },
-		func(local []int64, i int) {
-			countInto(pts, idx, thresholds, i, i+1, local)
-		})
-	if err != nil {
+	xs, ys := split(pts)
+	counts := make([]int, len(thresholds))
+	var c cells
+	if err := c.curve(ctx, xs, ys, squaredBinner(thresholds), workers, counts); err != nil {
 		return nil, err
-	}
-	for _, p := range partials {
-		for i, v := range p {
-			hist[i] += v
-		}
-	}
-	// Cumulative: hist[d] currently holds pairs with dist in the d-th bin
-	// (between thresholds[d-1] and thresholds[d]).
-	running := int64(0)
-	for i := range hist {
-		running += hist[i]
-		counts[i] = int(running)
 	}
 	return counts, nil
 }
 
-// countInto histograms, for source points [lo, hi), every neighbour within
-// thresholds' maximum into the first threshold bin that contains its
-// distance. The candidate scan iterates the grid index's cell-ordered
-// coordinate columns directly — no per-point callback — which is the
-// dominant cost of the one-pass curve.
-//
-//lint:hotpath per-pair inner loop; callees must not allocate
-func countInto(pts []geom.Point, idx *gridindex.Index, thresholds []float64, lo, hi int, hist []int64) {
-	sMax := thresholds[len(thresholds)-1]
-	s2 := sMax * sMax
-	xs, ys, ids := idx.Columns()
-	nb := len(hist)
-	for i := lo; i < hi; i++ {
-		p := pts[i]
-		cx0, cx1, cy0, cy1 := idx.CellSpan(p, sMax)
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				clo, chi := idx.Cell(cx, cy)
-				for j := clo; j < chi; j++ {
-					dx := xs[j] - p.X
-					dy := ys[j] - p.Y
-					d2 := dx*dx + dy*dy
-					if d2 > s2 || int(ids[j]) == i {
-						continue
-					}
-					d := math.Sqrt(d2)
-					// First threshold >= d: binary search for short lists
-					// would be fine, but thresholds are few, typically ≤ 64.
-					bin := sort.SearchFloat64s(thresholds, d)
-					if bin < nb {
-						hist[bin]++
-					}
-				}
-			}
-		}
-	}
+// split copies pts into coordinate columns — the one copy the
+// []geom.Point entry points make before the columnar pipeline.
+func split(pts []geom.Point) (xs, ys []float64) {
+	var s simScratch
+	s.load(pts)
+	return s.xs, s.ys
 }
 
 // NaiveCurve computes the K-function at every threshold with the O(D·n²)

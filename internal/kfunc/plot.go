@@ -1,6 +1,7 @@
 package kfunc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -73,10 +74,10 @@ type PlotOptions struct {
 	// envelopes are bit-identical for every worker count: simulation l
 	// draws from an RNG seeded deterministically from (seed, l).
 	Workers int
-	// Ctx optionally bounds the computation: the observed curve and the
-	// envelope fan-out check it between chunks, and the plot constructors
-	// return ctx.Err() (with a nil plot) when it fires. Nil means no
-	// cancellation.
+	// Ctx optionally bounds the computation: the observed curve, the
+	// envelope fan-out and every simulation's curve check it between
+	// chunks, and the plot constructors return ctx.Err() (with a nil plot)
+	// when it fires. Nil means no cancellation.
 	Ctx context.Context
 }
 
@@ -129,6 +130,99 @@ func innerWorkers(workers, sims int) int {
 	return workers
 }
 
+// untraced carries a context's cancellation but none of its values, so
+// the curves of the envelope simulations open no spans: a traced plot's
+// tree keeps one monte_carlo node instead of growing a node per simulation.
+type untraced struct{ context.Context }
+
+func (untraced) Value(any) any { return nil }
+
+// simScratch is one worker's reusable storage for envelope simulations:
+// the simulated pattern's columns, its cell list and its curve. Nothing
+// in it survives from one simulation to the next but capacity — every
+// simulation overwrites the columns in full and rebuilds the cell list
+// from them — so reuse cannot change an envelope.
+type simScratch struct {
+	xs, ys []float64
+	cells  cells
+	counts []int
+}
+
+// resize sets the length of the scratch columns; their contents are then
+// unspecified and the caller overwrites all of them.
+func (s *simScratch) resize(n int) {
+	s.xs, s.ys = resize(s.xs, n), resize(s.ys, n)
+}
+
+// load overwrites the scratch columns with pts.
+func (s *simScratch) load(pts []geom.Point) {
+	s.resize(len(pts))
+	for i, p := range pts {
+		s.xs[i], s.ys[i] = p.X, p.Y
+	}
+}
+
+// plotRun is a plot under construction: the validated request, the shared
+// binner (thresholds squared once for the observed curve and every
+// simulation) and the plot holding the observed curve.
+type plotRun struct {
+	opt  PlotOptions
+	ctx  context.Context
+	bins *binner
+	plot *Plot
+}
+
+// observe validates opt and computes the observed curve of the points
+// (xs[i], ys[i]) — the first half of every plot constructor.
+func observe(xs, ys []float64, opt PlotOptions) (*plotRun, error) {
+	if opt.Simulations < 1 {
+		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", opt.Simulations)
+	}
+	if err := checkThresholds(opt.Thresholds); err != nil {
+		return nil, err
+	}
+	r := &plotRun{opt: opt, ctx: opt.context(), bins: squaredBinner(opt.Thresholds)}
+	obs := make([]int, len(opt.Thresholds))
+	var c cells
+	if err := c.curve(r.ctx, xs, ys, r.bins, opt.Workers, obs); err != nil {
+		return nil, err
+	}
+	r.plot = newPlot(opt.Thresholds, obs, opt.Simulations)
+	return r, nil
+}
+
+func (r *plotRun) newScratch() *simScratch {
+	return &simScratch{counts: make([]int, len(r.opt.Thresholds))}
+}
+
+// envelope fans the simulations out across opt.Workers: fill(rng, s, l)
+// must write the l-th null pattern into s.xs / s.ys from rng alone (it is
+// called concurrently, each worker with its own scratch). rng is seeded
+// from (seed, l), so the envelopes are bit-identical for every worker
+// count. Every simulation's curve checks the context between blocks.
+func (r *plotRun) envelope(seed int64, fill func(rng *rand.Rand, s *simScratch, l int)) (*Plot, error) {
+	inner := innerWorkers(r.opt.Workers, r.opt.Simulations)
+	simCtx := untraced{r.ctx}
+	var mu sync.Mutex
+	var simErr error // a curve cut short: the fan-out may not see ctx fire in its last chunk
+	_, err := parallel.MonteCarloScratchCtx(r.ctx, r.opt.Simulations, r.opt.Workers, seed, r.newScratch,
+		func(rng *rand.Rand, s *simScratch, l int) {
+			fill(rng, s, l)
+			err := s.cells.curve(simCtx, s.xs, s.ys, r.bins, inner, s.counts)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				simErr = err
+				return
+			}
+			r.plot.mergeEnvelope(s.counts)
+		})
+	if err = cmp.Or(err, simErr); err != nil {
+		return nil, err
+	}
+	return r.plot, nil
+}
+
 // MakePlotWithNull computes a K-function plot whose envelope comes from a
 // caller-supplied null model: simulate is called opt.Simulations times and
 // must return a dataset of comparable size. This generalises Definition 3
@@ -140,26 +234,20 @@ func innerWorkers(workers, sims int) int {
 // rand.Rand); only each simulated dataset's curve uses opt.Workers. For a
 // fully parallel envelope use MakePlotSeeded with an rng-taking simulator.
 func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.Point) (*Plot, error) {
-	if opt.Simulations < 1 {
-		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", opt.Simulations)
-	}
-	if err := checkThresholds(opt.Thresholds); err != nil {
-		return nil, err
-	}
-	ctx := opt.context()
-	obs, err := CurveCtx(ctx, pts, opt.Thresholds, opt.Workers)
+	xs, ys := split(pts)
+	r, err := observe(xs, ys, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlot(opt.Thresholds, obs, opt.Simulations)
+	s := r.newScratch()
 	for l := 0; l < opt.Simulations; l++ {
-		counts, err := CurveCtx(ctx, simulate(), opt.Thresholds, opt.Workers)
-		if err != nil {
+		s.load(simulate())
+		if err := s.cells.curve(r.ctx, s.xs, s.ys, r.bins, opt.Workers, s.counts); err != nil {
 			return nil, err
 		}
-		p.mergeEnvelope(counts)
+		r.plot.mergeEnvelope(s.counts)
 	}
-	return p, nil
+	return r.plot, nil
 }
 
 // MakePlotSeeded computes a K-function plot whose envelope simulations fan
@@ -168,40 +256,12 @@ func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.
 // seeded deterministically from (seed, l), so the envelopes are
 // bit-identical for every worker count.
 func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func(rng *rand.Rand, l int) []geom.Point) (*Plot, error) {
-	if opt.Simulations < 1 {
-		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", opt.Simulations)
-	}
-	if err := checkThresholds(opt.Thresholds); err != nil {
-		return nil, err
-	}
-	ctx := opt.context()
-	obs, err := CurveCtx(ctx, pts, opt.Thresholds, opt.Workers)
+	xs, ys := split(pts)
+	r, err := observe(xs, ys, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlot(opt.Thresholds, obs, opt.Simulations)
-	inner := innerWorkers(opt.Workers, opt.Simulations)
-	var mu sync.Mutex
-	var firstErr error
-	mcErr := parallel.MonteCarloCtx(ctx, opt.Simulations, opt.Workers, seed, func(rng *rand.Rand, l int) {
-		counts, err := Curve(simulate(rng, l), opt.Thresholds, inner)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		p.mergeEnvelope(counts)
-	})
-	if mcErr != nil {
-		return nil, mcErr
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return p, nil
+	return r.envelope(seed, func(rng *rand.Rand, s *simScratch, l int) { s.load(simulate(rng, l)) })
 }
 
 // MakePlot computes a K-function plot for pts: the observed curve plus
@@ -210,15 +270,39 @@ func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func
 // reproducibility. Simulations fan out across opt.Workers with
 // bit-identical results for every worker count.
 func MakePlot(pts []geom.Point, opt PlotOptions, rng *rand.Rand) (*Plot, error) {
-	window := opt.Window
-	if window.IsEmpty() || window.Area() == 0 {
-		window = geom.NewBBox(pts)
-		if window.IsEmpty() || window.Area() == 0 {
-			return nil, fmt.Errorf("kfunc: degenerate window; provide PlotOptions.Window")
-		}
+	if noWindow(opt.Window) {
+		opt.Window = geom.NewBBox(pts)
 	}
-	n := len(pts)
-	return MakePlotSeeded(pts, opt, rng.Int63(), func(rng *rand.Rand, _ int) []geom.Point {
-		return dataset.UniformCSR(rng, n, window).Points()
+	xs, ys := split(pts)
+	return makeCSRPlot(xs, ys, opt, rng)
+}
+
+// MakePlotColumns is MakePlot over a columnar point set: no copy of the
+// observed points is made.
+func MakePlotColumns(cols dataset.Columns, opt PlotOptions, rng *rand.Rand) (*Plot, error) {
+	if noWindow(opt.Window) {
+		opt.Window = cols.Bounds()
+	}
+	return makeCSRPlot(cols.X, cols.Y, opt, rng)
+}
+
+// noWindow reports whether w cannot host a CSR simulation.
+func noWindow(w geom.BBox) bool { return w.IsEmpty() || w.Area() == 0 }
+
+// makeCSRPlot is the CSR plot of the points (xs[i], ys[i]) in opt.Window.
+// Each simulation draws its pattern straight into its worker's reused
+// columns, in dataset.UniformCSR's draw order.
+func makeCSRPlot(xs, ys []float64, opt PlotOptions, rng *rand.Rand) (*Plot, error) {
+	if noWindow(opt.Window) {
+		return nil, fmt.Errorf("kfunc: degenerate window; provide PlotOptions.Window")
+	}
+	seed := rng.Int63()
+	r, err := observe(xs, ys, opt)
+	if err != nil {
+		return nil, err
+	}
+	return r.envelope(seed, func(rng *rand.Rand, s *simScratch, _ int) {
+		s.resize(len(xs))
+		dataset.FillUniformCSR(rng, opt.Window, s.xs, s.ys)
 	})
 }

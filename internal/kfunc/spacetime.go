@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"geostat/internal/dataset"
@@ -64,20 +63,20 @@ func STSurface(pts []geom.Point, times []float64, sThresholds, tThresholds []flo
 	// "beyond the largest threshold" and is dropped by the cumulation.
 	width := tt + 1
 	hist := make([]int64, (m+1)*width)
+	sBins, tBins := squaredBinner(sThresholds), newBinner(tThresholds)
 	binPair := func(local []int64, i int) {
 		p := pts[i]
 		ti := times[i]
+		// ForEachInRange reports d2 <= sMax·sMax — sBins' own upper edge.
 		idx.ForEachInRange(p, sMax, func(j int, d2 float64) {
 			if j == i {
 				return
 			}
 			dt := math.Abs(times[j] - ti)
-			if dt > tMax {
+			if !(dt <= tMax) { // also drops a NaN gap
 				return
 			}
-			sBin := sort.SearchFloat64s(sThresholds, math.Sqrt(d2))
-			tBin := sort.SearchFloat64s(tThresholds, dt)
-			local[sBin*width+tBin]++
+			local[sBins.bin(d2)*width+tBins.bin(dt)]++
 		})
 	}
 

@@ -398,12 +398,20 @@ func (s *Server) computeKFunction(ctx context.Context, d *geostat.Dataset, p *pa
 
 	cctx, compute := obs.Trace(ctx, "kfunction.compute")
 	defer compute.End()
-	plot, err := geostat.KFunctionPlot(d.Points(), geostat.KPlotOptions{
+	plot, err := geostat.KFunctionPlotDataset(d, geostat.KPlotOptions{
 		Thresholds:  thresholds,
 		Simulations: sims,
 		Workers:     s.cfg.Workers,
 		Ctx:         cctx,
 	}, geostat.NewRand(seed))
+	if compute != nil && err == nil {
+		compute.SetAttrInt("points", int64(d.N()))
+		compute.SetAttrInt("thresholds", int64(len(thresholds)))
+		compute.SetAttrInt("sims", int64(sims))
+		// K counts ordered pairs: half of K(s_max) is the observed
+		// unordered pairs the sweep binned.
+		compute.SetAttrInt("pairs_in_range", int64(plot.K[len(plot.K)-1])/2)
+	}
 	compute.End()
 	if err != nil {
 		return Value{}, err

@@ -124,6 +124,55 @@ func TestTraceLastSpanTree(t *testing.T) {
 	}
 }
 
+// TestKFunctionSpanAttrs: a traced K-function request carries the sizes
+// that explain its cost on kfunction.compute — points, thresholds, sims
+// and the observed unordered pairs within s_max — and the envelope
+// simulations add no span of their own below parallel.monte_carlo.
+func TestKFunctionSpanAttrs(t *testing.T) {
+	srv := newServer(t, serve.Config{CacheBytes: 8 << 20, Workers: 2})
+	generate(t, srv, "name=ev&kind=clusters&n=500&seed=5")
+	rr := do(t, srv, http.MethodGet, "/v1/kfunction?dataset=ev&smax=6&steps=4&sims=9&seed=3", nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("kfunction: status %d: %s", rr.Code, rr.Body.String())
+	}
+	var resp struct {
+		K []float64 `json:"k"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	var tree obs.SpanTree
+	if err := json.Unmarshal(do(t, srv, http.MethodGet, "/debug/trace/last", nil).Body.Bytes(), &tree); err != nil {
+		t.Fatalf("decode trace: %v", err)
+	}
+	want := []string{
+		"request", "request.lookup", "request.cache", "kfunction.parse", "kfunction.compute",
+		"parallel.for_scratch", "parallel.monte_carlo", "parallel.for_scratch", "kfunction.encode",
+	}
+	if got := tree.StageNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stage tree = %v, want %v", got, want)
+	}
+	attrs := map[string]string{}
+	for _, c := range tree.Children {
+		if c.Name == "kfunction.compute" {
+			for _, a := range c.Attrs {
+				attrs[a.Key] = a.Value
+			}
+		}
+	}
+	pairs := int64(resp.K[len(resp.K)-1]) / 2
+	if pairs == 0 {
+		t.Fatal("no pairs in range: the fixture is too sparse to test the attribute")
+	}
+	for k, v := range map[string]string{
+		"points": "500", "thresholds": "4", "sims": "9", "pairs_in_range": fmt.Sprint(pairs),
+	} {
+		if attrs[k] != v {
+			t.Errorf("kfunction.compute %s = %q, want %s", k, attrs[k], v)
+		}
+	}
+}
+
 func TestSlowRequestLogging(t *testing.T) {
 	var (
 		mu  sync.Mutex

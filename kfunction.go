@@ -42,7 +42,9 @@ func KFunctionBallTree(pts []Point, s float64) int { return kfunc.BallTreeIndexe
 func KFunctionRTree(pts []Point, s float64) int { return kfunc.RTreeIndexed(pts, s) }
 
 // KFunctionCurve computes K_P at every threshold (ascending) in one pass
-// over the close pairs.
+// over the close pairs. Like every []Point function of the K-function
+// family it copies pts into coordinate columns once, at this edge; the
+// pipeline below is columnar.
 func KFunctionCurve(pts []Point, thresholds []float64, workers int) ([]int, error) {
 	return kfunc.Curve(pts, thresholds, workers)
 }
@@ -62,6 +64,13 @@ type KPlotOptions = kfunc.PlotOptions
 // simulations (Definition 3).
 func KFunctionPlot(pts []Point, opt KPlotOptions, rng *rand.Rand) (*KPlot, error) {
 	return kfunc.MakePlot(pts, opt, rng)
+}
+
+// KFunctionPlotDataset is KFunctionPlot over a Dataset: the observed curve
+// reads the dataset's coordinate columns in place (no []Point copy) and a
+// zero opt.Window means the dataset's bounds. Cancellation is opt.Ctx.
+func KFunctionPlotDataset(d *Dataset, opt KPlotOptions, rng *rand.Rand) (*KPlot, error) {
+	return kfunc.MakePlotColumns(d.Columns(), opt, rng)
 }
 
 // KFunctionPlotWithNull computes a K-function plot against a caller-chosen
