@@ -9,9 +9,9 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check vet build test race lint lint-debt debt-gate cover fuzz-smoke bench bench-smoke bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
 
-check: vet build test race lint debt-gate
+check: vet build test race lint debt-gate points-gate
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,19 @@ lint-debt:
 debt-gate:
 	@mkdir -p artifacts
 	$(GO) run ./cmd/geolint -debt -debt-baseline lint_debt.json -o artifacts/lint_debt.json
+
+# Dataset.Points() copies every coordinate into a fresh []geom.Point;
+# production code reads d.Columns() or d.Point(i). The gate keeps the copy
+# from coming back unnoticed: outside tests and internal/experiments only
+# the three sites ROADMAP item 3 parks (cmd/kfunc's CSR screens and
+# MakeSTPlot's observed and simulated surfaces) may call it.
+POINTS_ALLOW = ^cmd/kfunc/main\.go:[0-9]+:.pts := d\.Points\(\)$$|^internal/kfunc/spacetime\.go:[0-9]+:.*STSurface\((d|sim)\.Points\(\),
+
+points-gate:
+	@out=$$(grep -rn '\.Points()' --include='*.go' internal cmd | grep -v '_test\.go:' | \
+	  grep -v '^internal/experiments/' | grep -Ev '$(POINTS_ALLOW)'); \
+	[ -z "$$out" ] || { echo "Dataset.Points() outside the allow-list (read d.Columns()):"; echo "$$out"; exit 1; }; \
+	echo "points-gate OK"
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

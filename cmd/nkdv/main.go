@@ -83,8 +83,8 @@ func run(networkPath, eventsPath, out, kernelArg, geoOut string, bandwidth, lixe
 	// Snap planar events onto the network.
 	events := make([]geostat.NetworkPosition, d.N())
 	worstSnap := 0.0
-	for i, p := range d.Points() {
-		pos, dist := geostat.SnapToNetwork(g, p)
+	for i := range events {
+		pos, dist := geostat.SnapToNetwork(g, d.Point(i))
 		events[i] = pos
 		if dist > worstSnap {
 			worstSnap = dist

@@ -69,6 +69,16 @@ func NewBBox(pts []Point) BBox {
 	return b
 }
 
+// SplitXY copies pts into coordinate columns: the one []Point → (xs, ys)
+// copy the slice-taking entry points make before a columnar pipeline.
+func SplitXY(pts []Point) (xs, ys []float64) {
+	xs, ys = make([]float64, len(pts)), make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = p.X, p.Y
+	}
+	return xs, ys
+}
+
 // IsEmpty reports whether b contains no points.
 func (b BBox) IsEmpty() bool { return b.MinX > b.MaxX || b.MinY > b.MaxY }
 

@@ -5,43 +5,16 @@
 package getisord
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
-	"geostat/internal/parallel"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
 
-// The permutation RNGs are derived per-task inside parallel.MonteCarloScratch;
-// math/rand appears here only as the *rand.Rand callback parameter type.
-
-// Options configures the General G permutation test. Permutation p
-// shuffles its own copy of the values with an RNG derived
-// deterministically from (Seed, p), so results are bit-identical for
-// every Workers value.
-type Options struct {
-	// Perms is the number of permutations; 0 skips the test.
-	Perms int
-	// Seed drives the permutation RNGs.
-	Seed int64
-	// Workers fans permutations out across goroutines (0/1 serial, <0
-	// GOMAXPROCS).
-	Workers int
-	// Ctx optionally bounds the permutation test: workers check it between
-	// task chunks and the entry point returns ctx.Err() (with a nil
-	// result) when it fires. Nil means no cancellation.
-	Ctx context.Context
-}
-
-// context returns the effective context of the test.
-func (o *Options) context() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
+// Options configures the General G permutation test: the one
+// stat.PermOptions every global autocorrelation statistic shares.
+type Options = stat.PermOptions
 
 // GeneralGResult is the global General G with its permutation test.
 type GeneralGResult struct {
@@ -98,31 +71,13 @@ func GeneralGOpt(values []float64, w *weights.Matrix, opt Options) (*GeneralGRes
 		Expected: w.S0() / (float64(n) * float64(n-1)),
 		Perms:    opt.Perms,
 	}
-	if opt.Perms <= 0 {
-		return res, nil
-	}
-	samples := make([]float64, opt.Perms)
-	if _, err := parallel.MonteCarloScratchCtx(opt.context(), opt.Perms, opt.Workers, opt.Seed,
-		func() []float64 { return make([]float64, n) },
-		func(rng *rand.Rand, perm []float64, p int) {
-			copy(perm, values)
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			samples[p] = gNumerator(perm, w) / den
-		}); err != nil {
+	var err error
+	res.PermMean, res.PermStd, res.Z, res.P, err = stat.PermutationTest(values, obs, opt, func(perm []float64) float64 {
+		return gNumerator(perm, w) / den
+	})
+	if err != nil {
 		return nil, err
 	}
-	mean, std := meanStd(samples)
-	res.PermMean, res.PermStd = mean, std
-	if std > 0 {
-		res.Z = (obs - mean) / std
-	}
-	extreme := 0
-	for _, s := range samples {
-		if math.Abs(s-mean) >= math.Abs(obs-mean) {
-			extreme++
-		}
-	}
-	res.P = float64(extreme+1) / float64(opt.Perms+1)
 	return res, nil
 }
 
@@ -157,7 +112,7 @@ func LocalGStar(values []float64, w *weights.Matrix) ([]float64, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("getisord: need at least 3 sites, got %d", n)
 	}
-	mean, sd := meanStd(values)
+	mean, sd := stat.MeanStd(values)
 	if sd == 0 {
 		return nil, fmt.Errorf("getisord: constant values (zero variance)")
 	}
@@ -180,17 +135,4 @@ func LocalGStar(values []float64, w *weights.Matrix) ([]float64, error) {
 		out[i] = (lag - mean*wi) / den
 	}
 	return out, nil
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -21,7 +21,8 @@ func gridPoints(n int) []geom.Point {
 
 func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 	t.Helper()
-	w, err := weights.DistanceBand(pts, 1.0)
+	xs, ys := geom.SplitXY(pts)
+	w, err := weights.DistanceBand(xs, ys, 1.0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

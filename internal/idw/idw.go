@@ -143,7 +143,8 @@ func KNN(d *dataset.Dataset, opt Options, k int) (*raster.Grid, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("idw: k must be >= 1, got %d", k)
 	}
-	tree := kdtree.New(d.Points())
+	cols := d.Columns()
+	tree := kdtree.NewColumns(cols.X, cols.Y)
 	vals := d.Values()
 	return runRows(&opt, func(iy int, row []float64) {
 		qy := opt.Grid.CenterY(iy)
@@ -181,9 +182,9 @@ func Radius(d *dataset.Dataset, opt Options, radius float64) (*raster.Grid, erro
 	if !(radius > 0) {
 		return nil, fmt.Errorf("idw: radius must be positive, got %g", radius)
 	}
-	pts := d.Points()
-	idx := gridindex.New(pts, radius)
-	tree := kdtree.New(pts) // fallback nearest
+	cols := d.Columns()
+	idx := gridindex.NewColumns(cols.X, cols.Y, radius)
+	tree := kdtree.NewColumns(cols.X, cols.Y) // fallback nearest
 	xs, ys, ids := idx.Columns()
 	vals := d.Values()
 	r2 := radius * radius

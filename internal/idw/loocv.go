@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geostat/internal/dataset"
+	"geostat/internal/geom"
 	"geostat/internal/index/kdtree"
 )
 
@@ -32,12 +33,12 @@ func LOOCV(d *dataset.Dataset, power float64, k int) (*CVResult, error) {
 	if k <= 0 || k > n-1 {
 		k = n - 1
 	}
-	pts := d.Points()
+	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.New(pts)
+	tree := kdtree.NewColumns(cols.X, cols.Y)
 	res := &CVResult{Residuals: make([]float64, n)}
-	for i, p := range pts {
-		idx, d2 := tree.KNearest(p, k+1, nil)
+	for i := range vals {
+		idx, d2 := tree.KNearest(geom.Point{X: cols.X[i], Y: cols.Y[i]}, k+1, nil)
 		num, den := 0.0, 0.0
 		exact := math.NaN()
 		taken := 0

@@ -4,10 +4,11 @@
 // function-approximation KDE, which walks the tree refining per-node
 // lower/upper kernel bounds (§2.2).
 //
-// The tree is built once over an immutable point slice; nodes store their
-// bounding box and subtree size so that (a) disc range counting can accept
-// or reject whole subtrees and (b) bound-based KDE can score a whole
-// subtree in O(1) from MinDist2/MaxDist2.
+// The tree is built once and keeps its own reordered coordinate columns
+// (the layout a Dataset already has); nodes store their bounding box and
+// subtree size so that (a) disc range counting can accept or reject whole
+// subtrees and (b) bound-based KDE can score a whole subtree in O(1) from
+// MinDist2/MaxDist2.
 package kdtree
 
 import (
@@ -17,14 +18,14 @@ import (
 	"geostat/internal/geom"
 )
 
-// Tree is an immutable 2-d tree. Build with New.
+// Tree is an immutable 2-d tree. Build with New or NewColumns.
 type Tree struct {
-	pts   []geom.Point // points reordered during construction
-	idx   []int        // idx[i] = original index of pts[i]
-	nodes []node       // implicit tree, nodes[0] is the root
+	xs, ys []float64 // coordinates reordered during construction
+	idx    []int     // idx[i] = original index of slot i
+	nodes  []node    // implicit tree, nodes[0] is the root
 }
 
-// node is one kd-tree node covering pts[lo:hi).
+// node is one kd-tree node covering slots [lo, hi).
 type node struct {
 	box         geom.BBox
 	lo, hi      int // point range covered by this subtree
@@ -37,23 +38,41 @@ const leafSize = 16 // points per leaf; small enough for tight boxes, large enou
 // New builds a kd-tree over pts. The input slice is not modified; the tree
 // keeps its own reordered copy. Building is O(n log n).
 func New(pts []geom.Point) *Tree {
-	t := &Tree{
-		pts: append([]geom.Point(nil), pts...),
-		idx: make([]int, len(pts)),
-	}
+	xs, ys := geom.SplitXY(pts)
+	return newTree(xs, ys)
+}
+
+// NewColumns is New over coordinate columns: point i is (xs[i], ys[i]) and
+// len(xs) must equal len(ys). The columns are copied, not retained; the
+// tree is the one New builds over the equivalent point slice.
+func NewColumns(xs, ys []float64) *Tree {
+	return newTree(append([]float64(nil), xs...), append([]float64(nil), ys...))
+}
+
+// newTree is the one constructor; it takes ownership of xs and ys.
+func newTree(xs, ys []float64) *Tree {
+	t := &Tree{xs: xs, ys: ys, idx: make([]int, len(xs))}
 	for i := range t.idx {
 		t.idx[i] = i
 	}
-	if len(pts) == 0 {
+	if len(xs) == 0 {
 		return t
 	}
-	t.nodes = make([]node, 0, 2*(len(pts)/leafSize+1))
-	t.build(0, len(pts), 0)
+	t.nodes = make([]node, 0, 2*(len(xs)/leafSize+1))
+	t.build(0, len(xs))
 	return t
 }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
+func (t *Tree) Len() int { return len(t.xs) }
+
+// dist2 returns the squared distance from slot i's point to q — the same
+// expression as geom.Point.Dist2, so results match the AoS form bit for bit.
+func (t *Tree) dist2(i int, q geom.Point) float64 {
+	dx := t.xs[i] - q.X
+	dy := t.ys[i] - q.Y
+	return dx*dx + dy*dy
+}
 
 // Bounds returns the bounding box of the indexed points.
 func (t *Tree) Bounds() geom.BBox {
@@ -63,46 +82,46 @@ func (t *Tree) Bounds() geom.BBox {
 	return t.nodes[0].box
 }
 
-// build constructs the subtree over pts[lo:hi) splitting on the wider axis,
-// and returns the node index.
-func (t *Tree) build(lo, hi, depth int) int32 {
+// build constructs the subtree over slots [lo, hi) splitting on the wider
+// axis, and returns the node index.
+func (t *Tree) build(lo, hi int) int32 {
 	ni := int32(len(t.nodes))
-	n := node{box: geom.NewBBox(t.pts[lo:hi]), lo: lo, hi: hi, left: -1, right: -1}
-	t.nodes = append(t.nodes, n)
+	box := geom.EmptyBBox()
+	for i := lo; i < hi; i++ {
+		box = box.ExtendPoint(geom.Point{X: t.xs[i], Y: t.ys[i]})
+	}
+	t.nodes = append(t.nodes, node{box: box, lo: lo, hi: hi, left: -1, right: -1})
 	if hi-lo <= leafSize {
 		return ni
 	}
 	// Split on the wider axis at the median for balanced depth.
-	byX := t.pts[lo:hi]
-	axisX := t.nodes[ni].box.Width() >= t.nodes[ni].box.Height()
 	mid := (hi - lo) / 2
-	sub := &pointsByAxis{pts: byX, idx: t.idx[lo:hi], x: axisX}
+	sub := &pointsByAxis{key: t.xs[lo:hi], other: t.ys[lo:hi], idx: t.idx[lo:hi]}
+	if box.Width() < box.Height() {
+		sub.key, sub.other = sub.other, sub.key
+	}
 	// nth_element via full sort would be O(n log² n) overall; a quickselect
 	// keeps construction O(n log n).
 	quickselect(sub, mid)
-	left := t.build(lo, lo+mid, depth+1)
-	right := t.build(lo+mid, hi, depth+1)
+	left := t.build(lo, lo+mid)
+	right := t.build(lo+mid, hi)
 	t.nodes[ni].left = left
 	t.nodes[ni].right = right
 	return ni
 }
 
-// pointsByAxis sorts a point range (and its parallel index slice) by one axis.
+// pointsByAxis sorts a slot range by its key column, carrying the other
+// coordinate column and the index slice along.
 type pointsByAxis struct {
-	pts []geom.Point
-	idx []int
-	x   bool
+	key, other []float64
+	idx        []int
 }
 
-func (s *pointsByAxis) Len() int { return len(s.pts) }
-func (s *pointsByAxis) Less(i, j int) bool {
-	if s.x {
-		return s.pts[i].X < s.pts[j].X
-	}
-	return s.pts[i].Y < s.pts[j].Y
-}
+func (s *pointsByAxis) Len() int           { return len(s.key) }
+func (s *pointsByAxis) Less(i, j int) bool { return s.key[i] < s.key[j] }
 func (s *pointsByAxis) Swap(i, j int) {
-	s.pts[i], s.pts[j] = s.pts[j], s.pts[i]
+	s.key[i], s.key[j] = s.key[j], s.key[i]
+	s.other[i], s.other[j] = s.other[j], s.other[i]
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 }
 
@@ -182,8 +201,8 @@ func (t *Tree) rangeCount(ni int32, q geom.Point, r2 float64) int {
 	}
 	if n.left < 0 {
 		c := 0
-		for _, p := range t.pts[n.lo:n.hi] {
-			if p.Dist2(q) <= r2 {
+		for i := n.lo; i < n.hi; i++ {
+			if t.dist2(i, q) <= r2 {
 				c++
 			}
 		}
@@ -211,7 +230,7 @@ func (t *Tree) rangeQuery(ni int32, q geom.Point, r2 float64, dst []int) []int {
 	}
 	if n.left < 0 {
 		for i := n.lo; i < n.hi; i++ {
-			if t.pts[i].Dist2(q) <= r2 {
+			if t.dist2(i, q) <= r2 {
 				dst = append(dst, t.idx[i])
 			}
 		}
@@ -238,8 +257,8 @@ func (t *Tree) KNearest(q geom.Point, k int, reuse []int) (idx []int, d2 []float
 	if k <= 0 || len(t.nodes) == 0 {
 		return nil, nil
 	}
-	if k > len(t.pts) {
-		k = len(t.pts)
+	if k > len(t.xs) {
+		k = len(t.xs)
 	}
 	h := &nnHeap{}
 	t.kNearest(0, q, k, h)
@@ -260,7 +279,7 @@ func (t *Tree) kNearest(ni int32, q geom.Point, k int, h *nnHeap) {
 	}
 	if n.left < 0 {
 		for i := n.lo; i < n.hi; i++ {
-			h.push(t.idx[i], t.pts[i].Dist2(q), k)
+			h.push(t.idx[i], t.dist2(i, q), k)
 		}
 		return
 	}
@@ -357,8 +376,8 @@ func (t *Tree) visit(ni int32, fn func(geom.BBox, int) bool, leafFn func(geom.Po
 		return
 	}
 	if n.left < 0 {
-		for _, p := range t.pts[n.lo:n.hi] {
-			leafFn(p)
+		for i := n.lo; i < n.hi; i++ {
+			leafFn(geom.Point{X: t.xs[i], Y: t.ys[i]})
 		}
 		return
 	}

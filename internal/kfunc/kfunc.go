@@ -115,21 +115,13 @@ func CurveCtx(ctx context.Context, pts []geom.Point, thresholds []float64, worke
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}
-	xs, ys := split(pts)
+	xs, ys := geom.SplitXY(pts)
 	counts := make([]int, len(thresholds))
 	var c cells
 	if err := c.curve(ctx, xs, ys, squaredBinner(thresholds), workers, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
-}
-
-// split copies pts into coordinate columns — the one copy the
-// []geom.Point entry points make before the columnar pipeline.
-func split(pts []geom.Point) (xs, ys []float64) {
-	var s simScratch
-	s.load(pts)
-	return s.xs, s.ys
 }
 
 // NaiveCurve computes the K-function at every threshold with the O(D·n²)

@@ -234,7 +234,7 @@ func (r *plotRun) envelope(seed int64, fill func(rng *rand.Rand, s *simScratch, 
 // rand.Rand); only each simulated dataset's curve uses opt.Workers. For a
 // fully parallel envelope use MakePlotSeeded with an rng-taking simulator.
 func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.Point) (*Plot, error) {
-	xs, ys := split(pts)
+	xs, ys := geom.SplitXY(pts)
 	r, err := observe(xs, ys, opt)
 	if err != nil {
 		return nil, err
@@ -256,7 +256,7 @@ func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.
 // seeded deterministically from (seed, l), so the envelopes are
 // bit-identical for every worker count.
 func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func(rng *rand.Rand, l int) []geom.Point) (*Plot, error) {
-	xs, ys := split(pts)
+	xs, ys := geom.SplitXY(pts)
 	r, err := observe(xs, ys, opt)
 	if err != nil {
 		return nil, err
@@ -273,7 +273,7 @@ func MakePlot(pts []geom.Point, opt PlotOptions, rng *rand.Rand) (*Plot, error) 
 	if noWindow(opt.Window) {
 		opt.Window = geom.NewBBox(pts)
 	}
-	xs, ys := split(pts)
+	xs, ys := geom.SplitXY(pts)
 	return makeCSRPlot(xs, ys, opt, rng)
 }
 

@@ -56,9 +56,9 @@ func Interpolate(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 	if k == 0 || k > d.N() {
 		k = d.N()
 	}
-	pts := d.Points()
+	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.New(pts)
+	tree := kdtree.NewColumns(cols.X, cols.Y)
 	out := raster.NewGrid(opt.Grid)
 	ny, nx := opt.Grid.NY, opt.Grid.NX
 
@@ -72,7 +72,9 @@ func Interpolate(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 			row := out.Values[iy*nx : (iy+1)*nx]
 			for ix := range row {
 				q := geom.Point{X: opt.Grid.CenterX(ix), Y: qy}
-				v, err := st.estimate(pts, vals, tree, q, k, opt.Variogram)
+				idx, d2 := tree.KNearest(q, k, st.scratch)
+				st.scratch = idx
+				v, err := st.estimateFrom(cols.X, cols.Y, vals, idx, d2, opt.Variogram)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
@@ -100,15 +102,10 @@ func newSolveState(k int) *solveState {
 	}
 }
 
-func (st *solveState) estimate(pts []geom.Point, vals []float64, tree *kdtree.Tree, q geom.Point, k int, v Variogram) (float64, error) {
-	idx, d2 := tree.KNearest(q, k, st.scratch)
-	st.scratch = idx
-	return st.estimateFrom(pts, vals, q, idx, d2, v)
-}
-
 // estimateFrom solves the ordinary-kriging system over an explicit
-// neighbourhood (idx with squared distances d2, ascending).
-func (st *solveState) estimateFrom(pts []geom.Point, vals []float64, q geom.Point, idx []int, d2 []float64, v Variogram) (float64, error) {
+// neighbourhood of the samples (xs[i], ys[i], vals[i]): idx with squared
+// distances d2 to the estimated site, ascending.
+func (st *solveState) estimateFrom(xs, ys, vals []float64, idx []int, d2 []float64, v Variogram) (float64, error) {
 	m := len(idx)
 	if m == 0 {
 		return 0, fmt.Errorf("kriging: no neighbours found")
@@ -126,9 +123,9 @@ func (st *solveState) estimateFrom(pts []geom.Point, vals []float64, q geom.Poin
 	}
 	rhs := st.rhs[:0]
 	for i := 0; i < m; i++ {
-		pi := pts[idx[i]]
+		pi := geom.Point{X: xs[idx[i]], Y: ys[idx[i]]}
 		for j := 0; j < m; j++ {
-			mat.Set(i, j, v.Eval(pi.Dist(pts[idx[j]])))
+			mat.Set(i, j, v.Eval(pi.Dist(geom.Point{X: xs[idx[j]], Y: ys[idx[j]]})))
 		}
 		mat.Set(i, m, 1)
 		mat.Set(m, i, 1)

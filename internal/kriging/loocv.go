@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"geostat/internal/dataset"
+	"geostat/internal/geom"
 	"geostat/internal/index/kdtree"
 	"geostat/internal/parallel"
 )
@@ -29,10 +30,9 @@ func LOOCV(d *dataset.Dataset, v Variogram, neighbors int) (*CVResult, error) {
 // cvScratch is the per-worker state of a parallel LOOCV: one kriging solve
 // state plus reusable neighbourhood buffers.
 type cvScratch struct {
-	st      *solveState
-	scratch []int
-	idxBuf  []int
-	d2Buf   []float64
+	st     *solveState
+	idxBuf []int
+	d2Buf  []float64
 }
 
 // LOOCVWorkers is LOOCV with an explicit parallelism degree (0/1 serial,
@@ -53,9 +53,9 @@ func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVR
 	if k <= 0 || k > n-1 {
 		k = n - 1
 	}
-	pts := d.Points()
+	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.New(pts)
+	tree := kdtree.NewColumns(cols.X, cols.Y)
 	res := &CVResult{Residuals: make([]float64, n)}
 	var firstErr atomic.Value
 	parallel.ForScratch(n, workers,
@@ -67,11 +67,11 @@ func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVR
 			}
 		},
 		func(s *cvScratch, i int) {
-			p := pts[i]
+			p := geom.Point{X: cols.X[i], Y: cols.Y[i]}
 			// k+1 nearest includes the sample itself; withhold it. Duplicate
 			// sites keep their twin (that is the honest LOOCV answer there).
-			idx, d2 := tree.KNearest(p, k+1, s.scratch)
-			s.scratch = idx
+			idx, d2 := tree.KNearest(p, k+1, s.st.scratch)
+			s.st.scratch = idx
 			s.idxBuf = s.idxBuf[:0]
 			s.d2Buf = s.d2Buf[:0]
 			for j, id := range idx {
@@ -85,7 +85,7 @@ func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVR
 				s.idxBuf = s.idxBuf[:k]
 				s.d2Buf = s.d2Buf[:k]
 			}
-			pred, err := s.st.estimateFrom(pts, vals, p, s.idxBuf, s.d2Buf, v)
+			pred, err := s.st.estimateFrom(cols.X, cols.Y, vals, s.idxBuf, s.d2Buf, v)
 			if err != nil {
 				firstErr.CompareAndSwap(nil, fmt.Errorf("kriging: LOOCV at sample %d: %w", i, err))
 				return

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"geostat/internal/dataset"
+	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 )
 
@@ -86,16 +87,15 @@ func Empirical(d *dataset.Dataset, maxLag float64, bins int) ([]EmpiricalBin, er
 	if !(maxLag > 0) || bins < 1 {
 		return nil, fmt.Errorf("kriging: need maxLag > 0 and bins >= 1 (got %g, %d)", maxLag, bins)
 	}
-	pts := d.Points()
+	cols := d.Columns()
 	vals := d.Values()
-	idx := gridindex.New(pts, maxLag)
+	idx := gridindex.NewColumns(cols.X, cols.Y, maxLag)
 	width := maxLag / float64(bins)
 	sumG := make([]float64, bins)
 	sumLag := make([]float64, bins)
 	counts := make([]int, bins)
-	for i, p := range pts {
-		zi := vals[i]
-		idx.ForEachInRange(p, maxLag, func(j int, d2 float64) {
+	for i, zi := range vals {
+		idx.ForEachInRange(geom.Point{X: cols.X[i], Y: cols.Y[i]}, maxLag, func(j int, d2 float64) {
 			if j <= i { // each unordered pair once
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"geostat/internal/geom"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
 
@@ -60,17 +61,14 @@ func GearyOpt(values []float64, w *weights.Matrix, opt Options) (*GearyResult, e
 		return nil, fmt.Errorf("moran: constant values (zero variance)")
 	}
 	res := &GearyResult{C: obs, Expected: 1, Perms: opt.Perms}
-	if opt.Perms <= 0 {
-		return res, nil
-	}
-	samples, err := permuteSamples(values, opt, func(perm []float64) float64 {
+	var err error
+	res.PermMean, res.PermStd, res.Z, res.P, err = stat.PermutationTest(values, obs, opt, func(perm []float64) float64 {
 		s, _ := gearyStatistic(perm, w, s0)
 		return s
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.PermMean, res.PermStd, res.Z, res.P = permSummary(obs, samples)
 	return res, nil
 }
 
@@ -110,7 +108,8 @@ type CorrelogramPoint struct {
 // spatial correlogram showing how autocorrelation decays with scale (the
 // autocorrelation analogue of the K-function's threshold sweep). Radii
 // must be positive and increasing. Bands with an empty weight matrix are
-// skipped.
+// skipped; any other failure (constant values, too few sites, perms without
+// a rng) is returned.
 func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
 	if len(pts) != len(values) {
 		return nil, fmt.Errorf("moran: %d points but %d values", len(pts), len(values))
@@ -122,16 +121,19 @@ func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int,
 		}
 		prev = r
 	}
+	xs, ys := geom.SplitXY(pts)
 	var out []CorrelogramPoint
 	for _, r := range radii {
-		w, err := weights.DistanceBand(pts, r)
+		w, err := weights.DistanceBand(xs, ys, r, -1)
 		if err != nil {
 			return nil, err
 		}
-		w.RowStandardize()
-		res, err := Global(values, w, perms, rng)
+		if w.S0() == 0 {
+			continue // no pair within r: skip the band
+		}
+		res, err := Global(values, w.RowStandardize(), perms, rng)
 		if err != nil {
-			continue // empty band at this radius: skip
+			return nil, err
 		}
 		out = append(out, CorrelogramPoint{Radius: r, Result: res})
 	}

@@ -233,3 +233,32 @@ func TestCorrelogramValidation(t *testing.T) {
 		t.Errorf("band skipping: %v, %v", cg, err)
 	}
 }
+
+// TestCorrelogramReturnsErrors: only a band with no pair in range is
+// skipped; what Global refuses is returned as such, not reported as
+// "every distance band was empty".
+func TestCorrelogramReturnsErrors(t *testing.T) {
+	pts := gridPoints(2)
+	radii := []float64{1.5}
+	for _, tc := range []struct {
+		name  string
+		vals  []float64
+		perms int
+		want  string
+	}{
+		{"constant values", []float64{5, 5, 5, 5}, 0, "moran: constant values (zero variance)"},
+		{"perms without a rng", []float64{1, 2, 3, 4}, 9, "moran: permutation test requires a rng"},
+	} {
+		if _, err := Correlogram(pts, tc.vals, radii, tc.perms, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Correlogram(pts[:2], []float64{1, 2}, radii, 0, nil); err == nil || err.Error() != "moran: need at least 3 sites, got 2" {
+		t.Errorf("n = 2: err = %v", err)
+	}
+	// A genuinely empty first band is still skipped, with a permutation test too.
+	cg, err := Correlogram(pts, []float64{1, 2, 3, 4}, []float64{0.5, 1.5}, 9, rand.New(rand.NewSource(1)))
+	if err != nil || len(cg) != 1 || cg[0].Radius != 1.5 || cg[0].Result.Perms != 9 {
+		t.Errorf("band skipping: %v, %v", cg, err)
+	}
+}

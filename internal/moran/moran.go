@@ -4,39 +4,17 @@
 package moran
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"geostat/internal/parallel"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
 
-// Options configures a permutation test. Permutation p shuffles its own
-// copy of the values with an RNG derived deterministically from (Seed, p),
-// so results are bit-identical for every Workers value.
-type Options struct {
-	// Perms is the number of permutations; 0 skips the test.
-	Perms int
-	// Seed drives the permutation RNGs.
-	Seed int64
-	// Workers fans permutations out across goroutines (0/1 serial, <0
-	// GOMAXPROCS).
-	Workers int
-	// Ctx optionally bounds the permutation test: workers check it between
-	// task chunks and the entry point returns ctx.Err() (with a nil
-	// result) when it fires. Nil means no cancellation.
-	Ctx context.Context
-}
-
-// context returns the effective context of the test.
-func (o *Options) context() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
+// Options configures a permutation test: the one stat.PermOptions every
+// global autocorrelation statistic shares.
+type Options = stat.PermOptions
 
 // Result is a global Moran's I with its permutation test.
 type Result struct {
@@ -86,60 +64,16 @@ func GlobalOpt(values []float64, w *weights.Matrix, opt Options) (*Result, error
 	if !ok {
 		return nil, fmt.Errorf("moran: constant values (zero variance)")
 	}
-	res := &Result{
-		I:        obs,
-		Expected: -1 / float64(n-1),
-		Perms:    opt.Perms,
-	}
-	if opt.Perms <= 0 {
-		return res, nil
-	}
-	samples, err := permuteSamples(values, opt, func(perm []float64) float64 {
+	res := &Result{I: obs, Expected: -1 / float64(n-1), Perms: opt.Perms}
+	var err error
+	res.PermMean, res.PermStd, res.Z, res.P, err = stat.PermutationTest(values, obs, opt, func(perm []float64) float64 {
 		s, _ := statistic(perm, w, s0)
 		return s
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.PermMean, res.PermStd, res.Z, res.P = permSummary(obs, samples)
 	return res, nil
-}
-
-// permuteSamples evaluates stat on opt.Perms random permutations of
-// values, fanning out across opt.Workers. Each permutation copies values
-// into a per-worker buffer and shuffles it with its own derived RNG — no
-// cross-permutation state, so any worker count gives the same samples.
-func permuteSamples(values []float64, opt Options, stat func(perm []float64) float64) ([]float64, error) {
-	n := len(values)
-	samples := make([]float64, opt.Perms)
-	_, err := parallel.MonteCarloScratchCtx(opt.context(), opt.Perms, opt.Workers, opt.Seed,
-		func() []float64 { return make([]float64, n) },
-		func(rng *rand.Rand, perm []float64, p int) {
-			copy(perm, values)
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			samples[p] = stat(perm)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
-// permSummary reduces a permutation distribution to its mean/std, the
-// observed z-score, and the two-sided pseudo p-value (r+1)/(perms+1).
-func permSummary(obs float64, samples []float64) (mean, std, z, p float64) {
-	mean, std = meanStd(samples)
-	if std > 0 {
-		z = (obs - mean) / std
-	}
-	extreme := 0
-	for _, s := range samples {
-		if math.Abs(s-mean) >= math.Abs(obs-mean) {
-			extreme++
-		}
-	}
-	p = float64(extreme+1) / float64(len(samples)+1)
-	return mean, std, z, p
 }
 
 // statistic computes I; ok=false when the values have zero variance.
@@ -232,7 +166,7 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 	// z \ {z_i} is equivalent and cheaper. Sites fan out across workers;
 	// each site's draws come from its own (Seed, i)-derived RNG and only
 	// out[i] is written, so any worker count gives the same z-scores.
-	_, mcErr := parallel.MonteCarloScratchCtx(opt.context(), n, opt.Workers, opt.Seed,
+	_, mcErr := parallel.MonteCarloScratchCtx(opt.Ctx, n, opt.Workers, opt.Seed,
 		func() []float64 { return make([]float64, opt.Perms) },
 		func(rng *rand.Rand, samples []float64, i int) {
 			if w.Degree(i) == 0 {
@@ -250,7 +184,7 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 				})
 				samples[p] = z[i] / m2 * s
 			}
-			mean, std := meanStd(samples)
+			mean, std := stat.MeanStd(samples)
 			if std > 0 {
 				out[i].Z = (out[i].I - mean) / std
 			}
@@ -259,17 +193,4 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 		return nil, mcErr
 	}
 	return out, nil
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

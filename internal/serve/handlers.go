@@ -195,33 +195,6 @@ func parseGrid(d *geostat.Dataset, p *params) geostat.PixelGrid {
 	return geostat.NewPixelGrid(box, nx, ny)
 }
 
-// parseWeights builds the spatial weight matrix for the autocorrelation
-// tools: weights=knn (default, k=8) or weights=band (radius defaults to
-// 1/10 of the bbox diagonal). rowstd=true row-standardizes (Moran's I
-// convention; General G keeps binary weights by default).
-func (s *Server) parseWeights(d *geostat.Dataset, p *params, rowstd bool) (*geostat.SpatialWeights, error) {
-	var (
-		w   *geostat.SpatialWeights
-		err error
-	)
-	switch scheme := p.str("weights", "knn"); scheme {
-	case "knn":
-		w, err = geostat.KNNWeightsWorkers(d.Points(), p.intv("k", 8), s.cfg.Workers)
-	case "band":
-		radius := p.floatv("radius", bboxDiag(d.Bounds())/10)
-		w, err = geostat.DistanceBandWeightsWorkers(d.Points(), radius, s.cfg.Workers)
-	default:
-		return nil, fmt.Errorf("unknown weights scheme %q (knn|band)", scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.boolv("rowstd", rowstd) {
-		w.RowStandardize()
-	}
-	return w, nil
-}
-
 func bboxDiag(b geostat.BBox) float64 {
 	return math.Hypot(b.Width(), b.Height())
 }
@@ -435,95 +408,120 @@ func (s *Server) computeKFunction(ctx context.Context, d *geostat.Dataset, p *pa
 }
 
 // computeMoran serves GET /v1/moran: global Moran's I with a permutation
-// test. Parameters: weights/k/radius/rowstd (see parseWeights), perms
-// (default 99), seed.
+// test over row-standardised weights (see computeAutocorr).
 func (s *Server) computeMoran(ctx context.Context, d *geostat.Dataset, p *params) (Value, error) {
-	_, weights := obs.Trace(ctx, "moran.weights")
-	defer weights.End()
-	w, err := s.parseWeights(d, p, true)
-	weights.End()
-	if err != nil {
-		return Value{}, err
-	}
-	_, parse := obs.Trace(ctx, "moran.parse")
-	defer parse.End()
-	opt := geostat.MoranOptions{
-		Perms:   p.intv("perms", 99),
-		Seed:    p.int64v("seed", 1),
-		Workers: s.cfg.Workers,
-	}
-	if perr := p.err(); perr != nil {
-		return Value{}, perr
-	}
-	parse.End()
-
-	cctx, compute := obs.Trace(ctx, "moran.compute")
-	defer compute.End()
-	opt.Ctx = cctx
-	res, err := geostat.MoranIOpt(d.Values(), w, opt)
-	compute.End()
-	if err != nil {
-		return Value{}, err
-	}
-
-	_, encode := obs.Trace(ctx, "moran.encode")
-	defer encode.End()
-	return jsonValue(struct {
-		Dataset  string  `json:"dataset"`
-		I        float64 `json:"i"`
-		Expected float64 `json:"expected"`
-		PermMean float64 `json:"perm_mean"`
-		PermStd  float64 `json:"perm_std"`
-		Z        float64 `json:"z"`
-		P        float64 `json:"p"`
-		Perms    int     `json:"perms"`
-	}{p.str("dataset", ""), res.I, res.Expected, res.PermMean, res.PermStd, res.Z, res.P, res.Perms})
+	return s.computeAutocorr(ctx, "moran", d, p, true, func(w *geostat.SpatialWeights, opt geostat.MoranOptions) (any, error) {
+		res, err := geostat.MoranIOpt(d.Values(), w, opt)
+		if err != nil {
+			return nil, err
+		}
+		return struct {
+			Dataset  string  `json:"dataset"`
+			I        float64 `json:"i"`
+			Expected float64 `json:"expected"`
+			PermMean float64 `json:"perm_mean"`
+			PermStd  float64 `json:"perm_std"`
+			Z        float64 `json:"z"`
+			P        float64 `json:"p"`
+			Perms    int     `json:"perms"`
+		}{p.str("dataset", ""), res.I, res.Expected, res.PermMean, res.PermStd, res.Z, res.P, res.Perms}, nil
+	})
 }
 
 // computeGeneralG serves GET /v1/generalg: Getis-Ord General G with a
 // permutation test. Weights stay binary by default (the statistic's
 // textbook form); pass rowstd=true to override.
 func (s *Server) computeGeneralG(ctx context.Context, d *geostat.Dataset, p *params) (Value, error) {
-	_, weights := obs.Trace(ctx, "generalg.weights")
-	defer weights.End()
-	w, err := s.parseWeights(d, p, false)
-	weights.End()
-	if err != nil {
-		return Value{}, err
-	}
-	_, parse := obs.Trace(ctx, "generalg.parse")
+	return s.computeAutocorr(ctx, "generalg", d, p, false, func(w *geostat.SpatialWeights, opt geostat.GetisOrdOptions) (any, error) {
+		res, err := geostat.GeneralGOpt(d.Values(), w, opt)
+		if err != nil {
+			return nil, err
+		}
+		return struct {
+			Dataset  string  `json:"dataset"`
+			G        float64 `json:"g"`
+			Expected float64 `json:"expected"`
+			PermMean float64 `json:"perm_mean"`
+			PermStd  float64 `json:"perm_std"`
+			Z        float64 `json:"z"`
+			P        float64 `json:"p"`
+			Perms    int     `json:"perms"`
+		}{p.str("dataset", ""), res.G, res.Expected, res.PermMean, res.PermStd, res.Z, res.P, res.Perms}, nil
+	})
+}
+
+// computeAutocorr is the request path of the global autocorrelation tools:
+// parse every parameter — weights=knn (default, k=8) or weights=band
+// (radius defaults to 1/10 of the bbox diagonal), rowstd, perms (default
+// 99), seed — and only when all of them are valid build the weight matrix
+// from the dataset's columns and hand it to run, whose result is the JSON
+// body. tool prefixes the span names.
+func (s *Server) computeAutocorr(ctx context.Context, tool string, d *geostat.Dataset, p *params, rowstd bool,
+	run func(w *geostat.SpatialWeights, opt geostat.MoranOptions) (any, error)) (Value, error) {
+	_, parse := obs.Trace(ctx, tool+".parse")
 	defer parse.End()
-	opt := geostat.GetisOrdOptions{
+	scheme := p.str("weights", "knn")
+	k := p.intv("k", 8)
+	radius := p.floatv("radius", bboxDiag(d.Bounds())/10)
+	rowstd = p.boolv("rowstd", rowstd)
+	opt := geostat.MoranOptions{
 		Perms:   p.intv("perms", 99),
 		Seed:    p.int64v("seed", 1),
 		Workers: s.cfg.Workers,
 	}
-	if perr := p.err(); perr != nil {
-		return Value{}, perr
+	if err := p.err(); err != nil {
+		return Value{}, err
+	}
+	if scheme != "knn" && scheme != "band" {
+		return Value{}, fmt.Errorf("unknown weights scheme %q (knn|band)", scheme)
+	}
+	if opt.Perms < 0 || opt.Perms > 10000 {
+		return Value{}, fmt.Errorf("perms must be in [0, 10000]")
 	}
 	parse.End()
 
-	cctx, compute := obs.Trace(ctx, "generalg.compute")
+	_, weights := obs.Trace(ctx, tool+".weights")
+	defer weights.End()
+	var (
+		w   *geostat.SpatialWeights
+		err error
+	)
+	if scheme == "knn" {
+		w, err = geostat.KNNWeightsDataset(d, k, s.cfg.Workers)
+	} else {
+		w, err = geostat.DistanceBandWeightsDataset(d, radius, s.cfg.Workers)
+	}
+	if err != nil {
+		return Value{}, err
+	}
+	if rowstd {
+		w.RowStandardize()
+	}
+	if weights != nil {
+		nnz := 0
+		for i := 0; i < w.N; i++ {
+			nnz += w.Degree(i)
+		}
+		weights.SetAttrInt("points", int64(w.N))
+		weights.SetAttrInt("neighbors", int64(nnz))
+	}
+	weights.End()
+
+	cctx, compute := obs.Trace(ctx, tool+".compute")
 	defer compute.End()
+	if compute != nil {
+		compute.SetAttrInt("perms", int64(opt.Perms))
+	}
 	opt.Ctx = cctx
-	res, err := geostat.GeneralGOpt(d.Values(), w, opt)
+	body, err := run(w, opt)
 	compute.End()
 	if err != nil {
 		return Value{}, err
 	}
 
-	_, encode := obs.Trace(ctx, "generalg.encode")
+	_, encode := obs.Trace(ctx, tool+".encode")
 	defer encode.End()
-	return jsonValue(struct {
-		Dataset  string  `json:"dataset"`
-		G        float64 `json:"g"`
-		Expected float64 `json:"expected"`
-		PermMean float64 `json:"perm_mean"`
-		PermStd  float64 `json:"perm_std"`
-		Z        float64 `json:"z"`
-		P        float64 `json:"p"`
-		Perms    int     `json:"perms"`
-	}{p.str("dataset", ""), res.G, res.Expected, res.PermMean, res.PermStd, res.Z, res.P, res.Perms})
+	return jsonValue(body)
 }
 
 // computeIDW serves GET /v1/idw: inverse-distance-weighted interpolation

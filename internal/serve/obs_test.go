@@ -173,6 +173,64 @@ func TestKFunctionSpanAttrs(t *testing.T) {
 	}
 }
 
+// TestAutocorrSpanAttrs pins the span tree of /v1/moran and /v1/generalg
+// (the weights build takes no context, so it is a leaf; one
+// parallel.monte_carlo under the test — no node per permutation) and the
+// attributes that explain a request: points and neighbors (nnz of the
+// weight matrix) on <tool>.weights, perms on <tool>.compute. A request
+// refused with 400 must not have built a matrix first.
+func TestAutocorrSpanAttrs(t *testing.T) {
+	srv := newServer(t, serve.Config{CacheBytes: 8 << 20, Workers: 2})
+	generate(t, srv, "name=ev&kind=clusters&n=300&seed=5&field=true")
+	lastTrace := func() obs.SpanTree {
+		t.Helper()
+		var tree obs.SpanTree
+		if err := json.Unmarshal(do(t, srv, http.MethodGet, "/debug/trace/last", nil).Body.Bytes(), &tree); err != nil {
+			t.Fatalf("decode trace: %v", err)
+		}
+		return tree
+	}
+	for _, tool := range []string{"moran", "generalg"} {
+		rr := do(t, srv, http.MethodGet, "/v1/"+tool+"?dataset=ev&k=6&perms=29&seed=3", nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tool, rr.Code, rr.Body.String())
+		}
+		tree := lastTrace()
+		want := []string{
+			"request", "request.lookup", "request.cache", tool + ".parse", tool + ".weights",
+			tool + ".compute", "parallel.monte_carlo", "parallel.for_scratch", tool + ".encode",
+		}
+		if got := tree.StageNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: stage tree = %v, want %v", tool, got, want)
+		}
+		attrs := map[string]string{}
+		for _, c := range tree.Children {
+			for _, a := range c.Attrs {
+				attrs[c.Name+"/"+a.Key] = a.Value
+			}
+		}
+		for k, v := range map[string]string{
+			tool + ".weights/points": "300", tool + ".weights/neighbors": "1800", tool + ".compute/perms": "29",
+		} {
+			if attrs[k] != v {
+				t.Errorf("%s = %q, want %s", k, attrs[k], v)
+			}
+		}
+
+		for _, bad := range []string{"k=abc", "perms=x", "perms=2000000000"} {
+			if rr := do(t, srv, http.MethodGet, "/v1/"+tool+"?dataset=ev&"+bad, nil); rr.Code != http.StatusBadRequest {
+				t.Fatalf("%s?%s: status %d, want 400", tool, bad, rr.Code)
+			}
+			refused := lastTrace()
+			for _, name := range refused.StageNames() {
+				if name == tool+".weights" {
+					t.Errorf("%s?%s answered 400 after building the weight matrix", tool, bad)
+				}
+			}
+		}
+	}
+}
+
 func TestSlowRequestLogging(t *testing.T) {
 	var (
 		mu  sync.Mutex

@@ -124,6 +124,36 @@ func TestToolParamEdgeCases(t *testing.T) {
 			want:   `unknown weights scheme "foo" (knn|band)`,
 		},
 		{
+			name:   "moran oversized perms",
+			target: "/v1/moran?dataset=d&perms=2000000000",
+			want:   `perms must be in [0, 10000]`,
+		},
+		{
+			name:   "moran negative perms",
+			target: "/v1/moran?dataset=d&perms=-1",
+			want:   `perms must be in [0, 10000]`,
+		},
+		{
+			name:   "generalg oversized perms",
+			target: "/v1/generalg?dataset=d&perms=10001",
+			want:   `perms must be in [0, 10000]`,
+		},
+		{
+			name:   "moran non-integer k",
+			target: "/v1/moran?dataset=d&k=abc",
+			want:   `invalid parameters: k: not an integer ("abc")`,
+		},
+		{
+			name:   "generalg non-integer perms",
+			target: "/v1/generalg?dataset=d&perms=x",
+			want:   `invalid parameters: perms: not an integer ("x")`,
+		},
+		{
+			name:   "generalg band with a non-numeric radius and seed",
+			target: "/v1/generalg?dataset=d&weights=band&radius=far&seed=s",
+			want:   `invalid parameters: radius: not a number ("far"); seed: not an integer ("s")`,
+		},
+		{
 			name:   "idw unknown method",
 			target: "/v1/idw?dataset=d&method=x",
 			want:   `unknown method "x" (naive|knn|radius)`,

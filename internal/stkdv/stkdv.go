@@ -113,7 +113,7 @@ func Naive(d *dataset.Dataset, opt Options) (*Cube, error) {
 	}
 	cube := newCube(&opt)
 	g := opt.Grid
-	pts := d.Points()
+	cols := d.Columns()
 	eventTimes := d.Times()
 	jobs := len(opt.Times) * g.NY
 	// Each (slice, row) job writes a disjoint row of the cube.
@@ -123,14 +123,15 @@ func Naive(d *dataset.Dataset, opt Options) (*Cube, error) {
 		qy := g.CenterY(iy)
 		row := cube.Values[si][iy*g.NX : (iy+1)*g.NX]
 		for ix := range row {
-			q := geom.Point{X: g.CenterX(ix), Y: qy}
+			qx := g.CenterX(ix)
 			sum := 0.0
-			for i, p := range pts {
+			for i, x := range cols.X {
 				kt := opt.TimeKernel.Eval(math.Abs(eventTimes[i] - ts))
 				if kt == 0 {
 					continue
 				}
-				sum += kt * opt.SpaceKernel.Eval2(p.Dist2(q))
+				dx, dy := x-qx, cols.Y[i]-qy
+				sum += kt * opt.SpaceKernel.Eval2(dx*dx+dy*dy)
 			}
 			row[ix] = sum
 		}
@@ -178,10 +179,10 @@ func Shared(d *dataset.Dataset, opt Options) (*Cube, error) {
 
 	bs := opt.SpaceKernel.Bandwidth()
 	bt := opt.TimeKernel.Bandwidth()
-	pts := d.Points()
 	eventTimes := d.Times()
 	coefs := make([]float64, nCoef)
-	for i, p := range pts {
+	for i := range eventTimes {
+		p := d.Point(i)
 		tp := eventTimes[i] - tMid
 		// Active slice range: |times[j] − tp| ≤ bt.
 		jLo := sort.SearchFloat64s(times, tp-bt)

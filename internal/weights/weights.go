@@ -22,83 +22,62 @@ type Matrix struct {
 	w   []float64
 }
 
-// KNN returns the binary k-nearest-neighbour weight matrix: w_ij = 1 if j
-// is one of i's k nearest points (asymmetric in general). Equivalent to
-// KNNWorkers with every core.
-func KNN(pts []geom.Point, k int) (*Matrix, error) {
-	return KNNWorkers(pts, k, -1)
-}
-
-// KNNWorkers is KNN with an explicit parallelism degree (0/1 serial, <0
-// GOMAXPROCS). Rows are computed independently (the kd-tree is read-only
+// KNN returns the binary k-nearest-neighbour weight matrix over the sites
+// (xs[i], ys[i]): w_ij = 1 if j is one of i's k nearest points (asymmetric
+// in general). workers is the parallelism degree (0/1 serial, <0
+// GOMAXPROCS); rows are computed independently (the kd-tree is read-only
 // once built) and assembled in site order, so the matrix is bit-identical
 // for every worker count.
-func KNNWorkers(pts []geom.Point, k, workers int) (*Matrix, error) {
-	n := len(pts)
+func KNN(xs, ys []float64, k, workers int) (*Matrix, error) {
+	n := len(xs)
 	if k < 1 {
 		return nil, fmt.Errorf("weights: k must be >= 1, got %d", k)
 	}
 	if k >= n {
 		return nil, fmt.Errorf("weights: k=%d must be < n=%d", k, n)
 	}
-	tree := kdtree.New(pts)
-	rows := make([][]int32, n)
-	type knnScratch struct{ buf []int }
-	parallel.ForScratch(n, workers,
-		func() *knnScratch { return &knnScratch{} },
-		func(s *knnScratch, i int) {
-			// k+1 nearest includes the point itself (distance 0); drop i.
-			idx, _ := tree.KNearest(pts[i], k+1, s.buf)
-			s.buf = idx
-			row := make([]int32, 0, k)
-			for _, j := range idx {
-				if j == i || len(row) == k {
-					continue
-				}
-				row = append(row, int32(j))
-			}
-			rows[i] = row
-		})
-	return fromRows(n, rows), nil
+	tree := kdtree.NewColumns(xs, ys)
+	return fromQueries(n, workers, k, func(i int, buf []int) []int {
+		// k+1 nearest includes the point itself (distance 0); drop i.
+		idx, _ := tree.KNearest(geom.Point{X: xs[i], Y: ys[i]}, k+1, buf)
+		return idx
+	}), nil
 }
 
-// DistanceBand returns the binary distance-band weight matrix:
-// w_ij = 1 if 0 < dist(i, j) <= radius (symmetric). Equivalent to
-// DistanceBandWorkers with every core.
-func DistanceBand(pts []geom.Point, radius float64) (*Matrix, error) {
-	return DistanceBandWorkers(pts, radius, -1)
-}
-
-// DistanceBandWorkers is DistanceBand with an explicit parallelism degree
-// (0/1 serial, <0 GOMAXPROCS). Rows are computed independently over a
-// read-only grid index and assembled in site order, so the matrix is
-// bit-identical for every worker count.
-func DistanceBandWorkers(pts []geom.Point, radius float64, workers int) (*Matrix, error) {
-	n := len(pts)
+// DistanceBand returns the binary distance-band weight matrix over the
+// sites (xs[i], ys[i]): w_ij = 1 if 0 < dist(i, j) <= radius (symmetric).
+// Rows are computed independently over a read-only grid index, so like KNN
+// the matrix is bit-identical for every worker count.
+func DistanceBand(xs, ys []float64, radius float64, workers int) (*Matrix, error) {
+	n := len(xs)
 	if !(radius > 0) {
 		return nil, fmt.Errorf("weights: radius must be positive, got %g", radius)
 	}
-	idx := gridindex.New(pts, radius)
+	idx := gridindex.NewColumns(xs, ys, radius)
+	return fromQueries(n, workers, n, func(i int, buf []int) []int {
+		return idx.RangeQuery(geom.Point{X: xs[i], Y: ys[i]}, radius, buf[:0])
+	}), nil
+}
+
+// fromQueries assembles the CSR matrix with unit weights whose row i is the
+// first limit indices other than i that query(i, buf) returns; buf is
+// per-worker scratch the query may reuse for its result.
+func fromQueries(n, workers, limit int, query func(i int, buf []int) []int) *Matrix {
 	rows := make([][]int32, n)
-	type bandScratch struct{ buf []int }
+	type scratch struct{ buf []int }
 	parallel.ForScratch(n, workers,
-		func() *bandScratch { return &bandScratch{} },
-		func(s *bandScratch, i int) {
-			s.buf = idx.RangeQuery(pts[i], radius, s.buf[:0])
-			row := make([]int32, 0, len(s.buf))
-			for _, j := range s.buf {
-				if j != i {
+		func() *scratch { return &scratch{} },
+		func(s *scratch, i int) {
+			idx := query(i, s.buf)
+			s.buf = idx
+			row := make([]int32, 0, min(limit, len(idx)))
+			for _, j := range idx {
+				if j != i && len(row) < limit {
 					row = append(row, int32(j))
 				}
 			}
 			rows[i] = row
 		})
-	return fromRows(n, rows), nil
-}
-
-// fromRows assembles per-site neighbour lists into the CSR layout with
-// unit weights.
-func fromRows(n int, rows [][]int32) *Matrix {
 	total := 0
 	for _, r := range rows {
 		total += len(r)

@@ -18,19 +18,30 @@ func gridPoints(n int) []geom.Point {
 	return pts
 }
 
+// knn and band call the columnar constructors on a point slice.
+func knn(pts []geom.Point, k int) (*Matrix, error) {
+	xs, ys := geom.SplitXY(pts)
+	return KNN(xs, ys, k, -1)
+}
+
+func band(pts []geom.Point, radius float64) (*Matrix, error) {
+	xs, ys := geom.SplitXY(pts)
+	return DistanceBand(xs, ys, radius, -1)
+}
+
 func TestKNNValidation(t *testing.T) {
 	pts := gridPoints(3)
-	if _, err := KNN(pts, 0); err == nil {
+	if _, err := knn(pts, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KNN(pts, len(pts)); err == nil {
+	if _, err := knn(pts, len(pts)); err == nil {
 		t.Error("k=n accepted")
 	}
 }
 
 func TestKNNStructure(t *testing.T) {
 	pts := gridPoints(5)
-	m, err := KNN(pts, 4)
+	m, err := knn(pts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +79,10 @@ func TestKNNStructure(t *testing.T) {
 
 func TestDistanceBand(t *testing.T) {
 	pts := gridPoints(4)
-	if _, err := DistanceBand(pts, 0); err == nil {
+	if _, err := band(pts, 0); err == nil {
 		t.Error("radius=0 accepted")
 	}
-	m, err := DistanceBand(pts, 1.0)
+	m, err := band(pts, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func TestDistanceBand(t *testing.T) {
 
 func TestRowStandardize(t *testing.T) {
 	pts := gridPoints(4)
-	m, err := DistanceBand(pts, 1.0)
+	m, err := band(pts, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestRowStandardize(t *testing.T) {
 	}
 	// Isolated point: row stays zero.
 	iso := append(gridPoints(2), geom.Point{X: 100, Y: 100})
-	m2, err := DistanceBand(iso, 1.5)
+	m2, err := band(iso, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		pts[i] = geom.Point{X: r.Float64() * 50, Y: r.Float64() * 50}
 	}
 	const k = 6
-	m, err := KNN(pts, k)
+	m, err := knn(pts, k)
 	if err != nil {
 		t.Fatal(err)
 	}

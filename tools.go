@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"geostat/internal/cluster"
+	"geostat/internal/geom"
 	"geostat/internal/getisord"
 	"geostat/internal/idw"
 	"geostat/internal/kriging"
@@ -111,32 +112,51 @@ func KrigeLOOCVWorkers(d *Dataset, v Variogram, neighbors, workers int) (*Krigin
 type SpatialWeights = weights.Matrix
 
 // KNNWeights returns binary k-nearest-neighbour weights.
-func KNNWeights(pts []Point, k int) (*SpatialWeights, error) { return weights.KNN(pts, k) }
+func KNNWeights(pts []Point, k int) (*SpatialWeights, error) { return KNNWeightsWorkers(pts, k, -1) }
 
 // KNNWeightsWorkers is KNNWeights with an explicit parallelism degree
 // (0/1 serial, <0 GOMAXPROCS); the matrix is bit-identical for every
-// worker count.
+// worker count. Like every []Point weights function it copies pts into
+// coordinate columns once, at this edge.
 func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
-	return weights.KNNWorkers(pts, k, workers)
+	xs, ys := geom.SplitXY(pts)
+	return weights.KNN(xs, ys, k, workers)
+}
+
+// KNNWeightsDataset is KNNWeightsWorkers over a Dataset: the index is
+// built from the dataset's coordinate columns (no []Point copy).
+func KNNWeightsDataset(d *Dataset, k, workers int) (*SpatialWeights, error) {
+	cols := d.Columns()
+	return weights.KNN(cols.X, cols.Y, k, workers)
 }
 
 // DistanceBandWeights returns binary weights for 0 < dist <= radius.
 func DistanceBandWeights(pts []Point, radius float64) (*SpatialWeights, error) {
-	return weights.DistanceBand(pts, radius)
+	return DistanceBandWeightsWorkers(pts, radius, -1)
 }
 
 // DistanceBandWeightsWorkers is DistanceBandWeights with an explicit
 // parallelism degree (0/1 serial, <0 GOMAXPROCS); the matrix is
 // bit-identical for every worker count.
 func DistanceBandWeightsWorkers(pts []Point, radius float64, workers int) (*SpatialWeights, error) {
-	return weights.DistanceBandWorkers(pts, radius, workers)
+	xs, ys := geom.SplitXY(pts)
+	return weights.DistanceBand(xs, ys, radius, workers)
+}
+
+// DistanceBandWeightsDataset is DistanceBandWeightsWorkers over a Dataset:
+// the index is built from the dataset's coordinate columns.
+func DistanceBandWeightsDataset(d *Dataset, radius float64, workers int) (*SpatialWeights, error) {
+	cols := d.Columns()
+	return weights.DistanceBand(cols.X, cols.Y, radius, workers)
 }
 
 // MoranOptions configures a Moran/Geary permutation test: Perms
 // permutations from the deterministic Seed, fanned out across Workers.
 type MoranOptions = moran.Options
 
-// GetisOrdOptions configures the General G permutation test.
+// GetisOrdOptions configures the General G permutation test; it is the
+// same type as MoranOptions (one permutation driver serves all three
+// global statistics).
 type GetisOrdOptions = getisord.Options
 
 // MoranResult is a global Moran's I with its permutation test.
