@@ -43,6 +43,11 @@ type Dataset struct {
 	times   []float64 // event timestamps, arbitrary units; nil if purely spatial
 	values  []float64 // measured attribute at each point; nil if pure events
 	weights []float64 // per-event mass; nil means all 1
+
+	// nb holds what the coordinates alone determine (kd-tree, last
+	// adjacency), built on first use; it makes a Dataset non-copyable —
+	// pass *Dataset, as every API here does.
+	nb neighbourhood
 }
 
 // New assembles a dataset from points and optional times/values columns

@@ -22,6 +22,7 @@ import (
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/index/kdtree"
+	"geostat/internal/obs"
 	"geostat/internal/parallel"
 	"geostat/internal/raster"
 )
@@ -143,16 +144,15 @@ func KNN(d *dataset.Dataset, opt Options, k int) (*raster.Grid, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("idw: k must be >= 1, got %d", k)
 	}
-	cols := d.Columns()
-	tree := kdtree.NewColumns(cols.X, cols.Y)
+	tree, built := d.Tree()
+	obs.ActiveSpan(opt.Ctx).SetAttrHit("tree", !built)
 	vals := d.Values()
 	return runRows(&opt, func(iy int, row []float64) {
 		qy := opt.Grid.CenterY(iy)
-		var scratch []int
+		var scratch kdtree.Scratch // per row: rows are the unit of parallel work
 		for ix := range row {
 			q := geom.Point{X: opt.Grid.CenterX(ix), Y: qy}
-			idx, d2 := tree.KNearest(q, k, scratch)
-			scratch = idx
+			idx, d2 := tree.KNearest(q, k, &scratch)
 			num, den := 0.0, 0.0
 			exact := math.NaN()
 			for j, i := range idx {
@@ -184,7 +184,6 @@ func Radius(d *dataset.Dataset, opt Options, radius float64) (*raster.Grid, erro
 	}
 	cols := d.Columns()
 	idx := gridindex.NewColumns(cols.X, cols.Y, radius)
-	tree := kdtree.NewColumns(cols.X, cols.Y) // fallback nearest
 	xs, ys, ids := idx.Columns()
 	vals := d.Values()
 	r2 := radius * radius
@@ -222,6 +221,7 @@ func Radius(d *dataset.Dataset, opt Options, radius float64) (*raster.Grid, erro
 			case den > 0:
 				row[ix] = num / den
 			default:
+				tree, _ := d.Tree() // fallback nearest; built only if some pixel needs it
 				i, _ := tree.Nearest(q)
 				row[ix] = vals[i]
 			}

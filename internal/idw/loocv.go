@@ -35,10 +35,11 @@ func LOOCV(d *dataset.Dataset, power float64, k int) (*CVResult, error) {
 	}
 	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.NewColumns(cols.X, cols.Y)
+	tree, _ := d.Tree()
 	res := &CVResult{Residuals: make([]float64, n)}
+	var scratch kdtree.Scratch
 	for i := range vals {
-		idx, d2 := tree.KNearest(geom.Point{X: cols.X[i], Y: cols.Y[i]}, k+1, nil)
+		idx, d2 := tree.KNearest(geom.Point{X: cols.X[i], Y: cols.Y[i]}, k+1, &scratch)
 		num, den := 0.0, 0.0
 		exact := math.NaN()
 		taken := 0

@@ -102,8 +102,8 @@ func TestColumnsEqualPointsEqualBruteForce(t *testing.T) {
 			sorted := append([]float64(nil), brute...)
 			sort.Float64s(sorted)
 			for _, k := range []int{1, 5, leafSize, leafSize + 1, n, n + 3} {
-				ia, da := ta.KNearest(q, k, nil)
-				ib, db := tb.KNearest(q, k, nil)
+				ia, da := ta.KNearest(q, k, new(Scratch))
+				ib, db := tb.KNearest(q, k, new(Scratch))
 				if !reflect.DeepEqual(ia, ib) || !sameBits(da, db) {
 					t.Fatalf("%s: KNearest(%v, %d): points-built %v %v, columns-built %v %v", name, q, k, ia, da, ib, db)
 				}
@@ -172,7 +172,7 @@ func latticeDigest(tr *Tree) string {
 	}
 	for _, q := range append(lattice(12), geom.Point{X: 5.5, Y: 5.5}, geom.Point{X: -3, Y: 14.25}) {
 		for _, k := range []int{1, 4, 8, 9, 25, 144} {
-			idx, d2 := tr.KNearest(q, k, nil)
+			idx, d2 := tr.KNearest(q, k, new(Scratch))
 			for j, i := range idx {
 				put(uint64(i))
 				put(math.Float64bits(d2[j]))

@@ -243,89 +243,88 @@ func (t *Tree) rangeQuery(ni int32, q geom.Point, r2 float64, dst []int) []int {
 // Nearest returns the original index of the point nearest to q and its
 // distance. It returns (-1, +Inf) on an empty tree.
 func (t *Tree) Nearest(q geom.Point) (int, float64) {
-	idx, d2 := t.KNearest(q, 1, nil)
+	var s Scratch
+	idx, d2 := t.KNearest(q, 1, &s)
 	if len(idx) == 0 {
 		return -1, math.Inf(1)
 	}
 	return idx[0], math.Sqrt(d2[0])
 }
 
+// Scratch is the caller-owned state of KNearest: a fixed-capacity max-heap
+// on squared distance holding the k best candidates seen so far, which the
+// query then sorts in place into its result. The zero value is ready to
+// use; it grows to the largest k asked of it and a query on a warm Scratch
+// allocates nothing. Give each worker its own — a Scratch must not be
+// shared by concurrent queries.
+type Scratch struct {
+	idx []int
+	d2  []float64
+	n   int
+}
+
 // KNearest returns the original indices of the k points nearest to q,
-// ordered by increasing distance, and their squared distances. The reuse
-// slice, if non-nil, is used as scratch to avoid allocation.
-func (t *Tree) KNearest(q geom.Point, k int, reuse []int) (idx []int, d2 []float64) {
+// ordered by increasing distance, and their squared distances (min(k, Len)
+// of each; nil for k <= 0 or an empty tree). Both slices are s's own
+// storage: they are valid until the next query through s, and a caller
+// that keeps a result copies it out first.
+func (t *Tree) KNearest(q geom.Point, k int, s *Scratch) (idx []int, d2 []float64) {
 	if k <= 0 || len(t.nodes) == 0 {
 		return nil, nil
 	}
 	if k > len(t.xs) {
 		k = len(t.xs)
 	}
-	h := &nnHeap{}
-	t.kNearest(0, q, k, h)
-	// Extract in increasing order.
-	idx = reuse[:0]
-	idx = append(idx, make([]int, h.n)...)
-	d2 = make([]float64, h.n)
-	for i := h.n - 1; i >= 0; i-- {
-		idx[i], d2[i] = h.pop()
+	if cap(s.idx) < k {
+		s.idx, s.d2 = make([]int, k), make([]float64, k)
 	}
-	return idx, d2
+	s.idx, s.d2, s.n = s.idx[:k], s.d2[:k], 0
+	t.kNearest(0, 0, q, s) // the root is never pruned: the heap is empty
+	// Heapsort in place: each step moves the current maximum behind the
+	// shrinking heap, leaving the candidates in increasing order.
+	for s.n > 1 {
+		s.n--
+		s.swap(0, s.n)
+		s.down(0)
+	}
+	return s.idx, s.d2
 }
 
-func (t *Tree) kNearest(ni int32, q geom.Point, k int, h *nnHeap) {
-	n := &t.nodes[ni]
-	if h.n == k && n.box.MinDist2(q) > h.max() {
+// kNearest visits node ni, whose box is at squared distance minD2 from q
+// (computed once, by the parent, which also needed it to order its
+// children).
+func (t *Tree) kNearest(ni int32, minD2 float64, q geom.Point, h *Scratch) {
+	k := len(h.idx)
+	if h.n == k && minD2 > h.d2[0] {
 		return
 	}
+	n := &t.nodes[ni]
 	if n.left < 0 {
 		for i := n.lo; i < n.hi; i++ {
-			h.push(t.idx[i], t.dist2(i, q), k)
+			d2 := t.dist2(i, q)
+			switch {
+			case h.n < k:
+				h.idx[h.n], h.d2[h.n] = t.idx[i], d2
+				h.n++
+				h.up(h.n - 1)
+			case d2 < h.d2[0]: // a tie with the current k-th keeps the earlier point
+				h.idx[0], h.d2[0] = t.idx[i], d2
+				h.down(0)
+			}
 		}
 		return
 	}
 	// Visit the child nearer to q first for tighter pruning.
 	l, r := n.left, n.right
-	if t.nodes[l].box.MinDist2(q) > t.nodes[r].box.MinDist2(q) {
-		l, r = r, l
+	dl, dr := t.nodes[l].box.MinDist2(q), t.nodes[r].box.MinDist2(q)
+	if dl > dr {
+		l, r, dl, dr = r, l, dr, dl
 	}
-	t.kNearest(l, q, k, h)
-	t.kNearest(r, q, k, h)
+	t.kNearest(l, dl, q, h)
+	t.kNearest(r, dr, q, h)
 }
 
-// nnHeap is a fixed-capacity max-heap on squared distance, keeping the k
-// best candidates seen so far.
-type nnHeap struct {
-	idx []int
-	d2  []float64
-	n   int
-}
-
-func (h *nnHeap) max() float64 { return h.d2[0] }
-
-func (h *nnHeap) push(idx int, d2 float64, k int) {
-	if h.n < k {
-		h.idx = append(h.idx[:h.n], idx)
-		h.d2 = append(h.d2[:h.n], d2)
-		h.n++
-		h.up(h.n - 1)
-		return
-	}
-	if d2 >= h.d2[0] {
-		return
-	}
-	h.idx[0], h.d2[0] = idx, d2
-	h.down(0)
-}
-
-func (h *nnHeap) pop() (int, float64) {
-	idx, d2 := h.idx[0], h.d2[0]
-	h.n--
-	h.idx[0], h.d2[0] = h.idx[h.n], h.d2[h.n]
-	h.down(0)
-	return idx, d2
-}
-
-func (h *nnHeap) up(i int) {
+func (h *Scratch) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if h.d2[parent] >= h.d2[i] {
@@ -336,7 +335,7 @@ func (h *nnHeap) up(i int) {
 	}
 }
 
-func (h *nnHeap) down(i int) {
+func (h *Scratch) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
@@ -354,9 +353,8 @@ func (h *nnHeap) down(i int) {
 	}
 }
 
-func (h *nnHeap) swap(i, j int) {
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-	h.d2[i], h.d2[j] = h.d2[j], h.d2[i]
+func (h *Scratch) swap(i, j int) {
+	h.idx[i], h.d2[i], h.idx[j], h.d2[j] = h.idx[j], h.d2[j], h.idx[i], h.d2[i]
 }
 
 // Visit walks the tree for bound-based aggregation (the QUAD/KARL pattern):

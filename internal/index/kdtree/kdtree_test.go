@@ -144,7 +144,7 @@ func TestKNearest(t *testing.T) {
 	tr := New(pts)
 	for _, k := range []int{1, 3, 10, 50, 400, 500} {
 		q := geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
-		idx, d2 := tr.KNearest(q, k, nil)
+		idx, d2 := tr.KNearest(q, k, new(Scratch))
 		wantK := k
 		if wantK > len(pts) {
 			wantK = len(pts)
@@ -171,7 +171,7 @@ func TestKNearest(t *testing.T) {
 			t.Fatalf("k=%d: kth dist %v, want %v", k, d2[wantK-1], all[wantK-1])
 		}
 	}
-	if idx, _ := tr.KNearest(geom.Point{}, 0, nil); idx != nil {
+	if idx, _ := tr.KNearest(geom.Point{}, 0, new(Scratch)); idx != nil {
 		t.Error("k=0 should return nil")
 	}
 }

@@ -80,7 +80,7 @@ func TestQuickKNearestInvariant(t *testing.T) {
 		k := int(kRaw)%len(pts) + 1
 		q := geom.Point{X: qx * 100, Y: qy * 100}
 		tr := New(pts)
-		idx, d2 := tr.KNearest(q, k, nil)
+		idx, d2 := tr.KNearest(q, k, new(Scratch))
 		if len(idx) != k {
 			return false
 		}

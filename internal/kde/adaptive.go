@@ -119,10 +119,9 @@ func AdaptiveBandwidths(pts []geom.Point, k int, scale, minBandwidth float64) ([
 	}
 	tree := kdtree.New(pts)
 	out := make([]float64, len(pts))
-	var scratch []int
+	var scratch kdtree.Scratch
 	for i, p := range pts {
-		idx, d2 := tree.KNearest(p, k+1, scratch) // includes self at d=0
-		scratch = idx
+		_, d2 := tree.KNearest(p, k+1, &scratch) // includes self at d=0
 		b := minBandwidth
 		if len(d2) > 0 {
 			if d := math.Sqrt(d2[len(d2)-1]) * scale; d > b {

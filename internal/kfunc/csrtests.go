@@ -114,10 +114,9 @@ func ClarkEvans(pts []geom.Point, window geom.BBox) (*ClarkEvansResult, error) {
 	}
 	tree := kdtree.New(pts)
 	sum := 0.0
-	var scratch []int
+	var scratch kdtree.Scratch
 	for _, p := range pts {
-		idx, d2 := tree.KNearest(p, 2, scratch) // self + nearest other
-		scratch = idx
+		_, d2 := tree.KNearest(p, 2, &scratch) // self + nearest other
 		sum += math.Sqrt(d2[len(d2)-1])
 	}
 	rObs := sum / float64(n)

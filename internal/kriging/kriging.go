@@ -58,7 +58,7 @@ func Interpolate(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 	}
 	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.NewColumns(cols.X, cols.Y)
+	tree, _ := d.Tree()
 	out := raster.NewGrid(opt.Grid)
 	ny, nx := opt.Grid.NY, opt.Grid.NX
 
@@ -72,8 +72,7 @@ func Interpolate(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 			row := out.Values[iy*nx : (iy+1)*nx]
 			for ix := range row {
 				q := geom.Point{X: opt.Grid.CenterX(ix), Y: qy}
-				idx, d2 := tree.KNearest(q, k, st.scratch)
-				st.scratch = idx
+				idx, d2 := tree.KNearest(q, k, &st.scratch)
 				v, err := st.estimateFrom(cols.X, cols.Y, vals, idx, d2, opt.Variogram)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
@@ -92,7 +91,7 @@ func Interpolate(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 type solveState struct {
 	mat     *linalg.Matrix
 	rhs     []float64
-	scratch []int
+	scratch kdtree.Scratch
 }
 
 func newSolveState(k int) *solveState {

@@ -7,7 +7,6 @@ import (
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
-	"geostat/internal/index/kdtree"
 	"geostat/internal/parallel"
 )
 
@@ -55,7 +54,7 @@ func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVR
 	}
 	cols := d.Columns()
 	vals := d.Values()
-	tree := kdtree.NewColumns(cols.X, cols.Y)
+	tree, _ := d.Tree()
 	res := &CVResult{Residuals: make([]float64, n)}
 	var firstErr atomic.Value
 	parallel.ForScratch(n, workers,
@@ -70,8 +69,7 @@ func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVR
 			p := geom.Point{X: cols.X[i], Y: cols.Y[i]}
 			// k+1 nearest includes the sample itself; withhold it. Duplicate
 			// sites keep their twin (that is the honest LOOCV answer there).
-			idx, d2 := tree.KNearest(p, k+1, s.st.scratch)
-			s.st.scratch = idx
+			idx, d2 := tree.KNearest(p, k+1, &s.st.scratch)
 			s.idxBuf = s.idxBuf[:0]
 			s.d2Buf = s.d2Buf[:0]
 			for j, id := range idx {

@@ -113,6 +113,19 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
+// SetAttrHit annotates the span with whether a memo or cache lookup was
+// served without building ("hit") or had to build ("miss"). Safe on nil.
+func (s *Span) SetAttrHit(key string, hit bool) {
+	if s == nil {
+		return
+	}
+	v := "miss"
+	if hit {
+		v = "hit"
+	}
+	s.SetAttr(key, v)
+}
+
 // SpanTree is an immutable JSON-ready snapshot of a span and its
 // children, served at /debug/trace/last and printed for slow requests.
 type SpanTree struct {

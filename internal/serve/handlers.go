@@ -12,6 +12,7 @@ import (
 
 	"geostat"
 	"geostat/internal/obs"
+	"geostat/internal/weights"
 )
 
 // ---- dataset management ----
@@ -480,32 +481,34 @@ func (s *Server) computeAutocorr(ctx context.Context, tool string, d *geostat.Da
 	}
 	parse.End()
 
-	_, weights := obs.Trace(ctx, tool+".weights")
-	defer weights.End()
+	_, span := obs.Trace(ctx, tool+".weights")
+	defer span.End()
 	var (
 		w   *geostat.SpatialWeights
+		hit bool
 		err error
 	)
 	if scheme == "knn" {
-		w, err = geostat.KNNWeightsDataset(d, k, s.cfg.Workers)
+		w, hit, err = weights.KNNDataset(d, k, s.cfg.Workers)
 	} else {
-		w, err = geostat.DistanceBandWeightsDataset(d, radius, s.cfg.Workers)
+		w, hit, err = weights.DistanceBandDataset(d, radius, s.cfg.Workers)
 	}
 	if err != nil {
 		return Value{}, err
 	}
+	span.SetAttrHit("memo", hit)
 	if rowstd {
 		w.RowStandardize()
 	}
-	if weights != nil {
+	if span != nil {
 		nnz := 0
 		for i := 0; i < w.N; i++ {
 			nnz += w.Degree(i)
 		}
-		weights.SetAttrInt("points", int64(w.N))
-		weights.SetAttrInt("neighbors", int64(nnz))
+		span.SetAttrInt("points", int64(w.N))
+		span.SetAttrInt("neighbors", int64(nnz))
 	}
-	weights.End()
+	span.End()
 
 	cctx, compute := obs.Trace(ctx, tool+".compute")
 	defer compute.End()

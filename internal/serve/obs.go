@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 
+	"geostat/internal/dataset"
 	"geostat/internal/obs"
 )
 
@@ -31,6 +32,13 @@ func (s *Server) registerObs() {
 		"entries resident in the result cache", func() int64 { return s.cache.Stats().Entries })
 	s.metrics.GaugeFunc("geostatd_cache_bytes",
 		"bytes resident in the result cache", func() int64 { return s.cache.Stats().Bytes })
+	// Misses of the per-snapshot neighbourhood memo (dataset.Tree /
+	// dataset.Adjacency). The count is the process's, like the datasets.
+	const buildsHelp = "kd-trees and adjacency patterns built by dataset snapshots (neighbourhood memo misses)"
+	s.metrics.CounterFunc("dataset_neighbourhood_builds_total", buildsHelp,
+		func() int64 { t, _ := dataset.NeighbourhoodBuilds(); return t }, obs.L("kind", "tree"))
+	s.metrics.CounterFunc("dataset_neighbourhood_builds_total", buildsHelp,
+		func() int64 { _, a := dataset.NeighbourhoodBuilds(); return a }, obs.L("kind", "adjacency"))
 }
 
 // Metrics exposes the server's obs registry (cmd/geostatd, tests).

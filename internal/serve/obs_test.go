@@ -177,8 +177,10 @@ func TestKFunctionSpanAttrs(t *testing.T) {
 // (the weights build takes no context, so it is a leaf; one
 // parallel.monte_carlo under the test — no node per permutation) and the
 // attributes that explain a request: points and neighbors (nnz of the
-// weight matrix) on <tool>.weights, perms on <tool>.compute. A request
-// refused with 400 must not have built a matrix first.
+// weight matrix) and memo on <tool>.weights, perms on <tool>.compute —
+// memo is miss for the first request over the snapshot and hit for the
+// General G request that follows it with the same k. A request refused with
+// 400 must not have built a matrix first.
 func TestAutocorrSpanAttrs(t *testing.T) {
 	srv := newServer(t, serve.Config{CacheBytes: 8 << 20, Workers: 2})
 	generate(t, srv, "name=ev&kind=clusters&n=300&seed=5&field=true")
@@ -190,6 +192,7 @@ func TestAutocorrSpanAttrs(t *testing.T) {
 		}
 		return tree
 	}
+	memo := map[string]string{"moran": "miss", "generalg": "hit"}
 	for _, tool := range []string{"moran", "generalg"} {
 		rr := do(t, srv, http.MethodGet, "/v1/"+tool+"?dataset=ev&k=6&perms=29&seed=3", nil)
 		if rr.Code != http.StatusOK {
@@ -211,6 +214,7 @@ func TestAutocorrSpanAttrs(t *testing.T) {
 		}
 		for k, v := range map[string]string{
 			tool + ".weights/points": "300", tool + ".weights/neighbors": "1800", tool + ".compute/perms": "29",
+			tool + ".weights/memo": memo[tool],
 		} {
 			if attrs[k] != v {
 				t.Errorf("%s = %q, want %s", k, attrs[k], v)

@@ -17,6 +17,9 @@ func TestToolParamEdgeCases(t *testing.T) {
 	// field=true attaches values so the interpolation/autocorrelation
 	// tools get past dataset validation and into parameter parsing.
 	generate(t, srv, "name=d&kind=csr&n=100&seed=1&field=true")
+	// Large enough that n·k can pass the weight matrix's 2³¹−1 nonzeros;
+	// the request is refused from the product, before any index is built.
+	generate(t, srv, "name=wide&kind=csr&n=50000&seed=1&field=true")
 
 	cases := []struct {
 		name   string
@@ -152,6 +155,11 @@ func TestToolParamEdgeCases(t *testing.T) {
 			name:   "generalg band with a non-numeric radius and seed",
 			target: "/v1/generalg?dataset=d&weights=band&radius=far&seed=s",
 			want:   `invalid parameters: radius: not a number ("far"); seed: not an integer ("s")`,
+		},
+		{
+			name:   "moran kNN with more neighbours than int32 offsets address",
+			target: "/v1/moran?dataset=wide&k=49999",
+			want:   `weights: 2499950000 neighbours over n=50000 sites exceed the limit of 2147483647; use a smaller k or radius`,
 		},
 		{
 			name:   "idw unknown method",

@@ -6,7 +6,10 @@ package weights
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/index/kdtree"
@@ -14,7 +17,10 @@ import (
 )
 
 // Matrix is a sparse spatial weight matrix in CSR layout. Self-weights are
-// always zero (w_ii = 0), per the statistics' definitions.
+// always zero (w_ii = 0), per the statistics' definitions. The pattern
+// (off, col) is read-only and may be shared with other matrices built over
+// the same dataset; the weights w are this matrix's own, so RowStandardize
+// never shows through to another holder of the pattern.
 type Matrix struct {
 	N   int
 	off []int32
@@ -22,26 +28,87 @@ type Matrix struct {
 	w   []float64
 }
 
+// maxNeighbors is the most nonzeros a Matrix can address: its row offsets
+// are int32. A variable so the band test can reach it with a small input.
+var maxNeighbors int64 = math.MaxInt32
+
+// TooDenseError reports a neighbourhood with more nonzeros than a Matrix
+// can address. Neighbors is the count that overflowed: exact for kNN (n·k,
+// known before any query runs); for a distance band the running total when
+// its counting pass stopped — at the row that crossed the limit, plus the
+// rows other workers had in flight.
+type TooDenseError struct {
+	N         int
+	Neighbors int64
+}
+
+func (e *TooDenseError) Error() string {
+	return fmt.Sprintf("weights: %d neighbours over n=%d sites exceed the limit of %d; use a smaller k or radius",
+		e.Neighbors, e.N, maxNeighbors)
+}
+
 // KNN returns the binary k-nearest-neighbour weight matrix over the sites
 // (xs[i], ys[i]): w_ij = 1 if j is one of i's k nearest points (asymmetric
 // in general). workers is the parallelism degree (0/1 serial, <0
 // GOMAXPROCS); rows are computed independently (the kd-tree is read-only
-// once built) and assembled in site order, so the matrix is bit-identical
+// once built) and written in site order, so the matrix is bit-identical
 // for every worker count.
 func KNN(xs, ys []float64, k, workers int) (*Matrix, error) {
-	n := len(xs)
+	if err := checkK(len(xs), k); err != nil {
+		return nil, err
+	}
+	return newMatrix(knnPattern(kdtree.NewColumns(xs, ys), xs, ys, k, workers)), nil
+}
+
+// KNNDataset is KNN over d's coordinate columns, sharing what the snapshot
+// already knows: the kd-tree is d.Tree() and the pattern is d's memoised
+// adjacency when the last one asked of d was the same k (hit reports that).
+// The matrix returned is fresh either way — only its read-only pattern is
+// shared.
+func KNNDataset(d *dataset.Dataset, k, workers int) (*Matrix, bool, error) {
+	if err := checkK(d.N(), k); err != nil {
+		return nil, false, err
+	}
+	adj, hit, err := d.Adjacency(dataset.AdjacencyKey{Scheme: "knn", Param: uint64(k)}, func() (*dataset.Adjacency, error) {
+		cols := d.Columns()
+		tree, _ := d.Tree()
+		return knnPattern(tree, cols.X, cols.Y, k, workers), nil
+	})
+	return newMatrix(adj), hit, err
+}
+
+func checkK(n, k int) error {
 	if k < 1 {
-		return nil, fmt.Errorf("weights: k must be >= 1, got %d", k)
+		return fmt.Errorf("weights: k must be >= 1, got %d", k)
 	}
 	if k >= n {
-		return nil, fmt.Errorf("weights: k=%d must be < n=%d", k, n)
+		return fmt.Errorf("weights: k=%d must be < n=%d", k, n)
 	}
-	tree := kdtree.NewColumns(xs, ys)
-	return fromQueries(n, workers, k, func(i int, buf []int) []int {
-		// k+1 nearest includes the point itself (distance 0); drop i.
-		idx, _ := tree.KNearest(geom.Point{X: xs[i], Y: ys[i]}, k+1, buf)
-		return idx
-	}), nil
+	if nnz := int64(n) * int64(k); nnz > maxNeighbors {
+		return &TooDenseError{N: n, Neighbors: nnz}
+	}
+	return nil
+}
+
+// knnPattern is the kNN adjacency of the sites over their kd-tree: row i is
+// the first k of i's k+1 nearest other than i itself (the query point is
+// its own nearest at distance 0; among more than k coincident sites it may
+// not be returned at all, and the row is then simply the first k).
+func knnPattern(tree *kdtree.Tree, xs, ys []float64, k, workers int) *dataset.Adjacency {
+	off := make([]int32, len(xs)+1)
+	for i := range off {
+		off[i] = int32(i * k)
+	}
+	return fromQueries(off, workers, func(s *kdtree.Scratch, i int, row []int32) {
+		idx, _ := tree.KNearest(geom.Point{X: xs[i], Y: ys[i]}, k+1, s)
+		m := 0
+		for _, j := range idx {
+			if j != i && m < k {
+				row[m] = int32(j)
+				m++
+			}
+		}
+	})
 }
 
 // DistanceBand returns the binary distance-band weight matrix over the
@@ -49,53 +116,125 @@ func KNN(xs, ys []float64, k, workers int) (*Matrix, error) {
 // Rows are computed independently over a read-only grid index, so like KNN
 // the matrix is bit-identical for every worker count.
 func DistanceBand(xs, ys []float64, radius float64, workers int) (*Matrix, error) {
-	n := len(xs)
-	if !(radius > 0) {
-		return nil, fmt.Errorf("weights: radius must be positive, got %g", radius)
+	if err := checkRadius(radius); err != nil {
+		return nil, err
 	}
+	adj, err := bandPattern(xs, ys, radius, workers)
+	return newMatrix(adj), err
+}
+
+// DistanceBandDataset is DistanceBand over d's coordinate columns, with the
+// pattern memoised on d like KNNDataset's (keyed by the radius's bits; a
+// band denser than the snapshot's retention bound is built per call).
+func DistanceBandDataset(d *dataset.Dataset, radius float64, workers int) (*Matrix, bool, error) {
+	if err := checkRadius(radius); err != nil {
+		return nil, false, err
+	}
+	adj, hit, err := d.Adjacency(dataset.AdjacencyKey{Scheme: "band", Param: math.Float64bits(radius)}, func() (*dataset.Adjacency, error) {
+		cols := d.Columns()
+		return bandPattern(cols.X, cols.Y, radius, workers)
+	})
+	return newMatrix(adj), hit, err
+}
+
+func checkRadius(radius float64) error {
+	if !(radius > 0) {
+		return fmt.Errorf("weights: radius must be positive, got %g", radius)
+	}
+	return nil
+}
+
+// bandPattern is the distance-band adjacency of the sites. Row lengths are
+// not known in advance, so it runs bandRow twice: a counting pass that
+// fixes the offsets — and refuses, before any column storage exists, as
+// soon as the running total passes maxNeighbors — then the pass that
+// writes each row in place.
+func bandPattern(xs, ys []float64, radius float64, workers int) (*dataset.Adjacency, error) {
+	n := len(xs)
 	idx := gridindex.NewColumns(xs, ys, radius)
-	return fromQueries(n, workers, n, func(i int, buf []int) []int {
-		return idx.RangeQuery(geom.Point{X: xs[i], Y: ys[i]}, radius, buf[:0])
+	off := make([]int32, n+1)
+	var total atomic.Int64
+	parallel.For(n, workers, func(i int) {
+		if total.Load() > maxNeighbors {
+			return // already refused: the rows left cost a load each
+		}
+		deg := bandRow(idx, geom.Point{X: xs[i], Y: ys[i]}, int32(i), radius, nil)
+		off[i+1] = int32(deg)
+		total.Add(int64(deg))
+	})
+	if nnz := total.Load(); nnz > maxNeighbors {
+		return nil, &TooDenseError{N: n, Neighbors: nnz}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	return fromQueries(off, workers, func(_ *kdtree.Scratch, i int, row []int32) {
+		bandRow(idx, geom.Point{X: xs[i], Y: ys[i]}, int32(i), radius, row)
 	}), nil
 }
 
-// fromQueries assembles the CSR matrix with unit weights whose row i is the
-// first limit indices other than i that query(i, buf) returns; buf is
-// per-worker scratch the query may reuse for its result.
-func fromQueries(n, workers, limit int, query func(i int, buf []int) []int) *Matrix {
-	rows := make([][]int32, n)
-	type scratch struct{ buf []int }
-	parallel.ForScratch(n, workers,
-		func() *scratch { return &scratch{} },
-		func(s *scratch, i int) {
-			idx := query(i, s.buf)
-			s.buf = idx
-			row := make([]int32, 0, min(limit, len(idx)))
-			for _, j := range idx {
-				if j != i && len(row) < limit {
-					row = append(row, int32(j))
+// bandRow counts the indexed points other than self within radius of q
+// (boundary inclusive) and, when row is non-nil, writes them to it in the
+// order the index's RangeQuery reports them, stopping once row — sized by
+// the counting pass — is full. One loop serves both passes, so they always
+// agree. The in-range test feeds an add, not a branch: about a third of a
+// cell neighbourhood's candidates fall inside the disc, which a branch
+// predictor cannot learn.
+func bandRow(idx *gridindex.Index, q geom.Point, self int32, radius float64, row []int32) int {
+	xs, ys, ids := idx.Columns()
+	r2 := radius * radius
+	cx0, cx1, cy0, cy1 := idx.CellSpan(q, radius)
+	m := 0
+	for cy := cy0; cy <= cy1; cy++ {
+		for cx := cx0; cx <= cx1; cx++ {
+			lo, hi := idx.Cell(cx, cy)
+			cys, cids := ys[lo:hi], ids[lo:hi]
+			for j, x := range xs[lo:hi] {
+				dx := x - q.X
+				dy := cys[j] - q.Y
+				in := 0
+				if dx*dx+dy*dy <= r2 {
+					in = 1
 				}
+				if cids[j] == self {
+					in = 0
+				}
+				if row != nil {
+					if m == len(row) {
+						return m
+					}
+					row[m] = cids[j]
+				}
+				m += in
 			}
-			rows[i] = row
-		})
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	m := &Matrix{
-		N:   n,
-		off: make([]int32, n+1),
-		col: make([]int32, 0, total),
-		w:   make([]float64, total),
-	}
-	for i, r := range rows {
-		m.col = append(m.col, r...)
-		m.off[i+1] = int32(len(m.col))
-	}
-	for i := range m.w {
-		m.w[i] = 1
+		}
 	}
 	return m
+}
+
+// fromQueries fills the CSR pattern whose row offsets are off: row(s, i,
+// dst) writes site i's neighbours into dst, its slice of the column array.
+// s is per-worker kd-tree query scratch.
+func fromQueries(off []int32, workers int, row func(s *kdtree.Scratch, i int, dst []int32)) *dataset.Adjacency {
+	n := len(off) - 1
+	col := make([]int32, off[n])
+	parallel.ForScratch(n, workers,
+		func() *kdtree.Scratch { return new(kdtree.Scratch) },
+		func(s *kdtree.Scratch, i int) { row(s, i, col[off[i]:off[i+1]]) })
+	return &dataset.Adjacency{Off: off, Col: col}
+}
+
+// newMatrix wraps a (possibly shared) pattern with unit weights of its own;
+// a nil pattern — the constructor failed — gives a nil matrix.
+func newMatrix(adj *dataset.Adjacency) *Matrix {
+	if adj == nil {
+		return nil
+	}
+	w := make([]float64, len(adj.Col))
+	for i := range w {
+		w[i] = 1
+	}
+	return &Matrix{N: len(adj.Off) - 1, off: adj.Off, col: adj.Col, w: w}
 }
 
 // RowStandardize scales each row to sum to 1 (rows with no neighbours stay

@@ -1,11 +1,15 @@
 package weights
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
+	gridindex "geostat/internal/index/grid"
 )
 
 func gridPoints(n int) []geom.Point {
@@ -178,4 +182,159 @@ func kthSmallest(ds []float64, k int) float64 {
 		ds[i], ds[min] = ds[min], ds[i]
 	}
 	return ds[k-1]
+}
+
+// hostileSites are the inputs the band loop is held to RangeQuery on:
+// scattered sites, more coincident sites than a grid cell usually holds,
+// and the same under UTM-scale offsets.
+func hostileSites() map[string][]geom.Point {
+	r := rand.New(rand.NewSource(9))
+	scattered := make([]geom.Point, 300)
+	for i := range scattered {
+		scattered[i] = geom.Point{X: r.Float64() * 20, Y: r.Float64() * 20}
+	}
+	coincident := append([]geom.Point(nil), scattered[:60]...)
+	for i := 0; i < 40; i++ {
+		coincident = append(coincident, geom.Point{X: 5, Y: 5})
+	}
+	utm := make([]geom.Point, len(coincident))
+	for i, p := range coincident {
+		utm[i] = geom.Point{X: p.X + 5e5, Y: p.Y + 4.2e6}
+	}
+	return map[string][]geom.Point{"scattered": scattered, "coincident": coincident, "utm": utm, "single": scattered[:1]}
+}
+
+// TestBandRowsEqualRangeQuery: every row of the two-pass band pattern is
+// the grid index's RangeQuery answer minus the site itself, in the same
+// order, for every worker count — the definition the per-row-slice
+// assembly it replaces implemented.
+func TestBandRowsEqualRangeQuery(t *testing.T) {
+	for name, pts := range hostileSites() {
+		xs, ys := geom.SplitXY(pts)
+		for _, radius := range []float64{0.5, 2, 1e3} {
+			idx := gridindex.NewColumns(xs, ys, radius)
+			for _, workers := range []int{1, 2, -1} {
+				m, err := DistanceBand(xs, ys, radius, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range pts {
+					var want []int
+					for _, j := range idx.RangeQuery(p, radius, nil) {
+						if j != i {
+							want = append(want, j)
+						}
+					}
+					var got []int
+					m.ForEachNeighbor(i, func(j int, w float64) {
+						got = append(got, j)
+						if w != 1 {
+							t.Fatalf("%s r=%g: weight %v", name, radius, w)
+						}
+					})
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s r=%g workers=%d: row %d = %v, RangeQuery minus self %v", name, radius, workers, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTooDense: a neighbourhood with more nonzeros than the int32 row
+// offsets address is refused with a typed error instead of wrapping — kNN
+// from n·k before any query runs, a band by the running count of its
+// counting pass, before any column storage is allocated.
+func TestTooDense(t *testing.T) {
+	old := maxNeighbors
+	t.Cleanup(func() { maxNeighbors = old })
+	pts := gridPoints(10) // n = 100
+	xs, ys := geom.SplitXY(pts)
+
+	maxNeighbors = 100*7 - 1
+	var dense *TooDenseError
+	if _, err := KNN(xs, ys, 7, -1); !errors.As(err, &dense) || dense.N != 100 || dense.Neighbors != 700 {
+		t.Fatalf("kNN over the limit: %v", err)
+	}
+	if m, err := KNN(xs, ys, 6, -1); err != nil || m.S0() != 600 {
+		t.Fatalf("kNN under the limit: %v", err)
+	}
+
+	// Radius 1 on the 10×10 lattice: 4 neighbours inside, 360 in all.
+	maxNeighbors = 359
+	dense = nil
+	if _, err := DistanceBand(xs, ys, 1, 1); !errors.As(err, &dense) || dense.Neighbors != 360 {
+		t.Fatalf("band over the limit, serial: %v", err)
+	}
+	if _, err := DistanceBand(xs, ys, 1, -1); !errors.As(err, &dense) || dense.Neighbors <= maxNeighbors {
+		t.Fatalf("band over the limit, parallel: %v", err)
+	}
+	d := dataset.FromPoints(pts)
+	if _, _, err := DistanceBandDataset(d, 1, -1); !errors.As(err, &dense) {
+		t.Fatalf("band dataset over the limit: %v", err)
+	}
+	maxNeighbors = 360
+	if m, hit, err := DistanceBandDataset(d, 1, -1); err != nil || hit || m.S0() != 360 {
+		t.Fatalf("band at the limit after a refusal: hit=%v err=%v (a failed build must not be memoised)", hit, err)
+	}
+}
+
+// TestDatasetConstructorsSharePattern: over one snapshot the dataset
+// constructors serve the same read-only pattern to every caller with the
+// same key — and a matrix of their own, so RowStandardize on one result
+// never shows in the next; rejected parameters leave the memo alone; the
+// matrices equal the column constructors' bit for bit.
+func TestDatasetConstructorsSharePattern(t *testing.T) {
+	pts := hostileSites()["coincident"]
+	xs, ys := geom.SplitXY(pts)
+	d := dataset.FromPoints(pts)
+
+	for _, k := range []int{0, len(pts)} {
+		if _, hit, err := KNNDataset(d, k, -1); err == nil || hit {
+			t.Fatalf("KNNDataset(k=%d): err=%v hit=%v", k, err, hit)
+		}
+	}
+	if _, hit, err := DistanceBandDataset(d, math.NaN(), -1); err == nil || hit {
+		t.Fatalf("DistanceBandDataset(NaN): err=%v hit=%v", err, hit)
+	}
+	_, before := dataset.NeighbourhoodBuilds()
+
+	m1, hit, err := KNNDataset(d, 5, 2)
+	if err != nil || hit {
+		t.Fatalf("first KNNDataset: hit=%v err=%v (rejected parameters must not occupy the slot)", hit, err)
+	}
+	m1.RowStandardize()
+	m2, hit, err := KNNDataset(d, 5, 1)
+	if err != nil || !hit {
+		t.Fatalf("second KNNDataset: hit=%v err=%v", hit, err)
+	}
+	if &m1.col[0] != &m2.col[0] || &m1.off[0] != &m2.off[0] || &m1.w[0] == &m2.w[0] {
+		t.Fatal("want a shared pattern and separate weights")
+	}
+	ref, err := KNN(xs, ys, 5, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m2, ref) {
+		t.Fatal("memoised matrix differs from weights.KNN, or shows the first result's RowStandardize")
+	}
+	if !reflect.DeepEqual(m1, ref.RowStandardize()) {
+		t.Fatal("row-standardised memoised matrix differs from weights.KNN's")
+	}
+
+	b1, hit1, err1 := DistanceBandDataset(d, 1.5, -1)
+	b2, hit2, err2 := DistanceBandDataset(d, 1.5, -1)
+	bref, err3 := DistanceBand(xs, ys, 1.5, -1)
+	if err := errors.Join(err1, err2, err3); err != nil || hit1 || !hit2 {
+		t.Fatalf("band: hits %v %v, err %v", hit1, hit2, err)
+	}
+	if !reflect.DeepEqual(b1, bref) || !reflect.DeepEqual(b2, bref) {
+		t.Fatal("memoised band matrix differs from weights.DistanceBand")
+	}
+	if _, hit, _ := KNNDataset(d, 5, -1); hit {
+		t.Fatal("kNN pattern survived the band request: the snapshot keeps one slot")
+	}
+	if _, after := dataset.NeighbourhoodBuilds(); after-before != 3 {
+		t.Fatalf("adjacency builds %d, want 3 (knn, band, knn again)", after-before)
+	}
 }

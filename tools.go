@@ -123,11 +123,14 @@ func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
 	return weights.KNN(xs, ys, k, workers)
 }
 
-// KNNWeightsDataset is KNNWeightsWorkers over a Dataset: the index is
-// built from the dataset's coordinate columns (no []Point copy).
+// KNNWeightsDataset is KNNWeightsWorkers over a Dataset (no []Point copy),
+// sharing structure across calls: the kd-tree belongs to the dataset, and
+// so does the neighbour pattern of the last scheme asked of it, so a
+// repeated k costs a fresh weight array and nothing else. Each call still
+// returns its own matrix — RowStandardize on one never shows in another.
 func KNNWeightsDataset(d *Dataset, k, workers int) (*SpatialWeights, error) {
-	cols := d.Columns()
-	return weights.KNN(cols.X, cols.Y, k, workers)
+	w, _, err := weights.KNNDataset(d, k, workers)
+	return w, err
 }
 
 // DistanceBandWeights returns binary weights for 0 < dist <= radius.
@@ -143,11 +146,12 @@ func DistanceBandWeightsWorkers(pts []Point, radius float64, workers int) (*Spat
 	return weights.DistanceBand(xs, ys, radius, workers)
 }
 
-// DistanceBandWeightsDataset is DistanceBandWeightsWorkers over a Dataset:
-// the index is built from the dataset's coordinate columns.
+// DistanceBandWeightsDataset is DistanceBandWeightsWorkers over a Dataset,
+// sharing the neighbour pattern across calls like KNNWeightsDataset (a
+// band averaging more than 32 neighbours per point is rebuilt per call).
 func DistanceBandWeightsDataset(d *Dataset, radius float64, workers int) (*SpatialWeights, error) {
-	cols := d.Columns()
-	return weights.DistanceBand(cols.X, cols.Y, radius, workers)
+	w, _, err := weights.DistanceBandDataset(d, radius, workers)
+	return w, err
 }
 
 // MoranOptions configures a Moran/Geary permutation test: Perms
