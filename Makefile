@@ -70,14 +70,16 @@ cover:
 	{ echo "coverage $$total% is below the ratchet $(COVER_RATCHET)%"; exit 1; }
 
 # Short fuzz runs of every parser, seeded from the committed corpora
-# under */testdata/fuzz, and of the kd-tree kNN query against brute force
-# (seeded in the test). ~10s per target.
+# under */testdata/fuzz, of the kd-tree kNN query against brute force
+# (seeded in the test) and of the result cache's index / heap invariants
+# under arbitrary Get / Put / re-upload sequences. ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s
 	$(GO) test ./internal/network -run '^$$' -fuzz FuzzReadEdgeCSV -fuzztime 10s
 	$(GO) test ./internal/lint/cfg -run '^$$' -fuzz FuzzBuild -fuzztime 10s
 	$(GO) test ./internal/index/kdtree -run '^$$' -fuzz FuzzKNearestBruteForce -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCacheOps -fuzztime 10s
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .

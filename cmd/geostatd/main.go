@@ -1,6 +1,7 @@
 // Command geostatd serves the geostat analytics tools (KDV, K-function,
 // Moran's I, General G, IDW) over HTTP with per-request timeouts, an
-// in-flight concurrency cap, and an LRU result cache.
+// in-flight concurrency cap, and a size-aware result cache (-cache-mb is
+// one byte budget; only a result larger than all of it is never cached).
 //
 // Usage:
 //

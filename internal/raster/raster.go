@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 
 	"geostat/internal/geom"
 )
@@ -105,25 +106,26 @@ func (g *Grid) MaxRelDiff(o *Grid, floor float64) (float64, error) {
 // ColorRamp maps a normalised value in [0,1] to a color.
 type ColorRamp func(t float64) color.RGBA
 
+// heatAnchors are the colors HeatRamp interpolates between.
+var heatAnchors = [...]color.RGBA{
+	{R: 0x30, G: 0x30, B: 0xff, A: 0xff}, // blue
+	{R: 0x00, G: 0xd0, B: 0xff, A: 0xff}, // cyan
+	{R: 0x20, G: 0xc0, B: 0x40, A: 0xff}, // green
+	{R: 0xff, G: 0xe0, B: 0x20, A: 0xff}, // yellow
+	{R: 0xe0, G: 0x20, B: 0x20, A: 0xff}, // red
+}
+
 // HeatRamp is the classic blue→cyan→green→yellow→red hotspot ramp used by
-// the GIS heatmaps the paper shows (Figure 1: red = hotspot).
+// the GIS heatmaps the paper shows (Figure 1: red = hotspot), piecewise
+// linear through heatAnchors.
 func HeatRamp(t float64) color.RGBA {
-	t = clamp01(t)
-	// Piecewise linear through 5 anchors.
-	anchors := []color.RGBA{
-		{R: 0x30, G: 0x30, B: 0xff, A: 0xff}, // blue
-		{R: 0x00, G: 0xd0, B: 0xff, A: 0xff}, // cyan
-		{R: 0x20, G: 0xc0, B: 0x40, A: 0xff}, // green
-		{R: 0xff, G: 0xe0, B: 0x20, A: 0xff}, // yellow
-		{R: 0xe0, G: 0x20, B: 0x20, A: 0xff}, // red
-	}
-	seg := t * float64(len(anchors)-1)
+	seg := clamp01(t) * float64(len(heatAnchors)-1)
 	i := int(seg)
-	if i >= len(anchors)-1 {
-		return anchors[len(anchors)-1]
+	if i >= len(heatAnchors)-1 {
+		return heatAnchors[len(heatAnchors)-1]
 	}
 	f := seg - float64(i)
-	a, b := anchors[i], anchors[i+1]
+	a, b := heatAnchors[i], heatAnchors[i+1]
 	return color.RGBA{
 		R: lerpByte(a.R, b.R, f),
 		G: lerpByte(a.G, b.G, f),
@@ -146,22 +148,38 @@ func GrayRamp(t float64) color.RGBA {
 func (g *Grid) Image(ramp ColorRamp) *image.RGBA {
 	lo, hi := g.MinMax()
 	span := hi - lo
-	img := image.NewRGBA(image.Rect(0, 0, g.Spec.NX, g.Spec.NY))
-	for iy := 0; iy < g.Spec.NY; iy++ {
-		for ix := 0; ix < g.Spec.NX; ix++ {
+	nx, ny := g.Spec.NX, g.Spec.NY
+	img := image.NewRGBA(image.Rect(0, 0, nx, ny))
+	for iy := 0; iy < ny; iy++ {
+		pix := img.Pix[(ny-1-iy)*img.Stride:]
+		for ix, v := range g.Values[iy*nx : (iy+1)*nx] {
 			t := 0.0
 			if span > 0 {
-				t = (g.At(ix, iy) - lo) / span
+				t = (v - lo) / span
 			}
-			img.SetRGBA(ix, g.Spec.NY-1-iy, ramp(t))
+			c := ramp(t)
+			pix[4*ix], pix[4*ix+1], pix[4*ix+2], pix[4*ix+3] = c.R, c.G, c.B, c.A
 		}
 	}
 	return img
 }
 
+// pngEncoder is png.Encode with its compressor and row buffers (≈ 800 KB a
+// call) kept between calls. The compression level stays the default, so the
+// bytes are exactly png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
+
+type pngBuffers struct{ pool sync.Pool }
+
+func (p *pngBuffers) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
+}
+func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
+
 // WritePNG renders g with ramp and writes a PNG stream to w.
 func (g *Grid) WritePNG(w io.Writer, ramp ColorRamp) error {
-	return png.Encode(w, g.Image(ramp))
+	return pngEncoder.Encode(w, g.Image(ramp))
 }
 
 // WritePNGFile renders g to the named PNG file.

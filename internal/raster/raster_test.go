@@ -2,6 +2,8 @@ package raster
 
 import (
 	"bytes"
+	"image"
+	"image/color"
 	"image/png"
 	"math"
 	"path/filepath"
@@ -116,6 +118,81 @@ func TestWritePNG(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.png")
 	if err := g.WritePNGFile(path, HeatRamp); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWritePNGMatchesStdlibEncode: the pooled encoder and the direct Pix
+// fill change no byte. Each surface is written twice, so the second call
+// runs on buffers the first one returned to the pool, and compared with
+// png.Encode of an image built pixel by pixel through At / SetRGBA.
+func TestWritePNGMatchesStdlibEncode(t *testing.T) {
+	hotspot := NewGrid(geom.NewPixelGrid(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 128, 96))
+	for iy := 0; iy < hotspot.Spec.NY; iy++ {
+		for ix := 0; ix < hotspot.Spec.NX; ix++ {
+			dx, dy := float64(ix-40), float64(iy-70)
+			hotspot.Set(ix, iy, math.Exp(-(dx*dx+dy*dy)/200))
+		}
+	}
+	constant := NewGrid(spec())
+	for i := range constant.Values {
+		constant.Values[i] = 3
+	}
+	single := NewGrid(geom.NewPixelGrid(geom.BBox{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 1, 1))
+	single.Values[0] = 7
+	translucent := func(v float64) color.RGBA { c := GrayRamp(v); c.A = 0x80; return c }
+
+	cases := []struct {
+		name string
+		g    *Grid
+		ramp ColorRamp
+	}{
+		{"hotspot", hotspot, HeatRamp},
+		{"constant", constant, HeatRamp},
+		{"1x1", single, HeatRamp},
+		{"hotspot gray", hotspot, GrayRamp},
+		{"hotspot translucent", hotspot, translucent},
+	}
+	for _, tc := range cases {
+		lo, hi := tc.g.MinMax()
+		ref := image.NewRGBA(image.Rect(0, 0, tc.g.Spec.NX, tc.g.Spec.NY))
+		for iy := 0; iy < tc.g.Spec.NY; iy++ {
+			for ix := 0; ix < tc.g.Spec.NX; ix++ {
+				v := 0.0
+				if hi > lo {
+					v = (tc.g.At(ix, iy) - lo) / (hi - lo)
+				}
+				ref.SetRGBA(ix, tc.g.Spec.NY-1-iy, tc.ramp(v))
+			}
+		}
+		var want bytes.Buffer
+		if err := png.Encode(&want, ref); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 1; pass <= 2; pass++ {
+			var got bytes.Buffer
+			if err := tc.g.WritePNG(&got, tc.ramp); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s, pass %d: WritePNG wrote %d bytes that differ from png.Encode's %d",
+					tc.name, pass, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+func BenchmarkWritePNG(b *testing.B) {
+	g := NewGrid(geom.NewPixelGrid(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 128, 128))
+	for i := range g.Values {
+		g.Values[i] = math.Sin(float64(i%128)/9) * math.Cos(float64(i/128)/7)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := g.WritePNG(&buf, HeatRamp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	version, err := s.reg.Put(name, d)
+	version, err := s.putDataset(name, d)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -53,6 +53,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Name: name, N: d.N(), Version: version,
 		HasTimes: d.HasTimes(), HasValues: d.HasValues(),
 	})
+}
+
+// putDataset registers d under name and, when that replaces an earlier
+// snapshot, drops the results cached for it: their keys are unreachable
+// from now on and would only hold bytes.
+func (s *Server) putDataset(name string, d *geostat.Dataset) (uint64, error) {
+	version, replaced, err := s.reg.put(name, d)
+	if replaced {
+		s.cache.invalidate(name, version)
+	}
+	return version, err
 }
 
 func decodeDataset(body []byte) (*geostat.Dataset, error) {
@@ -147,7 +158,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			return 10 + q.X/10 + q.Y/20 + 5*gaussBump(q, 35, 35, 15)
 		}, 0.5)
 	}
-	version, err := s.reg.Put(name, d)
+	version, err := s.putDataset(name, d)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -19,19 +19,24 @@ import (
 // scrape observes exactly one server's traffic.
 
 // registerObs installs the scrape-time metric callbacks that read state
-// owned elsewhere: the result cache's monotonic hit/miss/eviction
-// counters and its current occupancy.
+// owned elsewhere: the result cache's monotonic hit / miss / eviction /
+// refusal counters, its current occupancy and its budget.
 func (s *Server) registerObs() {
 	s.metrics.CounterFunc("geostatd_cache_hits_total",
 		"result cache hits", func() int64 { return s.cache.Stats().Hits })
 	s.metrics.CounterFunc("geostatd_cache_misses_total",
 		"result cache misses", func() int64 { return s.cache.Stats().Misses })
 	s.metrics.CounterFunc("geostatd_cache_evictions_total",
-		"result cache LRU evictions", func() int64 { return s.cache.Stats().Evictions })
+		"result cache evictions", func() int64 { return s.cache.Stats().Evictions })
+	s.metrics.CounterFunc("geostatd_cache_uncacheable_total",
+		"results not cached because one alone exceeds the cache's byte budget",
+		func() int64 { return s.cache.Stats().Uncacheable })
 	s.metrics.GaugeFunc("geostatd_cache_entries_count",
 		"entries resident in the result cache", func() int64 { return s.cache.Stats().Entries })
 	s.metrics.GaugeFunc("geostatd_cache_bytes",
 		"bytes resident in the result cache", func() int64 { return s.cache.Stats().Bytes })
+	s.metrics.GaugeFunc("geostatd_cache_capacity_bytes",
+		"byte budget of the result cache (0: caching disabled)", func() int64 { return s.cache.Stats().Capacity })
 	// Misses of the per-snapshot neighbourhood memo (dataset.Tree /
 	// dataset.Adjacency). The count is the process's, like the datasets.
 	const buildsHelp = "kd-trees and adjacency patterns built by dataset snapshots (neighbourhood memo misses)"

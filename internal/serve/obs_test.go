@@ -264,12 +264,13 @@ func TestSlowRequestLogging(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentStress hammers the 16-shard LRU from many goroutines
-// with a byte budget small enough to force continuous evictions, then
-// checks the accounting invariants. Run under -race this doubles as the
-// shard-locking correctness test. Raw goroutines are fine in test code.
+// TestCacheConcurrentStress hammers the result cache from sixteen
+// goroutines with a byte budget small enough to force continuous
+// evictions, then checks the accounting invariants. Run under -race this
+// doubles as the locking correctness test for its one mutex. Raw
+// goroutines are fine in test code.
 func TestCacheConcurrentStress(t *testing.T) {
-	const capacity = 1 << 14 // 16 KiB across 16 shards: ~1 KiB per shard
+	const capacity = 1 << 14 // 16 KiB: about 57 of the 64 keys fit
 	c := serve.NewCache(capacity)
 	body := make([]byte, 256)
 	const (

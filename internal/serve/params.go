@@ -96,7 +96,8 @@ func (p *params) boolv(key string, def bool) bool {
 //
 // Parameters are sorted by key (and by value within a repeated key), so
 // two requests that differ only in query-string ordering share a cache
-// entry, and the dataset version makes re-uploads invalidate implicitly.
+// entry, and the dataset version makes a re-upload's old results
+// unreachable (Cache.invalidate then drops them, see keyIsStale).
 // Every input that can change the result — seed included — must be a
 // query parameter, which is what makes equal keys imply byte-equal
 // responses.
@@ -126,4 +127,20 @@ func cacheKey(tool, dataset string, version uint64, q url.Values) string {
 		}
 	}
 	return b.String()
+}
+
+// keyIsStale reads cacheKey's grammar backwards: it reports whether key
+// was built for dataset name at a version older than current — after the
+// first '|', "name@", then the decimal version up to the next '|'. A
+// dataset whose own name begins with "name@<digits>|" over-matches, which
+// only costs it a miss.
+func keyIsStale(key, name string, current uint64) bool {
+	_, rest, _ := strings.Cut(key, "|")
+	rest, ok := strings.CutPrefix(rest, name)
+	if !ok || !strings.HasPrefix(rest, "@") {
+		return false
+	}
+	digits, _, _ := strings.Cut(rest[1:], "|")
+	version, err := strconv.ParseUint(digits, 10, 64)
+	return err == nil && version < current
 }

@@ -34,7 +34,8 @@ type regEntry struct {
 // Registry is the in-memory dataset store behind geostatd. Each name maps
 // to an immutable dataset snapshot plus a registry-wide monotonic version:
 // re-uploading a name bumps the version, so cache keys built from
-// name@version can never serve results computed against stale data.
+// name@version can never serve results computed against stale data (and
+// the server drops the old version's results, see Server.putDataset).
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]regEntry
@@ -50,23 +51,31 @@ func NewRegistry() *Registry {
 // Callers must not mutate d afterwards — concurrent requests read it
 // without copying.
 func (r *Registry) Put(name string, d *geostat.Dataset) (uint64, error) {
+	version, _, err := r.put(name, d)
+	return version, err
+}
+
+// put is Put that also reports whether name was registered before, which
+// is when cached results of the old snapshot exist to be dropped.
+func (r *Registry) put(name string, d *geostat.Dataset) (version uint64, replaced bool, err error) {
 	if name == "" {
-		return 0, fmt.Errorf("serve: empty dataset name")
+		return 0, false, fmt.Errorf("serve: empty dataset name")
 	}
 	if d == nil || d.N() == 0 {
-		return 0, fmt.Errorf("serve: dataset %q is empty", name)
+		return 0, false, fmt.Errorf("serve: dataset %q is empty", name)
 	}
 	if err := d.Validate(); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	_, replaced = r.entries[name]
 	r.version++
 	r.entries[name] = regEntry{
 		d: d, version: r.version,
 		digestOnce: new(sync.Once), digest: new(string),
 	}
-	return r.version, nil
+	return r.version, replaced, nil
 }
 
 // Get returns the dataset and its version, or false if name is unknown.

@@ -1,6 +1,7 @@
 // Package serve implements geostatd's HTTP serving layer: Table-1
 // analytics (KDV, K-function, Moran's I, General G, IDW) over JSON/PNG,
-// backed by an in-memory dataset registry and a sharded LRU result cache.
+// backed by an in-memory dataset registry and a result cache with one
+// byte budget and size-aware (GreedyDual-Size) eviction.
 //
 // Every tool request flows through the same harness (Server.toolHandler):
 // count the request, try the cache, then coalesce with any identical

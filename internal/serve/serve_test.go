@@ -85,6 +85,134 @@ func TestCacheInvalidatedOnReupload(t *testing.T) {
 	}
 }
 
+// cacheStats reads the result cache's counters off /healthz.
+func cacheStats(t *testing.T, srv *serve.Server) serve.CacheStats {
+	t.Helper()
+	var h struct {
+		Cache serve.CacheStats `json:"cache"`
+	}
+	if err := json.Unmarshal(do(t, srv, http.MethodGet, "/healthz", nil).Body.Bytes(), &h); err != nil {
+		t.Fatalf("decode /healthz: %v", err)
+	}
+	return h.Cache
+}
+
+// TestLargeBodyIsCached names the failure of the sharded cache: a result
+// larger than one sixteenth of the budget was computed again on every
+// request — with CacheBytes 1 MiB a 128² format=json KDV (≈ 300 KB)
+// answered X-Cache: miss forever. Now the only result refused is one
+// larger than the whole budget, and the refusal is counted.
+func TestLargeBodyIsCached(t *testing.T) {
+	const (
+		gen  = "name=d&kind=clusters&n=500&seed=7"
+		tile = "/v1/kdv?dataset=d&kernel=quartic&bandwidth=8&width=128&height=128&format=json"
+	)
+	xcache := func(srv *serve.Server) string {
+		t.Helper()
+		rr := do(t, srv, http.MethodGet, tile, nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+		}
+		return rr.Header().Get("X-Cache")
+	}
+	srv := newServer(t, serve.Config{CacheBytes: 1 << 20})
+	generate(t, srv, gen)
+	if first, second := xcache(srv), xcache(srv); first != "miss" || second != "hit" {
+		t.Fatalf("X-Cache = %q then %q under a 1 MiB budget, want miss then hit", first, second)
+	}
+	charge := cacheStats(t, srv).Bytes
+	if charge < 200_000 || charge > 1<<20/2 {
+		t.Fatalf("the 128² JSON raster is charged %d bytes; the test needs one between a sixteenth and a half of 1 MiB", charge)
+	}
+
+	exact := newServer(t, serve.Config{CacheBytes: charge})
+	generate(t, exact, gen)
+	if first, second := xcache(exact), xcache(exact); first != "miss" || second != "hit" {
+		t.Fatalf("X-Cache = %q then %q with the budget exactly the body's charge, want miss then hit", first, second)
+	}
+
+	tight := newServer(t, serve.Config{CacheBytes: charge - 1})
+	generate(t, tight, gen)
+	for i := 0; i < 3; i++ {
+		if got := xcache(tight); got != "miss" {
+			t.Fatalf("request %d: X-Cache = %q for a body one byte over the whole budget, want miss", i, got)
+		}
+	}
+	m := scrape(t, tight)
+	if m["geostatd_cache_uncacheable_total"] != "3" || m["geostatd_cache_bytes"] != "0" ||
+		m["geostatd_cache_capacity_bytes"] != fmt.Sprint(charge-1) {
+		t.Errorf("uncacheable_total = %q, cache_bytes = %q, capacity_bytes = %q; want 3, 0, %d",
+			m["geostatd_cache_uncacheable_total"], m["geostatd_cache_bytes"], m["geostatd_cache_capacity_bytes"], charge-1)
+	}
+	if m := scrape(t, srv); m["geostatd_cache_uncacheable_total"] != "0" || m["geostatd_cache_capacity_bytes"] != "1048576" {
+		t.Errorf("1 MiB server: uncacheable_total = %q, capacity_bytes = %q; want 0, 1048576",
+			m["geostatd_cache_uncacheable_total"], m["geostatd_cache_capacity_bytes"])
+	}
+}
+
+// TestReuploadDropsCachedResults: a re-upload frees the bytes of the
+// results it orphans at once — occupancy falls to the other datasets'
+// share — and every body served afterwards is byte-equal to a fresh
+// server's.
+func TestReuploadDropsCachedResults(t *testing.T) {
+	const (
+		genSurvey = "name=survey&kind=clusters&n=400&seed=5&field=true"
+		genOther  = "name=survey2&kind=csr&n=300&seed=6&field=true"
+	)
+	onSurvey := []string{
+		"/v1/kdv?dataset=survey&bandwidth=8&width=32&height=32",
+		"/v1/kdv?dataset=survey&bandwidth=8&width=32&height=32&format=png",
+		"/v1/idw?dataset=survey&method=knn&k=6&width=16&height=16",
+		"/v1/moran?dataset=survey&k=6&perms=19&seed=3",
+	}
+	onOther := []string{
+		"/v1/kdv?dataset=survey2&bandwidth=8&width=32&height=32",
+		"/v1/idw?dataset=survey2&method=knn&k=6&width=16&height=16",
+	}
+	get := func(srv *serve.Server, target, wantCache string) []byte {
+		t.Helper()
+		rr := do(t, srv, http.MethodGet, target, nil)
+		if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != wantCache {
+			t.Fatalf("%s: status %d, X-Cache %q, want 200 %s", target, rr.Code, rr.Header().Get("X-Cache"), wantCache)
+		}
+		return rr.Body.Bytes()
+	}
+
+	srv := newServer(t, serve.Config{CacheBytes: 8 << 20})
+	generate(t, srv, genOther)
+	for _, target := range onOther {
+		get(srv, target, "miss")
+	}
+	others := cacheStats(t, srv)
+	generate(t, srv, genSurvey) // a first upload of the name drops nothing
+	ref := newServer(t, serve.Config{CacheBytes: 8 << 20})
+	generate(t, ref, genSurvey)
+	fresh := make([][]byte, len(onSurvey))
+	for i, target := range onSurvey {
+		fresh[i] = get(ref, target, "miss")
+		get(srv, target, "miss")
+	}
+	if full := cacheStats(t, srv); full.Entries != others.Entries+int64(len(onSurvey)) || full.Bytes <= others.Bytes {
+		t.Fatalf("before the re-upload: %+v, want %d entries", full, others.Entries+int64(len(onSurvey)))
+	}
+
+	generate(t, srv, genSurvey)
+	after := cacheStats(t, srv)
+	if after.Entries != others.Entries || after.Bytes != others.Bytes || after.Evictions != 0 {
+		t.Fatalf("after the re-upload: %d entries, %d bytes, %d evictions; want the other dataset's %d entries, %d bytes and no eviction",
+			after.Entries, after.Bytes, after.Evictions, others.Entries, others.Bytes)
+	}
+	for _, target := range onOther {
+		get(srv, target, "hit")
+	}
+	for i, target := range onSurvey {
+		if body := get(srv, target, "miss"); !bytes.Equal(body, fresh[i]) {
+			t.Errorf("%s after the re-upload differs from a fresh server's body", target)
+		}
+		get(srv, target, "hit")
+	}
+}
+
 // heavyKDV is a naive-method KDV request big enough that it cannot finish
 // before the cancellation tests fire (5.2e9 kernel evaluations), while
 // the worker pools still observe ctx between row chunks.
