@@ -9,12 +9,28 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check fmt-check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke smoke load-smoke load-baseline shard-smoke shard-baseline
 
-check: vet build test race lint debt-gate points-gate
+check: fmt-check vet build test race lint debt-gate points-gate
+
+# Every Go file gofmt-clean. The analyzer fixtures under
+# internal/lint/testdata are geolint's input, not code, and are exempt.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
+	[ -z "$$out" ] || { echo "gofmt -l lists (run gofmt -w):"; echo "$$out"; exit 1; }; \
+	echo "fmt-check OK"
+
+# vet's unusedresult pass with its default function list plus the pure
+# stdlib helpers whose discarded result is always a bug. geolint does not
+# re-check what vet checks (copylocks, lostcancel, unusedresult).
+VET_UNUSEDRESULT = context.WithCancel,context.WithDeadline,context.WithTimeout,context.WithValue,errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,slices.Clip,slices.Compact,slices.CompactFunc,slices.Delete,slices.DeleteFunc,slices.Grow,slices.Insert,slices.Replace,sort.Reverse,$\
+fmt.Sprintln,errors.Join,errors.Unwrap,errors.Is,errors.As,$\
+strings.ToUpper,strings.ToLower,strings.TrimSpace,strings.Trim,strings.TrimPrefix,strings.TrimSuffix,strings.Repeat,strings.Replace,strings.ReplaceAll,strings.Join,strings.Split,strings.Fields,strings.Contains,strings.HasPrefix,strings.HasSuffix,$\
+strconv.Itoa,strconv.Atoi,strconv.FormatFloat,strconv.ParseFloat,strconv.Quote,sort.SliceIsSorted,sort.IsSorted,$\
+maps.Keys,maps.Values,maps.Clone,slices.Clone,slices.Sorted,slices.Contains,slices.Index,slices.Max,slices.Min
 
 vet:
-	$(GO) vet ./...
+	$(GO) vet -unusedresult.funcs=$(VET_UNUSEDRESULT) ./...
 
 build:
 	$(GO) build ./...
@@ -29,9 +45,8 @@ race:
 # invocation typechecks the whole module with cross-package fact
 # propagation and serves both outputs: human-readable findings on
 # stdout (the CI log) and a SARIF 2.1.0 report at artifacts/geolint.sarif
-# (the code-scanning upload). Exits non-zero only on gating findings;
-# advisory analyzers report without failing. Suppress individual
-# findings with //lint:allow <analyzer> <reason>.
+# (the code-scanning upload). Exits non-zero on any finding. Suppress
+# individual findings with //lint:allow <analyzer> <reason>.
 lint:
 	@mkdir -p artifacts
 	$(GO) run ./cmd/geolint -sarif -o artifacts/geolint.sarif ./...
@@ -39,8 +54,9 @@ lint:
 # Suppression-debt budget. lint-debt regenerates the committed baseline
 # (run it when a review accepts a new //lint:allow or when debt shrinks);
 # debt-gate is the CI check: fail when the current inventory exceeds the
-# budget for any analyzer or any directive lacks a reason. The fresh
-# report lands in artifacts/ next to the SARIF for upload.
+# budget for any analyzer, or any directive lacks a reason or names an
+# analyzer geolint does not run. The fresh report lands in artifacts/
+# next to the SARIF for upload.
 lint-debt:
 	$(GO) run ./cmd/geolint -debt -o lint_debt.json
 	@echo "wrote lint_debt.json"
@@ -90,22 +106,6 @@ bench:
 bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
-
-# Machine-readable benchmark snapshot: every geobench experiment's wall
-# clock as JSON. BENCH_baseline.json is the committed reference point;
-# regenerate it (on quiet hardware) when the perf profile changes. Both
-# sides of the gate are pinned to GOMAXPROCS=1: the parallel experiments
-# do more work with more procs, so snapshots taken at different values do
-# not compare (geobench -compare refuses them with exit 2).
-bench-json:
-	GOMAXPROCS=1 $(GO) run ./cmd/geobench -quick -json BENCH_baseline.json
-
-# Regression gate: run a fresh quick snapshot and diff it against the
-# committed baseline. Fails when any experiment slowed down >15%
-# (experiments under the 25ms noise floor are exempt).
-bench-diff:
-	GOMAXPROCS=1 $(GO) run ./cmd/geobench -quick -json BENCH_new.json
-	$(GO) run ./cmd/geobench -compare BENCH_baseline.json BENCH_new.json
 
 # End-to-end smoke: boot geostatd, drive one KDV request, and assert the
 # observability surfaces answer with well-formed output (Prometheus text

@@ -10,42 +10,22 @@
 //	geobench -dir out/           # also write PNG/CSV artifacts
 //	geobench -workers 4          # bound parallelism (default: every core)
 //	geobench -list               # list experiment ids
-//	geobench -json bench.json    # also write a machine-readable run summary
-//	geobench -compare old.json new.json
-//	                             # diff two run summaries; exit 1 on regression
+//
+// Each experiment checks the shape of its claim and fails on a mismatch;
+// geobench exits 1 when any selected experiment failed. The per-experiment
+// wall clock it prints is for reading, not gating: bench/ measures
+// performance.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"geostat/internal/experiments"
 )
-
-// benchResult is one experiment's entry in the -json summary. ElapsedMS is
-// wall clock for the whole runner (dataset generation included), which is
-// what CI trend dashboards track between commits.
-type benchResult struct {
-	ID        string  `json:"id"`
-	Title     string  `json:"title"`
-	OK        bool    `json:"ok"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// benchSummary is the top-level -json document.
-type benchSummary struct {
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Seed       int64         `json:"seed"`
-	Quick      bool          `json:"quick"`
-	Workers    int           `json:"workers"`
-	Results    []benchResult `json:"results"`
-}
 
 func main() {
 	var (
@@ -55,21 +35,8 @@ func main() {
 		seed    = flag.Int64("seed", 42, "seed for all generators and simulations")
 		workers = flag.Int("workers", 0, "parallelism for every parallel-capable call (0: every core, 1: serial)")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.String("json", "", "write a machine-readable run summary to this file")
-
-		compare   = flag.Bool("compare", false, "compare two -json summaries (old new) instead of running")
-		threshold = flag.Float64("threshold", 0.15, "with -compare: fractional slowdown that counts as a regression")
-		minMS     = flag.Float64("min-ms", 25, "with -compare: ignore slowdowns where both runs are faster than this")
 	)
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "geobench: -compare needs exactly two summary files: old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold, *minMS))
-	}
 
 	if *list {
 		for _, r := range experiments.All() {
@@ -92,47 +59,19 @@ func main() {
 		}
 	}
 
-	summary := benchSummary{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       *seed,
-		Quick:      *quick,
-		Workers:    *workers,
-	}
 	failed := 0
 	for _, r := range selected {
 		fmt.Printf("=== %s: %s ===\n", r.ID, r.Title)
 		cfg := &experiments.Config{Out: os.Stdout, Dir: *dir, Seed: *seed, Quick: *quick, Workers: *workers}
 		start := time.Now()
-		err := r.Run(cfg)
-		elapsed := time.Since(start)
-		if err != nil {
+		if err := r.Run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", r.ID, err)
 			failed++
 		}
-		fmt.Printf("[%s done in %v]\n\n", r.ID, elapsed.Round(time.Millisecond))
-		summary.Results = append(summary.Results, benchResult{
-			ID: r.ID, Title: r.Title, OK: err == nil,
-			ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6,
-		})
-	}
-	if *jsonOut != "" {
-		if err := writeSummary(*jsonOut, summary); err != nil {
-			fmt.Fprintf(os.Stderr, "geobench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
+		fmt.Printf("[%s done in %v]\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "geobench: %d experiment(s) failed\n", failed)
 		os.Exit(1)
 	}
-}
-
-func writeSummary(path string, s benchSummary) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -10,7 +10,7 @@
 // absolute bounds (min/max per artifact metric); the baseline pass
 // flags per-tool latency quantiles that grew by more than -threshold
 // (fractional) when either side is above the -min-ms noise floor —
-// the same semantics as `geobench -compare`.
+// gate.Classify, the repository's one drift rule.
 //
 // Exit codes (pinned by tests): 0 = pass, 1 = at least one SLO failure
 // or baseline regression, 2 = unusable input (missing file, bad JSON).

@@ -45,8 +45,7 @@ const passingSLO = `{"checks": [
 ]}`
 
 // TestExitCodes pins the geogate exit-code contract the CI job and
-// Makefile depend on: 0 = pass, 1 = gate failure, 2 = unusable input —
-// the same convention as `geobench -compare`.
+// Makefile depend on: 0 = pass, 1 = gate failure, 2 = unusable input.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	good := writeArtifact(t, dir, "good.json", nil)
@@ -61,9 +60,9 @@ func TestExitCodes(t *testing.T) {
 	}
 
 	cases := []struct {
-		name                              string
-		artifact, slo, baseline           string
-		want                              int
+		name                    string
+		artifact, slo, baseline string
+		want                    int
 	}{
 		{"slo pass", good, slo, "", 0},
 		{"slo fail", degraded, slo, "", 1},

@@ -1,9 +1,10 @@
 // Command geolint is the repository's multichecker: it typechecks the
 // module with the standard library only and applies geolint's custom
-// determinism/concurrency analyzers plus the curated general passes (see
-// internal/lint). Analyzers run over every package in import dependency
-// order with cross-package fact propagation, so a single invocation sees
-// the whole module's call graph.
+// determinism/concurrency analyzers plus the shadow pass (see
+// internal/lint). What `go vet` already checks — copylocks, lostcancel,
+// unusedresult — runs under `make vet`, not here. Analyzers run over
+// every package in import dependency order with cross-package fact
+// propagation, so a single invocation sees the whole module's call graph.
 //
 // Usage:
 //
@@ -13,18 +14,17 @@
 // -debt inventories every //lint:allow directive into a JSON debt report
 // instead of running analyzers. With -debt-baseline the report is diffed
 // against the committed budget: the run fails (exit 1) when suppressions
-// for any analyzer grew beyond the budget or when a directive carries no
-// reason, so debt only grows through an explicit baseline bump.
+// for any analyzer grew beyond the budget, or when a directive carries no
+// reason or names an analyzer geolint does not run, so debt only grows
+// through an explicit baseline bump.
 //
 // The package arguments are accepted for interface parity with go vet
 // ("./..." is typical) but the whole module is always checked: the
 // invariants are module-wide, facts flow across packages, and partial
 // runs invite partial truths.
 //
-// Exit status: 0 when no gating findings survive //lint:allow filtering
-// (advisory findings — analyzers marked report-only — never fail the
-// run), 1 when at least one gating finding survives, 2 on load or type
-// errors.
+// Exit status: 0 when no finding survives //lint:allow filtering, 1 when
+// at least one does (every analyzer gates), 2 on load or type errors.
 package main
 
 import (
@@ -52,11 +52,7 @@ func main() {
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			gate := ""
-			if a.Advisory {
-				gate = " (advisory)"
-			}
-			fmt.Printf("%-16s %s%s\n", a.Name, a.Doc, gate)
+			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -161,11 +157,7 @@ func main() {
 	} else {
 		var b strings.Builder
 		for _, f := range findings {
-			note := ""
-			if f.Advisory {
-				note = " (advisory)"
-			}
-			fmt.Fprintf(&b, "%s:%d:%d: [%s]%s %s\n", f.File, f.Line, f.Col, f.Analyzer, note, f.Message)
+			fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 		os.Stdout.WriteString(b.String())
 	}
@@ -176,4 +168,3 @@ func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "geolint: "+format+"\n", args...)
 	os.Exit(2)
 }
-

@@ -84,14 +84,14 @@ func (t timeoutFlags) Set(v string) error {
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request computation timeout (0 disables)")
-		maxInFlight = flag.Int("max-inflight", 16, "max concurrently executing tool computations (0 = unlimited)")
-		maxQueue    = flag.Int("max-queue", 64, "max computations waiting for an in-flight slot; overflow is shed with 503 (0 = unbounded queue, <0 = never queue)")
-		cacheMB     = flag.Int64("cache-mb", 64, "result cache size in MiB (0 disables caching)")
-		workers     = flag.Int("workers", -1, "worker goroutines per computation (-1 = all cores)")
-		slowMS      = flag.Int64("slow-ms", 0, "log the stage tree of requests slower than this many ms (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (empty disables)")
+		addr         = flag.String("addr", ":8080", "listen address")
+		timeout      = flag.Duration("timeout", 30*time.Second, "per-request computation timeout (0 disables)")
+		maxInFlight  = flag.Int("max-inflight", 16, "max concurrently executing tool computations (0 = unlimited)")
+		maxQueue     = flag.Int("max-queue", 64, "max computations waiting for an in-flight slot; overflow is shed with 503 (0 = unbounded queue, <0 = never queue)")
+		cacheMB      = flag.Int64("cache-mb", 64, "result cache size in MiB (0 disables caching)")
+		workers      = flag.Int("workers", -1, "worker goroutines per computation (-1 = all cores)")
+		slowMS       = flag.Int64("slow-ms", 0, "log the stage tree of requests slower than this many ms (0 disables)")
+		debugAddr    = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof (empty disables)")
 		loads        loadFlags
 		toolTimeouts = make(timeoutFlags)
 	)

@@ -91,8 +91,6 @@ func Naive(d *dataset.Dataset, opt Options) (*raster.Grid, error) {
 // naivePixel interpolates one pixel from every sample. A sample coincident
 // with the pixel short-circuits with its value (first coincident sample
 // wins, matching scan order).
-//
-//lint:hotpath per-pixel inner loop; callees must not allocate
 func naivePixel(xs, ys, vals []float64, qx, qy, power float64) float64 {
 	num, den := 0.0, 0.0
 	switch power {

@@ -1,6 +1,7 @@
 package idw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,5 +112,23 @@ func TestRadiusMatchesMaskedReference(t *testing.T) {
 				t.Fatalf("pixel (%d,%d) = %v, want %v (diff %v)", ix, iy, got.At(ix, iy), want, diff)
 			}
 		}
+	}
+}
+
+// TestHotPathAllocs: naivePixel allocates nothing at the specialised powers
+// or through the math.Pow fallback.
+func TestHotPathAllocs(t *testing.T) {
+	d := field(23, 500)
+	cols, vals := d.Columns(), d.Values()
+	for _, power := range []float64{2, 4, 3.5} {
+		t.Run(fmt.Sprintf("power=%v", power), func(t *testing.T) {
+			sink := 0.0
+			got := testing.AllocsPerRun(10, func() {
+				sink += naivePixel(cols.X, cols.Y, vals, 41.5, 37.25, power)
+			})
+			if got != 0 {
+				t.Errorf("naivePixel allocates %v times per pixel (sink %v)", got, sink)
+			}
+		})
 	}
 }

@@ -256,8 +256,6 @@ type columnarComputer struct {
 // computeRow fills one raster row. The per-row active-chunk slice is the
 // only allocation; everything called from the pixel loop must be
 // allocation-free.
-//
-//lint:hotpath per-pixel inner loop; callees must not allocate
 func (c *columnarComputer) computeRow(iy int, row []float64) {
 	g := c.opt.Grid
 	qy := g.CenterY(iy)

@@ -91,6 +91,34 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocs counts the naive evaluator's per-row allocations,
+// calls through the chunkEval function value included: none on the
+// unpruned path, exactly the active-chunk slice on the pruned one. Five
+// chunks keep that slice too large for a compiler to place on the stack.
+func TestHotPathAllocs(t *testing.T) {
+	c := cols(multiChunkPoints(13, 4*dataset.ChunkSize+100))
+	row := make([]float64, 8)
+	for _, tc := range []struct {
+		kt   kernel.Type
+		want float64
+	}{
+		{kernel.Gaussian, 0}, // infinite support: unpruned
+		{kernel.Quartic, 1},  // finite support: pruned
+	} {
+		t.Run(tc.kt.String(), func(t *testing.T) {
+			opt := testOpts(tc.kt, 6)
+			opt.Grid = geom.NewPixelGrid(box, len(row), 4)
+			rc, _, err := buildNaive(c, &opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != tc.want {
+				t.Errorf("computeRow allocates %v times per row, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestChunkPruningBitIdentical(t *testing.T) {
 	// The pruned evaluator (Naive's default for finite-support kernels)
 	// must match an unpruned columnarComputer bit for bit at every

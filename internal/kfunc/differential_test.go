@@ -196,3 +196,28 @@ func TestBinnerExact(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPathAllocs: the sweep and the pair binner it calls allocate
+// nothing once the cells are built — what lets a worker run simulation
+// after simulation on reused buffers.
+func TestHotPathAllocs(t *testing.T) {
+	pts := clustered(24, 2000)
+	xs, ys := make([]float64, len(pts)), make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = p.X, p.Y
+	}
+	bins := squaredBinner(linspace(0.5, 12, 24))
+	hist := make([]int64, len(bins.edges))
+	var c cells
+	c.build(xs, ys, math.Sqrt(bins.max))
+	t.Run("binner.count", func(t *testing.T) {
+		if got := testing.AllocsPerRun(10, func() { bins.count(xs, ys, 50, 50, hist) }); got != 0 {
+			t.Errorf("binner.count allocates %v times per call", got)
+		}
+	})
+	t.Run("cells.sweep", func(t *testing.T) {
+		if got := testing.AllocsPerRun(10, func() { c.sweep(0, len(xs), bins, hist) }); got != 0 {
+			t.Errorf("cells.sweep allocates %v times per call", got)
+		}
+	})
+}

@@ -85,8 +85,6 @@ func (b *binner) bin(v float64) int {
 
 // count bins the squared distance from (x, y) to every point of the
 // columns that lies within max.
-//
-//lint:hotpath per-pair inner loop; callees must not allocate
 func (b *binner) count(xs, ys []float64, x, y float64, hist []int64) {
 	ys = ys[:len(xs)]
 	for j, xj := range xs {
@@ -176,7 +174,7 @@ func (c *cells) build(xs, ys []float64, radius float64) {
 }
 
 // cell returns the cell holding the given slot (a hand-written binary
-// search: sweep is a hot path and geolint wants its callees closure-free).
+// search: sweep is a hot path and its callees stay closure-free).
 func (c *cells) cell(slot int) int {
 	lo, hi := 0, c.nx*c.ny-1
 	for lo < hi {
@@ -197,8 +195,6 @@ func (c *cells) cell(slot int) int {
 // over all slots every unordered pair is binned exactly once. In the
 // row-major layout the forward cells are two contiguous slot ranges: own
 // cell through east, and the up-to-three cells of the next row.
-//
-//lint:hotpath per-point loop of the sweep; callees must not allocate
 func (c *cells) sweep(lo, hi int, bins *binner, hist []int64) {
 	nx, ncells := c.nx, c.nx*c.ny
 	cell := c.cell(lo)

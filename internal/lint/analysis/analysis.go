@@ -40,10 +40,6 @@ type Analyzer struct {
 	// declaration is what lets the driver know which analyzers share
 	// facts, so an undeclared use is a bug in the analyzer.
 	FactTypes []Fact
-	// Advisory marks a report-only analyzer: its diagnostics are printed
-	// (and carried in SARIF at "note" level) but never affect geolint's
-	// exit code. Gating analyzers fail the build.
-	Advisory bool
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }

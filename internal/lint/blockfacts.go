@@ -31,37 +31,37 @@ func (*MayBlock) AFact() {}
 // writer is an HTTP response socket, so its latency belongs to the
 // remote peer. fmt.Sprint*/Print* (strings, stdout) are not.
 var blockingStdlib = map[string]bool{
-	"time.Sleep":               true,
-	"(sync.WaitGroup).Wait":    true,
-	"(sync.Cond).Wait":         true,
-	"(net/http.Client).Do":     true,
-	"(net/http.Client).Get":    true,
-	"(net/http.Client).Post":   true,
-	"net/http.Get":             true,
-	"net/http.Post":            true,
-	"net.Dial":                 true,
-	"net.DialTimeout":          true,
-	"net.Listen":               true,
-	"(os/exec.Cmd).Run":        true,
-	"(os/exec.Cmd).Wait":       true,
-	"(os/exec.Cmd).Output":     true,
+	"time.Sleep":                   true,
+	"(sync.WaitGroup).Wait":        true,
+	"(sync.Cond).Wait":             true,
+	"(net/http.Client).Do":         true,
+	"(net/http.Client).Get":        true,
+	"(net/http.Client).Post":       true,
+	"net/http.Get":                 true,
+	"net/http.Post":                true,
+	"net.Dial":                     true,
+	"net.DialTimeout":              true,
+	"net.Listen":                   true,
+	"(os/exec.Cmd).Run":            true,
+	"(os/exec.Cmd).Wait":           true,
+	"(os/exec.Cmd).Output":         true,
 	"(os/exec.Cmd).CombinedOutput": true,
-	"io.ReadAll":               true,
-	"io.Copy":                  true,
-	"io.CopyN":                 true,
-	"fmt.Fprintf":              true,
-	"fmt.Fprint":               true,
-	"fmt.Fprintln":             true,
-	"fmt.Fscan":                true,
-	"fmt.Fscanf":               true,
-	"fmt.Fscanln":              true,
-	"(bufio.Scanner).Scan":     true,
-	"(bufio.Writer).Flush":     true,
-	"(os.File).Read":           true,
-	"(os.File).Write":          true,
-	"(os.File).Sync":           true,
-	"os.ReadFile":              true,
-	"os.WriteFile":             true,
+	"io.ReadAll":                   true,
+	"io.Copy":                      true,
+	"io.CopyN":                     true,
+	"fmt.Fprintf":                  true,
+	"fmt.Fprint":                   true,
+	"fmt.Fprintln":                 true,
+	"fmt.Fscan":                    true,
+	"fmt.Fscanf":                   true,
+	"fmt.Fscanln":                  true,
+	"(bufio.Scanner).Scan":         true,
+	"(bufio.Writer).Flush":         true,
+	"(os.File).Read":               true,
+	"(os.File).Write":              true,
+	"(os.File).Sync":               true,
+	"os.ReadFile":                  true,
+	"os.WriteFile":                 true,
 }
 
 // BlockFacts computes and exports the MayBlock fact for the package's
@@ -89,7 +89,7 @@ func runBlockFacts(pass *analysis.Pass) error {
 		index[fi.fn] = i
 	}
 
-	why := make([]string, len(infos))          // non-empty = may block
+	why := make([]string, len(infos))            // non-empty = may block
 	callees := make([][]*types.Func, len(infos)) // same-package static callees
 
 	for i, fi := range infos {

@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from go/ast
 // function bodies, using only the standard library. It is the foundation
-// of geolint's path-sensitive obligation analyses ("this cancel func must
-// be called on every path to return"): AST-local inspection cannot see
+// of geolint's path-sensitive obligation analyses ("this file must
+// be closed on every path to return"): AST-local inspection cannot see
 // that a release on one branch does not cover the other, a CFG makes
 // every path explicit.
 //
@@ -140,10 +140,10 @@ func New(body *ast.BlockStmt, opt Options) *Graph {
 // label names a loop/switch/select — the targets of labeled break and
 // continue.
 type labelInfo struct {
-	target       *Block // start of the labeled statement (goto target)
-	breakBlock   *Block // labeled break destination (nil until the construct is built)
-	continueTo   *Block // labeled continue destination (loops only)
-	used         bool
+	target     *Block // start of the labeled statement (goto target)
+	breakBlock *Block // labeled break destination (nil until the construct is built)
+	continueTo *Block // labeled continue destination (loops only)
+	used       bool
 }
 
 // frame is one enclosing breakable/continuable construct.

@@ -9,9 +9,11 @@ package lint
 // the two. A new suppression fails the build unless the budget file is
 // updated in the same change — growth is possible, but only as an
 // explicit, reviewable diff. Shrinking always passes (with a nudge to
-// refresh the baseline), and a directive with no reason text is an
-// immediate failure regardless of the budget: unjustified allows are
-// debt with no paper trail.
+// refresh the baseline), and an unjustified directive is an immediate
+// failure regardless of the budget: one with no reason text is debt with
+// no paper trail, and one naming an analyzer geolint does not run (a
+// typo, or a pass `go vet` owns — vet cannot honour //lint:allow)
+// suppresses nothing while looking like justified debt.
 
 import (
 	"encoding/json"
@@ -40,7 +42,8 @@ type DebtReport struct {
 	// Total counts directives (an entry naming two analyzers is one
 	// directive but two budget units in ByAnalyzer).
 	Total int `json:"total"`
-	// Unjustified counts directives with no reason text.
+	// Unjustified counts directives with no reason text or naming an
+	// analyzer geolint does not run.
 	Unjustified int `json:"unjustified"`
 	// ByAnalyzer counts suppressions charged to each analyzer.
 	ByAnalyzer map[string]int `json:"by_analyzer"`
@@ -74,7 +77,7 @@ func CollectDebt(l *load.Loader, pkgs []*load.Package) *DebtReport {
 					}
 					r.Entries = append(r.Entries, e)
 					r.Total++
-					if reason == "" {
+					if e.problem() != "" {
 						r.Unjustified++
 					}
 					for _, n := range names {
@@ -118,7 +121,7 @@ func ParseDebt(data []byte) (*DebtReport, error) {
 // DiffDebt compares the current inventory against the committed budget.
 // It returns a human-readable delta table and whether the gate passes.
 // The gate fails when any analyzer's suppression count grew beyond the
-// budget, or when any current directive has no reason. Shrinking passes
+// budget, or when any current directive is unjustified. Shrinking passes
 // but the table asks for a baseline refresh so the budget stays tight.
 func DiffDebt(baseline, current *DebtReport) (string, bool) {
 	names := map[string]bool{}
@@ -151,19 +154,30 @@ func DiffDebt(baseline, current *DebtReport) (string, bool) {
 		}
 		fmt.Fprintf(&sb, "%-16s %8d %8d %+7d%s\n", n, b, c, c-b, mark)
 	}
-	if current.Unjustified > 0 {
-		ok = false
-		for _, e := range current.Entries {
-			if e.Reason == "" {
-				fmt.Fprintf(&sb, "%s:%d: //lint:allow %s has no reason — every suppression must say why\n",
-					e.File, e.Line, strings.Join(e.Analyzers, ","))
-			}
+	for _, e := range current.Entries {
+		if p := e.problem(); p != "" {
+			ok = false
+			fmt.Fprintf(&sb, "%s:%d: //lint:allow %s %s\n", e.File, e.Line, strings.Join(e.Analyzers, ","), p)
 		}
 	}
 	if ok && shrunk {
 		sb.WriteString("debt shrank: refresh the baseline with `make lint-debt` to lock in the lower budget\n")
 	}
 	return sb.String(), ok
+}
+
+// problem says why e does not justify its suppression, or "" when it
+// does.
+func (e DebtEntry) problem() string {
+	if e.Reason == "" {
+		return "has no reason — every suppression must say why"
+	}
+	for _, n := range e.Analyzers {
+		if _, ok := Lookup(n); !ok {
+			return fmt.Sprintf("names %q, which is not a geolint analyzer (-list) — it suppresses nothing", n)
+		}
+	}
+	return ""
 }
 
 // parseAllowDetail recognises "//lint:allow name1[,name2] reason..." and

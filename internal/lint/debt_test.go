@@ -1,9 +1,15 @@
 package lint
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"geostat/internal/lint/load"
 )
 
 func TestParseAllowDetail(t *testing.T) {
@@ -15,7 +21,7 @@ func TestParseAllowDetail(t *testing.T) {
 	}{
 		{"//lint:allow maporder keys are sorted below", []string{"maporder"}, "keys are sorted below", true},
 		{"//lint:allow floateq,maporder shared justification", []string{"floateq", "maporder"}, "shared justification", true},
-		{"//lint:allow cancelleak", []string{"cancelleak"}, "", true},
+		{"//lint:allow bodyclose", []string{"bodyclose"}, "", true},
 		{"//lint:allow", nil, "", false},
 		{"// lint:allow maporder spaced prefix is not a directive", nil, "", false},
 		{"// plain comment", nil, "", false},
@@ -67,7 +73,7 @@ func TestDiffDebtGate(t *testing.T) {
 		}
 	})
 	t.Run("new analyzer fails", func(t *testing.T) {
-		_, ok := DiffDebt(base, report(map[string]int{"maporder": 2, "floateq": 1, "cancelleak": 1}))
+		_, ok := DiffDebt(base, report(map[string]int{"maporder": 2, "floateq": 1, "bodyclose": 1}))
 		if ok {
 			t.Fatalf("a suppression for a previously debt-free analyzer must fail")
 		}
@@ -92,6 +98,73 @@ func TestDiffDebtGate(t *testing.T) {
 			t.Fatalf("table must name the unjustified directive:\n%s", table)
 		}
 	})
+}
+
+// TestCollectDebtStaleAnalyzer: a directive naming an analyzer geolint
+// does not run — a pass `go vet` owns, or a typo — suppresses nothing, so
+// it counts as unjustified and fails the gate like a missing reason, even
+// with a reason and within budget. Each of the five analyzers PR 25
+// deleted is checked by name, next to a live control.
+func TestCollectDebtStaleAnalyzer(t *testing.T) {
+	stale := []string{"copylocks", "cancelleak", "unusedresult", "loopclosure", "purity", "maporderr"}
+	var src strings.Builder
+	src.WriteString("package stale\n\n//lint:allow maporder keys are sorted below\nvar Live = 1\n")
+	for i, name := range stale {
+		fmt.Fprintf(&src, "\n//lint:allow %s a reason that cannot help\nvar V%d = %d\n", name, i, i)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "stale.go"), []byte(src.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	root, err := load.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := load.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(dir, "fixture/stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CollectDebt(l, []*load.Package{pkg})
+	if r.Total != 1+len(stale) || r.Unjustified != len(stale) {
+		t.Fatalf("total %d, unjustified %d; want %d and %d", r.Total, r.Unjustified, 1+len(stale), len(stale))
+	}
+	budget := map[string]int{"maporder": 1}
+	for _, name := range stale {
+		budget[name] = 1
+	}
+	table, ok := DiffDebt(report(budget), r)
+	if ok {
+		t.Fatalf("directives naming no geolint analyzer must fail the gate:\n%s", table)
+	}
+	entry := func(t *testing.T, name string) DebtEntry {
+		t.Helper()
+		for _, e := range r.Entries {
+			if len(e.Analyzers) == 1 && e.Analyzers[0] == name {
+				return e
+			}
+		}
+		t.Fatalf("no entry for //lint:allow %s in %+v", name, r.Entries)
+		return DebtEntry{}
+	}
+	t.Run("maporder", func(t *testing.T) {
+		if p := entry(t, "maporder").problem(); p != "" {
+			t.Fatalf("a live analyzer with a reason must be justified, got %q", p)
+		}
+	})
+	for _, name := range stale {
+		t.Run(name, func(t *testing.T) {
+			if p := entry(t, name).problem(); !strings.Contains(p, "not a geolint analyzer") {
+				t.Fatalf("//lint:allow %s: problem %q, want it flagged as no geolint analyzer", name, p)
+			}
+			if q := strconv.Quote(name); !strings.Contains(table, q) {
+				t.Errorf("table must name %s:\n%s", q, table)
+			}
+		})
+	}
 }
 
 func TestDebtJSONRoundTrip(t *testing.T) {

@@ -23,13 +23,9 @@ import (
 // Both sorts are stable with deterministic tie-breaks (import path,
 // declaration order), so geolint's output order is reproducible.
 
-// Finding is one surviving diagnostic plus the gate classification of the
-// analyzer that produced it.
+// Finding is one surviving diagnostic with its resolved position.
 type Finding struct {
 	analysis.Diagnostic
-	// Advisory mirrors the producing analyzer's Advisory flag: advisory
-	// findings are reported but never fail the run.
-	Advisory bool
 	// File, Line, Col are the resolved position (File relative to the
 	// module root when possible).
 	File string
@@ -57,9 +53,7 @@ func RunPackages(l *load.Loader, pkgs []*load.Package, analyzers []*analysis.Ana
 			return nil, fmt.Errorf("%s: type error: %v", pkg.Path, pkg.Errors[0])
 		}
 		var diags []analysis.Diagnostic
-		advisory := make(map[string]bool, len(analyzers))
 		for _, a := range analyzers {
-			advisory[a.Name] = a.Advisory
 			pass := analysis.NewPass(a, l.Fset, pkg.Files, pkg.Path, pkg.Types, pkg.Info,
 				func(d analysis.Diagnostic) { diags = append(diags, d) })
 			pass.SetFacts(store)
@@ -76,7 +70,6 @@ func RunPackages(l *load.Loader, pkgs []*load.Package, analyzers []*analysis.Ana
 			}
 			findings = append(findings, Finding{
 				Diagnostic: d,
-				Advisory:   advisory[d.Analyzer],
 				File:       name,
 				Line:       pos.Line,
 				Col:        pos.Column,
@@ -100,14 +93,11 @@ func RunPackages(l *load.Loader, pkgs []*load.Package, analyzers []*analysis.Ana
 }
 
 // ExitCode maps a run's findings to geolint's exit status: 1 iff any
-// non-suppressed finding came from a gating (non-advisory) analyzer, 0
-// otherwise. Advisory findings never mask or zero a gating failure — the
-// fold is monotone, whatever order findings arrive in.
+// finding survived //lint:allow filtering, 0 otherwise. Every analyzer
+// gates.
 func ExitCode(findings []Finding) int {
-	for _, f := range findings {
-		if !f.Advisory {
-			return 1
-		}
+	if len(findings) > 0 {
+		return 1
 	}
 	return 0
 }

@@ -58,23 +58,16 @@ func TestRegistryRequiresAcyclic(t *testing.T) {
 	}
 }
 
-// TestExitCode pins the gating semantics: advisory findings never fail
-// the run, and a single gating finding always does — regardless of how
-// the findings interleave (the historical bug zeroed a gating failure
-// when a later advisory-only package reset the status).
+// TestExitCode pins the gating semantics: any finding fails the run.
 func TestExitCode(t *testing.T) {
-	gating := Finding{Advisory: false}
-	advisory := Finding{Advisory: true}
 	cases := []struct {
 		name     string
 		findings []Finding
 		want     int
 	}{
 		{"empty", nil, 0},
-		{"advisory only", []Finding{advisory, advisory}, 0},
-		{"gating only", []Finding{gating}, 1},
-		{"gating then advisory", []Finding{gating, advisory}, 1},
-		{"advisory then gating", []Finding{advisory, gating}, 1},
+		{"one finding", []Finding{{}}, 1},
+		{"two findings", []Finding{{}, {}}, 1},
 	}
 	for _, tc := range cases {
 		if got := ExitCode(tc.findings); got != tc.want {

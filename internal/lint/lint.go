@@ -6,8 +6,8 @@
 // the driver (see driver.go) runs analyzers over the module's packages in
 // import dependency order, analyzers export typed facts about
 // package-level objects (a function may block; a function's results
-// depend on an entropy source; a function neither allocates nor performs
-// I/O), and downstream analyzers consume facts from imported packages.
+// depend on an entropy source), and downstream analyzers consume facts
+// from imported packages.
 //
 // The custom analyzers guard the conventions PR 1 established plus the
 // scale-out preconditions (distributed tiles, bit-exact shard merges)
@@ -39,19 +39,14 @@
 //   - detflow — entropy taint must not reach exported result values of
 //     the statistic packages: time.Now, unseeded rand, and map-iteration
 //     order cannot flow into what kde/kfunc/idw/kriging/moran/getisord/
-//     dataset return;
-//   - purity — (advisory) functions marked //lint:hotpath call only
-//     callees carrying the no-alloc/no-I/O fact, guarding the columnar
-//     inner loops' bit-exactness and allocation claims.
+//     dataset return.
 //
 // Since the v3 upgrade, geolint is also path-sensitive: internal/lint/cfg
 // builds an intraprocedural control-flow graph per function, and the
 // obligation engine (obligation.go) checks "acquired here must be
-// released on every path to return" over it. Four analyzers ride the
+// released on every path to return" over it. Three analyzers ride the
 // engine:
 //
-//   - cancelleak — every context cancel func is called on all paths (or
-//     escapes to the caller);
 //   - bodyclose — every http.Response body is closed on all paths;
 //   - mustclose — os.Open/Create files and net.Listen/Dial endpoints are
 //     closed on all paths;
@@ -59,9 +54,16 @@
 //     (the control-flow complement to locksafe, sharing its
 //     lock-recognition machinery).
 //
-// A curated set of general passes rides along: shadow, copylocks,
-// loopclosure and unusedresult (stdlib-only reimplementations of the
-// classic vet checks).
+// One general pass rides along: shadow, which `go vet`'s default suite
+// lacks. Every analyzer gates: a surviving finding fails the run.
+//
+// geolint does not re-check what `make vet` already checks. Locks copied
+// by value, lost context cancel funcs and discarded results of pure
+// functions are vet's copylocks, lostcancel and unusedresult passes (the
+// Makefile widens unusedresult's function list), and go 1.22 loop
+// semantics retired the loop-variable capture bug. Allocations in the
+// columnar inner loops are counted by testing.AllocsPerRun tests in the
+// kde, idw and kfunc packages, not inferred here.
 //
 // A finding is suppressed by a `//lint:allow <analyzer> <reason>` comment
 // on the flagged line, the line directly above it, or anywhere the
@@ -69,10 +71,11 @@
 // statement (its own line or the line above the statement's first line)
 // covers the whole statement, so a diagnostic inside a multi-line
 // composite literal or chained call cannot escape the suppression. The
-// reason is mandatory by convention: suppressions are for cases where the
-// invariant is provably respected in a way the analyzer cannot see (for
-// example a demo that intentionally shows nondeterminism), never for
-// convenience.
+// debt gate (debt.go) fails on a directive with no reason or one naming
+// an analyzer geolint does not run (`go vet` cannot honour it, and a typo
+// would suppress nothing). Suppressions are for cases where the invariant
+// is provably respected in a way the analyzer cannot see (for example a
+// demo that intentionally shows nondeterminism), never for convenience.
 package lint
 
 import (
@@ -98,15 +101,10 @@ func Analyzers() []*analysis.Analyzer {
 		CtxFlow,
 		LockSafe,
 		DetFlow,
-		Purity,
-		CancelLeak,
 		BodyClose,
 		MustClose,
 		UnlockPath,
 		Shadow,
-		CopyLocks,
-		LoopClosure,
-		UnusedResult,
 	}
 }
 

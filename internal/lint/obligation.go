@@ -11,17 +11,17 @@ import (
 
 // The obligation engine: a generic path-sensitive "acquire must be
 // released on every path to return" analysis over the CFGs built by
-// internal/lint/cfg. cancelleak, bodyclose, mustclose and unlockpath are
-// thin configurations of this engine.
+// internal/lint/cfg. bodyclose, mustclose and unlockpath are thin
+// configurations of this engine.
 //
-// Model. An acquisition (context.WithCancel, client.Do, os.Open,
-// mu.Lock) creates an obligation. Starting from the acquisition point
+// Model. An acquisition (client.Do, os.Open, mu.Lock) creates an
+// obligation. Starting from the acquisition point
 // the engine explores every control-flow path forward; a path is
 // discharged when it
 //
-//   - releases the obligation (calls the cancel func, resp.Body.Close(),
-//     f.Close(), mu.Unlock());
-//   - registers a deferred release (`defer cancel()`, including a
+//   - releases the obligation (resp.Body.Close(), f.Close(),
+//     mu.Unlock());
+//   - registers a deferred release (`defer f.Close()`, including a
 //     deferred func literal whose body releases) — defers run on every
 //     exit, normal or panicking, of any path that continues past the
 //     defer statement;
@@ -76,7 +76,7 @@ type oblig struct {
 type obRule struct {
 	// acquisitions inspects one CFG node and returns the obligations it
 	// creates. It may call pass.Reportf directly for acquisitions that
-	// are wrong at birth (a discarded cancel func).
+	// are wrong at birth (a discarded response or file).
 	acquisitions func(pass *analysis.Pass, node ast.Node) []*oblig
 	// isRelease reports whether call discharges ob.
 	isRelease func(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool
@@ -216,7 +216,7 @@ func nodeResolves(pass *analysis.Pass, rule *obRule, ob *oblig, node ast.Node) b
 			return true
 		}
 		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			// defer func() { ... cancel() ... }(): the closure's body runs
+			// defer func() { ... f.Close() ... }(): the closure's body runs
 			// at exit; a release anywhere in it discharges the obligation.
 			released := false
 			walkOwn(lit.Body, func(n ast.Node) {
@@ -383,7 +383,7 @@ func noReturnCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // valueAcquisitions is the shared acquisition scanner for value-mode
-// rules (cancelleak/bodyclose/mustclose): it finds matching calls in one
+// rules (bodyclose/mustclose): it finds matching calls in one
 // CFG node and classifies how their results are bound.
 //
 //   - `res, err := acquire(...)` binds an obligation to res (and its
@@ -484,13 +484,6 @@ func valueAcquisitions(
 		}
 	}
 	return out
-}
-
-// identReleaseCall matches `obj(...)`: a direct call of the tracked
-// value (the cancel-func shape).
-func identReleaseCall(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && pass.TypesInfo.Uses[id] == ob.obj
 }
 
 // methodReleaseCall matches `obj.<name>(...)` (mustclose's f.Close

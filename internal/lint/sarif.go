@@ -9,9 +9,8 @@ import (
 
 // SARIF 2.1.0 output (static analysis results interchange format), the
 // subset GitHub code scanning consumes: one run, one tool, one rule per
-// analyzer, one result per finding. Advisory analyzers map to level
-// "note" so code scanning surfaces them without failing the check; gating
-// analyzers map to "error".
+// analyzer, one result per finding. Every analyzer gates, so every rule
+// and result is level "error".
 
 const (
 	sarifSchema  = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -78,12 +77,7 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-func sarifLevel(advisory bool) string {
-	if advisory {
-		return "note"
-	}
-	return "error"
-}
+const sarifLevel = "error"
 
 // SARIF renders findings as a SARIF 2.1.0 log. analyzers defines the
 // rule table (every analyzer that ran, findings or not — code scanning
@@ -95,7 +89,7 @@ func SARIF(analyzers []*analysis.Analyzer, findings []Finding) ([]byte, error) {
 		rules[i] = sarifRule{
 			ID:                   a.Name,
 			ShortDescription:     sarifMessage{Text: a.Doc},
-			DefaultConfiguration: sarifConfig{Level: sarifLevel(a.Advisory)},
+			DefaultConfiguration: sarifConfig{Level: sarifLevel},
 		}
 		index[a.Name] = i
 	}
@@ -104,7 +98,7 @@ func SARIF(analyzers []*analysis.Analyzer, findings []Finding) ([]byte, error) {
 		results = append(results, sarifResult{
 			RuleID:    f.Analyzer,
 			RuleIndex: index[f.Analyzer],
-			Level:     sarifLevel(f.Advisory),
+			Level:     sarifLevel,
 			Message:   sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
@@ -132,7 +126,6 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Advisory bool   `json:"advisory"`
 }
 
 // JSONReport renders findings as a JSON array (machine-readable variant
@@ -146,7 +139,6 @@ func JSONReport(findings []Finding) ([]byte, error) {
 			Col:      f.Col,
 			Analyzer: f.Analyzer,
 			Message:  f.Message,
-			Advisory: f.Advisory,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")

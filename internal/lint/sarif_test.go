@@ -9,19 +9,18 @@ import (
 
 func sarifFixture() ([]*analysis.Analyzer, []Finding) {
 	gate := &analysis.Analyzer{Name: "gatecheck", Doc: "a gating analyzer"}
-	note := &analysis.Analyzer{Name: "notecheck", Doc: "an advisory analyzer", Advisory: true}
+	other := &analysis.Analyzer{Name: "othercheck", Doc: "another gating analyzer"}
 	findings := []Finding{
 		{
 			Diagnostic: analysis.Diagnostic{Analyzer: "gatecheck", Message: "boom"},
 			File:       "pkg/a.go", Line: 3, Col: 7,
 		},
 		{
-			Diagnostic: analysis.Diagnostic{Analyzer: "notecheck", Message: "hmm"},
-			Advisory:   true,
+			Diagnostic: analysis.Diagnostic{Analyzer: "othercheck", Message: "hmm"},
 			File:       "pkg/b.go", Line: 12, Col: 1,
 		},
 	}
-	return []*analysis.Analyzer{gate, note}, findings
+	return []*analysis.Analyzer{gate, other}, findings
 }
 
 // TestSARIFStructure decodes the emitted SARIF as generic JSON and
@@ -56,16 +55,13 @@ func TestSARIFStructure(t *testing.T) {
 	if len(rules) != 2 {
 		t.Fatalf("rules = %d, want 2", len(rules))
 	}
-	r0 := rules[0].(map[string]any)
-	if r0["id"] != "gatecheck" {
-		t.Errorf("rule 0 id = %v", r0["id"])
+	if id := rules[0].(map[string]any)["id"]; id != "gatecheck" {
+		t.Errorf("rule 0 id = %v", id)
 	}
-	if lvl := r0["defaultConfiguration"].(map[string]any)["level"]; lvl != "error" {
-		t.Errorf("gating rule level = %v, want error", lvl)
-	}
-	r1 := rules[1].(map[string]any)
-	if lvl := r1["defaultConfiguration"].(map[string]any)["level"]; lvl != "note" {
-		t.Errorf("advisory rule level = %v, want note", lvl)
+	for i, r := range rules {
+		if lvl := r.(map[string]any)["defaultConfiguration"].(map[string]any)["level"]; lvl != "error" {
+			t.Errorf("rule %d level = %v, want error", i, lvl)
+		}
 	}
 
 	results := run["results"].([]any)
@@ -87,8 +83,8 @@ func TestSARIFStructure(t *testing.T) {
 		t.Errorf("startLine = %v", line)
 	}
 	res1 := results[1].(map[string]any)
-	if res1["level"] != "note" {
-		t.Errorf("advisory result level = %v, want note", res1["level"])
+	if res1["ruleId"] != "othercheck" || res1["level"] != "error" || res1["ruleIndex"].(float64) != 1 {
+		t.Errorf("result 1 = %v", res1)
 	}
 }
 
@@ -126,10 +122,10 @@ func TestJSONReport(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("findings = %d, want 2", len(got))
 	}
-	if got[0]["file"] != "pkg/a.go" || got[0]["advisory"] != false {
+	if got[0]["file"] != "pkg/a.go" || got[0]["analyzer"] != "gatecheck" || got[0]["line"] != 3.0 {
 		t.Errorf("finding 0 = %v", got[0])
 	}
-	if got[1]["advisory"] != true {
-		t.Errorf("finding 1 advisory = %v", got[1]["advisory"])
+	if got[1]["analyzer"] != "othercheck" {
+		t.Errorf("finding 1 = %v", got[1])
 	}
 }

@@ -95,12 +95,12 @@ func TestBuildArtifactAggregatesOutcomesAndDeltas(t *testing.T) {
 
 	// Selector surface used by the gate.
 	for sel, want := range map[string]float64{
-		"kdv.count":            5,
-		"kdv.rate_503":         0.2,
-		"kdv.aborted":          1,
-		"upload.p95_ms":        2,
+		"kdv.count":             5,
+		"kdv.rate_503":          0.2,
+		"kdv.aborted":           1,
+		"upload.p95_ms":         2,
 		"server.cache_hit_rate": 0.75,
-		"duration_ms":          123,
+		"duration_ms":           123,
 	} {
 		got, ok := a.Metric(sel)
 		if !ok || got != want {

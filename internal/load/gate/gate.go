@@ -7,10 +7,10 @@
 //     metrics) from a committed SLO file, for invariants like "p95
 //     under a second", "no 5xx", "coalescing actually happened";
 //   - Compare: relative drift of the per-tool latency quantiles against
-//     a committed baseline artifact, judged by Classify — the threshold
-//     and noise-floor rule that `geobench -compare` also calls.
+//     a committed baseline artifact, judged by Classify — the
+//     repository's one threshold and noise-floor rule.
 //
-// Exit-code contract (pinned by tests, same as geobench):
+// Exit-code contract (pinned by tests):
 // 0 = all checks pass, 1 = at least one failure, 2 = unusable input.
 package gate
 
@@ -136,8 +136,8 @@ type CompareRow struct {
 	Status       string  // "ok", "faster", "REGRESSED", "BROKE", "fixed", "new", "removed"
 }
 
-// Classify is the repository's one drift rule, shared by `geogate
-// -baseline` and `geobench -compare`. A row REGRESSED when it grew by
+// Classify is the repository's one drift rule, behind `geogate
+// -baseline`. A row REGRESSED when it grew by
 // more than threshold (fractional, strictly) and either side is at or
 // above the minMS noise floor — below it wall clock is scheduler noise,
 // not signal — and BROKE when it stopped succeeding; both count as

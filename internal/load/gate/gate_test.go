@@ -26,7 +26,7 @@ func artifactFixture() *load.Artifact {
 			"upload": {
 				Count:  10,
 				Status: map[string]int{"200": 10},
-				P50MS: 5, P95MS: 9, P99MS: 12, MaxMS: 12,
+				P50MS:  5, P95MS: 9, P99MS: 12, MaxMS: 12,
 			},
 		},
 		Server: load.ServerStats{
@@ -188,36 +188,36 @@ func TestCompareThresholdAndNoiseFloor(t *testing.T) {
 		regressions int
 	}{
 		{
-			name:        "identical artifacts never regress",
-			mutate:      func(a *load.Artifact) {},
-			threshold:   0.5, minMS: 50,
+			name:      "identical artifacts never regress",
+			mutate:    func(a *load.Artifact) {},
+			threshold: 0.5, minMS: 50,
 			regressions: 0,
 		},
 		{
-			name:        "growth beyond threshold regresses",
-			mutate:      func(a *load.Artifact) { a.Tools["kdv"].P95MS = 200 }, // 80 -> 200 = +150%
-			threshold:   0.5, minMS: 50,
+			name:      "growth beyond threshold regresses",
+			mutate:    func(a *load.Artifact) { a.Tools["kdv"].P95MS = 200 }, // 80 -> 200 = +150%
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"kdv.p95_ms": "REGRESSED"},
 			regressions: 1,
 		},
 		{
-			name:        "growth under the noise floor is ignored",
-			mutate:      func(a *load.Artifact) { a.Tools["upload"].P95MS = 30 }, // 9 -> 30 = +233%, both < 50ms
-			threshold:   0.5, minMS: 50,
+			name:      "growth under the noise floor is ignored",
+			mutate:    func(a *load.Artifact) { a.Tools["upload"].P95MS = 30 }, // 9 -> 30 = +233%, both < 50ms
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"upload.p95_ms": "ok"},
 			regressions: 0,
 		},
 		{
-			name:        "crossing the floor upward counts",
-			mutate:      func(a *load.Artifact) { a.Tools["upload"].P95MS = 60 }, // 9 -> 60, new side >= 50ms
-			threshold:   0.5, minMS: 50,
+			name:      "crossing the floor upward counts",
+			mutate:    func(a *load.Artifact) { a.Tools["upload"].P95MS = 60 }, // 9 -> 60, new side >= 50ms
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"upload.p95_ms": "REGRESSED"},
 			regressions: 1,
 		},
 		{
-			name:        "shrink beyond threshold reads faster",
-			mutate:      func(a *load.Artifact) { a.Tools["kdv"].P99MS = 30 }, // 120 -> 30
-			threshold:   0.5, minMS: 50,
+			name:      "shrink beyond threshold reads faster",
+			mutate:    func(a *load.Artifact) { a.Tools["kdv"].P99MS = 30 }, // 120 -> 30
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"kdv.p99_ms": "faster"},
 			regressions: 0,
 		},
@@ -226,14 +226,14 @@ func TestCompareThresholdAndNoiseFloor(t *testing.T) {
 			mutate: func(a *load.Artifact) {
 				a.Tools["moran"] = &load.ToolStats{Count: 1, P95MS: 9999}
 			},
-			threshold:   0.5, minMS: 50,
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"moran.p95_ms": "new"},
 			regressions: 0,
 		},
 		{
-			name:        "removed tool never fails",
-			mutate:      func(a *load.Artifact) { delete(a.Tools, "upload") },
-			threshold:   0.5, minMS: 50,
+			name:      "removed tool never fails",
+			mutate:    func(a *load.Artifact) { delete(a.Tools, "upload") },
+			threshold: 0.5, minMS: 50,
 			wantStatus:  map[string]string{"upload.p95_ms": "removed"},
 			regressions: 0,
 		},
