@@ -107,9 +107,16 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# End-to-end smoke: boot geostatd, drive one KDV request, and assert the
-# observability surfaces answer with well-formed output (Prometheus text
-# at /metrics, a span tree at /debug/trace/last).
+# End-to-end smoke: boot geostatd, upload a small CSV and a small GeoJSON
+# body through the real listener (each must echo its point count), drive
+# one KDV request, and assert the observability surfaces answer with
+# well-formed output (Prometheus text at /metrics with both uploads in
+# the upload latency series, a span tree at /debug/trace/last).
+SMOKE_CSV = x,y,value\n1,2,10\n3,4,20\n5,6,30\n
+SMOKE_GEOJSON = {"type":"FeatureCollection","features":[$\
+{"type":"Feature","geometry":{"type":"Point","coordinates":[1,2]},"properties":{"value":10}},$\
+{"type":"Feature","geometry":{"type":"Point","coordinates":[3,4]},"properties":{"value":20}}]}
+
 smoke:
 	$(GO) build -o /tmp/geostatd.smoke ./cmd/geostatd
 	@/tmp/geostatd.smoke -addr 127.0.0.1:18091 & pid=$$!; \
@@ -118,10 +125,13 @@ smoke:
 	  curl -fs http://127.0.0.1:18091/healthz >/dev/null 2>&1 && { ok=1; break; }; sleep 0.1; \
 	done; \
 	[ $$ok = 1 ] || { echo "geostatd did not come up"; exit 1; }; \
+	printf '$(SMOKE_CSV)' | curl -fs --data-binary @- http://127.0.0.1:18091/v1/datasets/smoke_csv | grep -q '"n":3' && \
+	printf '%s' '$(SMOKE_GEOJSON)' | curl -fs --data-binary @- http://127.0.0.1:18091/v1/datasets/smoke_geojson | grep -q '"n":2' && \
 	curl -fs -X POST 'http://127.0.0.1:18091/v1/generate?name=smoke&kind=clusters&n=500&seed=1' >/dev/null && \
 	curl -fs 'http://127.0.0.1:18091/v1/kdv?dataset=smoke&bandwidth=8&width=32&height=32' >/dev/null && \
 	curl -fs http://127.0.0.1:18091/metrics | grep -q '# TYPE geostatd_request_seconds histogram' && \
 	curl -fs http://127.0.0.1:18091/metrics | grep -q 'geostatd_requests_total{tool="kdv"} 1' && \
+	curl -fs http://127.0.0.1:18091/metrics | grep -q 'geostatd_request_seconds_count{tool="upload"} 2' && \
 	curl -fs http://127.0.0.1:18091/debug/trace/last | grep -q 'kdv.compute' && \
 	echo "smoke OK"
 

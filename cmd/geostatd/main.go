@@ -18,7 +18,7 @@
 //
 // Observability: GET /metrics serves Prometheus text (per-tool latency
 // histograms, cache hit/miss/eviction counters, in-flight gauge) and
-// GET /debug/trace/last the span tree of the last tool request.
+// GET /debug/trace/last the span tree of the last tool request or upload.
 // -slow-ms N logs the full stage tree of any request slower than N ms.
 // -debug-addr starts a second listener with net/http/pprof — opt-in so
 // profiling endpoints never share the public port.

@@ -59,8 +59,8 @@ func WithField(rng *rand.Rand, d *Dataset, field func(Point) float64, noiseSigma
 func FromPoints(pts []Point) *Dataset { return dataset.FromPoints(pts) }
 
 // NewDataset builds a Dataset from points plus optional parallel times and
-// values columns (nil to omit). Column lengths must match len(pts) and all
-// entries must be finite.
+// values columns (nil to omit), copying all three. Column lengths must match
+// len(pts) and all entries must be finite.
 func NewDataset(pts []Point, times, values []float64) (*Dataset, error) {
 	return dataset.New(pts, times, values)
 }

@@ -1,13 +1,12 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-
-	"geostat/internal/geom"
 )
 
 // CSV layout: a header row followed by one row per point.
@@ -57,7 +56,22 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 }
 
 // ReadCSV reads a dataset in the layout written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
+func ReadCSV(r io.Reader) (*Dataset, error) { return readCSV(r, 0) }
+
+// DecodeCSV is ReadCSV over a body already in memory. One count of its
+// newlines presizes the columns, so each is allocated once at its final
+// size; the count is capped at one row per four bytes ("1,2\n" is the
+// shortest row), so a body of blank lines cannot inflate it.
+func DecodeCSV(body []byte) (*Dataset, error) {
+	rows := min(bytes.Count(body, []byte{'\n'}), len(body)/4)
+	return readCSV(bytes.NewReader(body), rows)
+}
+
+// readCSV tokenizes with encoding/csv and parses each field in place into
+// the Builder: the tokenizer's one string per record is the only per-row
+// allocation. The header fixes the optional columns, and encoding/csv holds
+// every record to the header's field count.
+func readCSV(r io.Reader, rows int) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
@@ -68,17 +82,8 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		pts    []geom.Point
-		times  []float64
-		values []float64
-	)
-	if hasT {
-		times = []float64{}
-	}
-	if hasV {
-		values = []float64{}
-	}
+	var b Builder
+	b.Reset(rows, hasT, hasV)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -87,7 +92,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading CSV line %d: %w", line, err)
 		}
-		vals := make([]float64, len(rec))
+		var vals [4]float64
 		for i, s := range rec {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
@@ -95,17 +100,18 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 			}
 			vals[i] = v
 		}
-		col := 2
-		pts = append(pts, pointXY(vals[0], vals[1]))
+		// x, y, then t and / or value: with both, value is the fourth field.
+		t, v := vals[2], vals[2]
 		if hasT {
-			times = append(times, vals[col])
-			col++
+			v = vals[3]
 		}
-		if hasV {
-			values = append(values, vals[col])
-		}
+		b.Add(vals[0], vals[1], t, v)
 	}
-	return New(pts, times, values)
+	d := b.Dataset()
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // ReadCSVFile reads a dataset from the named file.
@@ -158,5 +164,3 @@ func eq(h []string, want ...string) bool {
 }
 
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func pointXY(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }

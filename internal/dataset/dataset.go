@@ -33,8 +33,9 @@ import (
 // Invariants (checked by Validate): the optional columns are either nil or
 // have exactly N() entries, and no stored number is NaN/Inf.
 //
-// The zero value is an empty dataset. Construct with New, FromPoints or
-// the generators; read coordinates through XY/Point/Points and the column
+// The zero value is an empty dataset. Construct with New, FromPoints, a
+// Builder (which the other two and the CSV / GeoJSON decoders use) or the
+// generators; read coordinates through XY/Point/Points and the column
 // accessors. The internal columns are not addressable from outside this
 // package, so the chunk aggregates can never drift from the data.
 type Dataset struct {
@@ -51,13 +52,29 @@ type Dataset struct {
 }
 
 // New assembles a dataset from points and optional times/values columns
-// (either may be nil). The coordinates are copied into columnar storage;
-// times and values are retained without copying and must not be mutated by
-// the caller afterwards.
+// (either may be nil; a non-nil column of length zero is still present).
+// Every input is copied through a Builder, so the caller keeps ownership of
+// all three slices; lengths must match and every number must be finite.
 func New(pts []geom.Point, times, values []float64) (*Dataset, error) {
-	d := FromPoints(pts)
-	d.times = times
-	d.values = values
+	if err := checkLen("time", times, len(pts)); err != nil {
+		return nil, err
+	}
+	if err := checkLen("value", values, len(pts)); err != nil {
+		return nil, err
+	}
+	var b Builder
+	b.Reset(len(pts), times != nil, values != nil)
+	var t, v float64
+	for i, p := range pts {
+		if times != nil {
+			t = times[i]
+		}
+		if values != nil {
+			v = values[i]
+		}
+		b.Add(p.X, p.Y, t, v)
+	}
+	d := b.Dataset()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -68,9 +85,14 @@ func New(pts []geom.Point, times, values []float64) (*Dataset, error) {
 // the chunked columnar storage: unlike the pre-columnar version of this
 // API, the input slice is NOT retained, so callers may reuse or mutate pts
 // freely afterwards (the old aliasing footgun is gone by construction).
+// Nothing is validated here; call Validate.
 func FromPoints(pts []geom.Point) *Dataset {
-	c := MakeColumns(pts, nil)
-	return &Dataset{x: c.X, y: c.Y, chunks: c.Chunks}
+	var b Builder
+	b.Reset(len(pts), false, false)
+	for _, p := range pts {
+		b.Add(p.X, p.Y, 0, 0)
+	}
+	return b.Dataset()
 }
 
 // N returns the number of points.
@@ -163,16 +185,21 @@ func (d *Dataset) SetWeights(weights []float64) error {
 // checkColumn validates an optional column against the point count: nil is
 // allowed, otherwise the length must match and every entry be finite.
 func checkColumn(what string, col []float64, n int) error {
-	if col == nil {
-		return nil
-	}
-	if len(col) != n {
-		return fmt.Errorf("dataset: %d points but %d %ss", n, len(col), what)
+	if err := checkLen(what, col, n); err != nil {
+		return err
 	}
 	for i, v := range col {
 		if !finite(v) {
 			return fmt.Errorf("dataset: %s %d is non-finite (%v)", what, i, v)
 		}
+	}
+	return nil
+}
+
+// checkLen checks an optional column's length: nil, or one entry per point.
+func checkLen(what string, col []float64, n int) error {
+	if col != nil && len(col) != n {
+		return fmt.Errorf("dataset: %d points but %d %ss", n, len(col), what)
 	}
 	return nil
 }

@@ -5,17 +5,36 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV checks the reader never panics and that any dataset it
-// accepts survives a write/read cycle byte-identically: WriteCSV uses
-// shortest round-trip float formatting, so re-reading and re-writing
-// must reproduce the first encoding exactly.
+// FuzzReadCSV holds both CSV readers to the one they replaced
+// (reference_test.go), on the same bytes: DecodeCSV (the upload path) and
+// ReadCSV error iff the reference does and otherwise yield a dataset with
+// its Digest, so the same floats, the same order and the same optional
+// columns. Any accepted dataset must also survive a write/read cycle
+// byte-identically: WriteCSV uses shortest round-trip float formatting, so
+// re-reading and re-writing must reproduce the first encoding exactly.
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("x,y\n1,2\n3.5,-4e2\n"))
 	f.Add([]byte("x,y,t,value\n1,2,0.5,9\n"))
 	f.Add([]byte("x,y,value\n0.1,0.2,3\n"))
 	f.Add([]byte("x,y\nnot,numbers\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadCSV(bytes.NewReader(data))
+		want, werr := readCSVReference(bytes.NewReader(data))
+		for _, r := range []struct {
+			name string
+			read func() (*Dataset, error)
+		}{
+			{"DecodeCSV", func() (*Dataset, error) { return DecodeCSV(data) }},
+			{"ReadCSV", func() (*Dataset, error) { return ReadCSV(bytes.NewReader(data)) }},
+		} {
+			got, err := r.read()
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%s error %v, reference error %v\ninput: %q", r.name, err, werr, data)
+			}
+			if err == nil && got.Digest() != want.Digest() {
+				t.Fatalf("%s digest differs from the reference\ninput: %q", r.name, data)
+			}
+		}
+		d, err := DecodeCSV(data)
 		if err != nil {
 			return
 		}

@@ -1,13 +1,13 @@
 package geojson
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
-	"geostat/internal/geom"
+	"geostat/internal/dataset"
 )
 
 // Parse decodes and validates a GeoJSON FeatureCollection. It is the
@@ -15,30 +15,14 @@ import (
 // concrete shapes the builders produce, so a parsed collection re-encodes
 // to an equivalent document. Unknown geometry types, malformed coordinate
 // arrays, and non-finite coordinates are rejected rather than passed
-// through.
+// through. The document is read by the scanner in scan.go; each feature's
+// "properties" go to encoding/json.
 func Parse(data []byte) (*FeatureCollection, error) {
-	var fc FeatureCollection
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return nil, fmt.Errorf("geojson: %w", err)
+	c := collectionSink{features: make([]Feature, 0, countPositions(data))}
+	if err := scanCollection(data, &c); err != nil {
+		return nil, err
 	}
-	if fc.Type != "FeatureCollection" {
-		return nil, fmt.Errorf("geojson: top-level type %q, want FeatureCollection", fc.Type)
-	}
-	if fc.Features == nil {
-		fc.Features = []Feature{}
-	}
-	for i := range fc.Features {
-		f := &fc.Features[i]
-		if f.Type != "Feature" {
-			return nil, fmt.Errorf("geojson: feature %d: type %q, want Feature", i, f.Type)
-		}
-		norm, err := normalizeGeometry(f.Geometry)
-		if err != nil {
-			return nil, fmt.Errorf("geojson: feature %d: %w", i, err)
-		}
-		f.Geometry = norm
-	}
-	return &fc, nil
+	return &FeatureCollection{Type: "FeatureCollection", Features: c.features}, nil
 }
 
 // Read decodes a FeatureCollection from r.
@@ -59,143 +43,157 @@ func ReadFile(path string) (*FeatureCollection, error) {
 	return Parse(data)
 }
 
-// normalizeGeometry re-types the raw coordinates (json decodes them as
-// nested []any) into the concrete arrays the builders use.
-func normalizeGeometry(g geometry) (geometry, error) {
-	switch g.Type {
-	case "Point":
-		c, err := asCoord(g.Coordinates)
-		if err != nil {
-			return g, err
-		}
-		g.Coordinates = c
-	case "LineString":
-		cs, err := asLine(g.Coordinates)
-		if err != nil {
-			return g, err
-		}
-		if len(cs) < 2 {
-			return g, fmt.Errorf("LineString with %d positions, want >= 2", len(cs))
-		}
-		g.Coordinates = cs
-	case "MultiLineString":
-		lines, err := asLines(g.Coordinates)
-		if err != nil {
-			return g, err
-		}
-		g.Coordinates = lines
-	case "Polygon":
-		rings, err := asLines(g.Coordinates)
-		if err != nil {
-			return g, err
-		}
-		for _, ring := range rings {
-			if len(ring) < 4 {
-				return g, fmt.Errorf("polygon ring with %d positions, want >= 4", len(ring))
-			}
-			if ring[0] != ring[len(ring)-1] {
-				return g, fmt.Errorf("polygon ring is not closed")
-			}
-		}
-		g.Coordinates = rings
-	default:
-		return g, fmt.Errorf("unsupported geometry type %q", g.Type)
+// DecodePoints decodes a FeatureCollection straight into a dataset: the
+// coordinates of its Point features plus, when present, their numeric "t"
+// and "value" properties (the GeoJSON counterparts of the CSV t/value
+// columns). It accepts exactly the documents Parse accepts and yields the
+// dataset of their Point features, appended into the columns as the
+// scanner meets them, with no FeatureCollection in between.
+//
+// The first Point feature decides which optional columns the dataset
+// carries, and every other Point must carry the same ones: a
+// half-populated time or value column has no meaning to the analytics
+// tools. A property is read as encoding/json would leave it in the
+// feature's map (exact key, the last one wins), and anything but a number
+// there — null included — is an error. Non-Point features (contour lines,
+// bounding boxes) are validated and skipped, so an exported collection
+// round-trips to its events; MultiPoint is not a supported geometry.
+func DecodePoints(data []byte) (*dataset.Dataset, error) {
+	p := pointSink{hint: countPositions(data)}
+	if err := scanCollection(data, &p); err != nil {
+		return nil, err
 	}
-	return g, nil
+	d := p.b.Dataset()
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-func asCoord(v any) ([2]float64, error) {
-	raw, ok := v.([]any)
-	if !ok || len(raw) != 2 {
-		return [2]float64{}, fmt.Errorf("position must be a [x, y] array, got %T", v)
-	}
-	var c [2]float64
-	for i, e := range raw {
-		f, ok := e.(float64)
-		if !ok || math.IsNaN(f) || math.IsInf(f, 0) {
-			return c, fmt.Errorf("coordinate %d is not a finite number", i)
-		}
-		c[i] = f
-	}
-	return c, nil
+// countPositions counts the "coordinates" keys in data: one cheap pass
+// that bounds the number of features from above (a key spelled with an
+// escape or in other case only makes it an underestimate). The pattern
+// leaves out the opening quote: searching from a 'c' skips ahead far
+// faster than from the quote every JSON string starts with.
+func countPositions(data []byte) int {
+	return bytes.Count(data, []byte(`coordinates"`))
 }
 
-func asLine(v any) ([][2]float64, error) {
-	raw, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("coordinates must be an array of positions, got %T", v)
-	}
-	out := make([][2]float64, len(raw))
-	for i, e := range raw {
-		c, err := asCoord(e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
+// collectionSink builds Parse's FeatureCollection.
+type collectionSink struct {
+	features []Feature
+	props    map[string]any // the current feature's properties
 }
 
-func asLines(v any) ([][][2]float64, error) {
-	raw, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("coordinates must be an array of lines, got %T", v)
-	}
-	out := make([][][2]float64, len(raw))
-	for i, e := range raw {
-		cs, err := asLine(e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cs
-	}
-	return out, nil
+// properties merges one "properties" member into the current feature's map
+// with json.Unmarshal, over what an earlier "properties" member of the same
+// feature left there: null empties it, an object adds its members, the
+// last duplicate wins.
+func (c *collectionSink) properties(raw []byte) error {
+	return json.Unmarshal(raw, &c.props)
 }
 
-// PointData extracts the Point features of a parsed collection: their
-// coordinates plus, when present, the numeric "t" and "value" properties
-// (the GeoJSON counterparts of the CSV t/value columns). Either every
-// Point feature carries the property or none does — a mix is rejected,
-// since a half-populated time or value column has no meaning to the
-// analytics tools. Non-Point features (contour lines, bounding boxes) are
-// skipped: round-tripping an exported collection recovers the events.
-func (fc *FeatureCollection) PointData() (pts []geom.Point, times, values []float64, err error) {
-	for i, f := range fc.Features {
-		c, ok := f.Geometry.Coordinates.([2]float64)
-		if f.Geometry.Type != "Point" || !ok {
-			continue
-		}
-		pts = append(pts, geom.Point{X: c[0], Y: c[1]})
-		t, hasT, err := numProp(f.Properties, "t")
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("geojson: feature %d: %w", i, err)
-		}
-		v, hasV, err := numProp(f.Properties, "value")
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("geojson: feature %d: %w", i, err)
-		}
-		if hasT {
-			times = append(times, t)
-		}
-		if hasV {
-			values = append(values, v)
-		}
-		if n := len(pts); (times != nil && len(times) != n) || (values != nil && len(values) != n) {
-			return nil, nil, nil, fmt.Errorf("geojson: feature %d: every Point must carry the same optional properties (t/value)", i)
-		}
+func (c *collectionSink) feature(f *feature) error {
+	props := c.props
+	c.props = nil
+	if !f.isFeature {
+		return fmt.Errorf("type is not Feature")
 	}
-	return pts, times, values, nil
+	g, err := f.geometry()
+	if err != nil {
+		return err
+	}
+	c.features = append(c.features, Feature{Type: "Feature", Geometry: g, Properties: props})
+	return nil
 }
 
-// numProp reads a numeric property (json numbers decode as float64).
-func numProp(props map[string]any, key string) (float64, bool, error) {
-	v, ok := props[key]
-	if !ok {
+func (c *collectionSink) reset() { c.features, c.props = c.features[:0], nil }
+
+// pointSink appends DecodePoints's Point features into a dataset.Builder.
+type pointSink struct {
+	b       dataset.Builder
+	hint    int  // presize for the columns
+	started bool // the first Point has fixed the optional columns
+	t, v    prop // the current feature's "t" and "value" properties
+}
+
+// prop is one property of the current feature as its map would hold it.
+type prop struct {
+	raw []byte  // the value's raw JSON; nil if the key is absent
+	x   float64 // the value, when it is a number
+}
+
+// number returns the property as a float64: false if absent, an error if
+// it is anything but a number.
+func (p prop) number(key string) (float64, bool, error) {
+	if p.raw == nil {
 		return 0, false, nil
 	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, false, fmt.Errorf("property %q is %T, want number", key, v)
+	if c := p.raw[0]; c != '-' && !isDigit(c) {
+		return 0, false, fmt.Errorf("property %q is %s, want number", key, kindOf(p.raw))
 	}
-	return f, true, nil
+	return p.x, true, nil
 }
+
+// properties merges a "properties" object into t and v (null empties the
+// map), converting every number in it as encoding/json would.
+func (p *pointSink) properties(raw []byte) error {
+	if raw[0] == 'n' {
+		p.t, p.v = prop{}, prop{}
+		return nil
+	}
+	s := scanner{data: raw}
+	_, err := s.object(0, 0, func(key []byte, esc bool, j int) (int, error) {
+		var dst *prop
+		switch {
+		case strEq(key, esc, "t"):
+			dst = &p.t
+		case strEq(key, esc, "value"):
+			dst = &p.v
+		}
+		if x, end, ok := s.float(j); ok && dst != nil {
+			*dst = prop{raw: raw[j:end], x: x}
+			return end, nil
+		}
+		end, err := s.value(j, 0, true)
+		if err == nil && dst != nil {
+			*dst = prop{raw: raw[j:end]}
+		}
+		return end, err
+	})
+	return err
+}
+
+func (p *pointSink) feature(f *feature) error {
+	t, v := p.t, p.v
+	p.t, p.v = prop{}, prop{}
+	if !f.isFeature {
+		return fmt.Errorf("type is not Feature")
+	}
+	if f.kind != gPoint {
+		_, err := f.geometry()
+		return err
+	}
+	c, err := f.position()
+	if err != nil {
+		return err
+	}
+	tv, hasT, err := t.number("t")
+	if err != nil {
+		return err
+	}
+	vv, hasV, err := v.number("value")
+	if err != nil {
+		return err
+	}
+	if !p.started {
+		p.started = true
+		p.b.Reset(p.hint, hasT, hasV)
+	} else if hasT != p.b.HasTimes() || hasV != p.b.HasValues() {
+		return fmt.Errorf("every Point must carry the same optional properties (t/value)")
+	}
+	p.b.Add(c[0], c[1], tv, vv)
+	return nil
+}
+
+func (p *pointSink) reset() { *p = pointSink{hint: p.hint} }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,8 @@ import (
 	"strings"
 
 	"geostat"
+	"geostat/internal/dataset"
+	"geostat/internal/geojson"
 	"geostat/internal/obs"
 	"geostat/internal/weights"
 )
@@ -31,20 +34,40 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 // handleUpload stores a dataset posted as CSV (header x,y[,t][,value]) or
 // as a GeoJSON FeatureCollection of Point features (optional numeric "t"
 // and "value" properties). The format is sniffed from the first byte: a
-// JSON object means GeoJSON, anything else is parsed as CSV.
+// JSON object means GeoJSON, anything else is parsed as CSV. The request
+// is traced like a tool request (tool=upload): upload.read, upload.decode
+// and upload.register under the root span.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	ctx, root := obs.NewTrace(r.Context(), "request")
+	root.SetAttr("tool", "upload")
+	defer s.finishTrace("upload", root)
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+
+	_, read := obs.Trace(ctx, "upload.read")
+	body, status, err := s.readBody(w, r)
+	read.SetAttrInt("bytes", int64(len(body)))
+	read.End()
 	if err != nil {
-		s.writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		s.writeError(w, status, err.Error())
 		return
 	}
-	d, err := decodeDataset(body)
+
+	_, decode := obs.Trace(ctx, "upload.decode")
+	d, format, err := decodeDataset(body)
+	decode.SetAttr("format", format)
+	decode.SetAttrInt("bytes", int64(len(body)))
+	if err == nil {
+		decode.SetAttrInt("points", int64(d.N()))
+	}
+	decode.End()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+
+	_, register := obs.Trace(ctx, "upload.register")
 	version, err := s.putDataset(name, d)
+	register.End()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -53,6 +76,69 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Name: name, N: d.N(), Version: version,
 		HasTimes: d.HasTimes(), HasValues: d.HasValues(),
 	})
+}
+
+// readBody reads an upload body once, through MaxBodyBytes. A body of
+// known length is read by readDeclared, so one of up to firstBodyBuffer
+// bytes lands in one buffer of exactly its size; only a body of unknown
+// length (chunked) is read into a growing buffer. A declared length over
+// the cap is refused before a byte is read, and a body that runs past the
+// cap (*http.MaxBytesError) is refused too: both are 413. Any other read
+// error — a client that hangs up, or sends fewer bytes than it declared —
+// is 400.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	limit := s.cfg.MaxBodyBytes
+	if r.ContentLength > limit {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit)
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var (
+		buf []byte
+		err error
+	)
+	if r.ContentLength >= 0 {
+		buf, err = readDeclared(body, r.ContentLength)
+	} else {
+		buf, err = io.ReadAll(body)
+	}
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
+	}
+	return buf, http.StatusOK, nil
+}
+
+// firstBodyBuffer caps the buffer readDeclared allocates before the first
+// body byte arrives.
+const firstBodyBuffer = 1 << 20
+
+// readDeclared reads exactly n bytes from r. Its buffer starts at
+// min(n, firstBodyBuffer) and doubles, never past n, only once full, so
+// what it holds follows the bytes received, not the length a client
+// declared: a client that declares the cap and sends nothing holds
+// firstBodyBuffer. Fewer than n bytes is io.ErrUnexpectedEOF.
+func readDeclared(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, firstBodyBuffer))
+	for int64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, 2*int64(cap(buf))))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && int64(len(buf)) < n {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // putDataset registers d under name and, when that replaces an earlier
@@ -66,19 +152,15 @@ func (s *Server) putDataset(name string, d *geostat.Dataset) (uint64, error) {
 	return version, err
 }
 
-func decodeDataset(body []byte) (*geostat.Dataset, error) {
+// decodeDataset decodes an upload body in one pass straight into the
+// dataset's columns and names the format it sniffed.
+func decodeDataset(body []byte) (*geostat.Dataset, string, error) {
 	if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '{' {
-		fc, err := geostat.ParseGeoJSON(body)
-		if err != nil {
-			return nil, err
-		}
-		pts, times, values, err := fc.PointData()
-		if err != nil {
-			return nil, err
-		}
-		return geostat.NewDataset(pts, times, values)
+		d, err := geojson.DecodePoints(body)
+		return d, "geojson", err
 	}
-	return geostat.ReadCSV(bytes.NewReader(body))
+	d, err := dataset.DecodeCSV(body)
+	return d, "csv", err
 }
 
 func (s *Server) writeDatasetInfo(w http.ResponseWriter, info DatasetInfo) {

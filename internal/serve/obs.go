@@ -58,12 +58,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceLast serves the span tree of the most recently completed
-// tool request as JSON — the one-liner way to see where a request's time
-// went without attaching a profiler.
+// tool request or dataset upload as JSON — the one-liner way to see where
+// a request's time went without attaching a profiler.
 func (s *Server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 	t := s.lastTrace.Load()
 	if t == nil {
-		s.writeError(w, http.StatusNotFound, "no tool request traced yet")
+		s.writeError(w, http.StatusNotFound, "no tool request or upload traced yet")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

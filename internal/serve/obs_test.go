@@ -235,6 +235,57 @@ func TestAutocorrSpanAttrs(t *testing.T) {
 	}
 }
 
+// TestUploadTrace: an upload is traced like a tool request — a root
+// request span with tool=upload over upload.read (bytes), upload.decode
+// (format, bytes, points) and upload.register — and feeds
+// geostatd_request_seconds{tool="upload"}.
+func TestUploadTrace(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	csv := []byte("x,y,value\n1,2,10\n3,4,20\n5,6,30\n")
+	gj := []byte(`{"type":"FeatureCollection","features":[` +
+		`{"type":"Feature","geometry":{"type":"Point","coordinates":[1,2]},"properties":{"value":10}},` +
+		`{"type":"Feature","geometry":{"type":"Point","coordinates":[3,4]},"properties":{"value":20}}]}`)
+	for _, up := range []struct {
+		format string
+		body   []byte
+		points int
+	}{{"csv", csv, 3}, {"geojson", gj, 2}} {
+		if rr := do(t, srv, http.MethodPost, "/v1/datasets/"+up.format, up.body); rr.Code != http.StatusOK {
+			t.Fatalf("%s upload: status %d: %s", up.format, rr.Code, rr.Body.String())
+		}
+		var tree obs.SpanTree
+		if err := json.Unmarshal(do(t, srv, http.MethodGet, "/debug/trace/last", nil).Body.Bytes(), &tree); err != nil {
+			t.Fatalf("decode trace: %v", err)
+		}
+		want := []string{"request", "upload.read", "upload.decode", "upload.register"}
+		if got := tree.StageNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: stage tree = %v, want %v", up.format, got, want)
+		}
+		attrs := map[string]string{}
+		for _, a := range tree.Attrs {
+			attrs["request/"+a.Key] = a.Value
+		}
+		for _, c := range tree.Children {
+			for _, a := range c.Attrs {
+				attrs[c.Name+"/"+a.Key] = a.Value
+			}
+		}
+		n := fmt.Sprint(len(up.body))
+		for k, v := range map[string]string{
+			"request/tool": "upload", "upload.read/bytes": n,
+			"upload.decode/format": up.format, "upload.decode/bytes": n,
+			"upload.decode/points": fmt.Sprint(up.points),
+		} {
+			if attrs[k] != v {
+				t.Errorf("%s: %s = %q, want %s", up.format, k, attrs[k], v)
+			}
+		}
+	}
+	if got := scrape(t, srv)[`geostatd_request_seconds_count{tool="upload"}`]; got != "2" {
+		t.Errorf(`geostatd_request_seconds_count{tool="upload"} = %q, want 2`, got)
+	}
+}
+
 func TestSlowRequestLogging(t *testing.T) {
 	var (
 		mu  sync.Mutex
