@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"geostat/internal/geom"
+	"geostat/internal/index/kdtree"
 )
 
 // ChunkSize is the number of points per storage chunk. 4096 points is
@@ -50,6 +51,11 @@ type Columns struct {
 	// Chunks partitions [0, len(X)) into ChunkSize-sized ranges with
 	// precomputed aggregates.
 	Chunks []Chunk
+
+	// snap is the dataset whose coordinates these are, when they are all of
+	// them in its order (Dataset.Columns, kept by WithWeights and by a
+	// FilterBox that keeps every point); Tree answers from its memo.
+	snap *Dataset
 }
 
 // N returns the number of points in the columns.
@@ -95,7 +101,18 @@ func (c Columns) WithWeights(w []float64) (Columns, error) {
 	if w != nil && len(w) != c.N() {
 		return Columns{}, fmt.Errorf("dataset: %d points but %d weights", c.N(), len(w))
 	}
-	return Columns{X: c.X, Y: c.Y, W: w, Chunks: buildChunks(c.X, c.Y, w)}, nil
+	return Columns{X: c.X, Y: c.Y, W: w, Chunks: buildChunks(c.X, c.Y, w), snap: c.snap}, nil
+}
+
+// Tree returns a kd-tree over the columns' points and whether this call
+// built it. Columns of a dataset snapshot answer with the snapshot's
+// memoised tree (Dataset.Tree, built once and shared); any other columns —
+// MakeColumns, Gather, a clipped FilterBox — get a tree built now.
+func (c Columns) Tree() (t *kdtree.Tree, built bool) {
+	if c.snap != nil {
+		return c.snap.Tree()
+	}
+	return kdtree.NewColumns(c.X, c.Y), true
 }
 
 // Gather returns fresh columns holding the points at idx, in idx order

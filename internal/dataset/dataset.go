@@ -119,9 +119,10 @@ func (d *Dataset) Points() []geom.Point {
 // optional weight column, and per-chunk aggregates). The returned slices
 // alias the dataset's storage and are read-only: writing through them
 // breaks the chunk aggregates (the geolint colaccess analyzer enforces
-// this outside internal/dataset).
+// this outside internal/dataset). The view remembers d, so its Tree is
+// d's memoised one.
 func (d *Dataset) Columns() Columns {
-	return Columns{X: d.x, Y: d.y, W: d.weights, Chunks: d.chunks}
+	return Columns{X: d.x, Y: d.y, W: d.weights, Chunks: d.chunks, snap: d}
 }
 
 // Chunks returns the per-chunk metadata (see Chunk).

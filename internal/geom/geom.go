@@ -128,8 +128,8 @@ func (b BBox) Intersects(o BBox) bool {
 // ExtendPoint returns b grown to include p.
 func (b BBox) ExtendPoint(p Point) BBox {
 	return BBox{
-		MinX: math.Min(b.MinX, p.X), MinY: math.Min(b.MinY, p.Y),
-		MaxX: math.Max(b.MaxX, p.X), MaxY: math.Max(b.MaxY, p.Y),
+		MinX: min(b.MinX, p.X), MinY: min(b.MinY, p.Y),
+		MaxX: max(b.MaxX, p.X), MaxY: max(b.MaxY, p.Y),
 	}
 }
 
@@ -142,8 +142,8 @@ func (b BBox) Union(o BBox) BBox {
 		return b
 	}
 	return BBox{
-		MinX: math.Min(b.MinX, o.MinX), MinY: math.Min(b.MinY, o.MinY),
-		MaxX: math.Max(b.MaxX, o.MaxX), MaxY: math.Max(b.MaxY, o.MaxY),
+		MinX: min(b.MinX, o.MinX), MinY: min(b.MinY, o.MinY),
+		MaxX: max(b.MaxX, o.MaxX), MaxY: max(b.MaxY, o.MaxY),
 	}
 }
 
@@ -169,8 +169,8 @@ func (b BBox) MinDist2(p Point) float64 {
 // exactly what the function-approximation KDE methods (QUAD/KARL family in
 // the paper) need to derive lower/upper kernel bounds per index node.
 func (b BBox) MaxDist2(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-b.MinX), math.Abs(p.X-b.MaxX))
-	dy := math.Max(math.Abs(p.Y-b.MinY), math.Abs(p.Y-b.MaxY))
+	dx := max(math.Abs(p.X-b.MinX), math.Abs(p.X-b.MaxX))
+	dy := max(math.Abs(p.Y-b.MinY), math.Abs(p.Y-b.MaxY))
 	return dx*dx + dy*dy
 }
 

@@ -1,8 +1,9 @@
 // Package balltree implements a ball-tree (Moore's anchors hierarchy [71]
 // in the paper): a binary tree whose nodes are bounding balls
-// (center, radius). Ball nodes give tighter distance brackets than
-// axis-aligned boxes on spherical clusters, which is why the
-// function-approximation KDE literature the paper reviews uses both.
+// (center, radius), answering disc range counts and queries. It is one of
+// the index structures the K-function's range-query family (§2.3) is
+// compared across (kfunc.BallTreeIndexed); bound-based KDE runs on the
+// kd-tree.
 package balltree
 
 import (
@@ -169,77 +170,4 @@ func (t *Tree) rangeQuery(ni int32, q geom.Point, r float64, dst []int) []int {
 	}
 	dst = t.rangeQuery(n.left, q, r, dst)
 	return t.rangeQuery(n.right, q, r, dst)
-}
-
-// NodeID identifies a tree node for the best-first traversal API used by
-// bound-based kernel aggregation. The root is NodeID(0) on a non-empty
-// tree; IsLeaf/Children navigate downwards.
-type NodeID int32
-
-// Root returns the root node id and false if the tree is empty.
-func (t *Tree) Root() (NodeID, bool) {
-	if len(t.nodes) == 0 {
-		return 0, false
-	}
-	return 0, true
-}
-
-// IsLeaf reports whether id is a leaf.
-func (t *Tree) IsLeaf(id NodeID) bool { return t.nodes[id].left < 0 }
-
-// Children returns the two children of an internal node.
-func (t *Tree) Children(id NodeID) (NodeID, NodeID) {
-	n := &t.nodes[id]
-	return NodeID(n.left), NodeID(n.right)
-}
-
-// NodeCount returns the number of points under id.
-func (t *Tree) NodeCount(id NodeID) int {
-	n := &t.nodes[id]
-	return n.hi - n.lo
-}
-
-// NodeBracket returns [dMin, dMax] bounds on the distance from q to any
-// point under id.
-func (t *Tree) NodeBracket(id NodeID, q geom.Point) (dMin, dMax float64) {
-	n := &t.nodes[id]
-	d := q.Dist(n.center)
-	return math.Max(0, d-n.radius), d + n.radius
-}
-
-// NodePoints calls fn for every point under id (used when a best-first
-// traversal decides to resolve a leaf exactly).
-func (t *Tree) NodePoints(id NodeID, fn func(p geom.Point)) {
-	n := &t.nodes[id]
-	for _, p := range t.pts[n.lo:n.hi] {
-		fn(p)
-	}
-}
-
-// Visit walks the tree with per-node distance brackets [dMin, dMax] from q,
-// the traversal primitive for bound-based kernel aggregation: fn returns
-// true to descend, false to accept the node's count·bracket contribution.
-func (t *Tree) Visit(q geom.Point, fn func(dMin, dMax float64, count int) bool, leafFn func(p geom.Point)) {
-	if len(t.nodes) == 0 {
-		return
-	}
-	t.visit(0, q, fn, leafFn)
-}
-
-func (t *Tree) visit(ni int32, q geom.Point, fn func(float64, float64, int) bool, leafFn func(geom.Point)) {
-	n := &t.nodes[ni]
-	d := q.Dist(n.center)
-	dMin := math.Max(0, d-n.radius)
-	dMax := d + n.radius
-	if !fn(dMin, dMax, n.hi-n.lo) {
-		return
-	}
-	if n.left < 0 {
-		for _, p := range t.pts[n.lo:n.hi] {
-			leafFn(p)
-		}
-		return
-	}
-	t.visit(n.left, q, fn, leafFn)
-	t.visit(n.right, q, fn, leafFn)
 }

@@ -28,10 +28,6 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.RangeQuery(geom.Point{}, 5, nil); len(got) != 0 {
 		t.Errorf("RangeQuery = %v", got)
 	}
-	tr.Visit(geom.Point{}, func(float64, float64, int) bool {
-		t.Error("Visit on empty tree")
-		return false
-	}, nil)
 }
 
 func TestRangeCountMatchesBruteForce(t *testing.T) {
@@ -92,41 +88,6 @@ func TestAllIdenticalPoints(t *testing.T) {
 	tr := New(pts) // exercises the degenerate-split guard
 	if got := tr.RangeCount(geom.Point{X: -4, Y: 9}, 0); got != 200 {
 		t.Errorf("count = %d, want 200", got)
-	}
-}
-
-// Property: Visit's (dMin, dMax) brackets the true distance of every point
-// in the node.
-func TestVisitBracketsAreSound(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pts := randomPoints(r, 500)
-	tr := New(pts)
-	for trial := 0; trial < 20; trial++ {
-		q := geom.Point{X: r.Float64()*200 - 50, Y: r.Float64()*200 - 50}
-		type frame struct{ dMin, dMax float64 }
-		var stack []frame
-		seen := 0
-		tr.Visit(q,
-			func(dMin, dMax float64, count int) bool {
-				if dMin < 0 || dMax < dMin {
-					t.Fatalf("bad bracket [%v, %v]", dMin, dMax)
-				}
-				stack = append(stack, frame{dMin, dMax})
-				return true
-			},
-			func(p geom.Point) {
-				seen++
-				d := p.Dist(q)
-				// The most recent bracket must contain d (leaf node's bracket).
-				f := stack[len(stack)-1]
-				if d < f.dMin-1e-9 || d > f.dMax+1e-9 {
-					t.Fatalf("point dist %v outside leaf bracket [%v, %v]", d, f.dMin, f.dMax)
-				}
-			},
-		)
-		if seen != len(pts) {
-			t.Fatalf("Visit saw %d points, want %d", seen, len(pts))
-		}
 	}
 }
 

@@ -5,24 +5,25 @@
 // lower/upper kernel bounds (§2.2).
 //
 // The tree is built once and keeps its own reordered coordinate columns
-// (the layout a Dataset already has); nodes store their bounding box and
-// subtree size so that (a) disc range counting can accept or reject whole
-// subtrees and (b) bound-based KDE can score a whole subtree in O(1) from
-// MinDist2/MaxDist2.
+// (the layout a Dataset already has); nodes store their bounding box,
+// subtree size and moments (centroid, scatter) so that (a) disc range
+// counting can accept or reject whole subtrees and (b) bound-based KDE can
+// score a whole subtree in O(1) from MinDist2/MaxDist2 and the exact
+// Σ|pᵢ−q|² the moments give (KARL's bounds, internal/kde).
 package kdtree
 
 import (
 	"math"
-	"sort"
 
 	"geostat/internal/geom"
 )
 
 // Tree is an immutable 2-d tree. Build with New or NewColumns.
 type Tree struct {
-	xs, ys []float64 // coordinates reordered during construction
-	idx    []int     // idx[i] = original index of slot i
-	nodes  []node    // implicit tree, nodes[0] is the root
+	xs, ys  []float64 // coordinates reordered during construction
+	idx     []int     // idx[i] = original index of slot i
+	nodes   []node    // implicit tree, nodes[0] is the root
+	moments []moment  // moments[i] summarises nodes[i]; kept apart so the node KNearest walks stays small
 }
 
 // node is one kd-tree node covering slots [lo, hi).
@@ -31,6 +32,14 @@ type node struct {
 	lo, hi      int // point range covered by this subtree
 	left, right int32
 	// left/right are node indices; -1 for leaves.
+}
+
+// moment is a node's second-order summary: the centroid (cx, cy) of its
+// points and their scatter s = Σ|pᵢ−c|² about it. Centring on the node's
+// own centroid keeps s exact to rounding at any coordinate offset, where
+// the raw Σ|pᵢ|² − n·|c|² would cancel.
+type moment struct {
+	cx, cy, s float64
 }
 
 const leafSize = 16 // points per leaf; small enough for tight boxes, large enough to amortise recursion
@@ -58,9 +67,19 @@ func newTree(xs, ys []float64) *Tree {
 	if len(xs) == 0 {
 		return t
 	}
-	t.nodes = make([]node, 0, 2*(len(xs)/leafSize+1))
+	nn := nodeCount(len(xs))
+	t.nodes = make([]node, 0, nn)
+	t.moments = make([]moment, 0, nn)
 	t.build(0, len(xs))
 	return t
+}
+
+// nodeCount returns the number of nodes build makes over n > 0 points.
+func nodeCount(n int) int {
+	if n <= leafSize {
+		return 1
+	}
+	return 1 + nodeCount(n/2) + nodeCount(n-n/2)
 }
 
 // Len returns the number of indexed points.
@@ -83,7 +102,8 @@ func (t *Tree) Bounds() geom.BBox {
 }
 
 // build constructs the subtree over slots [lo, hi) splitting on the wider
-// axis, and returns the node index.
+// axis, and returns the node index. Moments are filled bottom-up: a leaf
+// sums its points, an inner node merges its children's.
 func (t *Tree) build(lo, hi int) int32 {
 	ni := int32(len(t.nodes))
 	box := geom.EmptyBBox()
@@ -91,47 +111,83 @@ func (t *Tree) build(lo, hi int) int32 {
 		box = box.ExtendPoint(geom.Point{X: t.xs[i], Y: t.ys[i]})
 	}
 	t.nodes = append(t.nodes, node{box: box, lo: lo, hi: hi, left: -1, right: -1})
+	t.moments = append(t.moments, moment{})
 	if hi-lo <= leafSize {
+		t.moments[ni] = leafMoment(t.xs[lo:hi], t.ys[lo:hi])
 		return ni
 	}
 	// Split on the wider axis at the median for balanced depth.
 	mid := (hi - lo) / 2
-	sub := &pointsByAxis{key: t.xs[lo:hi], other: t.ys[lo:hi], idx: t.idx[lo:hi]}
+	s := axisSlots{key: t.xs[lo:hi], other: t.ys[lo:hi], idx: t.idx[lo:hi]}
 	if box.Width() < box.Height() {
-		sub.key, sub.other = sub.other, sub.key
+		s.key, s.other = s.other, s.key
 	}
 	// nth_element via full sort would be O(n log² n) overall; a quickselect
 	// keeps construction O(n log n).
-	quickselect(sub, mid)
+	s.quickselect(mid)
 	left := t.build(lo, lo+mid)
 	right := t.build(lo+mid, hi)
 	t.nodes[ni].left = left
 	t.nodes[ni].right = right
+	t.moments[ni] = mergeMoments(t.moments[left], mid, t.moments[right], hi-lo-mid)
 	return ni
 }
 
-// pointsByAxis sorts a slot range by its key column, carrying the other
-// coordinate column and the index slice along.
-type pointsByAxis struct {
+// leafMoment computes the moments of a leaf's points, shifting by the first
+// point so the sums stay small at large coordinate offsets.
+func leafMoment(xs, ys []float64) moment {
+	x0, y0 := xs[0], ys[0]
+	var sx, sy float64
+	for i := range xs {
+		sx += xs[i] - x0
+		sy += ys[i] - y0
+	}
+	n := float64(len(xs))
+	m := moment{cx: x0 + sx/n, cy: y0 + sy/n}
+	for i := range xs {
+		dx, dy := xs[i]-m.cx, ys[i]-m.cy
+		m.s += dx*dx + dy*dy
+	}
+	return m
+}
+
+// mergeMoments combines the moments of two disjoint point sets of sizes na
+// and nb by the parallel-axis rule: the merged centroid c lies on the
+// segment between theirs, and each side's scatter about c is its own
+// scatter plus its count times its centroid's squared distance to c.
+func mergeMoments(a moment, na int, b moment, nb int) moment {
+	fa, fb := float64(na), float64(nb)
+	f := fb / (fa + fb)
+	m := moment{cx: a.cx + f*(b.cx-a.cx), cy: a.cy + f*(b.cy-a.cy)}
+	ax, ay := a.cx-m.cx, a.cy-m.cy
+	bx, by := b.cx-m.cx, b.cy-m.cy
+	m.s = a.s + b.s + fa*(ax*ax+ay*ay) + fb*(bx*bx+by*by)
+	return m
+}
+
+// axisSlots is a slot range viewed along one axis: key is the split
+// coordinate column, and a swap carries the other column and the index
+// slice along.
+type axisSlots struct {
 	key, other []float64
 	idx        []int
 }
 
-func (s *pointsByAxis) Len() int           { return len(s.key) }
-func (s *pointsByAxis) Less(i, j int) bool { return s.key[i] < s.key[j] }
-func (s *pointsByAxis) Swap(i, j int) {
+func (s axisSlots) swap(i, j int) {
 	s.key[i], s.key[j] = s.key[j], s.key[i]
 	s.other[i], s.other[j] = s.other[j], s.other[i]
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 }
 
-// quickselect partially sorts s so that element k is in its sorted position
-// and everything before it is <= everything after. Falls back to heapsort
-// behaviour via sort.Sort on tiny ranges.
-func quickselect(s *pointsByAxis, k int) {
-	lo, hi := 0, s.Len()
+// quickselect partially sorts s so that slot k holds its sorted key and
+// every key before it is <= every key after. Ranges of up to 8 slots are
+// finished by insertion sort. The comparisons and swaps are those of the
+// sort.Interface selection this replaced (sort.Sort insertion-sorts ranges
+// that short), so the tree is slot for slot the same.
+func (s axisSlots) quickselect(k int) {
+	lo, hi := 0, len(s.key)
 	for hi-lo > 8 {
-		p := partition(s, lo, hi)
+		p := s.partition(lo, hi)
 		switch {
 		case p == k:
 			return
@@ -141,43 +197,41 @@ func quickselect(s *pointsByAxis, k int) {
 			lo = p + 1
 		}
 	}
-	sort.Sort(&rangeSorter{s, lo, hi})
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && s.key[j] < s.key[j-1]; j-- {
+			s.swap(j, j-1)
+		}
+	}
 }
 
-// rangeSorter sorts the subrange [lo, hi) of s.
-type rangeSorter struct {
-	s      *pointsByAxis
-	lo, hi int
-}
-
-func (r *rangeSorter) Len() int           { return r.hi - r.lo }
-func (r *rangeSorter) Less(i, j int) bool { return r.s.Less(r.lo+i, r.lo+j) }
-func (r *rangeSorter) Swap(i, j int)      { r.s.Swap(r.lo+i, r.lo+j) }
-
-// partition performs a Hoare-style partition of s[lo:hi) around a
-// median-of-three pivot and returns the pivot's final index.
-func partition(s *pointsByAxis, lo, hi int) int {
+// partition performs a Lomuto partition of slots [lo, hi) around a
+// median-of-three pivot and returns the pivot's final slot.
+func (s axisSlots) partition(lo, hi int) int {
 	mid := lo + (hi-lo)/2
 	// Median of three to resist sorted inputs.
-	if s.Less(mid, lo) {
-		s.Swap(mid, lo)
+	if s.key[mid] < s.key[lo] {
+		s.swap(mid, lo)
 	}
-	if s.Less(hi-1, lo) {
-		s.Swap(hi-1, lo)
+	if s.key[hi-1] < s.key[lo] {
+		s.swap(hi-1, lo)
 	}
-	if s.Less(hi-1, mid) {
-		s.Swap(hi-1, mid)
+	if s.key[hi-1] < s.key[mid] {
+		s.swap(hi-1, mid)
 	}
-	s.Swap(mid, hi-1) // pivot to end
+	s.swap(mid, hi-1) // pivot to end
 	pivot := hi - 1
+	pv := s.key[pivot] // the pivot stays put until the final swap
+	key, other, idx := s.key[:pivot], s.other[:pivot], s.idx[:pivot]
 	store := lo
-	for i := lo; i < pivot; i++ {
-		if s.Less(i, pivot) {
-			s.Swap(i, store)
+	for i := lo; i < len(key); i++ {
+		if key[i] < pv {
+			key[i], key[store] = key[store], key[i]
+			other[i], other[store] = other[store], other[i]
+			idx[i], idx[store] = idx[store], idx[i]
 			store++
 		}
 	}
-	s.Swap(store, pivot)
+	s.swap(store, pivot)
 	return store
 }
 
@@ -357,28 +411,34 @@ func (h *Scratch) swap(i, j int) {
 	h.idx[i], h.d2[i], h.idx[j], h.d2[j] = h.idx[j], h.d2[j], h.idx[i], h.d2[i]
 }
 
-// Visit walks the tree for bound-based aggregation (the QUAD/KARL pattern):
-// fn is called with each node's bounding box and point count and decides
-// whether to descend (true) or accept the node as-is (false). Leaves whose
-// fn returns true are expanded point-by-point via leafFn.
-func (t *Tree) Visit(fn func(box geom.BBox, count int) bool, leafFn func(p geom.Point)) {
+// Root returns the root node for a caller-driven traversal, or -1 on an
+// empty tree. Node ids are stable for the tree's lifetime.
+func (t *Tree) Root() int32 {
 	if len(t.nodes) == 0 {
-		return
+		return -1
 	}
-	t.visit(0, fn, leafFn)
+	return 0
 }
 
-func (t *Tree) visit(ni int32, fn func(geom.BBox, int) bool, leafFn func(geom.Point)) {
+// Children returns node ni's children, or (-1, -1) for a leaf.
+func (t *Tree) Children(ni int32) (left, right int32) {
 	n := &t.nodes[ni]
-	if !fn(n.box, n.hi-n.lo) {
-		return
-	}
-	if n.left < 0 {
-		for i := n.lo; i < n.hi; i++ {
-			leafFn(geom.Point{X: t.xs[i], Y: t.ys[i]})
-		}
-		return
-	}
-	t.visit(n.left, fn, leafFn)
-	t.visit(n.right, fn, leafFn)
+	return n.left, n.right
+}
+
+// NodeBox returns the bounding box of node ni's points.
+func (t *Tree) NodeBox(ni int32) geom.BBox { return t.nodes[ni].box }
+
+// NodeMoments returns node ni's point count, centroid c and scatter
+// s = Σ|pᵢ−c|² about it, from which Σ|pᵢ−q|² = s + count·|c−q|² for any q.
+func (t *Tree) NodeMoments(ni int32) (count int, c geom.Point, s float64) {
+	n, m := &t.nodes[ni], &t.moments[ni]
+	return n.hi - n.lo, geom.Point{X: m.cx, Y: m.cy}, m.s
+}
+
+// NodeColumns returns the coordinates of node ni's points in slot order.
+// The slices alias the tree's storage and are read-only.
+func (t *Tree) NodeColumns(ni int32) (xs, ys []float64) {
+	n := &t.nodes[ni]
+	return t.xs[n.lo:n.hi], t.ys[n.lo:n.hi]
 }

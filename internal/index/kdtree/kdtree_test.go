@@ -44,7 +44,9 @@ func TestEmptyTree(t *testing.T) {
 	if !tr.Bounds().IsEmpty() {
 		t.Error("Bounds should be empty")
 	}
-	tr.Visit(func(geom.BBox, int) bool { t.Error("Visit on empty tree"); return false }, nil)
+	if tr.Root() != -1 {
+		t.Errorf("Root = %d on an empty tree, want -1", tr.Root())
+	}
 }
 
 func TestInputNotModified(t *testing.T) {
@@ -176,39 +178,86 @@ func TestKNearest(t *testing.T) {
 	}
 }
 
-func TestVisitFullDescentSeesAllPoints(t *testing.T) {
+// TestNodeAccessorsCoverEveryPoint: a descent through Root / Children
+// reaches every point exactly once in the leaves' NodeColumns, every node's
+// count is the sum of its children's, and every point lies in the box of
+// each node above it.
+func TestNodeAccessorsCoverEveryPoint(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	pts := randomPoints(r, 333)
 	tr := New(pts)
-	seen := 0
-	tr.Visit(
-		func(box geom.BBox, count int) bool {
-			if count <= 0 {
-				t.Fatal("node with non-positive count")
+	seen := map[geom.Point]int{}
+	var walk func(ni int32, boxes []geom.BBox) int
+	walk = func(ni int32, boxes []geom.BBox) int {
+		boxes = append(boxes, tr.NodeBox(ni))
+		count, _, _ := tr.NodeMoments(ni)
+		l, rt := tr.Children(ni)
+		if l < 0 {
+			xs, ys := tr.NodeColumns(ni)
+			if len(xs) != count || len(ys) != count || count == 0 || count > leafSize {
+				t.Fatalf("leaf %d: %d/%d columns for count %d", ni, len(xs), len(ys), count)
 			}
-			return true
-		},
-		func(p geom.Point) { seen++ },
-	)
-	if seen != len(pts) {
-		t.Errorf("Visit saw %d points, want %d", seen, len(pts))
+			for i := range xs {
+				p := geom.Point{X: xs[i], Y: ys[i]}
+				for _, b := range boxes {
+					if !b.Contains(p) {
+						t.Fatalf("point %v outside the box %v of a node above it", p, b)
+					}
+				}
+				seen[p]++
+			}
+			return count
+		}
+		if got := walk(l, boxes) + walk(rt, boxes); got != count {
+			t.Fatalf("node %d: count %d, children hold %d", ni, count, got)
+		}
+		return count
+	}
+	if total := walk(tr.Root(), nil); total != len(pts) {
+		t.Fatalf("root count %d, want %d", total, len(pts))
+	}
+	for _, p := range pts {
+		if seen[p] != 1 {
+			t.Fatalf("point %v reached %d times", p, seen[p])
+		}
 	}
 }
 
-func TestVisitAcceptRootCountsEverything(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	pts := randomPoints(r, 128)
-	tr := New(pts)
-	total := 0
-	tr.Visit(
-		func(box geom.BBox, count int) bool {
-			total += count
-			return false // accept immediately
-		},
-		func(geom.Point) { t.Fatal("leafFn should not run") },
-	)
-	if total != len(pts) {
-		t.Errorf("root count %d, want %d", total, len(pts))
+// TestNodeMomentsMatchDirectSums: every node's centroid and scatter agree
+// with sums taken directly over its points, and s + n·|c−q|² reproduces
+// Σ|pᵢ−q|², on every plane fixture including the UTM-offset one, where
+// uncentred sums would cancel.
+func TestNodeMomentsMatchDirectSums(t *testing.T) {
+	for name, pts := range planeFixtures() {
+		tr := New(pts)
+		if tr.Root() < 0 {
+			continue
+		}
+		box := tr.Bounds()
+		q := geom.Point{X: box.MinX - 3, Y: box.MaxY + 1.5}
+		for ni := int32(0); int(ni) < len(tr.nodes); ni++ {
+			n := &tr.nodes[ni]
+			count, c, s := tr.NodeMoments(ni)
+			var sx, sy float64
+			for i := n.lo; i < n.hi; i++ {
+				sx += tr.xs[i] - box.MinX
+				sy += tr.ys[i] - box.MinY
+			}
+			wantC := geom.Point{X: box.MinX + sx/float64(count), Y: box.MinY + sy/float64(count)}
+			var wantS, wantQ float64
+			for i := n.lo; i < n.hi; i++ {
+				p := geom.Point{X: tr.xs[i], Y: tr.ys[i]}
+				wantS += p.Dist2(wantC)
+				wantQ += p.Dist2(q)
+			}
+			scale := 1 + box.Width() + box.Height()
+			if c.Dist(wantC) > 1e-9*scale || math.Abs(s-wantS) > 1e-9*(1+wantS) {
+				t.Fatalf("%s node %d: centroid %v scatter %v, direct %v %v", name, ni, c, s, wantC, wantS)
+			}
+			if got := s + float64(count)*c.Dist2(q); math.Abs(got-wantQ) > 1e-9*wantQ {
+				t.Fatalf("%s node %d: s + n|c-q|² = %v, direct Σ|p-q|² = %v", name, ni, got, wantQ)
+			}
+		}
 	}
 }
 

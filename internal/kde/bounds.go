@@ -3,23 +3,37 @@ package kde
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
-	"geostat/internal/index/balltree"
+	"geostat/internal/index/kdtree"
 )
 
 // buildBound constructs the ε-approximate evaluator of the function-
-// approximation family of §2.2 (QUAD [25], KARL [34], Gray & Moore [51]):
-// for each pixel a best-first traversal of a ball-tree maintains
+// approximation family of §2.2 (QUAD [25], KARL [34], Gray & Moore [51])
+// on the kd-tree of the columns: the dataset snapshot's memoised tree when
+// the columns are a snapshot's, else one built over them
+// (dataset.Columns.Tree). For each pixel q a best-first refinement keeps
 //
-//	LB(q) = Σ_nodes count·K(dMax),  UB(q) = Σ_nodes count·K(dMin)
+//	LB(q) = Σ_frontier lb(node) ≤ F(q) ≤ Σ_frontier ub(node) = UB(q)
 //
-// (kernels are non-increasing in distance, so a node's distance bracket
-// [dMin, dMax] brackets every contained point's kernel value) and keeps
-// splitting the node with the largest bracket gap until UB ≤ (1+ε)·LB,
-// ε = Options.Epsilon. Returning R = (LB+UB)/2 then satisfies Equation 6's
-// guarantee: (1−ε)·F(q) ≤ R(q) ≤ (1+ε)·F(q).
+// over a frontier of tree nodes, and splits the node with the largest
+// bracket gap until UB ≤ (1+ε)·LB, ε = Options.Epsilon. Returning
+// R = (LB+UB)/2 then satisfies Equation 6's guarantee:
+// (1−ε)·F(q) ≤ R(q) ≤ (1+ε)·F(q).
+//
+// A node's bracket is KARL's. Kernels are non-increasing in x = d², and
+// the node box puts every point's x in [x₋, x₊] (MinDist2, MaxDist2), so
+// n·K(x₊) ≤ Σ K(xᵢ) ≤ n·K(x₋) — the plain bracket. The node's moments
+// (count n, centroid c, scatter S) give the exact Σxᵢ = S + n·|c−q|². For a
+// kernel convex in x (kernel.ConvexInD2: all but uniform) the chord from
+// (x₋, K(x₋)) to (x₊, K(x₊)) lies above K, so
+//
+//	Σ K(xᵢ) ≤ n·K(x₋) + (K(x₊)−K(x₋))/(x₊−x₋) · (Σxᵢ − n·x₋)
+//
+// and Jensen gives Σ K(xᵢ) ≥ n·K(Σxᵢ/n). Both are clamped into the plain
+// bracket, which is all the uniform kernel gets.
 //
 // Unlike the exact accelerators this works for every kernel, including the
 // infinite-support Gaussian and exponential kernels. The guarantee is
@@ -28,26 +42,34 @@ func buildBound(cols dataset.Columns, opt *Options) (rowComputer, float64, error
 	if !(opt.Epsilon > 0) {
 		return nil, 0, fmt.Errorf("kde: BoundApprox needs eps > 0, got %g", opt.Epsilon)
 	}
-	// The ball-tree API is point-shaped; this is the package's one private
-	// array-of-structs hand-off.
-	pts := make([]geom.Point, cols.N())
-	for i := range pts {
-		pts[i] = geom.Point{X: cols.X[i], Y: cols.Y[i]}
-	}
-	return &boundComputer{opt: opt, tree: balltree.New(pts)}, 1, nil
+	tree, built := cols.Tree()
+	return &boundComputer{
+		opt:    opt,
+		tree:   tree,
+		built:  built,
+		convex: opt.Kernel.ConvexInD2(),
+		eval:   chunkEvalFor(opt.Kernel),
+	}, 1, nil
 }
 
 type boundComputer struct {
-	opt  *Options
-	tree *balltree.Tree
+	opt    *Options
+	tree   *kdtree.Tree
+	built  bool      // the tree was built for this call, not taken from a snapshot
+	convex bool      // the kernel takes KARL's chord and Jensen bounds
+	eval   chunkEval // resolves a leaf exactly
 
-	scratch sync.Pool // *gapHeap
+	expanded atomic.Int64 // nodes expanded over all rows: kde.evaluate's refinements
 }
+
+// gapHeaps holds refinement queues between rows and between calls, so a
+// warm evaluation allocates no queue whatever the tree's size.
+var gapHeaps sync.Pool // *gapHeap
 
 // gapEntry is one unresolved tree node in the per-pixel refinement queue.
 type gapEntry struct {
-	id     balltree.NodeID
-	lb, ub float64 // this node's contribution bracket: count·K(dMax), count·K(dMin)
+	id     int32
+	lb, ub float64 // this node's contribution bracket
 	gap    float64 // ub − lb
 }
 
@@ -92,63 +114,108 @@ func (h *gapHeap) pop() gapEntry {
 	return top
 }
 
+// totals sums the brackets on the heap plus settled.
+func (h gapHeap) totals(settled float64) (lb, ub float64) {
+	lb, ub = settled, settled
+	for _, e := range h {
+		lb += e.lb
+		ub += e.ub
+	}
+	return lb, ub
+}
+
+// computeRow fills one raster row. The node expansions are summed per row
+// and published once, so the pixel loop allocates nothing.
 func (c *boundComputer) computeRow(iy int, row []float64) {
 	g := c.opt.Grid
 	qy := g.CenterY(iy)
-	hp, _ := c.scratch.Get().(*gapHeap)
+	hp, _ := gapHeaps.Get().(*gapHeap)
 	if hp == nil {
 		hp = &gapHeap{}
 	}
-	defer c.scratch.Put(hp)
+	expanded := 0
 	for ix := range row {
-		row[ix] = c.estimate(geom.Point{X: g.CenterX(ix), Y: qy}, hp)
+		v, n := c.estimate(geom.Point{X: g.CenterX(ix), Y: qy}, hp)
+		row[ix] = v
+		expanded += n
 	}
+	gapHeaps.Put(hp)
+	c.expanded.Add(int64(expanded))
 }
 
-// estimate runs the best-first refinement for one pixel.
-func (c *boundComputer) estimate(q geom.Point, hp *gapHeap) float64 {
-	root, ok := c.tree.Root()
-	if !ok {
-		return 0
+// estimate runs the best-first refinement for one pixel and returns R(q)
+// and the number of nodes it expanded.
+func (c *boundComputer) estimate(q geom.Point, hp *gapHeap) (r float64, expanded int) {
+	root := c.tree.Root()
+	if root < 0 {
+		return 0, 0
 	}
-	k, eps := c.opt.Kernel, c.opt.Epsilon
+	eps := c.opt.Epsilon
 	*hp = (*hp)[:0]
-	entry := c.score(root, q)
-	lb, ub := entry.lb, entry.ub
-	if entry.gap > 0 {
-		hp.push(entry)
-	}
-	for len(*hp) > 0 && ub > (1+eps)*lb {
-		e := hp.pop()
-		lb -= e.lb
-		ub -= e.ub
-		if c.tree.IsLeaf(e.id) {
-			exact := 0.0
-			c.tree.NodePoints(e.id, func(p geom.Point) {
-				exact += k.Eval2(p.Dist2(q))
-			})
-			lb += exact
-			ub += exact
-			continue
-		}
-		l, r := c.tree.Children(e.id)
-		for _, child := range [2]balltree.NodeID{l, r} {
-			ce := c.score(child, q)
-			lb += ce.lb
-			ub += ce.ub
-			if ce.gap > 0 {
-				hp.push(ce)
+	settled := 0.0 // contributions known exactly: resolved leaves, closed brackets
+	lb, ub := c.add(hp, root, q, &settled)
+	for len(*hp) > 0 {
+		if ub <= (1+eps)*lb {
+			// lb and ub are running totals that swap a node's bracket for its
+			// children's, and a large bracket subtracted back out can take
+			// small ones with it. Stop only on a fresh sum, whose terms are
+			// all ≥ 0 and so accurate to rounding.
+			lb, ub = hp.totals(settled)
+			if ub <= (1+eps)*lb {
+				return (lb + ub) / 2, expanded
 			}
 		}
+		e := hp.pop()
+		expanded++
+		lb -= e.lb
+		ub -= e.ub
+		left, right := c.tree.Children(e.id)
+		if left < 0 {
+			xs, ys := c.tree.NodeColumns(e.id)
+			v := c.eval(0, q.X, q.Y, xs, ys, nil)
+			settled += v
+			lb += v
+			ub += v
+			continue
+		}
+		for _, child := range [2]int32{left, right} {
+			clb, cub := c.add(hp, child, q, &settled)
+			lb += clb
+			ub += cub
+		}
 	}
-	return (lb + ub) / 2
+	return settled, expanded
 }
 
-func (c *boundComputer) score(id balltree.NodeID, q geom.Point) gapEntry {
+// add scores node ni at q and files it: on the heap while its bracket is
+// open, into *settled once it has closed. It returns the bracket.
+func (c *boundComputer) add(hp *gapHeap, ni int32, q geom.Point, settled *float64) (lb, ub float64) {
+	lb, ub = c.bracket(ni, q)
+	if ub > lb {
+		hp.push(gapEntry{id: ni, lb: lb, ub: ub, gap: ub - lb})
+	} else {
+		*settled += lb
+	}
+	return lb, ub
+}
+
+// bracket returns node ni's contribution bracket [lb, ub] at q: KARL's
+// chord and Jensen bounds for a kernel convex in d², clamped into the plain
+// count·K(x₊), count·K(x₋) bracket (see buildBound).
+func (c *boundComputer) bracket(ni int32, q geom.Point) (lb, ub float64) {
 	k := c.opt.Kernel
-	dMin, dMax := c.tree.NodeBracket(id, q)
-	cnt := float64(c.tree.NodeCount(id))
-	lb := cnt * k.Eval(dMax)
-	ub := cnt * k.Eval(dMin)
-	return gapEntry{id: id, lb: lb, ub: ub, gap: ub - lb}
+	box := c.tree.NodeBox(ni)
+	x0, x1 := box.MinDist2(q), box.MaxDist2(q)
+	count, cen, s := c.tree.NodeMoments(ni)
+	n := float64(count)
+	k0, k1 := k.Eval2(x0), k.Eval2(x1)
+	lb, ub = n*k1, n*k0
+	if !c.convex || x1 <= x0 || ub <= lb {
+		return lb, ub
+	}
+	mean := min(max(s/n+cen.Dist2(q), x0), x1) // Σxᵢ/n, kept in [x₋, x₊] against rounding
+	t := (mean - x0) / (x1 - x0)
+	ub = max(lb, min(ub, n*(k0+t*(k1-k0))))
+	lb = min(max(lb, n*k.Eval2(mean)), ub)
+	return lb, ub
 }

@@ -15,8 +15,9 @@
 //     quartic, triweight) in O(Y·(X+n)) time via per-row polynomial
 //     coefficient aggregation.
 //   - BoundApprox: the function-approximation family (QUAD [25], KARL [34]);
-//     works for every kernel including Gaussian, refining ball-tree node
-//     brackets per pixel until UB/LB ≤ 1+ε (Equation 6's guarantee).
+//     works for every kernel including Gaussian, refining KARL's per-node
+//     bounds on the dataset snapshot's kd-tree per pixel until UB/LB ≤ 1+ε
+//     (Equation 6's guarantee).
 //   - Sampled: the data-sampling family ([77–79, 110, 111]); a uniform
 //     random subset sized by a Hoeffding bound gives an additive error
 //     guarantee with probability 1−δ.
@@ -54,7 +55,9 @@ const (
 	// (SLAM family) for kernels polynomial in squared distance.
 	SweepLine
 	// BoundApprox is the (1±ε) function-approximation algorithm (QUAD/KARL
-	// family); works for every kernel, including Gaussian.
+	// family); works for every kernel, including Gaussian. It refines KARL's
+	// chord / Jensen node bounds on the snapshot's memoised kd-tree
+	// (dataset.Columns.Tree), so a dataset's columns build no index per call.
 	BoundApprox
 	// Sampled is the Hoeffding-sampling approximation.
 	Sampled
@@ -295,6 +298,9 @@ func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error)
 	view := inView(cols, &opt)
 	span.SetAttrInt("points_in_view", int64(view.N()))
 	rc, gain, err := row.build(view, &opt)
+	if bc, ok := rc.(*boundComputer); ok {
+		span.SetAttrHit("tree", !bc.built) // the snapshot's memo served it
+	}
 	span.End()
 	if err != nil {
 		return nil, err
@@ -343,6 +349,9 @@ func run(rc rowComputer, opt *Options, n int, scale float64) (*raster.Grid, erro
 		rc.computeRow(win.Y0+iy, out.Values[iy*nx:(iy+1)*nx])
 	}); err != nil {
 		return nil, err
+	}
+	if bc, ok := rc.(*boundComputer); ok {
+		span.SetAttrInt("refinements", bc.expanded.Load())
 	}
 	//lint:allow floateq scale==1 is an exact sentinel for "no normalisation"
 	if scale != 1 {

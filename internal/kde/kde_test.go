@@ -8,7 +8,6 @@ import (
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
-	"geostat/internal/raster"
 )
 
 var box = geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 80}
@@ -185,29 +184,6 @@ func TestSweepLineEdgeCases(t *testing.T) {
 	}
 }
 
-// Equation 6's guarantee: (1−ε)F ≤ R ≤ (1+ε)F for every pixel.
-func TestBoundApproxGuarantee(t *testing.T) {
-	pts := clusteredPoints(6, 500)
-	for _, kt := range []kernel.Type{kernel.Gaussian, kernel.Exponential, kernel.Quartic, kernel.Triangular} {
-		naive, err := Evaluate(cols(pts), Naive, testOpts(kt, 15))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, eps := range []float64{0.5, 0.1, 0.01} {
-			approx, err := Evaluate(cols(pts), BoundApprox, withApprox(testOpts(kt, 15), 0, eps, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, got := range approx.Values {
-				f := naive.Values[i]
-				if got < (1-eps)*f-1e-9 || got > (1+eps)*f+1e-9 {
-					t.Fatalf("%v eps=%v pixel %d: R=%v outside (1±ε)F, F=%v", kt, eps, i, got, f)
-				}
-			}
-		}
-	}
-}
-
 func TestBoundApproxValidation(t *testing.T) {
 	pts := clusteredPoints(7, 10)
 	if _, err := Evaluate(cols(pts), BoundApprox, withApprox(testOpts(kernel.Gaussian, 10), 0, 0, 0)); err == nil {
@@ -287,32 +263,31 @@ func TestSampledSmallDatasetIsExact(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: rows are independent, so every method's
+// raster is bit-identical at 1 and 4 workers, for a finite kernel and for
+// the Gaussian (naive and bound-approx, the rows that take it).
 func TestParallelMatchesSerial(t *testing.T) {
 	pts := clusteredPoints(11, 300)
-	for _, method := range []struct {
-		name string
-		f    func(o Options) (*raster.Grid, error)
+	for _, tc := range []struct {
+		kt      kernel.Type
+		methods []Method
 	}{
-		{"naive", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), Naive, o) }},
-		{"cutoff", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), GridCutoff, o) }},
-		{"sweep", func(o Options) (*raster.Grid, error) { return Evaluate(cols(pts), SweepLine, o) }},
-		{"bounds", func(o Options) (*raster.Grid, error) {
-			return Evaluate(cols(pts), BoundApprox, withApprox(o, 0, 0.01, 0))
-		}},
+		{kernel.Quartic, []Method{Naive, GridCutoff, SweepLine, BoundApprox}},
+		{kernel.Gaussian, []Method{Naive, BoundApprox}},
 	} {
-		serial := testOpts(kernel.Quartic, 12)
-		parallel := serial
-		parallel.Workers = 4
-		a, err := method.f(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := method.f(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := a.MaxAbsDiff(b); d > 1e-9 {
-			t.Errorf("%s: parallel differs from serial by %v", method.name, d)
+		for _, m := range tc.methods {
+			serial := withApprox(testOpts(tc.kt, 12), 0, 0.01, 0)
+			parallel := serial
+			parallel.Workers = 4
+			a, err := Evaluate(cols(pts), m, serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Evaluate(cols(pts), m, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, b, a, tc.kt.String()+"/"+m.String()+": workers 4 vs 1")
 		}
 	}
 	// Workers < 0 = GOMAXPROCS.

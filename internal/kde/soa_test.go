@@ -2,6 +2,7 @@ package kde
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -117,6 +118,50 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBoundApproxCostIsPerPixel: over a dataset's columns BoundApprox runs
+// on the snapshot's memoised kd-tree, so two calls build one tree, and a
+// warm call allocates the same bytes at n = 10 000 as at n = 100 000: its
+// cost is O(pixels), with no per-call point copy or index.
+func TestBoundApproxCostIsPerPixel(t *testing.T) {
+	opt := withApprox(testOpts(kernel.Gaussian, 4), 0, 0.05, 0)
+	bytes := map[int]uint64{}
+	for _, n := range []int{10000, 100000} {
+		d := dataset.FromPoints(clusteredPoints(35, n))
+		eval := func() {
+			if _, err := Evaluate(d.Columns(), BoundApprox, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, _ := dataset.NeighbourhoodBuilds()
+		eval()
+		eval()
+		if after, _ := dataset.NeighbourhoodBuilds(); after-before != 1 {
+			t.Fatalf("n=%d: two calls built %d trees, want 1", n, after-before)
+		}
+		bytes[n] = allocatedBytes(eval)
+		t.Logf("n=%d: %d bytes per warm call", n, bytes[n])
+	}
+	// Under -race the refinement queues' pool drops entries at random, so
+	// the bytes vary run to run; the build-once check above still holds.
+	if !raceEnabled && bytes[10000] != bytes[100000] {
+		t.Errorf("warm call allocates %d bytes at n=10000 but %d at n=100000", bytes[10000], bytes[100000])
+	}
+}
+
+// allocatedBytes returns the fewest heap bytes f allocated over five runs
+// (the fewest, so a GC emptying a sync.Pool mid-run does not count).
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }
 
 func TestChunkPruningBitIdentical(t *testing.T) {

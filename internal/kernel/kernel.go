@@ -131,6 +131,25 @@ func (k Kernel) FiniteSupport() bool {
 	return true
 }
 
+// ConvexInD2 reports whether the kernel value is a convex function of the
+// squared distance x = d² on [0, ∞). Bound-based KDE relies on it: over
+// any interval of x a convex K lies below its chord, and the mean of K over
+// points is at least K at their mean x (Jensen). Every kernel but uniform
+// is convex in x, by a proof rather than a measurement:
+//
+//   - Epanechnikov max(0, 1 − x/b²) and triangular max(0, 1 − √x/b) are
+//     maxima of convex functions (−√x is convex).
+//   - Quartic and triweight are u² and u³ of the Epanechnikov u ≥ 0, and
+//     t ↦ tᵏ is convex and nondecreasing on t ≥ 0.
+//   - Gaussian exp(−x/b²) and exponential exp(−√x/b) are exp of a convex
+//     function.
+//   - Cosine cos(a√x), a = π/2b, has second derivative
+//     a·(sin t − t·cos t)/(4s³) ≥ 0 for s = √x, t = a·s ∈ (0, π/2]
+//     (tan t ≥ t), and its slope rises to 0 where it meets the zero tail.
+//
+// Uniform is a downward step at x = b², which no convex function takes.
+func (k Kernel) ConvexInD2() bool { return k.typ != Uniform }
+
 // SupportRadius returns the distance beyond which the kernel's value is
 // negligible: exactly b for finite-support kernels, and the distance at
 // which the kernel decays below tail=1e-12 of its peak for infinite-support

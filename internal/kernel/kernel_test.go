@@ -146,6 +146,34 @@ func TestFiniteSupport(t *testing.T) {
 	}
 }
 
+// TestConvexInD2 samples the chord inequality K(λx₀+(1−λ)x₁) ≤
+// λK(x₀)+(1−λ)K(x₁) on a grid of x = d² pairs spanning the support edge:
+// it must hold for every kernel that claims convexity, and uniform must
+// violate it somewhere.
+func TestConvexInD2(t *testing.T) {
+	const b = 2.0
+	for _, typ := range All() {
+		k := MustNew(typ, b)
+		worst := 0.0 // largest K(mid) − chord seen
+		for i := 0; i <= 60; i++ {
+			for j := i + 1; j <= 60; j++ {
+				x0, x1 := float64(i)*b*b/20, float64(j)*b*b/20 // x up to 3b²
+				for _, lam := range []float64{0.1, 0.5, 0.9} {
+					mid := k.Eval2(lam*x0 + (1-lam)*x1)
+					chord := lam*k.Eval2(x0) + (1-lam)*k.Eval2(x1)
+					worst = math.Max(worst, mid-chord)
+				}
+			}
+		}
+		if k.ConvexInD2() && worst > 1e-12 {
+			t.Errorf("%v claims convexity in d² but exceeds a chord by %g", typ, worst)
+		}
+		if !k.ConvexInD2() && worst <= 0 {
+			t.Errorf("%v denies convexity in d² but no chord is violated", typ)
+		}
+	}
+}
+
 // NormConst is validated by numerically integrating w·K over the plane in
 // polar coordinates: 2π ∫ w·k(r)·r dr should be 1.
 func TestNormConstIntegratesToOne(t *testing.T) {
