@@ -87,8 +87,10 @@ cover:
 
 # Short fuzz runs of every parser, seeded from the committed corpora
 # under */testdata/fuzz, of the kd-tree kNN query against brute force
-# (seeded in the test) and of the result cache's index / heap invariants
-# under arbitrary Get / Put / re-upload sequences. ~10s per target.
+# (seeded in the test), of the result cache's index / heap invariants
+# under arbitrary Get / Put / re-upload sequences, and of the Gaussian /
+# exponential KDV loops that skip absorbed terms against the plain loop.
+# ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s
@@ -96,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint/cfg -run '^$$' -fuzz FuzzBuild -fuzztime 10s
 	$(GO) test ./internal/index/kdtree -run '^$$' -fuzz FuzzKNearestBruteForce -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCacheOps -fuzztime 10s
+	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzChunkEvalAbsorbed -fuzztime 10s
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .

@@ -48,7 +48,7 @@ func buildBound(cols dataset.Columns, opt *Options) (rowComputer, float64, error
 		tree:   tree,
 		built:  built,
 		convex: opt.Kernel.ConvexInD2(),
-		eval:   chunkEvalFor(opt.Kernel),
+		eval:   chunkEvalFor(opt.Kernel, nil),
 	}, 1, nil
 }
 

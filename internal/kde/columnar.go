@@ -13,9 +13,11 @@ import (
 // cell-ordered columns) with the kernel specialised per type, instead of
 // calling Kernel.Eval2 through a switch per point. Each specialisation
 // reproduces Eval2's arithmetic expression for its type exactly — same
-// IEEE operations in the same order — and terms the kernel maps to zero
-// are skipped rather than added; adding +0.0 never changes an IEEE sum, so
-// results stay bit-identical to the pre-columnar array-of-structs loops.
+// IEEE operations in the same order — and terms that cannot change the
+// running sum are skipped rather than added: terms the kernel maps to zero
+// (adding +0.0 never changes an IEEE sum), and Gaussian / exponential terms
+// the sum absorbs (absorbThreshold). So results stay bit-identical to the
+// pre-columnar array-of-structs loops.
 
 // chunkEval folds one coordinate column segment into a running kernel sum:
 // it returns sum plus the kernel contributions of points (xs[i], ys[i])
@@ -24,11 +26,65 @@ import (
 // floating-point summation order by how they segment the columns.
 type chunkEval func(sum, qx, qy float64, xs, ys, ws []float64) float64
 
-// chunkEvalFor returns the kernel-specialised evaluator for k. The local
-// constants replicate kernel.New's derived values (1/b, b², 1/b²) with the
-// same IEEE expressions, so each specialisation is bit-compatible with
-// Kernel.Eval2.
-func chunkEvalFor(k kernel.Kernel) chunkEval {
+// Bounds on the argument t of an exp(t) term (see absorbThreshold).
+const (
+	// expUnderflow: for every t < −746 math.Exp returns exactly +0 (the
+	// pure-Go, amd64 and arm64 implementations all cut off near −745.13;
+	// TestExpUnderflowIsExactZero checks the platform's own).
+	expUnderflow = -746
+	// expNormal: exp(t) ≥ 2⁻¹⁰²² for t ≥ −708, so math.Exp's 1-ulp error is
+	// relative there, not the absolute error of a subnormal result.
+	expNormal = -708
+)
+
+// absorbThreshold returns thr such that a term w·exp(t) with t < thr and
+// |w| ≤ W leaves a running sum s unchanged, bit for bit:
+// fl(s + w·exp(t)) = s. key is s's sign and exponent bits
+// (math.Float64bits(s) >> 52), so thr holds until an add changes them. lnW
+// and floor come from absorbBounds.
+//
+// For normal s with 2^E ≤ |s| < 2^(E+1) the floats next to s lie at least
+// 2^(E−53) away, so under round-to-nearest every |τ| < 2^(E−54) gives
+// fl(s+τ) = s. math.Exp is within 1 ulp, so t < (E−55)·ln 2 − ln W gives
+// |w·exp(t)| < 2^(E−54) with a factor-2 margin, while exp is normal at that
+// bound (expNormal). Otherwise — s = 0, subnormal or tiny, W huge, or s not
+// finite — thr is the floor: only t < expUnderflow is skipped, where exp
+// returns exactly +0 and w·(+0) = ±0 never moves a sum that, starting from
+// +0, is never −0.
+func absorbThreshold(key uint64, lnW, floor float64) float64 {
+	e := int(key & 0x7ff) // biased exponent of s
+	if thr := float64(e-1023-55)*math.Ln2 - lnW; thr >= expNormal && e != 0x7ff {
+		return thr
+	}
+	return floor
+}
+
+// absorbBounds returns absorbThreshold's lnW = ln max(1, max|wᵢ|) over ws
+// (0 for nil) and its floor: expUnderflow, or −Inf when a weight is not
+// finite (w·0 is then NaN, so no term may be skipped).
+func absorbBounds(ws []float64) (lnW, floor float64) {
+	w := 1.0
+	for _, v := range ws {
+		a := math.Abs(v)
+		if !(a <= math.MaxFloat64) {
+			return math.Inf(1), math.Inf(-1)
+		}
+		w = max(w, a)
+	}
+	return math.Log(w), expUnderflow
+}
+
+// chunkEvalFor returns the kernel-specialised evaluator for k, to be called
+// with the weight column ws (nil: unweighted) or a reordering of it. The
+// local constants replicate kernel.New's derived values (1/b, b², 1/b²)
+// with the same IEEE expressions, so each specialisation is bit-compatible
+// with Kernel.Eval2.
+//
+// The Gaussian and exponential loops compute t, the argument of exp, and
+// call exp only when !(t < thr) — so a NaN t still reaches exp. thr is
+// absorbThreshold's for the running sum, refreshed after an add changes the
+// sum's sign or exponent bits: a compare per add, not a log.
+func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 	b := k.Bandwidth()
 	b2 := b * b
 	invB := 1 / b
@@ -144,13 +200,21 @@ func chunkEvalFor(k kernel.Kernel) chunkEval {
 			return sum
 		}
 	case kernel.Gaussian:
+		lnW, floor := absorbBounds(ws)
 		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+			key := math.Float64bits(sum) >> 52
+			thr := absorbThreshold(key, lnW, floor)
 			if ws != nil {
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
 					d2 := dx*dx + dy*dy
-					sum += ws[i] * math.Exp(-d2*invB2)
+					if t := -d2 * invB2; !(t < thr) {
+						sum += ws[i] * math.Exp(t)
+						if nk := math.Float64bits(sum) >> 52; nk != key {
+							key, thr = nk, absorbThreshold(nk, lnW, floor)
+						}
+					}
 				}
 				return sum
 			}
@@ -158,7 +222,12 @@ func chunkEvalFor(k kernel.Kernel) chunkEval {
 				dx := x - qx
 				dy := ys[i] - qy
 				d2 := dx*dx + dy*dy
-				sum += math.Exp(-d2 * invB2)
+				if t := -d2 * invB2; !(t < thr) {
+					sum += math.Exp(t)
+					if nk := math.Float64bits(sum) >> 52; nk != key {
+						key, thr = nk, absorbThreshold(nk, lnW, floor)
+					}
+				}
 			}
 			return sum
 		}
@@ -184,13 +253,21 @@ func chunkEvalFor(k kernel.Kernel) chunkEval {
 			return sum
 		}
 	case kernel.Exponential:
+		lnW, floor := absorbBounds(ws)
 		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+			key := math.Float64bits(sum) >> 52
+			thr := absorbThreshold(key, lnW, floor)
 			if ws != nil {
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
 					d2 := dx*dx + dy*dy
-					sum += ws[i] * math.Exp(-math.Sqrt(d2)*invB)
+					if t := -math.Sqrt(d2) * invB; !(t < thr) {
+						sum += ws[i] * math.Exp(t)
+						if nk := math.Float64bits(sum) >> 52; nk != key {
+							key, thr = nk, absorbThreshold(nk, lnW, floor)
+						}
+					}
 				}
 				return sum
 			}
@@ -198,7 +275,12 @@ func chunkEvalFor(k kernel.Kernel) chunkEval {
 				dx := x - qx
 				dy := ys[i] - qy
 				d2 := dx*dx + dy*dy
-				sum += math.Exp(-math.Sqrt(d2) * invB)
+				if t := -math.Sqrt(d2) * invB; !(t < thr) {
+					sum += math.Exp(t)
+					if nk := math.Float64bits(sum) >> 52; nk != key {
+						key, thr = nk, absorbThreshold(nk, lnW, floor)
+					}
+				}
 			}
 			return sum
 		}
@@ -229,12 +311,14 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 // point) pair is evaluated over the chunked columnar layout. The inner loop
 // streams coordinate columns chunk-by-chunk with the kernel specialised per
 // type, and for finite-support kernels whole chunks whose bounding box lies
-// outside the kernel support are rejected without touching points. Both
-// are bit-exact: pruned chunks contribute only terms the kernel maps to
-// exactly 0. It is the one evaluator that applies Options.Window's x
-// offset.
+// outside the kernel support are rejected without touching points, while
+// the Gaussian and exponential loops skip the exp of terms the pixel's sum
+// absorbs (their weight bound W comes from cols.W, once per evaluation).
+// All of it is bit-exact: pruned chunks contribute only terms the kernel
+// maps to exactly 0, absorbed terms leave the sum as it was. It is the one
+// evaluator that applies Options.Window's x offset.
 func buildNaive(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
-	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0}
+	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel, cols.W), x0: opt.Window.X0}
 	if opt.Kernel.FiniteSupport() {
 		c.prune = true
 		c.b = opt.Kernel.Bandwidth()

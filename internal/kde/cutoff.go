@@ -32,7 +32,7 @@ func buildCutoff(cols dataset.Columns, opt *Options) (rowComputer, float64, erro
 			ws[j] = cols.W[pi]
 		}
 	}
-	return &cutoffComputer{idx: idx, opt: opt, xs: xs, ys: ys, ws: ws, eval: chunkEvalFor(opt.Kernel), b: b}, 1, nil
+	return &cutoffComputer{idx: idx, opt: opt, xs: xs, ys: ys, ws: ws, eval: chunkEvalFor(opt.Kernel, ws), b: b}, 1, nil
 }
 
 type cutoffComputer struct {

@@ -103,8 +103,9 @@ func TestHotPathAllocs(t *testing.T) {
 		kt   kernel.Type
 		want float64
 	}{
-		{kernel.Gaussian, 0}, // infinite support: unpruned
-		{kernel.Quartic, 1},  // finite support: pruned
+		{kernel.Gaussian, 0},    // infinite support: unpruned
+		{kernel.Exponential, 0}, // infinite support: unpruned
+		{kernel.Quartic, 1},     // finite support: pruned
 	} {
 		t.Run(tc.kt.String(), func(t *testing.T) {
 			opt := testOpts(tc.kt, 6)
@@ -177,7 +178,7 @@ func TestChunkPruningBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		unpruned, err := run(
-			&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel)},
+			&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel, c.W)},
 			&opt, c.N(), 1)
 		if err != nil {
 			t.Fatal(err)

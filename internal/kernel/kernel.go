@@ -100,6 +100,11 @@ func New(typ Type, b float64) (Kernel, error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return Kernel{}, fmt.Errorf("kernel: bandwidth must be positive and finite, got %g", b)
 	}
+	if math.IsInf(1/(b*b), 1) {
+		// b² underflows: the Gaussian at a coincident point would be
+		// exp(−0·Inf) = NaN where every finite-support kernel gives K(0).
+		return Kernel{}, fmt.Errorf("kernel: bandwidth %g is too small: 1/b² overflows", b)
+	}
 	return Kernel{typ: typ, b: b, invB: 1 / b, b2: b * b, invB2: 1 / (b * b)}, nil
 }
 

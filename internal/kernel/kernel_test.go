@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,6 +40,25 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Type(99), 1); err == nil {
 		t.Error("unknown type accepted")
+	}
+	// b² underflows: 1/b² would be +Inf, and the Gaussian at distance 0
+	// exp(−0·Inf) = NaN.
+	for _, b := range []float64{1e-200, 1e-160, math.SmallestNonzeroFloat64} {
+		_, err := New(Gaussian, b)
+		want := fmt.Sprintf("kernel: bandwidth %g is too small: 1/b² overflows", b)
+		if err == nil || err.Error() != want {
+			t.Errorf("New(Gaussian, %g) = %v, want error %q", b, err, want)
+		}
+	}
+	// The smallest accepted bandwidths keep K(0) = 1.
+	for _, b := range []float64{1e-154, 1.5e-154} {
+		k, err := New(Gaussian, b)
+		if err != nil {
+			t.Fatalf("New(Gaussian, %g): %v", b, err)
+		}
+		if v := k.Eval2(0); v != 1 {
+			t.Errorf("b=%g: K(0) = %v, want 1", b, v)
+		}
 	}
 	k := MustNew(Quartic, 2.5)
 	if k.Type() != Quartic || k.Bandwidth() != 2.5 {

@@ -42,6 +42,11 @@ func TestToolParamEdgeCases(t *testing.T) {
 			want:   `kernel: bandwidth must be positive and finite, got NaN`,
 		},
 		{
+			name:   "bandwidth whose square underflows",
+			target: "/v1/kdv?dataset=d&bandwidth=1e-200",
+			want:   `kernel: bandwidth 1e-200 is too small: 1/b² overflows`,
+		},
+		{
 			name:   "non-numeric bandwidth",
 			target: "/v1/kdv?dataset=d&bandwidth=abc",
 			want:   `invalid parameters: bandwidth: not a number ("abc")`,
