@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check fmt-check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check fmt-check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke smoke shard-smoke shard-baseline
 
 check: fmt-check vet build test race lint debt-gate points-gate
 
@@ -138,29 +138,6 @@ smoke:
 	curl -fs http://127.0.0.1:18091/debug/trace/last | grep -q 'kdv.compute' && \
 	echo "smoke OK"
 
-# Load-test smoke + SLO gate: boot geostatd, replay the deterministic
-# smoke scenario with geoload, then judge the artifact with geogate —
-# absolute SLO bounds from scenarios/smoke_slo.json plus drift against
-# the committed LOAD_baseline.json. The baseline threshold is loose
-# (+200%, 200ms noise floor) because CI wall clock is shared-runner
-# noise; the SLO file carries the hard bounds. Regenerate the baseline
-# with `make load-baseline` on quiet hardware when the perf profile
-# changes.
-load-smoke:
-	$(GO) build -o /tmp/geostatd.load ./cmd/geostatd
-	$(GO) build -o /tmp/geoload ./cmd/geoload
-	$(GO) build -o /tmp/geogate ./cmd/geogate
-	@/tmp/geostatd.load -addr 127.0.0.1:18092 & pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	ok=0; for i in $$(seq 1 50); do \
-	  curl -fs http://127.0.0.1:18092/healthz >/dev/null 2>&1 && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok = 1 ] || { echo "geostatd did not come up"; exit 1; }; \
-	/tmp/geoload -scenario scenarios/smoke.json -base http://127.0.0.1:18092 -out LOAD_smoke.json && \
-	/tmp/geogate -artifact LOAD_smoke.json -slo scenarios/smoke_slo.json \
-	  -baseline LOAD_baseline.json -threshold 2.0 -min-ms 200 && \
-	echo "load-smoke OK"
-
 # Sharded-execution smoke: boot TWO real geostatd workers, fan a KDV
 # computation out over them with geoshard, and assert (a) the merged
 # raster is byte-identical to the committed digest — the bit-for-bit
@@ -213,16 +190,3 @@ shard-baseline:
 	$(SHARD_RUN) || exit 1; \
 	sha256sum /tmp/shard_out.json | awk '{print $$1}' > scenarios/shard_smoke.sha256 && \
 	echo "wrote scenarios/shard_smoke.sha256"
-
-# Regenerate the committed load baseline from a fresh smoke run.
-load-baseline:
-	$(GO) build -o /tmp/geostatd.load ./cmd/geostatd
-	$(GO) build -o /tmp/geoload ./cmd/geoload
-	@/tmp/geostatd.load -addr 127.0.0.1:18093 & pid=$$!; \
-	trap "kill $$pid 2>/dev/null" EXIT; \
-	ok=0; for i in $$(seq 1 50); do \
-	  curl -fs http://127.0.0.1:18093/healthz >/dev/null 2>&1 && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok = 1 ] || { echo "geostatd did not come up"; exit 1; }; \
-	/tmp/geoload -scenario scenarios/smoke.json -base http://127.0.0.1:18093 -out LOAD_baseline.json && \
-	echo "wrote LOAD_baseline.json"
