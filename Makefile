@@ -66,16 +66,13 @@ debt-gate:
 	$(GO) run ./cmd/geolint -debt -debt-baseline lint_debt.json -o artifacts/lint_debt.json
 
 # Dataset.Points() copies every coordinate into a fresh []geom.Point;
-# production code reads d.Columns() or d.Point(i). The gate keeps the copy
-# from coming back unnoticed: outside tests and internal/experiments only
-# the three sites ROADMAP item 3 parks (cmd/kfunc's CSR screens and
-# MakeSTPlot's observed and simulated surfaces) may call it.
-POINTS_ALLOW = ^cmd/kfunc/main\.go:[0-9]+:.pts := d\.Points\(\)$$|^internal/kfunc/spacetime\.go:[0-9]+:.*STSurface\((d|sim)\.Points\(\),
-
+# production code reads d.Columns() or d.Point(i). The gate is absolute:
+# no non-test .Points() call under internal/ or cmd/, with
+# internal/experiments excepted.
 points-gate:
 	@out=$$(grep -rn '\.Points()' --include='*.go' internal cmd | grep -v '_test\.go:' | \
-	  grep -v '^internal/experiments/' | grep -Ev '$(POINTS_ALLOW)'); \
-	[ -z "$$out" ] || { echo "Dataset.Points() outside the allow-list (read d.Columns()):"; echo "$$out"; exit 1; }; \
+	  grep -v '^internal/experiments/'); \
+	[ -z "$$out" ] || { echo "Dataset.Points() in production code (read d.Columns()):"; echo "$$out"; exit 1; }; \
 	echo "points-gate OK"
 
 cover:

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"geostat"
+	"geostat/internal/kfunc"
 )
 
 func main() {
@@ -75,12 +76,11 @@ func run(in, csvOut string, sMax, tMax float64, steps, tSteps, sims, workers int
 	}
 
 	// Closed-form CSR screens before the Monte-Carlo plot.
-	pts := d.Points()
-	if q, qerr := geostat.QuadratTest(pts, box, 5, 5); qerr == nil {
+	if q, qerr := kfunc.QuadratTest(d.Columns(), box, 5, 5); qerr == nil {
 		fmt.Printf("quadrat test (5x5): chi2=%.1f df=%d p=%.4f VMR=%.2f -> %s\n",
 			q.ChiSquare, q.DF, q.P, q.VMR, q.Regime(0.05))
 	}
-	if ce, ceerr := geostat.ClarkEvans(pts, box); ceerr == nil {
+	if ce, ceerr := kfunc.ClarkEvans(d.Columns(), box); ceerr == nil {
 		fmt.Printf("Clark-Evans: R=%.3f z=%.1f p=%.4f -> %s\n", ce.R, ce.Z, ce.P, ce.Regime(0.05))
 	}
 

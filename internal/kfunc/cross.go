@@ -1,14 +1,14 @@
 package kfunc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
-	"geostat/internal/parallel"
+	"geostat/internal/stat"
 )
 
 // Cross-type and space-time interaction extensions of the K-function
@@ -82,27 +82,15 @@ func CrossPlot(a, b []geom.Point, thresholds []float64, sims, workers int, rng *
 	pool := make([]geom.Point, 0, len(a)+len(b))
 	pool = append(pool, a...)
 	pool = append(pool, b...)
-	seed := rng.Int63()
-	var mu sync.Mutex
-	var firstErr error
-	parallel.MonteCarloScratch(sims, workers, seed,
+	err = envelope(nil, p.Lo, p.Hi, sims, workers, rng.Int63(),
 		func() []geom.Point { return make([]geom.Point, len(pool)) },
-		func(rng *rand.Rand, buf []geom.Point, l int) {
+		func(_ context.Context, rng *rand.Rand, buf []geom.Point, _ int) ([]int, error) {
 			copy(buf, pool)
 			rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-			counts, err := CrossCurve(buf[:len(a)], buf[len(a):], thresholds)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			p.mergeEnvelope(counts)
+			return CrossCurve(buf[:len(a)], buf[len(a):], thresholds)
 		})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -123,9 +111,9 @@ type KnoxResult struct {
 // interaction screen (Equation 8's K(s,t) at a single threshold pair, with
 // the correct conditional null).
 //
-// Permutations fan out across workers (0/1 serial, <0 GOMAXPROCS); each
-// permutation shuffles its own copy of the times with an RNG derived from
-// rng's next value, so the result is bit-identical for every worker count.
+// The permutations are stat.PermutationSamples over the times, seeded
+// from rng's next value and fanned out across workers (0/1 serial, <0
+// GOMAXPROCS), so the result is bit-identical for every worker count.
 func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, rng *rand.Rand) (*KnoxResult, error) {
 	n := len(pts)
 	if len(times) != n {
@@ -162,15 +150,12 @@ func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, r
 		return c
 	}
 	obs := countClose(times)
-	samples := make([]float64, perms)
-	parallel.MonteCarloScratch(perms, workers, rng.Int63(),
-		func() []float64 { return make([]float64, n) },
-		func(rng *rand.Rand, perm []float64, p int) {
-			copy(perm, times)
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			samples[p] = float64(countClose(perm))
-		})
-	mean, std := permMeanStd(samples)
+	samples, err := stat.PermutationSamples(times, stat.PermOptions{Perms: perms, Seed: rng.Int63(), Workers: workers},
+		func(perm []float64) float64 { return float64(countClose(perm)) })
+	if err != nil {
+		return nil, err
+	}
+	mean, std := stat.MeanStd(samples)
 	res := &KnoxResult{Statistic: obs, PermMean: mean, PermStd: std, Perms: perms}
 	if std > 0 {
 		res.Z = (float64(obs) - mean) / std
@@ -183,17 +168,4 @@ func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, r
 	}
 	res.P = float64(extreme+1) / float64(perms+1)
 	return res, nil
-}
-
-func permMeanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/index/kdtree"
 	"geostat/internal/stat"
@@ -37,25 +38,40 @@ func (q *QuadratResult) Regime(alpha float64) Regime {
 	return Dispersed
 }
 
+// outside returns an error naming the first point of cols outside window
+// (boundary inclusive): the CSR screens count a window's points, so a
+// point beyond it has no quadrat and no share of the window's area.
+func outside(cols dataset.Columns, window geom.BBox) error {
+	for i := range cols.X {
+		if p := (geom.Point{X: cols.X[i], Y: cols.Y[i]}); !window.Contains(p) {
+			return fmt.Errorf("kfunc: point %d (%g, %g) lies outside the window", i, p.X, p.Y)
+		}
+	}
+	return nil
+}
+
 // QuadratTest divides window into nx×ny quadrats, counts points per
 // quadrat, and tests the counts against the CSR expectation with a
-// chi-square test.
-func QuadratTest(pts []geom.Point, window geom.BBox, nx, ny int) (*QuadratResult, error) {
+// chi-square test. Every point must lie in window.
+func QuadratTest(cols dataset.Columns, window geom.BBox, nx, ny int) (*QuadratResult, error) {
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("kfunc: quadrat grid must be at least 1x1, got %dx%d", nx, ny)
 	}
-	n := len(pts)
+	n := cols.N()
 	q := nx * ny
 	if n < 2*q {
 		return nil, fmt.Errorf("kfunc: %d points too few for %d quadrats (want ≥ %d)", n, q, 2*q)
 	}
-	if window.IsEmpty() || window.Area() == 0 {
+	if noWindow(window) {
 		return nil, fmt.Errorf("kfunc: degenerate window")
+	}
+	if err := outside(cols, window); err != nil {
+		return nil, err
 	}
 	grid := geom.NewPixelGrid(window, nx, ny)
 	counts := make([]float64, q)
-	for _, p := range pts {
-		ix, iy, _ := grid.Locate(p)
+	for i := range cols.X {
+		ix, iy, _ := grid.Locate(geom.Point{X: cols.X[i], Y: cols.Y[i]})
 		counts[grid.Index(ix, iy)]++
 	}
 	expected := float64(n) / float64(q)
@@ -103,20 +119,25 @@ func (c *ClarkEvansResult) Regime(alpha float64) Regime {
 // 1/(2·sqrt(λ)), with the classical normal test
 // z = (r̄_obs − r̄_exp) / (0.26136 / sqrt(n·λ)).
 // No edge correction is applied (fine for windows much larger than the
-// mean NN distance; the K-plot is the edge-aware alternative).
-func ClarkEvans(pts []geom.Point, window geom.BBox) (*ClarkEvansResult, error) {
-	n := len(pts)
+// mean NN distance; the K-plot is the edge-aware alternative). Every point
+// must lie in window. The neighbour queries run on cols.Tree(), a dataset
+// snapshot's memoised kd-tree.
+func ClarkEvans(cols dataset.Columns, window geom.BBox) (*ClarkEvansResult, error) {
+	n := cols.N()
 	if n < 3 {
 		return nil, fmt.Errorf("kfunc: Clark-Evans needs at least 3 points, got %d", n)
 	}
-	if window.IsEmpty() || window.Area() == 0 {
+	if noWindow(window) {
 		return nil, fmt.Errorf("kfunc: degenerate window")
 	}
-	tree := kdtree.New(pts)
+	if err := outside(cols, window); err != nil {
+		return nil, err
+	}
+	tree, _ := cols.Tree()
 	sum := 0.0
 	var scratch kdtree.Scratch
-	for _, p := range pts {
-		_, d2 := tree.KNearest(p, 2, &scratch) // self + nearest other
+	for i := range cols.X {
+		_, d2 := tree.KNearest(geom.Point{X: cols.X[i], Y: cols.Y[i]}, 2, &scratch) // self + nearest other
 		sum += math.Sqrt(d2[len(d2)-1])
 	}
 	rObs := sum / float64(n)

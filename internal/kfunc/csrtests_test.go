@@ -3,15 +3,18 @@ package kfunc
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
 )
 
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+
 func TestQuadratTestRegimes(t *testing.T) {
 	const alpha = 0.01
-	cl, err := QuadratTest(clustered(30, 1000), box, 5, 5)
+	cl, err := QuadratTest(cols(clustered(30, 1000)), box, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func TestQuadratTestRegimes(t *testing.T) {
 	// CSR should usually read random; check over several seeds.
 	randomOK := 0
 	for seed := int64(31); seed < 41; seed++ {
-		r, err := QuadratTest(csr(seed, 1000), box, 5, 5)
+		r, err := QuadratTest(cols(csr(seed, 1000)), box, 5, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +41,7 @@ func TestQuadratTestRegimes(t *testing.T) {
 	}
 
 	disp := dataset.Dispersed(rand.New(rand.NewSource(42)), 1000, box, 2.5)
-	dr, err := QuadratTest(disp.Points(), box, 5, 5)
+	dr, err := QuadratTest(disp.Columns(), box, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestQuadratTestRegimes(t *testing.T) {
 }
 
 func TestQuadratTestValidation(t *testing.T) {
-	pts := csr(1, 100)
+	pts := cols(csr(1, 100))
 	if _, err := QuadratTest(pts, box, 0, 5); err == nil {
 		t.Error("0 columns accepted")
 	}
@@ -66,9 +69,31 @@ func TestQuadratTestValidation(t *testing.T) {
 	}
 }
 
+// A point outside the window has no quadrat and no share of its area:
+// both screens refuse it rather than clamp it into a border quadrat or
+// count it in the intensity. The boundary itself is inside.
+func TestCSRTestsRejectPointsOutsideWindow(t *testing.T) {
+	pts := csr(2, 100)
+	edge := cols(append(pts[:len(pts):len(pts)], geom.Point{X: box.MaxX, Y: box.MinY}))
+	if _, err := QuadratTest(edge, box, 4, 4); err != nil {
+		t.Errorf("quadrat: point on the boundary rejected: %v", err)
+	}
+	if _, err := ClarkEvans(edge, box); err != nil {
+		t.Errorf("Clark-Evans: point on the boundary rejected: %v", err)
+	}
+	out := cols(append(pts[:len(pts):len(pts)], geom.Point{X: 50, Y: box.MaxY + 1}))
+	want := "point 100 (50, 101) lies outside the window"
+	if _, err := QuadratTest(out, box, 4, 4); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("quadrat: err = %v, want %q", err, want)
+	}
+	if _, err := ClarkEvans(out, box); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Clark-Evans: err = %v, want %q", err, want)
+	}
+}
+
 func TestClarkEvansRegimes(t *testing.T) {
 	const alpha = 0.01
-	ce, err := ClarkEvans(clustered(50, 1000), box)
+	ce, err := ClarkEvans(cols(clustered(50, 1000)), box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +102,7 @@ func TestClarkEvansRegimes(t *testing.T) {
 	}
 
 	disp := dataset.Dispersed(rand.New(rand.NewSource(51)), 800, box, 3)
-	ce, err = ClarkEvans(disp.Points(), box)
+	ce, err = ClarkEvans(disp.Columns(), box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +111,7 @@ func TestClarkEvansRegimes(t *testing.T) {
 	}
 
 	// CSR: R near 1 (border bias pushes R slightly up without correction).
-	ce, err = ClarkEvans(csr(52, 3000), box)
+	ce, err = ClarkEvans(cols(csr(52, 3000)), box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +121,10 @@ func TestClarkEvansRegimes(t *testing.T) {
 }
 
 func TestClarkEvansValidation(t *testing.T) {
-	if _, err := ClarkEvans(csr(1, 2), box); err == nil {
+	if _, err := ClarkEvans(cols(csr(1, 2)), box); err == nil {
 		t.Error("2 points accepted")
 	}
-	if _, err := ClarkEvans(csr(1, 10), geom.EmptyBBox()); err == nil {
+	if _, err := ClarkEvans(cols(csr(1, 10)), geom.EmptyBBox()); err == nil {
 		t.Error("empty window accepted")
 	}
 }
@@ -117,11 +142,11 @@ func TestCSRTestsAgreeWithKPlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := QuadratTest(pts, box, 5, 5)
+	q, err := QuadratTest(cols(pts), box, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := ClarkEvans(pts, box)
+	ce, err := ClarkEvans(cols(pts), box)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,8 @@ func TestCurvePredicatePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := make([]float64, len(pts))
-	surf, err := STSurface(pts, times, thresholds, []float64{1}, 2)
+	xs, ys := geom.SplitXY(pts)
+	surf, err := STSurface(xs, ys, times, thresholds, []float64{1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package kfunc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"geostat/internal/network"
 	"geostat/internal/parallel"
@@ -137,25 +137,13 @@ func NetworkPlot(g *network.Graph, events []network.Position, thresholds []float
 		return nil, err
 	}
 	p := newPlot(thresholds, obs, sims)
-	seed := rng.Int63()
 	inner := innerWorkers(workers, sims)
-	var mu sync.Mutex
-	var firstErr error
-	parallel.MonteCarlo(sims, workers, seed, func(rng *rand.Rand, l int) {
-		sim := network.RandomPositionsRand(rng, g, len(events))
-		counts, err := NetworkCurve(g, sim, thresholds, inner)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		p.mergeEnvelope(counts)
-	})
-	if firstErr != nil {
-		return nil, firstErr
+	err = envelope(nil, p.Lo, p.Hi, sims, workers, rng.Int63(), func() struct{} { return struct{}{} },
+		func(_ context.Context, rng *rand.Rand, _ struct{}, _ int) ([]int, error) {
+			return NetworkCurve(g, network.RandomPositionsRand(rng, g, len(events)), thresholds, inner)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -93,8 +93,9 @@ func checkPin(t *testing.T, what string, want pinnedPlot, got *Plot, err error) 
 
 // TestPlotPinned: the columnar pipeline reproduces, bit for bit and at
 // every worker count, the plots the AoS path computed — through MakePlot
-// (CSR drawn straight into reused columns) and through MakePlotSeeded /
-// MakePlotWithNull fed the same patterns as caller-supplied []geom.Point.
+// (CSR drawn straight into reused columns), through the envelope driver
+// fanned out over two workers and through MakePlotWithNull, both fed the
+// same patterns as caller-supplied []geom.Point.
 func TestPlotPinned(t *testing.T) {
 	pins := loadPins(t)
 	for _, c := range pinnedCases() {
@@ -118,10 +119,15 @@ func TestPlotPinned(t *testing.T) {
 		n := len(c.pts)
 		opt := c.opt
 		opt.Workers = 2
-		got, err := MakePlotSeeded(c.pts, opt, seed, func(rng *rand.Rand, _ int) []geom.Point {
-			return dataset.UniformCSR(rng, n, window).Points()
+		xs, ys := geom.SplitXY(c.pts)
+		r, err := observe(xs, ys, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.simulate(opt.Workers, 1, seed, func(rng *rand.Rand, s *simScratch) {
+			s.load(dataset.UniformCSR(rng, n, window).Points())
 		})
-		checkPin(t, "MakePlotSeeded "+c.name, want, got, err)
+		checkPin(t, "envelope "+c.name, want, got, err)
 		l := 0
 		got, err = MakePlotWithNull(c.pts, opt, func() []geom.Point {
 			rng := parallel.TaskRand(seed, l)
@@ -141,7 +147,7 @@ func TestPlotCancelInsideSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := PlotOptions{Thresholds: []float64{1, 2}, Simulations: 1, Workers: 1, Ctx: ctx}
-	plot, err := MakePlotSeeded(pts, opt, 1, func(*rand.Rand, int) []geom.Point {
+	plot, err := MakePlotWithNull(pts, opt, func() []geom.Point {
 		cancel()
 		return pts
 	})

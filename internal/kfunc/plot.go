@@ -89,34 +89,57 @@ func (o *PlotOptions) context() context.Context {
 	return context.Background()
 }
 
+// observed returns the plot columns of an observed curve: K holds the
+// counts, and Lo / Hi start at +Inf / −Inf for envelope to narrow.
+func observed(obs []int) (k, lo, hi []float64) {
+	k, lo, hi = make([]float64, len(obs)), make([]float64, len(obs)), make([]float64, len(obs))
+	for i, c := range obs {
+		k[i] = float64(c)
+		lo[i] = math.Inf(1)
+		hi[i] = math.Inf(-1)
+	}
+	return k, lo, hi
+}
+
 // newPlot allocates a Plot holding the observed counts with empty
 // envelopes.
 func newPlot(thresholds []float64, obs []int, sims int) *Plot {
-	d := len(thresholds)
-	p := &Plot{
-		S:   append([]float64(nil), thresholds...),
-		K:   make([]float64, d),
-		Lo:  make([]float64, d),
-		Hi:  make([]float64, d),
-		Sim: sims,
-	}
-	for i, c := range obs {
-		p.K[i] = float64(c)
-		p.Lo[i] = math.Inf(1)
-		p.Hi[i] = math.Inf(-1)
-	}
+	p := &Plot{S: append([]float64(nil), thresholds...), Sim: sims}
+	p.K, p.Lo, p.Hi = observed(obs)
 	return p
 }
 
-// mergeEnvelope folds one simulation's counts into the pointwise min/max
-// envelope. Min/max are order-insensitive, so concurrent merges (under the
-// caller's lock) stay bit-identical for every worker count.
-func (p *Plot) mergeEnvelope(counts []int) {
-	for i, c := range counts {
-		v := float64(c)
-		p.Lo[i] = math.Min(p.Lo[i], v)
-		p.Hi[i] = math.Max(p.Hi[i], v)
-	}
+// envelope is the one Monte-Carlo driver of the K family: it fans sims
+// null simulations out across workers and narrows lo / hi to the pointwise
+// min / max of their counts. sim(ctx, rng, s, l) returns simulation l's
+// counts, drawn from rng alone with s as its worker's scratch (it is
+// called concurrently, each worker with its own scratch; a one-worker
+// fan-out calls it serially in index order). rng is seeded from (seed, l)
+// and min / max are order-insensitive, so lo / hi are bit-identical for
+// every worker count. ctx (nil means none) bounds the fan-out; sim gets
+// its untraced form. A simulation cut short is an error even when the
+// fan-out did not see ctx fire; on error lo / hi are partial.
+func envelope[S any](ctx context.Context, lo, hi []float64, sims, workers int, seed int64,
+	newScratch func() S, sim func(ctx context.Context, rng *rand.Rand, s S, l int) ([]int, error)) error {
+	simCtx := untraced(ctx)
+	var mu sync.Mutex
+	var simErr error
+	_, err := parallel.MonteCarloScratchCtx(ctx, sims, workers, seed, newScratch,
+		func(rng *rand.Rand, s S, l int) {
+			counts, err := sim(simCtx, rng, s, l)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				simErr = cmp.Or(simErr, err)
+				return
+			}
+			for i, c := range counts {
+				v := float64(c)
+				lo[i] = math.Min(lo[i], v)
+				hi[i] = math.Max(hi[i], v)
+			}
+		})
+	return cmp.Or(err, simErr)
 }
 
 // innerWorkers decides the parallelism of one simulation's curve: when the
@@ -130,12 +153,20 @@ func innerWorkers(workers, sims int) int {
 	return workers
 }
 
-// untraced carries a context's cancellation but none of its values, so
+// noValues carries a context's cancellation but none of its values.
+type noValues struct{ context.Context }
+
+func (noValues) Value(any) any { return nil }
+
+// untraced is ctx without its values (a nil ctx means no cancellation), so
 // the curves of the envelope simulations open no spans: a traced plot's
 // tree keeps one monte_carlo node instead of growing a node per simulation.
-type untraced struct{ context.Context }
-
-func (untraced) Value(any) any { return nil }
+func untraced(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return noValues{ctx}
+}
 
 // simScratch is one worker's reusable storage for envelope simulations:
 // the simulated pattern's columns, its cell list and its curve. Nothing
@@ -195,29 +226,17 @@ func (r *plotRun) newScratch() *simScratch {
 	return &simScratch{counts: make([]int, len(r.opt.Thresholds))}
 }
 
-// envelope fans the simulations out across opt.Workers: fill(rng, s, l)
-// must write the l-th null pattern into s.xs / s.ys from rng alone (it is
-// called concurrently, each worker with its own scratch). rng is seeded
-// from (seed, l), so the envelopes are bit-identical for every worker
-// count. Every simulation's curve checks the context between blocks.
-func (r *plotRun) envelope(seed int64, fill func(rng *rand.Rand, s *simScratch, l int)) (*Plot, error) {
-	inner := innerWorkers(r.opt.Workers, r.opt.Simulations)
-	simCtx := untraced{r.ctx}
-	var mu sync.Mutex
-	var simErr error // a curve cut short: the fan-out may not see ctx fire in its last chunk
-	_, err := parallel.MonteCarloScratchCtx(r.ctx, r.opt.Simulations, r.opt.Workers, seed, r.newScratch,
-		func(rng *rand.Rand, s *simScratch, l int) {
-			fill(rng, s, l)
-			err := s.cells.curve(simCtx, s.xs, s.ys, r.bins, inner, s.counts)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				simErr = err
-				return
-			}
-			r.plot.mergeEnvelope(s.counts)
+// simulate fills the plot's envelope: fill(rng, s) writes one null pattern
+// into s.xs / s.ys, the simulations fan out across workers, and each
+// curve runs on inner workers.
+func (r *plotRun) simulate(workers, inner int, seed int64, fill func(rng *rand.Rand, s *simScratch)) (*Plot, error) {
+	err := envelope(r.ctx, r.plot.Lo, r.plot.Hi, r.opt.Simulations, workers, seed, r.newScratch,
+		func(ctx context.Context, rng *rand.Rand, s *simScratch, _ int) ([]int, error) {
+			fill(rng, s)
+			err := s.cells.curve(ctx, s.xs, s.ys, r.bins, inner, s.counts)
+			return s.counts, err
 		})
-	if err = cmp.Or(err, simErr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return r.plot, nil
@@ -231,37 +250,14 @@ func (r *plotRun) envelope(seed int64, fill func(rng *rand.Rand, s *simScratch, 
 // random-labelling null for marked patterns.
 //
 // simulate is invoked SERIALLY (it may close over shared state such as a
-// rand.Rand); only each simulated dataset's curve uses opt.Workers. For a
-// fully parallel envelope use MakePlotSeeded with an rng-taking simulator.
+// rand.Rand); only each simulated dataset's curve uses opt.Workers.
 func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.Point) (*Plot, error) {
 	xs, ys := geom.SplitXY(pts)
 	r, err := observe(xs, ys, opt)
 	if err != nil {
 		return nil, err
 	}
-	s := r.newScratch()
-	for l := 0; l < opt.Simulations; l++ {
-		s.load(simulate())
-		if err := s.cells.curve(r.ctx, s.xs, s.ys, r.bins, opt.Workers, s.counts); err != nil {
-			return nil, err
-		}
-		r.plot.mergeEnvelope(s.counts)
-	}
-	return r.plot, nil
-}
-
-// MakePlotSeeded computes a K-function plot whose envelope simulations fan
-// out across opt.Workers goroutines. simulate(rng, l) must generate the
-// l-th null dataset from rng alone (it is called concurrently); rng is
-// seeded deterministically from (seed, l), so the envelopes are
-// bit-identical for every worker count.
-func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func(rng *rand.Rand, l int) []geom.Point) (*Plot, error) {
-	xs, ys := geom.SplitXY(pts)
-	r, err := observe(xs, ys, opt)
-	if err != nil {
-		return nil, err
-	}
-	return r.envelope(seed, func(rng *rand.Rand, s *simScratch, l int) { s.load(simulate(rng, l)) })
+	return r.simulate(1, opt.Workers, 0, func(_ *rand.Rand, s *simScratch) { s.load(simulate()) })
 }
 
 // MakePlot computes a K-function plot for pts: the observed curve plus
@@ -301,7 +297,7 @@ func makeCSRPlot(xs, ys []float64, opt PlotOptions, rng *rand.Rand) (*Plot, erro
 	if err != nil {
 		return nil, err
 	}
-	return r.envelope(seed, func(rng *rand.Rand, s *simScratch, _ int) {
+	return r.simulate(opt.Workers, innerWorkers(opt.Workers, opt.Simulations), seed, func(rng *rand.Rand, s *simScratch) {
 		s.resize(len(xs))
 		dataset.FillUniformCSR(rng, opt.Window, s.xs, s.ys)
 	})

@@ -88,7 +88,8 @@ func TestQuickSTSurfaceInvariants(t *testing.T) {
 		}
 		sTh := []float64{3, 9}
 		tTh := []float64{10, 1000} // second threshold covers everything
-		surf, err := STSurface(pts, times, sTh, tTh, 0)
+		xs, ys := geom.SplitXY(pts)
+		surf, err := STSurface(xs, ys, times, sTh, tTh, 0)
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,10 @@
 package kfunc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
@@ -38,25 +38,26 @@ func STNaive(pts []geom.Point, times []float64, s, t float64) int {
 // spatial and temporal thresholds in ONE pass over the close pairs: each
 // pair within (s_max, any t) is binned into the 2-D histogram
 // (spatial bin, temporal bin) and a 2-D cumulative sum yields the full
-// surface. Row α·len(tThresholds)+β of the result is K(s_α, t_β).
-func STSurface(pts []geom.Point, times []float64, sThresholds, tThresholds []float64, workers int) ([]int, error) {
+// surface. Event i is at (xs[i], ys[i]) and time ts[i]. Row
+// α·len(tThresholds)+β of the result is K(s_α, t_β).
+func STSurface(xs, ys, ts []float64, sThresholds, tThresholds []float64, workers int) ([]int, error) {
 	if err := checkThresholds(sThresholds); err != nil {
 		return nil, fmt.Errorf("spatial: %w", err)
 	}
 	if err := checkThresholds(tThresholds); err != nil {
 		return nil, fmt.Errorf("temporal: %w", err)
 	}
-	if len(times) != len(pts) {
-		return nil, fmt.Errorf("kfunc: %d points but %d times", len(pts), len(times))
+	if len(ys) != len(xs) || len(ts) != len(xs) {
+		return nil, fmt.Errorf("kfunc: %d x, %d y but %d times", len(xs), len(ys), len(ts))
 	}
 	m, tt := len(sThresholds), len(tThresholds)
 	out := make([]int, m*tt)
-	if len(pts) < 2 {
+	if len(xs) < 2 {
 		return out, nil
 	}
 	sMax := sThresholds[m-1]
 	tMax := tThresholds[tt-1]
-	idx := gridindex.New(pts, sMax)
+	idx := gridindex.NewColumns(xs, ys, sMax)
 
 	// hist[(sBin)·(tt+1) + tBin] counts pairs whose distance falls in
 	// spatial bin sBin and time gap in temporal bin tBin; bin == len means
@@ -65,14 +66,13 @@ func STSurface(pts []geom.Point, times []float64, sThresholds, tThresholds []flo
 	hist := make([]int64, (m+1)*width)
 	sBins, tBins := squaredBinner(sThresholds), newBinner(tThresholds)
 	binPair := func(local []int64, i int) {
-		p := pts[i]
-		ti := times[i]
+		ti := ts[i]
 		// ForEachInRange reports d2 <= sMax·sMax — sBins' own upper edge.
-		idx.ForEachInRange(p, sMax, func(j int, d2 float64) {
+		idx.ForEachInRange(geom.Point{X: xs[i], Y: ys[i]}, sMax, func(j int, d2 float64) {
 			if j == i {
 				return
 			}
-			dt := math.Abs(times[j] - ti)
+			dt := math.Abs(ts[j] - ti)
 			if !(dt <= tMax) { // also drops a NaN gap
 				return
 			}
@@ -80,7 +80,7 @@ func STSurface(pts []geom.Point, times []float64, sThresholds, tThresholds []flo
 		})
 	}
 
-	partials := parallel.ForScratch(len(pts), workers,
+	partials := parallel.ForScratch(len(xs), workers,
 		func() []int64 { return make([]int64, len(hist)) },
 		func(local []int64, i int) { binPair(local, i) })
 	for _, p := range partials {
@@ -137,13 +137,19 @@ func (p *STPlot) RegimeAt(a, b int) Regime {
 	}
 }
 
+// stScratch is one worker's reused columns for space-time simulations;
+// every simulation overwrites all of them.
+type stScratch struct{ xs, ys, ts []float64 }
+
 // MakeSTPlot computes the observed K(s,t) surface and min/max envelopes
-// over sims random datasets: CSR in the window crossed with uniform times
-// over the data's time range (the space-time null model: no interaction).
+// over sims random datasets: CSR in the events' bounding box crossed with
+// uniform times over the data's time range (the space-time null model: no
+// interaction). A bounding box of zero area cannot host CSR and is
+// rejected.
 //
 // The simulations fan out across workers with per-simulation RNGs derived
-// from rng's next value, so the envelopes are bit-identical for every
-// worker count.
+// from rng's next value, each drawn into its worker's reused columns, so
+// the envelopes are bit-identical for every worker count.
 func MakeSTPlot(d *dataset.Dataset, sThresholds, tThresholds []float64, sims, workers int, rng *rand.Rand) (*STPlot, error) {
 	if !d.HasTimes() {
 		return nil, fmt.Errorf("kfunc: dataset has no event times")
@@ -151,53 +157,37 @@ func MakeSTPlot(d *dataset.Dataset, sThresholds, tThresholds []float64, sims, wo
 	if sims < 1 {
 		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", sims)
 	}
-	obs, err := STSurface(d.Points(), d.Times(), sThresholds, tThresholds, workers)
+	window := d.Bounds()
+	if noWindow(window) {
+		return nil, fmt.Errorf("kfunc: degenerate window: the events' bounding box has zero area")
+	}
+	cols := d.Columns()
+	obs, err := STSurface(cols.X, cols.Y, d.Times(), sThresholds, tThresholds, workers)
 	if err != nil {
 		return nil, err
 	}
-	window := d.Bounds()
 	t0, t1, _ := d.TimeRange()
 	p := &STPlot{
 		S:   append([]float64(nil), sThresholds...),
 		T:   append([]float64(nil), tThresholds...),
-		K:   make([]float64, len(obs)),
-		Lo:  make([]float64, len(obs)),
-		Hi:  make([]float64, len(obs)),
 		Sim: sims,
 	}
-	for i, c := range obs {
-		p.K[i] = float64(c)
-		p.Lo[i] = math.Inf(1)
-		p.Hi[i] = math.Inf(-1)
-	}
+	p.K, p.Lo, p.Hi = observed(obs)
 	n := d.N()
-	seed := rng.Int63()
 	inner := innerWorkers(workers, sims)
-	var mu sync.Mutex
-	var firstErr error
-	parallel.MonteCarlo(sims, workers, seed, func(rng *rand.Rand, l int) {
-		sim := dataset.UniformCSR(rng, n, window)
-		simTimes := make([]float64, n)
-		for i := range simTimes {
-			simTimes[i] = t0 + rng.Float64()*(t1-t0)
-		}
-		counts, err := STSurface(sim.Points(), simTimes, sThresholds, tThresholds, inner)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	err = envelope(nil, p.Lo, p.Hi, sims, workers, rng.Int63(),
+		func() *stScratch {
+			return &stScratch{xs: make([]float64, n), ys: make([]float64, n), ts: make([]float64, n)}
+		},
+		func(_ context.Context, rng *rand.Rand, s *stScratch, _ int) ([]int, error) {
+			dataset.FillUniformCSR(rng, window, s.xs, s.ys)
+			for i := range s.ts {
+				s.ts[i] = t0 + rng.Float64()*(t1-t0)
 			}
-			return
-		}
-		for i, c := range counts {
-			v := float64(c)
-			p.Lo[i] = math.Min(p.Lo[i], v)
-			p.Hi[i] = math.Max(p.Hi[i], v)
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
+			return STSurface(s.xs, s.ys, s.ts, sThresholds, tThresholds, inner)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

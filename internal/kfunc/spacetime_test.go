@@ -38,7 +38,7 @@ func TestSTSurfaceMatchesNaive(t *testing.T) {
 	d := stData(1, 300)
 	sTh := []float64{2, 5, 10, 30}
 	tTh := []float64{1, 5, 20, 60}
-	surface, err := STSurface(d.Points(), d.Times(), sTh, tTh, 0)
+	surface, err := STSurface(d.Columns().X, d.Columns().Y, d.Times(), sTh, tTh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSTSurfaceMatchesNaive(t *testing.T) {
 		}
 	}
 	// Parallel agrees.
-	par, err := STSurface(d.Points(), d.Times(), sTh, tTh, 4)
+	par, err := STSurface(d.Columns().X, d.Columns().Y, d.Times(), sTh, tTh, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +64,16 @@ func TestSTSurfaceMatchesNaive(t *testing.T) {
 
 func TestSTSurfaceValidation(t *testing.T) {
 	d := stData(2, 20)
-	if _, err := STSurface(d.Points(), d.Times(), nil, []float64{1}, 0); err == nil {
+	if _, err := STSurface(d.Columns().X, d.Columns().Y, d.Times(), nil, []float64{1}, 0); err == nil {
 		t.Error("empty spatial thresholds accepted")
 	}
-	if _, err := STSurface(d.Points(), d.Times(), []float64{1}, []float64{2, 2}, 0); err == nil {
+	if _, err := STSurface(d.Columns().X, d.Columns().Y, d.Times(), []float64{1}, []float64{2, 2}, 0); err == nil {
 		t.Error("non-increasing temporal thresholds accepted")
 	}
-	if _, err := STSurface(d.Points(), d.Times()[:5], []float64{1}, []float64{1}, 0); err == nil {
+	if _, err := STSurface(d.Columns().X, d.Columns().Y, d.Times()[:5], []float64{1}, []float64{1}, 0); err == nil {
 		t.Error("mismatched times accepted")
 	}
-	out, err := STSurface(nil, nil, []float64{1}, []float64{1}, 0)
+	out, err := STSurface(nil, nil, nil, []float64{1}, []float64{1}, 0)
 	if err != nil || out[0] != 0 {
 		t.Errorf("empty data: %v %v", out, err)
 	}
@@ -84,7 +84,7 @@ func TestSTSurfaceMonotone(t *testing.T) {
 	d := stData(3, 400)
 	sTh := []float64{1, 3, 7, 15, 31}
 	tTh := []float64{2, 6, 14, 30}
-	surface, err := STSurface(d.Points(), d.Times(), sTh, tTh, 0)
+	surface, err := STSurface(d.Columns().X, d.Columns().Y, d.Times(), sTh, tTh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +154,18 @@ func TestMakeSTPlotValidation(t *testing.T) {
 	noTimes := dataset.FromPoints(d.Points())
 	if _, err := MakeSTPlot(noTimes, []float64{1}, []float64{1}, 5, 0, rng); err == nil {
 		t.Error("dataset without times accepted")
+	}
+	// Events whose bounding box has zero area leave CSR nowhere to draw.
+	for name, pts := range map[string][]geom.Point{
+		"collinear": {{X: 0, Y: 5}, {X: 3, Y: 5}, {X: 9, Y: 5}},
+		"single":    {{X: 2, Y: 2}},
+	} {
+		flat, err := dataset.New(pts, make([]float64, len(pts)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MakeSTPlot(flat, []float64{1}, []float64{1}, 5, 0, rng); err == nil {
+			t.Errorf("%s events (zero-area window) accepted", name)
+		}
 	}
 }

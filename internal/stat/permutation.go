@@ -25,28 +25,39 @@ type PermOptions struct {
 	Ctx context.Context
 }
 
-// PermutationTest is the one permutation-test driver behind Moran's I,
-// Geary's C and General G. It evaluates statistic on opt.Perms random
-// permutations of values (geometry fixed, values shuffled) and reduces the
-// distribution to its mean and standard deviation, the z-score of the
-// observed statistic obs, and the two-sided pseudo p-value (r+1)/(perms+1),
-// r = #{|s − mean| >= |obs − mean|}. Each permutation copies values into a
-// per-worker buffer and shuffles it with its own derived RNG — no
-// cross-permutation state, so any worker count gives the same summary.
-// opt.Perms <= 0 skips the test and returns zeros.
-func PermutationTest(values []float64, obs float64, opt PermOptions, statistic func(perm []float64) float64) (mean, std, z, p float64, err error) {
-	if opt.Perms <= 0 {
-		return 0, 0, 0, 0, nil
-	}
+// PermutationSamples is the one permutation sampler: it evaluates
+// statistic on opt.Perms random permutations of values (geometry fixed,
+// values shuffled) and returns the statistics in permutation order. Each
+// permutation copies values into a per-worker buffer and shuffles it with
+// its own RNG derived from (opt.Seed, p) — no cross-permutation state, so
+// any worker count gives the same samples. opt.Perms <= 0 draws none.
+func PermutationSamples(values []float64, opt PermOptions, statistic func(perm []float64) float64) ([]float64, error) {
 	n := len(values)
-	samples := make([]float64, opt.Perms)
-	if _, err = parallel.MonteCarloScratchCtx(opt.Ctx, opt.Perms, opt.Workers, opt.Seed,
+	samples := make([]float64, max(opt.Perms, 0))
+	if _, err := parallel.MonteCarloScratchCtx(opt.Ctx, opt.Perms, opt.Workers, opt.Seed,
 		func() []float64 { return make([]float64, n) },
 		func(rng *rand.Rand, perm []float64, i int) {
 			copy(perm, values)
 			rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 			samples[i] = statistic(perm)
 		}); err != nil {
+		return nil, err
+	}
+	return samples, nil
+}
+
+// PermutationTest is the one permutation-test driver behind Moran's I,
+// Geary's C and General G. It draws opt.Perms samples with
+// PermutationSamples and reduces the distribution to its mean and standard
+// deviation, the z-score of the observed statistic obs, and the two-sided
+// pseudo p-value (r+1)/(perms+1), r = #{|s − mean| >= |obs − mean|}.
+// opt.Perms <= 0 skips the test and returns zeros.
+func PermutationTest(values []float64, obs float64, opt PermOptions, statistic func(perm []float64) float64) (mean, std, z, p float64, err error) {
+	if opt.Perms <= 0 {
+		return 0, 0, 0, 0, nil
+	}
+	samples, err := PermutationSamples(values, opt, statistic)
+	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	mean, std = MeanStd(samples)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -56,5 +57,33 @@ func TestPermutationTest(t *testing.T) {
 	opt.Ctx = ctx
 	if _, _, _, _, err := PermutationTest(values, 8, opt, first); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// PermutationSamples returns the draws PermutationTest summarises, in
+// permutation order, for every worker count; a non-positive count draws
+// none.
+func TestPermutationSamples(t *testing.T) {
+	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	first := func(perm []float64) float64 { return perm[0] }
+	for _, perms := range []int{0, -3} {
+		if got, err := PermutationSamples(values, PermOptions{Perms: perms}, first); len(got) != 0 || err != nil {
+			t.Errorf("Perms = %d: %v, %v; want no samples", perms, got, err)
+		}
+	}
+	opt := PermOptions{Perms: 99, Seed: 3, Workers: 1}
+	serial, err := PermutationSamples(values, opt, first)
+	if err != nil || len(serial) != 99 {
+		t.Fatalf("%d samples, %v", len(serial), err)
+	}
+	mean, std := MeanStd(serial)
+	if m, s, _, _, _ := PermutationTest(values, 8, opt, first); m != mean || s != std {
+		t.Errorf("PermutationTest mean, std = %v, %v; samples give %v, %v", m, s, mean, std)
+	}
+	for _, workers := range []int{2, -1} {
+		opt.Workers = workers
+		if got, _ := PermutationSamples(values, opt, first); !slices.Equal(got, serial) {
+			t.Errorf("workers=%d: samples differ from serial", workers)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 
+	"geostat/internal/dataset"
+	"geostat/internal/geom"
 	"geostat/internal/kfunc"
 )
 
@@ -131,18 +133,18 @@ type QuadratResult = kfunc.QuadratResult
 
 // QuadratTest counts points in an nx×ny quadrat grid over window and
 // chi-square-tests the counts against CSR (two-sided: clustering inflates
-// the statistic, regularity deflates it).
+// the statistic, regularity deflates it). Every point must lie in window.
 func QuadratTest(pts []Point, window BBox, nx, ny int) (*QuadratResult, error) {
-	return kfunc.QuadratTest(pts, window, nx, ny)
+	return kfunc.QuadratTest(dataset.MakeColumns(pts, nil), window, nx, ny)
 }
 
 // ClarkEvansResult is the Clark-Evans nearest-neighbour CSR test.
 type ClarkEvansResult = kfunc.ClarkEvansResult
 
 // ClarkEvans computes the Clark-Evans aggregation index R with its normal
-// test (R<1 clustered, R>1 dispersed).
+// test (R<1 clustered, R>1 dispersed). Every point must lie in window.
 func ClarkEvans(pts []Point, window BBox) (*ClarkEvansResult, error) {
-	return kfunc.ClarkEvans(pts, window)
+	return kfunc.ClarkEvans(dataset.MakeColumns(pts, nil), window)
 }
 
 // STKFunction computes the spatiotemporal K-function K(s, t) (Equation 8)
@@ -154,7 +156,8 @@ func STKFunction(pts []Point, times []float64, s, t float64) int {
 // STKFunctionSurface computes K(s_α, t_β) for all threshold combinations
 // in one pass; entry α·len(tThresholds)+β is K(s_α, t_β).
 func STKFunctionSurface(pts []Point, times []float64, sThresholds, tThresholds []float64, workers int) ([]int, error) {
-	return kfunc.STSurface(pts, times, sThresholds, tThresholds, workers)
+	xs, ys := geom.SplitXY(pts)
+	return kfunc.STSurface(xs, ys, times, sThresholds, tThresholds, workers)
 }
 
 // STKFunctionPlot computes the Figure 6 surface-plus-envelopes for a
