@@ -86,7 +86,8 @@ cover:
 # under */testdata/fuzz, of the kd-tree kNN query against brute force
 # (seeded in the test), of the result cache's index / heap invariants
 # under arbitrary Get / Put / re-upload sequences, and of the Gaussian /
-# exponential KDV loops that skip absorbed terms against the plain loop.
+# exponential KDV loops that skip absorbed terms against the plain loop,
+# and of naive's finite-kernel row scatter against the pixel-major gather.
 # ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/kdtree -run '^$$' -fuzz FuzzKNearestBruteForce -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzChunkEvalAbsorbed -fuzztime 10s
+	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzNaiveScatter -fuzztime 10s
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .

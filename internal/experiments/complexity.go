@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -50,13 +51,17 @@ func RunC1(cfg *Config) error {
 	return nil
 }
 
-// RunC2 verifies the KDV claim: naive is O(XYn); grid-cutoff and the
-// sweep line decouple the n term from the full raster.
+// RunC2 verifies the KDV claim: the baseline is O(XYn); grid-cutoff and
+// the sweep line decouple the n term from the full raster. The O(XYn)
+// column is directSum, the paper's pixel-major baseline. The library's
+// naive runs beside it: for this finite kernel it scatters each row's
+// points into the pixels they reach, and C2 fails unless its raster equals
+// the direct sum's bit for bit.
 func RunC2(cfg *Config) error {
 	rng := cfg.rng()
 	k := geostat.MustKernel(geostat.Quartic, 4)
 	fmt.Fprintln(cfg.Out, "sweep over n (grid fixed 128x128, b=4):")
-	tb := newTable("n", "naive", "grid-cutoff", "sweep-line", "naive/sweep")
+	tb := newTable("n", "direct O(XYn)", "naive", "grid-cutoff", "sweep-line", "direct/sweep")
 	sizes := []int{5000, 10000, 20000, 40000}
 	if cfg.Quick {
 		sizes = []int{1000, 2000, 4000}
@@ -64,15 +69,17 @@ func RunC2(cfg *Config) error {
 	grid := geostat.NewPixelGrid(studyBox, 128, 128)
 	for _, n := range sizes {
 		pts := geostat.UniformCSR(rng, n, studyBox).Points()
-		var tNaive, tCut, tSweep = timeKDV(pts, k, grid, geostat.KDVNaive),
-			timeKDV(pts, k, grid, geostat.KDVGridCutoff),
-			timeKDV(pts, k, grid, geostat.KDVSweepLine)
-		tb.add(n, tNaive, tCut, tSweep, speedup(tNaive, tSweep))
+		tDirect, tNaive, err := timeDirect(pts, k, grid)
+		if err != nil {
+			return err
+		}
+		tSweep := timeKDV(pts, k, grid, geostat.KDVSweepLine)
+		tb.add(n, tDirect, tNaive, timeKDV(pts, k, grid, geostat.KDVGridCutoff), tSweep, speedup(tDirect, tSweep))
 	}
 	tb.write(cfg.Out)
 
 	fmt.Fprintln(cfg.Out, "\nsweep over raster size (n fixed 10000, b=4):")
-	tb = newTable("pixels", "naive", "grid-cutoff", "sweep-line")
+	tb = newTable("pixels", "direct O(XYn)", "naive", "grid-cutoff", "sweep-line")
 	pts := geostat.UniformCSR(rng, cfg.scale(10000), studyBox).Points()
 	dims := []int{64, 128, 256}
 	if cfg.Quick {
@@ -80,13 +87,55 @@ func RunC2(cfg *Config) error {
 	}
 	for _, dim := range dims {
 		g := geostat.NewPixelGrid(studyBox, dim, dim)
-		tb.add(fmt.Sprintf("%dx%d", dim, dim),
-			timeKDV(pts, k, g, geostat.KDVNaive),
+		tDirect, tNaive, err := timeDirect(pts, k, g)
+		if err != nil {
+			return err
+		}
+		tb.add(fmt.Sprintf("%dx%d", dim, dim), tDirect, tNaive,
 			timeKDV(pts, k, g, geostat.KDVGridCutoff),
 			timeKDV(pts, k, g, geostat.KDVSweepLine))
 	}
 	tb.write(cfg.Out)
+	fmt.Fprintln(cfg.Out, "direct = the paper's pixel-major sum over every point; naive = the library's exact baseline, bit-identical to it.")
 	return nil
+}
+
+// directSum is §1's O(XYn) baseline, kept here as the experiment's
+// reference: for each pixel, row-major, the sum of Kernel.Eval2 over every
+// point in input order.
+func directSum(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid) []float64 {
+	out := make([]float64, g.NumPixels())
+	for iy := 0; iy < g.NY; iy++ {
+		for ix := 0; ix < g.NX; ix++ {
+			q := g.Center(ix, iy)
+			sum := 0.0
+			for _, p := range pts {
+				sum += k.Eval2(p.Dist2(q))
+			}
+			out[g.Index(ix, iy)] = sum
+		}
+	}
+	return out
+}
+
+// timeDirect times directSum and the library's naive on one request, and
+// fails unless the two rasters are equal bit for bit.
+func timeDirect(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid) (direct, naive time.Duration, err error) {
+	var want []float64
+	direct = medianOf3(func() { want = directSum(pts, k, g) })
+	var got *geostat.Heatmap
+	naive = medianOf3(func() {
+		if got, err = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: g, Method: geostat.KDVNaive}); err != nil {
+			panic(err)
+		}
+	})
+	for i, v := range got.Values {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			return 0, 0, fmt.Errorf("C2: naive pixel %d at %dx%d, n=%d is %v, the direct O(XYn) sum %v: not bit-identical",
+				i, g.NX, g.NY, len(pts), v, want[i])
+		}
+	}
+	return direct, naive, nil
 }
 
 func timeKDV(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid, m geostat.KDVMethod) (d time.Duration) {
@@ -361,8 +410,11 @@ func abs(v float64) float64 {
 func RunC9(cfg *Config) error {
 	rng := cfg.rng()
 	d := geostat.UniformCSR(rng, cfg.scale(1000000), studyBox)
-	// The naive method pays X·Y·n_view, so it gets a small raster; what is
-	// compared is each method with itself across views.
+	// On this finite kernel naive scatters each row's band of the view's
+	// points into the pixels they reach, Y·(n_view + footprint), on top of
+	// the O(n) clip every method pays. It keeps the small raster it had as
+	// the X·Y·n_view pixel-major sum; what is compared is each method with
+	// itself across views.
 	methods := []struct {
 		name   string
 		m      geostat.KDVMethod

@@ -71,8 +71,8 @@ func (g PixelGrid) Index(ix, iy int) int { return iy*g.NX + ix }
 // clamping.
 func (g PixelGrid) Locate(p Point) (ix, iy int, inside bool) {
 	inside = g.Box.Contains(p)
-	ix = clamp(int((p.X-g.Box.MinX)/g.CellW()), 0, g.NX-1)
-	iy = clamp(int((p.Y-g.Box.MinY)/g.CellH()), 0, g.NY-1)
+	ix = ClampIndex((p.X-g.Box.MinX)/g.CellW(), g.NX-1)
+	iy = ClampIndex((p.Y-g.Box.MinY)/g.CellH(), g.NY-1)
 	return ix, iy, inside
 }
 
@@ -92,14 +92,23 @@ func (g PixelGrid) RowRange(y, r float64) (lo, hi int) {
 func (g PixelGrid) axisRange(v, r, min, cell float64, n int) (lo, hi int) {
 	// Center of index i is min + (i+0.5)*cell; we need centers in [v-r, v+r]:
 	//   i >= (v-r-min)/cell - 0.5   and   i <= (v+r-min)/cell - 0.5.
-	lo = int(math.Ceil((v-r-min)/cell - 0.5))
-	hi = int(math.Floor((v+r-min)/cell-0.5)) + 1
-	lo = clamp(lo, 0, n)
-	hi = clamp(hi, 0, n)
-	if hi < lo {
-		hi = lo
+	lo = ClampIndex(math.Ceil((v-r-min)/cell-0.5), n)
+	hi = ClampIndex(math.Floor((v+r-min)/cell-0.5)+1, n)
+	return lo, max(lo, hi)
+}
+
+// ClampIndex returns int(f) clamped to [0, hi], with NaN mapped to 0. It
+// compares as floats before converting: Go leaves the conversion of a
+// float outside the int range to the implementation (amd64 gives
+// MinInt64), so clamping after it would turn a huge f into 0.
+func ClampIndex(f float64, hi int) int {
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(hi):
+		return hi
 	}
-	return lo, hi
+	return int(f)
 }
 
 // GridWindow selects the pixel sub-rectangle [X0, X0+NX) × [Y0, Y0+NY) of
@@ -172,14 +181,4 @@ func (g PixelGrid) SupportBox(w GridWindow, r float64) BBox {
 // evaluation must use the parent grid with the window offsets.
 func (g PixelGrid) SubGrid(w GridWindow) PixelGrid {
 	return PixelGrid{Box: g.WindowBox(w), NX: w.NX, NY: w.NY}
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

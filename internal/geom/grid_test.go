@@ -142,3 +142,27 @@ func TestSupportBox(t *testing.T) {
 		}
 	}
 }
+
+// Ranges and Locate clamp as floats: a radius or coordinate whose index
+// overflows int (here 1e30 and 1e300 over 5-unit cells) must clamp to the
+// grid, not wrap through the implementation-defined conversion.
+func TestRangesClampHugeValues(t *testing.T) {
+	g := testGrid()
+	for _, r := range []float64{1e20, 1e30, 1e300} {
+		if lo, hi := g.ColRange(50, r); lo != 0 || hi != g.NX {
+			t.Errorf("ColRange(50, %g) = [%d,%d), want [0,%d)", r, lo, hi, g.NX)
+		}
+		if lo, hi := g.RowRange(25, r); lo != 0 || hi != g.NY {
+			t.Errorf("RowRange(25, %g) = [%d,%d), want [0,%d)", r, lo, hi, g.NY)
+		}
+		if lo, hi := g.ColRange(-r, 1); lo != 0 || hi != 0 {
+			t.Errorf("ColRange(%g, 1) = [%d,%d), want empty at 0", -r, lo, hi)
+		}
+		if lo, hi := g.ColRange(r, 1); lo != g.NX || hi != g.NX {
+			t.Errorf("ColRange(%g, 1) = [%d,%d), want empty at %d", r, lo, hi, g.NX)
+		}
+		if ix, iy, _ := g.Locate(Point{r, r}); ix != g.NX-1 || iy != g.NY-1 {
+			t.Errorf("Locate(%g, %g) = %d,%d, want the top-right pixel", r, r, ix, iy)
+		}
+	}
+}

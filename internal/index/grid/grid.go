@@ -61,8 +61,8 @@ func build(n int, at func(i int) (x, y float64), cellSize float64) *Index {
 		cellSize = math.Max(w, h)
 	}
 	const maxCells = 1 << 22
-	g.nx = clampInt(int(math.Ceil(w/cellSize)), 1, maxCells)
-	g.ny = clampInt(int(math.Ceil(h/cellSize)), 1, maxCells)
+	g.nx = max(geom.ClampIndex(math.Ceil(w/cellSize), maxCells), 1)
+	g.ny = max(geom.ClampIndex(math.Ceil(h/cellSize), maxCells), 1)
 	for g.nx*g.ny > maxCells {
 		if g.nx >= g.ny {
 			g.nx = (g.nx + 1) / 2
@@ -110,18 +110,18 @@ func (g *Index) Bounds() geom.BBox { return g.box }
 func (g *Index) CellSize() (w, h float64) { return g.cellW, g.cellH }
 
 func (g *Index) cellIndex(x, y float64) int {
-	cx := clampInt(int((x-g.box.MinX)/g.cellW), 0, g.nx-1)
-	cy := clampInt(int((y-g.box.MinY)/g.cellH), 0, g.ny-1)
+	cx := geom.ClampIndex((x-g.box.MinX)/g.cellW, g.nx-1)
+	cy := geom.ClampIndex((y-g.box.MinY)/g.cellH, g.ny-1)
 	return cy*g.nx + cx
 }
 
 // cellRange returns the inclusive cell coordinate ranges overlapping the
 // square of half-side r around q.
 func (g *Index) cellRange(q geom.Point, r float64) (cx0, cx1, cy0, cy1 int) {
-	cx0 = clampInt(int((q.X-r-g.box.MinX)/g.cellW), 0, g.nx-1)
-	cx1 = clampInt(int((q.X+r-g.box.MinX)/g.cellW), 0, g.nx-1)
-	cy0 = clampInt(int((q.Y-r-g.box.MinY)/g.cellH), 0, g.ny-1)
-	cy1 = clampInt(int((q.Y+r-g.box.MinY)/g.cellH), 0, g.ny-1)
+	cx0 = geom.ClampIndex((q.X-r-g.box.MinX)/g.cellW, g.nx-1)
+	cx1 = geom.ClampIndex((q.X+r-g.box.MinX)/g.cellW, g.nx-1)
+	cy0 = geom.ClampIndex((q.Y-r-g.box.MinY)/g.cellH, g.ny-1)
+	cy1 = geom.ClampIndex((q.Y+r-g.box.MinY)/g.cellH, g.ny-1)
 	return
 }
 
@@ -239,14 +239,4 @@ func (g *Index) cellInside(cx, cy int, q geom.Point, r2 float64) bool {
 	y0 := g.box.MinY + float64(cy)*g.cellH
 	b := geom.BBox{MinX: x0, MinY: y0, MaxX: x0 + g.cellW, MaxY: y0 + g.cellH}
 	return b.MaxDist2(q) <= r2
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -133,3 +133,22 @@ func TestCellCapClamp(t *testing.T) {
 		t.Errorf("count = %d, want 1", got)
 	}
 }
+
+// A radius or coordinate whose cell index overflows int must clamp to the
+// grid: every point is within 1e30 of any query, and a far-off query
+// still lands in an edge cell.
+func TestHugeRadiusClamps(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(4)), 200)
+	g := New(pts, 1)
+	for _, r := range []float64{1e20, 1e30, 1e300} {
+		if got := g.RangeCount(geom.Point{X: 50, Y: 50}, r); got != len(pts) {
+			t.Errorf("RangeCount(r=%g) = %d, want %d", r, got, len(pts))
+		}
+		if got := g.RangeCount(geom.Point{X: r, Y: -r}, 2*r); got != len(pts) {
+			t.Errorf("RangeCount at (%g,%g), r=%g = %d, want %d", r, -r, 2*r, got, len(pts))
+		}
+	}
+	if tiny := New(pts, 1e-300); tiny.nx*tiny.ny < 2 {
+		t.Errorf("cell size 1e-300 built a %dx%d index; it should clamp to the cell cap, not collapse to one cell", tiny.nx, tiny.ny)
+	}
+}

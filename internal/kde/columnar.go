@@ -307,76 +307,152 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 	return eval(sum, qx, qy, xs[lo:hi], ys[lo:hi], nil)
 }
 
-// buildNaive constructs the exact O(XYn) baseline of §1: every (pixel,
-// point) pair is evaluated over the chunked columnar layout. The inner loop
-// streams coordinate columns chunk-by-chunk with the kernel specialised per
-// type, and for finite-support kernels whole chunks whose bounding box lies
-// outside the kernel support are rejected without touching points, while
-// the Gaussian and exponential loops skip the exp of terms the pixel's sum
-// absorbs (their weight bound W comes from cols.W, once per evaluation).
-// All of it is bit-exact: pruned chunks contribute only terms the kernel
-// maps to exactly 0, absorbed terms leave the sum as it was. It is the one
-// evaluator that applies Options.Window's x offset.
+// buildNaive constructs the exact baseline of §1 over the chunked columnar
+// layout, with the kernel specialised per type. How it visits the
+// (pixel, point) pairs depends on the kernel's support:
+//
+//   - Gaussian and exponential reach every pixel, so it is the paper's
+//     O(XYn) pixel-major sum: each pixel folds every chunk in order, and the
+//     loops skip the exp of terms the pixel's sum absorbs (their weight
+//     bound W comes from cols.W, once per evaluation).
+//   - A finite-support kernel runs point-major (scatterRow): each row
+//     streams the points within b of its y line, in index order, into the
+//     pixels they reach, O(n + Σ footprint) per row instead of O(X·n).
+//
+// Both give the pixel-major sum bit for bit: every pixel adds the same
+// non-zero terms in the same point order, and skipped terms are ones that
+// leave the sum as it was. It is the one evaluator that applies
+// Options.Window's x offset.
 func buildNaive(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
 	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel, cols.W), x0: opt.Window.X0}
 	if opt.Kernel.FiniteSupport() {
-		c.prune = true
+		g := opt.Grid
+		nx := g.NX
+		if !opt.Window.IsZero() {
+			nx = opt.Window.NX
+		}
+		c.cx = make([]float64, nx)
+		for ix := range c.cx {
+			c.cx[ix] = g.CenterX(c.x0 + ix)
+		}
 		c.b = opt.Kernel.Bandwidth()
 		c.b2 = c.b * c.b
+		c.pad = colPad(g, c.b, cols.Bounds())
 	}
 	return c, 1, nil
 }
 
-// columnarComputer is the exact chunk-blocked naive evaluator.
-type columnarComputer struct {
-	cols  dataset.Columns
-	opt   *Options
-	eval  chunkEval
-	prune bool    // finite support: chunk-bbox rejection is exact
-	b, b2 float64 // kernel support radius and its square (prune only)
-	x0    int     // window column offset: row[ix] is parent pixel x0+ix
+// colPad returns how many columns a point's run (columnarComputer.reach)
+// starts beyond ColRange(x, b) on each side, so that the start touches
+// every pixel the kernel test passes. ColRange rounds (x ± b − MinX)/cell,
+// the test rounds the pixel centres and d²; together they can disagree by
+// under 16·ulp(m)/cell columns, where m bounds |x|, the grid's x extent and
+// b. On a grid whose cell spans more than 32 ulps of its coordinates that
+// is 0; on a finer one, or at a bandwidth too large to tell, the run starts
+// wider, up to the whole row.
+func colPad(g geom.PixelGrid, b float64, pts geom.BBox) int {
+	m := max(math.Abs(g.Box.MinX), math.Abs(g.Box.MaxX), b, math.Abs(pts.MinX), math.Abs(pts.MaxX))
+	ulp := math.Nextafter(m, math.Inf(1)) - m
+	if p := 32 * ulp / g.CellW(); p < float64(g.NX) { // false for NaN and ±Inf too
+		return int(p)
+	}
+	return g.NX
 }
 
-// computeRow fills one raster row. The per-row active-chunk slice is the
-// only allocation; everything called from the pixel loop must be
-// allocation-free.
+// columnarComputer is the exact naive evaluator.
+type columnarComputer struct {
+	cols dataset.Columns
+	opt  *Options
+	eval chunkEval
+	x0   int // window column offset: row[ix] is parent pixel x0+ix
+	// Finite support only (cx != nil): the row's pixel-centre x
+	// coordinates, the support radius and its square, and colPad's pad.
+	cx    []float64
+	b, b2 float64
+	pad   int
+}
+
+// computeRow fills one raster row. It must not allocate: nothing called
+// per row or per pixel may escape to the heap.
 func (c *columnarComputer) computeRow(iy int, row []float64) {
+	if c.cx != nil {
+		c.scatterRow(iy, row)
+		return
+	}
 	g := c.opt.Grid
 	qy := g.CenterY(iy)
 	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
-	chunks := c.cols.Chunks
-	if !c.prune {
-		for ix := range row {
-			qx := g.CenterX(c.x0 + ix)
-			sum := 0.0
-			for _, ch := range chunks {
-				sum = evalSeg(c.eval, sum, qx, qy, xs, ys, ws, ch.Lo, ch.Hi)
-			}
-			row[ix] = sum
-		}
-		return
-	}
-	// Row-level prefilter: a chunk farther than b from the row's y line
-	// cannot contribute to any pixel of the row.
-	active := make([]int, 0, len(chunks))
-	for ci, ch := range chunks {
-		if yDist(qy, ch.BBox) <= c.b {
-			active = append(active, ci)
-		}
-	}
 	for ix := range row {
 		qx := g.CenterX(c.x0 + ix)
-		q := geom.Point{X: qx, Y: qy}
 		sum := 0.0
-		for _, ci := range active {
-			ch := chunks[ci]
-			if ch.BBox.MinDist2(q) > c.b2 {
-				continue
-			}
+		for _, ch := range c.cols.Chunks {
 			sum = evalSeg(c.eval, sum, qx, qy, xs, ys, ws, ch.Lo, ch.Hi)
 		}
 		row[ix] = sum
 	}
+}
+
+// scatterRow fills row iy point-major for a finite-support kernel. It
+// streams the points of the chunks that reach the row's y line in
+// ascending index order and adds each one's term to the pixels of its run
+// (reach), through eval on a one-point segment. That is the pixel-major
+// sum bit for bit:
+//
+//   - each pixel starts at +0 and receives its terms in ascending point
+//     order, the order the gather adds them in;
+//   - a point (or a chunk's whole box) with fl(dy²) > b² is skipped:
+//     fl(dx²+dy²) ≥ fl(dy²), so the kernel test fails at every pixel;
+//   - along the row the pixels passing d² ≤ b² are one run of columns
+//     (centres are monotone in ix, so d² falls and then rises), and reach
+//     returns a run that covers it. eval tests every pixel of the run
+//     exactly, so a pixel the kernel maps to zero only costs the test.
+func (c *columnarComputer) scatterRow(iy int, row []float64) {
+	qy := c.opt.Grid.CenterY(iy)
+	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
+	clear(row)
+	for _, ch := range c.cols.Chunks {
+		if yd := yDist(qy, ch.BBox); yd*yd > c.b2 {
+			continue
+		}
+		for i := ch.Lo; i < ch.Hi; i++ {
+			dy := ys[i] - qy
+			if dy*dy > c.b2 {
+				continue
+			}
+			lo, hi := c.reach(xs[i], dy)
+			px, py, pw := xs[i:i+1], ys[i:i+1], []float64(nil)
+			if ws != nil {
+				pw = ws[i : i+1]
+			}
+			for ix := lo; ix < hi; ix++ {
+				row[ix] = c.eval(row[ix], c.cx[ix], qy, px, py, pw)
+			}
+		}
+	}
+}
+
+// reach returns the row positions [lo, hi) of a run of pixels that holds
+// every pixel of the window's row within the support of the point at x,
+// dy below or above it: ColRange(x, b) widened by pad and clipped to the
+// window, then grown while the next column still passes d² ≤ b² (the
+// test of every finite kernel, or one that passes more). The start
+// touches the passing run (colPad), so the growth covers it.
+func (c *columnarComputer) reach(x, dy float64) (lo, hi int) {
+	within := func(ix int) bool {
+		dx := x - c.cx[ix]
+		return dx*dx+dy*dy <= c.b2
+	}
+	nx := len(c.cx)
+	lo, hi = c.opt.Grid.ColRange(x, c.b)
+	lo = min(max(lo-c.pad-c.x0, 0), nx)
+	hi = max(min(hi+c.pad-c.x0, nx), 0)
+	for lo > 0 && within(lo-1) {
+		lo--
+	}
+	for hi < nx && within(hi) {
+		hi++
+	}
+	return lo, hi
 }
 
 // yDist returns the vertical distance from the horizontal line y = qy to

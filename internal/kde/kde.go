@@ -7,7 +7,11 @@
 // and the package treats them that way: each is one row of the method table
 // (a constructor plus its capabilities as data) behind one driver.
 //
-//   - Naive: the O(XYn) baseline every off-the-shelf GIS package uses.
+//   - Naive: the exact baseline. For Gaussian and exponential kernels it
+//     is the O(XYn) pixel-major sum every off-the-shelf GIS package uses;
+//     for finite-support kernels each raster row scatters the points
+//     within the bandwidth into the pixels they reach, O(Y·(n + Σ
+//     footprint)), with the same bits as the pixel-major sum.
 //   - GridCutoff: exact for finite-support kernels; a bucket index limits
 //     each pixel to the points inside the kernel support.
 //   - SweepLine: the computational-sharing family (SLAM [32]); exact for
@@ -47,7 +51,9 @@ const (
 	// sweep line for polynomial kernels, grid cutoff for other
 	// finite-support kernels, naive otherwise.
 	Auto Method = iota
-	// Naive is the exact O(XYn) baseline.
+	// Naive is the exact baseline: the O(XYn) pixel-major sum for
+	// infinite-support kernels, and a point-major row scatter with the
+	// same bits for finite-support ones.
 	Naive
 	// GridCutoff is exact for finite-support kernels via a bucket index.
 	GridCutoff

@@ -16,8 +16,8 @@ import (
 //
 //   - the columnar inner loops are bit-identical to the straightforward
 //     array-of-structs reference loop they replaced, serial and parallel;
-//   - chunk-bbox pruning never changes a single bit (it only skips terms
-//     the kernel maps to exactly 0).
+//   - the naive evaluator allocates nothing per row (scatter_test.go holds
+//     its finite-kernel row scatter to the gather bit for bit).
 
 // aosReference computes the KDV the pre-columnar way: one
 // array-of-structs pass over the points per pixel, accumulating
@@ -58,7 +58,7 @@ func assertBitIdentical(t *testing.T, got, want *raster.Grid, label string) {
 
 // multiChunkPoints returns enough clustered points to span several storage
 // chunks (ChunkSize = 4096), sorted by x so chunk bounding boxes are thin
-// vertical slabs and bbox pruning actually rejects chunks.
+// vertical slabs.
 func multiChunkPoints(seed int64, n int) []geom.Point {
 	pts := clusteredPoints(seed, n)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
@@ -93,29 +93,22 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 }
 
 // TestHotPathAllocs counts the naive evaluator's per-row allocations,
-// calls through the chunkEval function value included: none on the
-// unpruned path, exactly the active-chunk slice on the pruned one. Five
-// chunks keep that slice too large for a compiler to place on the stack.
+// calls through the chunkEval function value included: none, for the
+// pixel-major gather (Gaussian, exponential) and for every finite kernel's
+// row scatter. Five chunks give the row several chunks to stream.
 func TestHotPathAllocs(t *testing.T) {
 	c := cols(multiChunkPoints(13, 4*dataset.ChunkSize+100))
 	row := make([]float64, 8)
-	for _, tc := range []struct {
-		kt   kernel.Type
-		want float64
-	}{
-		{kernel.Gaussian, 0},    // infinite support: unpruned
-		{kernel.Exponential, 0}, // infinite support: unpruned
-		{kernel.Quartic, 1},     // finite support: pruned
-	} {
-		t.Run(tc.kt.String(), func(t *testing.T) {
-			opt := testOpts(tc.kt, 6)
+	for _, kt := range kernel.All() {
+		t.Run(kt.String(), func(t *testing.T) {
+			opt := testOpts(kt, 6)
 			opt.Grid = geom.NewPixelGrid(box, len(row), 4)
 			rc, _, err := buildNaive(c, &opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != tc.want {
-				t.Errorf("computeRow allocates %v times per row, want %v", got, tc.want)
+			if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != 0 {
+				t.Errorf("computeRow allocates %v times per row, want 0", got)
 			}
 		})
 	}
@@ -163,26 +156,4 @@ func allocatedBytes(f func()) uint64 {
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	return best
-}
-
-func TestChunkPruningBitIdentical(t *testing.T) {
-	// The pruned evaluator (Naive's default for finite-support kernels)
-	// must match an unpruned columnarComputer bit for bit at every
-	// bandwidth: pruning may only skip terms that are exactly 0.
-	c := cols(multiChunkPoints(12, 9000))
-	for _, b := range []float64{2, 6, 25} {
-		opt := testOpts(kernel.Quartic, b)
-		opt.Grid = geom.NewPixelGrid(box, 24, 20)
-		pruned, err := Evaluate(c, Naive, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unpruned, err := run(
-			&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel, c.W)},
-			&opt, c.N(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, pruned, unpruned, "pruned vs unpruned")
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"geostat/internal/dataset"
+	"geostat/internal/geom"
 	"geostat/internal/kernel"
 )
 
@@ -153,16 +154,7 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 func (c *sweepComputer) bucketRows(cols dataset.Columns) {
 	g := c.opt.Grid
 	minY, cellH, last := g.Box.MinY, g.CellH(), g.NY-1
-	bucket := func(y float64) int {
-		f := (y - minY) / cellH
-		switch {
-		case !(f >= 0): // below the grid
-			return 0
-		case f >= float64(last): // compared as floats: a far-off y must not overflow the conversion
-			return last
-		}
-		return int(f)
-	}
+	bucket := func(y float64) int { return geom.ClampIndex((y-minY)/cellH, last) }
 	c.reach = last
 	if r := math.Ceil(c.opt.Kernel.Bandwidth()/cellH) + 1; r < float64(last) {
 		c.reach = int(r)

@@ -16,7 +16,9 @@ const (
 	// polynomial kernels, grid cutoff for other finite-support kernels,
 	// naive otherwise.
 	KDVAuto = kde.Auto
-	// KDVNaive is the exact O(XYn) baseline.
+	// KDVNaive is the exact baseline: the O(XYn) pixel-major sum for
+	// Gaussian and exponential kernels, and a point-major row scatter with
+	// the same bits for finite-support ones.
 	KDVNaive = kde.Naive
 	// KDVGridCutoff is exact for finite-support kernels via a bucket index.
 	KDVGridCutoff = kde.GridCutoff
