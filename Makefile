@@ -87,7 +87,8 @@ cover:
 # (seeded in the test), of the result cache's index / heap invariants
 # under arbitrary Get / Put / re-upload sequences, and of the Gaussian /
 # exponential KDV loops that skip absorbed terms against the plain loop,
-# and of naive's finite-kernel row scatter against the pixel-major gather.
+# of naive's finite-kernel row scatter against the pixel-major gather, and
+# of the kernel footprint's rows and columns against the kernel test.
 # ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzChunkEvalAbsorbed -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzNaiveScatter -fuzztime 10s
+	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzFootprint -fuzztime 10s
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math/bits"
 
 	"geostat/internal/geom"
 	"geostat/internal/index/kdtree"
@@ -131,19 +132,33 @@ func (c Columns) Gather(idx []int) Columns {
 // original order, with the weight column carried along. Chunk aggregates
 // decide wholesale where they can: a chunk whose bounding box lies inside
 // box is bulk-copied, one that misses box is skipped, and only a chunk
-// straddling the edge is tested point by point. When every chunk lies
-// inside, the receiver itself is returned — same backing arrays, nothing
-// allocated — which is what a full-extent view or an already
-// halo-filtered shard subset hits.
+// straddling the edge is tested point by point — once: the test marks the
+// points inside in a bitset, 64 to a word (chunks start at multiples of
+// 64), and the copy visits only the marked ones, so a small view of a
+// large dataset pays one pass, not two. When every chunk lies inside, the
+// receiver itself is returned — same backing arrays, nothing allocated —
+// which is what a full-extent view or an already halo-filtered shard
+// subset hits.
 func (c Columns) FilterBox(box geom.BBox) Columns {
+	var in []uint64
 	n := 0
 	for _, ch := range c.Chunks {
 		switch {
 		case box.ContainsBox(ch.BBox):
 			n += ch.Hi - ch.Lo
 		case box.Intersects(ch.BBox):
-			for i := ch.Lo; i < ch.Hi; i++ {
-				n += inBox(box, c.X[i], c.Y[i])
+			if in == nil {
+				in = make([]uint64, (c.N()+63)/64)
+			}
+			for lo := ch.Lo; lo < ch.Hi; lo += 64 {
+				xs := c.X[lo:min(lo+64, ch.Hi)]
+				ys := c.Y[lo : lo+len(xs)]
+				var word uint64
+				for k, x := range xs {
+					word |= uint64(inBox(box, x, ys[k])) << k
+				}
+				in[lo/64] = word
+				n += bits.OnesCount64(word)
 			}
 		}
 	}
@@ -169,15 +184,15 @@ func (c Columns) FilterBox(box geom.BBox) Columns {
 			}
 			j += ch.Hi - ch.Lo
 		case box.Intersects(ch.BBox):
-			// Every candidate is written to the next free slot and the slot
-			// is kept only if the point is inside; once all n are placed
-			// the rest of the chunk can only be outside.
-			for i := ch.Lo; i < ch.Hi && j < n; i++ {
-				x[j], y[j] = c.X[i], c.Y[i]
-				if w != nil {
-					w[j] = c.W[i]
+			for lo := ch.Lo; lo < ch.Hi; lo += 64 {
+				for word := in[lo/64]; word != 0; word &= word - 1 {
+					i := lo + bits.TrailingZeros64(word)
+					x[j], y[j] = c.X[i], c.Y[i]
+					if w != nil {
+						w[j] = c.W[i]
+					}
+					j++
 				}
-				j += inBox(box, c.X[i], c.Y[i])
 			}
 		}
 	}

@@ -76,25 +76,92 @@ func (g PixelGrid) Locate(p Point) (ix, iy int, inside bool) {
 	return ix, iy, inside
 }
 
-// ColRange returns the half-open range [lo, hi) of pixel columns whose
-// centers lie within horizontal distance r of x. Used by the cutoff and
-// sweep-line KDV algorithms to restrict work to a kernel's support.
-func (g PixelGrid) ColRange(x, r float64) (lo, hi int) {
-	return g.axisRange(x, r, g.Box.MinX, g.CellW(), g.NX)
+// Footprint is the exact pixel footprint on a grid of a kernel of support
+// radius b: the pixels whose centres pass every finite kernel's support
+// test, fl(fl(dx²) + fl(dy²)) ≤ fl(b²) with dx = x − CenterX(ix) and
+// dy = y − CenterY(iy). It is the one place that decides which pixels a
+// point reaches, so no point-major writer drops a term the kernel passes.
+type Footprint struct {
+	b2   float64
+	x, y axis
 }
 
-// RowRange returns the half-open range [lo, hi) of pixel rows whose centers
-// lie within vertical distance r of y.
-func (g PixelGrid) RowRange(y, r float64) (lo, hi int) {
-	return g.axisRange(y, r, g.Box.MinY, g.CellH(), g.NY)
+// axis is n cells of width cell = 1/inv from min, with run's rounding
+// tolerance in cells.
+type axis struct {
+	min, cell, inv, tol float64
+	n                   int
 }
 
-func (g PixelGrid) axisRange(v, r, min, cell float64, n int) (lo, hi int) {
-	// Center of index i is min + (i+0.5)*cell; we need centers in [v-r, v+r]:
-	//   i >= (v-r-min)/cell - 0.5   and   i <= (v+r-min)/cell - 0.5.
-	lo = ClampIndex(math.Ceil((v-r-min)/cell-0.5), n)
-	hi = ClampIndex(math.Floor((v+r-min)/cell-0.5)+1, n)
-	return lo, max(lo, hi)
+// Footprint returns the footprint on g of a kernel of support radius b.
+// Its runs hold for finite points.
+func (g PixelGrid) Footprint(b float64) (f Footprint) {
+	f.b2 = b * b
+	f.x.init(g.Box.MinX, g.Box.MaxX, g.CellW(), g.NX, b)
+	f.y.init(g.Box.MinY, g.Box.MaxY, g.CellH(), g.NY, b)
+	return f
+}
+
+// Cols returns the half-open run [lo, hi) of exactly the columns a point
+// at x reaches on a row dy away: empty when fl(dy²) > fl(b²).
+func (f *Footprint) Cols(x, dy float64) (lo, hi int) {
+	d2 := dy * dy
+	if !(d2 <= f.b2) {
+		return 0, 0
+	}
+	return f.x.run(x, d2, f.b2)
+}
+
+// Rows returns the half-open run [lo, hi) of exactly the rows a point at y
+// reaches: those with fl((y − CenterY(iy))²) ≤ fl(b²).
+func (f *Footprint) Rows(y float64) (lo, hi int) { return f.y.run(y, 0, f.b2) }
+
+// RowHalo returns how many rows either side of a point's own row (Locate's
+// iy) hold every row its footprint reaches: those rows lie within
+// b/cellH + tol + ½ of it, the rounding of Locate included.
+func (f *Footprint) RowHalo() int {
+	return ClampIndex(math.Ceil(math.Sqrt(f.b2)*f.y.inv+f.y.tol)+1, f.y.n-1)
+}
+
+// init sizes run's tolerance: in coordinate units, the interval's ends
+// and the exact test's flips differ by under 16·ulp(m), m = max(|lo|, |hi|)
+// + b (a point beyond m reaches no cell), from rounding the centre and the
+// offsets, plus |t − r| ≤ √δ, δ = 2⁻⁴⁹·b², from rounding the square, the
+// sum, b² − d² and the root — largest as d → b. Each is doubled; DESIGN.md
+// ("One footprint") has the derivation.
+func (a *axis) init(lo, hi, cell float64, n int, b float64) {
+	m := max(math.Abs(lo), math.Abs(hi)) + b
+	ulp := math.Float64frombits(math.Float64bits(m)&(0x7ff<<52)) * 0x1p-52
+	sd := 0x1p-23*b + 0x1p-529 // ≥ 2√δ; the floor covers a subnormal b²
+	a.min, a.cell, a.inv, a.n = lo, cell, 1/cell, n
+	a.tol = (32*ulp+sd)*a.inv + 0x1p-50*float64(n+2)
+}
+
+// run returns the cells i with fl(fl((v − centre(i))²) + d2) ≤ b2, given
+// d2 ≤ b2: one run, since centres rise with i, so the offset's square
+// falls and then rises. Its ends lie within tol of the float interval
+// fl(v − min)·inv − ½ ∓ √(b2 − d2)·inv, so only a cell within tol of an
+// interval end takes the exact test — on an ordinary grid, almost never.
+func (a *axis) run(v, d2, b2 float64) (lo, hi int) {
+	if !(b2-d2 <= math.MaxFloat64) { // b2 = +Inf: every cell passes
+		return 0, a.n
+	}
+	// Cells below first and from end on fail and cells in [in, out) pass;
+	// the rest take the test (on a grid too fine to tell, tol spans it
+	// all). The run starts below in, or is empty, so lo stops there.
+	c, w := (v-a.min)*a.inv-0.5, math.Sqrt(b2-d2)*a.inv
+	ulo, uhi := c-w, c+w
+	first, in := ClampIndex(math.Ceil(ulo-a.tol), a.n), ClampIndex(math.Floor(ulo+a.tol)+1, a.n)
+	out, end := ClampIndex(math.Ceil(uhi-a.tol), a.n), ClampIndex(math.Floor(uhi+a.tol)+1, a.n)
+	pass := func(i int) bool {
+		dv := v - (a.min + (float64(i)+0.5)*a.cell)
+		return dv*dv+d2 <= b2
+	}
+	for lo = first; lo < in && !pass(lo); lo++ {
+	}
+	for hi = end; hi > max(out, lo) && !pass(hi-1); hi-- {
+	}
+	return lo, hi
 }
 
 // ClampIndex returns int(f) clamped to [0, hi], with NaN mapped to 0. It

@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -84,41 +86,68 @@ func TestLocateCenterRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: ColRange/RowRange return exactly the centers within distance r,
-// verified against a brute-force scan over random query positions.
-func TestAxisRangeMatchesBruteForce(t *testing.T) {
-	g := testGrid()
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 5000; trial++ {
-		x := r.Float64()*140 - 20
-		rad := r.Float64() * 30
-		lo, hi := g.ColRange(x, rad)
-		for ix := 0; ix < g.NX; ix++ {
-			within := abs(g.CenterX(ix)-x) <= rad
-			inRange := ix >= lo && ix < hi
-			if within != inRange {
-				t.Fatalf("ColRange(%v,%v)=[%d,%d): col %d center %v mismatch",
-					x, rad, lo, hi, ix, g.CenterX(ix))
-			}
-		}
-		y := r.Float64()*90 - 20
-		lo, hi = g.RowRange(y, rad)
-		for iy := 0; iy < g.NY; iy++ {
-			within := abs(g.CenterY(iy)-y) <= rad
-			inRange := iy >= lo && iy < hi
-			if within != inRange {
-				t.Fatalf("RowRange(%v,%v)=[%d,%d): row %d center %v mismatch",
-					y, rad, lo, hi, iy, g.CenterY(iy))
-			}
+// checkRun fails unless [lo, hi) holds exactly the cells of [0, n) that
+// pass, the kernel's own support test. what names the call, lazily.
+func checkRun(t *testing.T, what func() string, lo, hi, n int, pass func(i int) bool) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if pass(i) != (i >= lo && i < hi) {
+			t.Fatalf("%s = [%d,%d): cell %d passes=%t", what(), lo, hi, i, pass(i))
 		}
 	}
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+// colPasses and rowPasses return the kernel test of a pixel column on a
+// row dy from the point, and of a pixel row.
+func colPasses(g PixelGrid, b, x, dy float64) func(ix int) bool {
+	return func(ix int) bool {
+		dx := x - g.CenterX(ix)
+		return dx*dx+dy*dy <= b*b
 	}
-	return v
+}
+
+func rowPasses(g PixelGrid, b, y float64) func(iy int) bool {
+	return func(iy int) bool {
+		dy := y - g.CenterY(iy)
+		return dy*dy <= b*b
+	}
+}
+
+// Property: Footprint's Cols and Rows return exactly the pixels whose
+// centres pass the kernel test, verified against a brute-force scan over
+// random points, bandwidths and row offsets — on the test grid, and on
+// UTM-sized ones where pixel centres and support ends round.
+func TestAxisRangeMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	grids := []PixelGrid{testGrid()}
+	for _, off := range []float64{5e5, 3.3e6} {
+		grids = append(grids, NewPixelGrid(BBox{MinX: off, MinY: off, MaxX: off + 6.3, MaxY: off + 0.7}, 9, 7))
+	}
+	for _, g := range grids {
+		w, h := g.Box.Width(), g.Box.Height()
+		for trial := 0; trial < 5000; trial++ {
+			b := r.Float64() * 0.3 * w
+			if trial%4 == 0 { // support ends on pixel centres
+				b = float64(1+r.Intn(4)) * g.CellW() / 2
+			}
+			fp := g.Footprint(b)
+			x := g.Box.MinX + r.Float64()*1.4*w - 0.2*w
+			dy := (r.Float64()*2.2 - 1.1) * b
+			switch trial % 5 {
+			case 1:
+				dy = b
+			case 2:
+				dy = math.Nextafter(b, 0)
+			case 3: // dy = b leaves a run of half-width ≈ 2⁻²⁶·b round x
+				x, dy = g.CenterX(r.Intn(g.NX))+(r.Float64()*2-1)*0x1p-25*b, b
+			}
+			lo, hi := fp.Cols(x, dy)
+			checkRun(t, func() string { return fmt.Sprintf("Cols(%v, %v) b=%v on %+v", x, dy, b, g) }, lo, hi, g.NX, colPasses(g, b, x, dy))
+			y := g.Box.MinY + r.Float64()*1.4*h - 0.2*h
+			lo, hi = fp.Rows(y)
+			checkRun(t, func() string { return fmt.Sprintf("Rows(%v) b=%v on %+v", y, b, g) }, lo, hi, g.NY, rowPasses(g, b, y))
+		}
+	}
 }
 
 func TestSupportBox(t *testing.T) {
@@ -143,26 +172,79 @@ func TestSupportBox(t *testing.T) {
 	}
 }
 
-// Ranges and Locate clamp as floats: a radius or coordinate whose index
-// overflows int (here 1e30 and 1e300 over 5-unit cells) must clamp to the
-// grid, not wrap through the implementation-defined conversion.
+// Footprints and Locate clamp as floats: a radius or coordinate whose
+// index overflows int (here 1e30 and 1e300 over 5-unit cells) must clamp to
+// the grid, not wrap through the implementation-defined conversion.
 func TestRangesClampHugeValues(t *testing.T) {
 	g := testGrid()
+	unit := g.Footprint(1)
 	for _, r := range []float64{1e20, 1e30, 1e300} {
-		if lo, hi := g.ColRange(50, r); lo != 0 || hi != g.NX {
-			t.Errorf("ColRange(50, %g) = [%d,%d), want [0,%d)", r, lo, hi, g.NX)
+		fp := g.Footprint(r)
+		if lo, hi := fp.Cols(50, 0); lo != 0 || hi != g.NX {
+			t.Errorf("Footprint(%g).Cols(50, 0) = [%d,%d), want [0,%d)", r, lo, hi, g.NX)
 		}
-		if lo, hi := g.RowRange(25, r); lo != 0 || hi != g.NY {
-			t.Errorf("RowRange(25, %g) = [%d,%d), want [0,%d)", r, lo, hi, g.NY)
+		if lo, hi := fp.Rows(25); lo != 0 || hi != g.NY {
+			t.Errorf("Footprint(%g).Rows(25) = [%d,%d), want [0,%d)", r, lo, hi, g.NY)
 		}
-		if lo, hi := g.ColRange(-r, 1); lo != 0 || hi != 0 {
-			t.Errorf("ColRange(%g, 1) = [%d,%d), want empty at 0", -r, lo, hi)
-		}
-		if lo, hi := g.ColRange(r, 1); lo != g.NX || hi != g.NX {
-			t.Errorf("ColRange(%g, 1) = [%d,%d), want empty at %d", r, lo, hi, g.NX)
+		for _, x := range []float64{-r, r} {
+			if lo, hi := unit.Cols(x, 0); lo != hi {
+				t.Errorf("Footprint(1).Cols(%g, 0) = [%d,%d), want empty", x, lo, hi)
+			}
 		}
 		if ix, iy, _ := g.Locate(Point{r, r}); ix != g.NX-1 || iy != g.NY-1 {
 			t.Errorf("Locate(%g, %g) = %d,%d, want the top-right pixel", r, r, ix, iy)
 		}
 	}
+}
+
+// FuzzFootprint holds Cols and Rows to the kernel test on fuzzer-chosen
+// grids, bandwidths, points and row offsets. at picks a pixel centre to put
+// the point a support radius from, and ulps nudges dy off b by that many
+// ulps, so the fuzzer starts on the ties: centres at UTM offsets, cells
+// below the coordinates' ulp, dy within a few ulps of b.
+func FuzzFootprint(f *testing.F) {
+	ulp33 := math.Nextafter(3.3e6, math.Inf(1)) - 3.3e6
+	f.Add(0.0, 5.0, uint16(20), 4.0, 37.0, 1.5, uint16(0), int8(0))
+	f.Add(3.3e6, 0.7, uint16(9), 1.235856500678855, 3.3000050858565005e6, 0.0, uint16(0), int8(0))
+	f.Add(3.3e6, 0.1, uint16(2), 0.49110612946086346, 3.2999995588938706e6, 0.0, uint16(0), int8(0))
+	f.Add(3.3e6, ulp33/64, uint16(65), 9.313225746154785e-10, 3.3000000000000014e6, 0.0, uint16(0), int8(0))
+	f.Add(3.3e6, ulp33*3/45, uint16(45), 2.3283064365386963e-10, 3.3e6, 0.0, uint16(0), int8(0))
+	f.Add(3.3e6, ulp33/16, uint16(64), ulp33/3, 3.3e6+2*ulp33, 0.0, uint16(0), int8(0))
+	f.Add(5e5, 12.5, uint16(80), 33.0, 0.0, 0.0, uint16(17), int8(0))
+	f.Add(5e5, 0.25, uint16(300), 3.0, 5e5+20, 0.0, uint16(0), int8(1))
+	f.Add(-50.0, 1.0, uint16(100), 7.0, -20.0, 0.0, uint16(3), int8(-3))
+	f.Add(0.0, 1.0, uint16(16), 1e300, 3.0, 2.0, uint16(0), int8(0))
+	f.Add(0.0, 5.0, uint16(20), 4.0, 17.5+0x1p-25, 4.0, uint16(0), int8(0)) // d = b: a run of ≈ 2⁻²⁶·b
+	f.Fuzz(func(t *testing.T, minX, cell float64, nx uint16, b, x, dy float64, at uint16, ulps int8) {
+		n := int(nx) % 320
+		if n == 0 || !(b > 0) || math.IsInf(b, 0) || math.IsNaN(x+dy) || math.IsInf(x+dy, 0) {
+			return
+		}
+		box := BBox{MinX: minX, MinY: minX, MaxX: minX + float64(n)*cell, MaxY: minX + float64(n)*cell}
+		if !(box.Width() > 0) || math.IsInf(box.Width(), 0) {
+			return
+		}
+		g := NewPixelGrid(box, n, n)
+		if at != 0 { // a support radius either side of a pixel centre
+			x = g.CenterX(int(at)%n) + b*float64(int(at/1024)%3-1)
+		}
+		if ulps != 0 { // dy a few ulps off b
+			dy = b
+			for k := int(ulps); k != 0; {
+				if k > 0 {
+					dy, k = math.Nextafter(dy, math.Inf(1)), k-1
+				} else {
+					dy, k = math.Nextafter(dy, 0), k+1
+				}
+			}
+		}
+		fp := g.Footprint(b)
+		lo, hi := fp.Cols(x, dy)
+		checkRun(t, func() string { return fmt.Sprintf("Cols(%v, %v) b=%v on %+v", x, dy, b, g) }, lo, hi, n, colPasses(g, b, x, dy))
+		lo, hi = fp.Rows(x)
+		checkRun(t, func() string { return fmt.Sprintf("Rows(%v) b=%v on %+v", x, b, g) }, lo, hi, n, rowPasses(g, b, x))
+		if _, iy, _ := g.Locate(Point{X: x, Y: x}); lo < hi && (lo < iy-fp.RowHalo() || hi-1 > iy+fp.RowHalo()) {
+			t.Fatalf("Rows(%v) = [%d,%d) b=%v on %+v: beyond RowHalo %d of row %d", x, lo, hi, b, g, fp.RowHalo(), iy)
+		}
+	})
 }

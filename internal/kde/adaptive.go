@@ -18,10 +18,11 @@ import (
 //
 //	F(q) = Σ_i K_{b_i}(q, p_i)
 //
-// The evaluation scatters each point's finite kernel footprint onto the
-// raster, costing O(Σ_i footprint_i) — independent of the raster area
-// covered by no kernel. Infinite-support kernels are rejected (a per-point
-// Gaussian would touch every pixel).
+// The evaluation scatters each point's exact kernel footprint
+// (geom.Footprint: the pixels its kernel test passes) onto the raster,
+// costing O(Σ_i footprint_i) — independent of the raster area covered by
+// no kernel. Infinite-support kernels are rejected (a per-point Gaussian
+// would touch every pixel).
 func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom.PixelGrid, workers int) (*raster.Grid, error) {
 	if len(bandwidths) != len(pts) {
 		return nil, fmt.Errorf("kde: %d points but %d bandwidths", len(pts), len(bandwidths))
@@ -29,7 +30,6 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	if grid.NX <= 0 || grid.NY <= 0 {
 		return nil, fmt.Errorf("kde: grid not initialised")
 	}
-	kernels := make([]kernel.Kernel, len(pts))
 	for i, b := range bandwidths {
 		k, err := kernel.New(typ, b)
 		if err != nil {
@@ -38,13 +38,12 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 		if !k.FiniteSupport() {
 			return nil, fmt.Errorf("kde: Adaptive requires a finite-support kernel, got %v", typ)
 		}
-		kernels[i] = k
 	}
 	out := raster.NewGrid(grid)
 	if parallel.Workers(workers) <= 1 {
 		for i, p := range pts {
-			rowLo, rowHi := grid.RowRange(p.Y, bandwidths[i])
-			scatterOne(p, kernels[i], grid, out.Values, rowLo, rowHi)
+			fp := grid.Footprint(bandwidths[i])
+			scatter(out.Values, grid, &fp, kernel.MustNew(typ, bandwidths[i]), p, 1, 0, grid.NY)
 		}
 		return out, nil
 	}
@@ -63,7 +62,8 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	rows := make([][2]int, len(pts)) // each point's footprint rows [lo, hi)
 	start := make([]int, bands+1)
 	for i, p := range pts {
-		lo, hi := grid.RowRange(p.Y, bandwidths[i])
+		fp := grid.Footprint(bandwidths[i])
+		lo, hi := fp.Rows(p.Y)
 		rows[i] = [2]int{lo, hi}
 		for band := lo / h; band*h < hi; band++ {
 			start[band+1]++
@@ -82,25 +82,29 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	}
 	parallel.For(bands, workers, func(band int) {
 		for _, i := range byBand[start[band]:start[band+1]] {
-			scatterOne(pts[i], kernels[i], grid, out.Values,
-				max(rows[i][0], band*h), min(rows[i][1], (band+1)*h))
+			fp := grid.Footprint(bandwidths[i])
+			scatter(out.Values, grid, &fp, kernel.MustNew(typ, bandwidths[i]), pts[i], 1, band*h, (band+1)*h)
 		}
 	})
 	return out, nil
 }
 
-// scatterOne adds rows [rowLo, rowHi) of a point's kernel footprint onto a
-// value grid.
-func scatterOne(p geom.Point, k kernel.Kernel, grid geom.PixelGrid, values []float64, rowLo, rowHi int) {
-	colLo, colHi := grid.ColRange(p.X, k.Bandwidth())
-	for iy := rowLo; iy < rowHi; iy++ {
+// scatter adds sign·K(d) of the point p to every pixel of its footprint fp
+// within rows [rowLo, rowHi), skipping the terms K maps to zero. sign is
+// ±1, so sign·K is exact: a pixel that receives its terms in point order
+// holds the bits of the pixel-major sum, and a retraction (sign −1)
+// subtracts exactly what the insertion added.
+func scatter(values []float64, grid geom.PixelGrid, fp *geom.Footprint, k kernel.Kernel, p geom.Point, sign float64, rowLo, rowHi int) {
+	lo, hi := fp.Rows(p.Y)
+	for iy := max(lo, rowLo); iy < min(hi, rowHi); iy++ {
 		dy := grid.CenterY(iy) - p.Y
+		colLo, colHi := fp.Cols(p.X, dy)
 		dy2 := dy * dy
 		base := iy * grid.NX
 		for ix := colLo; ix < colHi; ix++ {
 			dx := grid.CenterX(ix) - p.X
 			if v := k.Eval2(dx*dx + dy2); v != 0 {
-				values[base+ix] += v
+				values[base+ix] += sign * v
 			}
 		}
 	}

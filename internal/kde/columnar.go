@@ -316,8 +316,8 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 //     loops skip the exp of terms the pixel's sum absorbs (their weight
 //     bound W comes from cols.W, once per evaluation).
 //   - A finite-support kernel runs point-major (scatterRow): each row
-//     streams the points within b of its y line, in index order, into the
-//     pixels they reach, O(n + Σ footprint) per row instead of O(X·n).
+//     streams the points within b of its y line, in index order, into
+//     their footprint on it, O(n + Σ footprint) per row instead of O(X·n).
 //
 // Both give the pixel-major sum bit for bit: every pixel adds the same
 // non-zero terms in the same point order, and skipped terms are ones that
@@ -335,28 +335,11 @@ func buildNaive(cols dataset.Columns, opt *Options) (rowComputer, float64, error
 		for ix := range c.cx {
 			c.cx[ix] = g.CenterX(c.x0 + ix)
 		}
-		c.b = opt.Kernel.Bandwidth()
-		c.b2 = c.b * c.b
-		c.pad = colPad(g, c.b, cols.Bounds())
+		b := opt.Kernel.Bandwidth()
+		c.b2 = b * b
+		c.fp = g.Footprint(b)
 	}
 	return c, 1, nil
-}
-
-// colPad returns how many columns a point's run (columnarComputer.reach)
-// starts beyond ColRange(x, b) on each side, so that the start touches
-// every pixel the kernel test passes. ColRange rounds (x ± b − MinX)/cell,
-// the test rounds the pixel centres and d²; together they can disagree by
-// under 16·ulp(m)/cell columns, where m bounds |x|, the grid's x extent and
-// b. On a grid whose cell spans more than 32 ulps of its coordinates that
-// is 0; on a finer one, or at a bandwidth too large to tell, the run starts
-// wider, up to the whole row.
-func colPad(g geom.PixelGrid, b float64, pts geom.BBox) int {
-	m := max(math.Abs(g.Box.MinX), math.Abs(g.Box.MaxX), b, math.Abs(pts.MinX), math.Abs(pts.MaxX))
-	ulp := math.Nextafter(m, math.Inf(1)) - m
-	if p := 32 * ulp / g.CellW(); p < float64(g.NX) { // false for NaN and ±Inf too
-		return int(p)
-	}
-	return g.NX
 }
 
 // columnarComputer is the exact naive evaluator.
@@ -366,10 +349,10 @@ type columnarComputer struct {
 	eval chunkEval
 	x0   int // window column offset: row[ix] is parent pixel x0+ix
 	// Finite support only (cx != nil): the row's pixel-centre x
-	// coordinates, the support radius and its square, and colPad's pad.
-	cx    []float64
-	b, b2 float64
-	pad   int
+	// coordinates, the squared support radius and the kernel's footprint.
+	cx []float64
+	b2 float64
+	fp geom.Footprint
 }
 
 // computeRow fills one raster row. It must not allocate: nothing called
@@ -394,21 +377,18 @@ func (c *columnarComputer) computeRow(iy int, row []float64) {
 
 // scatterRow fills row iy point-major for a finite-support kernel. It
 // streams the points of the chunks that reach the row's y line in
-// ascending index order and adds each one's term to the pixels of its run
-// (reach), through eval on a one-point segment. That is the pixel-major
-// sum bit for bit:
-//
-//   - each pixel starts at +0 and receives its terms in ascending point
-//     order, the order the gather adds them in;
-//   - a point (or a chunk's whole box) with fl(dy²) > b² is skipped:
-//     fl(dx²+dy²) ≥ fl(dy²), so the kernel test fails at every pixel;
-//   - along the row the pixels passing d² ≤ b² are one run of columns
-//     (centres are monotone in ix, so d² falls and then rises), and reach
-//     returns a run that covers it. eval tests every pixel of the run
-//     exactly, so a pixel the kernel maps to zero only costs the test.
+// ascending index order and adds each one's term, through eval on a
+// one-point segment, to the pixels of its footprint on the row
+// (geom.Footprint, clipped to the window). Each pixel starts at +0 and
+// receives its terms in ascending point order, the gather's order, and
+// the terms left out are ones eval skips: a chunk whose box has
+// fl(dy²) > b² reaches no pixel, as fl(dx²+dy²) ≥ fl(dy²), and the
+// footprint holds every pixel passing d² ≤ b². So it is the pixel-major
+// sum bit for bit.
 func (c *columnarComputer) scatterRow(iy int, row []float64) {
 	qy := c.opt.Grid.CenterY(iy)
 	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
+	nx := len(c.cx)
 	clear(row)
 	for _, ch := range c.cols.Chunks {
 		if yd := yDist(qy, ch.BBox); yd*yd > c.b2 {
@@ -416,10 +396,14 @@ func (c *columnarComputer) scatterRow(iy int, row []float64) {
 		}
 		for i := ch.Lo; i < ch.Hi; i++ {
 			dy := ys[i] - qy
-			if dy*dy > c.b2 {
+			if dy*dy > c.b2 { // Cols' own skip, kept inline: most points take it
 				continue
 			}
-			lo, hi := c.reach(xs[i], dy)
+			lo, hi := c.fp.Cols(xs[i], dy)
+			lo, hi = max(lo-c.x0, 0), min(hi-c.x0, nx)
+			if lo >= hi {
+				continue
+			}
 			px, py, pw := xs[i:i+1], ys[i:i+1], []float64(nil)
 			if ws != nil {
 				pw = ws[i : i+1]
@@ -429,30 +413,6 @@ func (c *columnarComputer) scatterRow(iy int, row []float64) {
 			}
 		}
 	}
-}
-
-// reach returns the row positions [lo, hi) of a run of pixels that holds
-// every pixel of the window's row within the support of the point at x,
-// dy below or above it: ColRange(x, b) widened by pad and clipped to the
-// window, then grown while the next column still passes d² ≤ b² (the
-// test of every finite kernel, or one that passes more). The start
-// touches the passing run (colPad), so the growth covers it.
-func (c *columnarComputer) reach(x, dy float64) (lo, hi int) {
-	within := func(ix int) bool {
-		dx := x - c.cx[ix]
-		return dx*dx+dy*dy <= c.b2
-	}
-	nx := len(c.cx)
-	lo, hi = c.opt.Grid.ColRange(x, c.b)
-	lo = min(max(lo-c.pad-c.x0, 0), nx)
-	hi = max(min(hi+c.pad-c.x0, nx), 0)
-	for lo > 0 && within(lo-1) {
-		lo--
-	}
-	for hi < nx && within(hi) {
-		hi++
-	}
-	return lo, hi
 }
 
 // yDist returns the vertical distance from the horizontal line y = qy to

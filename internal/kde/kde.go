@@ -9,15 +9,15 @@
 //
 //   - Naive: the exact baseline. For Gaussian and exponential kernels it
 //     is the O(XYn) pixel-major sum every off-the-shelf GIS package uses;
-//     for finite-support kernels each raster row scatters the points
-//     within the bandwidth into the pixels they reach, O(Y·(n + Σ
-//     footprint)), with the same bits as the pixel-major sum.
+//     for finite-support kernels each raster row scatters the points into
+//     their footprint on it (geom.Footprint), O(Y·(n + Σ footprint)),
+//     with the same bits as the pixel-major sum.
 //   - GridCutoff: exact for finite-support kernels; a bucket index limits
 //     each pixel to the points inside the kernel support.
 //   - SweepLine: the computational-sharing family (SLAM [32]); exact for
 //     kernels polynomial in squared distance (uniform, Epanechnikov,
 //     quartic, triweight) in O(Y·(X+n)) time via per-row polynomial
-//     coefficient aggregation.
+//     coefficient aggregation; points enter and leave at their footprint.
 //   - BoundApprox: the function-approximation family (QUAD [25], KARL [34]);
 //     works for every kernel including Gaussian, refining KARL's per-node
 //     bounds on the dataset snapshot's kd-tree per pixel until UB/LB ≤ 1+ε

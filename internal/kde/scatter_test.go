@@ -186,31 +186,18 @@ func TestNaiveScatterMatchesGather(t *testing.T) {
 	}
 }
 
-// TestNaiveScatterColumnRounding pins points whose passing pixels
-// ColRange(x, b) misses by rounding, found by a brute-force search: one
-// column short on the left or the right on UTM-sized grids, and several
-// columns on grids whose cell is below the ulp of their coordinates. The
-// run must grow to cover them.
+// TestNaiveScatterColumnRounding runs roundingCases through the scatter:
+// the footprint must hold every pixel the gather adds a term to.
 func TestNaiveScatterColumnRounding(t *testing.T) {
-	for _, tc := range []struct {
-		minX, maxX float64
-		nx         int
-		x, b       float64
-	}{
-		{3.3e6, 3.3000063e6, 9, 3.3000050858565005e6, 1.235856500678855},              // ColRange [6,9), passing [5,9)
-		{3.3e6, 3.3000002e6, 2, 3.2999995588938706e6, 0.49110612946086346},            // [0,0), passing [0,1)
-		{3.3e6, 3.300000000000001e6, 65, 3.3000000000000014e6, 9.313225746154785e-10}, // [32,65), passing [16,65)
-		{3.3e6, 3.300000000000003e6, 45, 3.3e6, 2.3283064365386963e-10},               // [0,0), passing [0,4)
-	} {
-		grid := geom.NewPixelGrid(geom.BBox{MinX: tc.minX, MinY: 0, MaxX: tc.maxX, MaxY: 1}, tc.nx, 1)
-		c := cols([]geom.Point{{X: tc.x, Y: 0.5}})
+	for _, tc := range roundingCases {
+		c := cols(tc.pts())
 		for _, kt := range finiteKernels {
-			opt := Options{Kernel: kernel.MustNew(kt, tc.b), Grid: grid}
+			opt := Options{Kernel: kernel.MustNew(kt, tc.b), Grid: tc.grid()}
 			got, err := Evaluate(c, Naive, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, got, gather(t, c, opt), fmt.Sprintf("%v x=%v b=%v grid=%+v", kt, tc.x, tc.b, grid))
+			assertBitIdentical(t, got, gather(t, c, opt), fmt.Sprintf("%v %s", kt, tc))
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 type Stream struct {
 	k      kernel.Kernel
 	grid   geom.PixelGrid
+	fp     geom.Footprint
 	values []float64
 	count  int
 }
@@ -32,7 +33,7 @@ func NewStream(k kernel.Kernel, grid geom.PixelGrid) (*Stream, error) {
 	if grid.NX <= 0 || grid.NY <= 0 {
 		return nil, fmt.Errorf("kde: grid not initialised")
 	}
-	return &Stream{k: k, grid: grid, values: make([]float64, grid.NumPixels())}, nil
+	return &Stream{k: k, grid: grid, fp: grid.Footprint(k.Bandwidth()), values: make([]float64, grid.NumPixels())}, nil
 }
 
 // Count returns the number of live events.
@@ -40,7 +41,7 @@ func (s *Stream) Count() int { return s.count }
 
 // Add inserts an event.
 func (s *Stream) Add(p geom.Point) {
-	s.apply(p, +1)
+	scatter(s.values, s.grid, &s.fp, s.k, p, +1, 0, s.grid.NY)
 	s.count++
 }
 
@@ -48,25 +49,8 @@ func (s *Stream) Add(p geom.Point) {
 // never added silently corrupts the surface (the stream keeps no event
 // log); the sliding-window driver below guarantees matched add/remove.
 func (s *Stream) Remove(p geom.Point) {
-	s.apply(p, -1)
+	scatter(s.values, s.grid, &s.fp, s.k, p, -1, 0, s.grid.NY)
 	s.count--
-}
-
-func (s *Stream) apply(p geom.Point, sign float64) {
-	b := s.k.Bandwidth()
-	colLo, colHi := s.grid.ColRange(p.X, b)
-	rowLo, rowHi := s.grid.RowRange(p.Y, b)
-	for iy := rowLo; iy < rowHi; iy++ {
-		dy := s.grid.CenterY(iy) - p.Y
-		dy2 := dy * dy
-		base := iy * s.grid.NX
-		for ix := colLo; ix < colHi; ix++ {
-			dx := s.grid.CenterX(ix) - p.X
-			if v := s.k.Eval2(dx*dx + dy2); v != 0 {
-				s.values[base+ix] += sign * v
-			}
-		}
-	}
 }
 
 // Snapshot returns a copy of the current surface.

@@ -21,12 +21,12 @@ import (
 //
 // How it works. Fix a row with pixel ordinate qy. A point p contributes
 // K = Σ_m c_m(A_p)·(dx²/b²)^m with A_p = 1 − dy²/b², dy = p.y − qy, for
-// pixels whose dx = qx − p.x satisfies dx² ≤ b²·A_p. Expanding (dx²)^m by
-// the binomial theorem makes the row sum a polynomial in qx whose
-// coefficients are power sums Σ c_m(A_p)·p.x^k over the active points.
-// Those sums change only when a point's support interval starts or ends,
-// so one left-to-right sweep with per-column event lists evaluates the
-// whole row.
+// the pixels of its footprint on the row (geom.Footprint: exactly those
+// whose fl(dx² + dy²) ≤ fl(b²), dx = qx − p.x). Expanding (dx²)^m by the
+// binomial theorem makes the row sum a polynomial in qx whose coefficients
+// are power sums Σ c_m(A_p)·p.x^k over the active points. Those sums change
+// only where a point's footprint starts (enter) or ends (exit), so one
+// left-to-right sweep with per-column event lists evaluates the whole row.
 //
 // Numerical conditioning: the power sums are kept relative to a local
 // origin that slides with the sweep. Every active point is within one
@@ -77,10 +77,6 @@ type sweepComputer struct {
 	// beyond the grid — is [rowOff[j], rowOff[j+1]).
 	xs, ys, ws []float64
 	rowOff     []int32
-	// reach is how many buckets either side of a row can hold a point within
-	// one bandwidth of its center line: ⌈b/cellH⌉, plus one for the half cell
-	// between a bucket's edge and its center and for rounding.
-	reach int
 
 	// binomCoef[m][k] = C(2m, k)·(−1)^k, the expansion of (qx − px)^{2m}.
 	binomCoef [][]float64
@@ -88,6 +84,8 @@ type sweepComputer struct {
 	pascal [][]float64
 
 	stride int // aggregate slots: Σ_m (2m+1) = (deg+1)²
+
+	fp geom.Footprint // the kernel's footprint: its row halo, each point's columns
 
 	bufs sync.Pool // *sweepBuf, one per in-flight row
 }
@@ -114,6 +112,7 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 		opt:    opt,
 		deg:    deg,
 		stride: (deg + 1) * (deg + 1),
+		fp:     opt.Grid.Footprint(opt.Kernel.Bandwidth()),
 	}
 	c.bucketRows(cols)
 	c.binomCoef = make([][]float64, deg+1)
@@ -149,16 +148,12 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 
 // bucketRows fills xs/ys/ws/rowOff with a stable counting sort of cols by
 // raster row: O(n + Y), against the O(n log n) of ordering by y, and rows
-// need nothing finer — each takes its band from the buckets within reach
-// and tests the candidates exactly.
+// need nothing finer — each takes its band from the buckets within the
+// footprint's row halo and tests the candidates exactly.
 func (c *sweepComputer) bucketRows(cols dataset.Columns) {
 	g := c.opt.Grid
 	minY, cellH, last := g.Box.MinY, g.CellH(), g.NY-1
 	bucket := func(y float64) int { return geom.ClampIndex((y-minY)/cellH, last) }
-	c.reach = last
-	if r := math.Ceil(c.opt.Kernel.Bandwidth()/cellH) + 1; r < float64(last) {
-		c.reach = int(r)
-	}
 	n := cols.N()
 	c.rowOff = make([]int32, g.NY+1)
 	for _, y := range cols.Y {
@@ -267,10 +262,12 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	clear(buf.enterHead)
 	clear(buf.exitHead)
 
-	// Candidates: the buckets within reach of this row. The a < 0 test
-	// below is the exact band membership (support inclusive at |dy| = b).
-	lo := c.rowOff[max(iy-c.reach, 0)]
-	hi := c.rowOff[min(iy+c.reach, g.NY-1)+1]
+	// Candidates: the buckets within the footprint's row halo. Each one's
+	// exact footprint on the row decides its enter and exit columns: empty
+	// when fl(dy²) > b², the band test naive's scatter uses.
+	halo := c.fp.RowHalo()
+	lo := c.rowOff[max(iy-halo, 0)]
+	hi := c.rowOff[min(iy+halo, g.NY-1)+1]
 
 	// Build per-column enter/exit event chains for the band.
 	buf.bandA = buf.bandA[:0]
@@ -278,21 +275,15 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	buf.bandW = buf.bandW[:0]
 	buf.nextEnter = buf.nextEnter[:0]
 	buf.nextExit = buf.nextExit[:0]
-	anyActive := false
 	for i := lo; i < hi; i++ {
 		dy := c.ys[i] - qy
-		a := 1 - dy*dy/b2
-		if a < 0 {
-			continue
-		}
 		px := c.xs[i]
-		colLo, colHi := g.ColRange(px, b*math.Sqrt(a))
+		colLo, colHi := c.fp.Cols(px, dy)
 		if colLo >= colHi {
 			continue
 		}
-		anyActive = true
 		bi := int32(len(buf.bandA))
-		buf.bandA = append(buf.bandA, a)
+		buf.bandA = append(buf.bandA, 1-dy*dy/b2)
 		buf.bandX = append(buf.bandX, px)
 		if c.ws != nil {
 			buf.bandW = append(buf.bandW, c.ws[i])
@@ -304,7 +295,7 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		buf.nextExit = append(buf.nextExit, buf.exitHead[colHi])
 		buf.exitHead[colHi] = bi + 1
 	}
-	if !anyActive {
+	if len(buf.bandA) == 0 {
 		clear(row)
 		return
 	}

@@ -21,7 +21,7 @@ const enginePath = "geostat/internal/parallel"
 var NoRawGoroutine = &analysis.Analyzer{
 	Name: "norawgoroutine",
 	Doc: "flags go statements and sync.WaitGroup pools outside internal/parallel; " +
-		"use parallel.For/ForRange/ForScratch/MonteCarlo instead",
+		"use parallel.For/ForRange/ForScratch/MonteCarloCtx instead",
 	Run: runNoRawGoroutine,
 }
 
@@ -33,7 +33,7 @@ func runNoRawGoroutine(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "raw goroutine outside internal/parallel; schedule through parallel.For/ForRange/ForScratch (or parallel.MonteCarlo for seeded fan-out)")
+				pass.Reportf(n.Pos(), "raw goroutine outside internal/parallel; schedule through parallel.For/ForRange/ForScratch (or parallel.MonteCarloCtx for seeded fan-out)")
 			case *ast.Ident:
 				obj := pass.TypesInfo.Defs[n]
 				if obj == nil {

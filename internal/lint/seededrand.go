@@ -14,12 +14,12 @@ import (
 // package-level functions draw from the shared global source — results then
 // depend on whatever else has consumed it — and ad-hoc rand.New calls
 // scatter seed policy across the codebase. Construction is centralised in
-// internal/parallel (parallel.NewRand, parallel.MonteCarlo, parallel.TaskRand);
+// internal/parallel (parallel.NewRand, parallel.MonteCarloCtx, parallel.TaskRand);
 // accepting an already-seeded *rand.Rand as a parameter remains fine.
 var SeededRand = &analysis.Analyzer{
 	Name: "seededrand",
 	Doc: "flags math/rand global functions and rand.New outside internal/parallel; " +
-		"thread a seed through options and use parallel.NewRand/parallel.MonteCarlo",
+		"thread a seed through options and use parallel.NewRand/parallel.MonteCarloCtx",
 	Run: runSeededRand,
 }
 
@@ -68,9 +68,9 @@ func runSeededRand(pass *analysis.Pass) error {
 				return true
 			}
 			if fn.Name() == "New" {
-				pass.Reportf(call.Pos(), "rand.New outside internal/parallel; use parallel.NewRand(seed) (or parallel.MonteCarlo for task fan-out) so seed policy stays in one place")
+				pass.Reportf(call.Pos(), "rand.New outside internal/parallel; use parallel.NewRand(seed) (or parallel.MonteCarloCtx for task fan-out) so seed policy stays in one place")
 			} else {
-				pass.Reportf(call.Pos(), "%s.%s draws from the global source; thread a seed through options and use parallel.NewRand/parallel.MonteCarlo", path, fn.Name())
+				pass.Reportf(call.Pos(), "%s.%s draws from the global source; thread a seed through options and use parallel.NewRand/parallel.MonteCarloCtx", path, fn.Name())
 			}
 			return true
 		})

@@ -49,7 +49,7 @@ func checkWorkersFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			switch {
 			case name.Name == "workers" && isIntType(obj.Type()):
 				if !paramThreaded(pass, fd, obj, false) {
-					pass.Reportf(name.Pos(), "%s accepts a workers parameter but never uses it; thread it into a parallel.For*/MonteCarlo call or a callee", fd.Name.Name)
+					pass.Reportf(name.Pos(), "%s accepts a workers parameter but never uses it; thread it into a parallel.For*/MonteCarloCtx call or a callee", fd.Name.Name)
 				}
 			case hasWorkersField(obj.Type()):
 				if !paramThreaded(pass, fd, obj, true) {

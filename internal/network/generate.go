@@ -89,7 +89,7 @@ func RandomPositions(g *Graph, n int, seed int64) []Position {
 }
 
 // RandomPositionsRand is RandomPositions drawing from an existing seeded
-// generator — the form used inside parallel.MonteCarlo envelope loops,
+// generator — the form used inside parallel.MonteCarloCtx envelope loops,
 // where each simulation owns a per-task RNG.
 func RandomPositionsRand(r *rand.Rand, g *Graph, n int) []Position {
 	// Cumulative edge lengths for proportional sampling.

@@ -179,7 +179,9 @@ func TestForCtxDeadlineReturnsDeadlineExceeded(t *testing.T) {
 func TestMonteCarloCtxPrefixMatchesUncancelled(t *testing.T) {
 	const n = 512
 	full := make([]int64, n)
-	MonteCarlo(n, 1, 42, func(rng *rand.Rand, i int) { full[i] = rng.Int63() })
+	if err := MonteCarloCtx(context.Background(), n, 1, 42, func(rng *rand.Rand, i int) { full[i] = rng.Int63() }); err != nil {
+		t.Fatal(err)
+	}
 
 	got := make([]int64, n)
 	ran := make([]atomic.Bool, n)

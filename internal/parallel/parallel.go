@@ -20,8 +20,8 @@
 //     splitmix64 mix of (seed, i), so permutation tests and envelope
 //     simulations are bit-identical for EVERY worker count — parallelism
 //     never changes a p-value.
-//   - For / ForRange / ForScratch / MonteCarlo / MonteCarloScratch
-//     (sugar.go): the same five for callers that hold no context.
+//   - For / ForRange / ForScratch (sugar.go): the first three for callers
+//     that hold no context.
 package parallel
 
 import "runtime"

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -118,9 +119,11 @@ func TestMonteCarloWorkerCountInvariant(t *testing.T) {
 	const n = 200
 	run := func(workers int) []float64 {
 		out := make([]float64, n)
-		MonteCarlo(n, workers, 99, func(rng *rand.Rand, i int) {
+		if err := MonteCarloCtx(context.Background(), n, workers, 99, func(rng *rand.Rand, i int) {
 			out[i] = rng.Float64() + float64(rng.Intn(10))
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	want := run(1)
@@ -142,7 +145,7 @@ func TestMonteCarloScratchWorkerCountInvariant(t *testing.T) {
 	}
 	run := func(workers int) []float64 {
 		out := make([]float64, n)
-		MonteCarloScratch(n, workers, 7,
+		_, err := MonteCarloScratchCtx(context.Background(), n, workers, 7,
 			func() []float64 { return make([]float64, vals) },
 			func(rng *rand.Rand, buf []float64, i int) {
 				copy(buf, base)
@@ -153,6 +156,9 @@ func TestMonteCarloScratchWorkerCountInvariant(t *testing.T) {
 				}
 				out[i] = s
 			})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	want := run(1)

@@ -177,7 +177,7 @@ func Shared(d *dataset.Dataset, opt Options) (*Cube, error) {
 		diff[i] = make([]float64, nCoef*nxy)
 	}
 
-	bs := opt.SpaceKernel.Bandwidth()
+	fp := g.Footprint(opt.SpaceKernel.Bandwidth())
 	bt := opt.TimeKernel.Bandwidth()
 	eventTimes := d.Times()
 	coefs := make([]float64, nCoef)
@@ -195,13 +195,13 @@ func Shared(d *dataset.Dataset, opt Options) (*Cube, error) {
 		}
 		timePolyCoefs(opt.TimeKernel, tp, coefs)
 		// Spatial footprint, computed once.
-		colLo, colHi := g.ColRange(p.X, bs)
-		rowLo, rowHi := g.RowRange(p.Y, bs)
+		rowLo, rowHi := fp.Rows(p.Y)
 		addTo := diff[jLo]
 		subFrom := diff[jHi] // jHi ≤ T; diff has T+1 rows
 		for iy := rowLo; iy < rowHi; iy++ {
-			qy := g.CenterY(iy)
-			dy2 := (qy - p.Y) * (qy - p.Y)
+			dy := g.CenterY(iy) - p.Y
+			colLo, colHi := fp.Cols(p.X, dy)
+			dy2 := dy * dy
 			rowBase := iy * g.NX
 			for ix := colLo; ix < colHi; ix++ {
 				dx := g.CenterX(ix) - p.X

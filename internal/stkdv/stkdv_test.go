@@ -240,3 +240,42 @@ func TestSharedMatchesNaiveFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedRoundingCases runs kde's column-rounding inputs (points whose
+// passing pixels a float column range misses) through Shared, with one
+// time slice at the event's time: its footprint must hold every pixel
+// Naive adds a term to, however small (the bar is 1e-9 of the peak).
+func TestSharedRoundingCases(t *testing.T) {
+	for _, tc := range []struct {
+		minX, maxX float64
+		nx         int
+		x, b       float64
+	}{
+		{3.3e6, 3.3000063e6, 9, 3.3000050858565005e6, 1.235856500678855},
+		{3.3e6, 3.3000002e6, 2, 3.2999995588938706e6, 0.49110612946086346},
+		{3.3e6, 3.300000000000001e6, 65, 3.3000000000000014e6, 9.313225746154785e-10},
+		{3.3e6, 3.300000000000003e6, 45, 3.3e6, 2.3283064365386963e-10},
+	} {
+		d := mkst(t, []geom.Point{{X: tc.x, Y: 0.5}}, []float64{10})
+		for _, st := range []kernel.Type{kernel.Uniform, kernel.Epanechnikov, kernel.Quartic} {
+			o := Options{
+				SpaceKernel: kernel.MustNew(st, tc.b),
+				TimeKernel:  kernel.MustNew(kernel.Uniform, 1),
+				Grid:        geom.NewPixelGrid(geom.BBox{MinX: tc.minX, MinY: 0, MaxX: tc.maxX, MaxY: 1}, tc.nx, 1),
+				Times:       []float64{10},
+			}
+			naive, err := Naive(d, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := Shared(d, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, peak := naive.Slice(0).MinMax()
+			if diff, err := naive.MaxAbsDiff(shared); err != nil || diff > 1e-9*peak {
+				t.Errorf("space=%v x=%v b=%v: Shared differs from Naive by %v, peak %v (%v)", st, tc.x, tc.b, diff, peak, err)
+			}
+		}
+	}
+}
