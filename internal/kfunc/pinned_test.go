@@ -130,7 +130,7 @@ func TestPlotPinned(t *testing.T) {
 		checkPin(t, "envelope "+c.name, want, got, err)
 		l := 0
 		got, err = MakePlotWithNull(c.pts, opt, func() []geom.Point {
-			rng := parallel.TaskRand(seed, l)
+			rng := parallel.NewRand(parallel.TaskSeed(seed, l))
 			l++
 			return dataset.UniformCSR(rng, n, window).Points()
 		})

@@ -52,13 +52,27 @@ func runBodyClose(pass *analysis.Pass) error {
 				})
 		},
 		isRelease: func(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool {
-			return methodReleaseCall(pass, call, ob, "Body", "Close")
+			return bodyCloseCall(pass, call, ob)
 		},
 		leak: func(ob *oblig) string {
 			return ob.what + " is not closed on every path to return; the leaked path holds the connection out of the pool"
 		},
 	}
 	return runObligations(pass, rule)
+}
+
+// bodyCloseCall matches `resp.Body.Close()` on the obligation's response.
+func bodyCloseCall(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Close" {
+		return false
+	}
+	body, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok || body.Sel.Name != "Body" {
+		return false
+	}
+	id, ok := ast.Unparen(body.X).(*ast.Ident)
+	return ok && pass.TypesInfo.Uses[id] == ob.obj
 }
 
 func isHTTPResponsePtr(t types.Type) bool {

@@ -103,10 +103,10 @@ func TestDiffDebtGate(t *testing.T) {
 // TestCollectDebtStaleAnalyzer: a directive naming an analyzer geolint
 // does not run — a pass `go vet` owns, or a typo — suppresses nothing, so
 // it counts as unjustified and fails the gate like a missing reason, even
-// with a reason and within budget. Each of the five analyzers PR 25
-// deleted is checked by name, next to a live control.
+// with a reason and within budget. Every analyzer geolint has deleted is
+// checked by name, with a typo and next to a live control.
 func TestCollectDebtStaleAnalyzer(t *testing.T) {
-	stale := []string{"copylocks", "cancelleak", "unusedresult", "loopclosure", "purity", "maporderr"}
+	stale := []string{"copylocks", "cancelleak", "unusedresult", "loopclosure", "purity", "maporderr", "detflow", "mustclose"}
 	var src strings.Builder
 	src.WriteString("package stale\n\n//lint:allow maporder keys are sorted below\nvar Live = 1\n")
 	for i, name := range stale {

@@ -5,9 +5,8 @@
 // Since the facts upgrade, geolint is a cross-package analysis framework:
 // the driver (see driver.go) runs analyzers over the module's packages in
 // import dependency order, analyzers export typed facts about
-// package-level objects (a function may block; a function's results
-// depend on an entropy source), and downstream analyzers consume facts
-// from imported packages.
+// package-level objects (a function may block), and downstream analyzers
+// consume facts from imported packages.
 //
 // The custom analyzers guard the conventions PR 1 established plus the
 // scale-out preconditions (distributed tiles, bit-exact shard merges)
@@ -22,8 +21,9 @@
 //   - maporder — no result assembly driven by map iteration order;
 //   - workersopt — every exported entry point that accepts a Workers
 //     option actually threads it into the parallel engine;
-//   - obsname — every obs metric/span name literal follows the
-//     documented tool_stage_unit / tool.stage naming convention;
+//   - obsname — every obs span name literal follows the documented
+//     tool.stage naming convention (metric names are validated by the
+//     registry at registration);
 //   - colaccess — the dataset's columnar storage (dataset.Columns /
 //     dataset.Chunk fields) is never mutated outside internal/dataset;
 //   - blockfacts — (fact producer, no reports) marks functions that may
@@ -35,21 +35,15 @@
 //     and context-returning normalizers;
 //   - locksafe — no sync.Mutex/RWMutex held across channel operations or
 //     calls carrying the may-block fact (the statically-checkable half of
-//     the PR-4 registry race class);
-//   - detflow — entropy taint must not reach exported result values of
-//     the statistic packages: time.Now, unseeded rand, and map-iteration
-//     order cannot flow into what kde/kfunc/idw/kriging/moran/getisord/
-//     dataset return.
+//     the PR-4 registry race class).
 //
 // Since the v3 upgrade, geolint is also path-sensitive: internal/lint/cfg
 // builds an intraprocedural control-flow graph per function, and the
 // obligation engine (obligation.go) checks "acquired here must be
-// released on every path to return" over it. Three analyzers ride the
+// released on every path to return" over it. Two analyzers ride the
 // engine:
 //
 //   - bodyclose — every http.Response body is closed on all paths;
-//   - mustclose — os.Open/Create files and net.Listen/Dial endpoints are
-//     closed on all paths;
 //   - unlockpath — a locked Mutex/RWMutex is unlocked on every exit path
 //     (the control-flow complement to locksafe, sharing its
 //     lock-recognition machinery).
@@ -63,7 +57,11 @@
 // Makefile widens unusedresult's function list), and go 1.22 loop
 // semantics retired the loop-variable capture bug. Allocations in the
 // columnar inner loops are counted by testing.AllocsPerRun tests in the
-// kde, idw and kfunc packages, not inferred here.
+// kde, idw and kfunc packages, not inferred here. Seeded results are
+// held bit-identical by the same-seed and worker-count tests, and metric
+// names by the obs registry, which panics on a bad one at registration.
+// Each analyzer here is kept for a production mutation that only it
+// catches (DESIGN.md, "What tests catch instead").
 //
 // A finding is suppressed by a `//lint:allow <analyzer> <reason>` comment
 // on the flagged line, the line directly above it, or anywhere the
@@ -100,9 +98,7 @@ func Analyzers() []*analysis.Analyzer {
 		BlockFacts,
 		CtxFlow,
 		LockSafe,
-		DetFlow,
 		BodyClose,
-		MustClose,
 		UnlockPath,
 		Shadow,
 	}

@@ -22,8 +22,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 }
 
 // TestCrossPackageFactFixtures runs the two-package fact fixtures: the
-// producing package exports a fact (MayBlock, ResultsEntropy) that the
-// consuming package's diagnostics depend on. A regression here means
+// producing package exports a fact (MayBlock) that the consuming
+// package's diagnostics depend on. A regression here means
 // facts stopped crossing package boundaries.
 func TestCrossPackageFactFixtures(t *testing.T) {
 	cases := []struct {
@@ -31,7 +31,6 @@ func TestCrossPackageFactFixtures(t *testing.T) {
 		dir      string
 	}{
 		{"locksafe", "locksafe_xpkg"},
-		{"detflow", "detflow_xpkg"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -11,17 +11,15 @@ import (
 
 // The obligation engine: a generic path-sensitive "acquire must be
 // released on every path to return" analysis over the CFGs built by
-// internal/lint/cfg. bodyclose, mustclose and unlockpath are thin
-// configurations of this engine.
+// internal/lint/cfg. bodyclose and unlockpath are thin configurations of
+// this engine.
 //
-// Model. An acquisition (client.Do, os.Open, mu.Lock) creates an
-// obligation. Starting from the acquisition point
-// the engine explores every control-flow path forward; a path is
-// discharged when it
+// Model. An acquisition (client.Do, mu.Lock) creates an obligation.
+// Starting from the acquisition point the engine explores every
+// control-flow path forward; a path is discharged when it
 //
-//   - releases the obligation (resp.Body.Close(), f.Close(),
-//     mu.Unlock());
-//   - registers a deferred release (`defer f.Close()`, including a
+//   - releases the obligation (resp.Body.Close(), mu.Unlock());
+//   - registers a deferred release (`defer resp.Body.Close()`, including a
 //     deferred func literal whose body releases) — defers run on every
 //     exit, normal or panicking, of any path that continues past the
 //     defer statement;
@@ -76,7 +74,7 @@ type oblig struct {
 type obRule struct {
 	// acquisitions inspects one CFG node and returns the obligations it
 	// creates. It may call pass.Reportf directly for acquisitions that
-	// are wrong at birth (a discarded response or file).
+	// are wrong at birth (a discarded response).
 	acquisitions func(pass *analysis.Pass, node ast.Node) []*oblig
 	// isRelease reports whether call discharges ob.
 	isRelease func(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool
@@ -216,8 +214,9 @@ func nodeResolves(pass *analysis.Pass, rule *obRule, ob *oblig, node ast.Node) b
 			return true
 		}
 		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			// defer func() { ... f.Close() ... }(): the closure's body runs
-			// at exit; a release anywhere in it discharges the obligation.
+			// defer func() { ... resp.Body.Close() ... }(): the closure's
+			// body runs at exit; a release anywhere in it discharges the
+			// obligation.
 			released := false
 			walkOwn(lit.Body, func(n ast.Node) {
 				if call, ok := n.(*ast.CallExpr); ok && rule.isRelease(pass, call, ob) {
@@ -377,14 +376,27 @@ var noReturnFuncs = map[string]bool{
 	"log.Panicln":    true,
 }
 
+// walkOwn visits every node of body except nested function literals.
+func walkOwn(body ast.Node, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}
+
 func noReturnCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := staticCallee(pass, call)
 	return fn != nil && noReturnFuncs[funcKey(fn)]
 }
 
-// valueAcquisitions is the shared acquisition scanner for value-mode
-// rules (bodyclose/mustclose): it finds matching calls in one
-// CFG node and classifies how their results are bound.
+// valueAcquisitions is the acquisition scanner for value-mode rules
+// (bodyclose): it finds matching calls in one CFG node and classifies how
+// their results are bound.
 //
 //   - `res, err := acquire(...)` binds an obligation to res (and its
 //     error sibling for branch refinement);
@@ -484,24 +496,4 @@ func valueAcquisitions(
 		}
 	}
 	return out
-}
-
-// methodReleaseCall matches `obj.<name>(...)` (mustclose's f.Close
-// shape) and, with an intermediate field, `obj.<field>.<name>(...)`
-// (bodyclose's resp.Body.Close shape when field is non-empty).
-func methodReleaseCall(pass *analysis.Pass, call *ast.CallExpr, ob *oblig, field, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	x := ast.Unparen(sel.X)
-	if field != "" {
-		inner, isSel := x.(*ast.SelectorExpr)
-		if !isSel || inner.Sel.Name != field {
-			return false
-		}
-		x = ast.Unparen(inner.X)
-	}
-	id, isIdent := x.(*ast.Ident)
-	return isIdent && pass.TypesInfo.Uses[id] == ob.obj
 }

@@ -10,41 +10,22 @@ import (
 	"geostat/internal/obs"
 )
 
-// ObsName enforces the observability naming convention documented in
-// internal/obs: metric names are snake_case `subsystem_stage_unit` with a
-// kind-appropriate unit suffix (counters end in _total, histograms in
-// _seconds/_bytes, ...), span names are dotted lowercase `tool.stage`
-// paths of one to three segments. The registry panics on a bad name at
-// runtime; this analyzer moves that failure to vet-time by validating
-// every string literal passed to an obs registration or Trace call with
-// the same obs.ValidMetricName/ValidSpanName the runtime uses, so the
-// two can never disagree. Names built dynamically (e.g. tool+".parse")
-// are outside the static check and fail at runtime instead.
+// ObsName enforces the observability span-naming convention documented in
+// internal/obs: span names are dotted lowercase `tool.stage` paths of one
+// to three segments. It validates every string literal passed to
+// obs.Trace / obs.NewTrace with the same obs.ValidSpanName the package
+// documents, so the two can never disagree. Span names have no runtime
+// check; metric names need none here, because the registry runs
+// obs.ValidMetricName at registration and panics, and every registering
+// file is exercised by a test. Names built dynamically (e.g.
+// tool+".parse") are outside the static check.
 var ObsName = &analysis.Analyzer{
 	Name: "obsname",
-	Doc: "flags obs metric/span name literals that violate the documented " +
-		"tool_stage_unit / tool.stage naming convention",
-	Run: runObsName,
+	Doc:  "flags obs span name literals that violate the documented tool.stage naming convention",
+	Run:  runObsName,
 }
 
 const obsPath = "geostat/internal/obs"
-
-// obsMetricKinds maps Registry method names to the metric kind whose unit
-// suffixes apply; obsSpanFuncs lists the span constructors. Both take the
-// name as their first argument after the receiver/context.
-var obsMetricKinds = map[string]string{
-	"Counter":     "counter",
-	"CounterFunc": "counter",
-	"Gauge":       "gauge",
-	"GaugeFunc":   "gauge",
-	"Histogram":   "histogram",
-}
-
-var obsSpanFuncs = map[string]int{
-	// name argument index
-	"Trace":    1,
-	"NewTrace": 1,
-}
 
 func runObsName(pass *analysis.Pass) error {
 	if pass.PkgPath == obsPath {
@@ -65,22 +46,14 @@ func runObsName(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != obsPath {
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != obsPath ||
+				(fn.Name() != "Trace" && fn.Name() != "NewTrace") {
 				return true
 			}
-			if kind, ok := obsMetricKinds[fn.Name()]; ok {
-				if name, lit, ok := stringArg(call, 0); ok {
-					if err := obs.ValidMetricName(kind, name); err != nil {
-						pass.Reportf(lit.Pos(), "obs metric name: %v", err)
-					}
-				}
-				return true
-			}
-			if idx, ok := obsSpanFuncs[fn.Name()]; ok {
-				if name, lit, ok := stringArg(call, idx); ok {
-					if err := obs.ValidSpanName(name); err != nil {
-						pass.Reportf(lit.Pos(), "obs span name: %v", err)
-					}
+			// Both span constructors take (ctx, name).
+			if name, lit, ok := stringArg(call, 1); ok {
+				if err := obs.ValidSpanName(name); err != nil {
+					pass.Reportf(lit.Pos(), "obs span name: %v", err)
 				}
 			}
 			return true

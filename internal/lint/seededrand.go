@@ -14,7 +14,7 @@ import (
 // package-level functions draw from the shared global source — results then
 // depend on whatever else has consumed it — and ad-hoc rand.New calls
 // scatter seed policy across the codebase. Construction is centralised in
-// internal/parallel (parallel.NewRand, parallel.MonteCarloCtx, parallel.TaskRand);
+// internal/parallel (parallel.NewRand, parallel.MonteCarloCtx);
 // accepting an already-seeded *rand.Rand as a parameter remains fine.
 var SeededRand = &analysis.Analyzer{
 	Name: "seededrand",

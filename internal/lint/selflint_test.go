@@ -42,9 +42,9 @@ func TestSelfLint(t *testing.T) {
 		t.Errorf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 	}
 
-	// The full suite includes the three v3 obligation analyzers — pin them
+	// The full suite includes the two v3 obligation analyzers — pin them
 	// so a registration slip cannot silently drop a leak check.
-	for _, name := range []string{"bodyclose", "mustclose", "unlockpath"} {
+	for _, name := range []string{"bodyclose", "unlockpath"} {
 		if _, ok := lint.Lookup(name); !ok {
 			t.Errorf("analyzer %s missing from the suite", name)
 		}

@@ -1,7 +1,7 @@
 // Fixture for the obsname analyzer: every string literal handed to an
-// obs registration or Trace call must follow the documented naming
-// convention. Dynamic names are invisible to the analyzer and fail at
-// runtime instead.
+// obs Trace call must follow the documented span naming convention.
+// Dynamic names are invisible to the analyzer. Metric names are not
+// checked here: the registry validates them at registration.
 package fixture
 
 import (
@@ -11,22 +11,8 @@ import (
 )
 
 func metrics(r *obs.Registry) {
-	// Conforming names pass silently.
-	r.Counter("geostatd_requests_total", "requests").Inc()
-	r.Gauge("geostatd_requests_inflight", "in flight").Add(1)
-	r.Histogram("geostatd_request_seconds", "latency", nil).Observe(0)
-	r.CounterFunc("geostatd_cache_hits_total", "hits", func() int64 { return 0 })
-	r.GaugeFunc("geostatd_cache_bytes", "bytes", func() int64 { return 0 })
-
-	r.Counter("geostatd_requests", "no unit suffix").Inc()           // want `counter name "geostatd_requests" must end in _total`
-	r.Counter("Geostatd_Requests_total", "upper case").Inc()         // want `not a valid metric name`
-	r.Gauge("geostatd_inflight_total", "counter unit on a gauge")    // want `gauge name "geostatd_inflight_total" must end in`
-	r.Histogram("geostatd_request_total", "bad unit", nil)           // want `histogram name "geostatd_request_total" must end in`
-	r.CounterFunc("hits", "single segment", func() int64 { return 0 }) // want `not a valid metric name`
-
-	// A provably-fine case the analyzer cannot see is suppressed with the
-	// standard directive (here: exercising the suppression path).
-	r.Counter("geostatd_requests", "suppressed").Inc() //lint:allow obsname fixture exercises the suppression path
+	// A bad metric name is the registry's to reject, at runtime.
+	r.Counter("geostatd_requests", "no unit suffix").Inc()
 }
 
 func spans(ctx context.Context) {
@@ -40,8 +26,15 @@ func spans(ctx context.Context) {
 	bad.End()
 	_, deep := obs.Trace(ctx, "a.b.c.d") // want `not a valid span name`
 	deep.End()
+	_, top := obs.NewTrace(ctx, "Request") // want `not a valid span name`
+	top.End()
 
-	// Dynamic names are skipped statically (validated at runtime).
+	// A provably-fine case the analyzer cannot see is suppressed with the
+	// standard directive (here: exercising the suppression path).
+	_, allowed := obs.Trace(ctx, "Kdv.Compute") //lint:allow obsname fixture exercises the suppression path
+	allowed.End()
+
+	// Dynamic names are skipped statically.
 	tool := "kdv"
 	_, dyn := obs.Trace(ctx, tool+".parse")
 	dyn.End()

@@ -4,7 +4,7 @@ import "math/rand"
 
 // NewRand returns a rand.Rand over a source seeded with seed. This is the
 // repository's single RNG constructor: every generator in production code
-// is built here (or per-task via MonteCarloCtx/TaskRand), so a recorded seed
+// is built here (or per-task via MonteCarloCtx), so a recorded seed
 // always reproduces a run bit-for-bit. The geolint seededrand analyzer
 // enforces this — rand.New and the math/rand globals are flagged outside
 // this package.
@@ -25,11 +25,4 @@ func TaskSeed(seed int64, i int) int64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z)
-}
-
-// TaskRand returns a fresh rand.Rand for Monte-Carlo task i of the given
-// base seed. Prefer MonteCarloCtx/MonteCarloScratchCtx in loops — they reuse one
-// generator per worker instead of allocating one per task.
-func TaskRand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(TaskSeed(seed, i)))
 }

@@ -1,6 +1,7 @@
 package geostat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -11,115 +12,135 @@ import (
 // seed-to-result mapping itself so a change to seed plumbing (or a stray
 // global-RNG draw) shows up as a test failure, not just a lint finding.
 
+// sameSeeds are the seeds every same-seed test runs. 0 is the zero
+// value, the seed of options that leave Seed unset, so a fallback that
+// reads it as "no seed" and draws one from the clock must fail here.
+var sameSeeds = []int64{detSeed, 0}
+
+// forSeeds runs body once per seed in sameSeeds, as a subtest.
+func forSeeds(t *testing.T, body func(t *testing.T, seed int64)) {
+	for _, seed := range sameSeeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { body(t, seed) })
+	}
+}
+
 func TestKDVSampledSameSeedBitIdentical(t *testing.T) {
-	// eps/delta chosen so the Hoeffding subset size (~124 for a 32x32
-	// grid) is far below n: the sampled path must actually draw.
-	d := detValued(2000)
-	opt := KDVOptions{
-		Kernel:  MustKernel(Quartic, 12),
-		Grid:    NewPixelGrid(NewBBox(d.Points()).Pad(1), 32, 32),
-		Method:  KDVSampled,
-		Epsilon: 0.2,
-		Delta:   0.1,
-		Seed:    detSeed,
-	}
-	first, err := KDV(d.Points(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		again, err := KDV(d.Points(), opt)
+	forSeeds(t, func(t *testing.T, seed int64) {
+		// eps/delta chosen so the Hoeffding subset size (~124 for a 32x32
+		// grid) is far below n: the sampled path must actually draw.
+		d := detValued(2000)
+		opt := KDVOptions{
+			Kernel:  MustKernel(Quartic, 12),
+			Grid:    NewPixelGrid(NewBBox(d.Points()).Pad(1), 32, 32),
+			Method:  KDVSampled,
+			Epsilon: 0.2,
+			Delta:   0.1,
+			Seed:    seed,
+		}
+		first, err := KDV(d.Points(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range first.Values {
-			if math.Float64bits(again.Values[i]) != math.Float64bits(first.Values[i]) {
-				t.Fatalf("run %d: pixel %d differs: %v vs %v", run, i, again.Values[i], first.Values[i])
+		for run := 0; run < 3; run++ {
+			again, err := KDV(d.Points(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range first.Values {
+				if math.Float64bits(again.Values[i]) != math.Float64bits(first.Values[i]) {
+					t.Fatalf("run %d: pixel %d differs: %v vs %v", run, i, again.Values[i], first.Values[i])
+				}
 			}
 		}
-	}
-	otherOpt := opt
-	otherOpt.Seed = detSeed + 1
-	other, err := KDV(d.Points(), otherOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range first.Values {
-		if math.Float64bits(other.Values[i]) != math.Float64bits(first.Values[i]) {
-			same = false
-			break
+		otherOpt := opt
+		otherOpt.Seed = seed + 1
+		other, err := KDV(d.Points(), otherOpt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if same {
-		t.Error("different seeds produced an identical sampled surface; seed is not reaching the draw")
-	}
+		same := true
+		for i := range first.Values {
+			if math.Float64bits(other.Values[i]) != math.Float64bits(first.Values[i]) {
+				same = false
+				break
+			}
+		}
+		if same {
+			t.Error("different seeds produced an identical sampled surface; seed is not reaching the draw")
+		}
+	})
 }
 
 func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
-	d := detValued(300)
-	candidates := []float64{4, 8, 16, 32}
-	first, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, detSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		again, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, detSeed)
+	forSeeds(t, func(t *testing.T, seed int64) {
+		d := detValued(300)
+		candidates := []float64{4, 8, 16, 32}
+		first, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != first {
-			t.Fatalf("run %d: bandwidth %v, first run chose %v", run, again, first)
+		for run := 0; run < 3; run++ {
+			again, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != first {
+				t.Fatalf("run %d: bandwidth %v, first run chose %v", run, again, first)
+			}
 		}
-	}
+	})
 }
 
 func TestGeneralGSameSeedBitIdentical(t *testing.T) {
-	d := detValued(250)
-	w, err := KNNWeights(d.Points(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float64, len(d.Values()))
-	for i, v := range d.Values() {
-		vals[i] = v + 200 // General G needs positive values
-	}
-	first, err := GeneralG(vals, w, 199, detSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		again, err := GeneralG(vals, w, 199, detSeed)
+	forSeeds(t, func(t *testing.T, seed int64) {
+		d := detValued(250)
+		w, err := KNNWeights(d.Points(), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(again.G) != math.Float64bits(first.G) ||
-			math.Float64bits(again.Z) != math.Float64bits(first.Z) ||
-			math.Float64bits(again.P) != math.Float64bits(first.P) {
-			t.Fatalf("run %d: (G,Z,P)=(%v,%v,%v), first run (%v,%v,%v)",
-				run, again.G, again.Z, again.P, first.G, first.Z, first.P)
+		vals := make([]float64, len(d.Values()))
+		for i, v := range d.Values() {
+			vals[i] = v + 200 // General G needs positive values
 		}
-	}
+		first, err := GeneralG(vals, w, 199, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			again, err := GeneralG(vals, w, 199, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(again.G) != math.Float64bits(first.G) ||
+				math.Float64bits(again.Z) != math.Float64bits(first.Z) ||
+				math.Float64bits(again.P) != math.Float64bits(first.P) {
+				t.Fatalf("run %d: (G,Z,P)=(%v,%v,%v), first run (%v,%v,%v)",
+					run, again.G, again.Z, again.P, first.G, first.Z, first.P)
+			}
+		}
+	})
 }
 
 func TestNetworkEventsSameSeedBitIdentical(t *testing.T) {
-	g := GridNetwork(8, 8, 10, Point{})
-	first := RandomNetworkEvents(g, 200, detSeed)
-	clustered := ClusteredNetworkEvents(g, 200, 3, 5, detSeed)
-	for run := 0; run < 3; run++ {
-		again := RandomNetworkEvents(g, 200, detSeed)
-		for i := range first {
-			if again[i].Edge != first[i].Edge ||
-				math.Float64bits(again[i].Offset) != math.Float64bits(first[i].Offset) {
-				t.Fatalf("run %d: event %d differs", run, i)
+	forSeeds(t, func(t *testing.T, seed int64) {
+		g := GridNetwork(8, 8, 10, Point{})
+		first := RandomNetworkEvents(g, 200, seed)
+		clustered := ClusteredNetworkEvents(g, 200, 3, 5, seed)
+		for run := 0; run < 3; run++ {
+			again := RandomNetworkEvents(g, 200, seed)
+			for i := range first {
+				if again[i].Edge != first[i].Edge ||
+					math.Float64bits(again[i].Offset) != math.Float64bits(first[i].Offset) {
+					t.Fatalf("run %d: event %d differs", run, i)
+				}
+			}
+			c := ClusteredNetworkEvents(g, 200, 3, 5, seed)
+			for i := range clustered {
+				if c[i].Edge != clustered[i].Edge ||
+					math.Float64bits(c[i].Offset) != math.Float64bits(clustered[i].Offset) {
+					t.Fatalf("run %d: clustered event %d differs", run, i)
+				}
 			}
 		}
-		c := ClusteredNetworkEvents(g, 200, 3, 5, detSeed)
-		for i := range clustered {
-			if c[i].Edge != clustered[i].Edge ||
-				math.Float64bits(c[i].Offset) != math.Float64bits(clustered[i].Offset) {
-				t.Fatalf("run %d: clustered event %d differs", run, i)
-			}
-		}
-	}
+	})
 }
