@@ -27,7 +27,7 @@ func plainExpEval(k kernel.Kernel) chunkEval {
 	invB := 1 / b
 	invB2 := 1 / (b * b)
 	if k.Type() == kernel.Exponential {
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
@@ -38,10 +38,10 @@ func plainExpEval(k kernel.Kernel) chunkEval {
 					sum += math.Exp(-math.Sqrt(d2) * invB)
 				}
 			}
-			return sum
+			return sum, len(xs)
 		}
 	}
-	return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+	return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
 		for i, x := range xs {
 			dx := x - qx
 			dy := ys[i] - qy
@@ -52,7 +52,7 @@ func plainExpEval(k kernel.Kernel) chunkEval {
 				sum += math.Exp(-d2 * invB2)
 			}
 		}
-		return sum
+		return sum, len(xs)
 	}
 }
 
@@ -298,8 +298,9 @@ func FuzzChunkEvalAbsorbed(f *testing.F) {
 		}
 		cut := int(split) % (m + 1)
 		fold := func(eval chunkEval) float64 {
-			sum := evalSeg(eval, 0, qx, qy, xs, ys, ws, 0, cut)
-			return evalSeg(eval, sum, qx, qy, xs, ys, ws, cut, m)
+			sum, _ := evalSeg(eval, 0, qx, qy, xs, ys, ws, 0, cut)
+			sum, _ = evalSeg(eval, sum, qx, qy, xs, ys, ws, cut, m)
+			return sum
 		}
 		got, want := fold(chunkEvalFor(k, ws)), fold(plainExpEval(k))
 		if math.Float64bits(got) != math.Float64bits(want) {

@@ -172,7 +172,7 @@ func (c *boundComputer) estimate(q geom.Point, hp *gapHeap) (r float64, expanded
 		left, right := c.tree.Children(e.id)
 		if left < 0 {
 			xs, ys := c.tree.NodeColumns(e.id)
-			v := c.eval(0, q.X, q.Y, xs, ys, nil)
+			v, _ := c.eval(0, q.X, q.Y, xs, ys, nil)
 			settled += v
 			lb += v
 			ub += v

@@ -21,10 +21,12 @@ import (
 
 // chunkEval folds one coordinate column segment into a running kernel sum:
 // it returns sum plus the kernel contributions of points (xs[i], ys[i])
-// with weights ws[i] (ws nil means unweighted) at query (qx, qy).
-// Accumulation order is the slice order, so callers control the exact
-// floating-point summation order by how they segment the columns.
-type chunkEval func(sum, qx, qy float64, xs, ys, ws []float64) float64
+// with weights ws[i] (ws nil means unweighted) at query (qx, qy), and the
+// number of those points inside the kernel's support (every point, for
+// Gaussian and exponential). Accumulation order is the slice order, so
+// callers control the exact floating-point summation order by how they
+// segment the columns.
+type chunkEval func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int)
 
 // Bounds on the argument t of an exp(t) term (see absorbThreshold).
 const (
@@ -74,11 +76,52 @@ func absorbBounds(ws []float64) (lnW, floor float64) {
 	return math.Log(w), expUnderflow
 }
 
+// filterBlock is how many survivors the filter pass collects before the
+// kernel pass adds their terms: the length of the finite-support loops'
+// stack buffers. Go zeroes those on every call, and naive's row scatter
+// makes one call per footprint pixel, so the block is as small as keeps
+// the kernel pass dense (DESIGN "Filter, then evaluate" has the
+// measurements). A power of two, so n&(filterBlock−1) needs no bounds
+// check.
+const filterBlock = 8
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The finite kernels' terms K(d²) inside the support, Kernel.Eval2's
+// expressions.
+func triangularTerm(d2, invB float64) float64    { return 1 - math.Sqrt(d2)*invB }
+func epanechnikovTerm(d2, invB2 float64) float64 { return 1 - d2*invB2 }
+func quarticTerm(d2, invB2 float64) float64 {
+	u := 1 - d2*invB2
+	return u * u
+}
+func triweightTerm(d2, invB2 float64) float64 {
+	u := 1 - d2*invB2
+	return u * u * u
+}
+
 // chunkEvalFor returns the kernel-specialised evaluator for k, to be called
-// with the weight column ws (nil: unweighted) or a reordering of it. The
-// local constants replicate kernel.New's derived values (1/b, b², 1/b²)
-// with the same IEEE expressions, so each specialisation is bit-compatible
-// with Kernel.Eval2.
+// with the weight column ws (nil: unweighted) or a reordering of it; a
+// finite kernel's evaluator reads weights iff ws is not nil. The local
+// constants replicate kernel.New's derived values (1/b, b², 1/b²) with the
+// same IEEE expressions, so each specialisation is bit-compatible with
+// Kernel.Eval2.
+//
+// The finite-support loops filter, then evaluate (DESIGN "Filter, then
+// evaluate"). The filter pass writes each candidate's d² (and weight) to
+// d2s[n] (wb[n]) and advances n by the 0/1 result of the support test, so
+// no candidate costs a branch; when the buffer is full, and at the end,
+// the kernel pass adds the survivors' terms in slot order. Those are the
+// terms, order and operations of `if d² < b² { sum += K(d²) }`, so the
+// bits are the same, without the branch that mispredicts on about every
+// third grid-cutoff candidate.
 //
 // The Gaussian and exponential loops compute t, the argument of exp, and
 // call exp only when !(t < thr) — so a NaN t still reaches exp. thr is
@@ -89,119 +132,229 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 	b2 := b * b
 	invB := 1 / b
 	invB2 := 1 / (b * b)
+	weighted := ws != nil
 	switch k.Type() {
 	case kernel.Uniform:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		// The closed support d² ≤ b², and a term that does not depend on
+		// d²: the filter keeps only the weights, or only a count.
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if dx*dx+dy*dy <= b2 {
-						sum += ws[i] * invB
+					wb[n&(filterBlock-1)] = ws[i]
+					if n += b2i(dx*dx+dy*dy <= b2); n == filterBlock {
+						for _, w := range wb[:] {
+							sum += w * invB
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				for _, w := range wb[:n] {
+					sum += w * invB
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			n := 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if dx*dx+dy*dy <= b2 {
-					sum += invB
-				}
+				n += b2i(dx*dx+dy*dy <= b2)
 			}
-			return sum
+			for range n {
+				sum += invB
+			}
+			return sum, n
 		}
 	case kernel.Triangular:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var d2s, wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if d2 := dx*dx + dy*dy; d2 < b2 {
-						sum += ws[i] * (1 - math.Sqrt(d2)*invB)
+					d2 := dx*dx + dy*dy
+					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
+					if n += b2i(d2 < b2); n == filterBlock {
+						for j, d2 := range d2s[:] {
+							sum += wb[j] * triangularTerm(d2, invB)
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				for j, d2 := range d2s[:n] {
+					sum += wb[j] * triangularTerm(d2, invB)
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			var d2s [filterBlock]float64
+			n, terms := 0, 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if d2 := dx*dx + dy*dy; d2 < b2 {
-					sum += 1 - math.Sqrt(d2)*invB
+				d2 := dx*dx + dy*dy
+				d2s[n&(filterBlock-1)] = d2
+				if n += b2i(d2 < b2); n == filterBlock {
+					for _, d2 := range d2s[:] {
+						sum += triangularTerm(d2, invB)
+					}
+					n, terms = 0, terms+filterBlock
 				}
 			}
-			return sum
+			for _, d2 := range d2s[:n] {
+				sum += triangularTerm(d2, invB)
+			}
+			return sum, terms + n
 		}
 	case kernel.Epanechnikov:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var d2s, wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if d2 := dx*dx + dy*dy; d2 < b2 {
-						sum += ws[i] * (1 - d2*invB2)
+					d2 := dx*dx + dy*dy
+					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
+					if n += b2i(d2 < b2); n == filterBlock {
+						for j, d2 := range d2s[:] {
+							sum += wb[j] * epanechnikovTerm(d2, invB2)
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				for j, d2 := range d2s[:n] {
+					sum += wb[j] * epanechnikovTerm(d2, invB2)
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			var d2s [filterBlock]float64
+			n, terms := 0, 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if d2 := dx*dx + dy*dy; d2 < b2 {
-					sum += 1 - d2*invB2
+				d2 := dx*dx + dy*dy
+				d2s[n&(filterBlock-1)] = d2
+				if n += b2i(d2 < b2); n == filterBlock {
+					for _, d2 := range d2s[:] {
+						sum += epanechnikovTerm(d2, invB2)
+					}
+					n, terms = 0, terms+filterBlock
 				}
 			}
-			return sum
+			for _, d2 := range d2s[:n] {
+				sum += epanechnikovTerm(d2, invB2)
+			}
+			return sum, terms + n
 		}
 	case kernel.Quartic:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var d2s, wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if d2 := dx*dx + dy*dy; d2 < b2 {
-						u := 1 - d2*invB2
-						sum += ws[i] * (u * u)
+					d2 := dx*dx + dy*dy
+					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
+					if n += b2i(d2 < b2); n == filterBlock {
+						for j, d2 := range d2s[:] {
+							sum += wb[j] * quarticTerm(d2, invB2)
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				for j, d2 := range d2s[:n] {
+					sum += wb[j] * quarticTerm(d2, invB2)
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			var d2s [filterBlock]float64
+			n, terms := 0, 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if d2 := dx*dx + dy*dy; d2 < b2 {
-					u := 1 - d2*invB2
-					sum += u * u
+				d2 := dx*dx + dy*dy
+				d2s[n&(filterBlock-1)] = d2
+				if n += b2i(d2 < b2); n == filterBlock {
+					for _, d2 := range d2s[:] {
+						sum += quarticTerm(d2, invB2)
+					}
+					n, terms = 0, terms+filterBlock
 				}
 			}
-			return sum
+			for _, d2 := range d2s[:n] {
+				sum += quarticTerm(d2, invB2)
+			}
+			return sum, terms + n
 		}
 	case kernel.Triweight:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var d2s, wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if d2 := dx*dx + dy*dy; d2 < b2 {
-						u := 1 - d2*invB2
-						sum += ws[i] * (u * u * u)
+					d2 := dx*dx + dy*dy
+					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
+					if n += b2i(d2 < b2); n == filterBlock {
+						for j, d2 := range d2s[:] {
+							sum += wb[j] * triweightTerm(d2, invB2)
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				for j, d2 := range d2s[:n] {
+					sum += wb[j] * triweightTerm(d2, invB2)
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			var d2s [filterBlock]float64
+			n, terms := 0, 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if d2 := dx*dx + dy*dy; d2 < b2 {
-					u := 1 - d2*invB2
-					sum += u * u * u
+				d2 := dx*dx + dy*dy
+				d2s[n&(filterBlock-1)] = d2
+				if n += b2i(d2 < b2); n == filterBlock {
+					for _, d2 := range d2s[:] {
+						sum += triweightTerm(d2, invB2)
+					}
+					n, terms = 0, terms+filterBlock
 				}
 			}
-			return sum
+			for _, d2 := range d2s[:n] {
+				sum += triweightTerm(d2, invB2)
+			}
+			return sum, terms + n
 		}
 	case kernel.Gaussian:
 		lnW, floor := absorbBounds(ws)
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
 			key := math.Float64bits(sum) >> 52
 			thr := absorbThreshold(key, lnW, floor)
 			if ws != nil {
@@ -216,7 +369,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 						}
 					}
 				}
-				return sum
+				return sum, len(xs)
 			}
 			for i, x := range xs {
 				dx := x - qx
@@ -229,32 +382,63 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 					}
 				}
 			}
-			return sum
+			return sum, len(xs)
 		}
 	case kernel.Cosine:
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
-			if ws != nil {
+		// The kernel pass writes the survivors' cos arguments over d2s,
+		// cosQuarter turns them into math.Cos's values in one call, and
+		// the sum takes them in order.
+		if weighted {
+			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+				ys, ws = ys[:len(xs)], ws[:len(xs)]
+				var d2s, wb [filterBlock]float64
+				n, terms := 0, 0
 				for i, x := range xs {
 					dx := x - qx
 					dy := ys[i] - qy
-					if d2 := dx*dx + dy*dy; d2 < b2 {
-						sum += ws[i] * math.Cos(math.Pi/2*math.Sqrt(d2)*invB)
+					d2 := dx*dx + dy*dy
+					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
+					if n += b2i(d2 < b2); n == filterBlock {
+						cosQuarter(cosineArgs(d2s[:], invB))
+						for j, c := range d2s[:] {
+							sum += wb[j] * c
+						}
+						n, terms = 0, terms+filterBlock
 					}
 				}
-				return sum
+				cosQuarter(cosineArgs(d2s[:n], invB))
+				for j, c := range d2s[:n] {
+					sum += wb[j] * c
+				}
+				return sum, terms + n
 			}
+		}
+		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+			ys = ys[:len(xs)]
+			var d2s [filterBlock]float64
+			n, terms := 0, 0
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
-				if d2 := dx*dx + dy*dy; d2 < b2 {
-					sum += math.Cos(math.Pi / 2 * math.Sqrt(d2) * invB)
+				d2 := dx*dx + dy*dy
+				d2s[n&(filterBlock-1)] = d2
+				if n += b2i(d2 < b2); n == filterBlock {
+					cosQuarter(cosineArgs(d2s[:], invB))
+					for _, c := range d2s[:] {
+						sum += c
+					}
+					n, terms = 0, terms+filterBlock
 				}
 			}
-			return sum
+			cosQuarter(cosineArgs(d2s[:n], invB))
+			for _, c := range d2s[:n] {
+				sum += c
+			}
+			return sum, terms + n
 		}
 	case kernel.Exponential:
 		lnW, floor := absorbBounds(ws)
-		return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
 			key := math.Float64bits(sum) >> 52
 			thr := absorbThreshold(key, lnW, floor)
 			if ws != nil {
@@ -269,7 +453,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 						}
 					}
 				}
-				return sum
+				return sum, len(xs)
 			}
 			for i, x := range xs {
 				dx := x - qx
@@ -282,11 +466,11 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 					}
 				}
 			}
-			return sum
+			return sum, len(xs)
 		}
 	}
 	// Unreachable for kernels built with kernel.New; fall back to Eval2.
-	return func(sum, qx, qy float64, xs, ys, ws []float64) float64 {
+	return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
 		q := geom.Point{X: qx, Y: qy}
 		for i := range xs {
 			v := k.Eval2(geom.Point{X: xs[i], Y: ys[i]}.Dist2(q))
@@ -295,12 +479,12 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			}
 			sum += v
 		}
-		return sum
+		return sum, len(xs)
 	}
 }
 
 // evalSeg applies eval to the [lo, hi) segment of the columns.
-func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi int) float64 {
+func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi int) (float64, int) {
 	if ws != nil {
 		return eval(sum, qx, qy, xs[lo:hi], ys[lo:hi], ws[lo:hi])
 	}
@@ -369,7 +553,7 @@ func (c *columnarComputer) computeRow(iy int, row []float64) {
 		qx := g.CenterX(c.x0 + ix)
 		sum := 0.0
 		for _, ch := range c.cols.Chunks {
-			sum = evalSeg(c.eval, sum, qx, qy, xs, ys, ws, ch.Lo, ch.Hi)
+			sum, _ = evalSeg(c.eval, sum, qx, qy, xs, ys, ws, ch.Lo, ch.Hi)
 		}
 		row[ix] = sum
 	}
@@ -388,19 +572,21 @@ func (c *columnarComputer) computeRow(iy int, row []float64) {
 func (c *columnarComputer) scatterRow(iy int, row []float64) {
 	qy := c.opt.Grid.CenterY(iy)
 	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
-	nx := len(c.cx)
+	eval, cx, b2, x0 := c.eval, c.cx, c.b2, c.x0
+	row = row[:len(cx)]
 	clear(row)
 	for _, ch := range c.cols.Chunks {
-		if yd := yDist(qy, ch.BBox); yd*yd > c.b2 {
+		if yd := yDist(qy, ch.BBox); yd*yd > b2 {
 			continue
 		}
-		for i := ch.Lo; i < ch.Hi; i++ {
-			dy := ys[i] - qy
-			if dy*dy > c.b2 { // Cols' own skip, kept inline: most points take it
+		for k, y := range ys[ch.Lo:ch.Hi] {
+			dy := y - qy
+			if dy*dy > b2 { // Cols' own skip, kept inline: most points take it
 				continue
 			}
+			i := ch.Lo + k
 			lo, hi := c.fp.Cols(xs[i], dy)
-			lo, hi = max(lo-c.x0, 0), min(hi-c.x0, nx)
+			lo, hi = max(lo-x0, 0), min(hi-x0, len(cx))
 			if lo >= hi {
 				continue
 			}
@@ -408,8 +594,9 @@ func (c *columnarComputer) scatterRow(iy int, row []float64) {
 			if ws != nil {
 				pw = ws[i : i+1]
 			}
-			for ix := lo; ix < hi; ix++ {
-				row[ix] = c.eval(row[ix], c.cx[ix], qy, px, py, pw)
+			run := row[lo:hi]
+			for j, qx := range cx[lo:hi] {
+				run[j], _ = eval(run[j], qx, qy, px, py, pw)
 			}
 		}
 	}

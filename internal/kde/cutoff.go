@@ -1,6 +1,8 @@
 package kde
 
 import (
+	"sync/atomic"
+
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
@@ -13,8 +15,11 @@ import (
 // mean point count inside a support disc — the standard practical exact
 // accelerator. The scan iterates the index's cell-ordered coordinate
 // columns directly with the kernel specialised per type (no per-point
-// callback), visiting candidates in the same order the index's
-// ForEachInRange would, so results are bit-identical to the callback form.
+// callback), one cell row of the candidate block per call, visiting
+// candidates in the same order the index's ForEachInRange would, so
+// results are bit-identical to the callback form. The specialised loops
+// filter, then evaluate (chunkEvalFor), so the ~⅔ of candidates outside
+// the support disc cost no mispredicted branch.
 //
 // Infinite-support kernels (Gaussian, exponential) are outside the row's
 // kernel class: truncating them silently would violate exactness. Use
@@ -42,23 +47,36 @@ type cutoffComputer struct {
 	ws     []float64 // weights in the same slot order; nil when unweighted
 	eval   chunkEval
 	b      float64
+
+	// Summed over all rows, one add per row: kde.evaluate's candidates
+	// (slots scanned) and terms (slots inside the support).
+	candidates, terms atomic.Int64
 }
 
+// computeRow fills one raster row. Each pixel scans the cells
+// CellSpan(q, b) in row-major order, one eval call per cell row: cells
+// cx0..cx1 of row cy are one run of slots in the index's layout, so the
+// call sees the candidates in the same order a call per cell would.
 func (c *cutoffComputer) computeRow(iy int, row []float64) {
 	g := c.opt.Grid
 	qy := g.CenterY(iy)
+	var candidates, terms int
 	for ix := range row {
 		qx := g.CenterX(ix)
 		cx0, cx1, cy0, cy1 := c.idx.CellSpan(geom.Point{X: qx, Y: qy}, c.b)
 		sum := 0.0
 		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				lo, hi := c.idx.Cell(cx, cy)
-				if lo != hi {
-					sum = evalSeg(c.eval, sum, qx, qy, c.xs, c.ys, c.ws, lo, hi)
-				}
+			lo, _ := c.idx.Cell(cx0, cy)
+			_, hi := c.idx.Cell(cx1, cy)
+			if lo != hi {
+				var n int
+				sum, n = evalSeg(c.eval, sum, qx, qy, c.xs, c.ys, c.ws, lo, hi)
+				candidates += hi - lo
+				terms += n
 			}
 		}
 		row[ix] = sum
 	}
+	c.candidates.Add(int64(candidates))
+	c.terms.Add(int64(terms))
 }

@@ -356,8 +356,12 @@ func run(rc rowComputer, opt *Options, n int, scale float64) (*raster.Grid, erro
 	}); err != nil {
 		return nil, err
 	}
-	if bc, ok := rc.(*boundComputer); ok {
-		span.SetAttrInt("refinements", bc.expanded.Load())
+	switch c := rc.(type) {
+	case *boundComputer:
+		span.SetAttrInt("refinements", c.expanded.Load())
+	case *cutoffComputer:
+		span.SetAttrInt("candidates", c.candidates.Load())
+		span.SetAttrInt("terms", c.terms.Load())
 	}
 	//lint:allow floateq scale==1 is an exact sentinel for "no normalisation"
 	if scale != 1 {

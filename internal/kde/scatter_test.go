@@ -300,3 +300,22 @@ func FuzzNaiveScatter(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkNaiveScatter times naive's row scatter for every finite kernel
+// on one core: n = 100 000 clustered points, a 64² raster, b = 2 — the
+// path shard tiles run, one one-point eval call per footprint pixel.
+func BenchmarkNaiveScatter(b *testing.B) {
+	c := cols(clusteredPoints(42, 100000))
+	for _, kt := range finiteKernels {
+		b.Run(kt.String(), func(b *testing.B) {
+			opt := testOpts(kt, 2)
+			opt.Grid = geom.NewPixelGrid(box, 64, 64)
+			opt.Workers = 1
+			for i := 0; i < b.N; i++ {
+				if _, err := Evaluate(c, Naive, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

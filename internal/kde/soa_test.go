@@ -92,23 +92,33 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocs counts the naive evaluator's per-row allocations,
-// calls through the chunkEval function value included: none, for the
-// pixel-major gather (Gaussian, exponential) and for every finite kernel's
-// row scatter. Five chunks give the row several chunks to stream.
+// TestHotPathAllocs counts the exact evaluators' per-row allocations,
+// calls through the chunkEval function value included: none, for naive's
+// pixel-major gather (Gaussian, exponential), for every finite kernel's
+// row scatter, and for grid-cutoff's filtered scan with its counters, each
+// unweighted and weighted. Five chunks give the row several chunks to
+// stream.
 func TestHotPathAllocs(t *testing.T) {
-	c := cols(multiChunkPoints(13, 4*dataset.ChunkSize+100))
+	pts := multiChunkPoints(13, 4*dataset.ChunkSize+100)
 	row := make([]float64, 8)
 	for _, kt := range kernel.All() {
 		t.Run(kt.String(), func(t *testing.T) {
 			opt := testOpts(kt, 6)
 			opt.Grid = geom.NewPixelGrid(box, len(row), 4)
-			rc, _, err := buildNaive(c, &opt)
-			if err != nil {
-				t.Fatal(err)
+			build := []func(dataset.Columns, *Options) (rowComputer, float64, error){buildNaive}
+			if opt.Kernel.FiniteSupport() {
+				build = append(build, buildCutoff)
 			}
-			if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != 0 {
-				t.Errorf("computeRow allocates %v times per row, want 0", got)
+			for _, ws := range [][]float64{nil, mixedWeights(len(pts))} {
+				for _, b := range build {
+					rc, _, err := b(dataset.MakeColumns(pts, ws), &opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != 0 {
+						t.Errorf("%T.computeRow (weighted=%t) allocates %v times per row, want 0", rc, ws != nil, got)
+					}
+				}
 			}
 		})
 	}

@@ -72,20 +72,41 @@ func TestKDVSampledSameSeedBitIdentical(t *testing.T) {
 }
 
 func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
-	forSeeds(t, func(t *testing.T, seed int64) {
-		d := detValued(300)
-		candidates := []float64{4, 8, 16, 32}
-		first, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, seed)
-		if err != nil {
-			t.Fatal(err)
+	// A 20×15 lattice of spacing 5: every candidate in tied is below the
+	// spacing, so no held-out point has a training point in its support
+	// and all four score exactly the log floor. The first candidate must
+	// win every time — a winner taken in map order would vary run to run.
+	var lattice []Point
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 15; j++ {
+			lattice = append(lattice, Point{X: 2.5 + 5*float64(i), Y: 2.5 + 5*float64(j)})
 		}
-		for run := 0; run < 3; run++ {
-			again, err := SelectBandwidthCV(d.Points(), Quartic, candidates, 5, seed)
+	}
+	cases := []struct {
+		name       string
+		pts        []Point
+		candidates []float64
+	}{
+		{"csr", detValued(300).Points(), []float64{4, 8, 16, 32}},
+		{"tied", lattice, []float64{2, 1, 4, 3}},
+	}
+	forSeeds(t, func(t *testing.T, seed int64) {
+		for _, c := range cases {
+			first, err := SelectBandwidthCV(c.pts, Quartic, c.candidates, 5, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again != first {
-				t.Fatalf("run %d: bandwidth %v, first run chose %v", run, again, first)
+			if c.name == "tied" && first != c.candidates[0] {
+				t.Fatalf("%s: tied candidates chose %v, want the first, %v", c.name, first, c.candidates[0])
+			}
+			for run := 0; run < 10; run++ {
+				again, err := SelectBandwidthCV(c.pts, Quartic, c.candidates, 5, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again != first {
+					t.Fatalf("%s run %d: bandwidth %v, first run chose %v", c.name, run, again, first)
+				}
 			}
 		}
 	})
