@@ -146,13 +146,20 @@ smoke:
 # raster is byte-identical to the committed digest — the bit-for-bit
 # determinism claim, end to end over real HTTP — and (b) the workers'
 # /metrics show tile-windowed requests were actually served
-# (shard_tiles_total > 0, i.e. the run really was sharded).
+# (shard_tiles_total > 0, i.e. the run really was sharded). A K-function
+# leg then plots 10 bands with 19 simulations over the same workers and
+# asserts (c) the plot is byte-identical to its committed digest and (d)
+# the workers served it as ONE /v1/kfunction request, summed over both
+# (geostatd_requests_total{tool="kfunction"} = 1).
 SHARD_WORKERS = http://127.0.0.1:18094,http://127.0.0.1:18095
 define SHARD_RUN
 	/tmp/geogen.shard -kind clusters -n 2000 -seed 7 -out /tmp/shard_events.csv && \
 	/tmp/geoshard -workers $(SHARD_WORKERS) -in /tmp/shard_events.csv \
 	  -name smoke -tool kdv -kernel quartic -bandwidth 8 -width 64 -height 64 \
-	  -bbox 0,0,100,100 -tile 4x4 -out /tmp/shard_out.json
+	  -bbox 0,0,100,100 -tile 4x4 -out /tmp/shard_out.json && \
+	/tmp/geoshard -workers $(SHARD_WORKERS) -in /tmp/shard_events.csv \
+	  -name smoke -tool kfunction -smax 25 -steps 10 -sims 19 -seed 1 \
+	  -out /tmp/shard_kfunc_out.json
 endef
 
 shard-smoke:
@@ -174,10 +181,17 @@ shard-smoke:
 	t1=$$(curl -fs http://127.0.0.1:18094/metrics | awk '/^shard_tiles_total/ {print $$2}'); \
 	t2=$$(curl -fs http://127.0.0.1:18095/metrics | awk '/^shard_tiles_total/ {print $$2}'); \
 	[ $$(( $${t1:-0} + $${t2:-0} )) -gt 0 ] || { echo "workers served no tile windows"; exit 1; }; \
-	echo "shard-smoke OK (tiles served: $${t1:-0}+$${t2:-0})"
+	ksum=$$(sha256sum /tmp/shard_kfunc_out.json | awk '{print $$1}'); \
+	kwant=$$(cat scenarios/shard_kfunc_smoke.sha256); \
+	[ "$$ksum" = "$$kwant" ] || { echo "K-function output digest $$ksum != committed $$kwant"; exit 1; }; \
+	k1=$$(curl -fs http://127.0.0.1:18094/metrics | awk '/^geostatd_requests_total\{tool="kfunction"\}/ {print $$2}'); \
+	k2=$$(curl -fs http://127.0.0.1:18095/metrics | awk '/^geostatd_requests_total\{tool="kfunction"\}/ {print $$2}'); \
+	[ $$(( $${k1:-0} + $${k2:-0} )) -eq 1 ] || { echo "K-function plot took $${k1:-0}+$${k2:-0} worker requests, want 1"; exit 1; }; \
+	echo "shard-smoke OK (tiles served: $${t1:-0}+$${t2:-0}; K-function requests: $${k1:-0}+$${k2:-0})"
 
-# Regenerate the committed shard-smoke digest after an intentional change
-# to the merged-output format or the generator.
+# Regenerate the committed shard-smoke digests (the KDV raster's and the
+# K-function plot's) after an intentional change to an output format or
+# the generator.
 shard-baseline:
 	$(GO) build -o /tmp/geostatd.shard ./cmd/geostatd
 	$(GO) build -o /tmp/geoshard ./cmd/geoshard
@@ -192,4 +206,5 @@ shard-baseline:
 	[ $$ok = 1 ] || { echo "workers did not come up"; exit 1; }; \
 	$(SHARD_RUN) || exit 1; \
 	sha256sum /tmp/shard_out.json | awk '{print $$1}' > scenarios/shard_smoke.sha256 && \
-	echo "wrote scenarios/shard_smoke.sha256"
+	sha256sum /tmp/shard_kfunc_out.json | awk '{print $$1}' > scenarios/shard_kfunc_smoke.sha256 && \
+	echo "wrote scenarios/shard_smoke.sha256 scenarios/shard_kfunc_smoke.sha256"

@@ -71,7 +71,6 @@ func testOptions(t *testing.T, workers []string, in string) options {
 		steps:       10,
 		sims:        9,
 		seed:        1,
-		bands:       3,
 	}
 }
 

@@ -1,7 +1,9 @@
-// Command geoshard fans one KDV or K-function computation out over a
-// fleet of geostatd workers and merges the tile results into output
-// bit-identical to a single-node run — the scale-out path of ROADMAP
-// item 1.
+// Command geoshard runs one KDV or K-function computation over a fleet of
+// geostatd workers — the scale-out path of ROADMAP item 1. A KDV raster is
+// cut into tiles that fan out over the workers and merge into output
+// bit-identical to a single-node run; a K-function plot is placed on the
+// dataset's owner and computed there whole, as one request that retries
+// and fails over to a replica like a tile.
 //
 // Usage:
 //
@@ -10,11 +12,11 @@
 //	    -tile 4x4 [-normalize] [-out heatmap.json]
 //
 //	geoshard -workers http://a:8090,http://b:8090 -in events.csv \
-//	    -tool kfunction -smax 25 -steps 10 -sims 99 -seed 1 -bands 2
+//	    -tool kfunction -smax 25 -steps 10 -sims 99 -seed 1
 //
-// The merged result is written as JSON (stdout by default) in exactly the
-// shape a single geostatd would return for the equivalent request; a run
-// summary goes to stderr.
+// The result is written as JSON (stdout by default) in exactly the shape a
+// single geostatd would return for the equivalent request; a run summary
+// goes to stderr.
 package main
 
 import (
@@ -59,7 +61,6 @@ type options struct {
 	steps int
 	sims  int
 	seed  int64
-	bands int
 }
 
 func main() {
@@ -87,7 +88,6 @@ func main() {
 	flag.IntVar(&opt.steps, "steps", 10, "number of distance bands")
 	flag.IntVar(&opt.sims, "sims", 19, "Monte-Carlo envelope simulations")
 	flag.Int64Var(&opt.seed, "seed", 1, "envelope simulation seed")
-	flag.IntVar(&opt.bands, "bands", 1, "distance bands per worker request")
 	flag.Parse()
 
 	opt.workers = splitList(*workersArg)
@@ -235,17 +235,6 @@ func runKDV(c *shard.Coordinator, d *geostat.Dataset, opt options) (any, int, er
 	}, tx * ty, nil
 }
 
-// kfuncOut mirrors geostatd's /v1/kfunction response field-for-field.
-type kfuncOut struct {
-	Dataset string    `json:"dataset"`
-	S       []float64 `json:"s"`
-	K       []float64 `json:"k"`
-	Lo      []float64 `json:"lo"`
-	Hi      []float64 `json:"hi"`
-	Sims    int       `json:"sims"`
-	Regimes []string  `json:"regimes"`
-}
-
 func runKFunc(c *shard.Coordinator, d *geostat.Dataset, opt options) (any, int, error) {
 	smax := opt.smax
 	if smax == 0 {
@@ -265,19 +254,10 @@ func runKFunc(c *shard.Coordinator, d *geostat.Dataset, opt options) (any, int, 
 		Thresholds: thresholds,
 		Sims:       opt.sims,
 		Seed:       opt.seed,
-		Bands:      opt.bands,
 	}
 	res, err := c.KFunction(context.Background(), d, opt.name, req)
 	if err != nil {
 		return nil, 0, err
 	}
-	return &kfuncOut{
-		Dataset: opt.name,
-		S:       res.S,
-		K:       res.K,
-		Lo:      res.Lo,
-		Hi:      res.Hi,
-		Sims:    res.Sims,
-		Regimes: res.Regimes,
-	}, len(thresholds), nil
+	return res, len(thresholds), nil
 }

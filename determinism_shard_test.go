@@ -164,10 +164,11 @@ func tileParam(req shard.KDVRequest, id int) string {
 	return fmt.Sprintf("%d,%d,%d,%d", x0, y0, nx, ny)
 }
 
-// TestShardedKFunctionDeterminismMatrix sweeps band-batch sizes against
-// worker counts; the merged plot (including Monte-Carlo envelopes) must
-// equal the single-node plot exactly because simulation draws depend only
-// on (seed, sim index), never on the band partition.
+// TestShardedKFunctionDeterminismMatrix sweeps worker counts against the
+// faults that force the one K-function request to be retried or failed
+// over; the plot (including Monte-Carlo envelopes) must equal the
+// single-node plot exactly, whichever worker owns the dataset and on
+// whichever attempt the request lands.
 func TestShardedKFunctionDeterminismMatrix(t *testing.T) {
 	d := shardData(t, 180)
 	thresholds := []float64{4, 8, 12, 16, 20, 24, 28, 32, 36}
@@ -178,13 +179,29 @@ func TestShardedKFunctionDeterminismMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, bands := range []int{1, 2, 4, 9} {
+	faults := []struct {
+		name string
+		rule *shardtest.Rule // scripted once on every worker; nil is healthy
+	}{
+		{"healthy", nil},
+		{"503", &shardtest.Rule{Tool: "kfunction", Times: 1, Status: http.StatusServiceUnavailable}},
+		{"drop", &shardtest.Rule{Tool: "kfunction", Times: 1, DropMidBody: true}},
+		{"corrupt", &shardtest.Rule{Tool: "kfunction", Times: 1, Corrupt: true}},
+	}
+	for _, f := range faults {
 		for _, nw := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%d-bands_%d-workers", bands, nw)
+			name := fmt.Sprintf("%s_%d-workers", f.name, nw)
 			t.Run(name, func(t *testing.T) {
-				c, _ := shardCluster(t, nw, shard.Config{Replication: 2})
+				c, workers := shardCluster(t, nw, shard.Config{
+					Replication: 2, Retries: 3, Backoff: time.Millisecond,
+				})
+				if f.rule != nil {
+					for _, w := range workers {
+						w.Script(*f.rule)
+					}
+				}
 				got, err := c.KFunction(context.Background(), d, "det", shard.KFuncRequest{
-					Thresholds: thresholds, Sims: 4, Seed: 99, Bands: bands,
+					Thresholds: thresholds, Sims: 4, Seed: 99,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -193,6 +210,18 @@ func TestShardedKFunctionDeterminismMatrix(t *testing.T) {
 				sameBits(t, plot.K, got.K, name+" k")
 				sameBits(t, plot.Lo, got.Lo, name+" lo")
 				sameBits(t, plot.Hi, got.Hi, name+" hi")
+				if f.rule == nil {
+					return
+				}
+				// Each owner (one, or owner and replica) fails once
+				// before an attempt succeeds.
+				fired := 0
+				for _, w := range workers {
+					fired += w.Hits("status") + w.Hits("drop") + w.Hits("corrupt")
+				}
+				if want := min(nw, 2); fired != want {
+					t.Fatalf("%d faults fired, want %d", fired, want)
+				}
 			})
 		}
 	}

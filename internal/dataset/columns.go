@@ -129,17 +129,37 @@ func (c Columns) Gather(idx []int) Columns {
 }
 
 // FilterBox returns the points inside box (boundary inclusive) in their
-// original order, with the weight column carried along. Chunk aggregates
-// decide wholesale where they can: a chunk whose bounding box lies inside
-// box is bulk-copied, one that misses box is skipped, and only a chunk
-// straddling the edge is tested point by point — once: the test marks the
-// points inside in a bitset, 64 to a word (chunks start at multiples of
-// 64), and the copy visits only the marked ones, so a small view of a
-// large dataset pays one pass, not two. When every chunk lies inside, the
-// receiver itself is returned — same backing arrays, nothing allocated —
-// which is what a full-extent view or an already halo-filtered shard
-// subset hits.
+// original order, with the weight column carried along. When every chunk
+// lies inside box, the receiver itself is returned — same backing arrays,
+// nothing allocated — which is what a full-extent view or an already
+// halo-filtered shard subset hits.
 func (c Columns) FilterBox(box geom.BBox) Columns {
+	s := selectBox(c, box)
+	if s.n == c.N() {
+		// A chunk's box is tight, so every point inside means every chunk
+		// lies inside box: no point was tested.
+		return c
+	}
+	x, y, w := s.take(c.X), s.take(c.Y), s.take(c.W)
+	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+}
+
+// boxSelection is the set of points of some chunked columns that lie
+// inside a box. Chunk aggregates decide wholesale where they can: a chunk
+// whose bounding box lies inside the box is kept whole, one that misses it
+// is dropped, and only a chunk straddling the edge is tested point by
+// point — once: the test marks the points inside in a bitset, 64 to a word
+// (chunks start at multiples of 64), and take visits only the marked ones,
+// so a small view of a large dataset pays one pass, not two.
+type boxSelection struct {
+	box    geom.BBox
+	chunks []Chunk
+	in     []uint64 // straddling chunks' points inside box, one bit each
+	n      int      // selected points
+}
+
+// selectBox marks the points of c inside box.
+func selectBox(c Columns, box geom.BBox) boxSelection {
 	var in []uint64
 	n := 0
 	for _, ch := range c.Chunks {
@@ -162,41 +182,31 @@ func (c Columns) FilterBox(box geom.BBox) Columns {
 			}
 		}
 	}
-	if n == c.N() {
-		// A chunk's box is tight, so every point inside means every chunk
-		// took the first case: no point was tested.
-		return c
+	return boxSelection{box: box, chunks: c.Chunks, in: in, n: n}
+}
+
+// take returns a fresh column holding the selected entries of col, in
+// order; a nil column (an absent optional one) stays nil.
+func (s *boxSelection) take(col []float64) []float64 {
+	if col == nil {
+		return nil
 	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	var w []float64
-	if c.W != nil {
-		w = make([]float64, n)
-	}
+	out := make([]float64, s.n)
 	j := 0
-	for _, ch := range c.Chunks {
+	for _, ch := range s.chunks {
 		switch {
-		case box.ContainsBox(ch.BBox):
-			copy(x[j:], c.X[ch.Lo:ch.Hi])
-			copy(y[j:], c.Y[ch.Lo:ch.Hi])
-			if w != nil {
-				copy(w[j:], c.W[ch.Lo:ch.Hi])
-			}
-			j += ch.Hi - ch.Lo
-		case box.Intersects(ch.BBox):
+		case s.box.ContainsBox(ch.BBox):
+			j += copy(out[j:], col[ch.Lo:ch.Hi])
+		case s.box.Intersects(ch.BBox):
 			for lo := ch.Lo; lo < ch.Hi; lo += 64 {
-				for word := in[lo/64]; word != 0; word &= word - 1 {
-					i := lo + bits.TrailingZeros64(word)
-					x[j], y[j] = c.X[i], c.Y[i]
-					if w != nil {
-						w[j] = c.W[i]
-					}
+				for word := s.in[lo/64]; word != 0; word &= word - 1 {
+					out[j] = col[lo+bits.TrailingZeros64(word)]
 					j++
 				}
 			}
 		}
 	}
-	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+	return out
 }
 
 // inBox is 1 if (x, y) lies inside box, boundary inclusive exactly as

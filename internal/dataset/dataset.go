@@ -294,27 +294,18 @@ func subsetColumn(col []float64, idx []int) []float64 {
 }
 
 // FilterBox returns a new dataset with only the points inside box
-// (boundary inclusive), carrying the optional columns along. Chunks whose
-// bounding box misses box entirely are skipped without per-point tests.
+// (boundary inclusive), in their original order, carrying the optional
+// columns along. It selects through the same chunk-and-bitset pass as
+// Columns.FilterBox, so whole chunks are kept or skipped without
+// per-point tests.
 func (d *Dataset) FilterBox(box geom.BBox) *Dataset {
-	var idx []int
-	for _, ch := range d.chunks {
-		if !box.Intersects(ch.BBox) {
-			continue
-		}
-		if box.ContainsBox(ch.BBox) {
-			for i := ch.Lo; i < ch.Hi; i++ {
-				idx = append(idx, i)
-			}
-			continue
-		}
-		for i := ch.Lo; i < ch.Hi; i++ {
-			if box.Contains(geom.Point{X: d.x[i], Y: d.y[i]}) {
-				idx = append(idx, i)
-			}
-		}
+	s := selectBox(d.Columns(), box)
+	x, y, w := s.take(d.x), s.take(d.y), s.take(d.weights)
+	return &Dataset{
+		x: x, y: y, weights: w, chunks: buildChunks(x, y, w),
+		times:  s.take(d.times),
+		values: s.take(d.values),
 	}
-	return d.Subset(idx)
 }
 
 // FilterTime returns a new dataset with only the events whose time lies in

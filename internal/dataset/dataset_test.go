@@ -345,6 +345,64 @@ func TestFilterBox(t *testing.T) {
 	if empty := d.FilterBox(geom.EmptyBBox()); empty.N() != 0 {
 		t.Error("empty box filter should drop everything")
 	}
+
+	// Both filters against a point-by-point BBox.Contains reference, with
+	// every optional column attached, on boxes that meet the chunks in each
+	// way: a straddled chunk, every point inside, nothing inside.
+	r := rand.New(rand.NewSource(47))
+	n := 2*ChunkSize + 300
+	pts := make([]geom.Point, n)
+	times, values, weights := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
+		if i < ChunkSize {
+			pts[i].X *= 0.3 // chunk 0 lies left of x = 30
+		}
+		times[i], values[i], weights[i] = float64(i), r.NormFloat64(), 1+r.Float64()
+	}
+	full, err := New(pts, times, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.SetWeights(weights); err != nil {
+		t.Fatal(err)
+	}
+	boxes := []geom.BBox{
+		{MinX: -1, MinY: -1, MaxX: 40, MaxY: 101}, // chunk 0 inside, the rest straddle
+		{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},  // every point inside
+		{MinX: 200, MinY: 200, MaxX: 300, MaxY: 300},
+		geom.EmptyBBox(),
+	}
+	for i := 0; i < 20; i++ {
+		x0, y0 := r.Float64()*110-5, r.Float64()*110-5
+		boxes = append(boxes, geom.BBox{MinX: x0, MinY: y0, MaxX: x0 + r.Float64()*60, MaxY: y0 + r.Float64()*60})
+	}
+	for _, b := range boxes {
+		var idx []int
+		for i, p := range pts {
+			if b.Contains(p) {
+				idx = append(idx, i)
+			}
+		}
+		want := full.Subset(idx)
+		got := full.FilterBox(b)
+		if !reflect.DeepEqual(got.Columns().X, want.Columns().X) || !reflect.DeepEqual(got.Columns().Y, want.Columns().Y) ||
+			!reflect.DeepEqual(got.Times(), want.Times()) || !reflect.DeepEqual(got.Values(), want.Values()) ||
+			!reflect.DeepEqual(got.Weights(), want.Weights()) || !reflect.DeepEqual(got.Chunks(), want.Chunks()) {
+			t.Fatalf("box %+v: Dataset.FilterBox keeps %d points, reference %d, or other columns", b, got.N(), want.N())
+		}
+		if got.Digest() != want.Digest() {
+			t.Fatalf("box %+v: digest %.12s, reference %.12s", b, got.Digest(), want.Digest())
+		}
+		if got.N() > 0 && &got.Columns().X[0] == &full.Columns().X[0] {
+			t.Fatalf("box %+v: Dataset.FilterBox aliases its receiver", b)
+		}
+		cols := full.Columns().FilterBox(b)
+		if !reflect.DeepEqual(cols.X, want.Columns().X) || !reflect.DeepEqual(cols.Y, want.Columns().Y) ||
+			!reflect.DeepEqual(cols.W, want.Weights()) {
+			t.Fatalf("box %+v: Columns.FilterBox keeps %d points, reference %d, or in another order", b, cols.N(), want.N())
+		}
+	}
 }
 
 // TestColumnsFilterBox: the columnar filter keeps exactly the points

@@ -433,12 +433,13 @@ func (s *Server) computeKFunction(ctx context.Context, d *geostat.Dataset, p *pa
 	if !(smax > 0) {
 		return Value{}, fmt.Errorf("smax must be positive")
 	}
-	// thresholds=s1,s2,... evaluates an explicit distance-band subset —
-	// the shard coordinator's K-function fan-out unit. Counts per band are
-	// integers and each Monte-Carlo simulation draws its point pattern
-	// from the seed independently of the band list, so per-band results
-	// from any partition of the thresholds merge bit-identically into the
-	// single-node plot. Absent, the bands derive from smax/steps.
+	// thresholds=s1,s2,... evaluates an explicit distance-band list — the
+	// shard coordinator sends its whole plot this way, so the worker
+	// evaluates exactly the bands it planned. Counts per band are integers
+	// and each Monte-Carlo simulation draws its point pattern from the
+	// seed independently of the band list, so any subset of the bands
+	// reproduces those bands of the full plot bit for bit. Absent, the
+	// bands derive from smax/steps.
 	var thresholds []float64
 	if raw := p.str("thresholds", ""); raw != "" {
 		parts := strings.Split(raw, ",")

@@ -138,14 +138,3 @@ type heatmapResponse struct {
 	Sum     float64   `json:"sum"`
 	Values  []float64 `json:"values"`
 }
-
-// kfuncResponse is the worker's K-function JSON payload.
-type kfuncResponse struct {
-	Dataset string    `json:"dataset"`
-	S       []float64 `json:"s"`
-	K       []float64 `json:"k"`
-	Lo      []float64 `json:"lo"`
-	Hi      []float64 `json:"hi"`
-	Sims    int       `json:"sims"`
-	Regimes []string  `json:"regimes"`
-}

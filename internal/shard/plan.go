@@ -27,12 +27,6 @@ type KDVRequest struct {
 	// TilesX, TilesY split the raster into TilesX×TilesY tiles (balanced
 	// integer cuts). 0 means 1.
 	TilesX, TilesY int
-	// Halo is the margin (in coordinate units) around each tile's pixel
-	// box within which points are replicated to the tile. 0 derives the
-	// exact minimum — the kernel's support radius. A value below the
-	// support radius is a planning error: the tile would miss points that
-	// contribute to its edge pixels.
-	Halo float64
 	// Normalize applies NormConst/n scaling after the merge, replicating
 	// the single-node normalize=true surface. Workers always compute raw
 	// sums: the scale depends on the full point count, which no single
@@ -46,18 +40,18 @@ type KDVRequest struct {
 type Tile struct {
 	ID     int
 	Window geom.GridWindow
-	// HaloBox is the tile's pixel box padded by the halo margin,
-	// Grid.SupportBox(Window, halo). At the default halo — the support
-	// radius — it is the box the worker's kde.Evaluate clips to, so the
-	// tile subset passes through that clip untouched.
+	// HaloBox is the tile's pixel box padded by the kernel's support
+	// radius, Grid.SupportBox(Window, SupportRadius()) — the box the
+	// worker's kde.Evaluate clips to, so the tile subset passes through
+	// that clip untouched.
 	HaloBox geom.BBox
 	// Dataset is the worker-side dataset name for the tile's point
 	// subset: "<name>.<digest12>.t<id>", digest12 being the first 12 hex
 	// digits of Digest (empty for an empty tile, which is never uploaded).
 	// Naming by the SUBSET's content means a re-run over the same data
-	// reuses datasets already on the workers, while a different bandwidth,
-	// halo or tiling under the same logical name — a different subset —
-	// can never be mistaken for one already placed.
+	// reuses datasets already on the workers, while a different bandwidth
+	// or tiling under the same logical name — a different subset — can
+	// never be mistaken for one already placed.
 	Dataset string
 	// Digest is the expected content digest of the tile subset, checked
 	// against the worker before compute.
@@ -76,7 +70,6 @@ func (t *Tile) Empty() bool { return t.csv == nil }
 // KDVPlan is a validated tile decomposition for one KDVRequest.
 type KDVPlan struct {
 	Req   KDVRequest
-	Halo  float64
 	Tiles []Tile
 	// N is the full dataset's point count (the normalisation mass).
 	N int
@@ -114,16 +107,8 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 	if tx < 1 || tx > req.Grid.NX || ty < 1 || ty > req.Grid.NY {
 		return nil, fmt.Errorf("shard: %dx%d tiles over a %dx%d grid", tx, ty, req.Grid.NX, req.Grid.NY)
 	}
-	halo := req.Halo
-	if halo == 0 {
-		halo = req.Kernel.SupportRadius()
-	}
-	if halo < req.Kernel.SupportRadius() {
-		return nil, fmt.Errorf("shard: halo %g is below the kernel support radius %g; tile edge pixels would miss contributing points",
-			halo, req.Kernel.SupportRadius())
-	}
-
-	plan := &KDVPlan{Req: req, Halo: halo, N: d.N(), Tiles: make([]Tile, 0, tx*ty)}
+	halo := req.Kernel.SupportRadius()
+	plan := &KDVPlan{Req: req, N: d.N(), Tiles: make([]Tile, 0, tx*ty)}
 	for iy := 0; iy < ty; iy++ {
 		for ix := 0; ix < tx; ix++ {
 			win := geom.GridWindow{
@@ -179,36 +164,24 @@ type KFuncRequest struct {
 	// single-node plot to reproduce.
 	Thresholds []float64
 	// Sims is the Monte-Carlo envelope simulation count; Seed drives the
-	// simulation draws. Each simulation's point pattern depends only on
-	// (seed, sim index), never on the band list, so any partition of the
-	// bands yields the same per-band envelope.
+	// simulation draws.
 	Sims int
 	Seed int64
-	// Bands is the number of thresholds per worker request (the fan-out
-	// unit). 0 means one batch per band.
-	Bands int
 }
 
-// KFuncPlan is a validated band decomposition: contiguous threshold
-// batches over the full dataset, which every owner worker holds in full —
-// K-function pair counting has no spatial locality to exploit without
-// double-counting border pairs, so the "tile" unit is the band, not a
-// region.
+// KFuncPlan is a validated K-function request over the full dataset,
+// which one owner worker evaluates whole: pair counting has no spatial
+// locality to exploit without double-counting border pairs, and a split
+// of the band list would regenerate every Monte-Carlo simulation in every
+// part.
 type KFuncPlan struct {
 	Req     KFuncRequest
 	Dataset string // worker-side dataset name: "<name>.<digest12>"
 	Digest  string
-	Batches []Batch
 	csv     []byte
 }
 
-// Batch is one contiguous [Lo, Hi) slice of the threshold list.
-type Batch struct {
-	ID     int
-	Lo, Hi int
-}
-
-// PlanKFunc validates req and cuts the threshold list into batches.
+// PlanKFunc validates req and encodes the dataset for upload.
 func PlanKFunc(d *dataset.Dataset, name string, req KFuncRequest) (*KFuncPlan, error) {
 	if d == nil || d.N() == 0 {
 		return nil, fmt.Errorf("shard: empty dataset")
@@ -232,36 +205,25 @@ func PlanKFunc(d *dataset.Dataset, name string, req KFuncRequest) (*KFuncPlan, e
 	if req.Sims < 1 {
 		return nil, fmt.Errorf("shard: sims must be positive")
 	}
-	per := req.Bands
-	if per <= 0 {
-		per = 1
-	}
 	var buf bytes.Buffer
 	if err := dataset.WriteCSV(&buf, d); err != nil {
 		return nil, fmt.Errorf("shard: encode dataset: %w", err)
 	}
 	digest := d.Digest()
-	plan := &KFuncPlan{
+	return &KFuncPlan{
 		Req:     req,
 		Dataset: fmt.Sprintf("%s.%s", name, digest[:12]),
 		Digest:  digest,
 		csv:     buf.Bytes(),
-	}
-	for lo := 0; lo < len(req.Thresholds); lo += per {
-		hi := lo + per
-		if hi > len(req.Thresholds) {
-			hi = len(req.Thresholds)
-		}
-		plan.Batches = append(plan.Batches, Batch{ID: len(plan.Batches), Lo: lo, Hi: hi})
-	}
-	return plan, nil
+	}, nil
 }
 
-// batchQuery builds the worker request for one threshold batch.
-func (p *KFuncPlan) batchQuery(b *Batch) url.Values {
-	parts := make([]string, 0, b.Hi-b.Lo)
-	for _, s := range p.Req.Thresholds[b.Lo:b.Hi] {
-		parts = append(parts, formatF(s))
+// query builds the worker request for the whole plot. The threshold list
+// is explicit so the worker evaluates exactly the planned bands.
+func (p *KFuncPlan) query() url.Values {
+	parts := make([]string, len(p.Req.Thresholds))
+	for i, s := range p.Req.Thresholds {
+		parts[i] = formatF(s)
 	}
 	q := url.Values{}
 	q.Set("dataset", p.Dataset)

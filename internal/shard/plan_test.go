@@ -162,44 +162,6 @@ func TestTileSubsetPassesWorkerClipAliased(t *testing.T) {
 	}
 }
 
-// TestHaloOversizedStillExact: any halo at or above the support radius is
-// valid and exact (extra points contribute exactly zero to the window).
-func TestHaloOversizedStillExact(t *testing.T) {
-	d := planData(t, 9, 300)
-	k := kernel.MustNew(kernel.Epanechnikov, 12)
-	req := KDVRequest{
-		Kernel: k,
-		Grid:   geom.NewPixelGrid(planBox, 24, 20),
-		TilesX: 3, TilesY: 2,
-		Halo: k.SupportRadius() * 2.5,
-	}
-	plan, err := PlanKDV(d, "p", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := kde.Options{Kernel: k, Grid: req.Grid}
-	for _, tile := range plan.Tiles {
-		if tile.Empty() {
-			continue
-		}
-		wopt := opt
-		wopt.Window = tile.Window
-		full, err := kde.Evaluate(d.Columns(), kde.Naive, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := kde.Evaluate(d.FilterBox(tile.HaloBox).Columns(), kde.Naive, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range full.Values {
-			if math.Float64bits(full.Values[i]) != math.Float64bits(got.Values[i]) {
-				t.Fatalf("tile %d pixel %d differs with oversized halo", tile.ID, i)
-			}
-		}
-	}
-}
-
 func TestPlanKDVValidation(t *testing.T) {
 	d := planData(t, 3, 50)
 	grid := geom.NewPixelGrid(planBox, 16, 12)
@@ -232,9 +194,6 @@ func TestPlanKDVValidation(t *testing.T) {
 		{name: "negative tiles", d: d, ds: "p", mut: func(r *KDVRequest) {
 			r.TilesY = -1
 		}},
-		{name: "undersized halo", d: d, ds: "p", mut: func(r *KDVRequest) {
-			r.Halo = r.Kernel.SupportRadius() * 0.99
-		}},
 	}
 	for _, tc := range cases {
 		req := good
@@ -264,9 +223,9 @@ func TestPlanKDVValidation(t *testing.T) {
 	}
 }
 
-func TestPlanKFuncValidationAndBatches(t *testing.T) {
+func TestPlanKFuncValidation(t *testing.T) {
 	d := planData(t, 3, 50)
-	good := KFuncRequest{Thresholds: []float64{5, 10, 15, 20, 25}, Sims: 4, Seed: 1, Bands: 2}
+	good := KFuncRequest{Thresholds: []float64{5, 10, 15, 20, 25}, Sims: 4, Seed: 1}
 
 	bad := []struct {
 		name string
@@ -289,18 +248,9 @@ func TestPlanKFuncValidationAndBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batches must be contiguous, ordered, and cover [0, len) exactly.
-	next := 0
-	for i, b := range plan.Batches {
-		if b.ID != i || b.Lo != next || b.Hi <= b.Lo {
-			t.Fatalf("batch %d malformed: %+v (expected Lo=%d)", i, b, next)
-		}
-		next = b.Hi
-	}
-	if next != len(good.Thresholds) {
-		t.Fatalf("batches cover [0,%d), want [0,%d)", next, len(good.Thresholds))
-	}
-	if len(plan.Batches) != 3 { // 2+2+1
-		t.Fatalf("%d batches, want 3", len(plan.Batches))
+	// One request carries every band, in order, each spelled so the
+	// worker parses back the identical float64.
+	if got, want := plan.query().Get("thresholds"), "5,10,15,20,25"; got != want {
+		t.Fatalf("thresholds=%q, want %q", got, want)
 	}
 }

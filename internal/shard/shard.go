@@ -1,11 +1,11 @@
 // Package shard implements the scale-out coordinator for geostat's
 // distributed tile execution (ROADMAP item 1): it splits a KDV raster
-// into pixel-window tiles with halo-replicated point subsets (and a
-// K-function plot into distance-band batches), places the per-tile
-// datasets on geostatd workers with a consistent-hash ring, fans the work
-// out over the workers' HTTP API with per-tile timeouts, bounded retries
-// and replica failover, and merges the partial results into output that
-// is bit-identical to a single-node run.
+// into pixel-window tiles with halo-replicated point subsets, places the
+// per-tile datasets on geostatd workers with a consistent-hash ring, fans
+// the work out over the workers' HTTP API with per-tile timeouts, bounded
+// retries and replica failover, and merges the partial results into
+// output that is bit-identical to a single-node run. A K-function plot
+// is placed the same way and sent whole to one owner.
 //
 // The exactness argument (see DESIGN.md "Sharded execution"):
 //
@@ -18,9 +18,8 @@
 //     skips zero terms rather than adding them, so the subset sum equals
 //     the full sum, bit for bit. Order is preserved by the filter, fixing
 //     the IEEE accumulation order.
-//   - K-function band counts are integers and the Monte-Carlo envelope
-//     draws each simulation's pattern from (seed, sim index) independent
-//     of the band list, so any band partition merges exactly.
+//   - A K-function plot is one worker request over the full dataset and
+//     the full threshold list, so it is the single-node computation.
 //
 // Concurrency and cleanup obey the repo's obligation gates: fan-out runs
 // through internal/parallel (no raw goroutines), every per-attempt
@@ -62,8 +61,6 @@ type Config struct {
 	Timeout time.Duration
 	// Concurrency caps in-flight tiles; <= 0 means 2 per worker.
 	Concurrency int
-	// Vnodes is the ring's virtual node count per worker; <= 0 means 64.
-	Vnodes int
 	// Client is the HTTP client; nil means http.DefaultClient. Tests
 	// inject httptest clients here.
 	Client *http.Client
@@ -95,7 +92,7 @@ type Coordinator struct {
 
 // New validates cfg and returns a Coordinator.
 func New(cfg Config) (*Coordinator, error) {
-	ring, err := NewRing(cfg.Workers, cfg.Vnodes)
+	ring, err := NewRing(cfg.Workers, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -235,17 +232,22 @@ func (c *Coordinator) computeTile(ctx context.Context, plan *KDVPlan, t *Tile) (
 	return vals, nil
 }
 
-// KFuncResult is a merged sharded K-function plot, field-for-field the
-// single-node serve payload.
+// KFuncResult is a sharded K-function plot: the single-node serve
+// payload, field for field, with Dataset the logical name.
 type KFuncResult struct {
-	S, K, Lo, Hi []float64
-	Sims         int
-	Regimes      []string
+	Dataset string    `json:"dataset"`
+	S       []float64 `json:"s"`
+	K       []float64 `json:"k"`
+	Lo      []float64 `json:"lo"`
+	Hi      []float64 `json:"hi"`
+	Sims    int       `json:"sims"`
+	Regimes []string  `json:"regimes"`
 }
 
-// KFunction runs one sharded K-function computation and returns the
-// merged plot, bit-identical to the single-node evaluation of the full
-// threshold list.
+// KFunction places the full dataset and sends the whole threshold list to
+// one owner as one /v1/kfunction request, retried and failed over like a
+// tile. The plot is the single-node evaluation of the full threshold
+// list, bit for bit.
 func (c *Coordinator) KFunction(ctx context.Context, d *dataset.Dataset, name string, req KFuncRequest) (*KFuncResult, error) {
 	ctx, span := obs.Trace(ctx, "shard.kfunction")
 	defer span.End()
@@ -253,63 +255,34 @@ func (c *Coordinator) KFunction(ctx context.Context, d *dataset.Dataset, name st
 	if err != nil {
 		return nil, err
 	}
-	span.SetAttrInt("batches", int64(len(plan.Batches)))
+	c.gInflight.Add(1)
+	defer c.gInflight.Add(-1)
 
 	n := len(req.Thresholds)
-	res := &KFuncResult{
-		S: make([]float64, n), K: make([]float64, n),
-		Lo: make([]float64, n), Hi: make([]float64, n),
-		Sims: req.Sims, Regimes: make([]string, n),
-	}
-	err = c.dispatch(ctx, len(plan.Batches), func(bctx context.Context, i int) error {
-		b := &plan.Batches[i]
-		if berr := c.computeBands(bctx, plan, b, res); berr != nil {
-			return fmt.Errorf("bands [%d,%d): %w", b.Lo, b.Hi, berr)
+	var res KFuncResult
+	err = c.withRetry(ctx, plan.Dataset, func(actx context.Context, worker string) error {
+		if eerr := c.ensure(actx, worker, plan.Dataset, plan.Digest, plan.csv); eerr != nil {
+			return eerr
 		}
+		var resp KFuncResult
+		if gerr := c.getJSON(actx, worker, "/v1/kfunction", plan.query(), &resp); gerr != nil {
+			c.forgetIfLost(gerr, worker, plan.Dataset)
+			return gerr
+		}
+		if len(resp.S) != n || len(resp.K) != n || len(resp.Lo) != n ||
+			len(resp.Hi) != n || len(resp.Regimes) != n {
+			return fmt.Errorf("shard: corrupt K-function payload: %d/%d/%d/%d/%d entries, want %d",
+				len(resp.S), len(resp.K), len(resp.Lo), len(resp.Hi), len(resp.Regimes), n)
+		}
+		res = resp
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// computeBands runs one threshold batch and writes its slice of the
-// result in place (batches never overlap).
-func (c *Coordinator) computeBands(ctx context.Context, plan *KFuncPlan, b *Batch, res *KFuncResult) error {
-	ctx, span := obs.Trace(ctx, "shard.bands")
-	defer span.End()
-	span.SetAttrInt("batch", int64(b.ID))
-	c.gInflight.Add(1)
-	defer c.gInflight.Add(-1)
-
-	err := c.withRetry(ctx, plan.Dataset, func(actx context.Context, worker string) error {
-		if err := c.ensure(actx, worker, plan.Dataset, plan.Digest, plan.csv); err != nil {
-			return err
-		}
-		var resp kfuncResponse
-		if err := c.getJSON(actx, worker, "/v1/kfunction", plan.batchQuery(b), &resp); err != nil {
-			c.forgetIfLost(err, worker, plan.Dataset)
-			return err
-		}
-		want := b.Hi - b.Lo
-		if len(resp.S) != want || len(resp.K) != want || len(resp.Lo) != want ||
-			len(resp.Hi) != want || len(resp.Regimes) != want {
-			return fmt.Errorf("shard: corrupt band payload: %d/%d/%d/%d/%d entries, want %d",
-				len(resp.S), len(resp.K), len(resp.Lo), len(resp.Hi), len(resp.Regimes), want)
-		}
-		copy(res.S[b.Lo:b.Hi], resp.S)
-		copy(res.K[b.Lo:b.Hi], resp.K)
-		copy(res.Lo[b.Lo:b.Hi], resp.Lo)
-		copy(res.Hi[b.Lo:b.Hi], resp.Hi)
-		copy(res.Regimes[b.Lo:b.Hi], resp.Regimes)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	c.mBands.Add(int64(b.Hi - b.Lo))
-	return nil
+	c.mBands.Add(int64(n))
+	res.Dataset = name
+	return &res, nil
 }
 
 // dispatch fans n jobs out with the configured concurrency. The first

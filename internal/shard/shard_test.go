@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -106,10 +107,12 @@ func TestShardedKDVBitIdenticalAcrossWorkers(t *testing.T) {
 	assertBitIdentical(t, want, gotN.Values, "sharded normalized")
 }
 
+// TestShardedKFunctionBitIdentical: the whole payload, regimes included,
+// is the single-node plot's, and it names the logical dataset.
 func TestShardedKFunctionBitIdentical(t *testing.T) {
 	d := testData(7, 200)
 	thresholds := []float64{5, 10, 15, 20, 25, 30}
-	req := shard.KFuncRequest{Thresholds: thresholds, Sims: 5, Seed: 11, Bands: 2}
+	req := shard.KFuncRequest{Thresholds: thresholds, Sims: 5, Seed: 11}
 
 	// The single-node reference is exactly what one geostatd computes.
 	plot, err := kfunc.MakePlot(d.Points(), kfunc.PlotOptions{
@@ -128,6 +131,79 @@ func TestShardedKFunctionBitIdentical(t *testing.T) {
 	assertBitIdentical(t, plot.K, got.K, "k")
 	assertBitIdentical(t, plot.Lo, got.Lo, "lo")
 	assertBitIdentical(t, plot.Hi, got.Hi, "hi")
+	if got.Dataset != "ev" || got.Sims != plot.Sim {
+		t.Fatalf("dataset %q, sims %d, want \"ev\", %d", got.Dataset, got.Sims, plot.Sim)
+	}
+	if len(got.Regimes) != len(thresholds) {
+		t.Fatalf("%d regimes, want %d", len(got.Regimes), len(thresholds))
+	}
+	for i, r := range got.Regimes {
+		if want := plot.RegimeAt(i).String(); r != want {
+			t.Fatalf("regime %d = %q, want %q", i, r, want)
+		}
+	}
+}
+
+// TestShardedKFunctionIsOneRequest: a plot of many bands is one
+// /v1/kfunction request to the dataset's owner, and when that owner
+// answers 503 the one request fails over to the replica without changing
+// a bit of the plot.
+func TestShardedKFunctionIsOneRequest(t *testing.T) {
+	d := testData(7, 200)
+	thresholds := []float64{4, 8, 12, 16, 20, 24, 28, 32}
+	req := shard.KFuncRequest{Thresholds: thresholds, Sims: 5, Seed: 11}
+	plot, err := kfunc.MakePlot(d.Points(), kfunc.PlotOptions{
+		Thresholds: thresholds, Simulations: 5,
+	}, parallel.NewRand(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, workers, client := cluster(t, 2, shard.Config{
+		Replication: 2, Retries: 1, Backoff: time.Millisecond,
+	})
+	served := func() []int64 {
+		n := make([]int64, len(workers))
+		for i, w := range workers {
+			n[i] = workerCounter(t, client, w.URL(), `geostatd_requests_total{tool="kfunction"}`)
+		}
+		return n
+	}
+	check := func(label string) {
+		t.Helper()
+		got, err := c.KFunction(context.Background(), d, "ev", req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertBitIdentical(t, plot.S, got.S, label+" s")
+		assertBitIdentical(t, plot.K, got.K, label+" k")
+		assertBitIdentical(t, plot.Lo, got.Lo, label+" lo")
+		assertBitIdentical(t, plot.Hi, got.Hi, label+" hi")
+		if got.Dataset != "ev" || got.Sims != 5 || len(got.Regimes) != len(thresholds) {
+			t.Fatalf("%s: dataset %q, sims %d, %d regimes", label, got.Dataset, got.Sims, len(got.Regimes))
+		}
+	}
+
+	check("healthy")
+	first := served()
+	if first[0]+first[1] != 1 {
+		t.Fatalf("one plot of %d bands made %d+%d kfunction requests, want 1", len(thresholds), first[0], first[1])
+	}
+	owner, replica := 0, 1
+	if first[1] == 1 {
+		owner, replica = 1, 0
+	}
+
+	// The owner refuses once: the request must move to the replica.
+	workers[owner].Script(shardtest.Rule{Tool: "kfunction", Times: 1, Status: http.StatusServiceUnavailable})
+	check("after a 503")
+	second := served()
+	if workers[owner].Hits("status") != 1 || second[owner] != first[owner] || second[replica] != first[replica]+1 {
+		t.Fatalf("after a 503 on the owner: %d faults, served %v -> %v, want the replica to serve one request",
+			workers[owner].Hits("status"), first, second)
+	}
+	if f := counterValue(t, c, "shard_failovers_total"); f != 1 {
+		t.Fatalf("shard_failovers_total = %d, want 1", f)
+	}
 }
 
 func TestRetryOn503(t *testing.T) {
@@ -301,6 +377,31 @@ func TestSameNameNewSubsetsNeverReuseStaleTiles(t *testing.T) {
 	// for both bandwidths, so the second one re-uses the placed content.
 	run("b=200 1x1", 200, 1, 1, true)
 	run("b=300 1x1", 300, 1, 1, false)
+}
+
+// workerCounter reads one sample out of a worker's /metrics page; an
+// absent sample reads 0.
+func workerCounter(t *testing.T, client *http.Client, worker, sample string) int64 {
+	t.Helper()
+	resp, err := client.Get(worker + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 // counterValue reads one counter out of the coordinator's /metrics text.

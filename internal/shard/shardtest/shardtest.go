@@ -172,8 +172,8 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	case rule.Corrupt:
 		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusOK)
-		// Shape never matches any real tile or band batch: the value
-		// count disagrees with the claimed dimensions.
+		// Shape never matches any real tile or K-function plot: the
+		// value count disagrees with the claimed dimensions.
 		_, _ = rw.Write([]byte(`{"width":2,"height":2,"values":[0.25],"s":[1],"k":[]}`))
 		return
 	}
