@@ -95,7 +95,6 @@ fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s
 	$(GO) test ./internal/network -run '^$$' -fuzz FuzzReadEdgeCSV -fuzztime 10s
-	$(GO) test ./internal/lint/cfg -run '^$$' -fuzz FuzzBuild -fuzztime 10s
 	$(GO) test ./internal/index/kdtree -run '^$$' -fuzz FuzzKNearestBruteForce -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzChunkEvalAbsorbed -fuzztime 10s

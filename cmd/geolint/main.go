@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	geolint [-only name[,name]] [-list] [-json] [-sarif] [-o file] [packages]
+//	geolint [-only name[,name]] [-list] [-sarif] [-o file] [packages]
 //	geolint -debt [-debt-baseline lint_debt.json] [-o file]
 //
 // -debt inventories every //lint:allow directive into a JSON debt report
@@ -42,9 +42,8 @@ func main() {
 		only      = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 		list      = flag.Bool("list", false, "list analyzers and exit")
 		dirFlag   = flag.String("C", ".", "directory inside the module to lint")
-		jsonFlag  = flag.Bool("json", false, "emit findings as a JSON array")
 		sarifFlag = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (for code scanning upload)")
-		outFlag   = flag.String("o", "", "write the -json/-sarif/-debt report to file (text findings still print to stdout)")
+		outFlag   = flag.String("o", "", "write the -sarif/-debt report to file (text findings still print to stdout)")
 		debtFlag  = flag.Bool("debt", false, "inventory //lint:allow suppressions as JSON instead of running analyzers")
 		debtBase  = flag.String("debt-baseline", "", "with -debt: diff against this committed budget and fail on growth")
 	)
@@ -55,9 +54,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonFlag && *sarifFlag {
-		fatalf("choose one of -json and -sarif")
 	}
 
 	analyzers := lint.Analyzers()
@@ -130,16 +126,10 @@ func main() {
 	}
 
 	var report []byte
-	switch {
-	case *sarifFlag:
-		report, err = lint.SARIF(analyzers, findings)
-	case *jsonFlag:
-		report, err = lint.JSONReport(findings)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if report != nil {
+	if *sarifFlag {
+		if report, err = lint.SARIF(analyzers, findings); err != nil {
+			fatalf("%v", err)
+		}
 		report = append(report, '\n')
 	}
 	// With -o the structured report goes to the file and the human-readable

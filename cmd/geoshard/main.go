@@ -171,18 +171,6 @@ func run(opt options, errw io.Writer) error {
 	return nil
 }
 
-// heatmapOut mirrors geostatd's /v1/kdv response field-for-field.
-type heatmapOut struct {
-	Dataset string    `json:"dataset"`
-	Method  string    `json:"method"`
-	Width   int       `json:"width"`
-	Height  int       `json:"height"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	Sum     float64   `json:"sum"`
-	Values  []float64 `json:"values"`
-}
-
 func runKDV(c *shard.Coordinator, d *geostat.Dataset, opt options) (any, int, error) {
 	kt, err := geostat.ParseKernel(opt.kernelArg)
 	if err != nil {
@@ -223,7 +211,7 @@ func runKDV(c *shard.Coordinator, d *geostat.Dataset, opt options) (any, int, er
 		return nil, 0, err
 	}
 	lo, hi := g.MinMax()
-	return &heatmapOut{
+	return &shard.KDVResult{
 		Dataset: opt.name,
 		Method:  "naive",
 		Width:   opt.width,

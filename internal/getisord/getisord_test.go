@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/weights"
 )
@@ -21,8 +22,7 @@ func gridPoints(n int) []geom.Point {
 
 func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 	t.Helper()
-	xs, ys := geom.SplitXY(pts)
-	w, err := weights.DistanceBand(xs, ys, 1.0, -1)
+	w, _, err := weights.DistanceBandDataset(dataset.FromPoints(pts), 1.0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

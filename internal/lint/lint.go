@@ -37,11 +37,10 @@
 //     calls carrying the may-block fact (the statically-checkable half of
 //     the PR-4 registry race class).
 //
-// Since the v3 upgrade, geolint is also path-sensitive: internal/lint/cfg
-// builds an intraprocedural control-flow graph per function, and the
-// obligation engine (obligation.go) checks "acquired here must be
-// released on every path to return" over it. Two analyzers ride the
-// engine:
+// Since the v3 upgrade, geolint is also path-sensitive: the obligation
+// engine (obligation.go) walks each function body's syntax tree and
+// checks "acquired here must be released on every path to return". Two
+// analyzers ride the engine:
 //
 //   - bodyclose — every http.Response body is closed on all paths;
 //   - unlockpath — a locked Mutex/RWMutex is unlocked on every exit path

@@ -6,17 +6,16 @@ import (
 	"go/types"
 
 	"geostat/internal/lint/analysis"
-	"geostat/internal/lint/cfg"
 )
 
 // The obligation engine: a generic path-sensitive "acquire must be
-// released on every path to return" analysis over the CFGs built by
-// internal/lint/cfg. bodyclose and unlockpath are thin configurations of
-// this engine.
+// released on every path to return" analysis over each function body's
+// syntax tree. bodyclose and unlockpath are thin configurations of this
+// engine.
 //
-// Model. An acquisition (client.Do, mu.Lock) creates an obligation.
-// Starting from the acquisition point the engine explores every
-// control-flow path forward; a path is discharged when it
+// Model. An acquisition (client.Do, mu.Lock) creates an obligation. The
+// engine follows it through every control-flow path forward from the
+// acquisition (see walker); a path is discharged when it
 //
 //   - releases the obligation (resp.Body.Close(), mu.Unlock());
 //   - registers a deferred release (`defer resp.Body.Close()`, including a
@@ -72,7 +71,7 @@ type oblig struct {
 
 // obRule configures the engine for one analyzer.
 type obRule struct {
-	// acquisitions inspects one CFG node and returns the obligations it
+	// acquisitions inspects one node and returns the obligations it
 	// creates. It may call pass.Reportf directly for acquisitions that
 	// are wrong at birth (a discarded response).
 	acquisitions func(pass *analysis.Pass, node ast.Node) []*oblig
@@ -84,7 +83,7 @@ type obRule struct {
 }
 
 // runObligations applies rule to every function and function literal in
-// the pass — each gets its own CFG and its own obligation tracking.
+// the pass — each body is walked on its own.
 func runObligations(pass *analysis.Pass, rule *obRule) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -102,103 +101,261 @@ func runObligations(pass *analysis.Pass, rule *obRule) error {
 	return nil
 }
 
-// checkFuncObligations builds the function's CFG, finds every
-// acquisition, and tracks each obligation to all exits.
+// checkFuncObligations finds every acquisition in one function body,
+// then walks the body once per obligation and reports those that reach
+// a return, or the end of the body, still pending.
 func checkFuncObligations(pass *analysis.Pass, rule *obRule, body *ast.BlockStmt) {
-	g := cfg.New(body, cfg.Options{NoReturn: func(call *ast.CallExpr) bool {
-		return noReturnCall(pass, call)
-	}})
-	for _, blk := range g.Blocks {
-		for i, node := range blk.Nodes {
-			for _, ob := range rule.acquisitions(pass, node) {
-				if leaks(pass, rule, g, ob, blk, i+1) {
-					pass.Reportf(ob.pos, "%s", rule.leak(ob))
-				}
-			}
+	found := &walker{pass: pass, rule: rule}
+	found.list(body.List, false)
+	for _, a := range found.acquired {
+		w := &walker{pass: pass, rule: rule, ob: a.ob, at: a.node}
+		if w.list(body.List, false) || w.leaked {
+			pass.Reportf(a.ob.pos, "%s", rule.leak(a.ob))
 		}
 	}
 }
 
-// leaks explores every path from the acquisition forward. Returns true
-// iff some path reaches the normal exit with the obligation pending.
-func leaks(pass *analysis.Pass, rule *obRule, g *cfg.Graph, ob *oblig, start *cfg.Block, startIdx int) bool {
-	type item struct {
-		b   *cfg.Block
-		idx int
+// walker follows one obligation through a function body as a single
+// bit: "some path reaches here with it pending". Every walk method takes
+// the bit on entry to a statement and returns it on the statement's
+// normal exit; a path that leaves by return, break, continue, goto or
+// panic contributes false there. goto is not followed: no file in the
+// module uses it. With ob nil the walk only collects acquisitions; the
+// bit then stays false, so every statement is visited exactly once.
+type walker struct {
+	pass *analysis.Pass
+	rule *obRule
+	ob   *oblig
+	at   ast.Node // ob's acquisition node
+	// leaked is set when a return is reached with the bit set.
+	leaked   bool
+	acquired []acquisition
+	frames   []*frame
+	labels   map[string]ast.Stmt
+}
+
+type acquisition struct {
+	ob   *oblig
+	node ast.Node
+}
+
+// frame is one enclosing for, range, switch or select: the OR of the
+// bit at the breaks (and, for a loop, the continues) that target it.
+type frame struct {
+	stmt      ast.Stmt
+	loop      bool
+	brk, cont bool
+}
+
+// node runs one node: a simple statement, a return, or a branch
+// condition, switch tag, case expression or range operand.
+func (w *walker) node(n ast.Node, in bool) bool {
+	if n == nil {
+		return in
 	}
-	visited := make([]bool, len(g.Blocks))
-	work := []item{{start, startIdx}}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		resolved := false
-		for j := it.idx; j < len(it.b.Nodes); j++ {
-			if nodeResolves(pass, rule, ob, it.b.Nodes[j]) {
-				resolved = true
-				break
+	if w.ob == nil {
+		for _, ob := range w.rule.acquisitions(w.pass, n) {
+			w.acquired = append(w.acquired, acquisition{ob, n})
+		}
+		return false
+	}
+	if n == w.at {
+		return true
+	}
+	return in && !nodeResolves(w.pass, w.rule, w.ob, n)
+}
+
+func (w *walker) list(list []ast.Stmt, in bool) bool {
+	for _, s := range list {
+		in = w.stmt(s, in)
+	}
+	return in
+}
+
+func (w *walker) stmt(s ast.Stmt, in bool) bool {
+	switch s := s.(type) {
+	case nil:
+		return in
+	case *ast.BlockStmt:
+		return w.list(s.List, in)
+	case *ast.LabeledStmt:
+		if w.labels == nil {
+			w.labels = map[string]ast.Stmt{}
+		}
+		w.labels[s.Label.Name] = s.Stmt
+		return w.stmt(s.Stmt, in)
+	case *ast.ReturnStmt:
+		if w.node(s, in) {
+			w.leaked = true
+		}
+		return false
+	case *ast.BranchStmt:
+		if bit := w.target(s); bit != nil {
+			*bit = *bit || in
+		}
+		return false
+	case *ast.IfStmt:
+		in = w.node(s.Cond, w.stmt(s.Init, in))
+		then, els := w.split(s.Cond, in)
+		then = w.stmt(s.Body, then)
+		return w.stmt(s.Else, els) || then
+	case *ast.ForStmt:
+		return w.loop(s, w.stmt(s.Init, in), s.Cond, s.Body, s.Post)
+	case *ast.RangeStmt:
+		return w.loop(s, in, s.X, s.Body, nil)
+	case *ast.SwitchStmt:
+		return w.clauses(s, s.Body, w.node(s.Tag, w.stmt(s.Init, in)))
+	case *ast.TypeSwitchStmt:
+		return w.clauses(s, s.Body, w.node(s.Assign, w.stmt(s.Init, in)))
+	case *ast.SelectStmt:
+		f := w.push(s, false)
+		out := false
+		for _, c := range s.Body.List {
+			cc := c.(*ast.CommClause)
+			out = w.list(cc.Body, w.stmt(cc.Comm, in)) || out
+		}
+		w.pop()
+		return out || f.brk
+	default:
+		return w.node(s, in) && !w.endsPath(s)
+	}
+}
+
+// loop walks a loop until the bit at its head stops growing. The head
+// evaluates cond (a for condition, or a range operand; nil for a for
+// with no condition, which only break leaves); continue and the end of
+// the body run post, then return to the head.
+func (w *walker) loop(s ast.Stmt, in bool, cond ast.Expr, body *ast.BlockStmt, post ast.Stmt) bool {
+	f := w.push(s, true)
+	exit := false
+	for head := in; ; {
+		b, e := w.split(cond, w.node(cond, head))
+		exit = exit || e && cond != nil
+		end := w.stmt(body, b)
+		next := w.stmt(post, end || f.cont) || in
+		if next == head {
+			break
+		}
+		head = next
+	}
+	w.pop()
+	return exit || f.brk
+}
+
+// clauses walks a switch or type switch body: every clause starts from
+// the tag's bit, a trailing fallthrough carries a clause's bit into the
+// next one, and without a default the bit also skips every clause.
+func (w *walker) clauses(s ast.Stmt, body *ast.BlockStmt, in bool) bool {
+	f := w.push(s, false)
+	_, exprs := s.(*ast.SwitchStmt)
+	out, carry, hasDefault := false, false, false
+	for _, c := range body.List {
+		cc := c.(*ast.CaseClause)
+		hasDefault = hasDefault || cc.List == nil
+		bit := in || carry
+		if exprs {
+			for _, e := range cc.List {
+				bit = w.node(e, bit)
 			}
 		}
-		if resolved {
+		stmts := cc.Body
+		fall := false
+		if n := len(stmts); n > 0 {
+			if br, ok := stmts[n-1].(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
+				fall, stmts = true, stmts[:n-1]
+			}
+		}
+		bit = w.list(stmts, bit)
+		if carry = fall && bit; !fall {
+			out = out || bit
+		}
+	}
+	w.pop()
+	return out || f.brk || in && !hasDefault
+}
+
+func (w *walker) push(s ast.Stmt, loop bool) *frame {
+	f := &frame{stmt: s, loop: loop}
+	w.frames = append(w.frames, f)
+	return f
+}
+
+func (w *walker) pop() { w.frames = w.frames[:len(w.frames)-1] }
+
+// target resolves a break or continue to the bit it feeds in its frame:
+// the labeled statement's when there is a label, else the innermost
+// frame's (the innermost loop's for continue). goto and fallthrough have
+// none.
+func (w *walker) target(s *ast.BranchStmt) *bool {
+	if s.Tok != token.BREAK && s.Tok != token.CONTINUE {
+		return nil
+	}
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		f := w.frames[i]
+		if s.Label != nil && f.stmt != w.labels[s.Label.Name] || s.Label == nil && !f.loop && s.Tok == token.CONTINUE {
 			continue
 		}
-		if it.b == g.Exit {
-			return true
+		if s.Tok == token.BREAK {
+			return &f.brk
 		}
-		for si, s := range it.b.Succs {
-			if s == g.Panic {
-				continue // abnormal exit: defers ran, process is going away
-			}
-			if branchWaives(pass, ob, it.b, si) {
-				continue // obligation provably absent along this edge
-			}
-			if !visited[s.Index] {
-				visited[s.Index] = true
-				work = append(work, item{s, 0})
-			}
-		}
+		return &f.cont
 	}
-	return false
+	return nil
 }
 
-// branchWaives reports whether the obligation cannot exist along edge si
-// of a branching block: the true edge of `err != nil` for the
+// endsPath reports whether a simple statement calls panic or a
+// no-return function outside any function literal: its path ends there
+// without a report — deferred releases run on panic, and a process that
+// exits has nothing left to leak to.
+func (w *walker) endsPath(s ast.Stmt) bool {
+	ends := false
+	walkOwn(s, func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+			ends = true
+		} else if fn := staticCallee(w.pass, call); fn != nil && noReturnFuncs[funcKey(fn)] {
+			ends = true
+		}
+	})
+	return ends
+}
+
+// split returns the bit along cond's true and false edges. The
+// obligation cannot exist along the true edge of `err != nil` for the
 // acquisition's own error result (acquire failed, resource never
-// existed), or the nil edge of a nil-check on the resource itself.
-func branchWaives(pass *analysis.Pass, ob *oblig, b *cfg.Block, si int) bool {
-	if b.Cond == nil || len(b.Succs) != 2 {
-		return false
+// existed), or along the nil edge of a nil check on the resource itself.
+func (w *walker) split(cond ast.Expr, in bool) (onTrue, onFalse bool) {
+	if !in {
+		return false, false // also the acquisition-collecting walk, which has no ob
 	}
-	be, ok := ast.Unparen(b.Cond).(*ast.BinaryExpr)
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return false
+		return in, in
 	}
 	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-	if isNilIdent(y) {
-		// fall through with x as the tested expression
-	} else if isNilIdent(x) {
+	if isNilIdent(x) {
 		x = y
-	} else {
-		return false
+	} else if !isNilIdent(y) {
+		return in, in
 	}
 	id, ok := x.(*ast.Ident)
 	if !ok {
-		return false
+		return in, in
 	}
-	tested := pass.TypesInfo.Uses[id]
-	if tested == nil {
-		return false
+	switch tested := w.pass.TypesInfo.Uses[id]; {
+	case tested == nil:
+		return in, in
+	case tested == w.ob.errObj:
+		// err != nil: the true edge has no resource; err == nil: the false edge.
+		return be.Op == token.EQL, be.Op == token.NEQ
+	case tested == w.ob.obj:
+		// res == nil: the true edge has nothing to release.
+		return be.Op == token.NEQ, be.Op == token.EQL
 	}
-	// trueEdge is si == 0 (cfg contract: Succs[0] taken when Cond holds).
-	trueEdge := si == 0
-	switch tested {
-	case ob.errObj:
-		// err != nil: true edge has no resource. err == nil: false edge.
-		return (be.Op == token.NEQ) == trueEdge
-	case ob.obj:
-		// res == nil: true edge has nothing to release.
-		return (be.Op == token.EQL) == trueEdge
-	}
-	return false
+	return in, in
 }
 
 func isNilIdent(e ast.Expr) bool {
@@ -363,8 +520,8 @@ func refsObject(pass *analysis.Pass, root ast.Node, obj types.Object) bool {
 }
 
 // noReturnFuncs are calls that terminate the goroutine or process:
-// control never reaches the next statement, so the CFG routes them to
-// the panic exit.
+// control never reaches the next statement, so the walk ends the path
+// there without a report.
 var noReturnFuncs = map[string]bool{
 	"os.Exit":        true,
 	"runtime.Goexit": true,
@@ -389,13 +546,8 @@ func walkOwn(body ast.Node, visit func(ast.Node)) {
 	})
 }
 
-func noReturnCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := staticCallee(pass, call)
-	return fn != nil && noReturnFuncs[funcKey(fn)]
-}
-
 // valueAcquisitions is the acquisition scanner for value-mode rules
-// (bodyclose): it finds matching calls in one CFG node and classifies how
+// (bodyclose): it finds matching calls in one node and classifies how
 // their results are bound.
 //
 //   - `res, err := acquire(...)` binds an obligation to res (and its

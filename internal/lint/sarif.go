@@ -118,28 +118,3 @@ func SARIF(analyzers []*analysis.Analyzer, findings []Finding) ([]byte, error) {
 	}
 	return json.MarshalIndent(log, "", "  ")
 }
-
-// jsonFinding is the -json output record: one finding, flattened.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// JSONReport renders findings as a JSON array (machine-readable variant
-// of the default text output; same ordering).
-func JSONReport(findings []Finding) ([]byte, error) {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:     filepath.ToSlash(f.File),
-			Line:     f.Line,
-			Col:      f.Col,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}

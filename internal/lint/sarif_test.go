@@ -108,24 +108,3 @@ func TestSARIFEmptyFindings(t *testing.T) {
 		t.Error("results is null; code scanning wants an empty array")
 	}
 }
-
-func TestJSONReport(t *testing.T) {
-	_, findings := sarifFixture()
-	raw, err := JSONReport(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []map[string]any
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("findings = %d, want 2", len(got))
-	}
-	if got[0]["file"] != "pkg/a.go" || got[0]["analyzer"] != "gatecheck" || got[0]["line"] != 3.0 {
-		t.Errorf("finding 0 = %v", got[0])
-	}
-	if got[1]["analyzer"] != "othercheck" {
-		t.Errorf("finding 1 = %v", got[1])
-	}
-}

@@ -1,10 +1,12 @@
 // Package bodyclose exercises the path-sensitive response-body analysis:
 // leaks on early returns, error-guard refinement (err != nil paths carry
 // no response), draining without closing, escapes via return and struct
-// field, and //lint:allow suppression.
+// field, //lint:allow suppression, a retry loop that continues past an
+// unclosed response, and a switch that closes in every case.
 package bodyclose
 
 import (
+	"errors"
 	"io"
 	"net/http"
 )
@@ -94,4 +96,60 @@ func suppressed(c *http.Client, url string) error {
 	}
 	_ = resp
 	return nil
+}
+
+var errStatus = errors.New("unexpected status")
+
+// retryLeaks: a non-200 attempt continues to the next without closing
+// its response, and the last one falls out of the loop holding it.
+func retryLeaks(c *http.Client, url string) ([]byte, error) {
+	for attempt := 0; attempt < 3; attempt++ {
+		resp, err := c.Get(url) // want `response body from \(net/http\.Client\)\.Get is not closed on every path`
+		if err != nil {
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			continue
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return b, err
+	}
+	return nil, errStatus
+}
+
+func retryCloses(c *http.Client, url string) ([]byte, error) {
+	for attempt := 0; attempt < 3; attempt++ {
+		resp, err := c.Get(url)
+		if err != nil {
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			continue
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return b, err
+	}
+	return nil, errStatus
+}
+
+// switchCloses closes the body in every case, the default included.
+func switchCloses(c *http.Client, url string) error {
+	resp, err := c.Get(url)
+	if err != nil {
+		return err
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+		resp.Body.Close()
+		return nil
+	case http.StatusNotFound:
+		resp.Body.Close()
+		return errStatus
+	default:
+		resp.Body.Close()
+	}
+	return errStatus
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/stat"
 	"geostat/internal/weights"
@@ -121,10 +122,10 @@ func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int,
 		}
 		prev = r
 	}
-	xs, ys := geom.SplitXY(pts)
+	d := dataset.FromPoints(pts)
 	var out []CorrelogramPoint
 	for _, r := range radii {
-		w, err := weights.DistanceBand(xs, ys, r, -1)
+		w, _, err := weights.DistanceBandDataset(d, r, -1)
 		if err != nil {
 			return nil, err
 		}

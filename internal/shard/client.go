@@ -126,15 +126,3 @@ type digestInfo struct {
 	Version uint64 `json:"version"`
 	Digest  string `json:"digest"`
 }
-
-// heatmapResponse is the worker's KDV JSON payload.
-type heatmapResponse struct {
-	Dataset string    `json:"dataset"`
-	Method  string    `json:"method"`
-	Width   int       `json:"width"`
-	Height  int       `json:"height"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	Sum     float64   `json:"sum"`
-	Values  []float64 `json:"values"`
-}

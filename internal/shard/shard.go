@@ -212,7 +212,7 @@ func (c *Coordinator) computeTile(ctx context.Context, plan *KDVPlan, t *Tile) (
 		if err := c.ensure(actx, worker, t.Dataset, t.Digest, t.csv); err != nil {
 			return err
 		}
-		var resp heatmapResponse
+		var resp KDVResult
 		if err := c.getJSON(actx, worker, "/v1/kdv", plan.tileQuery(t), &resp); err != nil {
 			c.forgetIfLost(err, worker, t.Dataset)
 			return err
@@ -230,6 +230,19 @@ func (c *Coordinator) computeTile(ctx context.Context, plan *KDVPlan, t *Tile) (
 	}
 	c.mTiles.Inc()
 	return vals, nil
+}
+
+// KDVResult is the /v1/kdv JSON payload: a worker's tile, or geoshard's
+// merged raster, field for field the single-node serve payload.
+type KDVResult struct {
+	Dataset string    `json:"dataset"`
+	Method  string    `json:"method"`
+	Width   int       `json:"width"`
+	Height  int       `json:"height"`
+	Min     float64   `json:"min"`
+	Max     float64   `json:"max"`
+	Sum     float64   `json:"sum"`
+	Values  []float64 `json:"values"`
 }
 
 // KFuncResult is a sharded K-function plot: the single-node serve

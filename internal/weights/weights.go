@@ -47,24 +47,17 @@ func (e *TooDenseError) Error() string {
 		e.Neighbors, e.N, maxNeighbors)
 }
 
-// KNN returns the binary k-nearest-neighbour weight matrix over the sites
-// (xs[i], ys[i]): w_ij = 1 if j is one of i's k nearest points (asymmetric
-// in general). workers is the parallelism degree (0/1 serial, <0
+// KNNDataset returns the binary k-nearest-neighbour weight matrix over
+// d's sites: w_ij = 1 if j is one of i's k nearest points (asymmetric in
+// general). workers is the parallelism degree (0/1 serial, <0
 // GOMAXPROCS); rows are computed independently (the kd-tree is read-only
 // once built) and written in site order, so the matrix is bit-identical
 // for every worker count.
-func KNN(xs, ys []float64, k, workers int) (*Matrix, error) {
-	if err := checkK(len(xs), k); err != nil {
-		return nil, err
-	}
-	return newMatrix(knnPattern(kdtree.NewColumns(xs, ys), xs, ys, k, workers)), nil
-}
-
-// KNNDataset is KNN over d's coordinate columns, sharing what the snapshot
-// already knows: the kd-tree is d.Tree() and the pattern is d's memoised
-// adjacency when the last one asked of d was the same k (hit reports that).
-// The matrix returned is fresh either way — only its read-only pattern is
-// shared.
+//
+// It shares what the snapshot already knows: the kd-tree is d.Tree() and
+// the pattern is d's memoised adjacency when the last one asked of d was
+// the same k (hit reports that). The matrix returned is fresh either way
+// — only its read-only pattern is shared.
 func KNNDataset(d *dataset.Dataset, k, workers int) (*Matrix, bool, error) {
 	if err := checkK(d.N(), k); err != nil {
 		return nil, false, err
@@ -111,21 +104,12 @@ func knnPattern(tree *kdtree.Tree, xs, ys []float64, k, workers int) *dataset.Ad
 	})
 }
 
-// DistanceBand returns the binary distance-band weight matrix over the
-// sites (xs[i], ys[i]): w_ij = 1 if 0 < dist(i, j) <= radius (symmetric).
-// Rows are computed independently over a read-only grid index, so like KNN
-// the matrix is bit-identical for every worker count.
-func DistanceBand(xs, ys []float64, radius float64, workers int) (*Matrix, error) {
-	if err := checkRadius(radius); err != nil {
-		return nil, err
-	}
-	adj, err := bandPattern(xs, ys, radius, workers)
-	return newMatrix(adj), err
-}
-
-// DistanceBandDataset is DistanceBand over d's coordinate columns, with the
-// pattern memoised on d like KNNDataset's (keyed by the radius's bits; a
-// band denser than the snapshot's retention bound is built per call).
+// DistanceBandDataset returns the binary distance-band weight matrix over
+// d's sites: w_ij = 1 if 0 < dist(i, j) <= radius (symmetric). Rows are
+// computed independently over a read-only grid index, so like
+// KNNDataset's the matrix is bit-identical for every worker count. The
+// pattern is memoised on d like KNNDataset's (keyed by the radius's bits;
+// a band denser than the snapshot's retention bound is built per call).
 func DistanceBandDataset(d *dataset.Dataset, radius float64, workers int) (*Matrix, bool, error) {
 	if err := checkRadius(radius); err != nil {
 		return nil, false, err

@@ -22,15 +22,15 @@ func gridPoints(n int) []geom.Point {
 	return pts
 }
 
-// knn and band call the columnar constructors on a point slice.
+// knn and band call the dataset constructors on a fresh copy of pts.
 func knn(pts []geom.Point, k int) (*Matrix, error) {
-	xs, ys := geom.SplitXY(pts)
-	return KNN(xs, ys, k, -1)
+	m, _, err := KNNDataset(dataset.FromPoints(pts), k, -1)
+	return m, err
 }
 
 func band(pts []geom.Point, radius float64) (*Matrix, error) {
-	xs, ys := geom.SplitXY(pts)
-	return DistanceBand(xs, ys, radius, -1)
+	m, _, err := DistanceBandDataset(dataset.FromPoints(pts), radius, -1)
+	return m, err
 }
 
 func TestKNNValidation(t *testing.T) {
@@ -214,7 +214,7 @@ func TestBandRowsEqualRangeQuery(t *testing.T) {
 		for _, radius := range []float64{0.5, 2, 1e3} {
 			idx := gridindex.NewColumns(xs, ys, radius)
 			for _, workers := range []int{1, 2, -1} {
-				m, err := DistanceBand(xs, ys, radius, workers)
+				m, _, err := DistanceBandDataset(dataset.FromPoints(pts), radius, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,29 +249,25 @@ func TestTooDense(t *testing.T) {
 	old := maxNeighbors
 	t.Cleanup(func() { maxNeighbors = old })
 	pts := gridPoints(10) // n = 100
-	xs, ys := geom.SplitXY(pts)
 
 	maxNeighbors = 100*7 - 1
 	var dense *TooDenseError
-	if _, err := KNN(xs, ys, 7, -1); !errors.As(err, &dense) || dense.N != 100 || dense.Neighbors != 700 {
+	if _, err := knn(pts, 7); !errors.As(err, &dense) || dense.N != 100 || dense.Neighbors != 700 {
 		t.Fatalf("kNN over the limit: %v", err)
 	}
-	if m, err := KNN(xs, ys, 6, -1); err != nil || m.S0() != 600 {
+	if m, err := knn(pts, 6); err != nil || m.S0() != 600 {
 		t.Fatalf("kNN under the limit: %v", err)
 	}
 
 	// Radius 1 on the 10×10 lattice: 4 neighbours inside, 360 in all.
 	maxNeighbors = 359
 	dense = nil
-	if _, err := DistanceBand(xs, ys, 1, 1); !errors.As(err, &dense) || dense.Neighbors != 360 {
+	d := dataset.FromPoints(pts)
+	if _, _, err := DistanceBandDataset(d, 1, 1); !errors.As(err, &dense) || dense.Neighbors != 360 {
 		t.Fatalf("band over the limit, serial: %v", err)
 	}
-	if _, err := DistanceBand(xs, ys, 1, -1); !errors.As(err, &dense) || dense.Neighbors <= maxNeighbors {
+	if _, _, err := DistanceBandDataset(d, 1, -1); !errors.As(err, &dense) || dense.Neighbors <= maxNeighbors {
 		t.Fatalf("band over the limit, parallel: %v", err)
-	}
-	d := dataset.FromPoints(pts)
-	if _, _, err := DistanceBandDataset(d, 1, -1); !errors.As(err, &dense) {
-		t.Fatalf("band dataset over the limit: %v", err)
 	}
 	maxNeighbors = 360
 	if m, hit, err := DistanceBandDataset(d, 1, -1); err != nil || hit || m.S0() != 360 {
@@ -283,10 +279,18 @@ func TestTooDense(t *testing.T) {
 // constructors serve the same read-only pattern to every caller with the
 // same key — and a matrix of their own, so RowStandardize on one result
 // never shows in the next; rejected parameters leave the memo alone; the
-// matrices equal the column constructors' bit for bit.
+// matrices equal, bit for bit, the ones built over a fresh copy of the
+// sites, whose memo is empty.
 func TestDatasetConstructorsSharePattern(t *testing.T) {
 	pts := hostileSites()["coincident"]
-	xs, ys := geom.SplitXY(pts)
+	ref, err := knn(pts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bref, err := band(pts, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := dataset.FromPoints(pts)
 
 	for _, k := range []int{0, len(pts)} {
@@ -311,25 +315,20 @@ func TestDatasetConstructorsSharePattern(t *testing.T) {
 	if &m1.col[0] != &m2.col[0] || &m1.off[0] != &m2.off[0] || &m1.w[0] == &m2.w[0] {
 		t.Fatal("want a shared pattern and separate weights")
 	}
-	ref, err := KNN(xs, ys, 5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(m2, ref) {
-		t.Fatal("memoised matrix differs from weights.KNN, or shows the first result's RowStandardize")
+		t.Fatal("memoised matrix differs from a fresh copy's, or shows the first result's RowStandardize")
 	}
 	if !reflect.DeepEqual(m1, ref.RowStandardize()) {
-		t.Fatal("row-standardised memoised matrix differs from weights.KNN's")
+		t.Fatal("row-standardised memoised matrix differs from a fresh copy's")
 	}
 
 	b1, hit1, err1 := DistanceBandDataset(d, 1.5, -1)
 	b2, hit2, err2 := DistanceBandDataset(d, 1.5, -1)
-	bref, err3 := DistanceBand(xs, ys, 1.5, -1)
-	if err := errors.Join(err1, err2, err3); err != nil || hit1 || !hit2 {
+	if err := errors.Join(err1, err2); err != nil || hit1 || !hit2 {
 		t.Fatalf("band: hits %v %v, err %v", hit1, hit2, err)
 	}
 	if !reflect.DeepEqual(b1, bref) || !reflect.DeepEqual(b2, bref) {
-		t.Fatal("memoised band matrix differs from weights.DistanceBand")
+		t.Fatal("memoised band matrix differs from a fresh copy's")
 	}
 	if _, hit, _ := KNNDataset(d, 5, -1); hit {
 		t.Fatal("kNN pattern survived the band request: the snapshot keeps one slot")

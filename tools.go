@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"geostat/internal/cluster"
-	"geostat/internal/geom"
 	"geostat/internal/getisord"
 	"geostat/internal/idw"
 	"geostat/internal/kriging"
@@ -116,11 +115,10 @@ func KNNWeights(pts []Point, k int) (*SpatialWeights, error) { return KNNWeights
 
 // KNNWeightsWorkers is KNNWeights with an explicit parallelism degree
 // (0/1 serial, <0 GOMAXPROCS); the matrix is bit-identical for every
-// worker count. Like every []Point weights function it copies pts into
-// coordinate columns once, at this edge.
+// worker count. Like every []Point weights function it copies pts into a
+// Dataset once, at this edge.
 func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
-	xs, ys := geom.SplitXY(pts)
-	return weights.KNN(xs, ys, k, workers)
+	return KNNWeightsDataset(FromPoints(pts), k, workers)
 }
 
 // KNNWeightsDataset is KNNWeightsWorkers over a Dataset (no []Point copy),
@@ -142,8 +140,7 @@ func DistanceBandWeights(pts []Point, radius float64) (*SpatialWeights, error) {
 // parallelism degree (0/1 serial, <0 GOMAXPROCS); the matrix is
 // bit-identical for every worker count.
 func DistanceBandWeightsWorkers(pts []Point, radius float64, workers int) (*SpatialWeights, error) {
-	xs, ys := geom.SplitXY(pts)
-	return weights.DistanceBand(xs, ys, radius, workers)
+	return DistanceBandWeightsDataset(FromPoints(pts), radius, workers)
 }
 
 // DistanceBandWeightsDataset is DistanceBandWeightsWorkers over a Dataset,
