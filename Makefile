@@ -88,8 +88,10 @@ cover:
 # under arbitrary Get / Put / re-upload sequences, and of the Gaussian /
 # exponential KDV loops that skip absorbed terms against the plain loop,
 # of naive's finite-kernel row scatter against the pixel-major gather, of
-# the cosine kernel's math.cos replica against math.Cos, and of the kernel
-# footprint's rows and columns against the kernel test.
+# the cosine kernel's math.cos replica against math.Cos, of the sweep
+# line's written-out update and pixel sum of each degree against the
+# generic degree loops, bit for bit, and of the kernel footprint's rows and
+# columns against the kernel test.
 # ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzChunkEvalAbsorbed -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzNaiveScatter -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzCosQuarter -fuzztime 10s
+	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzSweepKernels -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzFootprint -fuzztime 10s
 
 bench:

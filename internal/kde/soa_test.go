@@ -95,9 +95,11 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 // TestHotPathAllocs counts the exact evaluators' per-row allocations,
 // calls through the chunkEval function value included: none, for naive's
 // pixel-major gather (Gaussian, exponential), for every finite kernel's
-// row scatter, and for grid-cutoff's filtered scan with its counters, each
+// row scatter, for grid-cutoff's filtered scan with its counters, and for
+// the polynomial kernels' sweep row once its pooled buffer is warm, each
 // unweighted and weighted. Five chunks give the row several chunks to
-// stream.
+// stream. The race detector's sync.Pool drops pooled items at random, so
+// the sweep row is counted only without it.
 func TestHotPathAllocs(t *testing.T) {
 	pts := multiChunkPoints(13, 4*dataset.ChunkSize+100)
 	row := make([]float64, 8)
@@ -108,6 +110,9 @@ func TestHotPathAllocs(t *testing.T) {
 			build := []func(dataset.Columns, *Options) (rowComputer, float64, error){buildNaive}
 			if opt.Kernel.FiniteSupport() {
 				build = append(build, buildCutoff)
+			}
+			if SweepSupported(kt) && !raceEnabled {
+				build = append(build, buildSweep)
 			}
 			for _, ws := range [][]float64{nil, mixedWeights(len(pts))} {
 				for _, b := range build {

@@ -35,6 +35,11 @@ import (
 // aggregates are re-expanded with binomial coefficients (an O(deg²)
 // operation amortised over ≥ b/cellW pixels).
 //
+// Each degree's enter/exit update and pixel sum is written out as
+// straight-line code (sweepPoly) that performs, operation for operation,
+// the arithmetic of the generic degree loops in the test oracle, so the
+// rasters have the generic form's bits without its table lookups.
+//
 // Triangular, cosine, Gaussian and exponential kernels are not polynomial
 // in dx² and fall outside the row's kernel class — exactly the limitation
 // §2.4 of the paper names as an open problem for the sharing family.
@@ -69,7 +74,6 @@ func sweepDegree(t kernel.Type) (int, error) {
 
 type sweepComputer struct {
 	opt *Options
-	deg int // polynomial degree in dx²/b²
 
 	// Points counting-sorted into raster-row buckets (input order kept
 	// within a bucket); ws nil if unweighted. Bucket j — the points whose y
@@ -78,72 +82,65 @@ type sweepComputer struct {
 	xs, ys, ws []float64
 	rowOff     []int32
 
-	// binomCoef[m][k] = C(2m, k)·(−1)^k, the expansion of (qx − px)^{2m}.
-	binomCoef [][]float64
-	// pascal[k][i] = C(k, i) for the origin-shift re-expansion.
-	pascal [][]float64
-
-	stride int // aggregate slots: Σ_m (2m+1) = (deg+1)²
-
-	fp geom.Footprint // the kernel's footprint: its row halo, each point's columns
+	poly sweepPoly      // the kernel's written-out update and pixel sum
+	fp   geom.Footprint // the kernel's footprint: its row halo, each point's columns
+	halo int            // fp.RowHalo()
 
 	bufs sync.Pool // *sweepBuf, one per in-flight row
+}
+
+// sweepEvent is one band point: what its enter and exit updates read, and
+// its links in the two column chains, in one record, so an event touches
+// one cache line.
+type sweepEvent struct {
+	a, x, w             float64 // A_p, absolute p.x, weight (1 when unweighted)
+	nextEnter, nextExit int32   // chain links
 }
 
 // sweepBuf is the per-row scratch. Event lists are intrusive per-column
 // chains: head slices store index+1 (0 = empty) so a plain clear() resets
 // them.
 type sweepBuf struct {
-	enterHead []int32 // per column: first band point entering there
-	exitHead  []int32 // per column: first band point exiting there
-	nextEnter []int32 // chain links, per band point
-	nextExit  []int32
-	bandA     []float64 // A_p per band point
-	bandX     []float64 // absolute p.x per band point
-	bandW     []float64 // event weight per band point (1 when unweighted)
+	enterHead []int32      // per column: first band point entering there
+	exitHead  []int32      // per column: first band point exiting there
+	band      []sweepEvent // the row's band, in bucket order
 
-	agg []float64 // running power sums S[m][k], local origin
-	tmp []float64 // origin-shift scratch (max 2·deg+1 wide)
-	pow []float64 // qx' powers 0..2·deg
+	// Running power sums relative to the local origin: slot m² + k holds
+	// S[m][k] = Σ w·c_m(A)·(p.x − origin)^k, k ≤ 2m.
+	agg []float64
 }
 
 func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepComputer {
 	c := &sweepComputer{
-		opt:    opt,
-		deg:    deg,
-		stride: (deg + 1) * (deg + 1),
-		fp:     opt.Grid.Footprint(opt.Kernel.Bandwidth()),
+		opt:  opt,
+		poly: newSweepPoly(deg, opt.Kernel.Bandwidth()),
+		fp:   opt.Grid.Footprint(opt.Kernel.Bandwidth()),
 	}
+	c.halo = c.fp.RowHalo()
 	c.bucketRows(cols)
-	c.binomCoef = make([][]float64, deg+1)
-	for m := 0; m <= deg; m++ {
-		c.binomCoef[m] = make([]float64, 2*m+1)
-		for k := 0; k <= 2*m; k++ {
-			sign := 1.0
-			if k%2 == 1 {
-				sign = -1
-			}
-			c.binomCoef[m][k] = sign * binom(2*m, k)
-		}
-	}
-	c.pascal = make([][]float64, 2*deg+1)
-	for k := 0; k <= 2*deg; k++ {
-		c.pascal[k] = make([]float64, k+1)
-		for i := 0; i <= k; i++ {
-			c.pascal[k][i] = binom(k, i)
-		}
+	// A buffer's band is sized once, to the most candidates any row has,
+	// so appending to it never reallocates.
+	most := int32(0)
+	for iy := 0; iy < opt.Grid.NY; iy++ {
+		lo, hi := c.candidates(iy)
+		most = max(most, hi-lo)
 	}
 	nx := opt.Grid.NX
 	c.bufs.New = func() any {
 		return &sweepBuf{
 			enterHead: make([]int32, nx+1),
 			exitHead:  make([]int32, nx+1),
-			agg:       make([]float64, c.stride),
-			tmp:       make([]float64, 2*deg+1),
-			pow:       make([]float64, 2*deg+1),
+			band:      make([]sweepEvent, 0, most),
+			agg:       make([]float64, (deg+1)*(deg+1)),
 		}
 	}
 	return c
+}
+
+// candidates returns the bucket range [lo, hi) row iy takes its band
+// from: the buckets within the footprint's row halo.
+func (c *sweepComputer) candidates(iy int) (lo, hi int32) {
+	return c.rowOff[max(iy-c.halo, 0)], c.rowOff[min(iy+c.halo, c.opt.Grid.NY-1)+1]
 }
 
 // bucketRows fills xs/ys/ws/rowOff with a stable counting sort of cols by
@@ -179,73 +176,172 @@ func (c *sweepComputer) bucketRows(cols dataset.Columns) {
 	}
 }
 
-func binom(n, k int) float64 {
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r = r * float64(n-i) / float64(i+1)
-	}
-	return r
-}
-
-// coeffs fills cm[m] = c_m(A) for the kernel, the coefficients of K as a
-// polynomial in u = dx²/b² given A = 1 − dy²/b²:
+// sweepPoly is the kernel as a polynomial in u = dx²/b² given
+// A = 1 − dy²/b², with coefficients c_m(A):
 //
 //	uniform:      K = 1/b                     (support dx² ≤ b²A)
 //	epanechnikov: K = A − u
 //	quartic:      K = (A − u)² = A² − 2Au + u²
 //	triweight:    K = (A − u)³ = A³ − 3A²u + 3Au² − u³
-func (c *sweepComputer) coeffs(a float64, cm []float64) {
-	switch c.deg {
+//
+// update is written out per degree, and eval term by term, adding the
+// terms of degree m ≤ deg. Both perform, operation for operation and in
+// the same order, the IEEE arithmetic of the generic loops over
+// coefficient, binomial C(2m, k)·(−1)^k and power tables in sweep_test.go,
+// the oracle FuzzSweepKernels holds them to bit for bit: the products by
+// 1 and −1 those loops form are exact and dropped here, every sum starts
+// as 0.0 + its first term (which turns a −0 into +0), powers and (1/b²)^m
+// are built by repeated multiplication, and a negative pixel sum is
+// clamped to 0. Every product that feeds an add is converted explicitly,
+// float64(x*y), which forbids the compiler to fuse the pair into one
+// multiply-add, as it otherwise does on arm64: every product is rounded
+// on its own, as amd64 rounds it.
+type sweepPoly struct {
+	deg   int        // degree in u
+	invB  float64    // 1/b, uniform's c_0
+	scale [4]float64 // (1/b²)^m
+}
+
+func newSweepPoly(deg int, b float64) sweepPoly {
+	p := sweepPoly{deg: deg, invB: 1 / b}
+	invB2 := 1 / (b * b)
+	p.scale[0] = 1
+	for m := 1; m < len(p.scale); m++ {
+		p.scale[m] = p.scale[m-1] * invB2
+	}
+	return p
+}
+
+// update adds (sign = +1) or removes (sign = −1) a band point's
+// contribution to the power sums agg, relative to origin: with
+// s = sign·w, px = x − origin and v_m = s·c_m(a), S[m][k] += v_m·px^k.
+func (p *sweepPoly) update(agg []float64, a, x, origin, w, sign float64) {
+	px := x - origin
+	s := float64(sign * w)
+	switch p.deg {
 	case 0:
-		cm[0] = 1 / c.opt.Kernel.Bandwidth()
+		agg[0] += float64(s * p.invB)
 	case 1:
-		cm[0], cm[1] = a, -1
+		agg = agg[:4]
+		v1 := -s
+		agg[0] += float64(s * a)
+		agg[1] += v1
+		agg[2] += float64(v1 * px)
+		agg[3] += float64(v1 * (px * px))
 	case 2:
-		cm[0], cm[1], cm[2] = a*a, -2*a, 1
+		agg = agg[:9]
+		p2 := px * px
+		p3 := p2 * px
+		v1 := float64(s * (-2 * a))
+		agg[0] += float64(s * (a * a))
+		agg[1] += v1
+		agg[2] += float64(v1 * px)
+		agg[3] += float64(v1 * p2)
+		agg[4] += s
+		agg[5] += float64(s * px)
+		agg[6] += float64(s * p2)
+		agg[7] += float64(s * p3)
+		agg[8] += float64(s * (p3 * px))
 	case 3:
-		cm[0], cm[1], cm[2], cm[3] = a*a*a, -3*a*a, 3*a, -1
+		agg = agg[:16]
+		p2 := px * px
+		p3 := p2 * px
+		p4 := p3 * px
+		p5 := p4 * px
+		v1 := float64(s * (-3 * a * a))
+		v2 := float64(s * (3 * a))
+		v3 := -s
+		agg[0] += float64(s * (a * a * a))
+		agg[1] += v1
+		agg[2] += float64(v1 * px)
+		agg[3] += float64(v1 * p2)
+		agg[4] += v2
+		agg[5] += float64(v2 * px)
+		agg[6] += float64(v2 * p2)
+		agg[7] += float64(v2 * p3)
+		agg[8] += float64(v2 * p4)
+		agg[9] += v3
+		agg[10] += float64(v3 * px)
+		agg[11] += float64(v3 * p2)
+		agg[12] += float64(v3 * p3)
+		agg[13] += float64(v3 * p4)
+		agg[14] += float64(v3 * p5)
+		agg[15] += float64(v3 * (p5 * px))
 	}
 }
 
-// applyPoint adds (sign=+1) or removes (sign=−1) band point i's
-// contribution to the power sums, expressed relative to origin.
-func (c *sweepComputer) applyPoint(buf *sweepBuf, i int32, origin, sign float64) {
-	var cm [4]float64
-	c.coeffs(buf.bandA[i], cm[:])
-	px := buf.bandX[i] - origin
-	sign *= buf.bandW[i]
-	slot := 0
-	for m := 0; m <= c.deg; m++ {
-		v := sign * cm[m]
-		xk := 1.0
-		for k := 0; k <= 2*m; k++ {
-			buf.agg[slot] += v * xk
-			xk *= px
-			slot++
-		}
+// eval returns the kernel sum at pixel abscissa qx from power sums held
+// relative to origin, clamped at 0: with q = qx − origin it is
+// Σ_m (1/b²)^m · Σ_k C(2m, k)·(−1)^k·q^(2m−k)·S[m][k], the binomial
+// expansion of Σ_p w·c_m(A)·(q − px)^(2m).
+func (p *sweepPoly) eval(agg []float64, qx, origin float64) float64 {
+	q := qx - origin
+	q2 := q * q
+	q3 := q2 * q
+	q4 := q3 * q
+	q5 := q4 * q
+	sum := 0.0 + (0.0 + agg[0])
+	if p.deg >= 1 {
+		i1 := 0.0 + float64(q2*agg[1])
+		i1 += float64(-2 * q * agg[2])
+		i1 += agg[3]
+		sum += float64(p.scale[1] * i1)
 	}
+	if p.deg >= 2 {
+		i2 := 0.0 + float64(q4*agg[4])
+		i2 += float64(-4 * q3 * agg[5])
+		i2 += float64(6 * q2 * agg[6])
+		i2 += float64(-4 * q * agg[7])
+		i2 += agg[8]
+		sum += float64(p.scale[2] * i2)
+	}
+	if p.deg == 3 {
+		i3 := 0.0 + float64(q5*q*agg[9])
+		i3 += float64(-6 * q5 * agg[10])
+		i3 += float64(15 * q4 * agg[11])
+		i3 += float64(-20 * q3 * agg[12])
+		i3 += float64(15 * q2 * agg[13])
+		i3 += float64(-6 * q * agg[14])
+		i3 += agg[15]
+		sum += float64(p.scale[3] * i3)
+	}
+	if sum < 0 {
+		sum = 0 // cancellation residue guard
+	}
+	return sum
+}
+
+// pascal[k][i] = C(k, i), the weights of the origin shift's re-expansion
+// up to triweight's degree 6.
+var pascal = [7][7]float64{
+	{1},
+	{1, 1},
+	{1, 2, 1},
+	{1, 3, 3, 1},
+	{1, 4, 6, 4, 1},
+	{1, 5, 10, 10, 5, 1},
+	{1, 6, 15, 20, 15, 6, 1},
 }
 
 // shiftOrigin re-expands the power sums from origin o to o+d:
 // Σ c·(px−o−d)^k = Σ_i C(k,i)·(−d)^{k−i}·Σ c·(px−o)^i.
-func (c *sweepComputer) shiftOrigin(buf *sweepBuf, d float64) {
+func (c *sweepComputer) shiftOrigin(agg []float64, d float64) {
+	var tmp [7]float64
 	slot := 0
-	for m := 0; m <= c.deg; m++ {
+	for m := 0; m <= c.poly.deg; m++ {
 		width := 2*m + 1
-		s := buf.agg[slot : slot+width]
+		s := agg[slot : slot+width]
 		for k := width - 1; k >= 1; k-- {
 			acc := 0.0
 			dPow := 1.0
 			// i from k down to 0: (−d)^{k−i} grows as i decreases.
 			for i := k; i >= 0; i-- {
-				acc += c.pascal[k][i] * dPow * s[i]
+				acc += float64(pascal[k][i] * dPow * s[i])
 				dPow *= -d
 			}
-			buf.tmp[k] = acc
+			tmp[k] = acc
 		}
-		for k := 1; k < width; k++ {
-			s[k] = buf.tmp[k]
-		}
+		copy(s[1:], tmp[1:width])
 		slot += width
 	}
 }
@@ -262,19 +358,13 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	clear(buf.enterHead)
 	clear(buf.exitHead)
 
-	// Candidates: the buckets within the footprint's row halo. Each one's
-	// exact footprint on the row decides its enter and exit columns: empty
-	// when fl(dy²) > b², the band test naive's scatter uses.
-	halo := c.fp.RowHalo()
-	lo := c.rowOff[max(iy-halo, 0)]
-	hi := c.rowOff[min(iy+halo, g.NY-1)+1]
+	// Each candidate's exact footprint on the row decides its enter and
+	// exit columns: empty when fl(dy²) > b², the band test naive's scatter
+	// uses.
+	lo, hi := c.candidates(iy)
 
 	// Build per-column enter/exit event chains for the band.
-	buf.bandA = buf.bandA[:0]
-	buf.bandX = buf.bandX[:0]
-	buf.bandW = buf.bandW[:0]
-	buf.nextEnter = buf.nextEnter[:0]
-	buf.nextExit = buf.nextExit[:0]
+	buf.band = buf.band[:0]
 	for i := lo; i < hi; i++ {
 		dy := c.ys[i] - qy
 		px := c.xs[i]
@@ -282,25 +372,20 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		if colLo >= colHi {
 			continue
 		}
-		bi := int32(len(buf.bandA))
-		buf.bandA = append(buf.bandA, 1-dy*dy/b2)
-		buf.bandX = append(buf.bandX, px)
+		w := 1.0
 		if c.ws != nil {
-			buf.bandW = append(buf.bandW, c.ws[i])
-		} else {
-			buf.bandW = append(buf.bandW, 1)
+			w = c.ws[i]
 		}
-		buf.nextEnter = append(buf.nextEnter, buf.enterHead[colLo])
-		buf.enterHead[colLo] = bi + 1
-		buf.nextExit = append(buf.nextExit, buf.exitHead[colHi])
-		buf.exitHead[colHi] = bi + 1
+		buf.band = append(buf.band, sweepEvent{a: 1 - dy*dy/b2, x: px, w: w, nextEnter: buf.enterHead[colLo], nextExit: buf.exitHead[colHi]})
+		bi := int32(len(buf.band))
+		buf.enterHead[colLo] = bi
+		buf.exitHead[colHi] = bi
 	}
-	if len(buf.bandA) == 0 {
+	if len(buf.band) == 0 {
 		clear(row)
 		return
 	}
 
-	invB2 := 1 / b2
 	origin := 0.0
 	active := 0
 	for ix := 0; ix < nx; ix++ {
@@ -309,8 +394,9 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		// an origin shift re-expands the sums with powers of the shift, so
 		// what can leave should leave before one — on a raster coarser than
 		// the bandwidth that is every point, and no shift is needed at all.
-		for e := buf.exitHead[ix]; e != 0; e = buf.nextExit[e-1] {
-			c.applyPoint(buf, e-1, origin, -1)
+		for e := buf.exitHead[ix]; e != 0; e = buf.band[e-1].nextExit {
+			p := &buf.band[e-1]
+			c.poly.update(buf.agg, p.a, p.x, origin, p.w, -1)
 			active--
 		}
 		switch {
@@ -320,37 +406,18 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 			clear(buf.agg)
 			origin = qx
 		case math.Abs(qx-origin) > b:
-			c.shiftOrigin(buf, qx-origin)
+			c.shiftOrigin(buf.agg, qx-origin)
 			origin = qx
 		}
-		for e := buf.enterHead[ix]; e != 0; e = buf.nextEnter[e-1] {
-			c.applyPoint(buf, e-1, origin, +1)
+		for e := buf.enterHead[ix]; e != 0; e = buf.band[e-1].nextEnter {
+			p := &buf.band[e-1]
+			c.poly.update(buf.agg, p.a, p.x, origin, p.w, +1)
 			active++
 		}
 		if active == 0 {
 			row[ix] = 0 // exact zero outside every support
 			continue
 		}
-		qxl := qx - origin
-		buf.pow[0] = 1
-		for p := 1; p <= 2*c.deg; p++ {
-			buf.pow[p] = buf.pow[p-1] * qxl
-		}
-		sum := 0.0
-		slot := 0
-		scaleM := 1.0 // (1/b²)^m
-		for m := 0; m <= c.deg; m++ {
-			inner := 0.0
-			for k := 0; k <= 2*m; k++ {
-				inner += c.binomCoef[m][k] * buf.pow[2*m-k] * buf.agg[slot]
-				slot++
-			}
-			sum += scaleM * inner
-			scaleM *= invB2
-		}
-		if sum < 0 {
-			sum = 0 // cancellation residue guard
-		}
-		row[ix] = sum
+		row[ix] = c.poly.eval(buf.agg, qx, origin)
 	}
 }

@@ -427,7 +427,7 @@ func escapes(pass *analysis.Pass, obj types.Object, node ast.Node) bool {
 			return false // don't double-count interior uses (and no push)
 		}
 		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			if escapeContext(stack, id) {
+			if escapeContext(pass.TypesInfo, stack, id) {
 				found = true
 			}
 		}
@@ -442,10 +442,23 @@ func escapes(pass *analysis.Pass, obj types.Object, node ast.Node) bool {
 // viaSel distinguishes the resource itself from a derived value
 // (resp.Body): derived values escape through returns and stores but not
 // through call arguments — io.ReadAll(resp.Body) reads the body, it does
-// not adopt the response.
-func escapeContext(stack []ast.Node, id ast.Node) bool {
+// not adopt the response — and only when their type can hold the
+// resource: resp.StatusCode saved or returned is a number, not the body.
+func escapeContext(info *types.Info, stack []ast.Node, id ast.Node) bool {
 	child := id
 	viaSel := false
+	// holds reports whether the value moved, e, can carry the resource.
+	holds := func(e ast.Node) bool {
+		if !viaSel {
+			return true
+		}
+		t := info.TypeOf(e.(ast.Expr))
+		if t == nil {
+			return true
+		}
+		_, basic := t.Underlying().(*types.Basic)
+		return !basic
+	}
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch a := stack[i].(type) {
 		case *ast.ParenExpr, *ast.StarExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.TypeAssertExpr:
@@ -461,26 +474,26 @@ func escapeContext(stack []ast.Node, id ast.Node) bool {
 			}
 			return !viaSel // the resource itself as an argument escapes
 		case *ast.ReturnStmt:
-			return true
+			return holds(child)
 		case *ast.AssignStmt:
 			for _, r := range a.Rhs {
 				if r == child {
 					// `_ = res` silences unused-var; it stores nothing.
-					return !allBlank(a.Lhs)
+					return !allBlank(a.Lhs) && holds(child)
 				}
 			}
 			return false // LHS: reassignment, not a use of the old value
 		case *ast.ValueSpec:
 			for _, v := range a.Values {
 				if v == child {
-					return true
+					return holds(child)
 				}
 			}
 			return false
 		case *ast.CompositeLit, *ast.KeyValueExpr:
-			return true
+			return holds(child)
 		case *ast.SendStmt:
-			return a.Value == child
+			return a.Value == child && holds(child)
 		case *ast.UnaryExpr:
 			if a.Op == token.AND {
 				return true // address escapes

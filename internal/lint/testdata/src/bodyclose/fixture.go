@@ -2,7 +2,9 @@
 // leaks on early returns, error-guard refinement (err != nil paths carry
 // no response), draining without closing, escapes via return and struct
 // field, //lint:allow suppression, a retry loop that continues past an
-// unclosed response, and a switch that closes in every case.
+// unclosed response, a switch that closes in every case, and derived
+// values: a status code saved or returned discharges nothing, the body
+// handed on does.
 package bodyclose
 
 import (
@@ -152,4 +154,35 @@ func switchCloses(c *http.Client, url string) error {
 		resp.Body.Close()
 	}
 	return errStatus
+}
+
+// statusSaved keeps the status code, a number that cannot hold the body,
+// and its early return leaks the response.
+func statusSaved(c *http.Client, url string) (int, error) {
+	resp, err := c.Get(url) // want `response body from \(net/http\.Client\)\.Get is not closed on every path`
+	if err != nil {
+		return 0, err
+	}
+	code := resp.StatusCode
+	if code != http.StatusOK {
+		return code, errStatus
+	}
+	return code, resp.Body.Close()
+}
+
+func statusReturned(c *http.Client, url string) (int, error) {
+	resp, err := c.Get(url) // want `response body from \(net/http\.Client\)\.Get is not closed on every path`
+	if err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, nil
+}
+
+// bodyHandedOn returns the body itself: the caller closes it.
+func bodyHandedOn(c *http.Client, url string) (io.ReadCloser, error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Body, nil
 }
