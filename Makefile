@@ -90,8 +90,10 @@ cover:
 # of naive's finite-kernel row scatter against the pixel-major gather, of
 # the cosine kernel's math.cos replica against math.Cos, of the sweep
 # line's written-out update and pixel sum of each degree against the
-# generic degree loops, bit for bit, and of the kernel footprint's rows and
-# columns against the kernel test.
+# generic degree loops, bit for bit, of the kernel footprint's rows and
+# columns against the kernel test, and of geolint's obligation walker over
+# arbitrary function bodies (it must end, keep a deferred release as a
+# discharge, and under a held-region rule keep the region open after it).
 # ~10s per target.
 fuzz-smoke:
 	$(GO) test ./internal/geojson -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -104,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzCosQuarter -fuzztime 10s
 	$(GO) test ./internal/kde -run '^$$' -fuzz FuzzSweepKernels -fuzztime 10s
 	$(GO) test ./internal/geom -run '^$$' -fuzz FuzzFootprint -fuzztime 10s
+	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzObligationWalk -fuzztime 10s
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .

@@ -439,6 +439,9 @@ func RunC9(cfg *Config) error {
 		for mi, m := range methods {
 			opt := geostat.KDVOptions{Kernel: k, Grid: geostat.NewPixelGrid(view, m.pixels, m.pixels), Method: m.m, Workers: cfg.workers()}
 			var runErr error
+			// Each method starts from a collected heap, so it is not charged
+			// for the garbage the method timed before it left behind.
+			runtime.GC()
 			t := medianOf3(func() { _, runErr = geostat.KDVDataset(d, opt) })
 			if runErr != nil {
 				return fmt.Errorf("C9: %s: %w", m.name, runErr)

@@ -182,7 +182,8 @@ func (e DebtEntry) problem() string {
 
 // parseAllowDetail recognises "//lint:allow name1[,name2] reason..." and
 // returns the allowed analyzer names plus the reason text (empty when the
-// directive carries none).
+// directive carries none). It is the one directive parser: filterAllowed
+// and the debt inventory both use it.
 func parseAllowDetail(text string) (names []string, reason string, ok bool) {
 	rest, found := strings.CutPrefix(text, "//lint:allow")
 	if !found {

@@ -158,7 +158,7 @@ func filterAllowed(l *load.Loader, pkg *load.Package, diags []analysis.Diagnosti
 		var dirs []directive
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseAllow(c.Text)
+				names, _, ok := parseAllowDetail(c.Text)
 				if !ok {
 					continue
 				}
@@ -228,12 +228,4 @@ func lineAllows(m map[int][]string, line int, analyzer string) bool {
 		}
 	}
 	return false
-}
-
-// parseAllow recognises "//lint:allow name1[,name2] reason..." and returns
-// the allowed analyzer names. The debt inventory (debt.go) uses the
-// detail variant to also capture the reason text.
-func parseAllow(text string) ([]string, bool) {
-	names, _, ok := parseAllowDetail(text)
-	return names, ok
 }

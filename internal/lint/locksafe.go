@@ -16,13 +16,18 @@ import (
 // metrics scrape or a stuck worker freezes request handling. This is the
 // statically-checkable half of the registry race class fixed in PR 4.
 //
-// The critical-section tracking is syntactic and per-function: a lock is
-// considered held from the Lock() statement to the matching Unlock() in
-// the same block (deferred unlocks hold to function end). Function
-// literals are analyzed as their own scopes; a closure defined under a
-// held lock is only flagged through the call that runs it (parallel.For
-// carries MayBlock, so the common "fan out under lock" mistake is still
-// caught at the call site).
+// Critical sections are tracked per function by the obligation walker
+// (obligation.go) with unlockpath's lock rule: a lock is held from its
+// Lock() statement along every path until the matching Unlock() on the
+// same receiver. Held regions are path-sensitive — a lock taken inside
+// an if or a nested block is held after it on the paths through it, and
+// one taken late in a loop body is held at the top of the next
+// iteration — and a deferred unlock leaves the region open to function
+// end. Where several locks are held, the diagnostic names the one
+// acquired first in source order. Function literals are analyzed as
+// their own scopes; a closure defined under a held lock is only flagged
+// through the call that runs it (parallel.For carries MayBlock, so the
+// common "fan out under lock" mistake is still caught at the call site).
 var LockSafe = &analysis.Analyzer{
 	Name: "locksafe",
 	Doc: "no sync.Mutex/RWMutex held across channel operations or calls " +
@@ -33,108 +38,25 @@ var LockSafe = &analysis.Analyzer{
 }
 
 func runLockSafe(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	report := reportOnce(pass)
+	return runObligations(pass, &obRule{
+		acquisitions: lockAcquisitions,
+		isRelease:    isUnlock,
+		held: func(pass *analysis.Pass, ob *oblig, n ast.Node) {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkLockRegions(pass, n.Body.List, map[string]token.Pos{})
+			case *ast.RangeStmt:
+				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+					if _, ok := t.Underlying().(*types.Chan); ok {
+						report(n.Pos(), "range over channel while %s is held; release the lock before communicating", ob.what)
+					}
 				}
-			case *ast.FuncLit:
-				checkLockRegions(pass, n.Body.List, map[string]token.Pos{})
+			case *ast.SelectStmt:
+				report(n.Pos(), "select while %s is held; release the lock before communicating", ob.what)
+			default:
+				reportBlockingIn(pass, n, ob.what, report)
 			}
-			return true
-		})
-	}
-	return nil
-}
-
-// checkLockRegions scans one statement list tracking which mutexes are
-// held. Nested blocks get a copy of the held set: a lock acquired inside
-// an if-branch does not leak to the statements after it, and an unlock
-// inside a branch does not clear the parent's view (conservative both
-// ways — the analyzer prefers a missed region over a false "not held").
-func checkLockRegions(pass *analysis.Pass, stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, stmt := range stmts {
-		checkOneStmt(pass, stmt, held)
-	}
-}
-
-// checkOneStmt handles a single statement: lock-set bookkeeping for
-// (un)lock calls, violation scanning for simple statements, and
-// header-scan + recursion for control flow (so nested statements are
-// scanned exactly once, by their own block's pass).
-func checkOneStmt(pass *analysis.Pass, stmt ast.Stmt, held map[string]token.Pos) {
-	if name, _, op, ok := lockOp(pass, stmt); ok {
-		switch op {
-		case "Lock", "RLock":
-			held[name] = stmt.Pos()
-		case "Unlock", "RUnlock":
-			delete(held, name)
-		}
-		return
-	}
-	if d, ok := stmt.(*ast.DeferStmt); ok {
-		// defer mu.Unlock() keeps the lock held to function end; it is not
-		// itself work done under the lock. Other deferred calls fall
-		// through: with a deferred unlock in place they run before it
-		// (LIFO), i.e. still under the lock.
-		if _, _, op, ok := deferLockOp(pass, d); ok && (op == "Unlock" || op == "RUnlock") {
-			return
-		}
-	}
-	switch s := stmt.(type) {
-	case *ast.BlockStmt, *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt,
-		*ast.SwitchStmt, *ast.TypeSwitchStmt:
-		if len(held) > 0 {
-			reportBlockingInHeader(pass, stmt, held)
-		}
-		descendLockRegions(pass, stmt, held)
-	case *ast.SelectStmt:
-		if len(held) > 0 {
-			pass.Reportf(s.Pos(), "select while %s is held; release the lock before communicating", heldName(held))
-		}
-		descendLockRegions(pass, stmt, held)
-	case *ast.LabeledStmt:
-		checkOneStmt(pass, s.Stmt, held)
-	default:
-		if len(held) > 0 {
-			reportBlockingIn(pass, stmt, held)
-		}
-	}
-}
-
-// reportBlockingInHeader scans only the non-body parts of a control-flow
-// statement (init/condition/post/range operand); the bodies are scanned
-// by the recursive block pass.
-func reportBlockingInHeader(pass *analysis.Pass, stmt ast.Stmt, held map[string]token.Pos) {
-	scan := func(n ast.Node) {
-		if n != nil {
-			reportBlockingIn(pass, n, held)
-		}
-	}
-	switch s := stmt.(type) {
-	case *ast.IfStmt:
-		scan(s.Init)
-		scan(s.Cond)
-	case *ast.ForStmt:
-		scan(s.Init)
-		scan(s.Cond)
-		scan(s.Post)
-	case *ast.RangeStmt:
-		if t := pass.TypesInfo.TypeOf(s.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				pass.Reportf(s.Pos(), "range over channel while %s is held; release the lock before communicating", heldName(held))
-			}
-		}
-		scan(s.X)
-	case *ast.SwitchStmt:
-		scan(s.Init)
-		scan(s.Tag)
-	case *ast.TypeSwitchStmt:
-		scan(s.Init)
-		scan(s.Assign)
-	}
+		},
+	})
 }
 
 // lockOp recognises a statement of the form `expr.Lock()` / `expr.Unlock()`
@@ -150,10 +72,6 @@ func lockOp(pass *analysis.Pass, stmt ast.Stmt) (name string, pos token.Pos, op 
 		return "", 0, "", false
 	}
 	return lockCall(pass, call)
-}
-
-func deferLockOp(pass *analysis.Pass, d *ast.DeferStmt) (name string, pos token.Pos, op string, ok bool) {
-	return lockCall(pass, d.Call)
 }
 
 func lockCall(pass *analysis.Pass, call *ast.CallExpr) (name string, pos token.Pos, op string, ok bool) {
@@ -178,99 +96,50 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr) (name string, pos token.P
 	return "", 0, "", false
 }
 
-// reportBlockingIn scans one simple statement or expression (not
-// descending into nested function literals) for blocking constructs
-// while locks in held are held.
-func reportBlockingIn(pass *analysis.Pass, root ast.Node, held map[string]token.Pos) {
-	holder := heldName(held)
+// reportOnce returns a reporter that reports each position once. The
+// walker re-walks a loop until its head settles and walks each lock on
+// its own, so one construct can be reached several times; locks are
+// walked in source order, so the first report names the lock acquired
+// first.
+func reportOnce(pass *analysis.Pass) func(token.Pos, string, ...any) {
+	seen := map[token.Pos]bool{}
+	return func(pos token.Pos, format string, args ...any) {
+		if !seen[pos] {
+			seen[pos] = true
+			pass.Reportf(pos, format, args...)
+		}
+	}
+}
+
+// reportBlockingIn reports each blocking construct in one simple
+// statement or expression (not descending into nested function
+// literals), run while holder is held.
+func reportBlockingIn(pass *analysis.Pass, root ast.Node, holder string, report func(token.Pos, string, ...any)) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false // its body runs later; the invoking call is checked instead
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send while %s is held; release the lock before communicating", holder)
+			report(n.Pos(), "channel send while %s is held; release the lock before communicating", holder)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				pass.Reportf(n.Pos(), "channel receive while %s is held; release the lock before communicating", holder)
+				report(n.Pos(), "channel receive while %s is held; release the lock before communicating", holder)
 			}
-		case *ast.SelectStmt:
-			pass.Reportf(n.Pos(), "select while %s is held; release the lock before communicating", holder)
 		case *ast.CallExpr:
 			fn := staticCallee(pass, n)
 			if fn == nil {
 				return true
 			}
 			key := funcKey(fn)
-			if key == "(sync.Mutex).Unlock" || key == "(sync.RWMutex).Unlock" || key == "(sync.RWMutex).RUnlock" {
-				return true
-			}
 			if blockingStdlib[key] {
-				pass.Reportf(n.Pos(), "call to %s while %s is held; it may block — release the lock first", key, holder)
+				report(n.Pos(), "call to %s while %s is held; it may block — release the lock first", key, holder)
 				return true
 			}
 			var mb MayBlock
 			if pass.ImportObjectFact(fn, &mb) {
-				pass.Reportf(n.Pos(), "call to %s while %s is held; it may block (%s) — release the lock first", key, holder, mb.Why)
+				report(n.Pos(), "call to %s while %s is held; it may block (%s) — release the lock first", key, holder, mb.Why)
 			}
 		}
 		return true
 	})
-}
-
-// heldName renders the held-lock set for diagnostics: the lexically
-// first-locked mutex name (deterministic, not map order).
-func heldName(held map[string]token.Pos) string {
-	best := ""
-	var bestPos token.Pos = -1
-	for name, pos := range held {
-		if bestPos < 0 || pos < bestPos || (pos == bestPos && name < best) {
-			best, bestPos = name, pos
-		}
-	}
-	return "mutex " + best
-}
-
-// descendLockRegions recurses into the nested statement lists of stmt,
-// passing each a copy of the held set.
-func descendLockRegions(pass *analysis.Pass, stmt ast.Stmt, held map[string]token.Pos) {
-	clone := func() map[string]token.Pos {
-		c := make(map[string]token.Pos, len(held))
-		for k, v := range held {
-			c[k] = v
-		}
-		return c
-	}
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		checkLockRegions(pass, s.List, clone())
-	case *ast.IfStmt:
-		checkLockRegions(pass, s.Body.List, clone())
-		if s.Else != nil {
-			// else / else-if: route through checkOneStmt so an else-if's
-			// header is scanned too.
-			checkOneStmt(pass, s.Else, clone())
-		}
-	case *ast.ForStmt:
-		checkLockRegions(pass, s.Body.List, clone())
-	case *ast.RangeStmt:
-		checkLockRegions(pass, s.Body.List, clone())
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				checkLockRegions(pass, cc.Body, clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				checkLockRegions(pass, cc.Body, clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				checkLockRegions(pass, cc.Body, clone())
-			}
-		}
-	}
 }

@@ -10,8 +10,8 @@ import (
 
 // The obligation engine: a generic path-sensitive "acquire must be
 // released on every path to return" analysis over each function body's
-// syntax tree. bodyclose and unlockpath are thin configurations of this
-// engine.
+// syntax tree. bodyclose, unlockpath and locksafe are thin
+// configurations of this engine.
 //
 // Model. An acquisition (client.Do, mu.Lock) creates an obligation. The
 // engine follows it through every control-flow path forward from the
@@ -50,6 +50,11 @@ import (
 // (io.ReadAll(resp.Body)) keeps the obligation live. Only the resource
 // identifier itself moving into return/arg/store positions — or any
 // derived value being returned or stored — transfers it.
+//
+// Held regions. A rule with a held hook is also handed each node run
+// while its obligation is pending (locksafe: no blocking work under a
+// mutex), so held regions are path-sensitive like leaks. For such a rule
+// a deferred release leaves the region open to function end.
 
 // oblig is one tracked obligation within one function.
 type oblig struct {
@@ -78,8 +83,13 @@ type obRule struct {
 	// isRelease reports whether call discharges ob.
 	isRelease func(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool
 	// leak renders the diagnostic for an obligation that reached a
-	// normal exit still pending.
+	// normal exit still pending; nil reports no leaks.
 	leak func(ob *oblig) string
+	// held, if set, sees each node run while ob is pending: simple
+	// statements, conditions, tags and case expressions, and each range
+	// and select statement itself (not a select's comm clauses). A loop
+	// head is re-walked, so a node may be seen more than once.
+	held func(pass *analysis.Pass, ob *oblig, n ast.Node)
 }
 
 // runObligations applies rule to every function and function literal in
@@ -109,7 +119,7 @@ func checkFuncObligations(pass *analysis.Pass, rule *obRule, body *ast.BlockStmt
 	found.list(body.List, false)
 	for _, a := range found.acquired {
 		w := &walker{pass: pass, rule: rule, ob: a.ob, at: a.node}
-		if w.list(body.List, false) || w.leaked {
+		if (w.list(body.List, false) || w.leaked) && rule.leak != nil {
 			pass.Reportf(a.ob.pos, "%s", rule.leak(a.ob))
 		}
 	}
@@ -150,6 +160,19 @@ type frame struct {
 // node runs one node: a simple statement, a return, or a branch
 // condition, switch tag, case expression or range operand.
 func (w *walker) node(n ast.Node, in bool) bool {
+	w.hold(n, in)
+	return w.run(n, in)
+}
+
+// hold hands n to the rule's held hook if the bit is set on reaching it.
+func (w *walker) hold(n ast.Node, in bool) {
+	if in && n != nil && w.rule.held != nil {
+		w.rule.held(w.pass, w.ob, n)
+	}
+}
+
+// run is node without the held hook.
+func (w *walker) run(n ast.Node, in bool) bool {
 	if n == nil {
 		return in
 	}
@@ -208,11 +231,12 @@ func (w *walker) stmt(s ast.Stmt, in bool) bool {
 	case *ast.TypeSwitchStmt:
 		return w.clauses(s, s.Body, w.node(s.Assign, w.stmt(s.Init, in)))
 	case *ast.SelectStmt:
+		w.hold(s, in)
 		f := w.push(s, false)
 		out := false
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
-			out = w.list(cc.Body, w.stmt(cc.Comm, in)) || out
+			out = w.list(cc.Body, w.run(cc.Comm, in)) || out
 		}
 		w.pop()
 		return out || f.brk
@@ -229,6 +253,9 @@ func (w *walker) loop(s ast.Stmt, in bool, cond ast.Expr, body *ast.BlockStmt, p
 	f := w.push(s, true)
 	exit := false
 	for head := in; ; {
+		if _, ok := s.(*ast.RangeStmt); ok {
+			w.hold(s, head)
+		}
 		b, e := w.split(cond, w.node(cond, head))
 		exit = exit || e && cond != nil
 		end := w.stmt(body, b)
@@ -367,6 +394,9 @@ func isNilIdent(e ast.Expr) bool {
 // a release call, a deferred release, or an escape.
 func nodeResolves(pass *analysis.Pass, rule *obRule, ob *oblig, node ast.Node) bool {
 	if d, ok := node.(*ast.DeferStmt); ok {
+		if rule.held != nil {
+			return false // the held region runs on to function end
+		}
 		if rule.isRelease(pass, d.Call, ob) {
 			return true
 		}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,9 +16,11 @@ import (
 // The obligation engine on its own, under a test rule with two kinds of
 // obligation: acquire() creates a key obligation that release() discharges
 // (the unlockpath shape), and `r, err := open()` binds a value obligation
-// that r.Close() discharges (the bodyclose shape). Each case is one
-// function body; the engine's fixtures for the real analyzers live under
-// testdata/src/bodyclose and testdata/src/unlockpath.
+// that r.Close() discharges (the bodyclose shape); and under a held-region
+// rule that reports each block() call, receive, select and range run while
+// acquire() is pending (the locksafe shape). Each case is one function
+// body; the engine's fixtures for the real analyzers live under
+// testdata/src/bodyclose, testdata/src/unlockpath and testdata/src/locksafe.
 
 const obligationPrelude = `package p
 
@@ -31,6 +34,7 @@ func open() (*res, error) { return nil, nil }
 func acquire()            {}
 func release()            {}
 func mark()               {}
+func block() bool         { return true }
 func keep(*res)           {}
 
 var _ = os.Exit
@@ -79,6 +83,39 @@ var testObRule = &obRule{
 	leak: func(ob *oblig) string { return ob.what + " leaks" },
 }
 
+// testHeldRule is the held-region rule: acquire() and release() as in
+// testObRule, no leak reports, and each position reported once, as
+// locksafe does.
+func testHeldRule(pass *analysis.Pass) *obRule {
+	report := reportOnce(pass)
+	return &obRule{
+		acquisitions: testObRule.acquisitions,
+		isRelease:    testObRule.isRelease,
+		held: func(pass *analysis.Pass, ob *oblig, n ast.Node) {
+			switch n.(type) {
+			case *ast.SelectStmt:
+				report(n.Pos(), "select under %s", ob.what)
+				return
+			case *ast.RangeStmt:
+				report(n.Pos(), "range under %s", ob.what)
+				return
+			}
+			walkOwn(n, func(m ast.Node) {
+				switch m := m.(type) {
+				case *ast.CallExpr:
+					if calleeName(m) == "block" {
+						report(m.Pos(), "block under %s", ob.what)
+					}
+				case *ast.UnaryExpr:
+					if m.Op == token.ARROW {
+						report(m.Pos(), "receive under %s", ob.what)
+					}
+				}
+			})
+		},
+	}
+}
+
 func calleeName(call *ast.CallExpr) string {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		return id.Name
@@ -87,9 +124,10 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // checkBody type-checks body as the body of f beside the prelude and runs
-// the engine over f alone. It returns the diagnostics as "line: message",
-// lines counted from the first line of body, joined by "; ".
-func checkBody(t testing.TB, body string, mustTypeCheck bool) string {
+// the engine over f alone, under testHeldRule if held is set and under
+// testObRule if not. It returns the diagnostics as "line: message", lines
+// counted from the first line of body, joined by "; ".
+func checkBody(t testing.TB, body string, held, mustTypeCheck bool) string {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "f.go", obligationPrelude+body+"\n}\n", 0)
@@ -123,7 +161,11 @@ func checkBody(t testing.TB, body string, mustTypeCheck bool) string {
 			line := fset.Position(d.Pos).Line - first + 1
 			got = append(got, strconv.Itoa(line)+": "+d.Message)
 		})
-	checkFuncObligations(pass, testObRule, fn.Body)
+	rule := testObRule
+	if held {
+		rule = testHeldRule(pass)
+	}
+	checkFuncObligations(pass, rule, fn.Body)
 	return strings.Join(got, "; ")
 }
 
@@ -200,7 +242,46 @@ func TestObligationWalk(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := checkBody(t, tc.body, true); got != tc.want {
+			if got := checkBody(t, tc.body, false, true); got != tc.want {
+				t.Errorf("got %q, want %q\nbody:\n%s", got, tc.want, tc.body)
+			}
+		})
+	}
+
+	// Held regions: what runs while the obligation is pending.
+	held := []struct {
+		name, body, want string
+	}{
+		{"held_straight_line", "block()\nacquire()\nblock()\nrelease()\nblock()", "3: block under lock"},
+		// A deferred release holds the region open to the end.
+		{"held_deferred_release", "acquire()\ndefer release()\nblock()\nif cond {\nreturn\n}\nblock()", "3: block under lock; 7: block under lock"},
+		{"held_deferred_closure_release", "acquire()\ndefer func() {\nrelease()\n}()\nblock()", "5: block under lock"},
+		// An unlock in one branch leaves the lock held after the if; one on
+		// both branches ends it.
+		{"held_unlock_in_one_branch", "acquire()\nif cond {\nrelease()\n}\nblock()", "5: block under lock"},
+		{"held_unlock_in_both_branches", "acquire()\nif cond {\nrelease()\n} else {\nrelease()\n}\nblock()", ""},
+		{"held_early_return_release", "acquire()\nif cond {\nrelease()\nreturn\n}\nblock()\nrelease()", "6: block under lock"},
+		{"held_acquired_in_branch", "if cond {\nacquire()\n}\nblock()\nrelease()", "4: block under lock"},
+		{"held_acquired_in_block", "{\nacquire()\n}\nblock()\nrelease()", "4: block under lock"},
+		// The loop's head is re-walked until the bit there settles: the
+		// post statement runs with the lock held on both the first and the
+		// second walk, and is reported once.
+		{"held_loop_post_rewalked_once", "for i := 0; i < mode; block() {\ni++\nacquire()\n}", "1: block under lock"},
+		{"held_carried_round_loop", "for i := 0; block(); i++ {\nif i > 0 {\n<-ch\nrelease()\n}\nacquire()\n}", "1: block under lock; 3: receive under lock"},
+		{"held_range_carried_round_loop", "for range xs {\nacquire()\n}", "1: range under lock"},
+		{"held_conditions_and_cases", "acquire()\nif block() {\n}\nswitch x := block(); x {\ncase block():\n}\nrelease()", "2: block under lock; 4: block under lock; 5: block under lock"},
+		// A select is reported once, at the select: its comm clause is part
+		// of it. Its clause bodies run under the lock.
+		{"held_select_not_its_comm", "acquire()\nselect {\ncase v := <-ch:\n_ = v\nblock()\n}\nrelease()", "2: select under lock; 5: block under lock"},
+		// Two pending obligations reach the same call: one report.
+		{"held_two_obligations_once", "acquire()\nacquire()\nblock()\nrelease()\nrelease()", "3: block under lock"},
+		// A function literal's body runs later, not under the lock.
+		{"held_func_literal_not_run", "acquire()\nf := func() { block() }\n_ = f\nrelease()", ""},
+		{"held_after_panic_path", "acquire()\nif cond {\npanic(\"x\")\n}\nrelease()\nblock()", ""},
+	}
+	for _, tc := range held {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkBody(t, tc.body, true, true); got != tc.want {
 				t.Errorf("got %q, want %q\nbody:\n%s", got, tc.want, tc.body)
 			}
 		})
@@ -209,8 +290,11 @@ func TestObligationWalk(t *testing.T) {
 
 // FuzzObligationWalk feeds arbitrary function bodies to the engine after
 // an acquire() that a defer releases at once. The walk must end without
-// panicking whatever the body holds, type errors included, and must never
-// report that first acquisition: the deferred release runs on every exit.
+// panicking whatever the body holds, type errors included, under both
+// rules. Under testObRule it must never report that first acquisition:
+// the deferred release runs on every exit. Under testHeldRule, with a
+// block() after the defer, that call is always reported: the deferred
+// release leaves the region open.
 func FuzzObligationWalk(f *testing.F) {
 	seeds := []string{
 		"x := 1\n_ = x",
@@ -233,10 +317,14 @@ func FuzzObligationWalk(f *testing.F) {
 		if _, err := parser.ParseFile(token.NewFileSet(), "f.go", obligationPrelude+body+"\n}\n", 0); err != nil {
 			t.Skip()
 		}
-		for _, d := range strings.Split(checkBody(t, body, false), "; ") {
+		for _, d := range strings.Split(checkBody(t, body, false, false), "; ") {
 			if strings.HasPrefix(d, "1: ") {
 				t.Fatalf("deferred release not seen: %s\nbody:\n%s", d, body)
 			}
+		}
+		body = "acquire()\ndefer release()\nblock()\n" + src
+		if got := checkBody(t, body, true, false); !slices.Contains(strings.Split(got, "; "), "3: block under lock") {
+			t.Fatalf("held rule: got %q, want the block() after the deferred release reported\nbody:\n%s", got, body)
 		}
 	})
 }

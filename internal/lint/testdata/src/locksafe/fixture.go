@@ -91,3 +91,94 @@ func suppressed() {
 	//lint:allow locksafe fixture demonstrates an accepted send under lock
 	ch <- 1
 }
+
+func badRangeChan() {
+	mu.Lock()
+	defer mu.Unlock()
+	for v := range ch { // want `range over channel while mutex mu is held`
+		_ = v
+	}
+}
+
+func badRecvInIfHeader() {
+	mu.Lock()
+	defer mu.Unlock()
+	if v := <-ch; v > 0 { // want `channel receive while mutex mu is held`
+		_ = v
+	}
+}
+
+func badRecvInSwitchTag() {
+	mu.Lock()
+	defer mu.Unlock()
+	switch <-ch { // want `channel receive while mutex mu is held`
+	case 1:
+	}
+}
+
+func badRecvInForCond() {
+	mu.Lock()
+	defer mu.Unlock()
+	for <-ch > 0 { // want `channel receive while mutex mu is held`
+		_ = quick()
+	}
+}
+
+// The select is reported once, at the select: its comm clause's receive
+// is part of the select, not a second finding.
+func badSelectCommRecv() {
+	mu.Lock()
+	defer mu.Unlock()
+	select { // want `select while mutex mu is held`
+	case v := <-ch:
+		_ = v
+	}
+}
+
+// With two locks held the message names the one acquired first.
+func badTwoLocks() {
+	mu.Lock()
+	defer mu.Unlock()
+	rw.Lock()
+	defer rw.Unlock()
+	ch <- 1 // want `channel send while mutex mu is held`
+}
+
+// Held regions follow paths: a lock taken inside an if is still held
+// after it on the path through the branch.
+func badLockInIf(cond bool) {
+	if cond {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	ch <- 1 // want `channel send while mutex mu is held`
+}
+
+// A lock taken at the end of one iteration is held at the top of the next.
+func badLockCarriedRoundLoop(n int) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			ch <- i // want `channel send while mutex mu is held`
+			mu.Unlock()
+		}
+		mu.Lock()
+	}
+	mu.Unlock()
+}
+
+func badLockInNestedBlock() {
+	{
+		mu.Lock()
+	}
+	ch <- 1 // want `channel send while mutex mu is held`
+	mu.Unlock()
+}
+
+// Case expressions run under the lock like the tag does.
+func badRecvInCaseExpr() {
+	mu.Lock()
+	defer mu.Unlock()
+	switch {
+	case <-ch > 0: // want `channel receive while mutex mu is held`
+	}
+}

@@ -15,9 +15,9 @@ import (
 // shard or flight group wedges the whole serving layer on the next
 // request.
 //
-// The lock-identification machinery (receiver text as the tracking key,
-// Lock/RLock vs Unlock/RUnlock pairing) is shared with locksafe via
-// lockCall. Obligations are key-based: there is no first-class value to
+// The lock rule (receiver text as the tracking key, Lock/RLock vs
+// Unlock/RUnlock pairing) is shared with locksafe: lockAcquisitions and
+// isUnlock. Obligations are key-based: there is no first-class value to
 // escape, so the only discharges are an unlock (direct or deferred,
 // including a deferred closure that unlocks) on the same receiver with
 // the matching flavour. Paths ending in panic or a no-return call are
@@ -35,31 +35,39 @@ var UnlockPath = &analysis.Analyzer{
 }
 
 func runUnlockPath(pass *analysis.Pass) error {
-	rule := &obRule{
-		acquisitions: func(pass *analysis.Pass, node ast.Node) []*oblig {
-			stmt, ok := node.(ast.Stmt)
-			if !ok {
-				return nil
-			}
-			name, pos, op, ok := lockOp(pass, stmt)
-			if !ok {
-				return nil
-			}
-			switch op {
-			case "Lock":
-				return []*oblig{{pos: pos, key: name, releaseOp: "Unlock", what: "mutex " + name}}
-			case "RLock":
-				return []*oblig{{pos: pos, key: name, releaseOp: "RUnlock", what: "mutex " + name}}
-			}
-			return nil
-		},
-		isRelease: func(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool {
-			name, _, op, ok := lockCall(pass, call)
-			return ok && op == ob.releaseOp && name == ob.key
-		},
+	return runObligations(pass, &obRule{
+		acquisitions: lockAcquisitions,
+		isRelease:    isUnlock,
 		leak: func(ob *oblig) string {
 			return ob.what + " is locked here but not unlocked on every path to return; the leaked path deadlocks the next contender"
 		},
+	})
+}
+
+// lockAcquisitions is the lock rule's acquisition scanner, shared with
+// locksafe: each mu.Lock() or mu.RLock() statement creates a key
+// obligation on the receiver's text, released by the matching flavour.
+func lockAcquisitions(pass *analysis.Pass, node ast.Node) []*oblig {
+	stmt, ok := node.(ast.Stmt)
+	if !ok {
+		return nil
 	}
-	return runObligations(pass, rule)
+	name, pos, op, ok := lockOp(pass, stmt)
+	if !ok {
+		return nil
+	}
+	switch op {
+	case "Lock":
+		return []*oblig{{pos: pos, key: name, releaseOp: "Unlock", what: "mutex " + name}}
+	case "RLock":
+		return []*oblig{{pos: pos, key: name, releaseOp: "RUnlock", what: "mutex " + name}}
+	}
+	return nil
+}
+
+// isUnlock reports whether call releases ob: the matching flavour of
+// unlock on the same receiver.
+func isUnlock(pass *analysis.Pass, call *ast.CallExpr, ob *oblig) bool {
+	name, _, op, ok := lockCall(pass, call)
+	return ok && op == ob.releaseOp && name == ob.key
 }
