@@ -120,9 +120,11 @@ bench-smoke:
 
 # End-to-end smoke: boot geostatd, upload a small CSV and a small GeoJSON
 # body through the real listener (each must echo its point count), drive
-# one KDV request, and assert the observability surfaces answer with
-# well-formed output (Prometheus text at /metrics with both uploads in
-# the upload latency series, a span tree at /debug/trace/last).
+# one KDV request, check that a format=f64 KDV body (the shard tile hop's
+# wire format) is its header line, "\n" and 8 bytes a value, and assert
+# the observability surfaces answer with well-formed output (Prometheus
+# text at /metrics with both uploads in the upload latency series, a span
+# tree at /debug/trace/last).
 SMOKE_CSV = x,y,value\n1,2,10\n3,4,20\n5,6,30\n
 SMOKE_GEOJSON = {"type":"FeatureCollection","features":[$\
 {"type":"Feature","geometry":{"type":"Point","coordinates":[1,2]},"properties":{"value":10}},$\
@@ -140,8 +142,10 @@ smoke:
 	printf '%s' '$(SMOKE_GEOJSON)' | curl -fs --data-binary @- http://127.0.0.1:18091/v1/datasets/smoke_geojson | grep -q '"n":2' && \
 	curl -fs -X POST 'http://127.0.0.1:18091/v1/generate?name=smoke&kind=clusters&n=500&seed=1' >/dev/null && \
 	curl -fs 'http://127.0.0.1:18091/v1/kdv?dataset=smoke&bandwidth=8&width=32&height=32' >/dev/null && \
+	curl -fs -o /tmp/smoke.f64 'http://127.0.0.1:18091/v1/kdv?dataset=smoke&bandwidth=8&width=32&height=24&format=f64' && \
+	[ $$(wc -c < /tmp/smoke.f64) -eq $$(( $$(head -n 1 /tmp/smoke.f64 | wc -c) + 8*32*24 )) ] && \
 	curl -fs http://127.0.0.1:18091/metrics | grep -q '# TYPE geostatd_request_seconds histogram' && \
-	curl -fs http://127.0.0.1:18091/metrics | grep -q 'geostatd_requests_total{tool="kdv"} 1' && \
+	curl -fs http://127.0.0.1:18091/metrics | grep -q 'geostatd_requests_total{tool="kdv"} 2' && \
 	curl -fs http://127.0.0.1:18091/metrics | grep -q 'geostatd_request_seconds_count{tool="upload"} 2' && \
 	curl -fs http://127.0.0.1:18091/debug/trace/last | grep -q 'kdv.compute' && \
 	echo "smoke OK"

@@ -85,9 +85,14 @@ type sweepComputer struct {
 	poly sweepPoly      // the kernel's written-out update and pixel sum
 	fp   geom.Footprint // the kernel's footprint: its row halo, each point's columns
 	halo int            // fp.RowHalo()
-
-	bufs sync.Pool // *sweepBuf, one per in-flight row
+	most int32          // the most candidates any row has: a buffer's band capacity
 }
+
+// sweepBufs holds row scratch between rows and between calls, resized on
+// Get. It lives outside the computer because the runtime keeps a pool
+// alive until the second GC after its last Put, and a pool inside the
+// computer would keep the computer, with its point copy, alive as long.
+var sweepBufs sync.Pool // *sweepBuf
 
 // sweepEvent is one band point: what its enter and exit updates read, and
 // its links in the two column chains, in one record, so an event touches
@@ -118,23 +123,38 @@ func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepCompute
 	}
 	c.halo = c.fp.RowHalo()
 	c.bucketRows(cols)
-	// A buffer's band is sized once, to the most candidates any row has,
-	// so appending to it never reallocates.
-	most := int32(0)
 	for iy := 0; iy < opt.Grid.NY; iy++ {
 		lo, hi := c.candidates(iy)
-		most = max(most, hi-lo)
-	}
-	nx := opt.Grid.NX
-	c.bufs.New = func() any {
-		return &sweepBuf{
-			enterHead: make([]int32, nx+1),
-			exitHead:  make([]int32, nx+1),
-			band:      make([]sweepEvent, 0, most),
-			agg:       make([]float64, (deg+1)*(deg+1)),
-		}
+		c.most = max(c.most, hi-lo)
 	}
 	return c
+}
+
+// getBuf takes a row buffer from sweepBufs, sized for this computer: its
+// band holds the most candidates any row has, so appending to it never
+// reallocates.
+func (c *sweepComputer) getBuf() *sweepBuf {
+	buf, _ := sweepBufs.Get().(*sweepBuf)
+	if buf == nil {
+		buf = &sweepBuf{}
+	}
+	nx, deg := c.opt.Grid.NX, c.poly.deg
+	buf.enterHead = resize(buf.enterHead, nx+1)
+	buf.exitHead = resize(buf.exitHead, nx+1)
+	buf.agg = resize(buf.agg, (deg+1)*(deg+1))
+	if cap(buf.band) < int(c.most) {
+		buf.band = make([]sweepEvent, 0, c.most)
+	}
+	return buf
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // candidates returns the bucket range [lo, hi) row iy takes its band
@@ -353,8 +373,8 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	qy := g.CenterY(iy)
 	nx := g.NX
 
-	buf := c.bufs.Get().(*sweepBuf)
-	defer c.bufs.Put(buf)
+	buf := c.getBuf()
+	defer sweepBufs.Put(buf)
 	clear(buf.enterHead)
 	clear(buf.exitHead)
 
@@ -367,6 +387,9 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 	buf.band = buf.band[:0]
 	for i := lo; i < hi; i++ {
 		dy := c.ys[i] - qy
+		if dy*dy > b2 { // Cols' own skip, kept inline: many candidates take it
+			continue
+		}
 		px := c.xs[i]
 		colLo, colHi := c.fp.Cols(px, dy)
 		if colLo >= colHi {

@@ -232,6 +232,7 @@ func scatterOrdered[S any](ctx context.Context, n, workers int, values []float64
 	}
 	var (
 		mu       sync.Mutex
+		scratch  []S                   // idle
 		lists    []contribs            // idle
 		queued   = make(map[int]block) // expanded blocks by first event
 		next     int                   // first event not yet in values
@@ -303,11 +304,29 @@ func scatterOrdered[S any](ctx context.Context, n, workers int, values []float64
 		}
 		return true, released
 	}
-	scratches := sync.Pool{New: func() any { return newScratch() }}
+	// take and give recycle scratches between chunks. The idle list dies
+	// with this call, where a sync.Pool would keep the scratches (Dijkstra
+	// engines sized to the graph) until the second GC after it returns.
+	take := func() (sc S, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if k := len(scratch) - 1; k >= 0 {
+			sc, scratch, ok = scratch[k], scratch[:k], true
+		}
+		return sc, ok
+	}
+	give := func(sc S) {
+		mu.Lock()
+		defer mu.Unlock()
+		scratch = append(scratch, sc)
+	}
 	nw := parallel.Workers(workers)
 	return parallel.ForRangeCtx(ctx, n, workers, func(lo, hi int) {
-		sc := scratches.Get().(S)
-		defer scratches.Put(sc)
+		sc, ok := take()
+		if !ok {
+			sc = newScratch()
+		}
+		defer give(sc)
 		for blo := lo; blo < hi; blo += scatterBlock {
 			bhi := min(blo+scatterBlock, hi)
 			out := begin(blo)

@@ -15,6 +15,7 @@ import (
 	"geostat/internal/dataset"
 	"geostat/internal/geojson"
 	"geostat/internal/obs"
+	"geostat/internal/shard"
 	"geostat/internal/weights"
 )
 
@@ -299,29 +300,27 @@ func finite(v float64) bool {
 }
 
 // heatmapValue renders a computed surface as format=json (the full value
-// array plus summary stats) or format=png (heat-ramp raster).
+// array plus summary stats), format=f64 (the same with raw float64 values,
+// shard.KDVResult.MarshalBinary) or format=png (heat-ramp raster).
 func heatmapValue(g *geostat.Heatmap, format, dataset, method string) (Value, error) {
-	switch format {
-	case "png":
+	if format == "png" {
 		var buf bytes.Buffer
 		if err := g.WritePNG(&buf, geostat.HeatRamp); err != nil {
 			return Value{}, err
 		}
 		return Value{Body: buf.Bytes(), ContentType: "image/png"}, nil
+	}
+	lo, hi := g.MinMax()
+	res := shard.KDVResult{Dataset: dataset, Method: method, Width: g.Spec.NX, Height: g.Spec.NY,
+		Min: lo, Max: hi, Sum: g.Sum(), Values: g.Values}
+	switch format {
 	case "json", "":
-		lo, hi := g.MinMax()
-		return jsonValue(struct {
-			Dataset string    `json:"dataset"`
-			Method  string    `json:"method"`
-			Width   int       `json:"width"`
-			Height  int       `json:"height"`
-			Min     float64   `json:"min"`
-			Max     float64   `json:"max"`
-			Sum     float64   `json:"sum"`
-			Values  []float64 `json:"values"`
-		}{dataset, method, g.Spec.NX, g.Spec.NY, lo, hi, g.Sum(), g.Values})
+		return jsonValue(res)
+	case "f64":
+		b, err := res.MarshalBinary()
+		return Value{Body: b, ContentType: "application/octet-stream"}, err
 	default:
-		return Value{}, fmt.Errorf("unknown format %q (json|png)", format)
+		return Value{}, fmt.Errorf("unknown format %q (json|png|f64)", format)
 	}
 }
 
@@ -340,7 +339,7 @@ var kdvMethods = map[string]geostat.KDVMethod{
 // Parameters: kernel (default quartic), bandwidth (0 = Silverman's rule),
 // method (auto|naive|grid-cutoff|sweep-line|bound-approx|sampled),
 // width/height/bbox, epsilon/delta/seed for the approximate methods,
-// normalize, format=json|png.
+// normalize, format=json|png|f64.
 func (s *Server) computeKDV(ctx context.Context, d *geostat.Dataset, p *params) (Value, error) {
 	_, parse := obs.Trace(ctx, "kdv.parse")
 	defer parse.End()
@@ -624,7 +623,7 @@ func (s *Server) computeAutocorr(ctx context.Context, tool string, d *geostat.Da
 // computeIDW serves GET /v1/idw: inverse-distance-weighted interpolation
 // of the dataset's values. Parameters: power (default 2), method
 // (naive|knn|radius), k (knn, default 8), radius (radius method, default
-// 1/10 of the bbox diagonal), width/height/bbox, format=json|png.
+// 1/10 of the bbox diagonal), width/height/bbox, format=json|png|f64.
 func (s *Server) computeIDW(ctx context.Context, d *geostat.Dataset, p *params) (Value, error) {
 	_, parse := obs.Trace(ctx, "idw.parse")
 	defer parse.End()

@@ -4,28 +4,19 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"geostat/internal/serve"
+	"geostat/internal/shard"
 )
 
 // The shard coordinator's server-side surface: the dataset digest
 // endpoint, windowed (tile=) KDV evaluation, and explicit-thresholds
 // K-function band evaluation. These tests pin the exactness contracts the
 // coordinator's merge step depends on.
-
-type heatmapResp struct {
-	Dataset string    `json:"dataset"`
-	Method  string    `json:"method"`
-	Width   int       `json:"width"`
-	Height  int       `json:"height"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	Sum     float64   `json:"sum"`
-	Values  []float64 `json:"values"`
-}
 
 type kfuncResp struct {
 	Dataset string    `json:"dataset"`
@@ -94,7 +85,7 @@ func TestKDVTileWindowBitIdentical(t *testing.T) {
 	generate(t, srv, "name=ev&kind=clusters&n=400&seed=9")
 
 	const base = "/v1/kdv?dataset=ev&method=naive&kernel=quartic&bandwidth=7&width=24&height=20&bbox=0,0,100,100"
-	var full heatmapResp
+	var full shard.KDVResult
 	getJSON(t, srv, base, &full)
 	if full.Width != 24 || full.Height != 20 {
 		t.Fatalf("full raster %dx%d", full.Width, full.Height)
@@ -107,7 +98,7 @@ func TestKDVTileWindowBitIdentical(t *testing.T) {
 		{23, 19, 1, 1},
 	}
 	for _, tl := range tiles {
-		var tile heatmapResp
+		var tile shard.KDVResult
 		getJSON(t, srv, base+joinTile(tl.x0, tl.y0, tl.w, tl.h), &tile)
 		if tile.Width != tl.w || tile.Height != tl.h {
 			t.Fatalf("tile %+v: got %dx%d", tl, tile.Width, tile.Height)
@@ -128,6 +119,42 @@ func TestKDVTileWindowBitIdentical(t *testing.T) {
 	metrics := do(t, srv, http.MethodGet, "/metrics", nil).Body.String()
 	if !strings.Contains(metrics, "shard_tiles_total") {
 		t.Fatal("/metrics lacks shard_tiles_total after tile requests")
+	}
+}
+
+// TestKDVF64MatchesJSON: format=f64 is the format=json payload with each
+// value as its 8 raw bytes, for the full raster and for a tile.
+func TestKDVF64MatchesJSON(t *testing.T) {
+	srv := newServer(t, serve.Config{CacheBytes: 64 << 20})
+	generate(t, srv, "name=ev&kind=clusters&n=400&seed=9")
+
+	const base = "/v1/kdv?dataset=ev&method=naive&kernel=quartic&bandwidth=7&width=24&height=20&bbox=0,0,100,100"
+	for _, target := range []string{base, base + joinTile(9, 7, 15, 13)} {
+		var js, bin shard.KDVResult
+		getJSON(t, srv, target, &js)
+		rr := do(t, srv, http.MethodGet, target+"&format=f64", nil)
+		if rr.Code != http.StatusOK || rr.Header().Get("Content-Type") != "application/octet-stream" {
+			t.Fatalf("GET %s&format=f64: status %d, Content-Type %q", target, rr.Code, rr.Header().Get("Content-Type"))
+		}
+		body := rr.Body.Bytes()
+		if err := bin.UnmarshalBinary(body); err != nil {
+			t.Fatalf("GET %s&format=f64: %v", target, err)
+		}
+		head, _, _ := strings.Cut(string(body), "\n")
+		if want := len(head) + 1 + 8*js.Width*js.Height; len(body) != want {
+			t.Errorf("%s: f64 body is %d bytes, want %d", target, len(body), want)
+		}
+		bits := func(r shard.KDVResult) []uint64 {
+			b := []uint64{math.Float64bits(r.Min), math.Float64bits(r.Max), math.Float64bits(r.Sum)}
+			for _, v := range r.Values {
+				b = append(b, math.Float64bits(v))
+			}
+			return b
+		}
+		if !slices.Equal(bits(bin), bits(js)) || bin.Dataset != js.Dataset || bin.Method != js.Method ||
+			bin.Width != js.Width || bin.Height != js.Height {
+			t.Errorf("%s: format=f64 differs from format=json", target)
+		}
 	}
 }
 

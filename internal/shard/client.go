@@ -12,7 +12,7 @@ import (
 )
 
 // maxRespBytes caps worker response bodies (largest legal tile: 4096² of
-// ~25-byte JSON floats is well under this).
+// 8-byte format=f64 values is well under this).
 const maxRespBytes = 1 << 30
 
 // httpError is a non-2xx worker response. Retryability is decided by
@@ -68,27 +68,37 @@ func errorBody(body []byte) string {
 	return string(body)
 }
 
-// getJSON performs a GET against a worker and decodes the JSON response.
-func (c *Coordinator) getJSON(ctx context.Context, worker, path string, query url.Values, out any) error {
+// get performs a GET against a worker and returns the body of its 200
+// response.
+func (c *Coordinator) get(ctx context.Context, worker, path string, query url.Values) ([]byte, error) {
 	u := worker + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
 	if err != nil {
-		return fmt.Errorf("shard: read %s: %w", path, err)
+		return nil, fmt.Errorf("shard: read %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return &httpError{status: resp.StatusCode, msg: errorBody(body)}
+		return nil, &httpError{status: resp.StatusCode, msg: errorBody(body)}
+	}
+	return body, nil
+}
+
+// getJSON performs a GET against a worker and decodes the JSON response.
+func (c *Coordinator) getJSON(ctx context.Context, worker, path string, query url.Values, out any) error {
+	body, err := c.get(ctx, worker, path, query)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(body, out); err != nil {
 		return fmt.Errorf("shard: corrupt %s payload: %w", path, err)

@@ -141,9 +141,9 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 }
 
 // tileQuery builds the worker request for one tile: a windowed naive KDV
-// over the FULL grid spec. bbox and bandwidth are shortest-round-trip
-// decimal, which ParseFloat recovers to the identical float64, so the
-// worker reconstructs this exact grid.
+// over the FULL grid spec, answered as format=f64. bbox and bandwidth are
+// shortest-round-trip decimal, which ParseFloat recovers to the identical
+// float64, so the worker reconstructs this exact grid.
 func (p *KDVPlan) tileQuery(t *Tile) url.Values {
 	q := url.Values{}
 	q.Set("dataset", t.Dataset)
@@ -155,6 +155,7 @@ func (p *KDVPlan) tileQuery(t *Tile) url.Values {
 	b := p.Req.Grid.Box
 	q.Set("bbox", formatF(b.MinX)+","+formatF(b.MinY)+","+formatF(b.MaxX)+","+formatF(b.MaxY))
 	q.Set("tile", fmt.Sprintf("%d,%d,%d,%d", t.Window.X0, t.Window.Y0, t.Window.NX, t.Window.NY))
+	q.Set("format", "f64")
 	return q
 }
 

@@ -28,9 +28,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -212,15 +216,18 @@ func (c *Coordinator) computeTile(ctx context.Context, plan *KDVPlan, t *Tile) (
 		if err := c.ensure(actx, worker, t.Dataset, t.Digest, t.csv); err != nil {
 			return err
 		}
-		var resp KDVResult
-		if err := c.getJSON(actx, worker, "/v1/kdv", plan.tileQuery(t), &resp); err != nil {
+		body, err := c.get(actx, worker, "/v1/kdv", plan.tileQuery(t))
+		if err != nil {
 			c.forgetIfLost(err, worker, t.Dataset)
 			return err
 		}
-		if resp.Width != t.Window.NX || resp.Height != t.Window.NY ||
-			len(resp.Values) != t.Window.NX*t.Window.NY {
-			return fmt.Errorf("shard: corrupt tile payload: %dx%d with %d values, want %dx%d",
-				resp.Width, resp.Height, len(resp.Values), t.Window.NX, t.Window.NY)
+		var resp KDVResult
+		if err := resp.UnmarshalBinary(body); err != nil {
+			return fmt.Errorf("shard: corrupt tile payload: %w", err)
+		}
+		if resp.Width != t.Window.NX || resp.Height != t.Window.NY {
+			return fmt.Errorf("shard: corrupt tile payload: %dx%d, want %dx%d",
+				resp.Width, resp.Height, t.Window.NX, t.Window.NY)
 		}
 		vals = resp.Values
 		return nil
@@ -232,8 +239,10 @@ func (c *Coordinator) computeTile(ctx context.Context, plan *KDVPlan, t *Tile) (
 	return vals, nil
 }
 
-// KDVResult is the /v1/kdv JSON payload: a worker's tile, or geoshard's
-// merged raster, field for field the single-node serve payload.
+// KDVResult is the /v1/kdv payload: a worker's tile, or geoshard's merged
+// raster. As JSON it is one object; as format=f64, the tile hop's encoding
+// (MarshalBinary), its scalars are one JSON line and its values follow it
+// as raw float64.
 type KDVResult struct {
 	Dataset string    `json:"dataset"`
 	Method  string    `json:"method"`
@@ -242,7 +251,53 @@ type KDVResult struct {
 	Min     float64   `json:"min"`
 	Max     float64   `json:"max"`
 	Sum     float64   `json:"sum"`
-	Values  []float64 `json:"values"`
+	Values  []float64 `json:"values,omitempty"` // row-major, Width·Height of them
+}
+
+// MarshalBinary encodes r as format=f64: the JSON object without its
+// values, "\n", then each value's IEEE 754 bits as 8 little-endian bytes.
+// It is 8 bytes a value where JSON takes about 20, and the bits come back
+// exactly: −0, subnormals and every NaN payload included.
+func (r KDVResult) MarshalBinary() ([]byte, error) {
+	vals := r.Values
+	r.Values = nil
+	head, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(head)+1+8*len(vals))
+	b = append(append(b, head...), '\n')
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes a format=f64 body. It fails, leaving r as it
+// was, on a body without the header line, on value bytes that are not a
+// whole number of float64s, and on a value count other than Width·Height.
+func (r *KDVResult) UnmarshalBinary(body []byte) error {
+	head, raw, ok := bytes.Cut(body, []byte{'\n'})
+	if !ok {
+		return errors.New("no header line")
+	}
+	var h KDVResult
+	if err := json.Unmarshal(head, &h); err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	if len(raw)%8 != 0 {
+		return fmt.Errorf("%d value bytes, not a multiple of 8", len(raw))
+	}
+	n := len(raw) / 8
+	if h.Width <= 0 || h.Height <= 0 || n%h.Width != 0 || n/h.Width != h.Height {
+		return fmt.Errorf("%dx%d with %d values", h.Width, h.Height, n)
+	}
+	h.Values = make([]float64, n)
+	for i := range h.Values {
+		h.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	*r = h
+	return nil
 }
 
 // KFuncResult is a sharded K-function plot: the single-node serve

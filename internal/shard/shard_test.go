@@ -247,6 +247,49 @@ func TestRetryOnDroppedConnectionAndCorruptPayload(t *testing.T) {
 	}
 }
 
+// TestCorruptF64TileIsRetried: a format=f64 tile body of the wrong shape
+// fails its attempt as a corrupt tile payload, and the retry computes the
+// tile exactly.
+func TestCorruptF64TileIsRetried(t *testing.T) {
+	d := testData(5, 200)
+	req := kdvReq(kernel.MustNew(kernel.Quartic, 9), 1, 1) // one tile, the whole grid
+	want := singleNode(t, d, req)
+	nx, ny := req.Grid.NX, req.Grid.NY
+	head := `{"width":` + strconv.Itoa(nx) + `,"height":` + strconv.Itoa(ny) + `}`
+	whole := shardtest.F64Body(head, nx*ny)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"no header line", whole[len(head)+1:]},
+		{"partial value", append(shardtest.F64Body(head, nx*ny), 0, 0, 0)},
+		{"W·H mismatch", shardtest.F64Body(head, nx*ny+1)},
+		{"truncated", whole[:len(whole)-8*nx]},
+		{"other window", shardtest.F64Body(`{"width":`+strconv.Itoa(ny)+`,"height":`+strconv.Itoa(nx)+`}`, nx*ny)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, retries := range []int{0, 1} {
+				c, workers, _ := cluster(t, 1, shard.Config{Replication: 1, Retries: retries, Backoff: time.Millisecond})
+				workers[0].Script(shardtest.Rule{Tool: "kdv", Times: 1, Body: tc.body})
+				got, err := c.KDV(context.Background(), d, "ev", req)
+				if workers[0].Hits("body") != 1 {
+					t.Fatalf("retries=%d: the fault fired %d times, want 1", retries, workers[0].Hits("body"))
+				}
+				if retries == 0 {
+					if err == nil || !strings.Contains(err.Error(), "corrupt tile payload") {
+						t.Fatalf("no retry: got %v, want a corrupt tile payload error", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("one retry: %v", err)
+				}
+				assertBitIdentical(t, want, got.Values, "after the retry")
+			}
+		})
+	}
+}
+
 func TestDeadWorkerDegradesNotWedges(t *testing.T) {
 	d := testData(5, 200)
 	req := kdvReq(kernel.MustNew(kernel.Quartic, 9), 3, 3)

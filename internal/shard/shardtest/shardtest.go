@@ -7,6 +7,8 @@
 package shardtest
 
 import (
+	"encoding/binary"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,12 +37,16 @@ type Rule struct {
 	Hang bool
 	// Status short-circuits with this HTTP status and a JSON error body.
 	Status int
-	// DropMidBody writes a partial tile payload and then severs the
-	// connection, exercising the coordinator's truncated-read path.
+	// DropMidBody writes a partial payload (a format=f64 tile for "kdv",
+	// JSON otherwise) and then severs the connection, exercising the
+	// coordinator's truncated-read path.
 	DropMidBody bool
-	// Corrupt serves a well-formed HTTP 200 whose JSON payload is garbage
-	// (wrong shape), exercising the coordinator's payload validation.
+	// Corrupt serves a well-formed HTTP 200 whose payload has the wrong
+	// shape (a format=f64 tile for "kdv", JSON otherwise), exercising the
+	// coordinator's payload validation.
 	Corrupt bool
+	// Body serves a well-formed HTTP 200 with exactly these bytes.
+	Body []byte
 }
 
 // Worker is one fake geostatd: a real serving stack plus the fault layer.
@@ -81,7 +87,7 @@ func (w *Worker) Script(r Rule) {
 }
 
 // Hits returns how many times faults of the given kind fired
-// ("delay", "hang", "status", "drop", "corrupt").
+// ("delay", "hang", "status", "drop", "corrupt", "body").
 func (w *Worker) Hits(kind string) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -138,6 +144,8 @@ func kind(r *Rule) string {
 		return "drop"
 	case r.Corrupt:
 		return "corrupt"
+	case r.Body != nil:
+		return "body"
 	}
 	return "delay"
 }
@@ -160,9 +168,12 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		_, _ = rw.Write([]byte(`{"error":"injected fault"}`))
 		return
 	case rule.DropMidBody:
-		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusOK)
-		_, _ = rw.Write([]byte(`{"dataset":"x","width":4096,"height":4096,"values":[1.0,2.0`))
+		if tool(r) == "kdv" {
+			_, _ = rw.Write(F64Body(`{"dataset":"x","width":4096,"height":4096}`, 2))
+		} else {
+			_, _ = rw.Write([]byte(`{"dataset":"x","s":[1.0,2.0`))
+		}
 		if f, ok := rw.(http.Flusher); ok {
 			f.Flush()
 		}
@@ -170,11 +181,18 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		// chunk — the client sees an unexpected EOF mid-body.
 		panic(http.ErrAbortHandler)
 	case rule.Corrupt:
-		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusOK)
 		// Shape never matches any real tile or K-function plot: the
 		// value count disagrees with the claimed dimensions.
-		_, _ = rw.Write([]byte(`{"width":2,"height":2,"values":[0.25],"s":[1],"k":[]}`))
+		if tool(r) == "kdv" {
+			_, _ = rw.Write(F64Body(`{"width":2,"height":2}`, 1))
+		} else {
+			_, _ = rw.Write([]byte(`{"s":[1],"k":[]}`))
+		}
+		return
+	case rule.Body != nil:
+		rw.WriteHeader(http.StatusOK)
+		_, _ = rw.Write(rule.Body)
 		return
 	}
 	if rule.Delay > 0 {
@@ -185,4 +203,13 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Server.ServeHTTP(rw, r)
+}
+
+// F64Body is a format=f64 tile body: header, "\n", then n values of 1.
+func F64Body(header string, n int) []byte {
+	b := append([]byte(header), '\n')
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	}
+	return b
 }
