@@ -67,12 +67,37 @@ debt-gate:
 
 # Dataset.Points() copies every coordinate into a fresh []geom.Point;
 # production code reads d.Columns() or d.Point(i). The gate is absolute:
-# no non-test .Points() call under internal/ or cmd/, with
-# internal/experiments excepted.
+# no non-test .Points() call in the root package or under internal/ or
+# cmd/, with internal/experiments excepted. It also holds the facade to
+# *Dataset: an exported root function may take []Point only if it is in
+# POINTS_ALLOW.
+#
+# POINTS_ALLOW is the constructors plus the eight []Point functions bench/
+# calls. It shrinks when a benchmark change re-points bench/ at their
+# *Dataset forms.
+POINTS_ALLOW = FromPoints NewDataset NewBBox \
+	KFunction KFunctionKDTree KFunctionBallTree KFunctionRTree KFunctionCurveCtx KFunctionPlot \
+	KNNWeightsWorkers SilvermanBandwidth
+# POINTS_AWK prints each exported top-level function whose parameter list
+# (up to the parenthesis closing it, across lines) names []Point and whose
+# name is not in allow.
+POINTS_AWK = /^func [A-Z]/ { \
+	sig = $$0; name = $$2; sub(/\(.*/, "", name); \
+	while (sig !~ /\{/ && (getline line) > 0) sig = sig " " line; \
+	sub(/^func [A-Za-z0-9_]+/, "", sig); d = 0; params = ""; \
+	for (i = 1; i <= length(sig); i++) { \
+		c = substr(sig, i, 1); if (c == "(") d++; if (c == ")" && --d == 0) break; params = params c \
+	} \
+	if (params ~ /\[\](geom\.)?Point/ && index(allow, " " name " ") == 0) print FILENAME ": " name \
+}
+ROOT_GO = $$(ls *.go | grep -v '_test\.go$$')
+
 points-gate:
-	@out=$$(grep -rn '\.Points()' --include='*.go' internal cmd | grep -v '_test\.go:' | \
-	  grep -v '^internal/experiments/'); \
+	@out=$$( { grep -rn '\.Points()' --include='*.go' internal cmd; grep -Hn '\.Points()' $(ROOT_GO); } | \
+	  grep -v '_test\.go:' | grep -v '^internal/experiments/'); \
 	[ -z "$$out" ] || { echo "Dataset.Points() in production code (read d.Columns()):"; echo "$$out"; exit 1; }; \
+	out=$$(awk -v allow=" $(POINTS_ALLOW) " '$(POINTS_AWK)' $(ROOT_GO)); \
+	[ -z "$$out" ] || { echo "exported facade function takes []Point (take *Dataset, or see POINTS_ALLOW):"; echo "$$out"; exit 1; }; \
 	echo "points-gate OK"
 
 cover:

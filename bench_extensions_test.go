@@ -14,13 +14,13 @@ import (
 
 // A1: m bandwidths — independent support scans vs the shared one-pass.
 func BenchmarkKDVMultiBandwidth(b *testing.B) {
-	pts := benchPoints(30000)
+	d := benchData(30000)
 	grid := NewPixelGrid(benchBox, 128, 128)
 	bw := []float64{9, 11, 13, 15}
 	b.Run("independent-cutoff-x4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, bb := range bw {
-				if _, err := KDV(pts, KDVOptions{
+				if _, err := KDVDataset(d, KDVOptions{
 					Kernel: MustKernel(Quartic, bb), Grid: grid, Method: KDVGridCutoff,
 				}); err != nil {
 					b.Fatal(err)
@@ -31,7 +31,7 @@ func BenchmarkKDVMultiBandwidth(b *testing.B) {
 	b.Run("shared-one-pass", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KDVMultiBandwidth(pts, grid, Quartic, bw, 0); err != nil {
+			if _, err := KDVMultiBandwidth(d, grid, Quartic, bw, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,15 +40,15 @@ func BenchmarkKDVMultiBandwidth(b *testing.B) {
 
 // A2: adaptive KDV (per-point bandwidths) vs fixed.
 func BenchmarkKDVAdaptive(b *testing.B) {
-	pts := benchPoints(20000)
+	d := benchData(20000)
 	grid := NewPixelGrid(benchBox, 128, 128)
-	bw, err := AdaptiveBandwidths(pts, 16, 1.0, 1.0)
+	bw, err := AdaptiveBandwidths(d, 16, 1.0, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("fixed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := KDV(pts, KDVOptions{Kernel: MustKernel(Quartic, 6), Grid: grid}); err != nil {
+			if _, err := KDVDataset(d, KDVOptions{Kernel: MustKernel(Quartic, 6), Grid: grid}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -56,14 +56,14 @@ func BenchmarkKDVAdaptive(b *testing.B) {
 	b.Run("adaptive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KDVAdaptive(pts, bw, Quartic, grid, 0); err != nil {
+			if _, err := KDVAdaptive(d, bw, Quartic, grid, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pilot-bandwidths", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := AdaptiveBandwidths(pts, 16, 1.0, 1.0); err != nil {
+			if _, err := AdaptiveBandwidths(d, 16, 1.0, 1.0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,12 +72,13 @@ func BenchmarkKDVAdaptive(b *testing.B) {
 
 // Streaming: per-event incremental update vs full batch recomputation.
 func BenchmarkKDVStream(b *testing.B) {
-	pts := benchPoints(5000)
+	d := benchData(5000)
+	pts := d.Points()
 	grid := NewPixelGrid(benchBox, 128, 128)
 	k := MustKernel(Quartic, 6)
 	b.Run("batch-recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := KDV(pts, KDVOptions{Kernel: k, Grid: grid}); err != nil {
+			if _, err := KDVDataset(d, KDVOptions{Kernel: k, Grid: grid}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -103,7 +104,7 @@ func BenchmarkKDVStream(b *testing.B) {
 // A3: plain vs equal-split network kernels.
 func BenchmarkNKDVEqualSplit(b *testing.B) {
 	g := GridNetwork(10, 10, 10, Point{})
-	events := RandomNetworkEvents(g, 800, 1)
+	events := RandomNetworkEventsRand(NewRand(1), g, 800)
 	opt := NKDVOptions{Kernel: MustKernel(Epanechnikov, 15), LixelLength: 1}
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -125,8 +126,8 @@ func BenchmarkNKDVEqualSplit(b *testing.B) {
 // Bivariate K and the Knox space-time screen.
 func BenchmarkCrossK(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
-	a := UniformCSR(r, 20000, benchBox).Points()
-	bb := UniformCSR(r, 2000, benchBox).Points()
+	a := UniformCSR(r, 20000, benchBox)
+	bb := UniformCSR(r, 2000, benchBox)
 	thresholds := []float64{1, 2, 4, 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -143,7 +144,7 @@ func BenchmarkKnox(b *testing.B) {
 		b.Run(fmt.Sprintf("perms=%d", perms), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := KnoxTest(d.Points(), d.Times(), 4, 8, perms, 1, r); err != nil {
+				if _, err := KnoxTest(d, 4, 8, perms, 1, r); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -155,21 +156,20 @@ func BenchmarkGeary(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	d := UniformCSR(r, 5000, benchBox)
 	WithField(r, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsDataset(d, 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GearyC(d.Values(), w, 99, r); err != nil {
+		if _, err := GearyCOpt(d.Values(), w, MoranOptions{Perms: 99, Seed: r.Int63(), Workers: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkContour(b *testing.B) {
-	pts := benchPoints(10000)
-	hm, err := KDV(pts, KDVOptions{Kernel: MustKernel(Quartic, 6), Grid: NewPixelGrid(benchBox, 256, 256)})
+	hm, err := KDVDataset(benchData(10000), KDVOptions{Kernel: MustKernel(Quartic, 6), Grid: NewPixelGrid(benchBox, 256, 256)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,7 +184,8 @@ func BenchmarkContour(b *testing.B) {
 
 // Bandwidth selection cost.
 func BenchmarkBandwidthSelection(b *testing.B) {
-	pts := benchPoints(3000)
+	d := benchData(3000)
+	pts := d.Points()
 	b.Run("silverman", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := SilvermanBandwidth(pts); err != nil {
@@ -195,7 +196,7 @@ func BenchmarkBandwidthSelection(b *testing.B) {
 	b.Run("cv-3-candidates", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := SelectBandwidthCV(pts, Quartic, []float64{3, 6, 12}, 4, 5); err != nil {
+			if _, err := SelectBandwidthCV(d, Quartic, []float64{3, 6, 12}, 4, 5); err != nil {
 				b.Fatal(err)
 			}
 		}

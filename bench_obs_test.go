@@ -17,14 +17,14 @@ import (
 )
 
 func BenchmarkKDVObsOverhead(b *testing.B) {
-	pts := benchPoints(8000)
+	data := benchData(8000)
 	grid := NewPixelGrid(benchBox, 64, 64)
 	opt := KDVOptions{Kernel: MustKernel(Quartic, 6), Method: KDVGridCutoff, Grid: grid}
 
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KDVCtx(context.Background(), pts, opt); err != nil {
+			if _, err := KDVDatasetCtx(context.Background(), data, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -33,7 +33,7 @@ func BenchmarkKDVObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ctx, root := obs.NewTrace(context.Background(), "request")
-			if _, err := KDVCtx(ctx, pts, opt); err != nil {
+			if _, err := KDVDatasetCtx(ctx, data, opt); err != nil {
 				b.Fatal(err)
 			}
 			root.End()

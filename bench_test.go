@@ -23,24 +23,26 @@ import (
 
 var benchBox = BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 
-func benchPoints(n int) []Point {
+func benchData(n int) *Dataset {
 	rng := rand.New(rand.NewSource(1234))
 	return GaussianClusters(rng, n, benchBox, []GaussianCluster{
 		{Center: Point{X: 30, Y: 60}, Sigma: 8, Weight: 2},
 		{Center: Point{X: 70, Y: 25}, Sigma: 5, Weight: 1},
-	}, 0.3).Points()
+	}, 0.3)
 }
+
+func benchPoints(n int) []Point { return benchData(n).Points() }
 
 // T2: one exact KDV per kernel type (auto-dispatched algorithm).
 func BenchmarkKDVKernels(b *testing.B) {
-	pts := benchPoints(5000)
+	data := benchData(5000)
 	grid := NewPixelGrid(benchBox, 64, 64)
 	for _, kt := range AllKernels() {
 		b.Run(kt.String(), func(b *testing.B) {
 			opt := KDVOptions{Kernel: MustKernel(kt, 8), Grid: grid}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := KDV(pts, opt); err != nil {
+				if _, err := KDVDataset(data, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,13 +55,13 @@ func BenchmarkKDVScaling(b *testing.B) {
 	grid := NewPixelGrid(benchBox, 128, 128)
 	k := MustKernel(Quartic, 4)
 	for _, n := range []int{2000, 8000, 32000} {
-		pts := benchPoints(n)
+		data := benchData(n)
 		for _, m := range []KDVMethod{KDVNaive, KDVGridCutoff, KDVSweepLine} {
 			b.Run(fmt.Sprintf("%s/n=%d", m, n), func(b *testing.B) {
 				opt := KDVOptions{Kernel: k, Grid: grid, Method: m}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := KDV(pts, opt); err != nil {
+					if _, err := KDVDataset(data, opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -72,7 +74,7 @@ func BenchmarkKDVScaling(b *testing.B) {
 // the box with the bandwidth 2% of the view side (the tile-pyramid rule).
 // Time and bytes per op should follow the points in view, not n.
 func BenchmarkKDVView(b *testing.B) {
-	d := FromPoints(benchPoints(100000))
+	d := benchData(100000)
 	for _, m := range []struct {
 		method KDVMethod
 		pixels int
@@ -100,13 +102,13 @@ func BenchmarkKDVView(b *testing.B) {
 
 // C3: bound-based (1±ε) approximation on the Gaussian kernel.
 func BenchmarkKDVApprox(b *testing.B) {
-	pts := benchPoints(20000)
+	data := benchData(20000)
 	grid := NewPixelGrid(benchBox, 64, 64)
 	k := MustKernel(Gaussian, 8)
 	b.Run("naive-exact", func(b *testing.B) {
 		opt := KDVOptions{Kernel: k, Grid: grid, Method: KDVNaive}
 		for i := 0; i < b.N; i++ {
-			if _, err := KDV(pts, opt); err != nil {
+			if _, err := KDVDataset(data, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +118,7 @@ func BenchmarkKDVApprox(b *testing.B) {
 			opt := KDVOptions{Kernel: k, Grid: grid, Method: KDVBoundApprox, Epsilon: eps}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := KDV(pts, opt); err != nil {
+				if _, err := KDVDataset(data, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,10 +131,10 @@ func BenchmarkKDVSample(b *testing.B) {
 	grid := NewPixelGrid(benchBox, 64, 64)
 	k := MustKernel(Quartic, 8)
 	for _, n := range []int{20000, 100000} {
-		pts := benchPoints(n)
+		data := benchData(n)
 		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := KDV(pts, KDVOptions{Kernel: k, Grid: grid}); err != nil {
+				if _, err := KDVDataset(data, KDVOptions{Kernel: k, Grid: grid}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -144,7 +146,7 @@ func BenchmarkKDVSample(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := KDV(pts, opt); err != nil {
+				if _, err := KDVDataset(data, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,7 +156,7 @@ func BenchmarkKDVSample(b *testing.B) {
 
 // C5a: row-parallel KDV.
 func BenchmarkKDVParallel(b *testing.B) {
-	pts := benchPoints(20000)
+	data := benchData(20000)
 	grid := NewPixelGrid(benchBox, 256, 256)
 	k := MustKernel(Quartic, 4)
 	for _, w := range []int{1, -1} {
@@ -165,7 +167,7 @@ func BenchmarkKDVParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opt := KDVOptions{Kernel: k, Grid: grid, Method: KDVGridCutoff, Workers: w}
 			for i := 0; i < b.N; i++ {
-				if _, err := KDV(pts, opt); err != nil {
+				if _, err := KDVDataset(data, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -177,10 +179,11 @@ func BenchmarkKDVParallel(b *testing.B) {
 func BenchmarkKFunctionScaling(b *testing.B) {
 	thresholds := []float64{1, 2, 4, 8}
 	for _, n := range []int{2000, 8000} {
-		pts := benchPoints(n)
+		data := benchData(n)
+		pts := data.Points()
 		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				KFunctionNaive(pts, 4)
+				KFunctionNaive(data, 4)
 			}
 		})
 		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
@@ -196,7 +199,7 @@ func BenchmarkKFunctionScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("curve4/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := KFunctionCurve(pts, thresholds, 0); err != nil {
+				if _, err := KFunctionCurve(data, thresholds, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,7 +209,7 @@ func BenchmarkKFunctionScaling(b *testing.B) {
 
 // C5b: parallel one-pass K-curve.
 func BenchmarkKFunctionParallel(b *testing.B) {
-	pts := benchPoints(30000)
+	data := benchData(30000)
 	thresholds := []float64{1, 2, 4, 8}
 	for _, w := range []int{1, -1} {
 		name := "serial"
@@ -215,7 +218,7 @@ func BenchmarkKFunctionParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := KFunctionCurve(pts, thresholds, w); err != nil {
+				if _, err := KFunctionCurve(data, thresholds, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,7 +267,7 @@ func BenchmarkNKDV(b *testing.B) {
 // C6: network K-function, per-pair baseline vs shared bounded Dijkstra.
 func BenchmarkNetworkKFunction(b *testing.B) {
 	g := GridNetwork(15, 15, 10, Point{})
-	events := RandomNetworkEvents(g, 800, 4)
+	events := RandomNetworkEventsRand(NewRand(4), g, 800)
 	thresholds := []float64{5, 10, 20, 40}
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -324,7 +327,7 @@ func BenchmarkSTKFunction(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, s := range sTh {
 				for _, t := range tTh {
-					STKFunction(d.Points(), d.Times(), s, t)
+					STKFunction(d, s, t)
 				}
 			}
 		}
@@ -332,7 +335,7 @@ func BenchmarkSTKFunction(b *testing.B) {
 	b.Run("surface-one-pass", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := STKFunctionSurface(d.Points(), d.Times(), sTh, tTh, 0); err != nil {
+			if _, err := STKFunctionSurface(d, sTh, tTh, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -401,7 +404,7 @@ func BenchmarkMoran(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	d := UniformCSR(rng, 5000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsDataset(d, 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +412,7 @@ func BenchmarkMoran(b *testing.B) {
 		b.Run(fmt.Sprintf("perms=%d", perms), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MoranI(d.Values(), w, perms, rng); err != nil {
+				if _, err := MoranIOpt(d.Values(), w, MoranOptions{Perms: perms, Seed: rng.Int63(), Workers: -1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -422,13 +425,13 @@ func BenchmarkGetisOrd(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	d := UniformCSR(rng, 5000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X + 100 }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsDataset(d, 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("generalG-perms99", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GeneralG(d.Values(), w, 99, 7); err != nil {
+			if _, err := GeneralGOpt(d.Values(), w, GetisOrdOptions{Perms: 99, Seed: 7, Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,10 +448,10 @@ func BenchmarkGetisOrd(b *testing.B) {
 
 // C8d: DBSCAN, naive vs grid-accelerated.
 func BenchmarkDBSCAN(b *testing.B) {
-	pts := benchPoints(8000)
+	data := benchData(8000)
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DBSCANNaive(pts, 2, 5); err != nil {
+			if _, err := DBSCANNaive(data, 2, 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -456,7 +459,7 @@ func BenchmarkDBSCAN(b *testing.B) {
 	b.Run("grid", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DBSCAN(pts, 2, 5); err != nil {
+			if _, err := DBSCAN(data, 2, 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -465,8 +468,8 @@ func BenchmarkDBSCAN(b *testing.B) {
 
 // F1/F5: heatmap rendering pipeline (surface -> PNG bytes).
 func BenchmarkHeatmapRender(b *testing.B) {
-	pts := benchPoints(10000)
-	hm, err := KDV(pts, KDVOptions{
+	data := benchData(10000)
+	hm, err := KDVDataset(data, KDVOptions{
 		Kernel: MustKernel(Quartic, 6),
 		Grid:   NewPixelGrid(benchBox, 256, 256),
 	})
@@ -510,7 +513,7 @@ func BenchmarkMoranParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	d := UniformCSR(rng, 20000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsDataset(d, 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -563,7 +566,7 @@ func BenchmarkWeightsParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("band/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DistanceBandWeightsWorkers(pts, 2, workers); err != nil {
+				if _, err := DistanceBandWeightsDataset(FromPoints(pts), 2, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,7 +21,7 @@ func detValued(n int) *Dataset {
 
 func TestMoranGlobalWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsDataset(d, 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMoranGlobalWorkerInvariance(t *testing.T) {
 
 func TestMoranLocalWorkerInvariance(t *testing.T) {
 	d := detValued(200)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsDataset(d, 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMoranLocalWorkerInvariance(t *testing.T) {
 
 func TestGearyWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsDataset(d, 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGearyWorkerInvariance(t *testing.T) {
 
 func TestGeneralGWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := DistanceBandWeights(d.Points(), 8)
+	w, err := DistanceBandWeightsDataset(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSTKPlotWorkerInvariance(t *testing.T) {
 
 func TestNetworkKPlotWorkerInvariance(t *testing.T) {
 	g := GridNetwork(6, 6, 10, Point{})
-	events := RandomNetworkEvents(g, 60, detSeed)
+	events := RandomNetworkEventsRand(NewRand(detSeed), g, 60)
 	run := func(workers int) *KPlot {
 		p, err := NetworkKFunctionPlot(g, events, []float64{5, 12, 25}, 9, workers,
 			rand.New(rand.NewSource(detSeed)))
@@ -163,8 +163,8 @@ func TestNetworkKPlotWorkerInvariance(t *testing.T) {
 
 func TestCrossPlotAndKnoxWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(detSeed))
-	a := UniformCSR(r, 120, box).Points()
-	b := UniformCSR(r, 40, box).Points()
+	a := UniformCSR(r, 120, box)
+	b := UniformCSR(r, 40, box)
 	runCross := func(workers int) *KPlot {
 		p, err := CrossKFunctionPlot(a, b, []float64{2, 6, 12}, 19, workers,
 			rand.New(rand.NewSource(detSeed)))
@@ -184,7 +184,7 @@ func TestCrossPlotAndKnoxWorkerInvariance(t *testing.T) {
 		{Center: Point{X: 40, Y: 40}, Sigma: 6, TimeMean: 50, TimeSigma: 10, Weight: 1},
 	}, 0.3)
 	runKnox := func(workers int) *KnoxResult {
-		res, err := KnoxTest(d.Points(), d.Times(), 5, 10, 199, workers,
+		res, err := KnoxTest(d, 5, 10, 199, workers,
 			rand.New(rand.NewSource(detSeed)))
 		if err != nil {
 			t.Fatal(err)
@@ -229,11 +229,11 @@ func TestWeightsWorkerInvariance(t *testing.T) {
 	if !sameMatrix(k1, k8) {
 		t.Error("KNN weights differ across worker counts")
 	}
-	b1, err := DistanceBandWeightsWorkers(d.Points(), 7, 1)
+	b1, err := DistanceBandWeightsDataset(FromPoints(d.Points()), 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b8, err := DistanceBandWeightsWorkers(d.Points(), 7, 8)
+	b8, err := DistanceBandWeightsDataset(FromPoints(d.Points()), 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ import (
 )
 
 // Build a heatmap and locate the hotspot — the Definition 1 workflow.
-func ExampleKDV() {
+func ExampleKDVDataset() {
 	rng := rand.New(rand.NewSource(42))
 	region := geostat.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	data := geostat.GaussianClusters(rng, 5000, region, []geostat.GaussianCluster{
 		{Center: geostat.Point{X: 30, Y: 70}, Sigma: 5, Weight: 1},
 	}, 0.2)
 
-	heat, err := geostat.KDV(data.Points(), geostat.KDVOptions{
+	heat, err := geostat.KDVDataset(data, geostat.KDVOptions{
 		Kernel: geostat.MustKernel(geostat.Quartic, 8),
 		Grid:   geostat.NewPixelGrid(region, 100, 100),
 	})
@@ -51,14 +51,14 @@ func ExampleKFunctionPlot() {
 }
 
 // The spatial autocorrelation screen before interpolating sensor data.
-func ExampleMoranI() {
+func ExampleMoranIOpt() {
 	rng := rand.New(rand.NewSource(3))
 	region := geostat.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	sensors := geostat.UniformCSR(rng, 500, region)
 	geostat.WithField(rng, sensors, func(p geostat.Point) float64 { return p.X / 10 }, 0.5)
 
-	w, _ := geostat.KNNWeights(sensors.Points(), 8)
-	res, _ := geostat.MoranI(sensors.Values(), w, 99, rng)
+	w, _ := geostat.KNNWeightsDataset(sensors, 8, -1)
+	res, _ := geostat.MoranIOpt(sensors.Values(), w, geostat.MoranOptions{Perms: 99, Seed: rng.Int63(), Workers: -1})
 	fmt.Printf("positive autocorrelation: %v (p < 0.05: %v)\n", res.I > 0.5, res.P < 0.05)
 	// Output: positive autocorrelation: true (p < 0.05: true)
 }

@@ -29,15 +29,15 @@ func main() {
 	fmt.Printf("%d sensors over a %gx%g km region\n", sensors.N(), region.Width(), region.Height())
 
 	// Step 1 — is the field spatially structured at all?
-	w, err := geostat.KNNWeights(sensors.Points(), 8)
+	w, err := geostat.KNNWeightsDataset(sensors, 8, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mi, err := geostat.MoranI(sensors.Values(), w, 199, rng)
+	mi, err := geostat.MoranIOpt(sensors.Values(), w, geostat.MoranOptions{Perms: 199, Seed: rng.Int63(), Workers: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	gg, err := geostat.GeneralG(sensors.Values(), w, 199, 5)
+	gg, err := geostat.GeneralGOpt(sensors.Values(), w, geostat.GetisOrdOptions{Perms: 199, Seed: 5, Workers: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 	if cvIDW, err := geostat.IDWLOOCV(sensors, 2, 12); err == nil {
 		fmt.Printf("LOOCV  IDW(p=2, k=12):    RMSE %.2f  MAE %.2f\n", cvIDW.RMSE, cvIDW.MAE)
 	}
-	if cvKr, err := geostat.KrigeLOOCV(sensors, vg, 16); err == nil {
+	if cvKr, err := geostat.KrigeLOOCVWorkers(sensors, vg, 16, -1); err == nil {
 		fmt.Printf("LOOCV  kriging(k=16):     RMSE %.2f  MAE %.2f\n", cvKr.RMSE, cvKr.MAE)
 	}
 

@@ -23,14 +23,13 @@ func main() {
 		{Center: geostat.Point{X: 150, Y: 40}, Sigma: 9, Weight: 2},
 		{Center: geostat.Point{X: 110, Y: 100}, Sigma: 4, Weight: 1},
 	}, 0.35)
-	pts := incidents.Points()
 	fmt.Printf("analyzing %d incidents over a %gx%g km city\n",
 		incidents.N(), city.Width(), city.Height())
 
 	// Step 1 — significance first (Figure 2's workflow): without this, any
 	// dataset produces a colourful heatmap.
 	thresholds := []float64{1, 2, 4, 6, 8, 12, 16}
-	plot, err := geostat.KFunctionPlot(pts, geostat.KPlotOptions{
+	plot, err := geostat.KFunctionPlotDataset(incidents, geostat.KPlotOptions{
 		Thresholds:  thresholds,
 		Simulations: 19,
 		Window:      city,
@@ -55,7 +54,7 @@ func main() {
 	fmt.Printf("clustered at every tested scale; using bandwidth %.1f for KDV\n", bandwidth)
 
 	// Step 2 — density surface (exact sweep line under the hood).
-	heat, err := geostat.KDV(pts, geostat.KDVOptions{
+	heat, err := geostat.KDVDataset(incidents, geostat.KDVOptions{
 		Kernel:  geostat.MustKernel(geostat.Quartic, bandwidth),
 		Grid:    geostat.NewPixelGrid(city, 400, 300),
 		Workers: -1,
@@ -69,7 +68,7 @@ func main() {
 	fmt.Println("wrote crime_heatmap.png")
 
 	// Step 3 — delineate hotspot areas with DBSCAN at the chosen scale.
-	labels, err := geostat.DBSCAN(pts, 1.2, 30)
+	labels, err := geostat.DBSCAN(incidents, 1.2, 30)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func main() {
 			continue
 		}
 		counts[l]++
-		sums[l] = sums[l].Add(pts[i])
+		sums[l] = sums[l].Add(incidents.Point(i))
 	}
 	for c := 0; c < nClusters; c++ {
 		if counts[c] < 500 {
@@ -96,14 +95,14 @@ func main() {
 	// Step 4 — hot-spot z-scores: aggregate incidents to a coarse grid and
 	// run Getis-Ord Gi* (the ArcGIS "Hot Spot Analysis" equivalent).
 	coarse := geostat.NewPixelGrid(city, 20, 15)
-	cellCounts := geostat.CountGrid(pts, coarse).Values
+	cellCounts := geostat.CountGrid(incidents, coarse).Values
 	var cellCenters []geostat.Point
 	for iy := 0; iy < coarse.NY; iy++ {
 		for ix := 0; ix < coarse.NX; ix++ {
 			cellCenters = append(cellCenters, coarse.Center(ix, iy))
 		}
 	}
-	w, err := geostat.DistanceBandWeights(cellCenters, 11)
+	w, err := geostat.DistanceBandWeightsDataset(geostat.FromPoints(cellCenters), 11, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func main() {
 			X: c.X + rng.NormFloat64()*5, Y: c.Y + rng.NormFloat64()*5,
 		})
 	}
-	cross, err := geostat.CrossKFunctionPlot(pts, venues, []float64{2, 5, 10}, 19, -1, rng)
+	cross, err := geostat.CrossKFunctionPlot(incidents, geostat.FromPoints(venues), []float64{2, 5, 10}, 19, -1, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

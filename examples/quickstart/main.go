@@ -21,7 +21,7 @@ func main() {
 
 	// Kernel density visualization (Definition 1): quartic kernel, exact
 	// sweep-line algorithm picked automatically, all cores.
-	heat, err := geostat.KDV(data.Points(), geostat.KDVOptions{
+	heat, err := geostat.KDVDataset(data, geostat.KDVOptions{
 		Kernel:  geostat.MustKernel(geostat.Quartic, 6),
 		Grid:    geostat.NewPixelGrid(region, 256, 256),
 		Workers: -1,
@@ -39,7 +39,7 @@ func main() {
 
 	// Is the hotspot meaningful, or would random data look the same?
 	// K-function plot (Definition 3) with 39 CSR simulations.
-	plot, err := geostat.KFunctionPlot(data.Points(), geostat.KPlotOptions{
+	plot, err := geostat.KFunctionPlotDataset(data, geostat.KPlotOptions{
 		Thresholds:  []float64{2, 4, 6, 8, 10},
 		Simulations: 39,
 		Window:      region,

@@ -28,7 +28,7 @@ func main() {
 	grid := geostat.NewPixelGrid(region, 128, 128)
 	window, err := geostat.NewKDVWindowStream(
 		geostat.MustKernel(geostat.Quartic, 7), grid,
-		feed.Points(), feed.Times(), 24, // 24-hour sliding window
+		feed, 24, // 24-hour sliding window over feed.Times()
 	)
 	if err != nil {
 		log.Fatal(err)

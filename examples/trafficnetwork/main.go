@@ -70,7 +70,7 @@ func main() {
 	for i, ev := range accidents {
 		planarPts[i] = roads.PointAt(ev.Edge, ev.Offset)
 	}
-	planarCurve, err := geostat.KFunctionCurve(planarPts, thresholds, -1)
+	planarCurve, err := geostat.KFunctionCurve(geostat.FromPoints(planarPts), thresholds, -1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,21 +16,23 @@
 //
 //   - KFunction — Ripley's K with Monte-Carlo envelope plots; network and
 //     spatiotemporal variants.
-//   - MoranI / LocalMoran — global and local spatial autocorrelation.
-//   - GeneralG / LocalGStar — Getis-Ord concentration statistics.
+//   - MoranIOpt / LocalMoranOpt — global and local spatial autocorrelation.
+//   - GeneralGOpt / LocalGStar — Getis-Ord concentration statistics.
 //   - DBSCAN / KMeans — spatial clustering.
 //
 // The package is a facade: each tool lives in its own internal package and
-// is re-exported here with a uniform, option-struct API. Every tool takes
-// explicit options, returns errors rather than panicking, and is
-// deterministic given a seeded *rand.Rand.
+// is re-exported here with one entry point and a uniform, option-struct
+// API. Tools read their points from a *Dataset (FromPoints adapts a
+// []Point once). Every tool takes explicit options, returns errors rather
+// than panicking, and is deterministic given a seeded *rand.Rand.
 //
 // # Cancellation
 //
 // The heavy entry points are cancellable: KDVOptions, IDWOptions,
 // KPlotOptions, MoranOptions and GetisOrdOptions carry an optional Ctx
-// field (and KDVCtx / KFunctionCurveCtx accept a context directly). Worker
-// pools inside internal/parallel check the context between work chunks, so
+// field (and KDVDatasetCtx / KFunctionCurveCtx accept a context
+// directly). Worker pools inside internal/parallel check the context
+// between work chunks, so
 // a per-request timeout or client disconnect stops the computation within
 // one chunk (≤ 256 iterations) and the entry point returns ctx.Err(). A
 // nil Ctx means no cancellation; results are bit-identical whether or not
@@ -91,9 +93,12 @@ var (
 // ContourSegment is one straight piece of a Heatmap iso-line.
 type ContourSegment = raster.Segment
 
-// CountGrid rasterises points into per-pixel counts (the aggregation step
-// for grid-based statistics such as Gi* hot-spot maps).
-func CountGrid(pts []Point, spec PixelGrid) *Heatmap { return raster.CountGrid(pts, spec) }
+// CountGrid rasterises d's points into per-pixel counts (the aggregation
+// step for grid-based statistics such as Gi* hot-spot maps).
+func CountGrid(d *Dataset, spec PixelGrid) *Heatmap {
+	cols := d.Columns()
+	return raster.CountGrid(cols.X, cols.Y, spec)
+}
 
 // GeoJSON is a GeoJSON FeatureCollection builder for exporting events,
 // contour outlines, and significant grid cells to QGIS/ArcGIS/web maps —

@@ -26,14 +26,14 @@ func TestKDVMethodsAgree(t *testing.T) {
 	grid := NewPixelGrid(box, 32, 32)
 	base := KDVOptions{Kernel: MustKernel(Quartic, 10), Grid: grid}
 
-	exact, err := KDV(d.Points(), base)
+	exact, err := KDVDataset(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []KDVMethod{KDVNaive, KDVGridCutoff, KDVSweepLine} {
 		opt := base
 		opt.Method = m
-		got, err := KDV(d.Points(), opt)
+		got, err := KDVDataset(d, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -46,7 +46,7 @@ func TestKDVMethodsAgree(t *testing.T) {
 	opt := base
 	opt.Method = KDVBoundApprox
 	opt.Epsilon = 0.05
-	approx, err := KDV(d.Points(), opt)
+	approx, err := KDVDataset(d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestKDVMethodsAgree(t *testing.T) {
 	opt.Method = KDVSampled
 	opt.Epsilon, opt.Delta = 0.05, 0.05
 	opt.Seed = 2
-	if _, err := KDV(d.Points(), opt); err != nil {
+	if _, err := KDVDataset(d, opt); err != nil {
 		t.Fatal(err)
 	}
 	opt.Method = KDVMethod(99)
-	if _, err := KDV(d.Points(), opt); err == nil {
+	if _, err := KDVDataset(d, opt); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -102,10 +102,10 @@ func TestKernelFacade(t *testing.T) {
 func TestKFunctionFacade(t *testing.T) {
 	d := hotspotData(3, 300)
 	s := 8.0
-	if KFunction(d.Points(), s) != KFunctionNaive(d.Points(), s) {
+	if KFunction(d.Points(), s) != KFunctionNaive(d, s) {
 		t.Error("indexed and naive K disagree")
 	}
-	curve, err := KFunctionCurve(d.Points(), []float64{2, 4, 8}, 0)
+	curve, err := KFunctionCurve(d, []float64{2, 4, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestKFunctionFacade(t *testing.T) {
 	if l := BesagL(kHat); l <= 0 {
 		t.Errorf("BesagL = %v", l)
 	}
-	if _, _, ok := KFunctionBorderCorrected(d.Points(), 10, box); !ok {
+	if _, _, ok := KFunctionBorderCorrected(d, 10, box); !ok {
 		t.Error("border corrected failed")
 	}
 }
@@ -172,7 +172,7 @@ func TestNetworkFacade(t *testing.T) {
 		t.Errorf("snap distance %v", dist)
 	}
 	_ = pos
-	if RandomNetworkEvents(g, 10, 6)[0].Edge < 0 {
+	if RandomNetworkEventsRand(NewRand(6), g, 10)[0].Edge < 0 {
 		t.Error("random event bad edge")
 	}
 	if RingRadialNetwork(2, 6, 5, Point{}).NumNodes() != 13 {
@@ -204,11 +204,14 @@ func TestSTKDVFacade(t *testing.T) {
 		t.Errorf("STKDV methods differ by %v", diff)
 	}
 	// Spatiotemporal K-function wiring.
-	if _, err := STKFunctionSurface(d.Points(), d.Times(), []float64{5, 10}, []float64{5, 10}, 0); err != nil {
+	if _, err := STKFunctionSurface(d, []float64{5, 10}, []float64{5, 10}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if STKFunction(d.Points(), d.Times(), 10, 10) <= 0 {
-		t.Error("STKFunction zero on clustered data")
+	if k, err := STKFunction(d, 10, 10); err != nil || k <= 0 {
+		t.Errorf("STKFunction = %d, %v on clustered data", k, err)
+	}
+	if _, err := STKFunction(FromPoints(d.Points()), 10, 10); err == nil {
+		t.Error("STKFunction accepted a dataset without times")
 	}
 	if _, err := STKFunctionPlot(d, []float64{5}, []float64{5}, 5, 0, r); err != nil {
 		t.Fatal(err)
@@ -264,21 +267,21 @@ func TestAutocorrelationFacade(t *testing.T) {
 	d := UniformCSR(r, 400, box)
 	WithField(r, d, func(p Point) float64 { return p.X + p.Y }, 1)
 
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsDataset(d, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, err := MoranI(d.Values(), w, 99, r)
+	mi, err := MoranIOpt(d.Values(), w, MoranOptions{Perms: 99, Seed: r.Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mi.I < 0.5 {
 		t.Errorf("gradient Moran I = %v", mi.I)
 	}
-	if _, err := LocalMoran(d.Values(), w, 0, nil); err != nil {
+	if _, err := LocalMoranOpt(d.Values(), w, MoranOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	wb, err := DistanceBandWeights(d.Points(), 10)
+	wb, err := DistanceBandWeightsDataset(d, 10, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +290,7 @@ func TestAutocorrelationFacade(t *testing.T) {
 	for i, v := range d.Values() {
 		pos[i] = v + 10
 	}
-	gg, err := GeneralG(pos, wb, 99, 11)
+	gg, err := GeneralGOpt(pos, wb, GetisOrdOptions{Perms: 99, Seed: 11, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,21 +308,21 @@ func TestClusteringFacade(t *testing.T) {
 		{Center: Point{X: 20, Y: 20}, Sigma: 2, Weight: 1},
 		{Center: Point{X: 80, Y: 80}, Sigma: 2, Weight: 1},
 	}, 0)
-	labels, err := DBSCAN(d.Points(), 3, 5)
+	labels, err := DBSCAN(d, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if NumClusters(labels) != 2 {
 		t.Errorf("DBSCAN clusters = %d", NumClusters(labels))
 	}
-	slow, err := DBSCANNaive(d.Points(), 3, 5)
+	slow, err := DBSCANNaive(d, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if NumClusters(slow) != 2 {
 		t.Errorf("naive DBSCAN clusters = %d", NumClusters(slow))
 	}
-	km, err := KMeans(d.Points(), 2, 0, r)
+	km, err := KMeans(d, 2, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 
 var box = geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+
 func blobs(seed int64, n int) []geom.Point {
 	r := rand.New(rand.NewSource(seed))
 	return dataset.GaussianClusters(r, n, box, []dataset.Cluster{
@@ -21,20 +23,20 @@ func blobs(seed int64, n int) []geom.Point {
 
 func TestDBSCANValidation(t *testing.T) {
 	pts := blobs(1, 30)
-	if _, err := DBSCAN(pts, 0, 3); err == nil {
+	if _, err := DBSCAN(cols(pts), 0, 3); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := DBSCAN(pts, 1, 0); err == nil {
+	if _, err := DBSCAN(cols(pts), 1, 0); err == nil {
 		t.Error("minPts=0 accepted")
 	}
-	if _, err := DBSCANNaive(pts, -1, 3); err == nil {
+	if _, err := DBSCANNaive(cols(pts), -1, 3); err == nil {
 		t.Error("negative eps accepted")
 	}
 }
 
 func TestDBSCANFindsPlantedClusters(t *testing.T) {
 	pts := blobs(2, 600)
-	labels, err := DBSCAN(pts, 2.5, 5)
+	labels, err := DBSCAN(cols(pts), 2.5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestDBSCANNoise(t *testing.T) {
 	// Add isolated outliers.
 	outliers := []geom.Point{{X: 5, Y: 95}, {X: 95, Y: 95}, {X: 95, Y: 5}}
 	pts = append(pts, outliers...)
-	labels, err := DBSCAN(pts, 2.5, 5)
+	labels, err := DBSCAN(cols(pts), 2.5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +83,11 @@ func TestDBSCANGridMatchesNaive(t *testing.T) {
 	for seed := int64(4); seed < 8; seed++ {
 		pts := blobs(seed, 400)
 		for _, eps := range []float64{1, 3, 8} {
-			fast, err := DBSCAN(pts, eps, 4)
+			fast, err := DBSCAN(cols(pts), eps, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := DBSCANNaive(pts, eps, 4)
+			slow, err := DBSCANNaive(cols(pts), eps, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,18 +133,18 @@ func samePartition(a, b []int) bool {
 }
 
 func TestDBSCANEmptyAndSingle(t *testing.T) {
-	labels, err := DBSCAN(nil, 1, 2)
+	labels, err := DBSCAN(cols(nil), 1, 2)
 	if err != nil || len(labels) != 0 {
 		t.Errorf("empty: %v %v", labels, err)
 	}
-	labels, err = DBSCAN([]geom.Point{{X: 1, Y: 1}}, 1, 2)
+	labels, err = DBSCAN(cols([]geom.Point{{X: 1, Y: 1}}), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if labels[0] != Noise {
 		t.Errorf("single point label %d, want Noise", labels[0])
 	}
-	labels, _ = DBSCAN([]geom.Point{{X: 1, Y: 1}}, 1, 1)
+	labels, _ = DBSCAN(cols([]geom.Point{{X: 1, Y: 1}}), 1, 1)
 	if labels[0] != 0 {
 		t.Errorf("single point with minPts=1 label %d, want 0", labels[0])
 	}
@@ -151,10 +153,10 @@ func TestDBSCANEmptyAndSingle(t *testing.T) {
 func TestKMeansValidation(t *testing.T) {
 	pts := blobs(9, 50)
 	r := rand.New(rand.NewSource(1))
-	if _, err := KMeans(pts, 0, 10, r); err == nil {
+	if _, err := KMeans(cols(pts), 0, 10, r); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMeans(pts, 51, 10, r); err == nil {
+	if _, err := KMeans(cols(pts), 51, 10, r); err == nil {
 		t.Error("k>n accepted")
 	}
 }
@@ -162,7 +164,7 @@ func TestKMeansValidation(t *testing.T) {
 func TestKMeansRecoversBlobs(t *testing.T) {
 	pts := blobs(10, 900)
 	r := rand.New(rand.NewSource(2))
-	res, err := KMeans(pts, 3, 0, r)
+	res, err := KMeans(cols(pts), 3, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +197,11 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	pts := blobs(11, 300)
-	a, err := KMeans(pts, 3, 50, rand.New(rand.NewSource(7)))
+	a, err := KMeans(cols(pts), 3, 50, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(pts, 3, 50, rand.New(rand.NewSource(7)))
+	b, err := KMeans(cols(pts), 3, 50, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 5, Y: 5}
 	}
-	res, err := KMeans(pts, 3, 20, rand.New(rand.NewSource(3)))
+	res, err := KMeans(cols(pts), 3, 20, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 )
@@ -17,12 +18,13 @@ const Noise = -1
 
 // DBSCANNaive runs DBSCAN with O(n²) neighbourhood queries. Labels are
 // cluster ids from 0; noise points get Noise.
-func DBSCANNaive(pts []geom.Point, eps float64, minPts int) ([]int, error) {
-	return dbscan(pts, eps, minPts, func(i int, dst []int) []int {
-		p := pts[i]
+func DBSCANNaive(cols dataset.Columns, eps float64, minPts int) ([]int, error) {
+	xs, ys := cols.X, cols.Y
+	return dbscan(len(xs), eps, minPts, func(i int, dst []int) []int {
 		e2 := eps * eps
-		for j, q := range pts {
-			if p.Dist2(q) <= e2 {
+		for j, x := range xs {
+			dx, dy := xs[i]-x, ys[i]-ys[j]
+			if dx*dx+dy*dy <= e2 {
 				dst = append(dst, j)
 			}
 		}
@@ -32,17 +34,18 @@ func DBSCANNaive(pts []geom.Point, eps float64, minPts int) ([]int, error) {
 
 // DBSCAN runs DBSCAN with grid-index neighbourhood queries: the practical
 // accelerated variant.
-func DBSCAN(pts []geom.Point, eps float64, minPts int) ([]int, error) {
-	idx := gridindex.New(pts, eps)
-	return dbscan(pts, eps, minPts, func(i int, dst []int) []int {
-		return idx.RangeQuery(pts[i], eps, dst)
+func DBSCAN(cols dataset.Columns, eps float64, minPts int) ([]int, error) {
+	idx := gridindex.NewColumns(cols.X, cols.Y, eps)
+	return dbscan(cols.N(), eps, minPts, func(i int, dst []int) []int {
+		return idx.RangeQuery(geom.Point{X: cols.X[i], Y: cols.Y[i]}, eps, dst)
 	})
 }
 
 // dbscan is the standard label-propagation formulation: a core point (≥
 // minPts neighbours including itself) seeds a cluster that expands through
-// the neighbourhoods of its core members.
-func dbscan(pts []geom.Point, eps float64, minPts int, neighbors func(i int, dst []int) []int) ([]int, error) {
+// the neighbourhoods of its core members. The n points are known to it
+// only through neighbors.
+func dbscan(n int, eps float64, minPts int, neighbors func(i int, dst []int) []int) ([]int, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("cluster: eps must be positive, got %g", eps)
 	}
@@ -50,13 +53,13 @@ func dbscan(pts []geom.Point, eps float64, minPts int, neighbors func(i int, dst
 		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
 	}
 	const unvisited = -2
-	labels := make([]int, len(pts))
+	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = unvisited
 	}
 	var queue, nbuf []int
 	next := 0
-	for i := range pts {
+	for i := range labels {
 		if labels[i] != unvisited {
 			continue
 		}

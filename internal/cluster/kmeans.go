@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 )
 
@@ -18,8 +19,8 @@ type KMeansResult struct {
 
 // KMeans runs Lloyd's algorithm with k-means++ seeding until assignment
 // convergence or maxIters.
-func KMeans(pts []geom.Point, k, maxIters int, rng *rand.Rand) (*KMeansResult, error) {
-	n := len(pts)
+func KMeans(cols dataset.Columns, k, maxIters int, rng *rand.Rand) (*KMeansResult, error) {
+	n := cols.N()
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: k must be >= 1, got %d", k)
 	}
@@ -29,7 +30,7 @@ func KMeans(pts []geom.Point, k, maxIters int, rng *rand.Rand) (*KMeansResult, e
 	if maxIters < 1 {
 		maxIters = 100
 	}
-	centers := seedPlusPlus(pts, k, rng)
+	centers := seedPlusPlus(cols, k, rng)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = -1
@@ -37,7 +38,8 @@ func KMeans(pts []geom.Point, k, maxIters int, rng *rand.Rand) (*KMeansResult, e
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
 		changed := false
-		for i, p := range pts {
+		for i := range labels {
+			p := pointAt(cols, i)
 			best, bestD := 0, math.Inf(1)
 			for c, ctr := range centers {
 				if d := p.Dist2(ctr); d < bestD {
@@ -55,35 +57,36 @@ func KMeans(pts []geom.Point, k, maxIters int, rng *rand.Rand) (*KMeansResult, e
 		// Recompute centers; empty clusters re-seed on the farthest point.
 		var sums = make([]geom.Point, k)
 		counts := make([]int, k)
-		for i, p := range pts {
-			sums[labels[i]] = sums[labels[i]].Add(p)
-			counts[labels[i]]++
+		for i, l := range labels {
+			sums[l] = sums[l].Add(pointAt(cols, i))
+			counts[l]++
 		}
 		for c := range centers {
 			if counts[c] == 0 {
-				centers[c] = farthestPoint(pts, centers)
+				centers[c] = farthestPoint(cols, centers)
 				continue
 			}
 			centers[c] = sums[c].Scale(1 / float64(counts[c]))
 		}
 	}
 	inertia := 0.0
-	for i, p := range pts {
-		inertia += p.Dist2(centers[labels[i]])
+	for i, l := range labels {
+		inertia += pointAt(cols, i).Dist2(centers[l])
 	}
 	return &KMeansResult{Centers: centers, Labels: labels, Inertia: inertia, Iters: iters}, nil
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ scheme.
-func seedPlusPlus(pts []geom.Point, k int, rng *rand.Rand) []geom.Point {
+func seedPlusPlus(pts dataset.Columns, k int, rng *rand.Rand) []geom.Point {
+	n := pts.N()
 	centers := make([]geom.Point, 0, k)
-	centers = append(centers, pts[rng.Intn(len(pts))])
-	d2 := make([]float64, len(pts))
+	centers = append(centers, pointAt(pts, rng.Intn(n)))
+	d2 := make([]float64, n)
 	for len(centers) < k {
 		total := 0.0
 		last := centers[len(centers)-1]
-		for i, p := range pts {
-			d := p.Dist2(last)
+		for i := range d2 {
+			d := pointAt(pts, i).Dist2(last)
 			if len(centers) == 1 || d < d2[i] {
 				d2[i] = d
 			}
@@ -91,28 +94,29 @@ func seedPlusPlus(pts []geom.Point, k int, rng *rand.Rand) []geom.Point {
 		}
 		if total == 0 {
 			// All remaining points coincide with centers; duplicate one.
-			centers = append(centers, pts[rng.Intn(len(pts))])
+			centers = append(centers, pointAt(pts, rng.Intn(n)))
 			continue
 		}
 		target := rng.Float64() * total
-		for i := range pts {
-			target -= d2[i]
+		for i, d := range d2 {
+			target -= d
 			if target <= 0 {
-				centers = append(centers, pts[i])
+				centers = append(centers, pointAt(pts, i))
 				break
 			}
 		}
 		if target > 0 { // floating-point tail
-			centers = append(centers, pts[len(pts)-1])
+			centers = append(centers, pointAt(pts, n-1))
 		}
 	}
 	return centers
 }
 
-func farthestPoint(pts []geom.Point, centers []geom.Point) geom.Point {
-	best := pts[0]
+func farthestPoint(pts dataset.Columns, centers []geom.Point) geom.Point {
+	best := pointAt(pts, 0)
 	bestD := -1.0
-	for _, p := range pts {
+	for i := range pts.X {
+		p := pointAt(pts, i)
 		near := math.Inf(1)
 		for _, c := range centers {
 			near = math.Min(near, p.Dist2(c))
@@ -124,3 +128,6 @@ func farthestPoint(pts []geom.Point, centers []geom.Point) geom.Point {
 	}
 	return best
 }
+
+// pointAt returns point i of the columns.
+func pointAt(c dataset.Columns, i int) geom.Point { return geom.Point{X: c.X[i], Y: c.Y[i]} }

@@ -17,7 +17,7 @@ import (
 // The sweep line is shown for context: it is this repository's fastest
 // per-bandwidth exact method and bounds what any scan-sharing can achieve.
 func RunA1(cfg *Config) error {
-	pts := hkLikeOutbreak(cfg, 60000).Points()
+	d := hkLikeOutbreak(cfg, 60000)
 	grid := geostat.NewPixelGrid(studyBox, 128, 128)
 	bandwidths := []float64{9, 10, 11, 12, 13, 14, 15, 16}
 	tb := newTable("bandwidths m", "cutoff ×m", "sweep-line ×m", "shared one-pass", "speedup vs cutoff")
@@ -26,7 +26,7 @@ func RunA1(cfg *Config) error {
 		runEach := func(method geostat.KDVMethod) func() {
 			return func() {
 				for _, b := range bw {
-					if _, err := geostat.KDV(pts, geostat.KDVOptions{
+					if _, err := geostat.KDVDataset(d, geostat.KDVOptions{
 						Kernel: geostat.MustKernel(geostat.Quartic, b), Grid: grid, Method: method,
 					}); err != nil {
 						panic(err)
@@ -39,13 +39,13 @@ func RunA1(cfg *Config) error {
 		var shared []*geostat.Heatmap
 		tShared := medianOf3(func() {
 			var err error
-			shared, err = geostat.KDVMultiBandwidth(pts, grid, geostat.Quartic, bw, 0)
+			shared, err = geostat.KDVMultiBandwidth(d, grid, geostat.Quartic, bw, 0)
 			if err != nil {
 				panic(err)
 			}
 		})
 		// Exactness check at the largest bandwidth.
-		want, err := geostat.KDV(pts, geostat.KDVOptions{
+		want, err := geostat.KDVDataset(d, geostat.KDVOptions{
 			Kernel: geostat.MustKernel(geostat.Quartic, bw[m-1]), Grid: grid,
 		})
 		if err != nil {
@@ -69,16 +69,16 @@ func RunA1(cfg *Config) error {
 // cluster or fragments the wide one; the adaptive surface resolves both.
 func RunA2(cfg *Config) error {
 	rng := cfg.rng()
-	pts := geostat.GaussianClusters(rng, cfg.scale(20000), studyBox, []geostat.GaussianCluster{
+	d := geostat.GaussianClusters(rng, cfg.scale(20000), studyBox, []geostat.GaussianCluster{
 		{Center: geostat.Point{X: 25, Y: 50}, Sigma: 1.5, Weight: 1}, // tight
 		{Center: geostat.Point{X: 70, Y: 50}, Sigma: 12, Weight: 1},  // wide
-	}, 0.1).Points()
+	}, 0.1)
 	grid := geostat.NewPixelGrid(studyBox, 128, 128)
-	bw, err := geostat.AdaptiveBandwidths(pts, 16, 1.0, 1.0)
+	bw, err := geostat.AdaptiveBandwidths(d, 16, 1.0, 1.0)
 	if err != nil {
 		return err
 	}
-	adaptive, err := geostat.KDVAdaptive(pts, bw, geostat.Quartic, grid, -1)
+	adaptive, err := geostat.KDVAdaptive(d, bw, geostat.Quartic, grid, -1)
 	if err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func RunA2(cfg *Config) error {
 		tb.add(name, c.X, c.Y, peak/medianPositive(hm.Values))
 	}
 	for _, b := range []float64{2, 12} {
-		fixed, err := geostat.KDV(pts, geostat.KDVOptions{
+		fixed, err := geostat.KDVDataset(d, geostat.KDVOptions{
 			Kernel: geostat.MustKernel(geostat.Quartic, b), Grid: grid, Workers: cfg.workers(),
 		})
 		if err != nil {

@@ -25,15 +25,16 @@ func RunC1(cfg *Config) error {
 		sizes = []int{500, 1000, 2000}
 	}
 	for _, n := range sizes {
-		pts := geostat.UniformCSR(rng, n, studyBox).Points()
+		d := geostat.UniformCSR(rng, n, studyBox)
+		pts := d.Points()
 		const s = 4.0
 		var naive, grid, kdt, gridMax int
-		tNaive := medianOf3(func() { naive = geostat.KFunctionNaive(pts, s) })
+		tNaive := medianOf3(func() { naive = geostat.KFunctionNaive(d, s) })
 		tGrid := medianOf3(func() { grid = geostat.KFunction(pts, s) })
 		tKD := medianOf3(func() { kdt = geostat.KFunctionKDTree(pts, s) })
 		tGridMax := medianOf3(func() { gridMax = geostat.KFunction(pts, sMax) })
 		var cv []int
-		tCurve := medianOf3(func() { cv, _ = geostat.KFunctionCurve(pts, thresholds, 0) })
+		tCurve := medianOf3(func() { cv, _ = geostat.KFunctionCurve(d, thresholds, 0) })
 		if naive != grid || grid != kdt {
 			return fmt.Errorf("C1: methods disagree: %d %d %d", naive, grid, kdt)
 		}
@@ -68,32 +69,32 @@ func RunC2(cfg *Config) error {
 	}
 	grid := geostat.NewPixelGrid(studyBox, 128, 128)
 	for _, n := range sizes {
-		pts := geostat.UniformCSR(rng, n, studyBox).Points()
-		tDirect, tNaive, err := timeDirect(pts, k, grid)
+		d := geostat.UniformCSR(rng, n, studyBox)
+		tDirect, tNaive, err := timeDirect(d, k, grid)
 		if err != nil {
 			return err
 		}
-		tSweep := timeKDV(pts, k, grid, geostat.KDVSweepLine)
-		tb.add(n, tDirect, tNaive, timeKDV(pts, k, grid, geostat.KDVGridCutoff), tSweep, speedup(tDirect, tSweep))
+		tSweep := timeKDV(d, k, grid, geostat.KDVSweepLine)
+		tb.add(n, tDirect, tNaive, timeKDV(d, k, grid, geostat.KDVGridCutoff), tSweep, speedup(tDirect, tSweep))
 	}
 	tb.write(cfg.Out)
 
 	fmt.Fprintln(cfg.Out, "\nsweep over raster size (n fixed 10000, b=4):")
 	tb = newTable("pixels", "direct O(XYn)", "naive", "grid-cutoff", "sweep-line")
-	pts := geostat.UniformCSR(rng, cfg.scale(10000), studyBox).Points()
+	d := geostat.UniformCSR(rng, cfg.scale(10000), studyBox)
 	dims := []int{64, 128, 256}
 	if cfg.Quick {
 		dims = []int{32, 64}
 	}
 	for _, dim := range dims {
 		g := geostat.NewPixelGrid(studyBox, dim, dim)
-		tDirect, tNaive, err := timeDirect(pts, k, g)
+		tDirect, tNaive, err := timeDirect(d, k, g)
 		if err != nil {
 			return err
 		}
 		tb.add(fmt.Sprintf("%dx%d", dim, dim), tDirect, tNaive,
-			timeKDV(pts, k, g, geostat.KDVGridCutoff),
-			timeKDV(pts, k, g, geostat.KDVSweepLine))
+			timeKDV(d, k, g, geostat.KDVGridCutoff),
+			timeKDV(d, k, g, geostat.KDVSweepLine))
 	}
 	tb.write(cfg.Out)
 	fmt.Fprintln(cfg.Out, "direct = the paper's pixel-major sum over every point; naive = the library's exact baseline, bit-identical to it.")
@@ -120,12 +121,13 @@ func directSum(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid) []flo
 
 // timeDirect times directSum and the library's naive on one request, and
 // fails unless the two rasters are equal bit for bit.
-func timeDirect(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid) (direct, naive time.Duration, err error) {
+func timeDirect(d *geostat.Dataset, k geostat.Kernel, g geostat.PixelGrid) (direct, naive time.Duration, err error) {
+	pts := d.Points()
 	var want []float64
 	direct = medianOf3(func() { want = directSum(pts, k, g) })
 	var got *geostat.Heatmap
 	naive = medianOf3(func() {
-		if got, err = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: g, Method: geostat.KDVNaive}); err != nil {
+		if got, err = geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: g, Method: geostat.KDVNaive}); err != nil {
 			panic(err)
 		}
 	})
@@ -138,9 +140,9 @@ func timeDirect(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid) (dir
 	return direct, naive, nil
 }
 
-func timeKDV(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid, m geostat.KDVMethod) (d time.Duration) {
+func timeKDV(d *geostat.Dataset, k geostat.Kernel, g geostat.PixelGrid, m geostat.KDVMethod) time.Duration {
 	return medianOf3(func() {
-		if _, err := geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: g, Method: m}); err != nil {
+		if _, err := geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: g, Method: m}); err != nil {
 			panic(err)
 		}
 	})
@@ -151,24 +153,24 @@ func timeKDV(pts []geostat.Point, k geostat.Kernel, g geostat.PixelGrid, m geost
 // accelerator exists — §2.4's open problem).
 func RunC3(cfg *Config) error {
 	rng := cfg.rng()
-	pts := geostat.GaussianClusters(rng, cfg.scale(20000), studyBox, []geostat.GaussianCluster{
+	d := geostat.GaussianClusters(rng, cfg.scale(20000), studyBox, []geostat.GaussianCluster{
 		{Center: geostat.Point{X: 40, Y: 40}, Sigma: 10, Weight: 1},
-	}, 0.3).Points()
+	}, 0.3)
 	k := geostat.MustKernel(geostat.Gaussian, 8)
 	grid := geostat.NewPixelGrid(studyBox, 64, 64)
-	exact, err := geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVNaive})
+	exact, err := geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVNaive})
 	if err != nil {
 		return err
 	}
 	tNaive := medianOf3(func() {
-		_, _ = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVNaive})
+		_, _ = geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVNaive})
 	})
 	tb := newTable("eps", "time", "naive time", "speedup", "measured max rel err", "guarantee held")
 	for _, eps := range []float64{0.5, 0.1, 0.01} {
 		var approx *geostat.Heatmap
 		t := medianOf3(func() {
 			var err error
-			approx, err = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVBoundApprox, Epsilon: eps})
+			approx, err = geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVBoundApprox, Epsilon: eps})
 			if err != nil {
 				panic(err)
 			}
@@ -209,17 +211,17 @@ func RunC4(cfg *Config) error {
 		sizes = []int{5000, 20000}
 	}
 	for _, n := range sizes {
-		pts := geostat.UniformCSR(rng, n, studyBox).Points()
-		exact, err := geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid})
+		d := geostat.UniformCSR(rng, n, studyBox)
+		exact, err := geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid})
 		if err != nil {
 			return err
 		}
-		tExact := medianOf3(func() { _, _ = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid}) })
+		tExact := medianOf3(func() { _, _ = geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid}) })
 		for _, eps := range []float64{0.05, 0.02} {
 			var approx *geostat.Heatmap
 			t := medianOf3(func() {
 				var err error
-				approx, err = geostat.KDV(pts, geostat.KDVOptions{
+				approx, err = geostat.KDVDataset(d, geostat.KDVOptions{
 					Kernel: k, Grid: grid, Method: geostat.KDVSampled,
 					Epsilon: eps, Delta: 0.01, Seed: cfg.Seed + int64(n),
 				})
@@ -248,7 +250,7 @@ func RunC4(cfg *Config) error {
 // RunC5 measures goroutine-parallel speedup for KDV and the K-curve.
 func RunC5(cfg *Config) error {
 	rng := cfg.rng()
-	pts := geostat.UniformCSR(rng, cfg.scale(50000), studyBox).Points()
+	d := geostat.UniformCSR(rng, cfg.scale(50000), studyBox)
 	k := geostat.MustKernel(geostat.Quartic, 4)
 	grid := geostat.NewPixelGrid(studyBox, 256, 256)
 	thresholds := []float64{1, 2, 4, 8}
@@ -263,9 +265,9 @@ func RunC5(cfg *Config) error {
 		}
 		seen[w] = true
 		t1 := medianOf3(func() {
-			_, _ = geostat.KDV(pts, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVGridCutoff, Workers: w})
+			_, _ = geostat.KDVDataset(d, geostat.KDVOptions{Kernel: k, Grid: grid, Method: geostat.KDVGridCutoff, Workers: w})
 		})
-		t2 := medianOf3(func() { _, _ = geostat.KFunctionCurve(pts, thresholds, w) })
+		t2 := medianOf3(func() { _, _ = geostat.KFunctionCurve(d, thresholds, w) })
 		if w == 1 {
 			base1, base2 = t1, t2
 			tb.add(w, t1.String(), t2.String())
@@ -355,7 +357,7 @@ func RunC8(cfg *Config) error {
 	tb.write(cfg.Out)
 
 	fmt.Fprintln(cfg.Out, "\nMoran's I / General G (kNN weights k=8):")
-	w, err := geostat.KNNWeightsWorkers(d.Points(), 8, cfg.workers())
+	w, err := geostat.KNNWeightsDataset(d, 8, cfg.workers())
 	if err != nil {
 		return err
 	}
@@ -386,7 +388,7 @@ func RunC8(cfg *Config) error {
 		sizes = []int{500, 2000}
 	}
 	for _, dn := range sizes {
-		pts := geostat.UniformCSR(rng, dn, studyBox).Points()
+		pts := geostat.UniformCSR(rng, dn, studyBox)
 		tNaive := medianOf3(func() { _, _ = geostat.DBSCANNaive(pts, 2, 5) })
 		tGrid := medianOf3(func() { _, _ = geostat.DBSCAN(pts, 2, 5) })
 		tb.add(dn, tNaive, tGrid, speedup(tNaive, tGrid))

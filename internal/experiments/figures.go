@@ -37,7 +37,7 @@ func RunT1(cfg *Config) error {
 	// single source of truth for the taxonomy itself).
 	checks := map[string]func() error{
 		"KDV (Def. 1)": func() error {
-			_, err := geostat.KDV(d.Points(), geostat.KDVOptions{Kernel: geostat.MustKernel(geostat.Quartic, 10), Grid: grid})
+			_, err := geostat.KDVDataset(d, geostat.KDVOptions{Kernel: geostat.MustKernel(geostat.Quartic, 10), Grid: grid})
 			return err
 		},
 		"NKDV (§2.2)": func() error {
@@ -70,7 +70,7 @@ func RunT1(cfg *Config) error {
 			return err
 		},
 		"K-function (Def. 2)": func() error {
-			_, err := geostat.KFunctionCurve(d.Points(), []float64{5, 10}, 0)
+			_, err := geostat.KFunctionCurve(d, []float64{5, 10}, 0)
 			return err
 		},
 		"network K-function (§2.3)": func() error {
@@ -79,33 +79,33 @@ func RunT1(cfg *Config) error {
 		},
 		"spatiotemporal K (Eq. 8)": func() error {
 			st := geostat.SpatioTemporalOutbreak(rng, 100, studyBox, 0, 10, nil, 1)
-			_, err := geostat.STKFunctionSurface(st.Points(), st.Times(), []float64{5}, []float64{2}, 0)
+			_, err := geostat.STKFunctionSurface(st, []float64{5}, []float64{2}, 0)
 			return err
 		},
 		"Moran's I": func() error {
-			w, err := geostat.KNNWeights(d.Points(), 6)
+			w, err := geostat.KNNWeightsDataset(d, 6, -1)
 			if err != nil {
 				return err
 			}
-			_, err = geostat.MoranI(d.Values(), w, 19, rng)
+			_, err = geostat.MoranIOpt(d.Values(), w, geostat.MoranOptions{Perms: 19, Seed: rng.Int63(), Workers: -1})
 			return err
 		},
 		"Getis-Ord General G / Gi*": func() error {
-			w, err := geostat.DistanceBandWeights(d.Points(), 10)
+			w, err := geostat.DistanceBandWeightsDataset(d, 10, -1)
 			if err != nil {
 				return err
 			}
-			if _, gerr := geostat.GeneralG(d.Values(), w, 19, cfg.Seed); gerr != nil {
+			if _, gerr := geostat.GeneralGOpt(d.Values(), w, geostat.GetisOrdOptions{Perms: 19, Seed: cfg.Seed, Workers: -1}); gerr != nil {
 				return gerr
 			}
 			_, err = geostat.LocalGStar(d.Values(), w)
 			return err
 		},
 		"DBSCAN / k-means": func() error {
-			if _, err := geostat.DBSCAN(d.Points(), 4, 5); err != nil {
+			if _, err := geostat.DBSCAN(d, 4, 5); err != nil {
 				return err
 			}
-			_, err := geostat.KMeans(d.Points(), 2, 0, rng)
+			_, err := geostat.KMeans(d, 2, 0, rng)
 			return err
 		},
 	}
@@ -160,7 +160,7 @@ func RunT2(cfg *Config) error {
 func RunF1(cfg *Config) error {
 	d := hkLikeOutbreak(cfg, 20000)
 	grid := geostat.NewPixelGrid(studyBox, 256, 256)
-	hm, err := geostat.KDV(d.Points(), geostat.KDVOptions{
+	hm, err := geostat.KDVDataset(d, geostat.KDVOptions{
 		Kernel:  geostat.MustKernel(geostat.Quartic, 6),
 		Grid:    grid,
 		Workers: cfg.workers(),
@@ -355,9 +355,9 @@ func RunF5(cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	hm, err := geostat.KDV(back.Points(), geostat.KDVOptions{
+	hm, err := geostat.KDVDataset(back, geostat.KDVOptions{
 		Kernel:  geostat.MustKernel(geostat.Quartic, 6),
-		Grid:    geostat.NewPixelGrid(geostat.NewBBox(back.Points()), 256, 256),
+		Grid:    geostat.NewPixelGrid(back.Bounds(), 256, 256),
 		Workers: cfg.workers(),
 	})
 	if err != nil {

@@ -34,33 +34,33 @@ func RunA4(cfg *Config) error {
 		return err
 	}
 	// Dataset 2: Matérn (true interaction).
-	interacting := clusteredN(cfg, cfg.scale(2000))
+	interacting := geostat.FromPoints(clusteredN(cfg, cfg.scale(2000)))
 
 	tb := newTable("dataset", "vs CSR null (Def. 3)", "vs fitted-intensity null")
-	verdicts := func(pts []geostat.Point) (csr, inhom string, err error) {
-		p1, err := geostat.KFunctionPlot(pts, opt, rng)
+	verdicts := func(d *geostat.Dataset) (csr, inhom string, err error) {
+		p1, err := geostat.KFunctionPlotDataset(d, opt, rng)
 		if err != nil {
 			return "", "", err
 		}
-		fit, err := geostat.KDV(pts, geostat.KDVOptions{
+		fit, err := geostat.KDVDataset(d, geostat.KDVOptions{
 			Kernel: geostat.MustKernel(geostat.Quartic, 12), Grid: spec, Workers: cfg.workers(),
 		})
 		if err != nil {
 			return "", "", err
 		}
-		p2, err := geostat.KFunctionPlotWithNull(pts, opt, func() []geostat.Point {
-			sim, serr := geostat.SampleFromIntensity(rng, spec, fit.Values, len(pts))
+		p2, err := geostat.KFunctionPlotWithNull(d, opt, func() *geostat.Dataset {
+			sim, serr := geostat.SampleFromIntensity(rng, spec, fit.Values, d.N())
 			if serr != nil {
 				panic(serr)
 			}
-			return sim.Points()
+			return sim
 		})
 		if err != nil {
 			return "", "", err
 		}
 		return regimeSummary(p1), regimeSummary(p2), nil
 	}
-	c1, i1, err := verdicts(noInteraction.Points())
+	c1, i1, err := verdicts(noInteraction)
 	if err != nil {
 		return err
 	}

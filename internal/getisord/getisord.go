@@ -27,21 +27,14 @@ type GeneralGResult struct {
 	Perms    int
 }
 
-// GeneralG computes Getis-Ord General G over the weight matrix:
+// GeneralGOpt computes Getis-Ord General G over the weight matrix:
 //
 //	G = Σ_ij w_ij·x_i·x_j / Σ_{i≠j} x_i·x_j
 //
 // Values must be non-negative (the statistic is defined for positive
-// attributes). perms > 0 adds a permutation test whose shuffles are
-// derived deterministically from seed. Equivalent to GeneralGOpt with the
-// given seed and every core.
-func GeneralG(values []float64, w *weights.Matrix, perms int, seed int64) (*GeneralGResult, error) {
-	return GeneralGOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// GeneralGOpt computes General G with an explicit permutation-test
-// configuration; permutations fan out across opt.Workers with results
-// bit-identical for every worker count.
+// attributes). opt.Perms > 0 adds a permutation test whose shuffles are
+// derived deterministically from opt.Seed; permutations fan out across
+// opt.Workers with results bit-identical for every worker count.
 func GeneralGOpt(values []float64, w *weights.Matrix, opt Options) (*GeneralGResult, error) {
 	n := len(values)
 	if n != w.N {

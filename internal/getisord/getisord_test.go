@@ -32,16 +32,16 @@ func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 func TestValidation(t *testing.T) {
 	pts := gridPoints(3)
 	w := bandW(t, pts)
-	if _, err := GeneralG([]float64{1, 2}, w, 0, 0); err == nil {
+	if _, err := GeneralGOpt([]float64{1, 2}, w, Options{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	neg := make([]float64, len(pts))
 	neg[0] = -1
-	if _, err := GeneralG(neg, w, 0, 0); err == nil {
+	if _, err := GeneralGOpt(neg, w, Options{}); err == nil {
 		t.Error("negative values accepted")
 	}
 	zeros := make([]float64, len(pts))
-	if _, err := GeneralG(zeros, w, 0, 0); err == nil {
+	if _, err := GeneralGOpt(zeros, w, Options{}); err == nil {
 		t.Error("all-zero values accepted")
 	}
 	ok := make([]float64, len(pts))
@@ -68,7 +68,7 @@ func TestGeneralGDetectsHighValueClustering(t *testing.T) {
 			vals[i] = 1
 		}
 	}
-	res, err := GeneralG(vals, w, 199, 1)
+	res, err := GeneralGOpt(vals, w, Options{Perms: 199, Seed: 1, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGeneralGRandomInsignificant(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.Float64() * 10
 		}
-		res, err := GeneralG(vals, w, 199, int64(trial))
+		res, err := GeneralGOpt(vals, w, Options{Perms: 199, Seed: int64(trial), Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestGeneralGExpected(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i + 1)
 	}
-	res, err := GeneralG(vals, w, 0, 0)
+	res, err := GeneralGOpt(vals, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

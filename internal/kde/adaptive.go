@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/index/kdtree"
 	"geostat/internal/kernel"
@@ -23,9 +24,9 @@ import (
 // costing O(Σ_i footprint_i) — independent of the raster area covered by
 // no kernel. Infinite-support kernels are rejected (a per-point Gaussian
 // would touch every pixel).
-func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom.PixelGrid, workers int) (*raster.Grid, error) {
-	if len(bandwidths) != len(pts) {
-		return nil, fmt.Errorf("kde: %d points but %d bandwidths", len(pts), len(bandwidths))
+func Adaptive(cols dataset.Columns, bandwidths []float64, typ kernel.Type, grid geom.PixelGrid, workers int) (*raster.Grid, error) {
+	if len(bandwidths) != cols.N() {
+		return nil, fmt.Errorf("kde: %d points but %d bandwidths", cols.N(), len(bandwidths))
 	}
 	if grid.NX <= 0 || grid.NY <= 0 {
 		return nil, fmt.Errorf("kde: grid not initialised")
@@ -41,9 +42,9 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	}
 	out := raster.NewGrid(grid)
 	if parallel.Workers(workers) <= 1 {
-		for i, p := range pts {
-			fp := grid.Footprint(bandwidths[i])
-			scatter(out.Values, grid, &fp, kernel.MustNew(typ, bandwidths[i]), p, 1, 0, grid.NY)
+		for i, b := range bandwidths {
+			fp := grid.Footprint(b)
+			scatter(out.Values, grid, &fp, kernel.MustNew(typ, b), geom.Point{X: cols.X[i], Y: cols.Y[i]}, 1, 0, grid.NY)
 		}
 		return out, nil
 	}
@@ -59,11 +60,11 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	// claiming rebalance hotspot bands against empty ones.
 	h := max(1, grid.NY/(parallel.Workers(workers)*8))
 	bands := (grid.NY + h - 1) / h
-	rows := make([][2]int, len(pts)) // each point's footprint rows [lo, hi)
+	rows := make([][2]int, len(bandwidths)) // each point's footprint rows [lo, hi)
 	start := make([]int, bands+1)
-	for i, p := range pts {
-		fp := grid.Footprint(bandwidths[i])
-		lo, hi := fp.Rows(p.Y)
+	for i, b := range bandwidths {
+		fp := grid.Footprint(b)
+		lo, hi := fp.Rows(cols.Y[i])
 		rows[i] = [2]int{lo, hi}
 		for band := lo / h; band*h < hi; band++ {
 			start[band+1]++
@@ -83,7 +84,7 @@ func Adaptive(pts []geom.Point, bandwidths []float64, typ kernel.Type, grid geom
 	parallel.For(bands, workers, func(band int) {
 		for _, i := range byBand[start[band]:start[band+1]] {
 			fp := grid.Footprint(bandwidths[i])
-			scatter(out.Values, grid, &fp, kernel.MustNew(typ, bandwidths[i]), pts[i], 1, band*h, (band+1)*h)
+			scatter(out.Values, grid, &fp, kernel.MustNew(typ, bandwidths[i]), geom.Point{X: cols.X[i], Y: cols.Y[i]}, 1, band*h, (band+1)*h)
 		}
 	})
 	return out, nil
@@ -114,18 +115,18 @@ func scatter(values []float64, grid geom.PixelGrid, fp *geom.Footprint, k kernel
 // distance to the k-th nearest neighbour, scaled, and floored so isolated
 // duplicates never get a zero bandwidth. This is the standard
 // nearest-neighbour pilot for adaptive KDE.
-func AdaptiveBandwidths(pts []geom.Point, k int, scale, minBandwidth float64) ([]float64, error) {
+func AdaptiveBandwidths(cols dataset.Columns, k int, scale, minBandwidth float64) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kde: k must be >= 1, got %d", k)
 	}
 	if !(scale > 0) || !(minBandwidth > 0) {
 		return nil, fmt.Errorf("kde: scale and minBandwidth must be positive")
 	}
-	tree := kdtree.New(pts)
-	out := make([]float64, len(pts))
+	tree, _ := cols.Tree()
+	out := make([]float64, cols.N())
 	var scratch kdtree.Scratch
-	for i, p := range pts {
-		_, d2 := tree.KNearest(p, k+1, &scratch) // includes self at d=0
+	for i := range out {
+		_, d2 := tree.KNearest(geom.Point{X: cols.X[i], Y: cols.Y[i]}, k+1, &scratch) // includes self at d=0
 		b := minBandwidth
 		if len(d2) > 0 {
 			if d := math.Sqrt(d2[len(d2)-1]) * scale; d > b {

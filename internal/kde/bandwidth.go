@@ -56,15 +56,16 @@ func SilvermanBandwidth(cols dataset.Columns) (float64, error) {
 //
 // The fold assignment is shuffled by a generator seeded with seed, so the
 // selected bandwidth is reproducible from (points, candidates, folds, seed).
-func SelectBandwidthCV(pts []geom.Point, typ kernel.Type, candidates []float64, folds int, seed int64) (float64, error) {
+func SelectBandwidthCV(cols dataset.Columns, typ kernel.Type, candidates []float64, folds int, seed int64) (float64, error) {
 	if len(candidates) == 0 {
 		return 0, fmt.Errorf("kde: no candidate bandwidths")
 	}
 	if folds < 2 {
 		return 0, fmt.Errorf("kde: need at least 2 folds, got %d", folds)
 	}
-	if len(pts) < 2*folds {
-		return 0, fmt.Errorf("kde: too few points (%d) for %d folds", len(pts), folds)
+	n := cols.N()
+	if n < 2*folds {
+		return 0, fmt.Errorf("kde: too few points (%d) for %d folds", n, folds)
 	}
 	// Validate candidates and kernel up front.
 	for i, b := range candidates {
@@ -78,7 +79,7 @@ func SelectBandwidthCV(pts []geom.Point, typ kernel.Type, candidates []float64, 
 	}
 	// Random fold assignment.
 	rng := parallel.NewRand(seed)
-	fold := make([]int, len(pts))
+	fold := make([]int, n)
 	for i := range fold {
 		fold[i] = i % folds
 	}
@@ -91,26 +92,26 @@ func SelectBandwidthCV(pts []geom.Point, typ kernel.Type, candidates []float64, 
 
 	best := candidates[0]
 	bestScore := math.Inf(-1)
-	train := make([]geom.Point, 0, len(pts))
+	trainX, trainY := make([]float64, 0, n), make([]float64, 0, n)
 	for _, b := range candidates {
 		k := kernel.MustNew(typ, b)
 		w := k.NormConst()
 		score := 0.0
 		for f := 0; f < folds; f++ {
-			train = train[:0]
-			for i, p := range pts {
-				if fold[i] != f {
-					train = append(train, p)
+			trainX, trainY = trainX[:0], trainY[:0]
+			for i, fi := range fold {
+				if fi != f {
+					trainX, trainY = append(trainX, cols.X[i]), append(trainY, cols.Y[i])
 				}
 			}
-			idx := gridindex.New(train, b)
-			norm := w / float64(len(train))
-			for i, p := range pts {
-				if fold[i] != f {
+			idx := gridindex.NewColumns(trainX, trainY, b)
+			norm := w / float64(len(trainX))
+			for i, fi := range fold {
+				if fi != f {
 					continue
 				}
 				sum := 0.0
-				idx.ForEachInRange(p, b, func(_ int, d2 float64) {
+				idx.ForEachInRange(geom.Point{X: cols.X[i], Y: cols.Y[i]}, b, func(_ int, d2 float64) {
 					sum += k.Eval2(d2)
 				})
 				if density := sum * norm; density > 0 {

@@ -17,7 +17,7 @@ func TestMultiBandwidthMatchesPerBandwidthExact(t *testing.T) {
 	grid := geom.NewPixelGrid(box, 24, 20)
 	bandwidths := []float64{2, 5, 9, 16, 30}
 	for _, kt := range []kernel.Type{kernel.Uniform, kernel.Epanechnikov, kernel.Quartic, kernel.Triweight} {
-		surfaces, err := MultiBandwidth(pts, grid, kt, bandwidths, 0)
+		surfaces, err := MultiBandwidth(cols(pts), grid, kt, bandwidths, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,19 +41,19 @@ func TestMultiBandwidthMatchesPerBandwidthExact(t *testing.T) {
 func TestMultiBandwidthValidation(t *testing.T) {
 	pts := clusteredPoints(21, 20)
 	grid := geom.NewPixelGrid(box, 8, 8)
-	if _, err := MultiBandwidth(pts, grid, kernel.Gaussian, []float64{1}, 0); err == nil {
+	if _, err := MultiBandwidth(cols(pts), grid, kernel.Gaussian, []float64{1}, 0); err == nil {
 		t.Error("Gaussian accepted")
 	}
-	if _, err := MultiBandwidth(pts, grid, kernel.Quartic, nil, 0); err == nil {
+	if _, err := MultiBandwidth(cols(pts), grid, kernel.Quartic, nil, 0); err == nil {
 		t.Error("empty bandwidths accepted")
 	}
-	if _, err := MultiBandwidth(pts, grid, kernel.Quartic, []float64{5, 5}, 0); err == nil {
+	if _, err := MultiBandwidth(cols(pts), grid, kernel.Quartic, []float64{5, 5}, 0); err == nil {
 		t.Error("non-increasing bandwidths accepted")
 	}
-	if _, err := MultiBandwidth(pts, grid, kernel.Quartic, []float64{-1, 2}, 0); err == nil {
+	if _, err := MultiBandwidth(cols(pts), grid, kernel.Quartic, []float64{-1, 2}, 0); err == nil {
 		t.Error("negative bandwidth accepted")
 	}
-	if _, err := MultiBandwidth(pts, geom.PixelGrid{}, kernel.Quartic, []float64{1}, 0); err == nil {
+	if _, err := MultiBandwidth(cols(pts), geom.PixelGrid{}, kernel.Quartic, []float64{1}, 0); err == nil {
 		t.Error("zero grid accepted")
 	}
 }
@@ -62,11 +62,11 @@ func TestMultiBandwidthParallelMatchesSerial(t *testing.T) {
 	pts := clusteredPoints(22, 300)
 	grid := geom.NewPixelGrid(box, 20, 16)
 	bw := []float64{3, 8, 15}
-	serial, err := MultiBandwidth(pts, grid, kernel.Quartic, bw, 0)
+	serial, err := MultiBandwidth(cols(pts), grid, kernel.Quartic, bw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultiBandwidth(pts, grid, kernel.Quartic, bw, 4)
+	par, err := MultiBandwidth(cols(pts), grid, kernel.Quartic, bw, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAdaptiveUniformBandwidthMatchesFixed(t *testing.T) {
 	for i := range bw {
 		bw[i] = b
 	}
-	adaptive, err := Adaptive(pts, bw, kernel.Quartic, grid, 0)
+	adaptive, err := Adaptive(cols(pts), bw, kernel.Quartic, grid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,21 +106,21 @@ func TestAdaptiveUniformBandwidthMatchesFixed(t *testing.T) {
 func TestAdaptiveValidation(t *testing.T) {
 	pts := clusteredPoints(24, 10)
 	grid := geom.NewPixelGrid(box, 8, 8)
-	if _, err := Adaptive(pts, []float64{1}, kernel.Quartic, grid, 0); err == nil {
+	if _, err := Adaptive(cols(pts), []float64{1}, kernel.Quartic, grid, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	bw := make([]float64, len(pts))
 	for i := range bw {
 		bw[i] = 1
 	}
-	if _, err := Adaptive(pts, bw, kernel.Gaussian, grid, 0); err == nil {
+	if _, err := Adaptive(cols(pts), bw, kernel.Gaussian, grid, 0); err == nil {
 		t.Error("Gaussian accepted")
 	}
 	bw[3] = -1
-	if _, err := Adaptive(pts, bw, kernel.Quartic, grid, 0); err == nil {
+	if _, err := Adaptive(cols(pts), bw, kernel.Quartic, grid, 0); err == nil {
 		t.Error("negative bandwidth accepted")
 	}
-	if _, err := Adaptive(pts, bw[:0], kernel.Quartic, geom.PixelGrid{}, 0); err == nil {
+	if _, err := Adaptive(cols(pts), bw[:0], kernel.Quartic, geom.PixelGrid{}, 0); err == nil {
 		t.Error("zero grid accepted")
 	}
 }
@@ -144,17 +144,17 @@ func TestAdaptiveWorkerCountBitIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pts := clusteredPoints(25, tc.n)
 			grid := geom.NewPixelGrid(box, tc.nx, tc.ny)
-			bw, err := AdaptiveBandwidths(pts, 8, 1.0, 0.5)
+			bw, err := AdaptiveBandwidths(cols(pts), 8, 1.0, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Adaptive(pts, bw, kernel.Quartic, grid, 1)
+			want, err := Adaptive(cols(pts), bw, kernel.Quartic, grid, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				for rep := 0; rep < 20; rep++ {
-					got, err := Adaptive(pts, bw, kernel.Quartic, grid, workers)
+					got, err := Adaptive(cols(pts), bw, kernel.Quartic, grid, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -178,7 +178,7 @@ func TestAdaptiveBandwidthsStructure(t *testing.T) {
 	}, 0).Points()
 	isolated := geom.Point{X: 95, Y: 75}
 	pts := append(dense, isolated)
-	bw, err := AdaptiveBandwidths(pts, 5, 1.0, 0.01)
+	bw, err := AdaptiveBandwidths(cols(pts), 5, 1.0, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAdaptiveBandwidthsStructure(t *testing.T) {
 	for i := range all {
 		all[i] = geom.Point{X: 1, Y: 1} // duplicates: kNN distance 0
 	}
-	bw, err = AdaptiveBandwidths(all, 3, 1.0, 0.75)
+	bw, err = AdaptiveBandwidths(cols(all), 3, 1.0, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +204,10 @@ func TestAdaptiveBandwidthsStructure(t *testing.T) {
 			t.Fatalf("floor not applied: %v", b)
 		}
 	}
-	if _, err := AdaptiveBandwidths(pts, 0, 1, 1); err == nil {
+	if _, err := AdaptiveBandwidths(cols(pts), 0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := AdaptiveBandwidths(pts, 3, 0, 1); err == nil {
+	if _, err := AdaptiveBandwidths(cols(pts), 3, 0, 1); err == nil {
 		t.Error("zero scale accepted")
 	}
 }
@@ -247,7 +247,7 @@ func TestSelectBandwidthCVPrefersTrueScale(t *testing.T) {
 		{Center: geom.Point{X: 30, Y: 30}, Sigma: 3, Weight: 1},
 		{Center: geom.Point{X: 70, Y: 60}, Sigma: 3, Weight: 1},
 	}, 0.05).Points()
-	best, err := SelectBandwidthCV(pts, kernel.Quartic, []float64{0.3, 4, 60}, 5, 27)
+	best, err := SelectBandwidthCV(cols(pts), kernel.Quartic, []float64{0.3, 4, 60}, 5, 27)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,19 +258,19 @@ func TestSelectBandwidthCVPrefersTrueScale(t *testing.T) {
 
 func TestSelectBandwidthCVValidation(t *testing.T) {
 	pts := clusteredPoints(28, 100)
-	if _, err := SelectBandwidthCV(pts, kernel.Quartic, nil, 5, 1); err == nil {
+	if _, err := SelectBandwidthCV(cols(pts), kernel.Quartic, nil, 5, 1); err == nil {
 		t.Error("no candidates accepted")
 	}
-	if _, err := SelectBandwidthCV(pts, kernel.Quartic, []float64{1}, 1, 1); err == nil {
+	if _, err := SelectBandwidthCV(cols(pts), kernel.Quartic, []float64{1}, 1, 1); err == nil {
 		t.Error("folds=1 accepted")
 	}
-	if _, err := SelectBandwidthCV(pts[:4], kernel.Quartic, []float64{1}, 5, 1); err == nil {
+	if _, err := SelectBandwidthCV(cols(pts[:4]), kernel.Quartic, []float64{1}, 5, 1); err == nil {
 		t.Error("too few points accepted")
 	}
-	if _, err := SelectBandwidthCV(pts, kernel.Gaussian, []float64{1}, 5, 1); err == nil {
+	if _, err := SelectBandwidthCV(cols(pts), kernel.Gaussian, []float64{1}, 5, 1); err == nil {
 		t.Error("Gaussian accepted")
 	}
-	if _, err := SelectBandwidthCV(pts, kernel.Quartic, []float64{-1}, 5, 1); err == nil {
+	if _, err := SelectBandwidthCV(cols(pts), kernel.Quartic, []float64{-1}, 5, 1); err == nil {
 		t.Error("negative candidate accepted")
 	}
 }

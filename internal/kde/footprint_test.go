@@ -107,7 +107,7 @@ func TestAdaptiveConstantBandwidthIsNaive(t *testing.T) {
 						bw[i] = b
 					}
 					for _, workers := range []int{1, 2, -1} {
-						got, err := Adaptive(sc.pts, bw, kt, sc.grid, workers)
+						got, err := Adaptive(cols(sc.pts), bw, kt, sc.grid, workers)
 						if err != nil {
 							t.Fatal(err)
 						}

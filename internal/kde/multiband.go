@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/kernel"
@@ -29,7 +30,7 @@ import (
 //
 // Supported kernels: uniform, Epanechnikov, quartic, triweight (the same
 // family as SweepLine). Bandwidths must be strictly increasing.
-func MultiBandwidth(pts []geom.Point, grid geom.PixelGrid, typ kernel.Type, bandwidths []float64, workers int) ([]*raster.Grid, error) {
+func MultiBandwidth(cols dataset.Columns, grid geom.PixelGrid, typ kernel.Type, bandwidths []float64, workers int) ([]*raster.Grid, error) {
 	deg, err := sweepDegree(typ)
 	if err != nil {
 		return nil, fmt.Errorf("kde: MultiBandwidth: %w", err)
@@ -49,7 +50,7 @@ func MultiBandwidth(pts []geom.Point, grid geom.PixelGrid, typ kernel.Type, band
 	}
 	nb := len(bandwidths)
 	bMax := bandwidths[nb-1]
-	idx := gridindex.New(pts, bMax)
+	idx := gridindex.NewColumns(cols.X, cols.Y, bMax)
 
 	out := make([]*raster.Grid, nb)
 	for i := range out {
@@ -68,7 +69,7 @@ func MultiBandwidth(pts []geom.Point, grid geom.PixelGrid, typ kernel.Type, band
 	opt := Options{Kernel: kernel.MustNew(typ, bMax), Grid: grid, Workers: workers}
 	// Reuse the row driver; it writes into a throwaway grid while the
 	// computer writes all nb real outputs itself.
-	if _, err := run(mc, &opt, len(pts), 1); err != nil {
+	if _, err := run(mc, &opt, cols.N(), 1); err != nil {
 		return nil, err
 	}
 	return out, nil

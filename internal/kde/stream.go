@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
 	"geostat/internal/raster"
@@ -69,18 +70,18 @@ func (s *Stream) Surface() *raster.Grid {
 // advances the clock and renders the snapshot.
 type WindowStream struct {
 	stream *Stream
-	pts    []geom.Point
+	xs, ys []float64
 	times  []float64
 	width  float64
 	addI   int // next event to add (t <= now)
 	remI   int // next event to remove (t <= now-width)
 }
 
-// NewWindowStream sorts the events by time and returns a driver with the
-// given window width. The input slices are not modified.
-func NewWindowStream(k kernel.Kernel, grid geom.PixelGrid, pts []geom.Point, times []float64, width float64) (*WindowStream, error) {
-	if len(pts) != len(times) {
-		return nil, fmt.Errorf("kde: %d points but %d times", len(pts), len(times))
+// NewWindowStream sorts d's events by time and returns a driver with the
+// given window width. The dataset is not modified.
+func NewWindowStream(k kernel.Kernel, grid geom.PixelGrid, d *dataset.Dataset, width float64) (*WindowStream, error) {
+	if !d.HasTimes() {
+		return nil, fmt.Errorf("kde: dataset has no event times")
 	}
 	if !(width > 0) {
 		return nil, fmt.Errorf("kde: window width must be positive, got %g", width)
@@ -89,19 +90,21 @@ func NewWindowStream(k kernel.Kernel, grid geom.PixelGrid, pts []geom.Point, tim
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, len(pts))
+	n, times := d.N(), d.Times()
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return times[order[a]] < times[order[b]] })
 	w := &WindowStream{
 		stream: s,
-		pts:    make([]geom.Point, len(pts)),
-		times:  make([]float64, len(pts)),
+		xs:     make([]float64, n),
+		ys:     make([]float64, n),
+		times:  make([]float64, n),
 		width:  width,
 	}
 	for i, oi := range order {
-		w.pts[i] = pts[oi]
+		w.xs[i], w.ys[i] = d.XY(oi)
 		w.times[i] = times[oi]
 	}
 	return w, nil
@@ -110,13 +113,13 @@ func NewWindowStream(k kernel.Kernel, grid geom.PixelGrid, pts []geom.Point, tim
 // Advance moves the clock forward to now (monotone: rewinding is not
 // supported) and updates the surface to the events in (now−width, now].
 func (w *WindowStream) Advance(now float64) {
-	for w.addI < len(w.pts) && w.times[w.addI] <= now {
-		w.stream.Add(w.pts[w.addI])
+	for w.addI < len(w.times) && w.times[w.addI] <= now {
+		w.stream.Add(geom.Point{X: w.xs[w.addI], Y: w.ys[w.addI]})
 		w.addI++
 	}
 	cutoff := now - w.width
 	for w.remI < w.addI && w.times[w.remI] <= cutoff {
-		w.stream.Remove(w.pts[w.remI])
+		w.stream.Remove(geom.Point{X: w.xs[w.remI], Y: w.ys[w.remI]})
 		w.remI++
 	}
 }

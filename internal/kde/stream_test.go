@@ -2,8 +2,10 @@ package kde
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
 )
@@ -101,7 +103,7 @@ func TestWindowStreamMatchesDirect(t *testing.T) {
 	grid := geom.NewPixelGrid(box, 16, 12)
 	k := kernel.MustNew(kernel.Quartic, 9)
 	const width = 25.0
-	w, err := NewWindowStream(k, grid, pts, times, width)
+	w, err := NewWindowStream(k, grid, mustDataset(t, pts, times), width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,16 +134,18 @@ func TestWindowStreamMatchesDirect(t *testing.T) {
 func TestWindowStreamValidation(t *testing.T) {
 	grid := geom.NewPixelGrid(box, 8, 8)
 	k := kernel.MustNew(kernel.Quartic, 5)
-	if _, err := NewWindowStream(k, grid, []geom.Point{{X: 1, Y: 1}}, nil, 5); err == nil {
-		t.Error("length mismatch accepted")
+	if _, err := NewWindowStream(k, grid, dataset.FromPoints([]geom.Point{{X: 1, Y: 1}}), 5); err == nil ||
+		!strings.Contains(err.Error(), "no event times") {
+		t.Errorf("dataset without times: err = %v", err)
 	}
-	if _, err := NewWindowStream(k, grid, nil, nil, 0); err == nil {
-		t.Error("zero width accepted")
+	if _, err := NewWindowStream(k, grid, mustDataset(t, []geom.Point{{X: 1, Y: 1}}, []float64{0}), 0); err == nil ||
+		!strings.Contains(err.Error(), "window width must be positive") {
+		t.Errorf("zero width: err = %v", err)
 	}
 	// Unsorted input is sorted internally.
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}, {X: 3, Y: 3}}
 	times := []float64{30, 10, 20}
-	w, err := NewWindowStream(k, grid, pts, times, 100)
+	w, err := NewWindowStream(k, grid, mustDataset(t, pts, times), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,4 +157,14 @@ func TestWindowStreamValidation(t *testing.T) {
 	if times[0] != 30 {
 		t.Error("input times reordered")
 	}
+}
+
+// mustDataset is dataset.New over pts and times, failing the test on error.
+func mustDataset(t *testing.T, pts []geom.Point, times []float64) *dataset.Dataset {
+	t.Helper()
+	d, err := dataset.New(pts, times, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

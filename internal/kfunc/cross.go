@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/stat"
@@ -19,35 +20,36 @@ import (
 
 // CrossCount returns the number of (a, b) pairs with dist(a_i, b_j) <= s —
 // the raw bivariate K-function numerator K_12(s).
-func CrossCount(a, b []geom.Point, s float64) int {
-	if len(a) == 0 || len(b) == 0 {
+func CrossCount(a, b dataset.Columns, s float64) int {
+	if a.N() == 0 || b.N() == 0 {
 		return 0
 	}
-	idx := gridindex.New(b, s)
+	idx := gridindex.NewColumns(b.X, b.Y, s)
 	count := 0
-	for _, p := range a {
-		count += idx.RangeCount(p, s)
+	for i, x := range a.X {
+		count += idx.RangeCount(geom.Point{X: x, Y: a.Y[i]}, s)
 	}
 	return count
 }
 
 // CrossCurve evaluates the cross count at every threshold (ascending) in
-// one pass over the close pairs.
-func CrossCurve(a, b []geom.Point, thresholds []float64) ([]int, error) {
+// one pass over the close pairs: type a at (ax[i], ay[i]), type b at
+// (bx[j], by[j]).
+func CrossCurve(ax, ay, bx, by []float64, thresholds []float64) ([]int, error) {
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}
 	out := make([]int, len(thresholds))
-	if len(a) == 0 || len(b) == 0 {
+	if len(ax) == 0 || len(bx) == 0 {
 		return out, nil
 	}
 	sMax := thresholds[len(thresholds)-1]
-	idx := gridindex.New(b, sMax)
+	idx := gridindex.NewColumns(bx, by, sMax)
 	bins := squaredBinner(thresholds)
 	hist := make([]int64, len(thresholds))
-	for _, p := range a {
+	for i, x := range ax {
 		// ForEachInRange reports d2 <= sMax·sMax — bins' own upper edge.
-		idx.ForEachInRange(p, sMax, func(_ int, d2 float64) { hist[bins.bin(d2)]++ })
+		idx.ForEachInRange(geom.Point{X: x, Y: ay[i]}, sMax, func(_ int, d2 float64) { hist[bins.bin(d2)]++ })
 	}
 	running := int64(0)
 	for i := range hist {
@@ -67,27 +69,36 @@ func CrossCurve(a, b []geom.Point, thresholds []float64) ([]int, error) {
 // relabelling shuffles its own copy of the pool with an RNG derived from
 // rng's next value, so the envelopes are bit-identical for every worker
 // count.
-func CrossPlot(a, b []geom.Point, thresholds []float64, sims, workers int, rng *rand.Rand) (*Plot, error) {
+func CrossPlot(a, b dataset.Columns, thresholds []float64, sims, workers int, rng *rand.Rand) (*Plot, error) {
 	if sims < 1 {
 		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", sims)
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return nil, fmt.Errorf("kfunc: both types need events (%d, %d)", len(a), len(b))
+	na := a.N()
+	if na == 0 || b.N() == 0 {
+		return nil, fmt.Errorf("kfunc: both types need events (%d, %d)", na, b.N())
 	}
-	obs, err := CrossCurve(a, b, thresholds)
+	obs, err := CrossCurve(a.X, a.Y, b.X, b.Y, thresholds)
 	if err != nil {
 		return nil, err
 	}
 	p := newPlot(thresholds, obs, sims)
-	pool := make([]geom.Point, 0, len(a)+len(b))
-	pool = append(pool, a...)
-	pool = append(pool, b...)
+	poolX := append(append(make([]float64, 0, na+b.N()), a.X...), b.X...)
+	poolY := append(append(make([]float64, 0, na+b.N()), a.Y...), b.Y...)
 	err = envelope(nil, p.Lo, p.Hi, sims, workers, rng.Int63(),
-		func() []geom.Point { return make([]geom.Point, len(pool)) },
-		func(_ context.Context, rng *rand.Rand, buf []geom.Point, _ int) ([]int, error) {
-			copy(buf, pool)
-			rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-			return CrossCurve(buf[:len(a)], buf[len(a):], thresholds)
+		func() *simScratch {
+			s := &simScratch{}
+			s.resize(len(poolX))
+			return s
+		},
+		func(_ context.Context, rng *rand.Rand, s *simScratch, _ int) ([]int, error) {
+			xs, ys := s.xs, s.ys
+			copy(xs, poolX)
+			copy(ys, poolY)
+			rng.Shuffle(len(xs), func(i, j int) {
+				xs[i], xs[j] = xs[j], xs[i]
+				ys[i], ys[j] = ys[j], ys[i]
+			})
+			return CrossCurve(xs[:na], ys[:na], xs[na:], ys[na:], thresholds)
 		})
 	if err != nil {
 		return nil, err
@@ -114,8 +125,8 @@ type KnoxResult struct {
 // The permutations are stat.PermutationSamples over the times, seeded
 // from rng's next value and fanned out across workers (0/1 serial, <0
 // GOMAXPROCS), so the result is bit-identical for every worker count.
-func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, rng *rand.Rand) (*KnoxResult, error) {
-	n := len(pts)
+func Knox(cols dataset.Columns, times []float64, s, t float64, perms, workers int, rng *rand.Rand) (*KnoxResult, error) {
+	n := cols.N()
 	if len(times) != n {
 		return nil, fmt.Errorf("kfunc: %d points but %d times", n, len(times))
 	}
@@ -130,11 +141,11 @@ func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, r
 	}
 	// Enumerate spatially-close unordered pairs ONCE; permutations only
 	// re-examine the time gaps of those pairs.
-	idx := gridindex.New(pts, s)
+	idx := gridindex.NewColumns(cols.X, cols.Y, s)
 	type pair struct{ i, j int32 }
 	var pairs []pair
-	for i, p := range pts {
-		idx.ForEachInRange(p, s, func(j int, _ float64) {
+	for i, x := range cols.X {
+		idx.ForEachInRange(geom.Point{X: x, Y: cols.Y[i]}, s, func(j int, _ float64) {
 			if j > i {
 				pairs = append(pairs, pair{int32(i), int32(j)})
 			}

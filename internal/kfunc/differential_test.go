@@ -33,11 +33,11 @@ func TestCurvePredicatePinned(t *testing.T) {
 	}
 	pts := lattice(50, 0.1)
 	thresholds := []float64{0.5, 1, 2, 4}
-	want, err := NaiveCurve(pts, thresholds)
+	want, err := NaiveCurve(cols(pts), thresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Curve(pts, thresholds, 2)
+	got, err := curveOf(pts, thresholds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestCurvePredicatePinned(t *testing.T) {
 		}
 	}
 	// The cross curve and the space-time surface share the predicate.
-	cross, err := CrossCurve(pts, pts, thresholds)
+	xs, ys := geom.SplitXY(pts)
+	cross, err := CrossCurve(xs, ys, xs, ys, thresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	times := make([]float64, len(pts))
-	xs, ys := geom.SplitXY(pts)
 	surf, err := STSurface(xs, ys, times, thresholds, []float64{1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +111,12 @@ func TestCurveDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := NaiveCurve(c.pts, c.thresholds)
+			want, err := NaiveCurve(cols(c.pts), c.thresholds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, -1} {
-				got, err := Curve(c.pts, c.thresholds, workers)
+				got, err := curveOf(c.pts, c.thresholds, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestCurveDifferential(t *testing.T) {
 				if cut[0] == cut[1] {
 					continue
 				}
-				band, err := Curve(c.pts, c.thresholds[cut[0]:cut[1]], 2)
+				band, err := curveOf(c.pts, c.thresholds[cut[0]:cut[1]], 2)
 				if err != nil {
 					t.Fatal(err)
 				}

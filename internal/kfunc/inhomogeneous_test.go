@@ -54,12 +54,12 @@ func TestInhomogeneousNullSeparatesIntensityFromInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inhomPlot, err := MakePlotWithNull(obs.Points(), opt, func() []geom.Point {
+	inhomPlot, err := MakePlotWithNull(obs.Columns(), opt, func() dataset.Columns {
 		sim, err := dataset.SampleFromIntensity(rng, spec, fit.Values, obs.N())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Points()
+		return sim.Columns()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +81,9 @@ func TestInhomogeneousNullSeparatesIntensityFromInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matPlot, err := MakePlotWithNull(mat, opt, func() []geom.Point {
+	matPlot, err := MakePlotWithNull(cols(mat), opt, func() dataset.Columns {
 		sim, _ := dataset.SampleFromIntensity(rng, spec, fitM.Values, len(mat))
-		return sim.Points()
+		return sim.Columns()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func clusteredN(c *cfgLike, n int) []geom.Point {
 func expApprox(x float64) float64 { return math.Exp(x) }
 
 func TestMakePlotWithNullValidation(t *testing.T) {
-	pts := csr(3, 50)
-	sim := func() []geom.Point { return pts }
+	pts := cols(csr(3, 50))
+	sim := func() dataset.Columns { return pts }
 	if _, err := MakePlotWithNull(pts, PlotOptions{Thresholds: []float64{1}}, sim); err == nil {
 		t.Error("0 simulations accepted")
 	}

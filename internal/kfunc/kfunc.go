@@ -43,12 +43,14 @@ import (
 
 // Naive computes K_P(s) (ordered pairs, i≠j) by the O(n²) double loop —
 // the baseline whose cost §1 of the paper highlights.
-func Naive(pts []geom.Point, s float64) int {
+func Naive(cols dataset.Columns, s float64) int {
 	s2 := s * s
+	xs, ys := cols.X, cols.Y
 	count := 0
-	for i := range pts {
-		for j := range pts {
-			if i != j && pts[i].Dist2(pts[j]) <= s2 {
+	for i := range xs {
+		for j := range xs {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			if i != j && dx*dx+dy*dy <= s2 {
 				count++
 			}
 		}
@@ -100,22 +102,16 @@ func RTreeIndexed(pts []geom.Point, s float64) int {
 
 // Curve computes the K-function at every threshold in thresholds
 // (ascending) in a single pass: every unordered pair within the largest
-// threshold is visited once by a half-pair sweep over a cell-ordered copy
-// of the points and histogrammed by squared distance (see pipeline.go).
-// Workers parallelises the sweep (0/1 serial, <0 = GOMAXPROCS).
-func Curve(pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
-	//lint:allow ctxflow Curve is the sanctioned non-ctx compatibility wrapper (same contract as parallel.For); callers that have a context use CurveCtx
-	return CurveCtx(context.Background(), pts, thresholds, workers)
-}
-
-// CurveCtx is Curve with cooperative cancellation: workers check ctx
-// between blocks of the sweep and the call returns ctx.Err() (with a nil
-// slice) when it fires.
-func CurveCtx(ctx context.Context, pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
+// threshold of the points (xs[i], ys[i]) is visited once by a half-pair
+// sweep over a cell-ordered copy of the points and histogrammed by squared
+// distance (see pipeline.go). Workers parallelises the sweep (0/1 serial,
+// <0 = GOMAXPROCS). Workers check ctx (nil means no cancellation) between
+// blocks of the sweep and the call returns ctx.Err() (with a nil slice)
+// when it fires.
+func Curve(ctx context.Context, xs, ys []float64, thresholds []float64, workers int) ([]int, error) {
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}
-	xs, ys := geom.SplitXY(pts)
 	counts := make([]int, len(thresholds))
 	var c cells
 	if err := c.curve(ctx, xs, ys, squaredBinner(thresholds), workers, counts); err != nil {
@@ -127,13 +123,13 @@ func CurveCtx(ctx context.Context, pts []geom.Point, thresholds []float64, worke
 // NaiveCurve computes the K-function at every threshold with the O(D·n²)
 // approach used by off-the-shelf packages: one full double loop per
 // threshold. It exists as the baseline for the C1 experiment.
-func NaiveCurve(pts []geom.Point, thresholds []float64) ([]int, error) {
+func NaiveCurve(cols dataset.Columns, thresholds []float64) ([]int, error) {
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}
 	out := make([]int, len(thresholds))
 	for i, s := range thresholds {
-		out[i] = Naive(pts, s)
+		out[i] = Naive(cols, s)
 	}
 	return out, nil
 }
@@ -166,13 +162,12 @@ func BesagL(kHat float64) float64 {
 // chunk whose bounding box lies entirely within s of some window edge has
 // no eligible sources and is skipped outright, and one whose box clears
 // every edge by at least s needs no per-point boundary tests.
-func BorderCorrected(pts []geom.Point, s float64, window geom.BBox) (kHat float64, eligible int, ok bool) {
-	n := len(pts)
+func BorderCorrected(cols dataset.Columns, s float64, window geom.BBox) (kHat float64, eligible int, ok bool) {
+	n := cols.N()
 	if n < 2 {
 		return 0, 0, false
 	}
-	idx := gridindex.New(pts, s)
-	cols := dataset.MakeColumns(pts, nil)
+	idx := gridindex.NewColumns(cols.X, cols.Y, s)
 	total := 0
 	for _, ch := range cols.Chunks {
 		bb := ch.BBox

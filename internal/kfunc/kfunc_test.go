@@ -1,6 +1,7 @@
 package kfunc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,19 +27,19 @@ func clustered(seed int64, n int) []geom.Point {
 func TestNaiveHandValues(t *testing.T) {
 	// Three collinear points at x = 0, 3, 10.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 0}, {X: 10, Y: 0}}
-	if got := Naive(pts, 2); got != 0 {
+	if got := Naive(cols(pts), 2); got != 0 {
 		t.Errorf("K(2) = %d, want 0", got)
 	}
-	if got := Naive(pts, 3); got != 2 { // (0,3) both directions; boundary inclusive
+	if got := Naive(cols(pts), 3); got != 2 { // (0,3) both directions; boundary inclusive
 		t.Errorf("K(3) = %d, want 2", got)
 	}
-	if got := Naive(pts, 7); got != 4 {
+	if got := Naive(cols(pts), 7); got != 4 {
 		t.Errorf("K(7) = %d, want 4", got)
 	}
-	if got := Naive(pts, 10); got != 6 {
+	if got := Naive(cols(pts), 10); got != 6 {
 		t.Errorf("K(10) = %d, want 6", got)
 	}
-	if got := Naive(nil, 5); got != 0 {
+	if got := Naive(cols(nil), 5); got != 0 {
 		t.Errorf("K on empty = %d", got)
 	}
 }
@@ -47,7 +48,7 @@ func TestIndexedMethodsMatchNaive(t *testing.T) {
 	for _, gen := range []func(int64, int) []geom.Point{csr, clustered} {
 		pts := gen(1, 600)
 		for _, s := range []float64{0.5, 3, 10, 40, 200} {
-			want := Naive(pts, s)
+			want := Naive(cols(pts), s)
 			if got := GridIndexed(pts, s); got != want {
 				t.Errorf("GridIndexed(s=%v) = %d, want %d", s, got, want)
 			}
@@ -61,11 +62,11 @@ func TestIndexedMethodsMatchNaive(t *testing.T) {
 func TestCurveMatchesNaiveCurve(t *testing.T) {
 	pts := clustered(2, 400)
 	thresholds := []float64{1, 2, 5, 10, 20, 50}
-	fast, err := Curve(pts, thresholds, 0)
+	fast, err := curveOf(pts, thresholds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NaiveCurve(pts, thresholds)
+	naive, err := NaiveCurve(cols(pts), thresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestCurveMatchesNaiveCurve(t *testing.T) {
 		}
 	}
 	// Parallel agrees with serial.
-	par, err := Curve(pts, thresholds, 4)
+	par, err := curveOf(pts, thresholds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCurveMatchesNaiveCurve(t *testing.T) {
 func TestCurveMonotone(t *testing.T) {
 	pts := csr(3, 500)
 	thresholds := []float64{1, 2, 4, 8, 16, 32, 64, 128, 150}
-	counts, err := Curve(pts, thresholds, 0)
+	counts, err := curveOf(pts, thresholds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,10 @@ func TestThresholdValidation(t *testing.T) {
 		{math.NaN()}, // NaN
 	}
 	for i, ts := range cases {
-		if _, err := Curve(pts, ts, 0); err == nil {
+		if _, err := curveOf(pts, ts, 0); err == nil {
 			t.Errorf("case %d: thresholds %v accepted", i, ts)
 		}
-		if _, err := NaiveCurve(pts, ts); err == nil {
+		if _, err := NaiveCurve(cols(pts), ts); err == nil {
 			t.Errorf("case %d: NaiveCurve accepted %v", i, ts)
 		}
 	}
@@ -151,7 +152,7 @@ func TestBorderCorrectedLessBiased(t *testing.T) {
 	pts := csr(6, 3000)
 	const s = 10.0
 	kHat := Estimate(GridIndexed(pts, s), len(pts), box.Area())
-	corrected, eligible, ok := BorderCorrected(pts, s, box)
+	corrected, eligible, ok := BorderCorrected(cols(pts), s, box)
 	if !ok {
 		t.Fatal("no eligible points")
 	}
@@ -162,10 +163,10 @@ func TestBorderCorrectedLessBiased(t *testing.T) {
 	if math.Abs(corrected-truth) >= math.Abs(kHat-truth) {
 		t.Errorf("border correction did not reduce bias: |%v-πs²| vs |%v-πs²|", corrected, kHat)
 	}
-	if _, _, ok := BorderCorrected(pts, 51, box); ok {
+	if _, _, ok := BorderCorrected(cols(pts), 51, box); ok {
 		t.Error("s > half-window should leave no eligible points")
 	}
-	if _, _, ok := BorderCorrected(nil, 1, box); ok {
+	if _, _, ok := BorderCorrected(cols(nil), 1, box); ok {
 		t.Error("empty dataset should not be ok")
 	}
 }
@@ -241,7 +242,7 @@ func TestAllIndexesAgree(t *testing.T) {
 	for _, gen := range []func(int64, int) []geom.Point{csr, clustered} {
 		pts := gen(70, 500)
 		for _, s := range []float64{1, 6, 25} {
-			want := Naive(pts, s)
+			want := Naive(cols(pts), s)
 			if got := BallTreeIndexed(pts, s); got != want {
 				t.Errorf("BallTree(s=%v) = %d, want %d", s, got, want)
 			}
@@ -250,4 +251,10 @@ func TestAllIndexesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// curveOf is Curve over a point slice, without cancellation.
+func curveOf(pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
+	xs, ys := geom.SplitXY(pts)
+	return Curve(context.Background(), xs, ys, thresholds, workers)
 }

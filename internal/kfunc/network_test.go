@@ -159,7 +159,7 @@ func TestPlanarOverestimatesNetworkK(t *testing.T) {
 		planar = append(planar, geom.Point{X: off, Y: 0}, geom.Point{X: off, Y: 1})
 	}
 	const s = 2.0
-	planarK := Naive(planar, s)
+	planarK := Naive(cols(planar), s)
 	netK := NetworkNaive(g, events, s)
 	if planarK <= netK {
 		t.Errorf("planar K=%d should exceed network K=%d", planarK, netK)

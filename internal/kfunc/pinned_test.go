@@ -125,14 +125,14 @@ func TestPlotPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := r.simulate(opt.Workers, 1, seed, func(rng *rand.Rand, s *simScratch) {
-			s.load(dataset.UniformCSR(rng, n, window).Points())
+			s.load(dataset.UniformCSR(rng, n, window).Columns())
 		})
 		checkPin(t, "envelope "+c.name, want, got, err)
 		l := 0
-		got, err = MakePlotWithNull(c.pts, opt, func() []geom.Point {
+		got, err = MakePlotWithNull(cols(c.pts), opt, func() dataset.Columns {
 			rng := parallel.NewRand(parallel.TaskSeed(seed, l))
 			l++
-			return dataset.UniformCSR(rng, n, window).Points()
+			return dataset.UniformCSR(rng, n, window).Columns()
 		})
 		checkPin(t, "MakePlotWithNull "+c.name, want, got, err)
 	}
@@ -143,11 +143,11 @@ func TestPlotPinned(t *testing.T) {
 // and one simulation, cancelled by the simulator itself: the only place
 // left to notice is the curve's sweep.
 func TestPlotCancelInsideSimulation(t *testing.T) {
-	pts := csr(1, 2000)
+	pts := cols(csr(1, 2000))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := PlotOptions{Thresholds: []float64{1, 2}, Simulations: 1, Workers: 1, Ctx: ctx}
-	plot, err := MakePlotWithNull(pts, opt, func() []geom.Point {
+	plot, err := MakePlotWithNull(pts, opt, func() dataset.Columns {
 		cancel()
 		return pts
 	})

@@ -185,12 +185,11 @@ func (s *simScratch) resize(n int) {
 	s.xs, s.ys = resize(s.xs, n), resize(s.ys, n)
 }
 
-// load overwrites the scratch columns with pts.
-func (s *simScratch) load(pts []geom.Point) {
-	s.resize(len(pts))
-	for i, p := range pts {
-		s.xs[i], s.ys[i] = p.X, p.Y
-	}
+// load overwrites the scratch columns with cols' coordinates.
+func (s *simScratch) load(cols dataset.Columns) {
+	s.resize(cols.N())
+	copy(s.xs, cols.X)
+	copy(s.ys, cols.Y)
 }
 
 // plotRun is a plot under construction: the validated request, the shared
@@ -251,9 +250,8 @@ func (r *plotRun) simulate(workers, inner int, seed int64, fill func(rng *rand.R
 //
 // simulate is invoked SERIALLY (it may close over shared state such as a
 // rand.Rand); only each simulated dataset's curve uses opt.Workers.
-func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.Point) (*Plot, error) {
-	xs, ys := geom.SplitXY(pts)
-	r, err := observe(xs, ys, opt)
+func MakePlotWithNull(cols dataset.Columns, opt PlotOptions, simulate func() dataset.Columns) (*Plot, error) {
+	r, err := observe(cols.X, cols.Y, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func genCloud(r *rand.Rand, maxN int) []geom.Point {
 // agree for arbitrary clouds (including duplicates) and radii.
 func TestQuickKMethodsAgree(t *testing.T) {
 	f := func(pts []geom.Point, s float64) bool {
-		want := Naive(pts, s)
+		want := Naive(cols(pts), s)
 		return GridIndexed(pts, s) == want && KDTreeIndexed(pts, s) == want
 	}
 	cfg := &quick.Config{
@@ -46,13 +46,13 @@ func TestQuickKMethodsAgree(t *testing.T) {
 func TestQuickCurveInvariants(t *testing.T) {
 	f := func(pts []geom.Point, a, b, c float64) bool {
 		ts := []float64{1 + a*5, 7 + b*5, 13 + c*5}
-		curve, err := Curve(pts, ts, 0)
+		curve, err := curveOf(pts, ts, 0)
 		if err != nil {
 			return false
 		}
 		prev := -1
 		for i, s := range ts {
-			if curve[i] != Naive(pts, s) {
+			if curve[i] != Naive(cols(pts), s) {
 				return false
 			}
 			if curve[i] < prev || curve[i]%2 != 0 {
@@ -95,12 +95,12 @@ func TestQuickSTSurfaceInvariants(t *testing.T) {
 		}
 		for a, s := range sTh {
 			for b, tt := range tTh {
-				if surf[a*2+b] != STNaive(pts, times, s, tt) {
+				if k, err := STNaive(cols(pts), times, s, tt); err != nil || surf[a*2+b] != k {
 					return false
 				}
 			}
 			// t=1000 covers the whole range ⇒ equal to spatial K.
-			if surf[a*2+1] != Naive(pts, s) {
+			if surf[a*2+1] != Naive(cols(pts), s) {
 				return false
 			}
 		}

@@ -52,7 +52,7 @@ func TestBorderCorrectedChunkClassification(t *testing.T) {
 	sort.Slice(pts, func(i, j int) bool { return borderDist(pts[i]) < borderDist(pts[j]) })
 
 	for _, s := range []float64{2, 5, 12} {
-		gotK, gotN, gotOK := BorderCorrected(pts, s, window)
+		gotK, gotN, gotOK := BorderCorrected(cols(pts), s, window)
 		wantK, wantN, wantOK := borderReference(pts, s, window)
 		if gotOK != wantOK || gotN != wantN {
 			t.Fatalf("s=%v: eligible = %d/%v, want %d/%v", s, gotN, gotOK, wantN, wantOK)
@@ -63,7 +63,7 @@ func TestBorderCorrectedChunkClassification(t *testing.T) {
 	}
 
 	// Degenerate: s larger than half the window leaves no eligible source.
-	if _, n, ok := BorderCorrected(pts, 51, window); ok || n != 0 {
+	if _, n, ok := BorderCorrected(cols(pts), 51, window); ok || n != 0 {
 		t.Errorf("s=51: eligible = %d, ok = %v, want none", n, ok)
 	}
 }

@@ -17,21 +17,27 @@ import (
 // The plot (Figure 6) is a surface over an M×T grid of (s_α, t_β)
 // thresholds with min/max envelopes from L simulations (Equations 9–10).
 
-// STNaive computes K(s, t) by the O(n²) double loop (i ≠ j ordered pairs).
-func STNaive(pts []geom.Point, times []float64, s, t float64) int {
+// STNaive computes K(s, t) by the O(n²) double loop (i ≠ j ordered pairs);
+// event i is at (cols.X[i], cols.Y[i]) and time times[i].
+func STNaive(cols dataset.Columns, times []float64, s, t float64) (int, error) {
+	xs, ys := cols.X, cols.Y
+	if len(times) != len(xs) {
+		return 0, fmt.Errorf("kfunc: %d events but %d times", len(xs), len(times))
+	}
 	s2 := s * s
 	count := 0
-	for i := range pts {
-		for j := range pts {
+	for i := range xs {
+		for j := range xs {
 			if i == j {
 				continue
 			}
-			if pts[i].Dist2(pts[j]) <= s2 && math.Abs(times[i]-times[j]) <= t {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			if dx*dx+dy*dy <= s2 && math.Abs(times[i]-times[j]) <= t {
 				count++
 			}
 		}
 	}
-	return count
+	return count, nil
 }
 
 // STSurface computes K(s_α, t_β) for every combination of the ascending

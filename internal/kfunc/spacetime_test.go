@@ -16,21 +16,33 @@ func stData(seed int64, n int) *dataset.Dataset {
 	}, 0.1)
 }
 
+func mustSTNaive(tb testing.TB, c dataset.Columns, times []float64, s, t float64) int {
+	tb.Helper()
+	k, err := STNaive(c, times, s, t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return k
+}
+
 func TestSTNaiveHandValues(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 0}, {X: 0, Y: 0}}
 	times := []float64{0, 0, 10}
 	// Pair (0,1): ds=3, dt=0. Pair (0,2): ds=0, dt=10. Pair (1,2): ds=3, dt=10.
-	if got := STNaive(pts, times, 3, 0); got != 2 {
+	if got := mustSTNaive(t, cols(pts), times, 3, 0); got != 2 {
 		t.Errorf("K(3,0) = %d, want 2", got)
 	}
-	if got := STNaive(pts, times, 0, 10); got != 2 {
+	if got := mustSTNaive(t, cols(pts), times, 0, 10); got != 2 {
 		t.Errorf("K(0,10) = %d, want 2", got)
 	}
-	if got := STNaive(pts, times, 3, 10); got != 6 {
+	if got := mustSTNaive(t, cols(pts), times, 3, 10); got != 6 {
 		t.Errorf("K(3,10) = %d, want 6", got)
 	}
-	if got := STNaive(pts, times, 1, 1); got != 0 {
+	if got := mustSTNaive(t, cols(pts), times, 1, 1); got != 0 {
 		t.Errorf("K(1,1) = %d, want 0", got)
+	}
+	if _, err := STNaive(cols(pts), nil, 3, 10); err == nil {
+		t.Error("events without times accepted")
 	}
 }
 
@@ -44,7 +56,7 @@ func TestSTSurfaceMatchesNaive(t *testing.T) {
 	}
 	for a, s := range sTh {
 		for b, tt := range tTh {
-			want := STNaive(d.Points(), d.Times(), s, tt)
+			want := mustSTNaive(t, d.Columns(), d.Times(), s, tt)
 			if got := surface[a*len(tTh)+b]; got != want {
 				t.Errorf("K(%v,%v) = %d, want %d", s, tt, got, want)
 			}

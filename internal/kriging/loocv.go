@@ -18,14 +18,6 @@ type CVResult struct {
 	Residuals []float64 // predicted − observed, per sample
 }
 
-// LOOCV cross-validates ordinary kriging with the given variogram and
-// neighbourhood size: sample i is estimated from its k nearest other
-// samples. The headline use is comparing variogram models or neighbourhood
-// sizes without ground truth. Equivalent to LOOCVWorkers with every core.
-func LOOCV(d *dataset.Dataset, v Variogram, neighbors int) (*CVResult, error) {
-	return LOOCVWorkers(d, v, neighbors, -1)
-}
-
 // cvScratch is the per-worker state of a parallel LOOCV: one kriging solve
 // state plus reusable neighbourhood buffers.
 type cvScratch struct {
@@ -34,7 +26,10 @@ type cvScratch struct {
 	d2Buf  []float64
 }
 
-// LOOCVWorkers is LOOCV with an explicit parallelism degree (0/1 serial,
+// LOOCVWorkers cross-validates ordinary kriging with the given variogram
+// and neighbourhood size: sample i is estimated from its k nearest other
+// samples. The headline use is comparing variogram models or neighbourhood
+// sizes without ground truth. Workers sets the parallelism (0/1 serial,
 // <0 GOMAXPROCS). Residuals are written per sample index, so the result is
 // bit-identical for every worker count.
 func LOOCVWorkers(d *dataset.Dataset, v Variogram, neighbors, workers int) (*CVResult, error) {

@@ -18,7 +18,7 @@ func TestLOOCVSmoothField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := LOOCV(d, v, 16)
+	cv, err := LOOCVWorkers(d, v, 16, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestLOOCVDiscriminatesModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := Variogram{Model: GaussianModel, Nugget: 50, Sill: 0.001, Range: 0.5}
-	cvGood, err := LOOCV(d, good, 12)
+	cvGood, err := LOOCVWorkers(d, good, 12, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cvBad, err := LOOCV(d, bad, 12)
+	cvBad, err := LOOCVWorkers(d, bad, 12, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,18 +63,18 @@ func TestLOOCVDiscriminatesModels(t *testing.T) {
 func TestLOOCVValidation(t *testing.T) {
 	d := smoothField(12, 50, 0.1)
 	v := Variogram{Model: Spherical, Nugget: 0, Sill: 1, Range: 20}
-	if _, err := LOOCV(dataset.FromPoints(d.Points()), v, 5); err == nil {
+	if _, err := LOOCVWorkers(dataset.FromPoints(d.Points()), v, 5, -1); err == nil {
 		t.Error("valueless dataset accepted")
 	}
-	if _, err := LOOCV(d, Variogram{}, 5); err == nil {
+	if _, err := LOOCVWorkers(d, Variogram{}, 5, -1); err == nil {
 		t.Error("unfitted variogram accepted")
 	}
 	tiny := mkd(t, []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}, []float64{1, 2})
-	if _, err := LOOCV(tiny, v, 5); err == nil {
+	if _, err := LOOCVWorkers(tiny, v, 5, -1); err == nil {
 		t.Error("2 samples accepted")
 	}
 	// k=0 means all others.
-	cv, err := LOOCV(d, v, 0)
+	cv, err := LOOCVWorkers(d, v, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

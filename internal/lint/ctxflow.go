@@ -26,7 +26,7 @@ import (
 //     + "Ctx" suffix, accepting a context) is flagged — the ctx-aware
 //     variant must be used so cancellation threads through. Functions
 //     that store their ctx into a struct field (the Options.Ctx
-//     threading idiom: `opt.Ctx = ctx; return KDV(pts, opt)`) are
+//     threading idiom: `opt.Ctx = ctx; return KDVDataset(d, opt)`) are
 //     exempt — the context travels inside the options value.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",

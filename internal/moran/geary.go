@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"geostat/internal/dataset"
-	"geostat/internal/geom"
 	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
@@ -25,26 +24,12 @@ type GearyResult struct {
 	Perms    int
 }
 
-// Geary computes Geary's contiguity ratio
+// GearyOpt computes Geary's contiguity ratio
 //
 //	C = (n−1)·Σ_ij w_ij·(x_i − x_j)² / (2·S0·Σ_i (x_i − x̄)²)
 //
-// with an optional permutation test (perms > 0, rng required). Equivalent
-// to GearyOpt with a seed drawn from rng and every core.
-func Geary(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) (*GearyResult, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return GearyOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// GearyOpt computes Geary's C with an explicit permutation-test
-// configuration; permutations fan out across opt.Workers with results
-// bit-identical for every worker count.
+// with a permutation test when opt.Perms > 0; permutations fan out across
+// opt.Workers with results bit-identical for every worker count.
 func GearyOpt(values []float64, w *weights.Matrix, opt Options) (*GearyResult, error) {
 	n := len(values)
 	if n != w.N {
@@ -111,9 +96,9 @@ type CorrelogramPoint struct {
 // must be positive and increasing. Bands with an empty weight matrix are
 // skipped; any other failure (constant values, too few sites, perms without
 // a rng) is returned.
-func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
-	if len(pts) != len(values) {
-		return nil, fmt.Errorf("moran: %d points but %d values", len(pts), len(values))
+func Correlogram(d *dataset.Dataset, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
+	if d.N() != len(values) {
+		return nil, fmt.Errorf("moran: %d points but %d values", d.N(), len(values))
 	}
 	prev := 0.0
 	for i, r := range radii {
@@ -122,7 +107,6 @@ func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int,
 		}
 		prev = r
 	}
-	d := dataset.FromPoints(pts)
 	var out []CorrelogramPoint
 	for _, r := range radii {
 		w, _, err := weights.DistanceBandDataset(d, r, -1)
@@ -132,7 +116,14 @@ func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int,
 		if w.S0() == 0 {
 			continue // no pair within r: skip the band
 		}
-		res, err := Global(values, w.RowStandardize(), perms, rng)
+		if perms > 0 && rng == nil {
+			return nil, fmt.Errorf("moran: permutation test requires a rng")
+		}
+		var seed int64
+		if rng != nil {
+			seed = rng.Int63()
+		}
+		res, err := GlobalOpt(values, w.RowStandardize(), Options{Perms: perms, Seed: seed, Workers: -1})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 )
 
@@ -15,7 +16,7 @@ func TestGearyGradient(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X + p.Y
 	}
-	res, err := Geary(vals, w, 199, rand.New(rand.NewSource(1)))
+	res, err := GearyOpt(vals, w, Options{Perms: 199, Seed: rand.New(rand.NewSource(1)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestGearyCheckerboard(t *testing.T) {
 			vals[i] = -1
 		}
 	}
-	res, err := Geary(vals, w, 199, rand.New(rand.NewSource(2)))
+	res, err := GearyOpt(vals, w, Options{Perms: 199, Seed: rand.New(rand.NewSource(2)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestGearyRandom(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.NormFloat64()
 		}
-		res, err := Geary(vals, w, 199, r)
+		res, err := GearyOpt(vals, w, Options{Perms: 199, Seed: r.Int63(), Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,21 +83,18 @@ func TestGearyRandom(t *testing.T) {
 func TestGearyValidation(t *testing.T) {
 	pts := gridPoints(3)
 	w := bandW(t, pts)
-	if _, err := Geary([]float64{1}, w, 0, nil); err == nil {
+	if _, err := GearyOpt([]float64{1}, w, Options{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	constVals := make([]float64, len(pts))
-	if _, err := Geary(constVals, w, 0, nil); err == nil {
+	if _, err := GearyOpt(constVals, w, Options{}); err == nil {
 		t.Error("constant values accepted")
 	}
 	vals := make([]float64, len(pts))
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := Geary(vals, w, 10, nil); err == nil {
-		t.Error("perms without rng accepted")
-	}
-	res, err := Geary(vals, w, 0, nil)
+	res, err := GearyOpt(vals, w, Options{})
 	if err != nil || res.Perms != 0 {
 		t.Errorf("no-perm run: %+v, %v", res, err)
 	}
@@ -113,11 +111,11 @@ func TestGearyMoranConsistency(t *testing.T) {
 		for i, p := range pts {
 			vals[i] = p.X*2 + r.NormFloat64()*0.5
 		}
-		g, err := Geary(vals, w, 0, nil)
+		g, err := GearyOpt(vals, w, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Global(vals, w, 0, nil)
+		m, err := GlobalOpt(vals, w, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +195,7 @@ func TestCorrelogramDecays(t *testing.T) {
 			vals = append(vals, math.Sin(float64(x)/4)+math.Cos(float64(y)/4)+r.NormFloat64()*0.1)
 		}
 	}
-	cg, err := Correlogram(pts, vals, []float64{1.5, 4, 8, 15}, 0, nil)
+	cg, err := Correlogram(dataset.FromPoints(pts), vals, []float64{1.5, 4, 8, 15}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +216,17 @@ func TestCorrelogramValidation(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := Correlogram(pts, vals[:3], []float64{1}, 0, nil); err == nil {
+	if _, err := Correlogram(dataset.FromPoints(pts), vals[:3], []float64{1}, 0, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Correlogram(pts, vals, []float64{2, 2}, 0, nil); err == nil {
+	if _, err := Correlogram(dataset.FromPoints(pts), vals, []float64{2, 2}, 0, nil); err == nil {
 		t.Error("non-increasing radii accepted")
 	}
-	if _, err := Correlogram(pts, vals, []float64{0.1}, 0, nil); err == nil {
+	if _, err := Correlogram(dataset.FromPoints(pts), vals, []float64{0.1}, 0, nil); err == nil {
 		t.Error("all-empty bands accepted")
 	}
 	// An empty first band is skipped, not fatal.
-	cg, err := Correlogram(pts, vals, []float64{0.1, 1.5}, 0, nil)
+	cg, err := Correlogram(dataset.FromPoints(pts), vals, []float64{0.1, 1.5}, 0, nil)
 	if err != nil || len(cg) != 1 || cg[0].Radius != 1.5 {
 		t.Errorf("band skipping: %v, %v", cg, err)
 	}
@@ -249,15 +247,15 @@ func TestCorrelogramReturnsErrors(t *testing.T) {
 		{"constant values", []float64{5, 5, 5, 5}, 0, "moran: constant values (zero variance)"},
 		{"perms without a rng", []float64{1, 2, 3, 4}, 9, "moran: permutation test requires a rng"},
 	} {
-		if _, err := Correlogram(pts, tc.vals, radii, tc.perms, nil); err == nil || err.Error() != tc.want {
+		if _, err := Correlogram(dataset.FromPoints(pts), tc.vals, radii, tc.perms, nil); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := Correlogram(pts[:2], []float64{1, 2}, radii, 0, nil); err == nil || err.Error() != "moran: need at least 3 sites, got 2" {
+	if _, err := Correlogram(dataset.FromPoints(pts[:2]), []float64{1, 2}, radii, 0, nil); err == nil || err.Error() != "moran: need at least 3 sites, got 2" {
 		t.Errorf("n = 2: err = %v", err)
 	}
 	// A genuinely empty first band is still skipped, with a permutation test too.
-	cg, err := Correlogram(pts, []float64{1, 2, 3, 4}, []float64{0.5, 1.5}, 9, rand.New(rand.NewSource(1)))
+	cg, err := Correlogram(dataset.FromPoints(pts), []float64{1, 2, 3, 4}, []float64{0.5, 1.5}, 9, rand.New(rand.NewSource(1)))
 	if err != nil || len(cg) != 1 || cg[0].Radius != 1.5 || cg[0].Result.Perms != 9 {
 		t.Errorf("band skipping: %v, %v", cg, err)
 	}

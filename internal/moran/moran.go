@@ -27,27 +27,13 @@ type Result struct {
 	Perms    int
 }
 
-// Global computes Moran's I over the weight matrix w:
+// GlobalOpt computes Moran's I over the weight matrix w:
 //
 //	I = (n/S0) · Σ_ij w_ij·(z_i − z̄)(z_j − z̄) / Σ_i (z_i − z̄)²
 //
-// perms > 0 adds a permutation test driven by rng (values are shuffled,
-// geometry fixed). Equivalent to GlobalOpt with a seed drawn from rng and
-// every core.
-func Global(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) (*Result, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return GlobalOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// GlobalOpt computes Moran's I with an explicit permutation-test
-// configuration; permutations fan out across opt.Workers with results
-// bit-identical for every worker count.
+// opt.Perms > 0 adds a permutation test (values are shuffled, geometry
+// fixed) seeded from opt.Seed; permutations fan out across opt.Workers with
+// results bit-identical for every worker count.
 func GlobalOpt(values []float64, w *weights.Matrix, opt Options) (*Result, error) {
 	n := len(values)
 	if n != w.N {
@@ -104,26 +90,12 @@ type LocalResult struct {
 	Z float64 // permutation z-score (conditional permutation)
 }
 
-// Local computes local Moran's I for every site:
+// LocalOpt computes local Moran's I for every site:
 //
 //	I_i = (z_i/m2) · Σ_j w_ij·z_j,   m2 = Σ_k z_k²/n
 //
 // with conditional-permutation z-scores (value i fixed, others shuffled)
-// when perms > 0. Equivalent to LocalOpt with a seed drawn from rng and
-// every core.
-func Local(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) ([]LocalResult, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return LocalOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// LocalOpt computes local Moran's I with an explicit permutation-test
-// configuration; sites fan out across opt.Workers, each drawing its
+// when opt.Perms > 0. Sites fan out across opt.Workers, each drawing its
 // conditional permutations from an RNG derived from (opt.Seed, site), so
 // the z-scores are bit-identical for every worker count.
 func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, error) {

@@ -32,24 +32,21 @@ func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 func TestValidation(t *testing.T) {
 	pts := gridPoints(3)
 	w := bandW(t, pts)
-	if _, err := Global([]float64{1, 2}, w, 0, nil); err == nil {
+	if _, err := GlobalOpt([]float64{1, 2}, w, Options{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	constVals := make([]float64, len(pts))
-	if _, err := Global(constVals, w, 0, nil); err == nil {
+	if _, err := GlobalOpt(constVals, w, Options{}); err == nil {
 		t.Error("constant values accepted")
 	}
 	vals := make([]float64, len(pts))
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := Global(vals, w, 100, nil); err == nil {
-		t.Error("perms without rng accepted")
-	}
-	if _, err := Local(vals[:4], w, 0, nil); err == nil {
+	if _, err := LocalOpt(vals[:4], w, Options{}); err == nil {
 		t.Error("Local length mismatch accepted")
 	}
-	if _, err := Local(constVals, w, 0, nil); err == nil {
+	if _, err := LocalOpt(constVals, w, Options{}); err == nil {
 		t.Error("Local constant values accepted")
 	}
 }
@@ -62,7 +59,7 @@ func TestGlobalPositiveOnGradient(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X + p.Y
 	}
-	res, err := Global(vals, w, 199, rand.New(rand.NewSource(1)))
+	res, err := GlobalOpt(vals, w, Options{Perms: 199, Seed: rand.New(rand.NewSource(1)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,7 @@ func TestGlobalNegativeOnCheckerboard(t *testing.T) {
 			vals[i] = -1
 		}
 	}
-	res, err := Global(vals, w, 199, rand.New(rand.NewSource(2)))
+	res, err := GlobalOpt(vals, w, Options{Perms: 199, Seed: rand.New(rand.NewSource(2)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestGlobalRandomIsInsignificant(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.NormFloat64()
 		}
-		res, err := Global(vals, w, 199, r)
+		res, err := GlobalOpt(vals, w, Options{Perms: 199, Seed: r.Int63(), Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +133,7 @@ func TestGlobalWithoutPerms(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X
 	}
-	res, err := Global(vals, w, 0, nil)
+	res, err := GlobalOpt(vals, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestLocalHotspot(t *testing.T) {
 			vals[i] = 10
 		}
 	}
-	res, err := Local(vals, w, 99, rand.New(rand.NewSource(4)))
+	res, err := LocalOpt(vals, w, Options{Perms: 99, Seed: rand.New(rand.NewSource(4)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +182,11 @@ func TestLocalSumMatchesGlobal(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.NormFloat64() + pts[i].X/4
 	}
-	g, err := Global(vals, w, 0, nil)
+	g, err := GlobalOpt(vals, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := Local(vals, w, 0, nil)
+	local, err := LocalOpt(vals, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,17 +80,12 @@ func RingRadialNetwork(rings, spokes int, ringSpacing float64, center geom.Point
 	return g
 }
 
-// RandomPositions returns n positions uniformly distributed over the
+// RandomPositionsRand returns n positions uniformly distributed over the
 // network by length — the CSR null model on a network, used for network
-// K-function envelopes (Definition 3 restricted to the network). The
-// placement is reproducible from seed.
-func RandomPositions(g *Graph, n int, seed int64) []Position {
-	return RandomPositionsRand(parallel.NewRand(seed), g, n)
-}
-
-// RandomPositionsRand is RandomPositions drawing from an existing seeded
-// generator — the form used inside parallel.MonteCarloCtx envelope loops,
-// where each simulation owns a per-task RNG.
+// K-function envelopes (Definition 3 restricted to the network). It draws
+// from r alone, so the placement is reproducible from r's seed; inside
+// parallel.MonteCarloCtx envelope loops each simulation owns a per-task
+// RNG.
 func RandomPositionsRand(r *rand.Rand, g *Graph, n int) []Position {
 	// Cumulative edge lengths for proportional sampling.
 	cum := make([]float64, g.NumEdges()+1)

@@ -154,7 +154,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 // ordered reduction's queue released.
 func TestEventExpansionCancels(t *testing.T) {
 	g := network.GridNetwork(8, 8, 10, geom.Point{})
-	events := network.RandomPositions(g, 200000, 3)
+	events := network.RandomPositionsRand(rand.New(rand.NewSource(3)), g, 200000)
 	for name, run := range map[string]func(*network.Graph, []network.Position, Options) (*Surface, error){
 		"Forward": Forward, "ForwardESD": ForwardESD,
 	} {

@@ -118,12 +118,13 @@ func lerpPoint(a, b geom.Point, t float64) geom.Point {
 	return geom.Point{X: a.X + (b.X-a.X)*t, Y: a.Y + (b.Y-a.Y)*t}
 }
 
-// CountGrid rasterises points into per-pixel counts — the aggregation step
-// feeding grid-based tools (Gi* hot-spot maps, quadrat-style summaries).
-func CountGrid(pts []geom.Point, spec geom.PixelGrid) *Grid {
+// CountGrid rasterises the points (xs[i], ys[i]) into per-pixel counts —
+// the aggregation step feeding grid-based tools (Gi* hot-spot maps,
+// quadrat-style summaries).
+func CountGrid(xs, ys []float64, spec geom.PixelGrid) *Grid {
 	g := NewGrid(spec)
-	for _, p := range pts {
-		ix, iy, inside := spec.Locate(p)
+	for i, x := range xs {
+		ix, iy, inside := spec.Locate(geom.Point{X: x, Y: ys[i]})
 		if inside {
 			g.Values[spec.Index(ix, iy)]++
 		}

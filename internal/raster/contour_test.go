@@ -96,7 +96,8 @@ func TestCountGrid(t *testing.T) {
 		{X: 7, Y: 8},   // top-right
 		{X: 50, Y: 50}, // outside: ignored
 	}
-	g := CountGrid(pts, spec)
+	xs, ys := geom.SplitXY(pts)
+	g := CountGrid(xs, ys, spec)
 	if g.At(0, 0) != 2 {
 		t.Errorf("cell(0,0) = %v", g.At(0, 0))
 	}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -276,9 +277,12 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeValue writes a cached-or-fresh payload. X-Cache tells clients (and
-// the integration tests) whether the bytes came from the result cache.
+// the integration tests) whether the bytes came from the result cache. The
+// body's length is known, so it goes out with a Content-Length (not
+// chunked) and a reader can size its buffer once.
 func writeValue(w http.ResponseWriter, v Value, cache string) {
 	w.Header().Set("Content-Type", v.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(v.Body)))
 	w.Header().Set("X-Cache", cache)
 	_, _ = w.Write(v.Body)
 }

@@ -15,6 +15,12 @@ import (
 // 8-byte format=f64 values is well under this).
 const maxRespBytes = 1 << 30
 
+// maxPresize caps the buffer get sizes from a declared Content-Length
+// before any byte arrives (a 724² format=f64 tile), so a worker that
+// declares a huge length and then drops the connection cannot make every
+// request commit it; a longer body grows past it as it arrives.
+const maxPresize = 4 << 20
+
 // httpError is a non-2xx worker response. Retryability is decided by
 // status: overload (503), budget overruns (504) and server faults (5xx)
 // are worth another attempt — possibly on a replica — while validation
@@ -69,7 +75,10 @@ func errorBody(body []byte) string {
 }
 
 // get performs a GET against a worker and returns the body of its 200
-// response.
+// response. A body of declared length up to maxPresize is read into one
+// buffer sized for it (plus the room the final EOF read asks for, so it is
+// never regrown); a longer body, or one of unknown length, grows as it
+// arrives.
 func (c *Coordinator) get(ctx context.Context, worker, path string, query url.Values) ([]byte, error) {
 	u := worker + path
 	if len(query) > 0 {
@@ -84,10 +93,15 @@ func (c *Coordinator) get(ctx context.Context, worker, path string, query url.Va
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
-	if err != nil {
+	var sized []byte
+	if n := resp.ContentLength; n >= 0 {
+		sized = make([]byte, 0, min(n, maxPresize)+bytes.MinRead)
+	}
+	buf := bytes.NewBuffer(sized)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxRespBytes)); err != nil {
 		return nil, fmt.Errorf("shard: read %s: %w", path, err)
 	}
+	body := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		return nil, &httpError{status: resp.StatusCode, msg: errorBody(body)}
 	}

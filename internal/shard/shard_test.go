@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
@@ -287,6 +288,47 @@ func TestCorruptF64TileIsRetried(t *testing.T) {
 				assertBitIdentical(t, want, got.Values, "after the retry")
 			}
 		})
+	}
+}
+
+// TestWorkerF64TileDeclaresLength: a worker's format=f64 tile goes out
+// with a Content-Length of its header line + 1 + 8·W·H bytes, the length
+// the coordinator sizes its read buffer from.
+func TestWorkerF64TileDeclaresLength(t *testing.T) {
+	w := shardtest.NewWorker(t, serve.Config{Workers: 2})
+	var csv bytes.Buffer
+	if err := dataset.WriteCSV(&csv, testData(5, 200)); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{}
+	t.Cleanup(client.CloseIdleConnections)
+	up, err := client.Post(w.URL()+"/v1/datasets/ev", "text/csv", &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Body.Close()
+	if up.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", up.StatusCode)
+	}
+	// Bodies under net/http's 2 KiB chunking threshold get a length
+	// anyway; this tile is well over it.
+	const nx, ny = 64, 48
+	resp, err := client.Get(w.URL() + "/v1/kdv?dataset=ev&bandwidth=9&width=64&height=48&format=f64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, _, ok := bytes.Cut(body, []byte("\n"))
+	if resp.StatusCode != http.StatusOK || !ok {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	if want := int64(len(head) + 1 + 8*nx*ny); resp.ContentLength != want || int64(len(body)) != want {
+		t.Errorf("Content-Length %d, body %d bytes; want %d (header line %d + 1 + 8·%d·%d)",
+			resp.ContentLength, len(body), want, len(head), nx, ny)
 	}
 }
 

@@ -59,7 +59,7 @@ type KDVOptions struct {
 	// Ctx optionally bounds the computation (per-request timeouts, client
 	// disconnects): raster workers check it between row chunks and KDV
 	// returns ctx.Err() with a nil surface when it fires. Nil means no
-	// cancellation. KDVCtx is a convenience wrapper that sets this field.
+	// cancellation. KDVDatasetCtx sets this field from its argument.
 	Ctx context.Context
 	// Window optionally restricts evaluation to a pixel sub-rectangle of
 	// Grid (the shard coordinator's tile unit). Pixel centers come from the
@@ -69,33 +69,14 @@ type KDVOptions struct {
 	Window GridWindow
 }
 
-// KDVCtx computes a kernel density surface that honors ctx: the
-// computation stops between row chunks once ctx is cancelled or times out
-// and the error is ctx.Err(). Equivalent to setting opt.Ctx.
-func KDVCtx(ctx context.Context, pts []Point, opt KDVOptions) (*Heatmap, error) {
-	opt.Ctx = ctx
-	return KDV(pts, opt)
-}
-
-// KDV computes a kernel density surface over opt.Grid. It is a thin
-// adapter: the points are copied into columns and handed to the one
-// evaluator pipeline (kde.Evaluate); a method/option combination outside
-// the method's declared capabilities returns a *kde.UnsupportedError.
-func KDV(pts []Point, opt KDVOptions) (*Heatmap, error) {
-	return kdvColumns(dataset.MakeColumns(pts, nil), opt)
-}
-
-// KDVDataset computes a kernel density surface directly from a Dataset.
-// Every method reads the dataset's columnar storage in place — no []Point
-// materialisation. Results are bit-identical to KDV(d.Points(), opt). When
-// opt.Weights is nil the dataset's own weights column (if any) applies.
+// KDVDataset computes a kernel density surface over opt.Grid. Every method
+// reads the dataset's columnar storage in place, through the one evaluator
+// pipeline (kde.Evaluate); a method/option combination outside the
+// method's declared capabilities returns a *kde.UnsupportedError. When
+// opt.Weights is nil the dataset's own weights column (if any) applies;
+// otherwise opt.Weights replaces it.
 func KDVDataset(d *Dataset, opt KDVOptions) (*Heatmap, error) {
-	return kdvColumns(d.Columns(), opt)
-}
-
-// kdvColumns runs the evaluator pipeline over cols, with opt.Weights (when
-// set) replacing the weight column.
-func kdvColumns(cols dataset.Columns, opt KDVOptions) (*Heatmap, error) {
+	cols := d.Columns()
 	if opt.Weights != nil {
 		var err error
 		if cols, err = cols.WithWeights(opt.Weights); err != nil {
@@ -115,7 +96,9 @@ func kdvColumns(cols dataset.Columns, opt KDVOptions) (*Heatmap, error) {
 	})
 }
 
-// KDVDatasetCtx is KDVDataset with an explicit context (see KDVCtx).
+// KDVDatasetCtx is KDVDataset bounded by ctx: the computation stops between
+// row chunks once ctx is cancelled or times out and the error is
+// ctx.Err(). Equivalent to setting opt.Ctx.
 func KDVDatasetCtx(ctx context.Context, d *Dataset, opt KDVOptions) (*Heatmap, error) {
 	opt.Ctx = ctx
 	return KDVDataset(d, opt)
@@ -135,21 +118,21 @@ func KDVSampleBound(numPixels int, eps, delta float64) (int, error) {
 // one polynomial kernel in a single pass (the SAFE bandwidth-exploration
 // sharing of §2.2): each extra bandwidth costs O(1) per pixel instead of a
 // full support scan. Bandwidths must be strictly increasing.
-func KDVMultiBandwidth(pts []Point, grid PixelGrid, typ KernelType, bandwidths []float64, workers int) ([]*Heatmap, error) {
-	return kde.MultiBandwidth(pts, grid, typ, bandwidths, workers)
+func KDVMultiBandwidth(d *Dataset, grid PixelGrid, typ KernelType, bandwidths []float64, workers int) ([]*Heatmap, error) {
+	return kde.MultiBandwidth(d.Columns(), grid, typ, bandwidths, workers)
 }
 
 // KDVAdaptive computes a sample-point adaptive KDV: every point carries its
 // own bandwidth (finite-support kernels only).
-func KDVAdaptive(pts []Point, bandwidths []float64, typ KernelType, grid PixelGrid, workers int) (*Heatmap, error) {
-	return kde.Adaptive(pts, bandwidths, typ, grid, workers)
+func KDVAdaptive(d *Dataset, bandwidths []float64, typ KernelType, grid PixelGrid, workers int) (*Heatmap, error) {
+	return kde.Adaptive(d.Columns(), bandwidths, typ, grid, workers)
 }
 
 // AdaptiveBandwidths derives per-point bandwidths from the k-th
 // nearest-neighbour distance (scaled, floored) — the standard pilot for
 // KDVAdaptive.
-func AdaptiveBandwidths(pts []Point, k int, scale, minBandwidth float64) ([]float64, error) {
-	return kde.AdaptiveBandwidths(pts, k, scale, minBandwidth)
+func AdaptiveBandwidths(d *Dataset, k int, scale, minBandwidth float64) ([]float64, error) {
+	return kde.AdaptiveBandwidths(d.Columns(), k, scale, minBandwidth)
 }
 
 // SilvermanBandwidth returns the 2-D normal-reference pilot bandwidth
@@ -167,8 +150,8 @@ func SilvermanBandwidthDataset(d *Dataset) (float64, error) {
 // SelectBandwidthCV picks the candidate bandwidth with the best held-out
 // log-likelihood over random folds (finite-support kernels). The fold
 // shuffle is reproducible from seed.
-func SelectBandwidthCV(pts []Point, typ KernelType, candidates []float64, folds int, seed int64) (float64, error) {
-	return kde.SelectBandwidthCV(pts, typ, candidates, folds, seed)
+func SelectBandwidthCV(d *Dataset, typ KernelType, candidates []float64, folds int, seed int64) (float64, error) {
+	return kde.SelectBandwidthCV(d.Columns(), typ, candidates, folds, seed)
 }
 
 // KDVStream maintains a KDV surface under event insertions/removals (live
@@ -183,8 +166,8 @@ func NewKDVStream(k Kernel, grid PixelGrid) (*KDVStream, error) { return kde.New
 // sliding window.
 type KDVWindowStream = kde.WindowStream
 
-// NewKDVWindowStream sorts the events by time and returns a sliding-window
-// driver of the given width.
-func NewKDVWindowStream(k Kernel, grid PixelGrid, pts []Point, times []float64, width float64) (*KDVWindowStream, error) {
-	return kde.NewWindowStream(k, grid, pts, times, width)
+// NewKDVWindowStream sorts d's events by their times (d.Times()) and
+// returns a sliding-window driver of the given width.
+func NewKDVWindowStream(k Kernel, grid PixelGrid, d *Dataset, width float64) (*KDVWindowStream, error) {
+	return kde.NewWindowStream(k, grid, d, width)
 }

@@ -56,14 +56,10 @@ func WriteNetworkCSVFile(path string, g *RoadNetwork) error {
 // SnapToNetwork maps a planar point to its nearest network position.
 func SnapToNetwork(g *RoadNetwork, p Point) (NetworkPosition, float64) { return g.Snap(p) }
 
-// RandomNetworkEvents places n events uniformly (by length) on the network
-// — the network CSR null model. The placement is reproducible from seed.
-func RandomNetworkEvents(g *RoadNetwork, n int, seed int64) []NetworkPosition {
-	return network.RandomPositions(g, n, seed)
-}
-
-// RandomNetworkEventsRand is RandomNetworkEvents drawing from an existing
-// generator — for callers composing several draws from one seeded stream.
+// RandomNetworkEventsRand places n events uniformly (by length) on the
+// network — the network CSR null model — drawing from rng (NewRand(seed)
+// for a placement reproducible from seed; one generator composes several
+// draws from one seeded stream).
 func RandomNetworkEventsRand(rng *rand.Rand, g *RoadNetwork, n int) []NetworkPosition {
 	return network.RandomPositionsRand(rng, g, n)
 }

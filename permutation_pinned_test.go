@@ -34,32 +34,30 @@ func pinnedPermDataset() *Dataset {
 }
 
 // pinnedPermSchemes are the two weight matrices of the pin, each through
-// the []Point adapter and through the dataset's columns.
+// the dataset's columns and, where the facade still has one, through the
+// []Point adapter (slice is nil otherwise).
 var pinnedPermSchemes = []struct {
-	name  string
-	build func(d *Dataset, columnar bool, workers int) (*SpatialWeights, error)
+	name        string
+	slice, cols func(d *Dataset, workers int) (*SpatialWeights, error)
 }{
-	{"knn8-rowstd", func(d *Dataset, columnar bool, workers int) (*SpatialWeights, error) {
-		w, err := pinnedWeights(columnar,
-			func() (*SpatialWeights, error) { return KNNWeightsWorkers(d.Points(), 8, workers) },
-			func() (*SpatialWeights, error) { return KNNWeightsDataset(d, 8, workers) })
-		if err != nil {
-			return nil, err
-		}
-		return w.RowStandardize(), nil
-	}},
-	{"band6", func(d *Dataset, columnar bool, workers int) (*SpatialWeights, error) {
-		return pinnedWeights(columnar,
-			func() (*SpatialWeights, error) { return DistanceBandWeightsWorkers(d.Points(), 6, workers) },
-			func() (*SpatialWeights, error) { return DistanceBandWeightsDataset(d, 6, workers) })
-	}},
+	{"knn8-rowstd",
+		func(d *Dataset, workers int) (*SpatialWeights, error) {
+			return rowStandardized(KNNWeightsWorkers(d.Points(), 8, workers))
+		},
+		func(d *Dataset, workers int) (*SpatialWeights, error) {
+			return rowStandardized(KNNWeightsDataset(d, 8, workers))
+		}},
+	{"band6", nil,
+		func(d *Dataset, workers int) (*SpatialWeights, error) {
+			return DistanceBandWeightsDataset(d, 6, workers)
+		}},
 }
 
-func pinnedWeights(columnar bool, slice, cols func() (*SpatialWeights, error)) (*SpatialWeights, error) {
-	if columnar {
-		return cols()
+func rowStandardized(w *SpatialWeights, err error) (*SpatialWeights, error) {
+	if err != nil {
+		return nil, err
 	}
-	return slice()
+	return w.RowStandardize(), nil
 }
 
 func pinnedPermRun(d *Dataset, w *SpatialWeights, name string, seed int64, workers int) (pinnedPerm, error) {
@@ -106,9 +104,13 @@ func TestPermutationPinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pin for %s", name)
 			}
+			builds := []func(*Dataset, int) (*SpatialWeights, error){scheme.cols}
+			if scheme.slice != nil {
+				builds = append(builds, scheme.slice)
+			}
 			for _, workers := range []int{1, 2, -1} {
-				for _, columnar := range []bool{false, true} {
-					w, err := scheme.build(d, columnar, workers)
+				for via, build := range builds {
+					w, err := build(d, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,7 +119,7 @@ func TestPermutationPinned(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Errorf("%s workers=%d columnar=%v moved off the pin:\n got %+v\nwant %+v", name, workers, columnar, got, want)
+						t.Errorf("%s workers=%d build %d (0 columns, 1 []Point) moved off the pin:\n got %+v\nwant %+v", name, workers, via, got, want)
 					}
 				}
 			}

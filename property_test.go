@@ -48,7 +48,7 @@ func TestPropertySweepLineKDVMatchesNaive(t *testing.T) {
 
 		naiveOpt := base
 		naiveOpt.Method = geostat.KDVNaive
-		naive, err := geostat.KDV(d.Points(), naiveOpt)
+		naive, err := geostat.KDVDataset(d, naiveOpt)
 		if err != nil {
 			t.Logf("seed %d: naive KDV failed: %v", seed, err)
 			return false
@@ -56,7 +56,7 @@ func TestPropertySweepLineKDVMatchesNaive(t *testing.T) {
 		for _, method := range []geostat.KDVMethod{geostat.KDVSweepLine, geostat.KDVGridCutoff} {
 			opt := base
 			opt.Method = method
-			got, err := geostat.KDV(d.Points(), opt)
+			got, err := geostat.KDVDataset(d, opt)
 			if err != nil {
 				t.Logf("seed %d: %s KDV failed: %v", seed, method, err)
 				return false
@@ -84,7 +84,7 @@ func TestPropertyKFunctionIndexesMatchNaive(t *testing.T) {
 		rng := geostat.NewRand(seed)
 		for trial := 0; trial < 4; trial++ {
 			s := 0.5 + rng.Float64()*15
-			want := geostat.KFunctionNaive(d.Points(), s)
+			want := geostat.KFunctionNaive(d, s)
 			for name, got := range map[string]int{
 				"grid":      geostat.KFunction(d.Points(), s),
 				"kd-tree":   geostat.KFunctionKDTree(d.Points(), s),
@@ -108,13 +108,13 @@ func TestPropertyKFunctionCurveMatchesPointwise(t *testing.T) {
 	property := func(seed int64) bool {
 		d := randomDataset(seed)
 		thresholds := []float64{1, 3, 6, 10, 18}
-		curve, err := geostat.KFunctionCurve(d.Points(), thresholds, 3)
+		curve, err := geostat.KFunctionCurve(d, thresholds, 3)
 		if err != nil {
 			t.Logf("seed %d: curve failed: %v", seed, err)
 			return false
 		}
 		for i, s := range thresholds {
-			if want := geostat.KFunctionNaive(d.Points(), s); curve[i] != want {
+			if want := geostat.KFunctionNaive(d, s); curve[i] != want {
 				t.Logf("seed %d: curve[%d]=%d != naive %d at s=%g", seed, i, curve[i], want, s)
 				return false
 			}

@@ -37,12 +37,12 @@ func TestKDVSampledSameSeedBitIdentical(t *testing.T) {
 			Delta:   0.1,
 			Seed:    seed,
 		}
-		first, err := KDV(d.Points(), opt)
+		first, err := KDVDataset(d, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for run := 0; run < 3; run++ {
-			again, err := KDV(d.Points(), opt)
+			again, err := KDVDataset(d, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestKDVSampledSameSeedBitIdentical(t *testing.T) {
 		}
 		otherOpt := opt
 		otherOpt.Seed = seed + 1
-		other, err := KDV(d.Points(), otherOpt)
+		other, err := KDVDataset(d, otherOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,15 +84,15 @@ func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
-		pts        []Point
+		data       *Dataset
 		candidates []float64
 	}{
-		{"csr", detValued(300).Points(), []float64{4, 8, 16, 32}},
-		{"tied", lattice, []float64{2, 1, 4, 3}},
+		{"csr", detValued(300), []float64{4, 8, 16, 32}},
+		{"tied", FromPoints(lattice), []float64{2, 1, 4, 3}},
 	}
 	forSeeds(t, func(t *testing.T, seed int64) {
 		for _, c := range cases {
-			first, err := SelectBandwidthCV(c.pts, Quartic, c.candidates, 5, seed)
+			first, err := SelectBandwidthCV(c.data, Quartic, c.candidates, 5, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
 				t.Fatalf("%s: tied candidates chose %v, want the first, %v", c.name, first, c.candidates[0])
 			}
 			for run := 0; run < 10; run++ {
-				again, err := SelectBandwidthCV(c.pts, Quartic, c.candidates, 5, seed)
+				again, err := SelectBandwidthCV(c.data, Quartic, c.candidates, 5, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +115,7 @@ func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
 func TestGeneralGSameSeedBitIdentical(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int64) {
 		d := detValued(250)
-		w, err := KNNWeights(d.Points(), 6)
+		w, err := KNNWeightsDataset(d, 6, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +123,12 @@ func TestGeneralGSameSeedBitIdentical(t *testing.T) {
 		for i, v := range d.Values() {
 			vals[i] = v + 200 // General G needs positive values
 		}
-		first, err := GeneralG(vals, w, 199, seed)
+		first, err := GeneralGOpt(vals, w, GetisOrdOptions{Perms: 199, Seed: seed, Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for run := 0; run < 3; run++ {
-			again, err := GeneralG(vals, w, 199, seed)
+			again, err := GeneralGOpt(vals, w, GetisOrdOptions{Perms: 199, Seed: seed, Workers: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,10 +145,10 @@ func TestGeneralGSameSeedBitIdentical(t *testing.T) {
 func TestNetworkEventsSameSeedBitIdentical(t *testing.T) {
 	forSeeds(t, func(t *testing.T, seed int64) {
 		g := GridNetwork(8, 8, 10, Point{})
-		first := RandomNetworkEvents(g, 200, seed)
+		first := RandomNetworkEventsRand(NewRand(seed), g, 200)
 		clustered := ClusteredNetworkEvents(g, 200, 3, 5, seed)
 		for run := 0; run < 3; run++ {
-			again := RandomNetworkEvents(g, 200, seed)
+			again := RandomNetworkEventsRand(NewRand(seed), g, 200)
 			for i := range first {
 				if again[i].Edge != first[i].Edge ||
 					math.Float64bits(again[i].Offset) != math.Float64bits(first[i].Offset) {

@@ -92,15 +92,10 @@ func Krige(d *Dataset, opt KrigingOptions) (*Heatmap, error) { return kriging.In
 // KrigingCVResult is a leave-one-out cross-validation of kriging.
 type KrigingCVResult = kriging.CVResult
 
-// KrigeLOOCV cross-validates ordinary kriging (compare variogram models or
-// neighbourhood sizes without ground truth).
-func KrigeLOOCV(d *Dataset, v Variogram, neighbors int) (*KrigingCVResult, error) {
-	return kriging.LOOCV(d, v, neighbors)
-}
-
-// KrigeLOOCVWorkers is KrigeLOOCV with an explicit parallelism degree
-// (0/1 serial, <0 GOMAXPROCS); residuals are bit-identical for every
-// worker count.
+// KrigeLOOCVWorkers cross-validates ordinary kriging (compare variogram
+// models or neighbourhood sizes without ground truth) with an explicit
+// parallelism degree (0/1 serial, <0 GOMAXPROCS); residuals are
+// bit-identical for every worker count.
 func KrigeLOOCVWorkers(d *Dataset, v Variogram, neighbors, workers int) (*KrigingCVResult, error) {
 	return kriging.LOOCVWorkers(d, v, neighbors, workers)
 }
@@ -110,42 +105,29 @@ func KrigeLOOCVWorkers(d *Dataset, v Variogram, neighbors, workers int) (*Krigin
 // SpatialWeights is a sparse spatial weight matrix.
 type SpatialWeights = weights.Matrix
 
-// KNNWeights returns binary k-nearest-neighbour weights.
-func KNNWeights(pts []Point, k int) (*SpatialWeights, error) { return KNNWeightsWorkers(pts, k, -1) }
-
-// KNNWeightsWorkers is KNNWeights with an explicit parallelism degree
-// (0/1 serial, <0 GOMAXPROCS); the matrix is bit-identical for every
-// worker count. Like every []Point weights function it copies pts into a
-// Dataset once, at this edge.
+// KNNWeightsWorkers is KNNWeightsDataset over a point slice: it copies pts
+// into a Dataset once, at this edge.
 func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
 	return KNNWeightsDataset(FromPoints(pts), k, workers)
 }
 
-// KNNWeightsDataset is KNNWeightsWorkers over a Dataset (no []Point copy),
-// sharing structure across calls: the kd-tree belongs to the dataset, and
-// so does the neighbour pattern of the last scheme asked of it, so a
-// repeated k costs a fresh weight array and nothing else. Each call still
-// returns its own matrix — RowStandardize on one never shows in another.
+// KNNWeightsDataset returns binary k-nearest-neighbour weights with an
+// explicit parallelism degree (0/1 serial, <0 GOMAXPROCS); the matrix is
+// bit-identical for every worker count. It shares structure across calls:
+// the kd-tree belongs to the dataset, and so does the neighbour pattern of
+// the last scheme asked of it, so a repeated k costs a fresh weight array
+// and nothing else. Each call still returns its own matrix —
+// RowStandardize on one never shows in another.
 func KNNWeightsDataset(d *Dataset, k, workers int) (*SpatialWeights, error) {
 	w, _, err := weights.KNNDataset(d, k, workers)
 	return w, err
 }
 
-// DistanceBandWeights returns binary weights for 0 < dist <= radius.
-func DistanceBandWeights(pts []Point, radius float64) (*SpatialWeights, error) {
-	return DistanceBandWeightsWorkers(pts, radius, -1)
-}
-
-// DistanceBandWeightsWorkers is DistanceBandWeights with an explicit
-// parallelism degree (0/1 serial, <0 GOMAXPROCS); the matrix is
-// bit-identical for every worker count.
-func DistanceBandWeightsWorkers(pts []Point, radius float64, workers int) (*SpatialWeights, error) {
-	return DistanceBandWeightsDataset(FromPoints(pts), radius, workers)
-}
-
-// DistanceBandWeightsDataset is DistanceBandWeightsWorkers over a Dataset,
-// sharing the neighbour pattern across calls like KNNWeightsDataset (a
-// band averaging more than 32 neighbours per point is rebuilt per call).
+// DistanceBandWeightsDataset returns binary weights for 0 < dist <= radius
+// with an explicit parallelism degree (0/1 serial, <0 GOMAXPROCS); the
+// matrix is bit-identical for every worker count. It shares the neighbour
+// pattern across calls like KNNWeightsDataset (a band averaging more than
+// 32 neighbours per point is rebuilt per call).
 func DistanceBandWeightsDataset(d *Dataset, radius float64, workers int) (*SpatialWeights, error) {
 	w, _, err := weights.DistanceBandDataset(d, radius, workers)
 	return w, err
@@ -166,24 +148,15 @@ type MoranResult = moran.Result
 // LocalMoranResult is one site's LISA statistic.
 type LocalMoranResult = moran.LocalResult
 
-// MoranI computes global Moran's I with an optional permutation test.
-func MoranI(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) (*MoranResult, error) {
-	return moran.Global(values, w, perms, rng)
-}
-
-// MoranIOpt computes global Moran's I with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// MoranIOpt computes global Moran's I with a permutation test when
+// opt.Perms > 0 (deterministic seed, worker-count-invariant results).
 func MoranIOpt(values []float64, w *SpatialWeights, opt MoranOptions) (*MoranResult, error) {
 	return moran.GlobalOpt(values, w, opt)
 }
 
-// LocalMoran computes local Moran's I (LISA) for every site.
-func LocalMoran(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) ([]LocalMoranResult, error) {
-	return moran.Local(values, w, perms, rng)
-}
-
-// LocalMoranOpt computes local Moran's I with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant z-scores).
+// LocalMoranOpt computes local Moran's I (LISA) for every site, with
+// permutation z-scores when opt.Perms > 0 (deterministic seed,
+// worker-count-invariant z-scores).
 func LocalMoranOpt(values []float64, w *SpatialWeights, opt MoranOptions) ([]LocalMoranResult, error) {
 	return moran.LocalOpt(values, w, opt)
 }
@@ -191,15 +164,10 @@ func LocalMoranOpt(values []float64, w *SpatialWeights, opt MoranOptions) ([]Loc
 // GearyResult is a global Geary's C with its permutation test.
 type GearyResult = moran.GearyResult
 
-// GearyC computes Geary's contiguity ratio (E[C]=1; C<1 positive
+// GearyCOpt computes Geary's contiguity ratio (E[C]=1; C<1 positive
 // autocorrelation, C>1 negative), the local-difference complement to
-// Moran's I.
-func GearyC(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) (*GearyResult, error) {
-	return moran.Geary(values, w, perms, rng)
-}
-
-// GearyCOpt computes Geary's C with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// Moran's I, with a permutation test when opt.Perms > 0 (deterministic
+// seed, worker-count-invariant results).
 func GearyCOpt(values []float64, w *SpatialWeights, opt MoranOptions) (*GearyResult, error) {
 	return moran.GearyOpt(values, w, opt)
 }
@@ -216,7 +184,7 @@ const (
 )
 
 // MoranQuadrants classifies every site on the Moran scatterplot — combined
-// with LocalMoran z-scores this is the LISA cluster map.
+// with LocalMoranOpt z-scores this is the LISA cluster map.
 func MoranQuadrants(values []float64, w *SpatialWeights) ([]MoranQuadrant, error) {
 	return moran.Quadrants(values, w)
 }
@@ -224,23 +192,19 @@ func MoranQuadrants(values []float64, w *SpatialWeights) ([]MoranQuadrant, error
 // CorrelogramPoint is Moran's I at one distance-band radius.
 type CorrelogramPoint = moran.CorrelogramPoint
 
-// MoranCorrelogram computes Moran's I across increasing distance bands —
-// how autocorrelation decays with scale.
-func MoranCorrelogram(pts []Point, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
-	return moran.Correlogram(pts, values, radii, perms, rng)
+// MoranCorrelogram computes Moran's I of values (one per point of d)
+// across increasing distance bands — how autocorrelation decays with
+// scale. The band weights share d's neighbour pattern like
+// DistanceBandWeightsDataset.
+func MoranCorrelogram(d *Dataset, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
+	return moran.Correlogram(d, values, radii, perms, rng)
 }
 
 // GeneralGResult is a global Getis-Ord General G with its permutation test.
 type GeneralGResult = getisord.GeneralGResult
 
-// GeneralG computes Getis-Ord General G with an optional permutation test
-// whose shuffles are derived deterministically from seed.
-func GeneralG(values []float64, w *SpatialWeights, perms int, seed int64) (*GeneralGResult, error) {
-	return getisord.GeneralG(values, w, perms, seed)
-}
-
-// GeneralGOpt computes General G with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// GeneralGOpt computes Getis-Ord General G with a permutation test when
+// opt.Perms > 0 (deterministic seed, worker-count-invariant results).
 func GeneralGOpt(values []float64, w *SpatialWeights, opt GetisOrdOptions) (*GeneralGResult, error) {
 	return getisord.GeneralGOpt(values, w, opt)
 }
@@ -255,14 +219,14 @@ func LocalGStar(values []float64, w *SpatialWeights) ([]float64, error) {
 // DBSCANNoise is the label of points in no DBSCAN cluster.
 const DBSCANNoise = cluster.Noise
 
-// DBSCAN clusters pts with grid-index-accelerated DBSCAN.
-func DBSCAN(pts []Point, eps float64, minPts int) ([]int, error) {
-	return cluster.DBSCAN(pts, eps, minPts)
+// DBSCAN clusters d's points with grid-index-accelerated DBSCAN.
+func DBSCAN(d *Dataset, eps float64, minPts int) ([]int, error) {
+	return cluster.DBSCAN(d.Columns(), eps, minPts)
 }
 
-// DBSCANNaive clusters pts with the O(n²) baseline.
-func DBSCANNaive(pts []Point, eps float64, minPts int) ([]int, error) {
-	return cluster.DBSCANNaive(pts, eps, minPts)
+// DBSCANNaive clusters d's points with the O(n²) baseline.
+func DBSCANNaive(d *Dataset, eps float64, minPts int) ([]int, error) {
+	return cluster.DBSCANNaive(d.Columns(), eps, minPts)
 }
 
 // NumClusters returns the number of distinct non-noise DBSCAN labels.
@@ -271,7 +235,7 @@ func NumClusters(labels []int) int { return cluster.NumClusters(labels) }
 // KMeansResult holds a k-means clustering.
 type KMeansResult = cluster.KMeansResult
 
-// KMeans runs Lloyd's algorithm with k-means++ seeding.
-func KMeans(pts []Point, k, maxIters int, rng *rand.Rand) (*KMeansResult, error) {
-	return cluster.KMeans(pts, k, maxIters, rng)
+// KMeans runs Lloyd's algorithm with k-means++ seeding over d's points.
+func KMeans(d *Dataset, k, maxIters int, rng *rand.Rand) (*KMeansResult, error) {
+	return cluster.KMeans(d.Columns(), k, maxIters, rng)
 }
