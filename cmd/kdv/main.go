@@ -76,7 +76,7 @@ func run(in, out, kernelArg, methodArg string, bandwidth, epsilon float64, width
 	if err != nil {
 		return err
 	}
-	m, err := parseMethod(methodArg)
+	m, err := geostat.ParseKDVMethod(methodArg)
 	if err != nil {
 		return err
 	}
@@ -118,16 +118,4 @@ func run(in, out, kernelArg, methodArg string, bandwidth, epsilon float64, width
 		fmt.Print(sm.ASCII())
 	}
 	return nil
-}
-
-func parseMethod(s string) (geostat.KDVMethod, error) {
-	for _, m := range []geostat.KDVMethod{
-		geostat.KDVAuto, geostat.KDVNaive, geostat.KDVGridCutoff,
-		geostat.KDVSweepLine, geostat.KDVBoundApprox, geostat.KDVSampled,
-	} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
 }

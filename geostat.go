@@ -47,6 +47,7 @@ import (
 	"geostat/internal/dataset"
 	"geostat/internal/geojson"
 	"geostat/internal/geom"
+	"geostat/internal/kde"
 	"geostat/internal/kernel"
 	"geostat/internal/parallel"
 	"geostat/internal/raster"
@@ -146,6 +147,10 @@ func MustKernel(t KernelType, b float64) Kernel { return kernel.MustNew(t, b) }
 
 // ParseKernel resolves a kernel name ("gaussian", "quartic", ...).
 func ParseKernel(name string) (KernelType, error) { return kernel.Parse(name) }
+
+// ParseKDVMethod resolves a KDV method name ("auto", "naive",
+// "grid-cutoff", ...), the names KDVMethod.String returns.
+func ParseKDVMethod(name string) (KDVMethod, error) { return kde.ParseMethod(name) }
 
 // AllKernels returns every supported kernel type.
 func AllKernels() []KernelType { return kernel.All() }

@@ -77,6 +77,12 @@ func TestKDVMethodNames(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
 		}
+		if got, err := ParseKDVMethod(want); err != nil || got != m {
+			t.Errorf("ParseKDVMethod(%q) = %v, %v, want %v", want, got, err, m)
+		}
+	}
+	if _, err := ParseKDVMethod("warp"); err == nil || err.Error() != `unknown method "warp"` {
+		t.Errorf("ParseKDVMethod(\"warp\") err = %v, want unknown method \"warp\"", err)
 	}
 	if KDVMethod(42).String() == "" {
 		t.Error("unknown method String empty")

@@ -10,7 +10,7 @@ import (
 
 var box = geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 
-func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts) }
 
 func blobs(seed int64, n int) []geom.Point {
 	r := rand.New(rand.NewSource(seed))

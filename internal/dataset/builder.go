@@ -49,7 +49,7 @@ func (b *Builder) Add(x, y, t, v float64) {
 // aggregates built, and leaves b as the zero Builder. The columns move into
 // the dataset without a copy.
 func (b *Builder) Dataset() *Dataset {
-	d := &Dataset{x: b.x, y: b.y, times: b.t, values: b.v, chunks: buildChunks(b.x, b.y, nil)}
+	d := &Dataset{x: b.x, y: b.y, times: b.t, values: b.v, chunks: buildChunks(b.x, b.y)}
 	*b = Builder{}
 	return d
 }

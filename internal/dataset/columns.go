@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"fmt"
 	"math/bits"
 
 	"geostat/internal/geom"
@@ -18,7 +17,7 @@ import (
 const ChunkSize = 4096
 
 // Chunk is the metadata of one fixed-size storage chunk: the half-open
-// column range [Lo, Hi) it covers plus precomputed aggregates that let
+// column range [Lo, Hi) it covers plus its bounding box, which lets
 // distance-bounded tools reject the whole chunk without touching points.
 type Chunk struct {
 	// Lo and Hi bound the chunk's half-open slice of the columns.
@@ -27,18 +26,11 @@ type Chunk struct {
 	// farther than the kernel support from BBox cannot receive any
 	// contribution from this chunk.
 	BBox geom.BBox
-	// WeightSum is the sum of the chunk's weights (the point count when
-	// the dataset is unweighted) — the mass a coarse evaluation assigns
-	// to the whole chunk.
-	WeightSum float64
-	// Centroid is the weighted mean position of the chunk's points — the
-	// attachment point for coreset/sketch layers built over chunks.
-	Centroid geom.Point
 }
 
 // Columns is the structure-of-arrays view of a point set: coordinate
-// columns (plus an optional weight column) with per-chunk aggregates.
-// The inner loops of the analytic tools iterate these slices directly.
+// columns with per-chunk aggregates. The inner loops of the analytic tools
+// iterate these slices directly.
 //
 // The fields are read-only outside internal/dataset: writing them (or
 // re-slicing and writing through them) silently breaks the chunk
@@ -47,15 +39,13 @@ type Chunk struct {
 type Columns struct {
 	// X and Y are the coordinate columns; len(X) == len(Y).
 	X, Y []float64
-	// W is the optional per-point weight column (nil means all weights 1).
-	W []float64
 	// Chunks partitions [0, len(X)) into ChunkSize-sized ranges with
 	// precomputed aggregates.
 	Chunks []Chunk
 
 	// snap is the dataset whose coordinates these are, when they are all of
-	// them in its order (Dataset.Columns, kept by WithWeights and by a
-	// FilterBox that keeps every point); Tree answers from its memo.
+	// them in its order (Dataset.Columns, kept by a FilterBox that keeps
+	// every point); Tree answers from its memo.
 	snap *Dataset
 }
 
@@ -72,37 +62,17 @@ func (c Columns) Bounds() geom.BBox {
 	return b
 }
 
-// WeightAt returns the weight of point i (1 when unweighted).
-func (c Columns) WeightAt(i int) float64 {
-	if c.W == nil {
-		return 1
-	}
-	return c.W[i]
-}
-
-// MakeColumns builds a chunked SoA view of pts with optional per-point
-// weights. The coordinates are copied into fresh columns; w is aliased,
-// not copied (it is already a column). This is the adapter the
-// []geom.Point entry points of the analytic tools use to reach the
-// columnar inner loops.
-func MakeColumns(pts []geom.Point, w []float64) Columns {
+// MakeColumns builds a chunked SoA view of pts. The coordinates are
+// copied into fresh columns. This is the adapter the []geom.Point entry
+// points of the analytic tools use to reach the columnar inner loops.
+func MakeColumns(pts []geom.Point) Columns {
 	x := make([]float64, len(pts))
 	y := make([]float64, len(pts))
 	for i, p := range pts {
 		x[i] = p.X
 		y[i] = p.Y
 	}
-	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
-}
-
-// WithWeights returns the view with w as its weight column (nil removes
-// it) and the chunk aggregates recomputed for it. The coordinate columns
-// are shared; w is aliased, not copied.
-func (c Columns) WithWeights(w []float64) (Columns, error) {
-	if w != nil && len(w) != c.N() {
-		return Columns{}, fmt.Errorf("dataset: %d points but %d weights", c.N(), len(w))
-	}
-	return Columns{X: c.X, Y: c.Y, W: w, Chunks: buildChunks(c.X, c.Y, w), snap: c.snap}, nil
+	return Columns{X: x, Y: y, Chunks: buildChunks(x, y)}
 }
 
 // Tree returns a kd-tree over the columns' points and whether this call
@@ -117,22 +87,20 @@ func (c Columns) Tree() (t *kdtree.Tree, built bool) {
 }
 
 // Gather returns fresh columns holding the points at idx, in idx order
-// (indices may repeat), carrying the weight column along when present.
+// (indices may repeat).
 func (c Columns) Gather(idx []int) Columns {
 	x := make([]float64, len(idx))
 	y := make([]float64, len(idx))
 	for j, i := range idx {
 		x[j], y[j] = c.X[i], c.Y[i]
 	}
-	w := subsetColumn(c.W, idx)
-	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+	return Columns{X: x, Y: y, Chunks: buildChunks(x, y)}
 }
 
 // FilterBox returns the points inside box (boundary inclusive) in their
-// original order, with the weight column carried along. When every chunk
-// lies inside box, the receiver itself is returned — same backing arrays,
-// nothing allocated — which is what a full-extent view or an already
-// halo-filtered shard subset hits.
+// original order. When every chunk lies inside box, the receiver itself is
+// returned — same backing arrays, nothing allocated — which is what a
+// full-extent view or an already halo-filtered shard subset hits.
 func (c Columns) FilterBox(box geom.BBox) Columns {
 	s := selectBox(c, box)
 	if s.n == c.N() {
@@ -140,8 +108,8 @@ func (c Columns) FilterBox(box geom.BBox) Columns {
 		// lies inside box: no point was tested.
 		return c
 	}
-	x, y, w := s.take(c.X), s.take(c.Y), s.take(c.W)
-	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
+	x, y := s.take(c.X), s.take(c.Y)
+	return Columns{X: x, Y: y, Chunks: buildChunks(x, y)}
 }
 
 // boxSelection is the set of points of some chunked columns that lie
@@ -226,40 +194,19 @@ func b2i(b bool) int {
 }
 
 // buildChunks computes the per-chunk aggregates over the given columns.
-func buildChunks(x, y, w []float64) []Chunk {
+func buildChunks(x, y []float64) []Chunk {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
 	chunks := make([]Chunk, 0, (n+ChunkSize-1)/ChunkSize)
 	for lo := 0; lo < n; lo += ChunkSize {
-		hi := lo + ChunkSize
-		if hi > n {
-			hi = n
+		hi := min(lo+ChunkSize, n)
+		ch := Chunk{Lo: lo, Hi: hi, BBox: geom.EmptyBBox()}
+		for i := lo; i < hi; i++ {
+			ch.BBox = ch.BBox.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
 		}
-		chunks = append(chunks, makeChunk(x, y, w, lo, hi))
+		chunks = append(chunks, ch)
 	}
 	return chunks
-}
-
-// makeChunk computes one chunk's aggregates over columns[lo:hi).
-func makeChunk(x, y, w []float64, lo, hi int) Chunk {
-	ch := Chunk{Lo: lo, Hi: hi, BBox: geom.EmptyBBox()}
-	var sx, sy float64
-	for i := lo; i < hi; i++ {
-		ch.BBox = ch.BBox.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
-		wi := 1.0
-		if w != nil {
-			wi = w[i]
-		}
-		ch.WeightSum += wi
-		sx += wi * x[i]
-		sy += wi * y[i]
-	}
-	if ch.WeightSum != 0 {
-		ch.Centroid = geom.Point{X: sx / ch.WeightSum, Y: sy / ch.WeightSum}
-	} else {
-		ch.Centroid = ch.BBox.Center()
-	}
-	return ch
 }

@@ -6,8 +6,8 @@
 // the CLIs.
 //
 // Storage is a chunked structure-of-arrays: separate x/y (plus optional
-// weight/time/value) columns, partitioned into ChunkSize ranges whose
-// bounding box, weight sum and centroid are precomputed (see Columns).
+// time/value) columns, partitioned into ChunkSize ranges whose bounding
+// boxes are precomputed (see Columns).
 // Distance-bounded tools reject whole chunks against the kernel support
 // before touching points, and the columnar layout is what the
 // cache-blocked inner loops in internal/kde, internal/kfunc and
@@ -24,11 +24,10 @@ import (
 )
 
 // Dataset is a location dataset: points with optional per-point event
-// times, measured values and weights. Times power the spatiotemporal tools
-// (STKDV, spatiotemporal K-function); Values power the interpolation (IDW,
+// times and measured values. Times power the spatiotemporal tools (STKDV,
+// spatiotemporal K-function); Values power the interpolation (IDW,
 // Kriging) and autocorrelation (Moran's I, Getis-Ord) tools, which are
-// defined on measured attributes rather than bare events; Weights scale
-// each event's mass in density tools (severity, case counts).
+// defined on measured attributes rather than bare events.
 //
 // Invariants (checked by Validate): the optional columns are either nil or
 // have exactly N() entries, and no stored number is NaN/Inf.
@@ -39,11 +38,10 @@ import (
 // accessors. The internal columns are not addressable from outside this
 // package, so the chunk aggregates can never drift from the data.
 type Dataset struct {
-	x, y    []float64
-	chunks  []Chunk
-	times   []float64 // event timestamps, arbitrary units; nil if purely spatial
-	values  []float64 // measured attribute at each point; nil if pure events
-	weights []float64 // per-event mass; nil means all 1
+	x, y   []float64
+	chunks []Chunk
+	times  []float64 // event timestamps, arbitrary units; nil if purely spatial
+	values []float64 // measured attribute at each point; nil if pure events
 
 	// nb holds what the coordinates alone determine (kd-tree, last
 	// adjacency), built on first use; it makes a Dataset non-copyable —
@@ -115,14 +113,13 @@ func (d *Dataset) Points() []geom.Point {
 	return pts
 }
 
-// Columns returns the chunked SoA view of the dataset (coordinates, the
-// optional weight column, and per-chunk aggregates). The returned slices
-// alias the dataset's storage and are read-only: writing through them
-// breaks the chunk aggregates (the geolint colaccess analyzer enforces
-// this outside internal/dataset). The view remembers d, so its Tree is
-// d's memoised one.
+// Columns returns the chunked SoA view of the dataset (coordinates and
+// per-chunk aggregates). The returned slices alias the dataset's storage
+// and are read-only: writing through them breaks the chunk aggregates (the
+// geolint colaccess analyzer enforces this outside internal/dataset). The
+// view remembers d, so its Tree is d's memoised one.
 func (d *Dataset) Columns() Columns {
-	return Columns{X: d.x, Y: d.y, W: d.weights, Chunks: d.chunks, snap: d}
+	return Columns{X: d.x, Y: d.y, Chunks: d.chunks, snap: d}
 }
 
 // Chunks returns the per-chunk metadata (see Chunk).
@@ -136,18 +133,11 @@ func (d *Dataset) Times() []float64 { return d.times }
 // slice aliases the dataset's storage; treat it as read-only.
 func (d *Dataset) Values() []float64 { return d.values }
 
-// Weights returns the per-event weight column (nil means all 1). The
-// slice aliases the dataset's storage; treat it as read-only.
-func (d *Dataset) Weights() []float64 { return d.weights }
-
 // HasTimes reports whether the dataset carries event times.
 func (d *Dataset) HasTimes() bool { return d.times != nil }
 
 // HasValues reports whether the dataset carries measured values.
 func (d *Dataset) HasValues() bool { return d.values != nil }
-
-// HasWeights reports whether the dataset carries per-event weights.
-func (d *Dataset) HasWeights() bool { return d.weights != nil }
 
 // SetTimes attaches (or with nil, removes) the event-time column. The
 // slice is retained without copying; the caller must not mutate it
@@ -168,18 +158,6 @@ func (d *Dataset) SetValues(values []float64) error {
 		return err
 	}
 	d.values = values
-	return nil
-}
-
-// SetWeights attaches (or with nil, removes) the per-event weight column
-// and recomputes the per-chunk weight aggregates. The slice is retained
-// without copying; the caller must not mutate it afterwards.
-func (d *Dataset) SetWeights(weights []float64) error {
-	if err := checkColumn("weight", weights, d.N()); err != nil {
-		return err
-	}
-	d.weights = weights
-	d.chunks = buildChunks(d.x, d.y, d.weights)
 	return nil
 }
 
@@ -230,7 +208,7 @@ func (d *Dataset) TimeRange() (lo, hi float64, ok bool) {
 }
 
 // Validate checks the dataset invariants: matched column lengths and no
-// NaN/Inf anywhere (coordinates, times, values, weights).
+// NaN/Inf anywhere (coordinates, times, values).
 func (d *Dataset) Validate() error {
 	if len(d.x) != len(d.y) {
 		return fmt.Errorf("dataset: %d x coordinates but %d y coordinates", len(d.x), len(d.y))
@@ -243,13 +221,7 @@ func (d *Dataset) Validate() error {
 	if err := checkColumn("time", d.times, d.N()); err != nil {
 		return err
 	}
-	if err := checkColumn("value", d.values, d.N()); err != nil {
-		return err
-	}
-	if err := checkColumn("weight", d.weights, d.N()); err != nil {
-		return err
-	}
-	return nil
+	return checkColumn("value", d.values, d.N())
 }
 
 // Clone returns a deep copy of d.
@@ -265,18 +237,15 @@ func (d *Dataset) Clone() *Dataset {
 	if d.values != nil {
 		c.values = append([]float64(nil), d.values...)
 	}
-	if d.weights != nil {
-		c.weights = append([]float64(nil), d.weights...)
-	}
 	return c
 }
 
 // Subset returns a new dataset holding the points at the given indices,
-// carrying times/values/weights along when present.
+// carrying times/values along when present.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	c := d.Columns().Gather(idx)
 	return &Dataset{
-		x: c.X, y: c.Y, weights: c.W, chunks: c.Chunks,
+		x: c.X, y: c.Y, chunks: c.Chunks,
 		times:  subsetColumn(d.times, idx),
 		values: subsetColumn(d.values, idx),
 	}
@@ -300,27 +269,12 @@ func subsetColumn(col []float64, idx []int) []float64 {
 // per-point tests.
 func (d *Dataset) FilterBox(box geom.BBox) *Dataset {
 	s := selectBox(d.Columns(), box)
-	x, y, w := s.take(d.x), s.take(d.y), s.take(d.weights)
+	x, y := s.take(d.x), s.take(d.y)
 	return &Dataset{
-		x: x, y: y, weights: w, chunks: buildChunks(x, y, w),
+		x: x, y: y, chunks: buildChunks(x, y),
 		times:  s.take(d.times),
 		values: s.take(d.values),
 	}
-}
-
-// FilterTime returns a new dataset with only the events whose time lies in
-// [t0, t1]. It errors if the dataset carries no times.
-func (d *Dataset) FilterTime(t0, t1 float64) (*Dataset, error) {
-	if !d.HasTimes() {
-		return nil, fmt.Errorf("dataset: FilterTime on a dataset without times")
-	}
-	var idx []int
-	for i, t := range d.times {
-		if t >= t0 && t <= t1 {
-			idx = append(idx, i)
-		}
-	}
-	return d.Subset(idx), nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -216,24 +216,6 @@ func TestWithField(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	d := UniformCSR(r, 100, box)
-	small := Resize(r, d, 40)
-	if small.N() != 40 {
-		t.Errorf("shrink N = %d", small.N())
-	}
-	big := Resize(r, d, 250)
-	if big.N() != 250 {
-		t.Errorf("grow N = %d", big.N())
-	}
-	for _, p := range big.Points() {
-		if !box.Contains(p) {
-			t.Fatalf("grown point %v outside bounds", p)
-		}
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	cases := []*Dataset{
 		raw([]geom.Point{{X: 1.5, Y: -2.25}, {X: 0, Y: 7}}, nil, nil),
@@ -352,19 +334,16 @@ func TestFilterBox(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	n := 2*ChunkSize + 300
 	pts := make([]geom.Point, n)
-	times, values, weights := make([]float64, n), make([]float64, n), make([]float64, n)
+	times, values := make([]float64, n), make([]float64, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
 		if i < ChunkSize {
 			pts[i].X *= 0.3 // chunk 0 lies left of x = 30
 		}
-		times[i], values[i], weights[i] = float64(i), r.NormFloat64(), 1+r.Float64()
+		times[i], values[i] = float64(i), r.NormFloat64()
 	}
 	full, err := New(pts, times, values)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.SetWeights(weights); err != nil {
 		t.Fatal(err)
 	}
 	boxes := []geom.BBox{
@@ -388,7 +367,7 @@ func TestFilterBox(t *testing.T) {
 		got := full.FilterBox(b)
 		if !reflect.DeepEqual(got.Columns().X, want.Columns().X) || !reflect.DeepEqual(got.Columns().Y, want.Columns().Y) ||
 			!reflect.DeepEqual(got.Times(), want.Times()) || !reflect.DeepEqual(got.Values(), want.Values()) ||
-			!reflect.DeepEqual(got.Weights(), want.Weights()) || !reflect.DeepEqual(got.Chunks(), want.Chunks()) {
+			!reflect.DeepEqual(got.Chunks(), want.Chunks()) {
 			t.Fatalf("box %+v: Dataset.FilterBox keeps %d points, reference %d, or other columns", b, got.N(), want.N())
 		}
 		if got.Digest() != want.Digest() {
@@ -398,8 +377,7 @@ func TestFilterBox(t *testing.T) {
 			t.Fatalf("box %+v: Dataset.FilterBox aliases its receiver", b)
 		}
 		cols := full.Columns().FilterBox(b)
-		if !reflect.DeepEqual(cols.X, want.Columns().X) || !reflect.DeepEqual(cols.Y, want.Columns().Y) ||
-			!reflect.DeepEqual(cols.W, want.Weights()) {
+		if !reflect.DeepEqual(cols.X, want.Columns().X) || !reflect.DeepEqual(cols.Y, want.Columns().Y) {
 			t.Fatalf("box %+v: Columns.FilterBox keeps %d points, reference %d, or in another order", b, cols.N(), want.N())
 		}
 	}
@@ -412,10 +390,8 @@ func TestColumnsFilterBox(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	n := 3*ChunkSize + 100
 	pts := make([]geom.Point, n)
-	w := make([]float64, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
-		w[i] = float64(i)
 	}
 	// Chunk 0 lies left of x = 30, chunk 1 right of x = 70, the rest anywhere.
 	for i := 0; i < ChunkSize; i++ {
@@ -423,9 +399,6 @@ func TestColumnsFilterBox(t *testing.T) {
 		pts[ChunkSize+i].X = 70 + pts[ChunkSize+i].X*0.3
 	}
 	d := FromPoints(pts)
-	if err := d.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
 	c := d.Columns()
 	for _, box := range []geom.BBox{
 		{MinX: -1, MinY: -1, MaxX: 40, MaxY: 101}, // chunk 0 inside, 1 outside, rest straddle
@@ -434,7 +407,7 @@ func TestColumnsFilterBox(t *testing.T) {
 		geom.EmptyBBox(),
 	} {
 		got, want := c.FilterBox(box), d.FilterBox(box).Columns()
-		if !reflect.DeepEqual(got.X, want.X) || !reflect.DeepEqual(got.Y, want.Y) || !reflect.DeepEqual(got.W, want.W) {
+		if !reflect.DeepEqual(got.X, want.X) || !reflect.DeepEqual(got.Y, want.Y) {
 			t.Fatalf("box %+v: columnar filter keeps %d points, dataset filter %d, or in another order", box, got.N(), want.N())
 		}
 		if !reflect.DeepEqual(got.Chunks, want.Chunks) {
@@ -442,29 +415,11 @@ func TestColumnsFilterBox(t *testing.T) {
 		}
 	}
 	all := c.FilterBox(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
-	if all.N() != n || &all.X[0] != &c.X[0] || &all.W[0] != &c.W[0] {
+	if all.N() != n || &all.X[0] != &c.X[0] || &all.Y[0] != &c.Y[0] {
 		t.Error("a box holding every point must return the receiver's own columns")
 	}
 	if got := (Columns{}).FilterBox(geom.BBox{MaxX: 1, MaxY: 1}); got.N() != 0 {
 		t.Errorf("empty columns filtered to %d points", got.N())
-	}
-}
-
-func TestFilterTime(t *testing.T) {
-	d := raw(
-		[]geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}, {X: 3, Y: 3}},
-		[]float64{10, 20, 30},
-		nil,
-	)
-	f, err := d.FilterTime(15, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.N() != 2 || f.Times()[0] != 20 {
-		t.Fatalf("FilterTime = %+v", f)
-	}
-	if _, err := FromPoints(d.Points()).FilterTime(0, 1); err == nil {
-		t.Error("FilterTime on timeless dataset accepted")
 	}
 }
 
@@ -503,65 +458,35 @@ func TestSampleFromIntensity(t *testing.T) {
 }
 
 func TestChunkAggregates(t *testing.T) {
-	// Chunks must partition [0, n) in order, and every aggregate (bbox,
-	// weight sum, centroid) must match a brute-force recomputation — both
-	// at construction and after SetWeights rebuilds them.
+	// Chunks must partition [0, n) in order, and every chunk's bbox must
+	// match a brute-force recomputation.
 	r := rand.New(rand.NewSource(31))
 	n := 2*ChunkSize + 137 // three chunks, last one ragged
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
 	}
-	d := FromPoints(pts)
-
-	check := func(w []float64) {
-		t.Helper()
-		chunks := d.Chunks()
-		if len(chunks) != 3 {
-			t.Fatalf("len(chunks) = %d, want 3", len(chunks))
+	chunks := FromPoints(pts).Chunks()
+	if len(chunks) != 3 {
+		t.Fatalf("len(chunks) = %d, want 3", len(chunks))
+	}
+	next := 0
+	for ci, ch := range chunks {
+		if ch.Lo != next || ch.Hi <= ch.Lo {
+			t.Fatalf("chunk %d covers [%d,%d), want start %d", ci, ch.Lo, ch.Hi, next)
 		}
-		next := 0
-		for ci, ch := range chunks {
-			if ch.Lo != next || ch.Hi <= ch.Lo {
-				t.Fatalf("chunk %d covers [%d,%d), want start %d", ci, ch.Lo, ch.Hi, next)
-			}
-			next = ch.Hi
-			wsum, sx, sy := 0.0, 0.0, 0.0
-			bb := geom.EmptyBBox()
-			for i := ch.Lo; i < ch.Hi; i++ {
-				wi := 1.0
-				if w != nil {
-					wi = w[i]
-				}
-				wsum += wi
-				sx += wi * pts[i].X
-				sy += wi * pts[i].Y
-				bb = bb.ExtendPoint(pts[i])
-			}
-			if ch.BBox != bb {
-				t.Fatalf("chunk %d bbox = %+v, want %+v", ci, ch.BBox, bb)
-			}
-			if math.Abs(ch.WeightSum-wsum) > 1e-9 {
-				t.Fatalf("chunk %d weight sum = %v, want %v", ci, ch.WeightSum, wsum)
-			}
-			if math.Abs(ch.Centroid.X-sx/wsum) > 1e-9 || math.Abs(ch.Centroid.Y-sy/wsum) > 1e-9 {
-				t.Fatalf("chunk %d centroid = %+v", ci, ch.Centroid)
-			}
+		next = ch.Hi
+		bb := geom.EmptyBBox()
+		for i := ch.Lo; i < ch.Hi; i++ {
+			bb = bb.ExtendPoint(pts[i])
 		}
-		if next != n {
-			t.Fatalf("chunks end at %d, want %d", next, n)
+		if ch.BBox != bb {
+			t.Fatalf("chunk %d bbox = %+v, want %+v", ci, ch.BBox, bb)
 		}
 	}
-
-	check(nil)
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.25 + r.Float64()
+	if next != n {
+		t.Fatalf("chunks end at %d, want %d", next, n)
 	}
-	if err := d.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	check(w)
 }
 
 func TestFromPointsCopies(t *testing.T) {
@@ -572,18 +497,5 @@ func TestFromPointsCopies(t *testing.T) {
 	pts[0] = geom.Point{X: -99, Y: -99}
 	if d.Point(0) != (geom.Point{X: 1, Y: 2}) {
 		t.Fatalf("dataset aliases the input slice: point 0 = %+v", d.Point(0))
-	}
-}
-
-func TestSetWeightsRejectsBadColumns(t *testing.T) {
-	d := FromPoints([]geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}})
-	if err := d.SetWeights([]float64{1}); err == nil {
-		t.Error("mismatched weight column length accepted")
-	}
-	if err := d.SetWeights([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN weight accepted")
-	}
-	if err := d.SetWeights([]float64{1, math.Inf(1)}); err == nil {
-		t.Error("Inf weight accepted")
 	}
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // Digest returns a hex SHA-256 over the dataset's exact binary content:
-// the point count followed by the x, y and optional time/value/weight
-// columns as little-endian IEEE-754 bit patterns, each optional column
-// prefixed by a presence tag. Two datasets share a digest iff every stored
-// float64 is bit-identical in the same order — the placement check the
-// shard coordinator uses to verify a worker holds the same dataset it
-// planned against.
+// the point count followed by the x, y and optional time/value columns as
+// little-endian IEEE-754 bit patterns, each optional column prefixed by a
+// presence tag, and last the absent tag 0 of the retired weight column,
+// which keeps every digest (and so every shard placement name) as it was.
+// Two datasets share a digest iff every stored float64 is bit-identical in
+// the same order — the placement check the shard coordinator uses to
+// verify a worker holds the same dataset it planned against.
 func (d *Dataset) Digest() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -38,6 +39,6 @@ func (d *Dataset) Digest() string {
 	}
 	writeCol(1, d.times)
 	writeCol(2, d.values)
-	writeCol(3, d.weights)
+	writeU64(0)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -208,40 +208,6 @@ func WithField(r *rand.Rand, d *Dataset, field func(geom.Point) float64, noiseSi
 	return d
 }
 
-// Resize returns a dataset with exactly n points: truncating if d has more,
-// or appending uniform points over d's bounds if it has fewer.
-func Resize(r *rand.Rand, d *Dataset, n int) *Dataset {
-	if d.N() >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return d.Subset(idx)
-	}
-	c := d.Clone()
-	box := d.Bounds()
-	if box.IsEmpty() {
-		box = geom.BBox{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	}
-	for c.N() < n {
-		p := uniformPoint(r, box)
-		c.x = append(c.x, p.X)
-		c.y = append(c.y, p.Y)
-		if c.times != nil {
-			lo, hi, _ := d.TimeRange()
-			c.times = append(c.times, lo+r.Float64()*(hi-lo))
-		}
-		if c.values != nil {
-			c.values = append(c.values, 0)
-		}
-		if c.weights != nil {
-			c.weights = append(c.weights, 1)
-		}
-	}
-	c.chunks = buildChunks(c.x, c.y, c.weights)
-	return c
-}
-
 // SampleFromIntensity draws n points from the (unnormalised, non-negative)
 // intensity surface given as per-pixel values over spec: a pixel is chosen
 // proportionally to its value, then the point is uniform within the pixel.

@@ -9,7 +9,7 @@ import (
 
 // neighbourhood memoises the structures a dataset's coordinates alone
 // determine. Coordinates never change after construction (SetValues /
-// SetTimes / SetWeights attach columns; Clone / Subset / FilterBox build
+// SetTimes / SetValues attach columns; Clone / Subset / FilterBox build
 // fresh datasets, whose memos start empty), so nothing here is ever
 // invalidated: a re-upload makes a new snapshot and the old one's memo
 // goes with it to the GC.

@@ -31,11 +31,11 @@ func TestTreeBuiltOncePerSnapshot(t *testing.T) {
 		t.Fatalf("first Tree: built=%v Len=%d, want a fresh tree over %d points", built, t1.Len(), d.N())
 	}
 	vals := make([]float64, d.N())
-	if err := errors.Join(d.SetValues(vals), d.SetTimes(vals), d.SetWeights(append([]float64(nil), vals...))); err != nil {
+	if err := errors.Join(d.SetValues(vals), d.SetTimes(vals)); err != nil {
 		t.Fatal(err)
 	}
 	if t2, built := d.Tree(); built || t2 != t1 {
-		t.Fatalf("Tree after SetValues/SetTimes/SetWeights: built=%v, same tree=%v", built, t2 == t1)
+		t.Fatalf("Tree after SetValues/SetTimes: built=%v, same tree=%v", built, t2 == t1)
 	}
 	if after, _ := NeighbourhoodBuilds(); after-before != 1 {
 		t.Fatalf("tree builds counted: %d, want 1", after-before)

@@ -61,7 +61,7 @@ func readCSVReference(r io.Reader) (*Dataset, error) {
 			values = append(values, vals[col])
 		}
 	}
-	c := MakeColumns(pts, nil)
+	c := MakeColumns(pts)
 	d := &Dataset{x: c.X, y: c.Y, chunks: c.Chunks, times: times, values: values}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -46,13 +46,6 @@ func (fc *FeatureCollection) AddPoint(p geom.Point, props map[string]any) {
 	})
 }
 
-// AddPoints appends one Point feature per point.
-func (fc *FeatureCollection) AddPoints(pts []geom.Point, props map[string]any) {
-	for _, p := range pts {
-		fc.AddPoint(p, props)
-	}
-}
-
 // AddLine appends a LineString feature.
 func (fc *FeatureCollection) AddLine(pts []geom.Point, props map[string]any) {
 	cs := make([][2]float64, len(pts))

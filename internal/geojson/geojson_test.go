@@ -34,7 +34,8 @@ func features(t *testing.T, out map[string]any) []any {
 func TestPointsAndProperties(t *testing.T) {
 	fc := NewCollection()
 	fc.AddPoint(geom.Point{X: 1.5, Y: -2}, map[string]any{"kind": "event"})
-	fc.AddPoints([]geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, nil)
+	fc.AddPoint(geom.Point{X: 0, Y: 0}, nil)
+	fc.AddPoint(geom.Point{X: 3, Y: 4}, nil)
 	fs := features(t, decode(t, fc))
 	if len(fs) != 3 {
 		t.Fatalf("features = %d", len(fs))

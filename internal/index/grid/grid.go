@@ -106,9 +106,6 @@ func (g *Index) Len() int { return len(g.sortedX) }
 // Bounds returns the bounding box of the indexed points.
 func (g *Index) Bounds() geom.BBox { return g.box }
 
-// CellSize returns the grid's cell dimensions.
-func (g *Index) CellSize() (w, h float64) { return g.cellW, g.cellH }
-
 func (g *Index) cellIndex(x, y float64) int {
 	cx := geom.ClampIndex((x-g.box.MinX)/g.cellW, g.nx-1)
 	cy := geom.ClampIndex((y-g.box.MinY)/g.cellH, g.ny-1)

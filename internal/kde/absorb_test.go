@@ -27,30 +27,22 @@ func plainExpEval(k kernel.Kernel) chunkEval {
 	invB := 1 / b
 	invB2 := 1 / (b * b)
 	if k.Type() == kernel.Exponential {
-		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
 				d2 := dx*dx + dy*dy
-				if ws != nil {
-					sum += ws[i] * math.Exp(-math.Sqrt(d2)*invB)
-				} else {
-					sum += math.Exp(-math.Sqrt(d2) * invB)
-				}
+				sum += math.Exp(-math.Sqrt(d2) * invB)
 			}
 			return sum, len(xs)
 		}
 	}
-	return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+	return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 		for i, x := range xs {
 			dx := x - qx
 			dy := ys[i] - qy
 			d2 := dx*dx + dy*dy
-			if ws != nil {
-				sum += ws[i] * math.Exp(-d2*invB2)
-			} else {
-				sum += math.Exp(-d2 * invB2)
-			}
+			sum += math.Exp(-d2 * invB2)
 		}
 		return sum, len(xs)
 	}
@@ -118,47 +110,34 @@ func TestAbsorbedTermLeavesSum(t *testing.T) {
 }
 
 // TestAbsorbThresholdBound: just below absorbThreshold's thr, and further
-// below into exp's subnormal range, W·exp(t) < 2^(E−54) for every weight
-// bound W, so each skipped term is one TestAbsorbedTermLeavesSum absorbs.
-// Where thr is the floor, exp is exactly 0 below it instead.
+// below into exp's subnormal range, exp(t) < 2^(E−54), so each skipped term
+// is one TestAbsorbedTermLeavesSum absorbs. Where thr is expUnderflow, exp
+// is exactly 0 below it instead.
 func TestAbsorbThresholdBound(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, s := range absorbSums(r) {
 		_, e := math.Frexp(s)
 		bound := math.Ldexp(1, e-1-54)
-		for _, w := range []float64{1, 1.5, 1e6, 1e100, 1e300, math.MaxFloat64} {
-			lnW, floor := absorbBounds([]float64{0.5, -w})
-			thr := absorbThreshold(math.Float64bits(s)>>52, lnW, floor)
-			for _, x := range []float64{math.Nextafter(thr, math.Inf(-1)), thr - 1e-9, thr - 0.5, thr - 3, thr - 40} {
-				v := math.Exp(x)
-				if thr == floor {
-					if v != 0 {
-						t.Fatalf("S = %v, W = %v: thr is the floor but exp(%v) = %v", s, w, x, v)
-					}
-					continue
+		thr := absorbThreshold(math.Float64bits(s) >> 52)
+		for _, x := range []float64{math.Nextafter(thr, math.Inf(-1)), thr - 1e-9, thr - 0.5, thr - 3, thr - 40} {
+			v := math.Exp(x)
+			if thr == expUnderflow {
+				if v != 0 {
+					t.Fatalf("S = %v: thr is expUnderflow but exp(%v) = %v", s, x, v)
 				}
-				if term := w * v; !(term < bound) {
-					t.Fatalf("S = %v, W = %v: thr = %v, W·exp(%v) = %v ≥ 2^(E−54) = %v", s, w, thr, x, term, bound)
-				}
+				continue
+			}
+			if !(v < bound) {
+				t.Fatalf("S = %v: thr = %v, exp(%v) = %v ≥ 2^(E−54) = %v", s, thr, x, v, bound)
 			}
 		}
 	}
 	// Zero, subnormal and tiny sums, and sums that are not finite, skip only
-	// the exact zeros below the floor.
+	// the exact zeros below expUnderflow.
 	for _, s := range []float64{0, math.SmallestNonzeroFloat64, -0x1p-1030, 0x1p-1000, math.Inf(1), math.Inf(-1), math.NaN()} {
-		if thr := absorbThreshold(math.Float64bits(s)>>52, 0, expUnderflow); thr != expUnderflow {
+		if thr := absorbThreshold(math.Float64bits(s) >> 52); thr != expUnderflow {
 			t.Errorf("S = %v: thr = %v, want %v", s, thr, expUnderflow)
 		}
-	}
-	// A weight that is not finite makes w·0 NaN: nothing may be skipped.
-	for _, ws := range [][]float64{{1, math.NaN()}, {math.Inf(-1)}} {
-		lnW, floor := absorbBounds(ws)
-		if thr := absorbThreshold(math.Float64bits(1.0)>>52, lnW, floor); !math.IsInf(thr, -1) {
-			t.Errorf("weights %v: thr = %v, want -Inf", ws, thr)
-		}
-	}
-	if lnW, floor := absorbBounds([]float64{0.5, -1e-6}); lnW != 0 || floor != expUnderflow {
-		t.Errorf("weights below 1: lnW, floor = %v, %v, want 0, %v", lnW, floor, expUnderflow)
 	}
 }
 
@@ -190,19 +169,6 @@ func absorbCases() []absorbCase {
 	return []absorbCase{{"shuffled", shuffled}, {"coincident", coincident}, {"utm", utm}}
 }
 
-// absorbWeights returns the weight columns of the differential: none,
-// positive, mixed-sign, and mixed-sign scaled to 1e6 and 1e−6.
-func absorbWeights(n int) map[string][]float64 {
-	pos, mixed, big, tiny := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range pos {
-		pos[i] = 0.5 + float64(i%7)
-		mixed[i] = float64(i%9) - 4.25
-		big[i] = 1e6 * mixed[i]
-		tiny[i] = 1e-6 * mixed[i]
-	}
-	return map[string][]float64{"none": nil, "positive": pos, "mixed": mixed, "1e6": big, "1e-6": tiny}
-}
-
 // absorbGrids returns a raster over the data and one stretching away from
 // it, far enough that the farthest pixels' sums are tiny, subnormal or
 // exactly 0: exp's argument reaches about −760 there.
@@ -218,33 +184,30 @@ func absorbGrids(data geom.BBox, k kernel.Kernel) []geom.PixelGrid {
 // TestAbsorbedBitIdentityVsAoSReference holds the Gaussian and exponential
 // naive loops, which skip absorbed terms, to the array-of-structs reference,
 // which evaluates every pair, via Float64bits, at Workers 1 and 4: five
-// weightings × five bandwidths (extent/1000 to 10×extent) × the hostile
-// datasets of absorbCases, each on a raster over the data and one running
-// off to pixels whose sums are tiny, subnormal or 0.
+// bandwidths (extent/1000 to 10×extent) × the hostile datasets of
+// absorbCases, each on a raster over the data and one running off to
+// pixels whose sums are tiny, subnormal or 0.
 func TestAbsorbedBitIdentityVsAoSReference(t *testing.T) {
 	for _, dc := range absorbCases() {
-		c := dataset.MakeColumns(dc.pts, nil)
+		c := dataset.MakeColumns(dc.pts)
 		data := c.Chunks[0].BBox
 		for _, ch := range c.Chunks {
 			data = data.Union(ch.BBox)
 		}
 		extent := max(data.Width(), data.Height())
-		for wname, ws := range absorbWeights(len(dc.pts)) {
-			wc := dataset.MakeColumns(dc.pts, ws)
-			for _, kt := range []kernel.Type{kernel.Gaussian, kernel.Exponential} {
-				for _, b := range []float64{extent / 1000, extent / 100, extent / 25, extent / 10, 10 * extent} {
-					opt := Options{Kernel: kernel.MustNew(kt, b)}
-					for gi, g := range absorbGrids(data, opt.Kernel) {
-						opt.Grid = g
-						want := aosReference(dc.pts, ws, opt)
-						for _, workers := range []int{1, 4} {
-							opt.Workers = workers
-							got, err := Evaluate(wc, Naive, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertBitIdentical(t, got, want, fmt.Sprintf("%s/%s/%v/b=%g/grid%d/workers=%d", dc.name, wname, kt, b, gi, workers))
+		for _, kt := range []kernel.Type{kernel.Gaussian, kernel.Exponential} {
+			for _, b := range []float64{extent / 1000, extent / 100, extent / 25, extent / 10, 10 * extent} {
+				opt := Options{Kernel: kernel.MustNew(kt, b)}
+				for gi, g := range absorbGrids(data, opt.Kernel) {
+					opt.Grid = g
+					want := aosReference(dc.pts, opt)
+					for _, workers := range []int{1, 4} {
+						opt.Workers = workers
+						got, err := Evaluate(c, Naive, opt)
+						if err != nil {
+							t.Fatal(err)
 						}
+						assertBitIdentical(t, got, want, fmt.Sprintf("%s/%v/b=%g/grid%d/workers=%d", dc.name, kt, b, gi, workers))
 					}
 				}
 			}
@@ -253,20 +216,19 @@ func TestAbsorbedBitIdentityVsAoSReference(t *testing.T) {
 }
 
 // FuzzChunkEvalAbsorbed holds the absorbed Gaussian / exponential loops to
-// plainExpEval on fuzzer-chosen bandwidths, query points, weight scales
-// (NaN and ±Inf included) and point clouds with coincident points, the sum
-// carried across a fuzzer-chosen segment boundary as the chunked callers
-// carry it.
+// plainExpEval on fuzzer-chosen bandwidths, query points and point clouds
+// with coincident points, the sum carried across a fuzzer-chosen segment
+// boundary as the chunked callers carry it.
 func FuzzChunkEvalAbsorbed(f *testing.F) {
-	f.Add(int64(1), uint16(500), 1.0, 0.0, 0.0, uint8(0), 1.0, uint16(200))
-	f.Add(int64(2), uint16(1500), 0.05, 3.0, -2.0, uint8(1), 1.0, uint16(700))
-	f.Add(int64(3), uint16(800), 9.0, 40.0, 40.0, uint8(2), 1e6, uint16(1))
-	f.Add(int64(4), uint16(800), 0.3, 1e3, 0.0, uint8(3), 1e-6, uint16(400))
-	f.Add(int64(5), uint16(300), 2.0, 0.5, 0.5, uint8(5), 1e300, uint16(100))
-	f.Add(int64(6), uint16(300), 30.0, 5e5, 4e6, uint8(6), math.Inf(1), uint16(150))
-	f.Add(int64(7), uint16(300), 1e-150, 0.0, 0.0, uint8(0), 1.0, uint16(0))
-	f.Add(int64(8), uint16(300), 1.0, math.NaN(), 0.0, uint8(2), 1.0, uint16(50))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, b, qx, qy float64, kind uint8, wscale float64, split uint16) {
+	f.Add(int64(1), uint16(500), 1.0, 0.0, 0.0, uint8(0), uint16(200))
+	f.Add(int64(2), uint16(1500), 0.05, 3.0, -2.0, uint8(1), uint16(700))
+	f.Add(int64(3), uint16(800), 9.0, 40.0, 40.0, uint8(2), uint16(1))
+	f.Add(int64(4), uint16(800), 0.3, 1e3, 0.0, uint8(3), uint16(400))
+	f.Add(int64(5), uint16(300), 2.0, 0.5, 0.5, uint8(5), uint16(100))
+	f.Add(int64(6), uint16(300), 30.0, 5e5, 4e6, uint8(6), uint16(150))
+	f.Add(int64(7), uint16(300), 1e-150, 0.0, 0.0, uint8(0), uint16(0))
+	f.Add(int64(8), uint16(300), 1.0, math.NaN(), 0.0, uint8(2), uint16(50))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, b, qx, qy float64, kind uint8, split uint16) {
 		typ := kernel.Gaussian
 		if kind&1 == 1 {
 			typ = kernel.Exponential
@@ -278,31 +240,20 @@ func FuzzChunkEvalAbsorbed(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		m := int(n % 2048)
 		xs, ys := make([]float64, m), make([]float64, m)
-		var ws []float64
-		if kind>>1%3 != 0 {
-			ws = make([]float64, m)
-		}
 		for i := range xs {
 			if i > 0 && r.Intn(4) == 0 { // coincident with the previous point
 				xs[i], ys[i] = xs[i-1], ys[i-1]
 			} else {
 				xs[i], ys[i] = r.NormFloat64()*10, r.NormFloat64()*10
 			}
-			switch {
-			case ws == nil:
-			case kind>>1%3 == 1:
-				ws[i] = r.Float64() * wscale
-			default:
-				ws[i] = r.NormFloat64() * wscale
-			}
 		}
 		cut := int(split) % (m + 1)
 		fold := func(eval chunkEval) float64 {
-			sum, _ := evalSeg(eval, 0, qx, qy, xs, ys, ws, 0, cut)
-			sum, _ = evalSeg(eval, sum, qx, qy, xs, ys, ws, cut, m)
+			sum, _ := eval(0, qx, qy, xs[:cut], ys[:cut])
+			sum, _ = eval(sum, qx, qy, xs[cut:], ys[cut:])
 			return sum
 		}
-		got, want := fold(chunkEvalFor(k, ws)), fold(plainExpEval(k))
+		got, want := fold(chunkEvalFor(k)), fold(plainExpEval(k))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%v b=%v q=(%v,%v) n=%d cut=%d: absorbed loop %v (bits %x), plain loop %v (bits %x)",
 				typ, b, qx, qy, m, cut, got, math.Float64bits(got), want, math.Float64bits(want))

@@ -36,8 +36,7 @@ import (
 // bracket, which is all the uniform kernel gets.
 //
 // Unlike the exact accelerators this works for every kernel, including the
-// infinite-support Gaussian and exponential kernels. The guarantee is
-// stated for unweighted sums, so the row declares no weights capability.
+// infinite-support Gaussian and exponential kernels.
 func buildBound(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
 	if !(opt.Epsilon > 0) {
 		return nil, 0, fmt.Errorf("kde: BoundApprox needs eps > 0, got %g", opt.Epsilon)
@@ -48,7 +47,7 @@ func buildBound(cols dataset.Columns, opt *Options) (rowComputer, float64, error
 		tree:   tree,
 		built:  built,
 		convex: opt.Kernel.ConvexInD2(),
-		eval:   chunkEvalFor(opt.Kernel, nil),
+		eval:   chunkEvalFor(opt.Kernel),
 	}, 1, nil
 }
 
@@ -172,7 +171,7 @@ func (c *boundComputer) estimate(q geom.Point, hp *gapHeap) (r float64, expanded
 		left, right := c.tree.Children(e.id)
 		if left < 0 {
 			xs, ys := c.tree.NodeColumns(e.id)
-			v, _ := c.eval(0, q.X, q.Y, xs, ys, nil)
+			v, _ := c.eval(0, q.X, q.Y, xs, ys)
 			settled += v
 			lb += v
 			ub += v

@@ -24,18 +24,16 @@ import (
 // ways: two chunks sorted by x (thin slabs, wholly inside or outside a
 // view), an unsorted tail chunk (straddles every view), and one isolated
 // point far from the rest.
-func clipFixture(offset float64) (pts []geom.Point, weights []float64) {
-	pts = clusteredPoints(97, 2*dataset.ChunkSize+700)
+func clipFixture(offset float64) []geom.Point {
+	pts := clusteredPoints(97, 2*dataset.ChunkSize+700)
 	head := pts[:2*dataset.ChunkSize]
 	sort.Slice(head, func(i, j int) bool { return head[i].X < head[j].X })
 	pts = append(pts, geom.Point{X: 500, Y: 500})
-	weights = make([]float64, len(pts))
 	for i := range pts {
 		pts[i].X += offset
 		pts[i].Y += offset
-		weights[i] = 0.25 + float64(i%9)
 	}
-	return pts, weights
+	return pts
 }
 
 var clipViews = []struct {
@@ -79,15 +77,21 @@ func TestViewClipDifferential(t *testing.T) {
 		kernel.Quartic, kernel.Triweight, kernel.Cosine,
 	}
 	type fixture struct {
-		name    string
-		offset  float64
-		pts     []geom.Point
-		weights []float64
+		name   string
+		offset float64
+		pts    []geom.Point
+		// The fixture's columns, as fresh columns (MakeColumns, clipped
+		// or not, builds its own tree) and as a dataset snapshot's (a
+		// view holding every point keeps the snapshot and its memoised
+		// tree).
+		sources map[string]dataset.Columns
 	}
 	var fixtures []fixture
 	for _, off := range []float64{0, 5e5} {
-		pts, ws := clipFixture(off)
-		fixtures = append(fixtures, fixture{"offset=" + strconv.FormatFloat(off, 'g', -1, 64), off, pts, ws})
+		pts := clipFixture(off)
+		fixtures = append(fixtures, fixture{"offset=" + strconv.FormatFloat(off, 'g', -1, 64), off, pts, map[string]dataset.Columns{
+			"points": dataset.MakeColumns(pts), "snapshot": dataset.FromPoints(pts).Columns(),
+		}})
 	}
 	sub := geom.GridWindow{X0: 3, Y0: 2, NX: 7, NY: 5}
 	for _, fx := range fixtures {
@@ -96,22 +100,13 @@ func TestViewClipDifferential(t *testing.T) {
 				continue
 			}
 			for _, kt := range finite {
-				for _, weighted := range []bool{false, true} {
+				for _, source := range []string{"points", "snapshot"} {
 					opt := withApprox(Options{
 						Kernel: kernel.MustNew(kt, clipBandwidth),
 						Grid:   geom.NewPixelGrid(shiftBox(view.box, fx.offset), 16, 12),
 					}, 5, matrixEps, matrixDelta)
-					var ws []float64
-					mass := float64(len(fx.pts))
-					if weighted {
-						ws = fx.weights
-						mass = 0
-						for _, w := range ws {
-							mass += w
-						}
-					}
-					cs := dataset.MakeColumns(fx.pts, ws)
-					raw := aosReference(fx.pts, ws, opt)
+					cs := fx.sources[source]
+					raw := aosReference(fx.pts, opt)
 
 					kept := inView(cs, &opt)
 					want := 0
@@ -129,19 +124,19 @@ func TestViewClipDifferential(t *testing.T) {
 					for ri := range methods {
 						r := &methods[ri]
 						for _, normalize := range []bool{false, true} {
-							name := fmt.Sprintf("%s/%s/%v/%s/weighted=%v/normalize=%v", fx.name, view.name, kt, r.name, weighted, normalize)
+							name := fmt.Sprintf("%s/%s/%v/%s/cols=%s/normalize=%v", fx.name, view.name, kt, r.name, source, normalize)
 							opt.Normalize, opt.Workers, opt.Window = normalize, 1, geom.GridWindow{}
 							ref, scale := raw, 1.0
 							if normalize {
 								// The mass is the dataset's, never the view's.
-								scale = opt.Kernel.NormConst() / mass
+								scale = opt.Kernel.NormConst() / float64(len(fx.pts))
 								ref = raster.NewGrid(raw.Spec)
 								for i, v := range raw.Values {
 									ref.Values[i] = v * scale
 								}
 							}
 							got, err := Evaluate(cs, r.id, opt)
-							if r.check(cs, &opt) != nil {
+							if r.check(&opt) != nil {
 								// Which cells a row refuses is the capability
 								// matrix's test; here a refusal is just typed.
 								var ue *UnsupportedError
@@ -188,7 +183,7 @@ func TestViewClipDifferential(t *testing.T) {
 // TestViewClipAliases pins the two cases that must cost nothing: a view the
 // whole dataset reaches, and a tile's halo subset under that tile's window.
 func TestViewClipAliases(t *testing.T) {
-	pts, _ := clipFixture(0)
+	pts := clipFixture(0)
 	d, err := dataset.New(pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +226,7 @@ func TestViewClipAliases(t *testing.T) {
 // (kde.index_build points_in_view) beside the dataset's n (kde.evaluate
 // points), which keeps its meaning.
 func TestViewClipSpanAttrs(t *testing.T) {
-	pts, _ := clipFixture(0)
+	pts := clipFixture(0)
 	opt := Options{Kernel: kernel.MustNew(kernel.Quartic, clipBandwidth), Grid: geom.NewPixelGrid(clipViews[1].box, 16, 12)}
 	want := inView(cols(pts), &opt).N()
 	ctx, root := obs.NewTrace(context.Background(), "request")

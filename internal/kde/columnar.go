@@ -20,13 +20,12 @@ import (
 // pre-columnar array-of-structs loops.
 
 // chunkEval folds one coordinate column segment into a running kernel sum:
-// it returns sum plus the kernel contributions of points (xs[i], ys[i])
-// with weights ws[i] (ws nil means unweighted) at query (qx, qy), and the
-// number of those points inside the kernel's support (every point, for
-// Gaussian and exponential). Accumulation order is the slice order, so
-// callers control the exact floating-point summation order by how they
-// segment the columns.
-type chunkEval func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int)
+// it returns sum plus the kernel contributions of points (xs[i], ys[i]) at
+// query (qx, qy), and the number of those points inside the kernel's
+// support (every point, for Gaussian and exponential). Accumulation order
+// is the slice order, so callers control the exact floating-point
+// summation order by how they segment the columns.
+type chunkEval func(sum, qx, qy float64, xs, ys []float64) (float64, int)
 
 // Bounds on the argument t of an exp(t) term (see absorbThreshold).
 const (
@@ -39,41 +38,25 @@ const (
 	expNormal = -708
 )
 
-// absorbThreshold returns thr such that a term w·exp(t) with t < thr and
-// |w| ≤ W leaves a running sum s unchanged, bit for bit:
-// fl(s + w·exp(t)) = s. key is s's sign and exponent bits
-// (math.Float64bits(s) >> 52), so thr holds until an add changes them. lnW
-// and floor come from absorbBounds.
+// absorbThreshold returns thr such that a term exp(t) with t < thr leaves
+// a running sum s unchanged, bit for bit: fl(s + exp(t)) = s. key is s's
+// sign and exponent bits (math.Float64bits(s) >> 52), so thr holds until an
+// add changes them.
 //
 // For normal s with 2^E ≤ |s| < 2^(E+1) the floats next to s lie at least
 // 2^(E−53) away, so under round-to-nearest every |τ| < 2^(E−54) gives
-// fl(s+τ) = s. math.Exp is within 1 ulp, so t < (E−55)·ln 2 − ln W gives
-// |w·exp(t)| < 2^(E−54) with a factor-2 margin, while exp is normal at that
-// bound (expNormal). Otherwise — s = 0, subnormal or tiny, W huge, or s not
-// finite — thr is the floor: only t < expUnderflow is skipped, where exp
-// returns exactly +0 and w·(+0) = ±0 never moves a sum that, starting from
-// +0, is never −0.
-func absorbThreshold(key uint64, lnW, floor float64) float64 {
+// fl(s+τ) = s. math.Exp is within 1 ulp, so t < (E−55)·ln 2 gives
+// exp(t) < 2^(E−54) with a factor-2 margin, while exp is normal at that
+// bound (expNormal). Otherwise — s = 0, subnormal or tiny, or s not finite
+// — thr is expUnderflow: only t < expUnderflow is skipped, where exp
+// returns exactly +0, which never moves a sum that, starting from +0, is
+// never −0.
+func absorbThreshold(key uint64) float64 {
 	e := int(key & 0x7ff) // biased exponent of s
-	if thr := float64(e-1023-55)*math.Ln2 - lnW; thr >= expNormal && e != 0x7ff {
+	if thr := float64(e-1023-55) * math.Ln2; thr >= expNormal && e != 0x7ff {
 		return thr
 	}
-	return floor
-}
-
-// absorbBounds returns absorbThreshold's lnW = ln max(1, max|wᵢ|) over ws
-// (0 for nil) and its floor: expUnderflow, or −Inf when a weight is not
-// finite (w·0 is then NaN, so no term may be skipped).
-func absorbBounds(ws []float64) (lnW, floor float64) {
-	w := 1.0
-	for _, v := range ws {
-		a := math.Abs(v)
-		if !(a <= math.MaxFloat64) {
-			return math.Inf(1), math.Inf(-1)
-		}
-		w = max(w, a)
-	}
-	return math.Log(w), expUnderflow
+	return expUnderflow
 }
 
 // filterBlock is how many survivors the filter pass collects before the
@@ -107,18 +90,16 @@ func triweightTerm(d2, invB2 float64) float64 {
 	return u * u * u
 }
 
-// chunkEvalFor returns the kernel-specialised evaluator for k, to be called
-// with the weight column ws (nil: unweighted) or a reordering of it; a
-// finite kernel's evaluator reads weights iff ws is not nil. The local
+// chunkEvalFor returns the kernel-specialised evaluator for k. The local
 // constants replicate kernel.New's derived values (1/b, b², 1/b²) with the
 // same IEEE expressions, so each specialisation is bit-compatible with
 // Kernel.Eval2.
 //
 // The finite-support loops filter, then evaluate (DESIGN "Filter, then
-// evaluate"). The filter pass writes each candidate's d² (and weight) to
-// d2s[n] (wb[n]) and advances n by the 0/1 result of the support test, so
-// no candidate costs a branch; when the buffer is full, and at the end,
-// the kernel pass adds the survivors' terms in slot order. Those are the
+// evaluate"). The filter pass writes each candidate's d² to d2s[n] and
+// advances n by the 0/1 result of the support test, so no candidate costs
+// a branch; when the buffer is full, and at the end, the kernel pass adds
+// the survivors' terms in slot order. Those are the
 // terms, order and operations of `if d² < b² { sum += K(d²) }`, so the
 // bits are the same, without the branch that mispredicts on about every
 // third grid-cutoff candidate.
@@ -127,39 +108,16 @@ func triweightTerm(d2, invB2 float64) float64 {
 // call exp only when !(t < thr) — so a NaN t still reaches exp. thr is
 // absorbThreshold's for the running sum, refreshed after an add changes the
 // sum's sign or exponent bits: a compare per add, not a log.
-func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
+func chunkEvalFor(k kernel.Kernel) chunkEval {
 	b := k.Bandwidth()
 	b2 := b * b
 	invB := 1 / b
 	invB2 := 1 / (b * b)
-	weighted := ws != nil
 	switch k.Type() {
 	case kernel.Uniform:
 		// The closed support d² ≤ b², and a term that does not depend on
-		// d²: the filter keeps only the weights, or only a count.
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					wb[n&(filterBlock-1)] = ws[i]
-					if n += b2i(dx*dx+dy*dy <= b2); n == filterBlock {
-						for _, w := range wb[:] {
-							sum += w * invB
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				for _, w := range wb[:n] {
-					sum += w * invB
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		// d²: the filter keeps only a count.
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			n := 0
 			for i, x := range xs {
@@ -173,30 +131,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, n
 		}
 	case kernel.Triangular:
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var d2s, wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
-					if n += b2i(d2 < b2); n == filterBlock {
-						for j, d2 := range d2s[:] {
-							sum += wb[j] * triangularTerm(d2, invB)
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				for j, d2 := range d2s[:n] {
-					sum += wb[j] * triangularTerm(d2, invB)
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			var d2s [filterBlock]float64
 			n, terms := 0, 0
@@ -218,30 +153,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, terms + n
 		}
 	case kernel.Epanechnikov:
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var d2s, wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
-					if n += b2i(d2 < b2); n == filterBlock {
-						for j, d2 := range d2s[:] {
-							sum += wb[j] * epanechnikovTerm(d2, invB2)
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				for j, d2 := range d2s[:n] {
-					sum += wb[j] * epanechnikovTerm(d2, invB2)
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			var d2s [filterBlock]float64
 			n, terms := 0, 0
@@ -263,30 +175,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, terms + n
 		}
 	case kernel.Quartic:
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var d2s, wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
-					if n += b2i(d2 < b2); n == filterBlock {
-						for j, d2 := range d2s[:] {
-							sum += wb[j] * quarticTerm(d2, invB2)
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				for j, d2 := range d2s[:n] {
-					sum += wb[j] * quarticTerm(d2, invB2)
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			var d2s [filterBlock]float64
 			n, terms := 0, 0
@@ -308,30 +197,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, terms + n
 		}
 	case kernel.Triweight:
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var d2s, wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
-					if n += b2i(d2 < b2); n == filterBlock {
-						for j, d2 := range d2s[:] {
-							sum += wb[j] * triweightTerm(d2, invB2)
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				for j, d2 := range d2s[:n] {
-					sum += wb[j] * triweightTerm(d2, invB2)
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			var d2s [filterBlock]float64
 			n, terms := 0, 0
@@ -353,24 +219,9 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, terms + n
 		}
 	case kernel.Gaussian:
-		lnW, floor := absorbBounds(ws)
-		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			key := math.Float64bits(sum) >> 52
-			thr := absorbThreshold(key, lnW, floor)
-			if ws != nil {
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					if t := -d2 * invB2; !(t < thr) {
-						sum += ws[i] * math.Exp(t)
-						if nk := math.Float64bits(sum) >> 52; nk != key {
-							key, thr = nk, absorbThreshold(nk, lnW, floor)
-						}
-					}
-				}
-				return sum, len(xs)
-			}
+			thr := absorbThreshold(key)
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
@@ -378,7 +229,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 				if t := -d2 * invB2; !(t < thr) {
 					sum += math.Exp(t)
 					if nk := math.Float64bits(sum) >> 52; nk != key {
-						key, thr = nk, absorbThreshold(nk, lnW, floor)
+						key, thr = nk, absorbThreshold(nk)
 					}
 				}
 			}
@@ -388,32 +239,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 		// The kernel pass writes the survivors' cos arguments over d2s,
 		// cosQuarter turns them into math.Cos's values in one call, and
 		// the sum takes them in order.
-		if weighted {
-			return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
-				ys, ws = ys[:len(xs)], ws[:len(xs)]
-				var d2s, wb [filterBlock]float64
-				n, terms := 0, 0
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					d2s[n&(filterBlock-1)], wb[n&(filterBlock-1)] = d2, ws[i]
-					if n += b2i(d2 < b2); n == filterBlock {
-						cosQuarter(cosineArgs(d2s[:], invB))
-						for j, c := range d2s[:] {
-							sum += wb[j] * c
-						}
-						n, terms = 0, terms+filterBlock
-					}
-				}
-				cosQuarter(cosineArgs(d2s[:n], invB))
-				for j, c := range d2s[:n] {
-					sum += wb[j] * c
-				}
-				return sum, terms + n
-			}
-		}
-		return func(sum, qx, qy float64, xs, ys, _ []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			ys = ys[:len(xs)]
 			var d2s [filterBlock]float64
 			n, terms := 0, 0
@@ -437,24 +263,9 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 			return sum, terms + n
 		}
 	case kernel.Exponential:
-		lnW, floor := absorbBounds(ws)
-		return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+		return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 			key := math.Float64bits(sum) >> 52
-			thr := absorbThreshold(key, lnW, floor)
-			if ws != nil {
-				for i, x := range xs {
-					dx := x - qx
-					dy := ys[i] - qy
-					d2 := dx*dx + dy*dy
-					if t := -math.Sqrt(d2) * invB; !(t < thr) {
-						sum += ws[i] * math.Exp(t)
-						if nk := math.Float64bits(sum) >> 52; nk != key {
-							key, thr = nk, absorbThreshold(nk, lnW, floor)
-						}
-					}
-				}
-				return sum, len(xs)
-			}
+			thr := absorbThreshold(key)
 			for i, x := range xs {
 				dx := x - qx
 				dy := ys[i] - qy
@@ -462,7 +273,7 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 				if t := -math.Sqrt(d2) * invB; !(t < thr) {
 					sum += math.Exp(t)
 					if nk := math.Float64bits(sum) >> 52; nk != key {
-						key, thr = nk, absorbThreshold(nk, lnW, floor)
+						key, thr = nk, absorbThreshold(nk)
 					}
 				}
 			}
@@ -470,25 +281,13 @@ func chunkEvalFor(k kernel.Kernel, ws []float64) chunkEval {
 		}
 	}
 	// Unreachable for kernels built with kernel.New; fall back to Eval2.
-	return func(sum, qx, qy float64, xs, ys, ws []float64) (float64, int) {
+	return func(sum, qx, qy float64, xs, ys []float64) (float64, int) {
 		q := geom.Point{X: qx, Y: qy}
 		for i := range xs {
-			v := k.Eval2(geom.Point{X: xs[i], Y: ys[i]}.Dist2(q))
-			if ws != nil {
-				v *= ws[i]
-			}
-			sum += v
+			sum += k.Eval2(geom.Point{X: xs[i], Y: ys[i]}.Dist2(q))
 		}
 		return sum, len(xs)
 	}
-}
-
-// evalSeg applies eval to the [lo, hi) segment of the columns.
-func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi int) (float64, int) {
-	if ws != nil {
-		return eval(sum, qx, qy, xs[lo:hi], ys[lo:hi], ws[lo:hi])
-	}
-	return eval(sum, qx, qy, xs[lo:hi], ys[lo:hi], nil)
 }
 
 // buildNaive constructs the exact baseline of §1 over the chunked columnar
@@ -497,8 +296,7 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 //
 //   - Gaussian and exponential reach every pixel, so it is the paper's
 //     O(XYn) pixel-major sum: each pixel folds every chunk in order, and the
-//     loops skip the exp of terms the pixel's sum absorbs (their weight
-//     bound W comes from cols.W, once per evaluation).
+//     loops skip the exp of terms the pixel's sum absorbs.
 //   - A finite-support kernel runs point-major (scatterRow): each row
 //     streams the points within b of its y line, in index order, into
 //     their footprint on it, O(n + Σ footprint) per row instead of O(X·n).
@@ -508,7 +306,7 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 // leave the sum as it was. It is the one evaluator that applies
 // Options.Window's x offset.
 func buildNaive(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
-	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel, cols.W), x0: opt.Window.X0}
+	c := &columnarComputer{cols: cols, opt: opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0}
 	if opt.Kernel.FiniteSupport() {
 		g := opt.Grid
 		nx := g.NX
@@ -548,12 +346,12 @@ func (c *columnarComputer) computeRow(iy int, row []float64) {
 	}
 	g := c.opt.Grid
 	qy := g.CenterY(iy)
-	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
+	xs, ys := c.cols.X, c.cols.Y
 	for ix := range row {
 		qx := g.CenterX(c.x0 + ix)
 		sum := 0.0
 		for _, ch := range c.cols.Chunks {
-			sum, _ = evalSeg(c.eval, sum, qx, qy, xs, ys, ws, ch.Lo, ch.Hi)
+			sum, _ = c.eval(sum, qx, qy, xs[ch.Lo:ch.Hi], ys[ch.Lo:ch.Hi])
 		}
 		row[ix] = sum
 	}
@@ -571,7 +369,7 @@ func (c *columnarComputer) computeRow(iy int, row []float64) {
 // sum bit for bit.
 func (c *columnarComputer) scatterRow(iy int, row []float64) {
 	qy := c.opt.Grid.CenterY(iy)
-	xs, ys, ws := c.cols.X, c.cols.Y, c.cols.W
+	xs, ys := c.cols.X, c.cols.Y
 	eval, cx, b2, x0 := c.eval, c.cx, c.b2, c.x0
 	row = row[:len(cx)]
 	clear(row)
@@ -590,13 +388,10 @@ func (c *columnarComputer) scatterRow(iy int, row []float64) {
 			if lo >= hi {
 				continue
 			}
-			px, py, pw := xs[i:i+1], ys[i:i+1], []float64(nil)
-			if ws != nil {
-				pw = ws[i : i+1]
-			}
+			px, py := xs[i:i+1], ys[i:i+1]
 			run := row[lo:hi]
 			for j, qx := range cx[lo:hi] {
-				run[j], _ = eval(run[j], qx, qy, px, py, pw)
+				run[j], _ = eval(run[j], qx, qy, px, py)
 			}
 		}
 	}

@@ -27,24 +27,14 @@ import (
 func buildCutoff(cols dataset.Columns, opt *Options) (rowComputer, float64, error) {
 	b := opt.Kernel.Bandwidth()
 	idx := gridindex.NewColumns(cols.X, cols.Y, b)
-	xs, ys, ids := idx.Columns()
-	// Re-order the weight column to the index's cell-sorted slot order so
-	// the scan reads weights contiguously alongside the coordinates.
-	var ws []float64
-	if cols.W != nil {
-		ws = make([]float64, len(ids))
-		for j, pi := range ids {
-			ws[j] = cols.W[pi]
-		}
-	}
-	return &cutoffComputer{idx: idx, opt: opt, xs: xs, ys: ys, ws: ws, eval: chunkEvalFor(opt.Kernel, ws), b: b}, 1, nil
+	xs, ys, _ := idx.Columns()
+	return &cutoffComputer{idx: idx, opt: opt, xs: xs, ys: ys, eval: chunkEvalFor(opt.Kernel), b: b}, 1, nil
 }
 
 type cutoffComputer struct {
 	idx    *gridindex.Index
 	opt    *Options
 	xs, ys []float64 // cell-ordered coordinate columns (idx.Columns)
-	ws     []float64 // weights in the same slot order; nil when unweighted
 	eval   chunkEval
 	b      float64
 
@@ -70,7 +60,7 @@ func (c *cutoffComputer) computeRow(iy int, row []float64) {
 			_, hi := c.idx.Cell(cx1, cy)
 			if lo != hi {
 				var n int
-				sum, n = evalSeg(c.eval, sum, qx, qy, c.xs, c.ys, c.ws, lo, hi)
+				sum, n = c.eval(sum, qx, qy, c.xs[lo:hi], c.ys[lo:hi])
 				candidates += hi - lo
 				terms += n
 			}

@@ -274,89 +274,3 @@ func TestSelectBandwidthCVValidation(t *testing.T) {
 		t.Error("negative candidate accepted")
 	}
 }
-
-// ---- Weighted KDV ----
-
-func TestWeightedKDVAllMethodsAgree(t *testing.T) {
-	pts := clusteredPoints(70, 300)
-	r := rand.New(rand.NewSource(70))
-	weights := make([]float64, len(pts))
-	for i := range weights {
-		weights[i] = 0.5 + r.Float64()*3
-	}
-	opt := Options{
-		Kernel: kernel.MustNew(kernel.Quartic, 9),
-		Grid:   geom.NewPixelGrid(box, 22, 18),
-	}
-	wcols := dataset.MakeColumns(pts, weights)
-	naive, err := Evaluate(wcols, Naive, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := Evaluate(wcols, GridCutoff, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, err := Evaluate(wcols, SweepLine, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, peak := naive.MinMax()
-	if d, _ := cut.MaxAbsDiff(naive); d > 1e-9*(1+peak) {
-		t.Errorf("weighted cutoff differs by %v", d)
-	}
-	if d, _ := sweep.MaxAbsDiff(naive); d > 1e-9*(1+peak) {
-		t.Errorf("weighted sweep differs by %v", d)
-	}
-	// Integer-weight equivalence: weight 3 == the point appearing 3 times.
-	p3 := []geom.Point{{X: 40, Y: 40}, {X: 60, Y: 55}}
-	w3 := []float64{3, 1}
-	weighted, err := Evaluate(dataset.MakeColumns(p3, w3), SweepLine, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expanded := []geom.Point{p3[0], p3[0], p3[0], p3[1]}
-	dup, err := Evaluate(cols(expanded), SweepLine, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := weighted.MaxAbsDiff(dup); d > 1e-9 {
-		t.Errorf("integer weights != duplication by %v", d)
-	}
-}
-
-func TestWeightedKDVValidation(t *testing.T) {
-	pts := clusteredPoints(71, 20)
-	opt := Options{
-		Kernel: kernel.MustNew(kernel.Quartic, 9),
-		Grid:   geom.NewPixelGrid(box, 8, 8),
-	}
-	// Wrong-length weights never reach a method: the columns refuse them,
-	// and the driver re-checks the invariant for hand-built columns.
-	if _, err := cols(pts).WithWeights([]float64{1, 2}); err == nil {
-		t.Error("wrong-length weights accepted by WithWeights")
-	}
-	long := dataset.MakeColumns(pts, make([]float64, len(pts)+1))
-	for _, row := range methods {
-		if _, err := Evaluate(long, row.id, opt); err == nil {
-			t.Errorf("wrong-length weights accepted by %v", row.id)
-		}
-	}
-}
-
-func TestWeightedNormalizeIntegratesToOne(t *testing.T) {
-	pts := []geom.Point{{X: 50, Y: 40}, {X: 52, Y: 42}}
-	opt := Options{
-		Kernel:    kernel.MustNew(kernel.Quartic, 10),
-		Grid:      geom.NewPixelGrid(box, 200, 160),
-		Normalize: true,
-	}
-	out, err := Evaluate(dataset.MakeColumns(pts, []float64{3, 1}), GridCutoff, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	integral := out.Sum() * opt.Grid.CellW() * opt.Grid.CellH()
-	if math.Abs(integral-1) > 0.02 {
-		t.Errorf("weighted normalised integral = %v, want ≈1", integral)
-	}
-}

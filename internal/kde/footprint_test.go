@@ -71,7 +71,7 @@ func TestExactMethodsOnFootprintCases(t *testing.T) {
 			for _, b := range sc.bs {
 				k := kernel.MustNew(kt, b)
 				opt := Options{Kernel: k, Grid: sc.grid}
-				want := aosReference(sc.pts, nil, opt)
+				want := aosReference(sc.pts, opt)
 				for ri := range methods {
 					r := &methods[ri]
 					if !r.exact || r.kernels.missing(k) != "" {

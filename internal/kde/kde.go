@@ -1,6 +1,7 @@
 // Package kde implements kernel density visualization (KDV, Definition 1 of
 // the paper): colouring each pixel q of an X×Y raster with the kernel
-// density value F_P(q) = Σ_p w·K(q, p).
+// density value F_P(q) = Σ_p w·K(q, p), where w is one normalising
+// constant (Options.Normalize).
 //
 // Evaluate is the single full-raster entry point. The paper's §2.2
 // acceleration families are interchangeable ways to fill the same raster,
@@ -82,15 +83,29 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+// ParseMethod resolves a method name, one String returns: "auto" or a
+// method table row's name.
+func ParseMethod(name string) (Method, error) {
+	if name == "auto" {
+		return Auto, nil
+	}
+	for i := range methods {
+		if methods[i].name == name {
+			return methods[i].id, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", name)
+}
+
 // Options configures a KDV computation.
 type Options struct {
 	// Kernel is the kernel function K and bandwidth b.
 	Kernel kernel.Kernel
 	// Grid is the raster over which F is evaluated.
 	Grid geom.PixelGrid
-	// Normalize scales the surface by NormConst/n (NormConst/Σw for
-	// weighted columns) so it integrates to ~1 (a probability density).
-	// False matches the paper's raw Σ K convention.
+	// Normalize scales the surface by NormConst/n so it integrates to ~1
+	// (a probability density). False matches the paper's raw Σ K
+	// convention.
 	Normalize bool
 	// Workers is the parallelism degree; 0 or 1 is serial, negative means
 	// GOMAXPROCS.
@@ -126,37 +141,22 @@ func (o *Options) context() context.Context {
 }
 
 // scale returns the multiplier normalisation applies to raw kernel sums
-// over cols. With weights, the normalising mass is the total weight rather
-// than the point count, so the surface still integrates to ~1.
-func (o *Options) scale(cols dataset.Columns) float64 {
-	n := cols.N()
+// over n points.
+func (o *Options) scale(n int) float64 {
 	if !o.Normalize || n == 0 {
 		return 1
 	}
-	mass := float64(n)
-	if cols.W != nil {
-		mass = 0
-		for _, w := range cols.W {
-			mass += w
-		}
-		if mass == 0 {
-			return 1
-		}
-	}
-	return o.Kernel.NormConst() / mass
+	return o.Kernel.NormConst() / float64(n)
 }
 
 // validate rejects inputs that would otherwise fail deep in a worker
 // goroutine.
-func (o *Options) validate(cols dataset.Columns) error {
+func (o *Options) validate() error {
 	if o.Kernel.Bandwidth() <= 0 {
 		return fmt.Errorf("kde: kernel not initialised (zero bandwidth); use kernel.New")
 	}
 	if o.Grid.NX <= 0 || o.Grid.NY <= 0 {
 		return fmt.Errorf("kde: grid not initialised (%dx%d)", o.Grid.NX, o.Grid.NY)
-	}
-	if cols.W != nil && len(cols.W) != cols.N() {
-		return fmt.Errorf("kde: %d points but %d weights", cols.N(), len(cols.W))
 	}
 	if !o.Window.IsZero() {
 		return o.Grid.CheckWindow(o.Window)
@@ -168,8 +168,6 @@ func (o *Options) validate(cols dataset.Columns) error {
 type Capability string
 
 const (
-	// CapWeights is a weight column (cols.W != nil).
-	CapWeights Capability = "event weights"
 	// CapWindow is a non-zero Options.Window.
 	CapWindow Capability = "windowed evaluation (Options.Window)"
 	// CapInfiniteKernel is a kernel without finite support (Gaussian,
@@ -228,13 +226,13 @@ type methodRow struct {
 	name string
 	// exact marks the methods Auto may resolve to.
 	exact bool
-	// weights and window say whether the evaluator honours cols.W and a
-	// windowed row loop (parent-grid pixel indices with an x offset).
-	weights, window bool
+	// window says whether the evaluator honours a windowed row loop
+	// (parent-grid pixel indices with an x offset).
+	window bool
 	// kernels is the kernel requirement.
 	kernels kernelClass
 	// build constructs the evaluator. gain is the factor that turns its raw
-	// row sums into Σ w·K over cols: 1 for every method that reads all of
+	// row sums into Σ K over cols: 1 for every method that reads all of
 	// cols, n/m for a subset estimator.
 	build func(cols dataset.Columns, opt *Options) (rc rowComputer, gain float64, err error)
 }
@@ -248,9 +246,9 @@ func init() {
 	// Assigned in init because buildSampled resolves its inner exact
 	// method through the table.
 	methods = []methodRow{
-		{id: SweepLine, name: "sweep-line", exact: true, weights: true, kernels: polynomialD2, build: buildSweep},
-		{id: GridCutoff, name: "grid-cutoff", exact: true, weights: true, kernels: finiteSupport, build: buildCutoff},
-		{id: Naive, name: "naive", exact: true, weights: true, window: true, kernels: anyKernel, build: buildNaive},
+		{id: SweepLine, name: "sweep-line", exact: true, kernels: polynomialD2, build: buildSweep},
+		{id: GridCutoff, name: "grid-cutoff", exact: true, kernels: finiteSupport, build: buildCutoff},
+		{id: Naive, name: "naive", exact: true, window: true, kernels: anyKernel, build: buildNaive},
 		{id: BoundApprox, name: "bound-approx", kernels: anyKernel, build: buildBound},
 		{id: Sampled, name: "sampled", kernels: anyKernel, build: buildSampled},
 	}
@@ -270,11 +268,8 @@ func lookup(m Method, k kernel.Kernel) *methodRow {
 }
 
 // check compares the request against the row's declared capabilities.
-func (r *methodRow) check(cols dataset.Columns, opt *Options) error {
+func (r *methodRow) check(opt *Options) error {
 	lacks := r.kernels.missing(opt.Kernel)
-	if lacks == "" && cols.W != nil && !r.weights {
-		lacks = CapWeights
-	}
 	if lacks == "" && !opt.Window.IsZero() && !r.window {
 		lacks = CapWindow
 	}
@@ -284,20 +279,21 @@ func (r *methodRow) check(cols dataset.Columns, opt *Options) error {
 	return &UnsupportedError{Method: r.id, Capability: lacks}
 }
 
-// Evaluate computes the KDV raster of cols over opt.Grid with method m.
-// The weight column is cols.W (nil means all 1). It is the one place that
-// validates options, checks the method's capabilities, clips the points to
-// the view, traces, windows, cancels and normalises; a combination the
-// method table does not declare returns a *UnsupportedError.
+// Evaluate computes the KDV raster of cols over opt.Grid with method m:
+// each pixel holds Σ K over every point, scaled only by Options.Normalize's
+// constant. It is the one place that validates options, checks the
+// method's capabilities, clips the points to the view, traces, windows,
+// cancels and normalises; a combination the method table does not declare
+// returns a *UnsupportedError.
 func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(cols); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	row := lookup(m, opt.Kernel)
 	if row == nil {
 		return nil, fmt.Errorf("kde: unknown method %d", int(m))
 	}
-	if err := row.check(cols, &opt); err != nil {
+	if err := row.check(&opt); err != nil {
 		return nil, err
 	}
 	_, span := obs.Trace(opt.context(), "kde.index_build")
@@ -311,7 +307,7 @@ func Evaluate(cols dataset.Columns, m Method, opt Options) (*raster.Grid, error)
 	if err != nil {
 		return nil, err
 	}
-	return run(rc, &opt, cols.N(), gain*opt.scale(cols))
+	return run(rc, &opt, cols.N(), gain*opt.scale(cols.N()))
 }
 
 // inView returns the points that can reach the raster: for a finite-support

@@ -20,7 +20,7 @@ func testOpts(t kernel.Type, b float64) Options {
 }
 
 // cols adapts the tests' []geom.Point fixtures to the columnar entry point.
-func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts) }
 
 // withApprox returns opt with the approximate methods' parameters set.
 func withApprox(opt Options, seed int64, eps, delta float64) Options {

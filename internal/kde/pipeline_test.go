@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
 	"geostat/internal/raster"
@@ -22,7 +21,6 @@ import (
 type matrixCell struct {
 	name     string
 	kernel   kernel.Type
-	weighted bool
 	windowed bool
 	// want reads, from the row's declared capabilities, whether the row
 	// supports the cell and which capability the refusal must name.
@@ -30,8 +28,6 @@ type matrixCell struct {
 }
 
 var matrixCells = []matrixCell{
-	{name: "weighted", kernel: kernel.Quartic, weighted: true,
-		want: func(r *methodRow) (bool, Capability) { return r.weights, CapWeights }},
 	{name: "windowed", kernel: kernel.Quartic, windowed: true,
 		want: func(r *methodRow) (bool, Capability) { return r.window, CapWindow }},
 	{name: "gaussian", kernel: kernel.Gaussian,
@@ -87,10 +83,6 @@ func assertMatches(t *testing.T, r *methodRow, got, want *raster.Grid, k kernel.
 
 func TestCapabilityMatrix(t *testing.T) {
 	pts := clusteredPoints(41, 600) // above Sampled's bound (115): it really samples
-	weights := make([]float64, len(pts))
-	for i := range weights {
-		weights[i] = 0.5 + float64(i%7)
-	}
 	win := geom.GridWindow{X0: 5, Y0: 3, NX: 11, NY: 9}
 	for ri := range methods {
 		r := &methods[ri]
@@ -98,16 +90,12 @@ func TestCapabilityMatrix(t *testing.T) {
 			t.Run(r.name+"/"+cell.name, func(t *testing.T) {
 				opt := withApprox(testOpts(cell.kernel, 9), 3, matrixEps, matrixDelta)
 				opt.Grid = geom.NewPixelGrid(box, 24, 20)
-				var ws []float64
-				if cell.weighted {
-					ws = weights
-				}
-				ref := aosReference(pts, ws, opt)
+				ref := aosReference(pts, opt)
 				if cell.windowed {
 					opt.Window = win
 					ref = window(ref, win)
 				}
-				got, err := Evaluate(dataset.MakeColumns(pts, ws), r.id, opt)
+				got, err := Evaluate(cols(pts), r.id, opt)
 				ok, lacks := cell.want(r)
 				if !ok {
 					var ue *UnsupportedError

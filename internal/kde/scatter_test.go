@@ -29,8 +29,8 @@ var finiteKernels = []kernel.Type{
 func gather(t testing.TB, c dataset.Columns, opt Options) *raster.Grid {
 	t.Helper()
 	opt.Workers = 1
-	g, err := run(&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel, c.W), x0: opt.Window.X0},
-		&opt, c.N(), opt.scale(c))
+	g, err := run(&columnarComputer{cols: c, opt: &opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0},
+		&opt, c.N(), opt.scale(c.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +140,10 @@ func edgeWindows(g geom.PixelGrid) []geom.GridWindow {
 	}
 }
 
-// mixedWeights returns a weight column with positive, negative and zero
-// weights.
-func mixedWeights(n int) []float64 {
-	ws := make([]float64, n)
-	for i := range ws {
-		ws[i] = []float64{1.5, -2, 0, 0.25, 3, -0.5}[i%6]
-	}
-	return ws
-}
-
-// TestNaiveScatterMatchesGather runs Naive on every finite kernel, weighted
-// and unweighted, through windows on every edge at 1, 2 and all workers,
-// and compares each raster with the gather's bit for bit. (FuzzNaiveScatter
-// runs the gather itself windowed.)
+// TestNaiveScatterMatchesGather runs Naive on every finite kernel through
+// windows on every edge at 1, 2 and all workers, and compares each raster
+// with the gather's bit for bit. (FuzzNaiveScatter runs the gather itself
+// windowed.)
 func TestNaiveScatterMatchesGather(t *testing.T) {
 	for _, sc := range scatterCases() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -161,23 +151,20 @@ func TestNaiveScatterMatchesGather(t *testing.T) {
 			if wins == nil {
 				wins = edgeWindows(sc.grid)
 			}
-			for _, ws := range [][]float64{nil, mixedWeights(len(sc.pts))} {
-				c := dataset.MakeColumns(sc.pts, ws)
-				for _, kt := range finiteKernels {
-					for _, b := range sc.bs {
-						full := gather(t, c, Options{Kernel: kernel.MustNew(kt, b), Grid: sc.grid})
-						for _, win := range wins {
-							opt := Options{Kernel: kernel.MustNew(kt, b), Grid: sc.grid, Window: win}
-							want := crop(full, win)
-							for _, workers := range []int{1, 2, -1} {
-								opt.Workers = workers
-								got, err := Evaluate(c, Naive, opt)
-								if err != nil {
-									t.Fatal(err)
-								}
-								assertBitIdentical(t, got, want, fmt.Sprintf("weighted=%t/%v/b=%g/window=%+v/workers=%d",
-									ws != nil, kt, b, win, workers))
+			c := cols(sc.pts)
+			for _, kt := range finiteKernels {
+				for _, b := range sc.bs {
+					full := gather(t, c, Options{Kernel: kernel.MustNew(kt, b), Grid: sc.grid})
+					for _, win := range wins {
+						opt := Options{Kernel: kernel.MustNew(kt, b), Grid: sc.grid, Window: win}
+						want := crop(full, win)
+						for _, workers := range []int{1, 2, -1} {
+							opt.Workers = workers
+							got, err := Evaluate(c, Naive, opt)
+							if err != nil {
+								t.Fatal(err)
 							}
+							assertBitIdentical(t, got, want, fmt.Sprintf("%v/b=%g/window=%+v/workers=%d", kt, b, win, workers))
 						}
 					}
 				}
@@ -213,7 +200,7 @@ func TestHugeBandwidthMethodsAgree(t *testing.T) {
 	for _, b := range []float64{1e20, 1e30, 1e150} {
 		for _, kt := range []kernel.Type{kernel.Quartic, kernel.Uniform} {
 			opt := Options{Kernel: kernel.MustNew(kt, b), Grid: grid}
-			want := aosReference(pts, nil, opt)
+			want := aosReference(pts, opt)
 			for _, m := range []Method{Auto, Naive, GridCutoff, SweepLine} {
 				got, err := Evaluate(cols(pts), m, opt)
 				if err != nil {
@@ -230,9 +217,9 @@ func TestHugeBandwidthMethodsAgree(t *testing.T) {
 }
 
 // FuzzNaiveScatter holds the scatter to the gather on fuzzer-chosen points,
-// weights, bandwidth, grid and window: the grid's origin, cell size and
-// shape, a point cloud around it with duplicates, points on pixel centres
-// and at centre ± b, and a window anywhere inside it.
+// bandwidth, grid and window: the grid's origin, cell size and shape, a
+// point cloud around it with duplicates, points on pixel centres and at
+// centre ± b, and a window anywhere inside it.
 func FuzzNaiveScatter(f *testing.F) {
 	f.Add(int64(1), uint16(300), 4.0, 0.0, 0.0, 1.0, uint8(16), uint8(12), uint8(0), uint32(0))
 	f.Add(int64(2), uint16(900), 0.3, 5e5, 3.3e6, 12.5, uint8(24), uint8(24), uint8(3), uint32(0x01020304))
@@ -272,20 +259,13 @@ func FuzzNaiveScatter(f *testing.F) {
 				}
 			}
 		}
-		var ws []float64
-		if kind/8%2 == 1 {
-			ws = make([]float64, len(pts))
-			for i := range ws {
-				ws[i] = math.Round(r.NormFloat64()*4) / 2 // zero, negative and positive
-			}
-		}
 		w := geom.GridWindow{X0: int(win>>24) % grid.NX, Y0: int(win>>16&0xff) % grid.NY}
 		w.NX = 1 + int(win>>8&0xff)%(grid.NX-w.X0)
 		w.NY = 1 + int(win&0xff)%(grid.NY-w.Y0)
 		if win == 0 {
 			w = geom.GridWindow{}
 		}
-		c := dataset.MakeColumns(pts, ws)
+		c := cols(pts)
 		opt := Options{Kernel: k, Grid: grid, Window: w, Workers: 1 + int(kind/16%2)}
 		got, err := Evaluate(c, Naive, opt)
 		if err != nil {

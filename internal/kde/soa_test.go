@@ -21,20 +21,16 @@ import (
 
 // aosReference computes the KDV the pre-columnar way: one
 // array-of-structs pass over the points per pixel, accumulating
-// w_i * K.Eval2(d²) in point order (ws nil means unweighted). This is the
-// bit-level ground truth the columnar loops must reproduce.
-func aosReference(pts []geom.Point, ws []float64, opt Options) *raster.Grid {
+// K.Eval2(d²) in point order. This is the bit-level ground truth the
+// columnar loops must reproduce.
+func aosReference(pts []geom.Point, opt Options) *raster.Grid {
 	g := raster.NewGrid(opt.Grid)
 	for iy := 0; iy < opt.Grid.NY; iy++ {
 		for ix := 0; ix < opt.Grid.NX; ix++ {
 			q := opt.Grid.Center(ix, iy)
 			sum := 0.0
-			for i, p := range pts {
-				v := opt.Kernel.Eval2(p.Dist2(q))
-				if ws != nil {
-					v = ws[i] * v
-				}
-				sum += v
+			for _, p := range pts {
+				sum += opt.Kernel.Eval2(p.Dist2(q))
 			}
 			g.Set(ix, iy, sum)
 		}
@@ -67,27 +63,17 @@ func multiChunkPoints(seed int64, n int) []geom.Point {
 
 func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 	pts := multiChunkPoints(11, 9500) // 3 chunks
-	weights := make([]float64, len(pts))
-	for i := range weights {
-		weights[i] = 0.5 + float64(i%7)
-	}
 	for _, kt := range []kernel.Type{kernel.Quartic, kernel.Gaussian} {
 		opt := testOpts(kt, 9)
 		opt.Grid = geom.NewPixelGrid(box, 24, 20)
-		for _, ws := range [][]float64{nil, weights} {
-			want := aosReference(pts, ws, opt)
-			for _, workers := range []int{1, 4} {
-				opt.Workers = workers
-				got, err := Evaluate(dataset.MakeColumns(pts, ws), Naive, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := kt.String() + "/weighted"
-				if ws == nil {
-					label = kt.String() + "/unweighted"
-				}
-				assertBitIdentical(t, got, want, label)
+		want := aosReference(pts, opt)
+		for _, workers := range []int{1, 4} {
+			opt.Workers = workers
+			got, err := Evaluate(cols(pts), Naive, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertBitIdentical(t, got, want, kt.String())
 		}
 	}
 }
@@ -96,10 +82,10 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 // calls through the chunkEval function value included: none, for naive's
 // pixel-major gather (Gaussian, exponential), for every finite kernel's
 // row scatter, for grid-cutoff's filtered scan with its counters, and for
-// the polynomial kernels' sweep row once its pooled buffer is warm, each
-// unweighted and weighted. Five chunks give the row several chunks to
-// stream. The race detector's sync.Pool drops pooled items at random, so
-// the sweep row is counted only without it.
+// the polynomial kernels' sweep row once its pooled buffer is warm. Five
+// chunks give the row several chunks to stream. The race detector's
+// sync.Pool drops pooled items at random, so the sweep row is counted only
+// without it.
 func TestHotPathAllocs(t *testing.T) {
 	pts := multiChunkPoints(13, 4*dataset.ChunkSize+100)
 	row := make([]float64, 8)
@@ -114,15 +100,13 @@ func TestHotPathAllocs(t *testing.T) {
 			if SweepSupported(kt) && !raceEnabled {
 				build = append(build, buildSweep)
 			}
-			for _, ws := range [][]float64{nil, mixedWeights(len(pts))} {
-				for _, b := range build {
-					rc, _, err := b(dataset.MakeColumns(pts, ws), &opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != 0 {
-						t.Errorf("%T.computeRow (weighted=%t) allocates %v times per row, want 0", rc, ws != nil, got)
-					}
+			for _, b := range build {
+				rc, _, err := b(cols(pts), &opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := testing.AllocsPerRun(10, func() { rc.computeRow(2, row) }); got != 0 {
+					t.Errorf("%T.computeRow allocates %v times per row, want 0", rc, got)
 				}
 			}
 		})

@@ -76,11 +76,11 @@ type sweepComputer struct {
 	opt *Options
 
 	// Points counting-sorted into raster-row buckets (input order kept
-	// within a bucket); ws nil if unweighted. Bucket j — the points whose y
-	// falls in row j's cell, the outermost buckets also taking everything
-	// beyond the grid — is [rowOff[j], rowOff[j+1]).
-	xs, ys, ws []float64
-	rowOff     []int32
+	// within a bucket). Bucket j — the points whose y falls in row j's
+	// cell, the outermost buckets also taking everything beyond the grid —
+	// is [rowOff[j], rowOff[j+1]).
+	xs, ys []float64
+	rowOff []int32
 
 	poly sweepPoly      // the kernel's written-out update and pixel sum
 	fp   geom.Footprint // the kernel's footprint: its row halo, each point's columns
@@ -98,7 +98,7 @@ var sweepBufs sync.Pool // *sweepBuf
 // its links in the two column chains, in one record, so an event touches
 // one cache line.
 type sweepEvent struct {
-	a, x, w             float64 // A_p, absolute p.x, weight (1 when unweighted)
+	a, x                float64 // A_p, absolute p.x
 	nextEnter, nextExit int32   // chain links
 }
 
@@ -111,7 +111,7 @@ type sweepBuf struct {
 	band      []sweepEvent // the row's band, in bucket order
 
 	// Running power sums relative to the local origin: slot m² + k holds
-	// S[m][k] = Σ w·c_m(A)·(p.x − origin)^k, k ≤ 2m.
+	// S[m][k] = Σ c_m(A)·(p.x − origin)^k, k ≤ 2m.
 	agg []float64
 }
 
@@ -163,7 +163,7 @@ func (c *sweepComputer) candidates(iy int) (lo, hi int32) {
 	return c.rowOff[max(iy-c.halo, 0)], c.rowOff[min(iy+c.halo, c.opt.Grid.NY-1)+1]
 }
 
-// bucketRows fills xs/ys/ws/rowOff with a stable counting sort of cols by
+// bucketRows fills xs/ys/rowOff with a stable counting sort of cols by
 // raster row: O(n + Y), against the O(n log n) of ordering by y, and rows
 // need nothing finer — each takes its band from the buckets within the
 // footprint's row halo and tests the candidates exactly.
@@ -181,18 +181,12 @@ func (c *sweepComputer) bucketRows(cols dataset.Columns) {
 	}
 	c.xs = make([]float64, n)
 	c.ys = make([]float64, n)
-	if cols.W != nil {
-		c.ws = make([]float64, n)
-	}
 	next := append([]int32(nil), c.rowOff[:g.NY]...)
 	for i, y := range cols.Y {
 		j := bucket(y)
 		k := next[j]
 		next[j]++
 		c.xs[k], c.ys[k] = cols.X[i], y
-		if c.ws != nil {
-			c.ws[k] = cols.W[i]
-		}
 	}
 }
 
@@ -232,12 +226,11 @@ func newSweepPoly(deg int, b float64) sweepPoly {
 	return p
 }
 
-// update adds (sign = +1) or removes (sign = −1) a band point's
-// contribution to the power sums agg, relative to origin: with
-// s = sign·w, px = x − origin and v_m = s·c_m(a), S[m][k] += v_m·px^k.
-func (p *sweepPoly) update(agg []float64, a, x, origin, w, sign float64) {
+// update adds (s = +1) or removes (s = −1) a band point's contribution to
+// the power sums agg, relative to origin: with px = x − origin and
+// v_m = s·c_m(a), S[m][k] += v_m·px^k.
+func (p *sweepPoly) update(agg []float64, a, x, origin, s float64) {
 	px := x - origin
-	s := float64(sign * w)
 	switch p.deg {
 	case 0:
 		agg[0] += float64(s * p.invB)
@@ -293,7 +286,7 @@ func (p *sweepPoly) update(agg []float64, a, x, origin, w, sign float64) {
 // eval returns the kernel sum at pixel abscissa qx from power sums held
 // relative to origin, clamped at 0: with q = qx − origin it is
 // Σ_m (1/b²)^m · Σ_k C(2m, k)·(−1)^k·q^(2m−k)·S[m][k], the binomial
-// expansion of Σ_p w·c_m(A)·(q − px)^(2m).
+// expansion of Σ_p c_m(A)·(q − px)^(2m).
 func (p *sweepPoly) eval(agg []float64, qx, origin float64) float64 {
 	q := qx - origin
 	q2 := q * q
@@ -395,11 +388,7 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		if colLo >= colHi {
 			continue
 		}
-		w := 1.0
-		if c.ws != nil {
-			w = c.ws[i]
-		}
-		buf.band = append(buf.band, sweepEvent{a: 1 - dy*dy/b2, x: px, w: w, nextEnter: buf.enterHead[colLo], nextExit: buf.exitHead[colHi]})
+		buf.band = append(buf.band, sweepEvent{a: 1 - dy*dy/b2, x: px, nextEnter: buf.enterHead[colLo], nextExit: buf.exitHead[colHi]})
 		bi := int32(len(buf.band))
 		buf.enterHead[colLo] = bi
 		buf.exitHead[colHi] = bi
@@ -419,7 +408,7 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		// the bandwidth that is every point, and no shift is needed at all.
 		for e := buf.exitHead[ix]; e != 0; e = buf.band[e-1].nextExit {
 			p := &buf.band[e-1]
-			c.poly.update(buf.agg, p.a, p.x, origin, p.w, -1)
+			c.poly.update(buf.agg, p.a, p.x, origin, -1)
 			active--
 		}
 		switch {
@@ -434,7 +423,7 @@ func (c *sweepComputer) computeRow(iy int, row []float64) {
 		}
 		for e := buf.enterHead[ix]; e != 0; e = buf.band[e-1].nextEnter {
 			p := &buf.band[e-1]
-			c.poly.update(buf.agg, p.a, p.x, origin, p.w, +1)
+			c.poly.update(buf.agg, p.a, p.x, origin, +1)
 			active++
 		}
 		if active == 0 {

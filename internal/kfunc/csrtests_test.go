@@ -10,7 +10,7 @@ import (
 	"geostat/internal/geom"
 )
 
-func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts, nil) }
+func cols(pts []geom.Point) dataset.Columns { return dataset.MakeColumns(pts) }
 
 func TestQuadratTestRegimes(t *testing.T) {
 	const alpha = 0.01

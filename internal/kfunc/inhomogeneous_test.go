@@ -77,7 +77,7 @@ func TestInhomogeneousNullSeparatesIntensityFromInteraction(t *testing.T) {
 	// True interaction still exceeds the fitted-intensity null: a Matérn
 	// process has clustering beyond its smoothed intensity.
 	mat := clusteredN(&cfgLike{seed: 2}, 1500)
-	fitM, err := kde.Evaluate(dataset.MakeColumns(mat, nil), kde.Auto, kde.Options{Kernel: kernel.MustNew(kernel.Quartic, 12), Grid: spec})
+	fitM, err := kde.Evaluate(dataset.MakeColumns(mat), kde.Auto, kde.Options{Kernel: kernel.MustNew(kernel.Quartic, 12), Grid: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

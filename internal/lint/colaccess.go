@@ -9,17 +9,17 @@ import (
 )
 
 // ColAccess guards the chunked-SoA dataset core: the column slices
-// (dataset.Columns.X/Y/W/Chunks) and per-chunk aggregates (dataset.Chunk's
+// (dataset.Columns.X/Y/Chunks) and per-chunk aggregates (dataset.Chunk's
 // fields) are shared, read-only views of a Dataset's internal storage.
 // Reading them is the whole point of the columnar API — the hot loops in
 // kde/kfunc/idw iterate the slices directly — but any mutation outside
 // internal/dataset corrupts the dataset behind its owner's back and
-// silently desynchronises the chunk aggregates (bbox, weight sum,
-// centroid) from the coordinates they summarise. The analyzer therefore
-// flags writes, compound assignments, ++/-- and address-taking of those
-// fields (including element writes like cols.X[i] = v) in every package
-// except internal/dataset itself; mutation goes through the Dataset API
-// (SetWeights, Subset, ...) which rebuilds the aggregates.
+// silently desynchronises the chunk aggregates (each chunk's bounding box)
+// from the coordinates they summarise. The analyzer therefore flags
+// writes, compound assignments, ++/-- and address-taking of those fields
+// (including element writes like cols.X[i] = v) in every package except
+// internal/dataset itself; a changed point set is built through the
+// Dataset API (Subset, FilterBox, ...), which builds its aggregates.
 var ColAccess = &analysis.Analyzer{
 	Name: "colaccess",
 	Doc: "flags mutation of the dataset's internal column storage " +
@@ -88,7 +88,7 @@ func colField(pass *analysis.Pass, e ast.Expr) (string, token.Pos, bool) {
 					return obj.Name() + "." + x.Sel.Name, x.Pos(), true
 				}
 			}
-			// A nested field write (chunks[0].Centroid.X = v) still mutates
+			// A nested field write (chunks[0].BBox.MinX = v) still mutates
 			// the chunk storage: keep walking toward the base.
 			e = x.X
 		default:

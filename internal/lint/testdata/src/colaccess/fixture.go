@@ -14,7 +14,6 @@ func reads(d *dataset.Dataset) float64 {
 	cols := d.Columns()
 	sum := 0.0
 	for _, ch := range d.Chunks() {
-		sum += ch.WeightSum
 		for i := ch.Lo; i < ch.Hi; i++ {
 			sum += cols.X[i] * cols.Y[i]
 		}
@@ -26,14 +25,12 @@ func writes(d *dataset.Dataset) {
 	cols := d.Columns()
 	cols.X = nil          // want `write to dataset column storage Columns\.X`
 	cols.X[0] = 1         // want `write to dataset column storage Columns\.X`
-	cols.W[2] += 0.5      // want `write to dataset column storage Columns\.W`
 	cols.Chunks = nil     // want `write to dataset column storage Columns\.Chunks`
 	cols.Chunks[0].Lo = 3 // want `write to dataset column storage Chunk\.Lo`
 
 	chunks := d.Chunks()
-	chunks[0].Hi++            // want `write to dataset column storage Chunk\.Hi`
-	chunks[0].WeightSum = 0   // want `write to dataset column storage Chunk\.WeightSum`
-	chunks[0].Centroid.X = 99 // want `write to dataset column storage Chunk\.Centroid`
+	chunks[0].Hi++           // want `write to dataset column storage Chunk\.Hi`
+	chunks[0].BBox.MinX = 99 // want `write to dataset column storage Chunk\.BBox`
 }
 
 func addresses(d *dataset.Dataset) {

@@ -326,15 +326,6 @@ func heatmapValue(g *geostat.Heatmap, format, dataset, method string) (Value, er
 
 // ---- tool compute functions ----
 
-var kdvMethods = map[string]geostat.KDVMethod{
-	"auto":         geostat.KDVAuto,
-	"naive":        geostat.KDVNaive,
-	"grid-cutoff":  geostat.KDVGridCutoff,
-	"sweep-line":   geostat.KDVSweepLine,
-	"bound-approx": geostat.KDVBoundApprox,
-	"sampled":      geostat.KDVSampled,
-}
-
 // computeKDV serves GET /v1/kdv: a kernel density raster tile.
 // Parameters: kernel (default quartic), bandwidth (0 = Silverman's rule),
 // method (auto|naive|grid-cutoff|sweep-line|bound-approx|sampled),
@@ -343,9 +334,9 @@ var kdvMethods = map[string]geostat.KDVMethod{
 func (s *Server) computeKDV(ctx context.Context, d *geostat.Dataset, p *params) (Value, error) {
 	_, parse := obs.Trace(ctx, "kdv.parse")
 	defer parse.End()
-	method, ok := kdvMethods[p.str("method", "auto")]
-	if !ok {
-		return Value{}, fmt.Errorf("unknown method %q", p.str("method", "auto"))
+	method, err := geostat.ParseKDVMethod(p.str("method", "auto"))
+	if err != nil {
+		return Value{}, err
 	}
 	ktype, err := geostat.ParseKernel(p.str("kernel", "quartic"))
 	if err != nil {

@@ -85,9 +85,6 @@ func PlanKDV(d *dataset.Dataset, name string, req KDVRequest) (*KDVPlan, error) 
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	if d.HasWeights() {
-		return nil, fmt.Errorf("shard: weighted datasets are not shardable (the CSV transport carries x,y[,t][,value] only)")
-	}
 	if req.Kernel.Bandwidth() <= 0 {
 		return nil, fmt.Errorf("shard: kernel not initialised (zero bandwidth); use kernel.New")
 	}
@@ -189,9 +186,6 @@ func PlanKFunc(d *dataset.Dataset, name string, req KFuncRequest) (*KFuncPlan, e
 	}
 	if err := checkName(name); err != nil {
 		return nil, err
-	}
-	if d.HasWeights() {
-		return nil, fmt.Errorf("shard: weighted datasets are not shardable (the CSV transport carries x,y[,t][,value] only)")
 	}
 	if len(req.Thresholds) == 0 {
 		return nil, fmt.Errorf("shard: no thresholds")

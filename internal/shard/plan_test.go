@@ -205,19 +205,6 @@ func TestPlanKDVValidation(t *testing.T) {
 		}
 	}
 
-	// Weighted datasets cannot ride the CSV transport.
-	wd := planData(t, 3, 50)
-	weights := make([]float64, wd.N())
-	for i := range weights {
-		weights[i] = 2
-	}
-	if err := wd.SetWeights(weights); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlanKDV(wd, "p", good); err == nil {
-		t.Error("weighted dataset accepted")
-	}
-
 	if _, err := PlanKDV(d, "p", good); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}

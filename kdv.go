@@ -32,7 +32,8 @@ const (
 	KDVSampled = kde.Sampled
 )
 
-// KDVOptions configures KDV (Definition 1 of the paper).
+// KDVOptions configures KDV (Definition 1 of the paper): every event
+// counts once, and Definition 1's w is the one constant Normalize applies.
 type KDVOptions struct {
 	// Kernel is K and its bandwidth b.
 	Kernel Kernel
@@ -53,9 +54,6 @@ type KDVOptions struct {
 	// Seed drives KDVSampled's subset draw; the same (points, options,
 	// Seed) always yields the same surface.
 	Seed int64
-	// Weights optionally weights each event (severity, case counts).
-	// Supported by the exact methods; the approximate methods reject it.
-	Weights []float64
 	// Ctx optionally bounds the computation (per-request timeouts, client
 	// disconnects): raster workers check it between row chunks and KDV
 	// returns ctx.Err() with a nil surface when it fires. Nil means no
@@ -69,21 +67,14 @@ type KDVOptions struct {
 	Window GridWindow
 }
 
-// KDVDataset computes a kernel density surface over opt.Grid. Every method
-// reads the dataset's columnar storage in place, through the one evaluator
-// pipeline (kde.Evaluate); a method/option combination outside the
-// method's declared capabilities returns a *kde.UnsupportedError. When
-// opt.Weights is nil the dataset's own weights column (if any) applies;
-// otherwise opt.Weights replaces it.
+// KDVDataset computes a kernel density surface over opt.Grid: each pixel
+// sums K over every event of d, each event counting once (Definition 1).
+// Every method reads the dataset's columnar storage in place, through the
+// one evaluator pipeline (kde.Evaluate); a method/option combination
+// outside the method's declared capabilities returns a
+// *kde.UnsupportedError.
 func KDVDataset(d *Dataset, opt KDVOptions) (*Heatmap, error) {
-	cols := d.Columns()
-	if opt.Weights != nil {
-		var err error
-		if cols, err = cols.WithWeights(opt.Weights); err != nil {
-			return nil, err
-		}
-	}
-	return kde.Evaluate(cols, opt.Method, kde.Options{
+	return kde.Evaluate(d.Columns(), opt.Method, kde.Options{
 		Kernel:    opt.Kernel,
 		Grid:      opt.Grid,
 		Normalize: opt.Normalize,
@@ -138,7 +129,7 @@ func AdaptiveBandwidths(d *Dataset, k int, scale, minBandwidth float64) ([]float
 // SilvermanBandwidth returns the 2-D normal-reference pilot bandwidth
 // σ̂·n^{−1/6}.
 func SilvermanBandwidth(pts []Point) (float64, error) {
-	return kde.SilvermanBandwidth(dataset.MakeColumns(pts, nil))
+	return kde.SilvermanBandwidth(dataset.MakeColumns(pts))
 }
 
 // SilvermanBandwidthDataset is SilvermanBandwidth over a Dataset's columns
