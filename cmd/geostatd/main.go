@@ -63,7 +63,7 @@ type timeoutFlags map[string]time.Duration
 func (t timeoutFlags) String() string {
 	parts := make([]string, 0, len(t))
 	for tool, d := range t {
-		parts = append(parts, tool+"="+d.String()) //lint:allow maporder flag help text only, order is cosmetic
+		parts = append(parts, tool+"="+d.String())
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")

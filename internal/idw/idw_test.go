@@ -1,12 +1,15 @@
 package idw
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"geostat/internal/dataset"
 	"geostat/internal/geom"
+	"geostat/internal/raster"
 )
 
 var box = geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
@@ -222,5 +225,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 	o.Workers = -1
 	if _, err := KNN(d, o, 5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelledCtxStopsEveryMethod: each IDW method run under an already
+// cancelled opt.Ctx returns (nil, context.Canceled) instead of a raster.
+func TestCancelledCtxStopsEveryMethod(t *testing.T) {
+	d := field(1, 200)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := opts()
+	opt.Ctx = ctx
+	for name, run := range map[string]func() (*raster.Grid, error){
+		"naive":  func() (*raster.Grid, error) { return Naive(d, opt) },
+		"knn":    func() (*raster.Grid, error) { return KNN(d, opt, 8) },
+		"radius": func() (*raster.Grid, error) { return Radius(d, opt, 20) },
+	} {
+		if g, err := run(); g != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got (%v, %v), want (nil, context.Canceled)", name, g, err)
+		}
 	}
 }

@@ -155,3 +155,16 @@ func TestPlotCancelInsideSimulation(t *testing.T) {
 		t.Fatalf("plot = %v, err = %v; want nil, context.Canceled", plot, err)
 	}
 }
+
+// TestCurveCancelled: Curve under an already cancelled ctx returns
+// (nil, context.Canceled) instead of counts.
+func TestCurveCancelled(t *testing.T) {
+	pts := cols(csr(1, 500))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if counts, err := Curve(ctx, pts.X, pts.Y, []float64{1, 2}, workers); counts != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, counts, err)
+		}
+	}
+}

@@ -81,15 +81,6 @@ func SolveInPlace(a *Matrix, b []float64) error {
 	return nil
 }
 
-// Solve is SolveInPlace on copies, leaving a and b intact and returning x.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	x := append([]float64(nil), b...)
-	if err := SolveInPlace(a.Clone(), x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 func swapRows(m *Matrix, i, j int) {
 	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
 	rj := m.Data[j*m.Cols : (j+1)*m.Cols]

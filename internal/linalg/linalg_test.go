@@ -6,12 +6,18 @@ import (
 	"testing"
 )
 
+// solve runs SolveInPlace on copies of a and b.
+func solve(a *Matrix, b []float64) ([]float64, error) {
+	x := append([]float64(nil), b...)
+	return x, SolveInPlace(a.Clone(), x)
+}
+
 func TestSolveIdentity(t *testing.T) {
 	a := NewMatrix(3, 3)
 	for i := 0; i < 3; i++ {
 		a.Set(i, i, 1)
 	}
-	x, err := Solve(a, []float64{4, -5, 6})
+	x, err := solve(a, []float64{4, -5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +36,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, -1)
-	x, err := Solve(a, []float64{5, 1})
+	x, err := solve(a, []float64{5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +53,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 1)
-	x, err := Solve(a, []float64{3, 5})
+	x, err := solve(a, []float64{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +68,7 @@ func TestSolveSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4) // rank 1
-	if _, err := Solve(a, []float64{1, 2}); err == nil {
+	if _, err := solve(a, []float64{1, 2}); err == nil {
 		t.Error("singular system accepted")
 	}
 }
@@ -96,7 +102,7 @@ func TestSolveResidual(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64() * 10
 		}
-		x, err := Solve(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -109,20 +115,5 @@ func TestSolveResidual(t *testing.T) {
 				t.Fatalf("trial %d: residual %v at row %d", trial, sum-b[i], i)
 			}
 		}
-	}
-}
-
-func TestSolveLeavesInputsIntact(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 2)
-	b := []float64{5, 5}
-	if _, err := Solve(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0) != 3 || a.At(1, 1) != 2 || b[0] != 5 {
-		t.Error("Solve modified its inputs")
 	}
 }

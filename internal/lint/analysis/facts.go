@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a typed statement an analyzer proves about a package-level
@@ -91,26 +90,6 @@ func (p *Pass) checkFactDeclared(fact Fact) {
 		}
 	}
 	panic(fmt.Sprintf("%s: fact type %T not declared in FactTypes", p.Analyzer.Name, fact))
-}
-
-// ObjectsWithFact returns every object carrying a fact of the same type
-// as fact, sorted by position for deterministic iteration. Used by tests
-// and debugging output; analyzers normally query specific objects.
-func (s *FactStore) ObjectsWithFact(fact Fact) []types.Object {
-	t := reflect.TypeOf(fact)
-	var out []types.Object
-	for k := range s.m {
-		if k.typ == t {
-			out = append(out, k.obj) //lint:allow maporder out is position-sorted immediately below
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos() != out[j].Pos() {
-			return out[i].Pos() < out[j].Pos()
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
 }
 
 // Len returns the number of facts recorded.

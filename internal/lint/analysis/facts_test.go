@@ -76,20 +76,6 @@ func TestFactImportCopies(t *testing.T) {
 	}
 }
 
-func TestObjectsWithFactSorted(t *testing.T) {
-	store := NewFactStore()
-	pkg := types.NewPackage("p", "p")
-	p := newTestPass(t, "p", store, (*testFact)(nil))
-	late := types.NewVar(token.Pos(200), pkg, "late", types.Typ[types.Int])
-	early := types.NewVar(token.Pos(100), pkg, "early", types.Typ[types.Int])
-	p.ExportObjectFact(late, &testFact{})
-	p.ExportObjectFact(early, &testFact{})
-	objs := store.ObjectsWithFact(&testFact{})
-	if len(objs) != 2 || objs[0] != early || objs[1] != late {
-		t.Fatalf("objects not position-sorted: %v", objs)
-	}
-}
-
 func TestUndeclaredFactPanics(t *testing.T) {
 	store := NewFactStore()
 	pkg := types.NewPackage("p", "p")

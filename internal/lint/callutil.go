@@ -93,32 +93,3 @@ func packageFuncs(pass *analysis.Pass) []funcInfo {
 	}
 	return out
 }
-
-// enclosingFuncs walks file invoking visit for every node along with the
-// innermost enclosing function-like node (*ast.FuncDecl or *ast.FuncLit;
-// nil at file scope). Used by analyzers whose rules depend on what
-// function a node appears in.
-func enclosingFuncs(file *ast.File, visit func(n ast.Node, encl ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil { // leaving the node pushed last
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		var encl ast.Node
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i] != nil {
-				encl = stack[i]
-				break
-			}
-		}
-		visit(n, encl)
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			stack = append(stack, n)
-		default:
-			stack = append(stack, nil)
-		}
-		return true
-	})
-}

@@ -133,7 +133,6 @@ func DiffDebt(baseline, current *DebtReport) (string, bool) {
 	}
 	sorted := make([]string, 0, len(names))
 	for n := range names {
-		//lint:allow maporder sorted immediately below; only membership comes from the map
 		sorted = append(sorted, n)
 	}
 	sort.Strings(sorted)

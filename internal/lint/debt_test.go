@@ -19,11 +19,11 @@ func TestParseAllowDetail(t *testing.T) {
 		reason string
 		ok     bool
 	}{
-		{"//lint:allow maporder keys are sorted below", []string{"maporder"}, "keys are sorted below", true},
-		{"//lint:allow floateq,maporder shared justification", []string{"floateq", "maporder"}, "shared justification", true},
+		{"//lint:allow seededrand seeded by the caller", []string{"seededrand"}, "seeded by the caller", true},
+		{"//lint:allow floateq,seededrand shared justification", []string{"floateq", "seededrand"}, "shared justification", true},
 		{"//lint:allow bodyclose", []string{"bodyclose"}, "", true},
 		{"//lint:allow", nil, "", false},
-		{"// lint:allow maporder spaced prefix is not a directive", nil, "", false},
+		{"// lint:allow seededrand spaced prefix is not a directive", nil, "", false},
 		{"// plain comment", nil, "", false},
 	}
 	for _, tt := range tests {
@@ -55,16 +55,16 @@ func report(byAnalyzer map[string]int, entries ...DebtEntry) *DebtReport {
 }
 
 func TestDiffDebtGate(t *testing.T) {
-	base := report(map[string]int{"maporder": 2, "floateq": 1})
+	base := report(map[string]int{"seededrand": 2, "floateq": 1})
 
 	t.Run("equal passes", func(t *testing.T) {
-		table, ok := DiffDebt(base, report(map[string]int{"maporder": 2, "floateq": 1}))
+		table, ok := DiffDebt(base, report(map[string]int{"seededrand": 2, "floateq": 1}))
 		if !ok {
 			t.Fatalf("equal debt must pass:\n%s", table)
 		}
 	})
 	t.Run("growth fails", func(t *testing.T) {
-		table, ok := DiffDebt(base, report(map[string]int{"maporder": 3, "floateq": 1}))
+		table, ok := DiffDebt(base, report(map[string]int{"seededrand": 3, "floateq": 1}))
 		if ok {
 			t.Fatalf("growth must fail")
 		}
@@ -73,13 +73,13 @@ func TestDiffDebtGate(t *testing.T) {
 		}
 	})
 	t.Run("new analyzer fails", func(t *testing.T) {
-		_, ok := DiffDebt(base, report(map[string]int{"maporder": 2, "floateq": 1, "bodyclose": 1}))
+		_, ok := DiffDebt(base, report(map[string]int{"seededrand": 2, "floateq": 1, "bodyclose": 1}))
 		if ok {
 			t.Fatalf("a suppression for a previously debt-free analyzer must fail")
 		}
 	})
 	t.Run("shrink passes with refresh note", func(t *testing.T) {
-		table, ok := DiffDebt(base, report(map[string]int{"maporder": 1, "floateq": 1}))
+		table, ok := DiffDebt(base, report(map[string]int{"seededrand": 1, "floateq": 1}))
 		if !ok {
 			t.Fatalf("shrinking must pass:\n%s", table)
 		}
@@ -88,8 +88,8 @@ func TestDiffDebtGate(t *testing.T) {
 		}
 	})
 	t.Run("unjustified fails even within budget", func(t *testing.T) {
-		cur := report(map[string]int{"maporder": 2, "floateq": 1},
-			DebtEntry{File: "a.go", Line: 3, Analyzers: []string{"maporder"}})
+		cur := report(map[string]int{"seededrand": 2, "floateq": 1},
+			DebtEntry{File: "a.go", Line: 3, Analyzers: []string{"seededrand"}})
 		table, ok := DiffDebt(base, cur)
 		if ok {
 			t.Fatalf("a reason-less directive must fail regardless of budget")
@@ -106,9 +106,9 @@ func TestDiffDebtGate(t *testing.T) {
 // with a reason and within budget. Every analyzer geolint has deleted is
 // checked by name, with a typo and next to a live control.
 func TestCollectDebtStaleAnalyzer(t *testing.T) {
-	stale := []string{"copylocks", "cancelleak", "unusedresult", "loopclosure", "purity", "maporderr", "detflow", "mustclose"}
+	stale := []string{"copylocks", "cancelleak", "unusedresult", "loopclosure", "purity", "maporderr", "detflow", "mustclose", "ctxflow", "maporder"}
 	var src strings.Builder
-	src.WriteString("package stale\n\n//lint:allow maporder keys are sorted below\nvar Live = 1\n")
+	src.WriteString("package stale\n\n//lint:allow seededrand seeded by the caller\nvar Live = 1\n")
 	for i, name := range stale {
 		fmt.Fprintf(&src, "\n//lint:allow %s a reason that cannot help\nvar V%d = %d\n", name, i, i)
 	}
@@ -132,7 +132,7 @@ func TestCollectDebtStaleAnalyzer(t *testing.T) {
 	if r.Total != 1+len(stale) || r.Unjustified != len(stale) {
 		t.Fatalf("total %d, unjustified %d; want %d and %d", r.Total, r.Unjustified, 1+len(stale), len(stale))
 	}
-	budget := map[string]int{"maporder": 1}
+	budget := map[string]int{"seededrand": 1}
 	for _, name := range stale {
 		budget[name] = 1
 	}
@@ -150,8 +150,8 @@ func TestCollectDebtStaleAnalyzer(t *testing.T) {
 		t.Fatalf("no entry for //lint:allow %s in %+v", name, r.Entries)
 		return DebtEntry{}
 	}
-	t.Run("maporder", func(t *testing.T) {
-		if p := entry(t, "maporder").problem(); p != "" {
+	t.Run("seededrand", func(t *testing.T) {
+		if p := entry(t, "seededrand").problem(); p != "" {
 			t.Fatalf("a live analyzer with a reason must be justified, got %q", p)
 		}
 	})
@@ -168,8 +168,8 @@ func TestCollectDebtStaleAnalyzer(t *testing.T) {
 }
 
 func TestDebtJSONRoundTrip(t *testing.T) {
-	r := report(map[string]int{"maporder": 1},
-		DebtEntry{File: "internal/x/x.go", Line: 10, Analyzers: []string{"maporder"}, Reason: "sorted below"})
+	r := report(map[string]int{"seededrand": 1},
+		DebtEntry{File: "internal/x/x.go", Line: 10, Analyzers: []string{"seededrand"}, Reason: "seeded by the caller"})
 	data, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestDebtJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Total != r.Total || got.Unjustified != r.Unjustified ||
-		got.ByAnalyzer["maporder"] != 1 || len(got.Entries) != 1 ||
+		got.ByAnalyzer["seededrand"] != 1 || len(got.Entries) != 1 ||
 		!reflect.DeepEqual(got.Entries[0], r.Entries[0]) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}

@@ -18,7 +18,6 @@
 //     outside internal/parallel);
 //   - floateq — no ==/!= on computed floating-point values in statistic
 //     code (zero sentinels and NaN self-compares are allowed);
-//   - maporder — no result assembly driven by map iteration order;
 //   - workersopt — every exported entry point that accepts a Workers
 //     option actually threads it into the parallel engine;
 //   - obsname — every obs span name literal follows the documented
@@ -29,10 +28,6 @@
 //   - blockfacts — (fact producer, no reports) marks functions that may
 //     block: channel operations, selects, WaitGroup.Wait, blocking stdlib
 //     calls, and anything that transitively calls one;
-//   - ctxflow — a function that receives a context.Context threads it to
-//     every callee that accepts one; context.Background()/TODO() is
-//     confined to main packages, the parallel engine's legacy wrappers,
-//     and context-returning normalizers;
 //   - locksafe — no sync.Mutex/RWMutex held across channel operations or
 //     calls carrying the may-block fact (the statically-checkable half of
 //     the PR-4 registry race class).
@@ -59,7 +54,9 @@
 // kde, idw and kfunc packages, not inferred here. Seeded results are
 // held bit-identical by the same-seed and worker-count tests, and metric
 // names by the obs registry, which panics on a bad one at registration.
-// Each analyzer here is kept for a production mutation that only it
+// Output assembled from a map range is held sorted by the cache-key,
+// metrics-text and dataset-listing tests, and a context that stops short
+// of the parallel engine fails a cancellation or trace test. Each analyzer here is kept for a production mutation that only it
 // catches (DESIGN.md, "What tests catch instead").
 //
 // A finding is suppressed by a `//lint:allow <analyzer> <reason>` comment
@@ -90,12 +87,10 @@ func Analyzers() []*analysis.Analyzer {
 		NoRawGoroutine,
 		SeededRand,
 		FloatEq,
-		MapOrder,
 		WorkersOpt,
 		ObsName,
 		ColAccess,
 		BlockFacts,
-		CtxFlow,
 		LockSafe,
 		BodyClose,
 		UnlockPath,
@@ -111,23 +106,6 @@ func Lookup(name string) (*analysis.Analyzer, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Run applies analyzers to a single package (loaded by l) and returns
-// surviving diagnostics sorted by file position. It is the single-package
-// convenience over RunPackages; fixture packages that import other
-// fixture packages get their dependencies analyzed too (facts), but only
-// pkg's own diagnostics are returned.
-func Run(l *load.Loader, pkg *load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	findings, err := RunPackages(l, []*load.Package{pkg}, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	diags := make([]analysis.Diagnostic, len(findings))
-	for i, f := range findings {
-		diags[i] = f.Diagnostic
-	}
-	return diags, nil
 }
 
 // filterAllowed drops diagnostics covered by a //lint:allow directive.

@@ -171,6 +171,24 @@ func TestEventExpansionCancels(t *testing.T) {
 	}
 }
 
+// TestCancelledCtxStopsEveryMethod: each NKDV method run under an already
+// cancelled opt.Ctx returns (nil, context.Canceled) instead of a surface.
+func TestCancelledCtxStopsEveryMethod(t *testing.T) {
+	g := network.GridNetwork(4, 4, 10, geom.Point{})
+	events := network.RandomPositionsRand(rand.New(rand.NewSource(3)), g, 50)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := opts(12, 2)
+	opt.Ctx = ctx
+	for name, run := range map[string]func(*network.Graph, []network.Position, Options) (*Surface, error){
+		"Naive": Naive, "Forward": Forward, "ForwardESD": ForwardESD,
+	} {
+		if s, err := run(g, events, opt); s != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got (%v, %v), want (nil, context.Canceled)", name, s, err)
+		}
+	}
+}
+
 func TestEmptyEvents(t *testing.T) {
 	g := lineGraph()
 	s, err := Forward(g, nil, opts(5, 2))

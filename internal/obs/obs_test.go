@@ -82,6 +82,11 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestRegistryPrometheusText(t *testing.T) {
 	r := obs.NewRegistry()
+	// A small map ranges as a rotation of its insertion order. No rotation
+	// of the order the families are registered in is sorted, nor of the
+	// three requests_total series, registered in decreasing order: output
+	// that skips either sort fails here on every run.
+	r.Counter("geostatd_requests_total", "requests per tool", obs.L("tool", "moran")).Add(2)
 	r.Counter("geostatd_requests_total", "requests per tool", obs.L("tool", "kdv")).Add(3)
 	r.Counter("geostatd_requests_total", "requests per tool", obs.L("tool", "idw")).Inc()
 	r.Gauge("geostatd_requests_inflight", "executing now").Set(2)
@@ -112,6 +117,7 @@ geostatd_requests_inflight 2
 # TYPE geostatd_requests_total counter
 geostatd_requests_total{tool="idw"} 1
 geostatd_requests_total{tool="kdv"} 3
+geostatd_requests_total{tool="moran"} 2
 `
 	if got := b.String(); got != want {
 		t.Errorf("prometheus text mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

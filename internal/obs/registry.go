@@ -185,7 +185,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
-		names = append(names, name) //lint:allow maporder names are sorted before use
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	snaps := make([]famSnapshot, 0, len(names))
@@ -193,7 +193,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f := r.families[name]
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
-			keys = append(keys, k) //lint:allow maporder keys are sorted before use
+			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		ss := make([]*series, 0, len(keys))

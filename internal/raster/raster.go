@@ -84,25 +84,6 @@ func (g *Grid) MaxAbsDiff(o *Grid) (float64, error) {
 	return m, nil
 }
 
-// MaxRelDiff returns the maximum relative difference |a-b|/max(|b|, floor)
-// between two surfaces, used to verify (1±ε) approximation guarantees.
-func (g *Grid) MaxRelDiff(o *Grid, floor float64) (float64, error) {
-	if len(g.Values) != len(o.Values) {
-		return 0, fmt.Errorf("raster: grid sizes differ (%d vs %d)", len(g.Values), len(o.Values))
-	}
-	m := 0.0
-	for i := range g.Values {
-		den := math.Max(math.Abs(o.Values[i]), floor)
-		if den == 0 {
-			continue
-		}
-		if d := math.Abs(g.Values[i]-o.Values[i]) / den; d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // ColorRamp maps a normalised value in [0,1] to a color.
 type ColorRamp func(t float64) color.RGBA
 

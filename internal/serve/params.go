@@ -104,7 +104,7 @@ func (p *params) boolv(key string, def bool) bool {
 func cacheKey(tool, dataset string, version uint64, q url.Values) string {
 	keys := make([]string, 0, len(q))
 	for k := range q {
-		keys = append(keys, k) //lint:allow maporder keys are sorted before use
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder

@@ -106,7 +106,7 @@ func (r *Registry) List() []DatasetInfo {
 	defer r.mu.RUnlock()
 	names := make([]string, 0, len(r.entries))
 	for name := range r.entries {
-		names = append(names, name) //lint:allow maporder names are sorted before use
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	out := make([]DatasetInfo, len(names))

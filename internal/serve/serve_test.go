@@ -342,6 +342,32 @@ func TestUploadGeoJSON(t *testing.T) {
 	}
 }
 
+// TestListDatasetsSorted: GET /v1/datasets lists names sorted. The names
+// are registered in decreasing order, and a small Go map ranges as a
+// rotation of its insertion order, which for these names is never sorted:
+// a listing that skips the sort fails here on every run.
+func TestListDatasetsSorted(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	want := []string{"a", "b", "c", "d", "e"}
+	for i := len(want) - 1; i >= 0; i-- {
+		generate(t, srv, "name="+want[i]+"&kind=csr&n=10&seed=1")
+	}
+	rr := do(t, srv, http.MethodGet, "/v1/datasets", nil)
+	var list struct {
+		Datasets []serve.DatasetInfo `json:"datasets"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &list); err != nil {
+		t.Fatalf("list: %v: %s", err, rr.Body.String())
+	}
+	var got []string
+	for _, d := range list.Datasets {
+		got = append(got, d.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("GET /v1/datasets names %v, want %v", got, want)
+	}
+}
+
 func TestUnknownDatasetIs404(t *testing.T) {
 	srv := newServer(t, serve.Config{})
 	rr := do(t, srv, http.MethodGet, "/v1/kdv?dataset=nope", nil)

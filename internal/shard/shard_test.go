@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -404,6 +405,93 @@ func TestCallerCancelPropagates(t *testing.T) {
 	}
 	client.CloseIdleConnections()
 	settleGoroutines(t, baseline)
+}
+
+// TestPreCancelledRunSendsNothing: a run whose ctx is already cancelled
+// returns context.Canceled and sends no request. TestCallerCancelPropagates
+// does not cover this: its tiles are in flight when the ctx fires, so the
+// error comes back through the jobs. Here dispatch must skip every tile,
+// and KDV must not merge the parts it never fetched.
+func TestPreCancelledRunSendsNothing(t *testing.T) {
+	d := testData(5, 200)
+	c, workers, _ := cluster(t, 1, shard.Config{Replication: 1, Concurrency: 4})
+	workers[0].Script(shardtest.Rule{}) // a no-op rule: every request counts as a "delay" hit
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	g, err := c.KDV(ctx, d, "ev", kdvReq(kernel.MustNew(kernel.Quartic, 9), 2, 2))
+	if g != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("KDV = %v, %v; want nil, context.Canceled", g, err)
+	}
+	res, err := c.KFunction(ctx, d, "ev", shard.KFuncRequest{Thresholds: []float64{5, 10}, Sims: 3, Seed: 1})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("KFunction = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if n := workers[0].Hits("delay"); n != 0 {
+		t.Fatalf("cancelled runs sent %d worker requests", n)
+	}
+}
+
+// cancelWhen cancels once cond holds, so the caller gives up at the stage
+// cond observes.
+func cancelWhen(ctx context.Context, cancel context.CancelFunc, cond func() bool) {
+	go func() {
+		for !cond() && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+}
+
+// TestCallerCancelReleasesEachStage: the caller's cancel reaches the
+// request a worker is holding at every stage of a run: the digest check,
+// the upload, the tile and the K-function request. The attempt timeout is
+// long, so a stage that drops the caller's ctx ends in that timeout's
+// DeadlineExceeded instead of context.Canceled.
+func TestCallerCancelReleasesEachStage(t *testing.T) {
+	d := testData(5, 200)
+	for _, tool := range []string{"digest", "upload", "kdv", "kfunction"} {
+		t.Run(tool, func(t *testing.T) {
+			c, workers, _ := cluster(t, 1, shard.Config{
+				Replication: 1, Retries: 0, Timeout: 20 * time.Second,
+			})
+			workers[0].Script(shardtest.Rule{Tool: tool, Hang: true})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cancelWhen(ctx, cancel, func() bool { return workers[0].Hits("hang") > 0 })
+			var err error
+			if tool == "kfunction" {
+				_, err = c.KFunction(ctx, d, "ev", shard.KFuncRequest{Thresholds: []float64{5, 10}, Sims: 3, Seed: 1})
+			} else {
+				_, err = c.KDV(ctx, d, "ev", kdvReq(kernel.MustNew(kernel.Quartic, 9), 2, 2))
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("run cancelled while the worker held its %s request: %v, want context.Canceled", tool, err)
+			}
+		})
+	}
+}
+
+// TestCancelDuringBackoff: a cancel while a tile waits out its retry
+// backoff ends the run at once, with the failed attempt's error. A backoff
+// that ignored the cancel would sleep on, then find the ctx cancelled at
+// its next attempt and report context.Canceled instead.
+func TestCancelDuringBackoff(t *testing.T) {
+	d := testData(5, 200)
+	c, workers, _ := cluster(t, 1, shard.Config{
+		Replication: 1, Retries: 1, Backoff: 20 * time.Second, Timeout: 20 * time.Second,
+	})
+	workers[0].Script(shardtest.Rule{Tool: "kdv", Status: http.StatusServiceUnavailable})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The retry counter moves after the 503 reached the coordinator, just
+	// before the backoff starts.
+	retries := c.Metrics().Counter("shard_retries_total", "tile attempts beyond the first")
+	cancelWhen(ctx, cancel, func() bool { return retries.Value() > 0 })
+	_, err := c.KDV(ctx, d, "ev", kdvReq(kernel.MustNew(kernel.Quartic, 9), 1, 1))
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("cancel during backoff: %v, want the 503 attempt's error", err)
+	}
 }
 
 func TestPlacementCacheSkipsReupload(t *testing.T) {

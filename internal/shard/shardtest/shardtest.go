@@ -8,6 +8,7 @@ package shardtest
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -160,6 +161,8 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case rule.Hang:
+		// The server sees the client leave only once the body is read.
+		_, _ = io.Copy(io.Discard, r.Body)
 		<-r.Context().Done()
 		return
 	case rule.Status != 0:

@@ -258,21 +258,3 @@ func (m *Matrix) S0() float64 {
 	}
 	return s
 }
-
-// RowSum returns Σ_j w_ij for row i.
-func (m *Matrix) RowSum(i int) float64 {
-	s := 0.0
-	for k := m.off[i]; k < m.off[i+1]; k++ {
-		s += m.w[k]
-	}
-	return s
-}
-
-// RowSumSquares returns Σ_j w_ij² for row i.
-func (m *Matrix) RowSumSquares(i int) float64 {
-	s := 0.0
-	for k := m.off[i]; k < m.off[i+1]; k++ {
-		s += m.w[k] * m.w[k]
-	}
-	return s
-}
