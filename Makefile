@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check fmt-check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke smoke shard-smoke shard-baseline
+.PHONY: check fmt-check vet build test race lint lint-debt debt-gate points-gate cover fuzz-smoke bench bench-smoke artifacts-check smoke shard-smoke shard-baseline
 
 check: fmt-check vet build test race lint debt-gate points-gate
 
@@ -142,6 +142,20 @@ bench:
 bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# The committed figure outputs under artifacts/ are geobench's F1, F4 and
+# F5 files, byte-identical at any worker count: regenerate them into a temp
+# dir and require each to match. After an intended change to a figure,
+# regenerate with `go run ./cmd/geobench -exp F1,F4,F5 -dir artifacts`.
+ARTIFACTS = f1_heatmap.png f4_slice_t15.png f4_slice_t45.png f5_hotspot_map.png f5_events.csv
+
+artifacts-check:
+	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
+	$(GO) run ./cmd/geobench -exp F1,F4,F5 -dir $$tmp >/dev/null || exit 1; \
+	for f in $(ARTIFACTS); do \
+	  cmp artifacts/$$f $$tmp/$$f || { echo "artifacts/$$f differs from a fresh geobench run"; exit 1; }; \
+	done; \
+	echo "artifacts-check OK"
 
 # End-to-end smoke: boot geostatd, upload a small CSV and a small GeoJSON
 # body through the real listener (each must echo its point count), drive

@@ -1,42 +1,17 @@
 package geostat
 
-// Benchmarks for the extension features, mapped to the ablation experiments:
+// Benchmarks for the extension features, mapped to the ablation experiments
+// (cmd/geobench's A1 times the multi-bandwidth KDV):
 //
-//	A1 -> BenchmarkKDVMultiBandwidth    A2 -> BenchmarkKDVAdaptive
-//	A3 -> BenchmarkNKDVEqualSplit       streaming -> BenchmarkKDVStream
-//	cross-K/Knox/Geary/contour -> their own families below
+//	A2 -> BenchmarkKDVAdaptive    A3 -> BenchmarkNKDVEqualSplit
+//	streaming -> BenchmarkKDVStream
+//	cross-K/Knox/Geary/contour/bandwidth -> their own families below
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// A1: m bandwidths — independent support scans vs the shared one-pass.
-func BenchmarkKDVMultiBandwidth(b *testing.B) {
-	d := benchData(30000)
-	grid := NewPixelGrid(benchBox, 128, 128)
-	bw := []float64{9, 11, 13, 15}
-	b.Run("independent-cutoff-x4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, bb := range bw {
-				if _, err := KDVDataset(d, KDVOptions{
-					Kernel: MustKernel(Quartic, bb), Grid: grid, Method: KDVGridCutoff,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("shared-one-pass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := KDVMultiBandwidth(d, grid, Quartic, bw, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // A2: adaptive KDV (per-point bandwidths) vs fixed.
 func BenchmarkKDVAdaptive(b *testing.B) {

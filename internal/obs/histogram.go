@@ -67,47 +67,6 @@ func (h *Histogram) Sum() float64 {
 	return time.Duration(h.sumNS.Load()).Seconds()
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) in seconds by linear
-// interpolation inside the bucket holding the rank, the standard
-// fixed-bucket estimate. Observations in the +Inf bucket are reported as
-// the largest finite bound. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				// +Inf bucket: no finite upper bound to interpolate toward.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // snapshot returns the per-bucket counts, total and sum with one pass of
 // atomic loads (values may skew slightly under concurrent writes, which
 // Prometheus scrapes tolerate by design).

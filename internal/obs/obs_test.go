@@ -30,7 +30,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveAndQuantile(t *testing.T) {
+func TestHistogramObserveCountSum(t *testing.T) {
 	h := obs.NewHistogram([]float64{0.01, 0.1, 1})
 	for i := 0; i < 90; i++ {
 		h.Observe(5 * time.Millisecond) // first bucket
@@ -47,23 +47,30 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	if got := h.Sum(); got < wantSum-1e-9 || got > wantSum+1e-9 {
 		t.Fatalf("sum = %g, want %g", got, wantSum)
 	}
-	// p50 lands in the first bucket, p99 in the second, and the +Inf
-	// observation is clamped to the largest finite bound.
-	if p50 := h.Quantile(0.5); p50 <= 0 || p50 > 0.01 {
-		t.Errorf("p50 = %g, want within (0, 0.01]", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 <= 0.01 || p99 > 0.1 {
-		t.Errorf("p99 = %g, want within (0.01, 0.1]", p99)
-	}
-	if p100 := h.Quantile(1); p100 > 1 {
-		t.Errorf("p100 = %g, want clamped to the largest finite bound", p100)
-	}
 }
 
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := obs.NewHistogram(nil)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %g, want 0", got)
+// TestHistogramEmpty: a histogram that has seen nothing reports zero
+// count and sum, and exports every bucket, +Inf included, at zero.
+func TestHistogramEmpty(t *testing.T) {
+	if h := obs.NewHistogram(nil); h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("empty histogram: count = %d, sum = %g, want 0, 0", h.Count(), h.Sum())
+	}
+	r := obs.NewRegistry()
+	r.Histogram("geostatd_request_seconds", "latency", []float64{0.1, 1}, obs.L("tool", "kdv"))
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP geostatd_request_seconds latency
+# TYPE geostatd_request_seconds histogram
+geostatd_request_seconds_bucket{tool="kdv",le="0.1"} 0
+geostatd_request_seconds_bucket{tool="kdv",le="1"} 0
+geostatd_request_seconds_bucket{tool="kdv",le="+Inf"} 0
+geostatd_request_seconds_sum{tool="kdv"} 0
+geostatd_request_seconds_count{tool="kdv"} 0
+`
+	if got := b.String(); got != want {
+		t.Errorf("prometheus text mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -395,7 +395,7 @@ func (c *Coordinator) withRetry(ctx context.Context, key string, fn func(ctx con
 		if a > 0 {
 			c.mRetries.Inc()
 			if err := sleepCtx(ctx, c.cfg.Backoff<<(a-1)); err != nil {
-				return lastErr
+				return err
 			}
 		}
 		worker := owners[a%len(owners)]

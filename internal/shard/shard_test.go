@@ -473,13 +473,13 @@ func TestCallerCancelReleasesEachStage(t *testing.T) {
 }
 
 // TestCancelDuringBackoff: a cancel while a tile waits out its retry
-// backoff ends the run at once, with the failed attempt's error. A backoff
-// that ignored the cancel would sleep on, then find the ctx cancelled at
-// its next attempt and report context.Canceled instead.
+// backoff ends the run at once with context.Canceled, not the failed
+// attempt's error. The backoff is an hour, so a backoff that ignored the
+// cancel hangs until the test binary's timeout names this test.
 func TestCancelDuringBackoff(t *testing.T) {
 	d := testData(5, 200)
 	c, workers, _ := cluster(t, 1, shard.Config{
-		Replication: 1, Retries: 1, Backoff: 20 * time.Second, Timeout: 20 * time.Second,
+		Replication: 1, Retries: 1, Backoff: time.Hour, Timeout: 20 * time.Second,
 	})
 	workers[0].Script(shardtest.Rule{Tool: "kdv", Status: http.StatusServiceUnavailable})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -489,8 +489,8 @@ func TestCancelDuringBackoff(t *testing.T) {
 	retries := c.Metrics().Counter("shard_retries_total", "tile attempts beyond the first")
 	cancelWhen(ctx, cancel, func() bool { return retries.Value() > 0 })
 	_, err := c.KDV(ctx, d, "ev", kdvReq(kernel.MustNew(kernel.Quartic, 9), 1, 1))
-	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("cancel during backoff: %v, want the 503 attempt's error", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel during backoff: %v, want context.Canceled", err)
 	}
 }
 
